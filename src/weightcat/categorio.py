@@ -284,16 +284,8 @@ def _theta_cone_coefficients(system: RootSystem, weight_diff: Sequence[Fraction]
                              theta_idx: Sequence[int]) -> Optional[List[Fraction]]:
     """Coefficients of a coroot-values difference over the theta simple roots."""
     from . import linalg
-    n = system.rank
-    mat = [[Fraction(system.cartan[j][i]) for j in theta_idx] for i in range(n)]
-    sol = linalg.solve(mat, [Fraction(x) for x in weight_diff])
-    if sol is None:
-        return None
-    for i in range(n):
-        acc = sum((sol[c] * mat[i][c] for c in range(len(theta_idx))), Fraction(0))
-        if acc != Fraction(weight_diff[i]):
-            return None
-    return sol
+    mat = [[Fraction(system.cartan[j][i]) for j in theta_idx] for i in range(system.rank)]
+    return linalg.solve(mat, [Fraction(x) for x in weight_diff])
 
 
 def cuspidal_nilpotent_partition(module: DegreeOneModule, radius: int = 3):

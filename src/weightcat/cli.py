@@ -67,43 +67,7 @@ def cmd_verify(args) -> int:
     module = _build_module(args.module, _parse_params(args.a))
     radius = args.B
     theta = module.theta_a()
-    suites: Dict[str, bool] = {}
-
-    system = module.system
-    roots = sorted(system.roots, key=lambda r: (sum(r), r))
-    window = module.window(radius)
-    # bracket fidelity via composed action tables
-    tables = {}
-    for r in roots:
-        tables[r] = {k: module.act_root(r, k) for k in window}
-    ok = True
-    for i, mu in enumerate(roots):
-        for nu in roots[i + 1:]:
-            s = tuple(a + b for a, b in zip(mu, nu))
-            for k in window:
-                got: Dict = {}
-                for (x, y, sign) in ((mu, nu, 1), (nu, mu, -1)):
-                    c1, k1 = module.act_root(y, k)
-                    if c1:
-                        c2, k2 = module.act_root(x, k1)
-                        if c1 * c2:
-                            got[k2] = got.get(k2, Fraction(0)) + sign * c1 * c2
-                got = {kk: v for kk, v in got.items() if v}
-                want: Dict = {}
-                if s in system.roots:
-                    n = system.realization.structure_constant(mu, nu)
-                    c3, k3 = module.act_root(s, k)
-                    if n * c3:
-                        want[k3] = n * c3
-                elif not any(s):
-                    coeffs = system.realization.cartan_coefficients(mu)
-                    val = sum((a * b for a, b in zip(coeffs, module.weight_of(k))), Fraction(0))
-                    if val:
-                        want[k] = val
-                if got != want:
-                    ok = False
-    suites["bracket_fidelity"] = ok
-
+    suites = {"bracket_fidelity": next(module.bracket_defects(radius), None) is None}
     hw = set(module.enumerate_hw(theta, radius))
     suites["hw_enumeration"] = hw == set(module.predicted_hw(radius))
     suites["degree_one"] = module.degree_on_window(radius) == 1
@@ -138,8 +102,10 @@ def cmd_ext(args) -> int:
 def cmd_lab(args) -> int:
     lemma = args.lemma
     if lemma not in LEMMAS:
-        raise SystemExit(f"unknown lemma id {lemma!r}; choose from {sorted(LEMMAS)}")
+        raise ValueError(f"unknown lemma id {lemma!r}; choose from {sorted(LEMMAS)}")
     params = _parse_params(args.a)
+    if lemma in ("lemA12", "appendix-a3", "AC1") and len(params) != 2:
+        raise ValueError(f"{lemma} takes two parameters a1,a2, got {len(params)}")
     depth = args.D
     if lemma in ("lemA12", "appendix-a3"):
         branch = "0" if args.c in (None, "0") else "-1-A"
@@ -154,7 +120,8 @@ def cmd_lab(args) -> int:
     return EXIT_OK if report.match else EXIT_MISMATCH
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(defaults: Optional[Dict] = None) -> argparse.ArgumentParser:
+    """The command parser; `defaults` (keys as the flags) override the built-in defaults."""
     ap = argparse.ArgumentParser(prog="weightcat",
                                  description="exact computations with weight module categories")
     ap.add_argument("--config", help="JSON file with the same keys as the flags")
@@ -186,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--B", type=int, default=3, help="window radius")
         p.add_argument("--D", type=int, default=4, help="truncation depth")
         p.add_argument("--format", choices=["json", "text"], default="json")
-        p.add_argument("--seed", type=int, default=0)
+        p.set_defaults(**(defaults or {}))
     return ap
 
 
@@ -205,17 +172,24 @@ def _glue_value_flags(argv: List[str]) -> List[str]:
     return out
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    ap = build_parser()
-    argv = list(sys.argv[1:] if argv is None else argv)
-    args = ap.parse_args(_glue_value_flags(argv))
-    if args.config:
-        with open(args.config) as fh:
-            loaded = json.load(fh)
-        for key, val in loaded.items():
-            if getattr(args, key, None) in (None, ap.get_default(key)):
-                setattr(args, key, val)
+def _read_config(path: str) -> Dict:
     try:
+        with open(path) as fh:
+            loaded = json.load(fh)
+    except OSError as exc:
+        raise ValueError(f"cannot read config file: {exc}") from None
+    if not isinstance(loaded, dict):
+        raise ValueError(f"config file {path} does not hold a JSON object")
+    return loaded
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    argv = _glue_value_flags(list(sys.argv[1:] if argv is None else argv))
+    try:
+        args = build_parser().parse_args(argv)
+        if args.config:
+            # flags given on the command line still win over the file
+            args = build_parser(_read_config(args.config)).parse_args(argv)
         return args.func(args)
     except (PartitionError, RealizationUnavailableError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

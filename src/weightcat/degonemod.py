@@ -22,8 +22,7 @@ from itertools import product
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .rootsys import Root, RootSystem, build_root_system
-from .weylmod import (NEG_INT, NONNEG_INT, WeylParams, act_monomial,
-                      act_polynomial, parse_rational)
+from .weylmod import WeylParams, act_monomial, act_polynomial, parse_rational
 
 Index = Tuple[int, ...]
 
@@ -109,28 +108,15 @@ class DegreeOneModule:
 
     def window(self, radius: int) -> List[Index]:
         """All basis indices with every coordinate in [-radius, radius]."""
-        ranges = []
-        for i in range(self.nvars):
-            lo, hi = -radius, radius
-            cls = self.params.coordinate_class(i)
-            if cls == NEG_INT:
-                hi = min(hi, -int(self.params.a[i]) - 1)
-            elif cls == NONNEG_INT:
-                lo = max(lo, -int(self.params.a[i]))
-            ranges.append(range(lo, hi + 1))
+        *head_ranges, last = self.params.window_ranges(radius)
         out = []
-        for head in product(*ranges[:-1]):
+        for head in product(*head_ranges):
+            s = sum(head)
             if self.kind == "N":
-                last = -sum(head)
-                if ranges[-1].start <= last <= ranges[-1].stop - 1:
-                    k = head + (last,)
-                    if self.in_basis(k):
-                        out.append(k)
+                if -s in last:
+                    out.append(head + (-s,))
             else:
-                for last in ranges[-1]:
-                    k = head + (last,)
-                    if (sum(k) % 2 == 0) and self.in_basis(k):
-                        out.append(k)
+                out.extend(head + (x,) for x in last if (s + x) % 2 == 0)
         return out
 
     # -- actions ---------------------------------------------------------------
@@ -146,6 +132,22 @@ class DegreeOneModule:
         res = (c0 * t.coeff, t.target)
         self._act_cache[key] = res
         return res
+
+    def bracket_defects(self, radius: int):
+        """Root pairs and window vectors where the action breaks a bracket.
+
+        Yields (mu, nu, k, defect) as `Realization.representation_defects`
+        does; an empty iteration certifies bracket fidelity on the window.
+        """
+        def act(root, k):
+            c, t = self.act_root(root, k)
+            return ((t, c),) if c else ()
+
+        def act_cartan(h, k):
+            val = sum((a * b for a, b in zip(h, self.weight_of(k))), Fraction(0))
+            return ((k, val),) if val else ()
+
+        return self.realization.representation_defects(act, act_cartan, self.window(radius))
 
     def act_element(self, poly, k: Sequence[int]) -> Dict[Index, Fraction]:
         """Action of an arbitrary realized element on x(k)."""
@@ -293,18 +295,3 @@ def build_M(values: Iterable) -> DegreeOneModule:
     system = build_root_system(f"C{len(spec.a)}")
     return DegreeOneModule("M", spec, system)
 
-
-def theta_of(module: DegreeOneModule) -> FrozenSet[int]:
-    return module.theta_a()
-
-
-def weight_of(module: DegreeOneModule, k: Sequence[int]) -> Tuple[Fraction, ...]:
-    return module.weight_of(k)
-
-
-def enumerate_hw(module: DegreeOneModule, theta: Iterable[int], radius: int) -> List[Index]:
-    return module.enumerate_hw(theta, radius)
-
-
-def degree_on_window(module: DegreeOneModule, radius: int) -> int:
-    return module.degree_on_window(radius)

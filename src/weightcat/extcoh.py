@@ -20,12 +20,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from . import linalg
 from .degonemod import DegreeOneModule, build_M, build_N
-from .rootsys import Root
-from .weylmod import parse_rational
+from .rootsys import Root, RootPair
+from .weylmod import parse_rational, sparse_add
 
 Index = Tuple[int, ...]
 
@@ -81,66 +81,75 @@ def make_sl2_cocycle(b, module: DegreeOneModule, radius: int = 6) -> Cocycle:
     return Cocycle(module, module, {alpha: plus, nalpha: minus})
 
 
+def cocycle_identities(source: DegreeOneModule, target: DegreeOneModule, cval: Callable,
+                       window: Sequence[Index], pairs: Sequence[RootPair]) -> Iterator:
+    """The cocycle identity on every root pair and window vector, as sparse rows.
+
+    cval(root, k) is c(X_root) x(k) as {target index: {column: coefficient}},
+    or None where c is not known.  For each (mu, nu, mu+nu, N, h) in pairs and
+    each k in window this yields (mu, nu, k, rows), where rows maps each
+    target index to the nonzero coefficients of
+        N c(X_{mu+nu}) - c(X_mu) X_nu + X_nu c(X_mu) + c(X_nu) X_mu - X_mu c(X_nu)
+    applied to x(k), or is None when the identity needs a value cval does not know.
+    """
+    for mu, nu, s, n, _ in pairs:
+        for k in window:
+            terms = [(cval(s, k), n, None)] if n else []
+            for a, b, sign in ((mu, nu, 1), (nu, mu, -1)):
+                cm, k2 = source.act_root(b, k)
+                if cm:
+                    terms.append((cval(a, k2), -sign * cm, None))
+                terms.append((cval(a, k), sign, b))
+            if any(value is None for value, _, _ in terms):
+                yield mu, nu, k, None
+                continue
+            rows: Dict[Index, Dict] = {}
+            for value, scale, b in terms:
+                for t, form in value.items():
+                    if b is not None:
+                        cn, t = target.act_root(b, t)
+                        if not cn:
+                            continue
+                        f = scale * cn
+                    else:
+                        f = scale
+                    row = rows.setdefault(t, {})
+                    for col, v in form.items():
+                        sparse_add(row, col, f * v)
+            yield mu, nu, k, {t: row for t, row in rows.items() if row}
+
+
+def _unique_dense(rows: Iterable[Dict], col: Dict) -> List[List[Fraction]]:
+    """The distinct sparse rows as dense rows, column key -> position given by col."""
+    out: List[List[Fraction]] = []
+    seen = set()
+    for row in rows:
+        key = frozenset(row.items())
+        if key in seen:
+            continue
+        seen.add(key)
+        vec = [Fraction(0)] * len(col)
+        for c, v in row.items():
+            vec[col[c]] = v
+        out.append(vec)
+    return out
+
+
 def cocycle_identity_violations(c: Cocycle, radius: int) -> List[str]:
     """Check the identity on all root pairs and window vectors where defined."""
     M, N = c.source, c.target
-    system = M.system
-    roots = sorted(system.roots, key=lambda r: (sum(r), r))
-    window = set(M.window(radius))
-    out: List[str] = []
+    window = M.window(radius)
+    winset = set(window)
 
     def cval(root, k):
+        if k not in winset:
+            return None
         v = c.value(root, k)
-        return v if v is not None else (Fraction(0), k)
+        return {v[1]: {None: v[0]}} if v is not None and v[0] else {}
 
-    for i, mu in enumerate(roots):
-        for nu in roots[i + 1:]:
-            s = tuple(a + b for a, b in zip(mu, nu))
-            for k in window:
-                # left side: c([X_mu, X_nu]) x(k)
-                lhs: Dict[Index, Fraction] = {}
-                if s in system.roots:
-                    n = system.realization.structure_constant(mu, nu)
-                    cc, t = cval(s, k)
-                    if n and cc:
-                        lhs[t] = n * cc
-                ok = True
-                rhs: Dict[Index, Fraction] = {}
-
-                def add(t, v):
-                    tot = rhs.get(t, Fraction(0)) + v
-                    if tot:
-                        rhs[t] = tot
-                    else:
-                        rhs.pop(t, None)
-
-                # [c(mu), X_nu] x(k)
-                for (a, bb, sign) in ((mu, nu, 1), (nu, mu, -1)):
-                    cm, k2 = M.act_root(bb, k)
-                    if cm:
-                        if k2 not in window:
-                            ok = False
-                            break
-                        cc, t = cval(a, k2)
-                        if cc:
-                            add(t, sign * cm * cc)
-                    cc, t = cval(a, k)
-                    if cc:
-                        cn, t2 = N.act_root(bb, t)
-                        if cn:
-                            add(t2, -sign * cc * cn)
-                if not ok:
-                    continue
-                diff = dict(lhs)
-                for t, v in rhs.items():
-                    tot = diff.get(t, Fraction(0)) - v
-                    if tot:
-                        diff[t] = tot
-                    else:
-                        diff.pop(t, None)
-                if diff:
-                    out.append(f"pair {mu},{nu} fails at {k}: {diff}")
-    return out
+    return [f"pair {mu},{nu} fails at {k}: {rows}"
+            for mu, nu, k, rows in cocycle_identities(M, N, cval, window, M.realization.root_pairs())
+            if rows]
 
 
 class ExtensionModule:
@@ -156,65 +165,34 @@ class ExtensionModule:
         self.target = c.target
         self.system = c.source.system
 
+    def _act_key(self, root: Root, key: Tuple[str, Index]) -> List[Tuple[Tuple[str, Index], Fraction]]:
+        side, k = key
+        cm, k2 = (self.target if side == "n" else self.source).act_root(root, k)
+        out = [((side, k2), cm)] if cm else []
+        if side == "m":
+            cv = self.cocycle.value(root, k)
+            if cv and cv[0]:
+                out.append((("n", cv[1]), cv[0]))
+        return out
+
     def act_root(self, root: Root, vec: Dict[Tuple[str, Index], Fraction]) -> Dict[Tuple[str, Index], Fraction]:
         out: Dict[Tuple[str, Index], Fraction] = {}
-
-        def add(key, v):
-            tot = out.get(key, Fraction(0)) + v
-            if tot:
-                out[key] = tot
-            else:
-                out.pop(key, None)
-
-        for (side, k), coeff in vec.items():
-            mod = self.target if side == "n" else self.source
-            cm, k2 = mod.act_root(root, k)
-            if cm:
-                add((side, k2), coeff * cm)
-            if side == "m":
-                cv = self.cocycle.value(root, k)
-                if cv and cv[0]:
-                    add(("n", cv[1]), coeff * cv[0])
+        for key, coeff in vec.items():
+            for key2, c in self._act_key(root, key):
+                sparse_add(out, key2, coeff * c)
         return out
 
     def bracket_violations(self, radius: int) -> List[str]:
-        system = self.system
-        roots = sorted(system.roots, key=lambda r: (sum(r), r))
-        win_m = set(self.source.window(radius))
-        win_n = set(self.target.window(radius))
-        bad = []
-        for i, mu in enumerate(roots):
-            for nu in roots[i + 1:]:
-                s = tuple(a + b for a, b in zip(mu, nu))
-                for side, win in (("m", win_m), ("n", win_n)):
-                    for k in win:
-                        v = {(side, k): Fraction(1)}
-                        got = _msub(self.act_root(mu, self.act_root(nu, v)),
-                                    self.act_root(nu, self.act_root(mu, v)))
-                        want: Dict[Tuple[str, Index], Fraction] = {}
-                        if s in system.roots:
-                            n = system.realization.structure_constant(mu, nu)
-                            want = {kk: n * cc for kk, cc in self.act_root(s, v).items()}
-                        elif not any(s):
-                            coeffs = system.realization.cartan_coefficients(mu)
-                            mod = self.target if side == "n" else self.source
-                            val = sum((a * b for a, b in zip(coeffs, mod.weight_of(k))), Fraction(0))
-                            if val:
-                                want = {(side, k): val}
-                        if _msub(got, want):
-                            bad.append(f"{side} {k} pair {mu},{nu}")
-        return bad
+        def act_cartan(h, key):
+            side, k = key
+            mod = self.target if side == "n" else self.source
+            val = sum((a * b for a, b in zip(h, mod.weight_of(k))), Fraction(0))
+            return [(key, val)] if val else []
 
-
-def _msub(a: Dict, b: Dict) -> Dict:
-    out = dict(a)
-    for k, v in b.items():
-        tot = out.get(k, Fraction(0)) - v
-        if tot:
-            out[k] = tot
-        else:
-            out.pop(k, None)
-    return out
+        keys = [("m", k) for k in self.source.window(radius)] + \
+               [("n", k) for k in self.target.window(radius)]
+        return [f"{side} {k} pair {mu},{nu}" for mu, nu, (side, k), _ in
+                self.system.realization.representation_defects(self._act_key, act_cartan, keys)]
 
 
 def build_extension(c: Cocycle, radius: int = 3) -> ExtensionModule:
@@ -273,53 +251,23 @@ def cocycle_space(source: DegreeOneModule, target: DegreeOneModule, radius: int)
                 unknowns.append((root, k))
                 targets[(root, k)] = (t, w)
     pos = {u: i for i, u in enumerate(unknowns)}
-    rows: List[List[Fraction]] = []
-    for i, mu in enumerate(roots):
-        for nu in roots[i + 1:]:
-            s = tuple(a + b for a, b in zip(mu, nu))
-            nconst = system.realization.structure_constant(mu, nu) if s in system.roots else None
-            for k in window:
-                entries: Dict[Tuple[int, Index], Fraction] = {}
-                ok = True
+    values = {u: {targets[u][0]: {u: Fraction(1)}} for u in unknowns}
 
-                def add(uid, tgt, v):
-                    key = (uid, tgt)
-                    tot = entries.get(key, Fraction(0)) + v
-                    if tot:
-                        entries[key] = tot
-                    else:
-                        entries.pop(key, None)
+    def cval(root, k):
+        return values.get((root, k), {}) if k in winset else None
 
-                if nconst:
-                    uid = pos.get((s, k))
-                    if uid is None and (s, k) in targets:
-                        ok = False
-                    elif uid is not None:
-                        add(uid, targets[(s, k)][0], nconst)
-                if ok:
-                    for (a, bb, sign) in ((mu, nu, 1), (nu, mu, -1)):
-                        cm, k2 = source.act_root(bb, k)
-                        if cm:
-                            if k2 not in winset:
-                                ok = False
-                                break
-                            uid = pos.get((a, k2))
-                            if uid is not None:
-                                add(uid, targets[(a, k2)][0], -sign * cm)
-                        uid = pos.get((a, k))
-                        if uid is not None:
-                            cn, t2 = target.act_root(bb, targets[(a, k)][0])
-                            if cn:
-                                add(uid, t2, sign * cn)
-                if not ok:
-                    continue
-                per_target: Dict[Index, List[Fraction]] = {}
-                for (uid, tgt), v in entries.items():
-                    per_target.setdefault(tgt, [Fraction(0)] * len(unknowns))[uid] += v
-                for row in per_target.values():
-                    if any(row):
-                        rows.append(row)
-    basis = linalg.nullspace(rows, len(unknowns))
+    rows: List[Dict] = []
+    checked = skipped = 0
+    for _, _, _, ident in cocycle_identities(source, target, cval, window,
+                                             system.realization.root_pairs()):
+        if ident is None:
+            skipped += 1
+        else:
+            checked += 1
+            rows.extend(ident.values())
+    if skipped and not checked:
+        raise CertificationError("every identity left the window; enlarge it")
+    basis = linalg.nullspace(_unique_dense(rows, pos), len(unknowns))
     return CocycleSpace(source, target, radius, unknowns, targets, basis)
 
 
@@ -397,10 +345,6 @@ def is_coboundary(c: Cocycle, radius: int) -> Optional[Dict[Index, Fraction]]:
     sol = linalg.solve(rows, rhs)
     if sol is None:
         return None
-    # verify exactly (solve only guarantees pivot-row consistency)
-    for row, want in zip(rows, rhs):
-        if sum((a * b for a, b in zip(row, sol)), Fraction(0)) != want:
-            return None
     return {k: sol[col[k]] for k in order if sol[col[k]]}
 
 
@@ -483,7 +427,11 @@ class _NormalFormAssembler:
         ((qe, pe), _), = poly.terms.items()
         self.delta = tuple(q - p for q, p in zip(qe, pe))
         self.moved = tuple(i for i, d in enumerate(self.delta) if d)
-        self._ops: Dict[Root, Callable] = {}
+        # c(X_root) for every other root with an alpha component comes from
+        # the bracket [X_sigma, X_tau] = N X_root of a simple split
+        self._splits = {r: self._split(r) for r in self.system.roots
+                        if self.alpha_coordinate(r) and r not in (self.alpha, self.nalpha)}
+        self._values: Dict[Tuple[Root, Index], Dict[Index, Dict[Index, Fraction]]] = {}
         self.window = module.window(radius)
         self.labelset = {self.label(k) for k in self.window}
 
@@ -494,115 +442,65 @@ class _NormalFormAssembler:
         idx = list(self.alpha).index(1)
         return root[idx]
 
-    def op(self, root: Root) -> Callable:
-        root = tuple(root)
-        if root in self._ops:
-            return self._ops[root]
-        if self.alpha_coordinate(root) == 0 or root == self.nalpha:
-            fn = lambda k: []
-        elif root == self.alpha:
-            def fn(k):
-                k2 = tuple(a + d for a, d in zip(k, self.delta))
-                coeff, back = self.module.act_root(self.nalpha, k2)
-                if coeff == 0 or back != k:
-                    raise CertificationError(f"lowering operator not invertible at {k}")
-                return [({self.label(k): 1 / coeff}, k2)]
+    def _split(self, root: Root) -> Tuple[Root, Root, Fraction]:
+        """(sigma, tau, N): sigma = +-(a simple root), sigma + tau = root."""
+        positive = sum(root) > 0
+        base = root if positive else tuple(-x for x in root)
+        i = next(j for j in range(self.system.rank)
+                 if self.system.is_root(tuple(
+                     (base[t] - (1 if t == j else 0)) for t in range(self.system.rank))))
+        e = self.system.simple_root(i + 1)
+        if positive:
+            sigma, tau = e, tuple(a - b for a, b in zip(root, e))
         else:
-            positive = sum(root) > 0
-            base = root if positive else tuple(-x for x in root)
-            i = next(j for j in range(self.system.rank)
-                     if self.system.is_root(tuple(
-                         (base[t] - (1 if t == j else 0)) for t in range(self.system.rank))))
-            e = self.system.simple_root(i + 1)
-            if positive:
-                sigma, tau = e, tuple(a - b for a, b in zip(root, e))
-            else:
-                sigma, tau = tuple(-x for x in e), tuple(a + b for a, b in zip(root, e))
-            n = self.system.realization.structure_constant(sigma, tau)
-            op_sig, op_tau = self.op(sigma), self.op(tau)
+            sigma, tau = tuple(-x for x in e), tuple(a + b for a, b in zip(root, e))
+        return sigma, tau, self.system.realization.structure_constant(sigma, tau)
 
-            def fn(k, sigma=sigma, tau=tau, n=n, op_sig=op_sig, op_tau=op_tau):
-                out = []
-                for (a, bb, cop, sign) in ((sigma, tau, op_sig, 1), (tau, sigma, op_tau, -1)):
-                    cm, k2 = self.module.act_root(bb, k)
-                    if cm:
-                        for bd, t in cop(k2):
-                            out.append(({l: sign * cm * v / n for l, v in bd.items()}, t))
-                    for bd, t in cop(k):
-                        cn, t2 = self.module.act_root(bb, t)
-                        if cn:
-                            out.append(({l: -sign * cn * v / n for l, v in bd.items()}, t2))
-                return out
-        self._ops[root] = fn
-        return fn
+    def value(self, root: Root, k: Index) -> Dict[Index, Dict[Index, Fraction]]:
+        """c(X_root) x(k) under the normal form, as {target index: {label: coefficient}}."""
+        if root == self.alpha:
+            k2 = tuple(a + d for a, d in zip(k, self.delta))
+            coeff, back = self.module.act_root(self.nalpha, k2)
+            if coeff == 0 or back != k:
+                raise CertificationError(f"lowering operator not invertible at {k}")
+            return {k2: {self.label(k): 1 / coeff}}
+        split = self._splits.get(root)
+        if split is None:
+            return {}
+        out = self._values.get((root, k))
+        if out is None:
+            # the cocycle identity on (sigma, tau) without its N c(X_root) term
+            sigma, tau, n = split
+            [(_, _, _, rest)] = cocycle_identities(self.module, self.module, self.value, [k],
+                                                   [(sigma, tau, root, 0, None)])
+            out = {t: {l: -v / n for l, v in row.items()} for t, row in rest.items()}
+            self._values[(root, k)] = out
+        return out
 
     def assemble(self) -> Tuple[List[Dict[Index, Fraction]], List[Index], int]:
-        roots = sorted(self.system.roots, key=lambda r: (sum(r), r))
+        a = self.alpha_coordinate
+        # pairs with no alpha component anywhere give identically zero rows
+        pairs = [p for p in self.system.realization.root_pairs()
+                 if a(p[0]) or a(p[1]) or (p[3] and a(p[2]))]
         rows: List[Dict[Index, Fraction]] = []
         dropped = 0
-        for i, mu in enumerate(roots):
-            amu = self.alpha_coordinate(mu)
-            for nu in roots[i + 1:]:
-                anu = self.alpha_coordinate(nu)
-                s = tuple(a + b for a, b in zip(mu, nu))
-                s_is_root = s in self.system.roots
-                if amu == 0 and anu == 0 and (not s_is_root or self.alpha_coordinate(s) == 0):
-                    continue
-                nconst = self.system.realization.structure_constant(mu, nu) if s_is_root else None
-                op_mu, op_nu, op_s = self.op(mu), self.op(nu), (self.op(s) if s_is_root else None)
-                for k in self.window:
-                    per_target: Dict[Index, Dict[Index, Fraction]] = {}
-
-                    def add(bd, t, scale):
-                        tgt = per_target.setdefault(t, {})
-                        for l, v in bd.items():
-                            tot = tgt.get(l, Fraction(0)) + scale * v
-                            if tot:
-                                tgt[l] = tot
-                            else:
-                                tgt.pop(l, None)
-
-                    if op_s is not None and nconst:
-                        for bd, t in op_s(k):
-                            add(bd, t, nconst)
-                    for (a, bb, cop, sign) in ((mu, nu, op_mu, 1), (nu, mu, op_nu, -1)):
-                        cm, k2 = self.module.act_root(bb, k)
-                        if cm:
-                            for bd, t in cop(k2):
-                                add(bd, t, -sign * cm)
-                        for bd, t in cop(k):
-                            cn, t2 = self.module.act_root(bb, t)
-                            if cn:
-                                add(bd, t2, sign * cn)
-                    for row in per_target.values():
-                        if not row:
-                            continue
-                        if all(l in self.labelset for l in row):
-                            rows.append(row)
-                        else:
-                            dropped += 1
-        labels = sorted(self.labelset)
-        return rows, labels, dropped
+        for _, _, _, ident in cocycle_identities(self.module, self.module, self.value,
+                                                 self.window, pairs):
+            for row in ident.values():
+                if all(l in self.labelset for l in row):
+                    rows.append(row)
+                else:
+                    dropped += 1
+        return rows, sorted(self.labelset), dropped
 
 
 def _normal_form_system(module: DegreeOneModule, radius: int, reason: str) -> ConstraintSystem:
-    asm = _NormalFormAssembler(module, radius)
-    rows, labels, dropped = asm.assemble()
+    # the assembler's memo is freed before the elimination
+    rows, labels, dropped = _NormalFormAssembler(module, radius).assemble()
     if not rows and dropped:
         raise CertificationError("every identity left the window; enlarge it")
     col = {l: i for i, l in enumerate(labels)}
-    mat = []
-    seen = set()
-    for row in rows:
-        key = tuple(sorted((l, v) for l, v in row.items()))
-        if key in seen:
-            continue
-        seen.add(key)
-        vec = [Fraction(0)] * len(labels)
-        for l, v in row.items():
-            vec[col[l]] = v
-        mat.append(vec)
-    null = linalg.nullspace(mat, len(labels))
+    null = linalg.nullspace(_unique_dense(rows, col), len(labels))
     basis = [{labels[i]: v for i, v in enumerate(b) if v} for b in null]
     return ConstraintSystem(len(null), basis, radius, labels, "solved", reason)
 

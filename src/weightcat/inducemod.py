@@ -24,6 +24,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 from . import linalg
 from .degonemod import DegreeOneModule, build_M, build_N
 from .rootsys import Root, RootSystem, center_basis
+from .weylmod import sparse_add
 
 Index = Tuple[int, ...]
 Monomial = Tuple[Root, ...]          # negative nilradical roots, sorted
@@ -47,23 +48,10 @@ def _addr(x: Root, y: Root) -> Root:
     return tuple(a + b for a, b in zip(x, y))
 
 
-def vec_add(acc: InducedVector, key: VectorKey, c: Fraction) -> None:
-    tot = acc.get(key, Fraction(0)) + c
-    if tot:
-        acc[key] = tot
-    else:
-        acc.pop(key, None)
-
-
-def vec_scale(v: InducedVector, f: Fraction) -> InducedVector:
-    f = Fraction(f)
-    return {k: f * c for k, c in v.items()} if f else {}
-
-
 def vec_combine(a: InducedVector, b: InducedVector, f: Fraction = Fraction(1)) -> InducedVector:
     out = dict(a)
     for k, c in b.items():
-        vec_add(out, k, f * c)
+        sparse_add(out, k, f * c)
     return out
 
 
@@ -290,7 +278,7 @@ class TruncatedVerma:
         out: InducedVector = {}
         for (mono, t), c in vec.items():
             for key, c2 in self._act_basis(root, mono, t).items():
-                vec_add(out, key, c * c2)
+                sparse_add(out, key, c * c2)
         return out
 
     def act_coroot_combo(self, coeffs: Sequence[Fraction], vec: InducedVector) -> InducedVector:
@@ -299,7 +287,7 @@ class TruncatedVerma:
             w = self.weight_of_key(key)
             val = sum((Fraction(a) * b for a, b in zip(coeffs, w)), Fraction(0))
             if val:
-                vec_add(out, key, c * val)
+                sparse_add(out, key, c * val)
         return out
 
     def act_word(self, word: Sequence, vec: InducedVector) -> InducedVector:
@@ -342,19 +330,19 @@ class TruncatedVerma:
                 # X_root X_gamma = X_gamma X_root + [X_root, X_gamma]
                 for key2, c2 in self._act_basis(root, rest, t).items():
                     for key3, c3 in self._act_basis(gamma, key2[0], key2[1]).items():
-                        vec_add(out, key3, c2 * c3)
+                        sparse_add(out, key3, c2 * c3)
                 s = _addr(root, gamma)
                 if s in self.system.roots:
                     n = self.real.structure_constant(root, gamma)
                     if n:
                         for key2, c2 in self._act_basis(s, rest, t).items():
-                            vec_add(out, key2, n * c2)
+                            sparse_add(out, key2, n * c2)
                 elif not any(s):
                     coeffs = self.real.cartan_coefficients(root)
                     w = self.weight_of_key((rest, t))
                     val = sum((a * b for a, b in zip(coeffs, w)), Fraction(0))
                     if val:
-                        vec_add(out, (rest, t), val)
+                        sparse_add(out, (rest, t), val)
         self._act_memo[key] = out
         return out
 
@@ -487,7 +475,7 @@ class TruncatedVerma:
             nxt: InducedVector = {}
             for (mono, t), c in vec.items():
                 for k2, c2 in self._act_basis(root, mono, t).items():
-                    vec_add(nxt, k2, c * c2)
+                    sparse_add(nxt, k2, c * c2)
             vec = nxt
             if not vec:
                 break
@@ -524,14 +512,6 @@ class TruncatedVerma:
 
 def induce(C: LeviModule, depth: int) -> TruncatedVerma:
     return TruncatedVerma(C, depth)
-
-
-def project_L(verma: TruncatedVerma, vec: InducedVector) -> InducedVector:
-    return verma.project(vec)
-
-
-def proportionality(verma: TruncatedVerma, v: InducedVector, w: InducedVector) -> Optional[Fraction]:
-    return verma.proportionality(v, w)
 
 
 # ---------------------------------------------------------------------------

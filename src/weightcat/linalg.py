@@ -97,15 +97,7 @@ def in_span(vec: Sequence, basis: Sequence[Sequence]) -> Optional[Vector]:
         return [] if all(Fraction(x) == 0 for x in vec) else None
     ncols = len(basis)
     mat = [[Fraction(basis[j][i]) for j in range(ncols)] for i in range(len(vec))]
-    coeffs = solve(mat, vec)
-    if coeffs is None:
-        return None
-    # solve() only guarantees consistency of pivot rows; verify exactly.
-    for i, target in enumerate(vec):
-        acc = sum((coeffs[j] * Fraction(basis[j][i]) for j in range(ncols)), Fraction(0))
-        if acc != Fraction(target):
-            return None
-    return coeffs
+    return solve(mat, vec)
 
 
 def reduce_mod_rowspace(vec: Sequence, rows: Matrix, pivots: List[int]) -> Vector:

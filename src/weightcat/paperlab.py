@@ -329,8 +329,7 @@ def appendix_a3(a1, a2, branch: str = "0", k_range: Sequence[int] = (-1, 0, 1),
         mat = [[w1.get(kk, Fraction(0)), w2.get(kk, Fraction(0))] for kk in keys]
         rhs = [v0.get(kk, Fraction(0)) for kk in keys]
         sol = linalg.solve(mat, rhs)
-        if sol is None or any(sum(m * s for m, s in zip(row, sol)) != r
-                              for row, r in zip(mat, rhs)):
+        if sol is None:
             solved = False
             etas1[k] = etas2[k] = None
         else:

@@ -16,12 +16,13 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from . import linalg
-from .weylmod import WeylPolynomial
+from .weylmod import WeylPolynomial, sparse_add
 
 Root = Tuple[int, ...]
+RootPair = Tuple[Root, Root, Root, Fraction, Optional[Tuple[Fraction, ...]]]
 
 _RANK_BOUNDS = {
     "A": (1, None),
@@ -259,6 +260,7 @@ class Realization:
         self._coroot_polys: List[WeylPolynomial] = [self._build_coroot(i) for i in range(1, system.rank + 1)]
         self._nconst: Dict[Tuple[Root, Root], Fraction] = {}
         self._cartan_coeffs: Dict[Root, Tuple[Fraction, ...]] = {}
+        self._pairs: Optional[List[RootPair]] = None
 
     # -- epsilon coordinates -------------------------------------------------
     def epsilon_vector(self, root: Root) -> Tuple[int, ...]:
@@ -331,13 +333,6 @@ class Realization:
         """Coroot of the simple root e_i (1-based)."""
         return self._coroot_polys[i - 1]
 
-    def cartan_element(self, coeffs: Sequence[Fraction]) -> WeylPolynomial:
-        out = WeylPolynomial(self.nvars)
-        for i, c in enumerate(coeffs):
-            if c:
-                out = out + self.coroot(i + 1).scale(c)
-        return out
-
     def bracket(self, x: WeylPolynomial, y: WeylPolynomial) -> WeylPolynomial:
         return x.commutator(y)
 
@@ -378,10 +373,50 @@ class Realization:
         self._cartan_coeffs[nu] = coeffs
         return coeffs
 
+    # -- the bracket table ------------------------------------------------------
+    def root_pairs(self) -> List[RootPair]:
+        """Every root pair mu < nu in (height, root) order as (mu, nu, mu+nu, N, h).
 
-def bracket(system: RootSystem, x: WeylPolynomial, y: WeylPolynomial) -> WeylPolynomial:
-    """Bracket of two realized elements (types A and C only)."""
-    return system.realization.bracket(x, y)
+        [X_mu, X_nu] = N X_{mu+nu}, with N = 0 when mu+nu is not a root, and
+        h is None except for nu = -mu, where [X_mu, X_nu] = sum_i h_i H_{e_i}.
+        """
+        if self._pairs is None:
+            roots = sorted(self.system.roots, key=lambda r: (sum(r), r))
+            pairs = []
+            for i, mu in enumerate(roots):
+                for nu in roots[i + 1:]:
+                    s = _add(mu, nu)
+                    n = self.structure_constant(mu, nu) if s in self.system.roots else Fraction(0)
+                    h = None if any(s) else self.cartan_coefficients(mu)
+                    pairs.append((mu, nu, s, n, h))
+            self._pairs = pairs
+        return self._pairs
+
+    def representation_defects(self, act: Callable, act_cartan: Callable,
+                               keys: Sequence) -> Iterator[Tuple[Root, Root, object, Dict]]:
+        """Where a linear action fails to respect the brackets of root vectors.
+
+        act(root, key) and act_cartan(h, key) give X_root x(key) and
+        (sum_i h_i H_{e_i}) x(key) as (key, nonzero coefficient) pairs.  Yields
+        (mu, nu, key, defect) for every pair of root_pairs() and every basis
+        key on which X_mu X_nu - X_nu X_mu - [X_mu, X_nu] is the nonzero
+        sparse vector defect.
+        """
+        for mu, nu, s, n, h in self.root_pairs():
+            for key in keys:
+                defect: Dict = {}
+                for x, y, sign in ((mu, nu, 1), (nu, mu, -1)):
+                    for k1, c1 in act(y, key):
+                        for k2, c2 in act(x, k1):
+                            sparse_add(defect, k2, sign * c1 * c2)
+                if n:
+                    for k1, c1 in act(s, key):
+                        sparse_add(defect, k1, -n * c1)
+                elif h is not None:
+                    for k1, c1 in act_cartan(h, key):
+                        sparse_add(defect, k1, -c1)
+                if defect:
+                    yield mu, nu, key, defect
 
 
 # ---------------------------------------------------------------------------
@@ -502,14 +537,7 @@ def validate_category_data(system: RootSystem, P: RootSubset, S: RootSubset,
         mat = [[Fraction(basis[j][i]) for j in range(len(basis))] for i in range(system.rank)]
         for t in T.members:
             coeffs = linalg.solve(mat, list(t))
-            if coeffs is None:
-                basis_ok = False
-                break
-            resid = [sum(coeffs[j] * mat[i][j] for j in range(len(basis))) for i in range(system.rank)]
-            if any(r != Fraction(x) for r, x in zip(resid, t)):
-                basis_ok = False
-                break
-            if any(c.denominator != 1 for c in coeffs):
+            if coeffs is None or any(c.denominator != 1 for c in coeffs):
                 basis_ok = False
                 break
             signs = {1 if c > 0 else -1 for c in coeffs if c != 0}

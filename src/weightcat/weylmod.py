@@ -29,7 +29,22 @@ def parse_rational(s) -> Fraction:
         return s
     if isinstance(s, int):
         return Fraction(s)
-    return Fraction(str(s).strip())
+    try:
+        return Fraction(str(s).strip())
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {s!r}") from None
+
+
+_ZERO = Fraction(0)
+
+
+def sparse_add(acc: Dict, key, c) -> None:
+    """acc[key] += c on a sparse vector, dropping the entry when it cancels."""
+    tot = acc.get(key, _ZERO) + c
+    if tot:
+        acc[key] = tot
+    else:
+        acc.pop(key, None)
 
 
 def format_rational(x: Fraction) -> str:
@@ -164,6 +179,19 @@ class WeylParams:
             return NON_INT
         return NEG_INT if ai < 0 else NONNEG_INT
 
+    def window_ranges(self, radius: int) -> List[range]:
+        """Per-coordinate ranges of the admissible k with |k_i| <= radius."""
+        ranges = []
+        for i, ai in enumerate(self.a):
+            lo, hi = -radius, radius
+            cls = self.coordinate_class(i)
+            if cls == NEG_INT:
+                hi = min(hi, -int(ai) - 1)
+            elif cls == NONNEG_INT:
+                lo = max(lo, -int(ai))
+            ranges.append(range(lo, hi + 1))
+        return ranges
+
     def in_lattice(self, k: Sequence[int]) -> bool:
         """Membership of k in the admissible index set for these parameters."""
         if len(k) != self.n:
@@ -232,25 +260,13 @@ def act_polynomial(params: WeylParams, poly: WeylPolynomial,
     for (qe, pe), c in poly.terms.items():
         t = act_monomial(params, qe, pe, k)
         if t.coeff != 0:
-            tot = out.get(t.target, Fraction(0)) + c * t.coeff
-            if tot:
-                out[t.target] = tot
-            else:
-                out.pop(t.target, None)
+            sparse_add(out, t.target, c * t.coeff)
     return out
 
 
 def lattice_window(params: WeylParams, radius: int) -> List[Tuple[int, ...]]:
     """All admissible k with |k_i| <= radius."""
-    ranges = []
-    for i in range(params.n):
-        lo, hi = -radius, radius
-        if params.coordinate_class(i) == NEG_INT:
-            hi = min(hi, -int(params.a[i]) - 1)
-        elif params.coordinate_class(i) == NONNEG_INT:
-            lo = max(lo, -int(params.a[i]))
-        ranges.append(range(lo, hi + 1))
-    return [k for k in product(*ranges) if params.in_lattice(k)]
+    return list(product(*params.window_ranges(radius)))
 
 
 def check_weyl_relations(params: WeylParams, radius: int) -> List[str]:
@@ -269,20 +285,21 @@ def check_weyl_relations(params: WeylParams, radius: int) -> List[str]:
         return {t2.target: t.coeff * t2.coeff}
 
     def comm(g1, g2, k):
-        d1 = apply2(g1, g2, k)
-        d2 = apply2(g2, g1, k)
-        out = dict(d1)
-        for key, c in d2.items():
-            out[key] = out.get(key, Fraction(0)) - c
-        return {key: c for key, c in out.items() if c != 0}
+        out = apply2(g1, g2, k)
+        for key, c in apply2(g2, g1, k).items():
+            sparse_add(out, key, -c)
+        return out
 
     for k in window:
         for i in range(n):
-            for j in range(n):
+            # [x_i, x_i] = 0 identically and [x_j, x_i] = -[x_i, x_j], so
+            # the commuting relations are checked once per pair i < j
+            for j in range(i + 1, n):
                 if comm(("q", i), ("q", j), k):
                     violations.append(f"[q{i + 1},q{j + 1}] != 0 at {k}")
                 if comm(("p", i), ("p", j), k):
                     violations.append(f"[p{i + 1},p{j + 1}] != 0 at {k}")
+            for j in range(n):
                 got = comm(("p", i), ("q", j), k)
                 want = {tuple(k): Fraction(1)} if i == j else {}
                 if got != want:

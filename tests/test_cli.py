@@ -1,6 +1,8 @@
 import json
 
-from weightcat.cli import EXIT_CONFIG, EXIT_OK, main
+import pytest
+
+from weightcat.cli import EXIT_CONFIG, EXIT_OK, EXIT_UNCERTIFIED, main
 
 
 def run(capsys, *argv):
@@ -60,8 +62,9 @@ def test_ext_rank_one_reports_the_line(capsys):
 
 
 def test_ext_window_too_small(capsys):
-    code = main(["ext", "--module", "N", "--a", "-1,1/2,1/3,0", "--B", "0"])
-    assert code == 3
+    # at B=0 every identity leaves the one-point window, in rank one too
+    for a in ("-1,1/2,1/3,0", "1/2,1/3"):
+        assert main(["ext", "--module", "N", "--a", a, "--B", "0"]) == EXIT_UNCERTIFIED
 
 
 def test_lab_commands(capsys):
@@ -108,3 +111,27 @@ def test_config_file(tmp_path, capsys):
     cfg.write_text(json.dumps({"theta": "1,4"}))
     code, out = run(capsys, "--config", str(cfg), "classify", "A4")
     assert json.loads(out)["kind"] == "NONTRIVIAL"
+
+
+def test_config_file_sets_subcommand_flags(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"B": 1}))
+    code, out = run(capsys, "--config", str(cfg), "ext", "--module", "N", "--a", "1/2,1/3")
+    assert code == EXIT_OK and json.loads(out)["B"] == 1
+    # a flag on the command line wins over the file
+    code, out = run(capsys, "--config", str(cfg), "ext", "--module", "N", "--a", "1/2,1/3", "--B", "2")
+    assert code == EXIT_OK and json.loads(out)["B"] == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["lab", "lemA12", "--a", "1/2"],
+    ["lab", "lemA12", "--a", "1/0,1/3"],
+    ["lab", "nosuch", "--a", "1/2,1/3"],
+    ["--config", "{missing}", "classify", "A4"],
+    ["--config", "{malformed}", "classify", "A4"],
+], ids=["too-few-parameters", "zero-denominator", "unknown-lemma", "missing-config",
+        "malformed-config"])
+def test_bad_input_is_config_error(argv, tmp_path, capsys):
+    (tmp_path / "malformed.json").write_text("{")
+    paths = {"missing": tmp_path / "missing.json", "malformed": tmp_path / "malformed.json"}
+    assert main([x.format(**paths) for x in argv]) == EXIT_CONFIG

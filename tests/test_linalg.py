@@ -1,5 +1,9 @@
 from fractions import Fraction as F
 
+import sympy
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
 from weightcat import linalg
 
 
@@ -47,3 +51,29 @@ def test_integer_row_reduce_rank():
     assert linalg.lattice_rank([]) == 0
     basis = linalg.integer_row_reduce([[2, 4], [3, 6], [0, 5]])
     assert len(basis) == 2
+
+
+def _matrix_and_rhs():
+    small = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    shape = st.tuples(st.integers(0, 4), st.integers(0, 4))
+    return shape.flatmap(lambda mn: st.tuples(
+        st.lists(st.lists(small, min_size=mn[1], max_size=mn[1]), min_size=mn[0], max_size=mn[0]),
+        st.lists(small, min_size=mn[0], max_size=mn[0]),
+        st.just(mn[1])))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_matrix_and_rhs())
+@example(([], [], 0))
+@example(([], [], 3))
+@example(([[], []], [0, 0], 0))
+@example(([[], []], [0, 1], 0))
+def test_solve_matches_rank_criterion(system):
+    # sympy is an independent oracle: A x = b is solvable iff rank [A|b] == rank A
+    mat, rhs, ncols = system
+    a = sympy.Matrix(len(mat), ncols, [x for row in mat for x in row])
+    aug = a.row_join(sympy.Matrix(len(rhs), 1, rhs))
+    sol = linalg.solve(mat, rhs)
+    assert (sol is None) == (aug.rank() > a.rank())
+    if sol is not None:
+        assert all(sum((x * y for x, y in zip(row, sol)), F(0)) == b for row, b in zip(mat, rhs))
