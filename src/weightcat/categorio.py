@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
-from .degonemod import DegreeOneModule, build_M, build_N
+from . import linalg
+from .degonemod import DegreeOneModule, Index, build_M, build_N
 from .rootsys import CartanType, Root, RootSystem, center_basis
 from .weylmod import parse_rational
 
@@ -163,6 +164,60 @@ class MembershipReport:
         return self.certified and self.cuspidality_ok and self.restriction_ok and self.finiteness_ok
 
 
+def _step_cap(radius: int, rank: int) -> int:
+    """Default number of steps a chain walk may take on a window of this radius."""
+    return 4 * radius * (rank + 1) + 8
+
+
+def _survives(module: DegreeOneModule, root: Root, k: Index, cap: int) -> bool:
+    """True when cap successive applications of the root vector to x(k) stay nonzero."""
+    for _ in range(cap):
+        coeff, k = module.act_root(root, k)
+        if coeff == 0:
+            return False
+    return True
+
+
+def _witnesses(module: DegreeOneModule, roots: Iterable[Root], window: Sequence[Index],
+               cap: int, survive: bool) -> List[Tuple[Root, Index]]:
+    """(root, first window vector k) for every root whose chain from x(k)
+    survives cap steps (survive=True) or dies within them (survive=False)."""
+    out = []
+    for root in roots:
+        k = next((k for k in window if _survives(module, root, k, cap) == survive), None)
+        if k is not None:
+            out.append((root, k))
+    return out
+
+
+def _dominated_pairs(system: RootSystem, theta: FrozenSet[int],
+                     weights: Dict[Index, Tuple[Fraction, ...]]) -> List[Tuple[Index, Index]]:
+    """Ordered pairs (v, w) of equal central character with v - w a nonzero
+    nonnegative combination of the theta simple roots.
+
+    weights maps each vector to its values on the simple coroots.  The Cartan
+    matrix is invertible, so every weight has unique coordinates over the
+    simple roots, and v - w lies in the theta span exactly when the
+    coordinates off theta agree: only vectors in one (central character,
+    coordinates off theta) group are compared.
+    """
+    n = system.rank
+    center = center_basis(system, [i for i in range(1, n + 1) if i not in theta])
+    transpose = [[Fraction(system.cartan[j][i]) for j in range(n)] for i in range(n)]
+    on = [i for i in range(n) if i + 1 in theta]
+    off = [i for i in range(n) if i + 1 not in theta]
+    groups: Dict[tuple, List[Index]] = {}
+    key_of, coords = {}, {}
+    for v, wt in weights.items():
+        x = linalg.solve(transpose, list(wt))
+        coords[v] = [x[i] for i in on]
+        key_of[v] = (tuple(sum((a * b for a, b in zip(z, wt)), Fraction(0)) for z in center),
+                     tuple(x[i] for i in off))
+        groups.setdefault(key_of[v], []).append(v)
+    return [(v, w) for v in weights for w in groups[key_of[v]]
+            if coords[v] != coords[w] and all(a >= b for a, b in zip(coords[v], coords[w]))]
+
+
 def check_membership(module: DegreeOneModule, theta: Iterable[int],
                      S: Optional[Iterable[int]] = None, radius: int = 3,
                      step_cap: Optional[int] = None) -> MembershipReport:
@@ -176,145 +231,71 @@ def check_membership(module: DegreeOneModule, theta: Iterable[int],
     of S act locally nilpotently within the step cap.
     """
     system = module.system
-    n = system.rank
     theta = frozenset(theta)
-    S = frozenset(S) if S is not None else frozenset(range(1, n + 1))
+    S = frozenset(S) if S is not None else frozenset(range(1, system.rank + 1))
     if not theta <= S:
         raise ValueError("theta must be contained in S")
     window = module.window(radius)
     if not window:
         raise ValueError("empty window: radius too small for these parameters")
-    cap = step_cap if step_cap is not None else 4 * radius * (n + 1) + 8
-    details: Dict[str, object] = {}
+    cap = step_cap if step_cap is not None else _step_cap(radius, system.rank)
+    # condition 1: a root vector on S minus theta that kills a window vector
+    cusp_witnesses = _witnesses(module, system.span_closure(S - theta), window, 1, False)
+
+    # condition 2: ascend along the first theta raising operator that acts,
+    # at most cap + 1 steps, to a highest-weight vector
+    raising = [(b, system.simple_root(b)) for b in sorted(theta)]
     certified = True
-
-    cusp_roots = [r for r in system.span_closure(S - theta)]
-    cusp_ok = True
-    witnesses = []
-    for root in cusp_roots:
-        for k in window:
-            coeff, _ = module.act_root(root, k)
-            if coeff == 0:
-                cusp_ok = False
-                witnesses.append((root, k))
-                break
-    details["cuspidality_witnesses"] = witnesses
-
-    theta_simples = sorted(theta)
-    ascents_failed = []
     broken_descents = []
-    hw_reached: Set[Tuple[int, ...]] = set()
+    hw_reached: Set[Index] = set()
     for k in window:
         cur = k
-        steps = 0
-        while steps <= cap:
-            moved = False
-            for b in theta_simples:
-                root = system.simple_root(b)
-                coeff, target = module.act_root(root, cur)
-                if coeff != 0:
-                    # the certificate needs the downward edge too: the vector
-                    # must be recovered from above by the lowering operator
-                    dcoeff, back = module.act_root(tuple(-x for x in root), target)
-                    if dcoeff == 0 or back != cur:
-                        broken_descents.append((cur, b))
-                    cur = target
-                    moved = True
-                    steps += 1
-                    break
-            if not moved:
+        for _ in range(cap + 1):
+            step = next(((b, root, t) for b, root in raising
+                         for c, t in [module.act_root(root, cur)] if c), None)
+            if step is None:
+                hw_reached.add(cur)
                 break
-        if steps > cap:
-            ascents_failed.append(k)
-            certified = False
+            b, root, target = step
+            # the certificate needs the downward edge too: the vector must be
+            # recovered from above by the lowering operator
+            dcoeff, back = module.act_root(tuple(-x for x in root), target)
+            if dcoeff == 0 or back != cur:
+                broken_descents.append((cur, b))
+            cur = target
         else:
-            hw_reached.add(cur)
+            certified = False
     hw_vectors = [k for k in hw_reached if module.is_hw(k, theta)]
-    restriction_ok = (not ascents_failed and not broken_descents
+    dominated = _dominated_pairs(system, theta, {v: module.weight_of(v) for v in hw_vectors})
+    restriction_ok = (certified and not broken_descents and not dominated
                       and len(hw_vectors) == len(hw_reached))
-    details["broken_descents"] = broken_descents
 
-    # no highest-weight vector may dominate another with equal central character
-    center = center_basis(system, [i for i in range(1, n + 1) if i not in theta])
-    # partial order: weight difference a nonnegative combination of theta simples
-    theta_idx = [b - 1 for b in sorted(theta)]
-    dominated = []
-    for v in hw_vectors:
-        wv = module.weight_of(v)
-        zv = [sum((a * b for a, b in zip(z, wv)), Fraction(0)) for z in center]
-        for w in hw_vectors:
-            if w == v:
-                continue
-            ww = module.weight_of(w)
-            zw = [sum((a * b for a, b in zip(z, ww)), Fraction(0)) for z in center]
-            if zv != zw:
-                continue
-            diff = [a - b for a, b in zip(wv, ww)]
-            coeffs = _theta_cone_coefficients(system, diff, theta_idx)
-            if coeffs is not None and all(c >= 0 for c in coeffs) and any(c > 0 for c in coeffs):
-                dominated.append((v, w))
-    if dominated:
-        restriction_ok = False
-    details["hw_count"] = len(hw_vectors)
-    details["dominated_pairs"] = dominated
-
-    fin_roots = [r for r in system.positive_set if r not in system.span_closure(S)]
-    fin_ok = True
-    fin_witnesses = []
-    for root in fin_roots:
-        for k in window:
-            cur = k
-            alive = True
-            for _ in range(cap):
-                coeff, target = module.act_root(root, cur)
-                if coeff == 0:
-                    alive = False
-                    break
-                cur = target
-            if alive:
-                fin_ok = False
-                fin_witnesses.append((root, k))
-                break
-    details["nilpotency_witnesses"] = fin_witnesses
-
-    return MembershipReport(cusp_ok, restriction_ok, fin_ok, certified, details)
-
-
-def _theta_cone_coefficients(system: RootSystem, weight_diff: Sequence[Fraction],
-                             theta_idx: Sequence[int]) -> Optional[List[Fraction]]:
-    """Coefficients of a coroot-values difference over the theta simple roots."""
-    from . import linalg
-    mat = [[Fraction(system.cartan[j][i]) for j in theta_idx] for i in range(system.rank)]
-    return linalg.solve(mat, [Fraction(x) for x in weight_diff])
+    # condition 3: a positive root vector outside the span of S that survives the cap
+    span_S = system.span_closure(S)
+    nil_witnesses = _witnesses(module, [r for r in system.positive_set if r not in span_S],
+                               window, cap, True)
+    details = {"cuspidality_witnesses": cusp_witnesses, "broken_descents": broken_descents,
+               "hw_count": len(hw_vectors), "dominated_pairs": dominated,
+               "nilpotency_witnesses": nil_witnesses}
+    return MembershipReport(not cusp_witnesses, restriction_ok, not nil_witnesses,
+                            certified, details)
 
 
 def cuspidal_nilpotent_partition(module: DegreeOneModule, radius: int = 3):
     """Sort roots into injective / locally nilpotent by window evidence."""
     system = module.system
     window = module.window(radius)
-    cap = 4 * radius * (system.rank + 1) + 8
+    if not window:
+        return set(), set(), set(system.roots)
+    cap = _step_cap(radius, system.rank)
     injective: Set[Root] = set()
     nilpotent: Set[Root] = set()
     undecided: Set[Root] = set()
-    if not window:
-        return injective, nilpotent, set(system.roots)
     for root in system.roots:
-        coeffs = [module.act_root(root, k)[0] for k in window]
-        if all(c != 0 for c in coeffs):
+        if not _witnesses(module, [root], window, 1, False):
             injective.add(root)
-            continue
-        dies_everywhere = True
-        for k in window:
-            cur = k
-            alive = True
-            for _ in range(cap):
-                c, cur2 = module.act_root(root, cur)
-                if c == 0:
-                    alive = False
-                    break
-                cur = cur2
-            if alive:
-                dies_everywhere = False
-                break
-        (nilpotent if dies_everywhere else undecided).add(root)
+        elif _witnesses(module, [root], window, cap, True):
+            undecided.add(root)
+        else:
+            nilpotent.add(root)
     return injective, nilpotent, undecided

@@ -66,6 +66,8 @@ def cmd_classify(args) -> int:
 def cmd_verify(args) -> int:
     module = _build_module(args.module, _parse_params(args.a))
     radius = args.B
+    if radius < 1:
+        raise CertificationError("window radius must be at least 1 to see a boundary row")
     theta = module.theta_a()
     suites = {"bracket_fidelity": next(module.bracket_defects(radius), None) is None}
     hw = set(module.enumerate_hw(theta, radius))

@@ -91,7 +91,10 @@ def cocycle_identities(source: DegreeOneModule, target: DegreeOneModule, cval: C
     target index to the nonzero coefficients of
         N c(X_{mu+nu}) - c(X_mu) X_nu + X_nu c(X_mu) + c(X_nu) X_mu - X_mu c(X_nu)
     applied to x(k), or is None when the identity needs a value cval does not know.
+    Raises CertificationError once exhausted if identities exist but every one
+    was None: a check that checked nothing must not pass.
     """
+    checked = skipped = False
     for mu, nu, s, n, _ in pairs:
         for k in window:
             terms = [(cval(s, k), n, None)] if n else []
@@ -101,8 +104,10 @@ def cocycle_identities(source: DegreeOneModule, target: DegreeOneModule, cval: C
                     terms.append((cval(a, k2), -sign * cm, None))
                 terms.append((cval(a, k), sign, b))
             if any(value is None for value, _, _ in terms):
+                skipped = True
                 yield mu, nu, k, None
                 continue
+            checked = True
             rows: Dict[Index, Dict] = {}
             for value, scale, b in terms:
                 for t, form in value.items():
@@ -117,6 +122,8 @@ def cocycle_identities(source: DegreeOneModule, target: DegreeOneModule, cval: C
                     for col, v in form.items():
                         sparse_add(row, col, f * v)
             yield mu, nu, k, {t: row for t, row in rows.items() if row}
+    if skipped and not checked:
+        raise CertificationError("every identity left the window; enlarge it")
 
 
 def _unique_dense(rows: Iterable[Dict], col: Dict) -> List[List[Fraction]]:
@@ -257,16 +264,10 @@ def cocycle_space(source: DegreeOneModule, target: DegreeOneModule, radius: int)
         return values.get((root, k), {}) if k in winset else None
 
     rows: List[Dict] = []
-    checked = skipped = 0
     for _, _, _, ident in cocycle_identities(source, target, cval, window,
                                              system.realization.root_pairs()):
-        if ident is None:
-            skipped += 1
-        else:
-            checked += 1
+        if ident is not None:
             rows.extend(ident.values())
-    if skipped and not checked:
-        raise CertificationError("every identity left the window; enlarge it")
     basis = linalg.nullspace(_unique_dense(rows, pos), len(unknowns))
     return CocycleSpace(source, target, radius, unknowns, targets, basis)
 

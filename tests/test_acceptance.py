@@ -313,6 +313,7 @@ def test_c6_cross_validation():
                     (name, sorted(comp))
                 trivial_ac += 1
     assert nontrivial >= 15 and trivial_ac >= 4
+    assert time.time() - started < 30, "runtime budget exceeded"
     report(6, f"{nontrivial} nontrivial memberships, {trivial_ac} trivial probes", started)
 
 

@@ -2,11 +2,12 @@ from fractions import Fraction as F
 
 import pytest
 
+from weightcat import linalg
 from weightcat.categorio import (CUSPIDAL, EXCLUDED, HIGHEST_WEIGHT, NONTRIVIAL, TRIVIAL,
-                                 ThetaSpec, check_membership, classify,
+                                 ThetaSpec, _dominated_pairs, check_membership, classify,
                                  cuspidal_nilpotent_partition, infinite_dim_criterion)
 from weightcat.degonemod import build_M, build_N
-from weightcat.rootsys import build_root_system
+from weightcat.rootsys import build_root_system, center_basis
 
 
 def comp_to_theta(system, comp):
@@ -138,6 +139,25 @@ def test_membership_restriction_fails_for_wrong_theta():
     m = build_N(["1/2", "1/3", "0"])
     rep = check_membership(m, frozenset({1}), S=frozenset({1, 2}), radius=2, step_cap=12)
     assert not rep.passed
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4", "C2", "C3", "C4"])
+def test_center_separates_theta_span(name):
+    # The center is taken on the complement of theta, and the matrix
+    # (z . alpha_j), z in that center, j in theta, has rank |theta|: equal
+    # central characters and a difference in the theta span force equal
+    # weights, so dominated_pairs is always empty.  A center on the theta-Levi
+    # would make the branch reachable, and the dominance check below fire.
+    system = build_root_system(name)
+    n = system.rank
+    for mask in range(1 << n):
+        theta = frozenset(i + 1 for i in range(n) if mask >> i & 1)
+        center = center_basis(system, [i for i in range(1, n + 1) if i not in theta])
+        pairing = [[sum(z[i] * system.cartan[j - 1][i] for i in range(n)) for j in sorted(theta)]
+                   for z in center]
+        assert linalg.rank(pairing) == len(theta), sorted(theta)
+        above = tuple(F(sum(system.cartan[j - 1][i] for j in theta)) for i in range(n))
+        assert _dominated_pairs(system, theta, {(1,): above, (0,): (F(0),) * n}) == []
 
 
 def test_partition_of_roots():

@@ -62,9 +62,12 @@ def test_ext_rank_one_reports_the_line(capsys):
 
 
 def test_ext_window_too_small(capsys):
-    # at B=0 every identity leaves the one-point window, in rank one too
-    for a in ("-1,1/2,1/3,0", "1/2,1/3"):
-        assert main(["ext", "--module", "N", "--a", a, "--B", "0"]) == EXIT_UNCERTIFIED
+    # at B=0 every identity leaves the one-point window, in rank one too,
+    # and verify has no boundary row to certify
+    for argv in (["ext", "--module", "N", "--a", "-1,1/2,1/3,0"],
+                 ["ext", "--module", "N", "--a", "1/2,1/3"],
+                 ["verify", "--module", "N", "--a", "-1,1/2,1/3,0"]):
+        assert main(argv + ["--B", "0"]) == EXIT_UNCERTIFIED
 
 
 def test_lab_commands(capsys):

@@ -52,6 +52,9 @@ def test_non_cocycle_rejected(sl2):
     bad = Cocycle(sl2, sl2, {alpha: {(0, 0): (F(1), (1, -1))}})
     with pytest.raises(CocycleError):
         build_extension(bad, radius=2)
+    # at radius 0 every identity leaves the one-point window: nothing was checked
+    with pytest.raises(CertificationError):
+        build_extension(bad, radius=0)
 
 
 def test_coboundaries_recovered(sl2):
