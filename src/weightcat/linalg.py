@@ -8,7 +8,7 @@ relies on for reproducible canonical representatives.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 Vector = List[Fraction]
 Matrix = List[List[Fraction]]
@@ -19,34 +19,38 @@ def _as_fracs(row: Sequence) -> Vector:
 
 
 def rref(mat: Sequence[Sequence]) -> Tuple[Matrix, List[int]]:
-    """Reduced row echelon form.  Returns (nonzero rows, pivot columns)."""
-    rows = [_as_fracs(r) for r in mat]
-    if not rows:
-        return [], []
-    ncols = len(rows[0])
-    pivots: List[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, len(rows)):
-            if rows[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
+    """Reduced row echelon form.  Returns (nonzero rows, pivot columns).
+
+    Rows are read one at a time and reduced against the rows kept so far,
+    touching only nonzero entries; reading stops once the rank reaches the
+    column count, so the rows after that point are never looked at.
+    """
+    ncols = len(mat[0]) if mat else 0
+    kept: Dict[int, Tuple[Vector, List[int]]] = {}  # pivot -> (row, nonzero columns)
+    for raw in mat:
+        if len(kept) == ncols:
             break
-    rows = [row for row in rows[:r]]
-    return rows, pivots
+        v = _as_fracs(raw)
+        for pc, (prow, nz) in kept.items():
+            f = v[pc]
+            if f:
+                for j in nz:
+                    v[j] -= f * prow[j]
+        nz = [j for j, x in enumerate(v) if x]
+        if not nz:
+            continue
+        c, pv = nz[0], v[nz[0]]
+        for j in nz:
+            v[j] /= pv
+        for prow, pnz in kept.values():
+            g = prow[c]
+            if g:
+                for j in nz:
+                    prow[j] -= g * v[j]
+                pnz[:] = [j for j, x in enumerate(prow) if x]
+        kept[c] = (v, nz)
+    pivots = sorted(kept)
+    return [kept[c][0] for c in pivots], pivots
 
 
 def rank(mat: Sequence[Sequence]) -> int:
@@ -55,13 +59,6 @@ def rank(mat: Sequence[Sequence]) -> int:
 
 def nullspace(mat: Sequence[Sequence], ncols: int) -> List[Vector]:
     """Basis of the right kernel {x : mat @ x = 0}, one vector per free column."""
-    if not mat:
-        basis = []
-        for j in range(ncols):
-            v = [Fraction(0)] * ncols
-            v[j] = Fraction(1)
-            basis.append(v)
-        return basis
     rows, pivots = rref(mat)
     pivot_set = set(pivots)
     basis = []
@@ -103,10 +100,12 @@ def in_span(vec: Sequence, basis: Sequence[Sequence]) -> Optional[Vector]:
 def reduce_mod_rowspace(vec: Sequence, rows: Matrix, pivots: List[int]) -> Vector:
     """Canonical representative of vec modulo the row space given in RREF."""
     v = _as_fracs(vec)
-    for r, pc in enumerate(pivots):
-        if v[pc] != 0:
-            f = v[pc]
-            v = [x - f * y for x, y in zip(v, rows[r])]
+    for row, pc in zip(rows, pivots):
+        f = v[pc]
+        if f:
+            for j, y in enumerate(row):
+                if y:
+                    v[j] -= f * y
     return v
 
 

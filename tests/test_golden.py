@@ -1,0 +1,64 @@
+"""Golden outputs: exact bytes of reference CLI runs and library results.
+
+The digests were recorded before elimination was made row-incremental;
+any change to the arithmetic that moves a single byte of these outputs
+fails here.
+"""
+import hashlib
+from fractions import Fraction as F
+
+import pytest
+
+from weightcat.cli import EXIT_OK, main
+from weightcat.degonemod import build_M, build_N
+from weightcat.extcoh import cocycle_space
+from weightcat.inducemod import induce, restrict_family
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+GOLDEN_RUNS = {
+    "classify A4 --theta 1,4":
+        "41b4025a4c3a4c3e287536f07794d9e77f764391c7c96ce26124b160b929c43a",
+    "verify --module N --a -1,1/2,1/3,0 --B 3":
+        "7eaf4791804f707e7ff710224a23bf4b6d9f5152de75b7969522e5aeac1771d7",
+    "verify --module M --a -1,-1,1/4 --B 2":
+        "7424425e2c06f79dde2ea7bbb5ef2cbedddb4c4f682989de7c7993102c2ea7ad",
+    "ext --module N --a -1,1/2,1/3,0":
+        "576fb071ec3379439ffbf5eef1f982f00f3d542e5c44193f286a15ce4facfcb0",
+    "ext --module M --a -1,-1,1/4":
+        "bea86ee93543261811852dcfbfd76b25f727cbd91036d4f3f363f03406df873c",
+    "ext --module N --a 1/2,1/3":
+        "aa6e6adf0687a785280589ae8d77629dec15b4e7470894dd8bab2ce59f02eb1d",
+    "ext --module N --a -1,1/2,1/3,0 --b -1,1/5,1/7,0":
+        "81ccb0f2398bc117a5c77987055bee78b877f63118a14a3022330ddf7c068d49",
+    "lab appendix-a3 --a 1/2,1/3 --c 0":
+        "34ec065b959696855d7c5baac89f10fda681f85f0574b629c5025f5c4e929a4b",
+    "lab lemA12 --a 1/2,1/3":
+        "c989cfcff6ff1be4e9dacd4b369997912c7bb77080c03c6249ff15cc4baa096c",
+    "lab CC --a -1,1/4,1/5":
+        "47dec0b4916df366335d336f538fe076fa972a9445e8693b882b0f40b780bdbb",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(GOLDEN_RUNS))
+def test_cli_output_is_golden(capsys, argv):
+    assert main(argv.split()) == EXIT_OK
+    assert sha256(capsys.readouterr().out) == GOLDEN_RUNS[argv]
+
+
+def test_c9_cocycle_basis_is_golden():
+    m = build_M(["1/4", "1/3"])
+    basis = cocycle_space(m, m, 2).basis
+    assert (len(basis), len(basis[0])) == (36, 104)
+    assert sha256(repr(basis)) == "f30b520e1cc95092a0122477c758fa6e9d7b3950882fceb36e94ba1353206a66"
+
+
+def test_kernel_data_is_golden():
+    V = induce(restrict_family(build_N(["-1", "1/2", "1/3", "0"])), 3)
+    rows, pivots, basis = V.kernel_data((F(-1, 2), F(-17, 6), F(-2, 3)))
+    assert (len(basis), pivots) == (8, [0, 1, 2, 3, 4, 5, 6])
+    assert sha256(repr((rows, pivots, basis))) == \
+        "cab15443e19a1d951fa1865f6c3ca8b96ed93cdac51b731832ff28070df4a0e4"

@@ -1,7 +1,10 @@
+import itertools
+import time
 from fractions import Fraction as F
 
 import pytest
 
+from weightcat import linalg
 from weightcat.degonemod import build_M, build_N
 from weightcat.inducemod import (DepthOverflowError, NonScalarActionError, central_scalars,
                                  induce, levi_module, levi_module_product,
@@ -188,3 +191,58 @@ def test_probe_trivial_c3_cases():
         assert probe_restriction_failure(C, depth=3).restriction_impossible, block
     C = levi_module(c3, [1, 2], build_N([F(1, 2), F(1, 3), F(1, 5)]), {3: F(1, 7)})
     assert probe_restriction_failure(C, depth=3).restriction_impossible
+
+
+def _brute_kernel(V, mu):
+    """The kernel of kernel_data(mu) from every PBW word over the positive nilradical.
+
+    A positive nilradical root raises the degree outside the Levi block by at
+    least one, so a word longer than the largest such degree of a basis
+    monomial cannot return to 1 (x) C: the words below are all functionals
+    that can be nonzero, with no Levi-shift pruning of their weights.
+    """
+    basis = V.weight_space(mu)
+    outside = [i for i in range(V.system.rank) if i + 1 not in V.C.block]
+    longest = max(-sum(r[i] for r in mono for i in outside) for mono, _ in basis)
+    rows = []
+    for n in range(longest + 1):
+        for word in itertools.combinations_with_replacement(V.ideal_pos, n):
+            nu = [sum(col) for col in zip(*word)] if word else [0] * V.system.rank
+            t = V.C.index_of_weight([m + v for m, v in zip(mu, V.system.coroot_values(tuple(nu)))])
+            if t is None:
+                continue
+            row = []
+            for key in basis:
+                vec = {key: F(1)}
+                for root in reversed(word):
+                    vec = V.act_root(root, vec)
+                row.append(vec.get(((), t), F(0)))
+            rows.append(row)
+    return linalg.rref(linalg.nullspace(rows, len(basis)))
+
+
+def test_kernel_data_matches_brute_force():
+    a2, a3, c2 = (build_root_system(t) for t in ("A2", "A3", "C2"))
+    modules = [
+        levi_module(a2, [1], build_N([F(1, 2), F(1, 3)]), {2: F(1, 3)}),
+        restrict_family(build_N(["-1", "1/2", "1/3"])),
+        restrict_family(build_N(["-1", "1/2", "1/3", "0"])),
+        restrict_family(build_N(["-1", "1/2", "1/3", "1/5"])),
+        levi_module(a3, [1, 2], build_N([F(1, 2), F(1, 3), F(1, 5)]), {3: F(1, 7)}),
+        restrict_family(build_M(["-1", "1/4"])),
+        levi_module(c2, [1], build_N([F(1, 2), F(1, 3)]), {2: F(1, 5)}),
+    ]
+    started = time.time()
+    checked = 0
+    for C in modules:
+        indices = [t for t in itertools.product((-1, 0, 1), repeat=len(C.zero_index()))
+                   if C.in_basis(t)]
+        for depth in (2, 3):
+            V = induce(C, depth)
+            weights = {V.weight_of_key((mono, t)) for mono, _ in V._all_monomials() for t in indices}
+            for mu in sorted(weights):
+                rows, pivots, basis = V.kernel_data(mu)
+                assert _brute_kernel(V, mu) == (rows, pivots), (C.block, depth, mu)
+                checked += bool(rows)
+    assert checked > 100
+    assert time.time() - started < 10

@@ -77,3 +77,49 @@ def test_solve_matches_rank_criterion(system):
     assert (sol is None) == (aug.rank() > a.rank())
     if sol is not None:
         assert all(sum((x * y for x, y in zip(row, sol)), F(0)) == b for row, b in zip(mat, rhs))
+
+
+def _tall_matrix():
+    """Mostly tall matrices whose rows repeat, vanish or combine earlier rows."""
+    small = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+    def rows(ncols):
+        row = st.lists(small, min_size=ncols, max_size=ncols)
+        return st.lists(row, min_size=1, max_size=4).flatmap(lambda seeds: st.lists(st.one_of(
+            st.sampled_from(seeds),
+            st.just([F(0)] * ncols),
+            st.tuples(st.sampled_from(seeds), st.sampled_from(seeds), small).map(
+                lambda t: [x + t[2] * y for x, y in zip(t[0], t[1])]),
+            row), max_size=12))
+
+    return st.integers(0, 5).flatmap(lambda n: st.tuples(rows(n), st.just(n)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_tall_matrix())
+@example(([], 0))
+@example(([], 3))
+@example(([[], [], []], 0))
+@example(([[0, 0, 0]] * 4, 3))
+def test_rref_and_nullspace_match_sympy(system):
+    mat, ncols = system
+    rows, pivots = linalg.rref(mat)
+    expected, expected_pivots = sympy.Matrix(len(mat), ncols, [x for row in mat for x in row]).rref()
+    assert pivots == list(expected_pivots)
+    assert rows == [[F(int(x.p), int(x.q)) for x in expected.row(i)] for i in range(len(pivots))]
+    basis = linalg.nullspace(mat, ncols)
+    assert len(basis) == ncols - len(pivots)
+    assert all(sum((F(a) * b for a, b in zip(row, v)), F(0)) == 0 for row in mat for v in basis)
+
+
+class _Unread:
+    def __iter__(self):
+        raise AssertionError("rref read a row after reaching full column rank")
+
+    def __len__(self):
+        raise AssertionError("rref read a row after reaching full column rank")
+
+
+def test_rref_stops_at_full_column_rank():
+    identity = [[F(int(i == j)) for j in range(3)] for i in range(3)]
+    assert linalg.rref(identity + [_Unread()]) == (identity, [0, 1, 2])
