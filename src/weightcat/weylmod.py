@@ -85,14 +85,11 @@ class WeylPolynomial:
     def __add__(self, other: "WeylPolynomial") -> "WeylPolynomial":
         out = dict(self.terms)
         for key, c in other.terms.items():
-            out[key] = out.get(key, Fraction(0)) + c
+            sparse_add(out, key, c)
         return WeylPolynomial(self.nvars, out)
 
     def __sub__(self, other: "WeylPolynomial") -> "WeylPolynomial":
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            out[key] = out.get(key, Fraction(0)) - c
-        return WeylPolynomial(self.nvars, out)
+        return self + -other
 
     def __neg__(self) -> "WeylPolynomial":
         return WeylPolynomial(self.nvars, {k: -c for k, c in self.terms.items()})
@@ -115,8 +112,7 @@ class WeylPolynomial:
                             coeff *= math.comb(pa[i], s[i]) * math.comb(qb[i], s[i]) * math.factorial(s[i])
                     qk = tuple(qa[i] + qb[i] - s[i] for i in range(n))
                     pk = tuple(pa[i] + pb[i] - s[i] for i in range(n))
-                    key = (qk, pk)
-                    out[key] = out.get(key, Fraction(0)) + coeff
+                    sparse_add(out, (qk, pk), coeff)
         return WeylPolynomial(n, out)
 
     def commutator(self, other: "WeylPolynomial") -> "WeylPolynomial":
@@ -161,9 +157,21 @@ class WeylAuditError(RuntimeError):
 
 @dataclass(frozen=True)
 class WeylParams:
-    """Parameter vector a in Q^N with per-coordinate integrality class."""
+    """Parameter vector a in Q^N, kept as ints a_i = num_i/den_i, with the
+    admissible k_i in [lo_i, hi_i]: k_i <= -a_i - 1 for a negative integer a_i,
+    k_i >= -a_i for a non-negative integer, unbounded (None) otherwise."""
 
     a: Tuple[Fraction, ...]
+
+    def __post_init__(self):
+        num = tuple(x.numerator for x in self.a)
+        den = tuple(x.denominator for x in self.a)
+        object.__setattr__(self, "_num", num)
+        object.__setattr__(self, "_den", den)
+        object.__setattr__(self, "_lo", tuple(-m if d == 1 and m >= 0 else None
+                                              for m, d in zip(num, den)))
+        object.__setattr__(self, "_hi", tuple(-m - 1 if d == 1 and m < 0 else None
+                                              for m, d in zip(num, den)))
 
     @classmethod
     def of(cls, values: Iterable) -> "WeylParams":
@@ -174,35 +182,43 @@ class WeylParams:
         return len(self.a)
 
     def coordinate_class(self, i: int) -> str:
-        ai = self.a[i]
-        if ai.denominator != 1:
-            return NON_INT
-        return NEG_INT if ai < 0 else NONNEG_INT
+        if self._hi[i] is not None:
+            return NEG_INT
+        return NON_INT if self._lo[i] is None else NONNEG_INT
 
     def window_ranges(self, radius: int) -> List[range]:
         """Per-coordinate ranges of the admissible k with |k_i| <= radius."""
-        ranges = []
-        for i, ai in enumerate(self.a):
-            lo, hi = -radius, radius
-            cls = self.coordinate_class(i)
-            if cls == NEG_INT:
-                hi = min(hi, -int(ai) - 1)
-            elif cls == NONNEG_INT:
-                lo = max(lo, -int(ai))
-            ranges.append(range(lo, hi + 1))
-        return ranges
+        return [range(-radius if lo is None else max(lo, -radius),
+                      (radius if hi is None else min(hi, radius)) + 1)
+                for lo, hi in zip(self._lo, self._hi)]
 
     def in_lattice(self, k: Sequence[int]) -> bool:
         """Membership of k in the admissible index set for these parameters."""
         if len(k) != self.n:
             raise ValueError("length mismatch")
-        for i, ki in enumerate(k):
-            cls = self.coordinate_class(i)
-            if cls == NEG_INT and self.a[i] + ki >= 0:
-                return False
-            if cls == NONNEG_INT and self.a[i] + ki < 0:
+        for ki, lo, hi in zip(k, self._lo, self._hi):
+            if (lo is not None and ki < lo) or (hi is not None and ki > hi):
                 return False
         return True
+
+    def _step(self, kind: str, i: int, ki: int) -> Tuple[int, int, int]:
+        """(numerator, denominator, new k_i) of q_i or p_i on an admissible x(k):
+        q_i raises k_i with coefficient a_i + k_i + 1 on a negative-integer
+        coordinate and 1 elsewhere; p_i lowers it with 1 there, a_i + k_i elsewhere."""
+        hi = self._hi[i]
+        if kind == "q":
+            num, den = (self._num[i] + ki + 1, 1) if hi is not None else (1, 1)
+            ki += 1
+        elif kind == "p":
+            num, den = (1, 1) if hi is not None else (self._num[i] + ki * self._den[i], self._den[i])
+            ki -= 1
+        else:
+            raise ValueError(f"unknown generator kind {kind!r}")
+        lo = self._lo[i]
+        if num and ((lo is not None and ki < lo) or (hi is not None and ki > hi)):
+            raise WeylAuditError(f"{kind}_{i + 1} moves k_{i + 1} to {ki}, outside the index set, "
+                                 f"with coefficient {Fraction(num, den)}")
+        return num, den, ki
 
 
 def k_member(params: WeylParams, k: Sequence[int]) -> bool:
@@ -214,43 +230,29 @@ def weyl_act(gen: Tuple[str, int], params: WeylParams, k: Sequence[int]) -> Acti
     if not params.in_lattice(k):
         raise ValueError(f"index {k} not admissible for parameters {params.a}")
     kind, i = gen
-    ai = params.a[i]
-    neg = params.coordinate_class(i) == NEG_INT
+    num, den, ki = params._step(kind, i, k[i])
     k = tuple(k)
-    if kind == "q":
-        target = k[:i] + (k[i] + 1,) + k[i + 1:]
-        coeff = (ai + k[i] + 1) if neg else Fraction(1)
-    elif kind == "p":
-        target = k[:i] + (k[i] - 1,) + k[i + 1:]
-        coeff = Fraction(1) if neg else (ai + k[i])
-    else:
-        raise ValueError(f"unknown generator kind {kind!r}")
-    coeff = Fraction(coeff)
-    if coeff != 0 and not params.in_lattice(target):
-        raise WeylAuditError(f"{kind}_{i + 1} maps {k} outside the index set with coefficient {coeff}")
-    return ActionTerm(coeff, target)
+    return ActionTerm(Fraction(num, den), k[:i] + (ki,) + k[i + 1:])
 
 
 def act_monomial(params: WeylParams, qexp: Sequence[int], pexp: Sequence[int],
                  k: Sequence[int]) -> ActionTerm:
-    """Action of the normal-ordered monomial q^qexp p^pexp on x(k)."""
-    coeff = Fraction(1)
-    cur = tuple(k)
-    for i, e in enumerate(pexp):
-        for _ in range(e):
-            t = weyl_act(("p", i), params, cur)
-            coeff *= t.coeff
-            if coeff == 0:
-                return ActionTerm(Fraction(0), cur)
-            cur = t.target
-    for i, e in enumerate(qexp):
-        for _ in range(e):
-            t = weyl_act(("q", i), params, cur)
-            coeff *= t.coeff
-            if coeff == 0:
-                return ActionTerm(Fraction(0), cur)
-            cur = t.target
-    return ActionTerm(coeff, cur)
+    """Action of the normal-ordered monomial q^qexp p^pexp on x(k); a zero
+    coefficient stops the walk and returns the index it was applied to."""
+    if not params.in_lattice(k):
+        raise ValueError(f"index {k} not admissible for parameters {params.a}")
+    num = den = 1
+    cur = list(k)
+    for kind, exps in (("p", pexp), ("q", qexp)):
+        for i, e in enumerate(exps):
+            for _ in range(e):
+                n, d, ki = params._step(kind, i, cur[i])
+                if not n:
+                    return ActionTerm(_ZERO, tuple(cur))
+                num *= n
+                den *= d
+                cur[i] = ki
+    return ActionTerm(Fraction(num, den), tuple(cur))
 
 
 def act_polynomial(params: WeylParams, poly: WeylPolynomial,
@@ -271,18 +273,22 @@ def lattice_window(params: WeylParams, radius: int) -> List[Tuple[int, ...]]:
 
 def check_weyl_relations(params: WeylParams, radius: int) -> List[str]:
     """Exhaustively verify the defining relations on the window; returns violations."""
-    violations: List[str] = []
+    if radius < 0:  # the window would be empty; for radius >= 0 it holds k = 0
+        raise ValueError(f"radius must be >= 0, got {radius}")
     window = lattice_window(params, radius)
+    violations: List[str] = []
     n = params.n
 
     def apply2(g1, g2, k):
-        t = weyl_act(g2, params, k)
-        if t.coeff == 0:
+        (kind2, i2), (kind1, i1) = g2, g1
+        cur = list(k)
+        n2, d2, cur[i2] = params._step(kind2, i2, cur[i2])
+        if not n2:
             return {}
-        t2 = weyl_act(g1, params, t.target)
-        if t2.coeff == 0:
+        n1, d1, cur[i1] = params._step(kind1, i1, cur[i1])
+        if not n1:
             return {}
-        return {t2.target: t.coeff * t2.coeff}
+        return {tuple(cur): Fraction(n1 * n2, d1 * d2)}
 
     def comm(g1, g2, k):
         out = apply2(g1, g2, k)
@@ -313,9 +319,9 @@ def transitivity_probe(params: WeylParams, radius: int) -> bool:
     Edges k -> target for every q_i/p_i action with nonzero coefficient whose
     target stays inside the window.
     """
+    if radius < 0:
+        raise ValueError(f"radius must be >= 0, got {radius}")
     window = lattice_window(params, radius)
-    if not window:
-        return True
     index = {k: i for i, k in enumerate(window)}
     succ: List[List[int]] = [[] for _ in window]
     for k in window:
