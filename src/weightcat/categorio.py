@@ -19,7 +19,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tup
 
 from . import linalg
 from .degonemod import DegreeOneModule, Index, build_M, build_N
-from .rootsys import CartanType, Root, RootSystem, center_basis
+from .rootsys import CartanType, Root, RootSystem, add_roots, center_basis, neg_root
 from .weylmod import parse_rational
 
 TRIVIAL = "TRIVIAL"
@@ -142,7 +142,7 @@ def infinite_dim_criterion(spec: ThetaSpec) -> bool:
         ra = system.simple_root(a)
         for b in spec.theta:
             rb = system.simple_root(b)
-            if system.is_root(tuple(x + y for x, y in zip(ra, rb))):
+            if system.is_root(add_roots(ra, rb)):
                 return True
     return False
 
@@ -259,7 +259,7 @@ def check_membership(module: DegreeOneModule, theta: Iterable[int],
             b, root, target = step
             # the certificate needs the downward edge too: the vector must be
             # recovered from above by the lowering operator
-            dcoeff, back = module.act_root(tuple(-x for x in root), target)
+            dcoeff, back = module.act_root(neg_root(root), target)
             if dcoeff == 0 or back != cur:
                 broken_descents.append((cur, b))
             cur = target

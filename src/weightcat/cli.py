@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Sequence
 from .categorio import check_membership, classify
 from .degonemod import PartitionError, build_M, build_N
 from .extcoh import CertificationError, coboundary_quotient_dim, ext_solve_typeA, ext_solve_typeC
-from .paperlab import LEMMAS, verify_AC1
+from .paperlab import LEMMAS, run_lemma
 from .rootsys import RealizationUnavailableError, build_root_system
 from .weylmod import format_rational, parse_rational
 
@@ -102,22 +102,7 @@ def cmd_ext(args) -> int:
 
 
 def cmd_lab(args) -> int:
-    lemma = args.lemma
-    if lemma not in LEMMAS:
-        raise ValueError(f"unknown lemma id {lemma!r}; choose from {sorted(LEMMAS)}")
-    params = _parse_params(args.a)
-    if lemma in ("lemA12", "appendix-a3", "AC1") and len(params) != 2:
-        raise ValueError(f"{lemma} takes two parameters a1,a2, got {len(params)}")
-    depth = args.D
-    if lemma in ("lemA12", "appendix-a3"):
-        branch = "0" if args.c in (None, "0") else "-1-A"
-        krange = range(-args.B + 1, args.B)
-        report = LEMMAS[lemma](params[0], params[1], branch=branch,
-                               k_range=tuple(krange), depth=depth)
-    elif lemma == "AC1":
-        report = verify_AC1(params[0], params[1], depth=depth)
-    else:
-        report = LEMMAS[lemma](params, depth=depth)
+    report = run_lemma(args.lemma, _parse_params(args.a), branch=args.c, radius=args.B, depth=args.D)
     _emit(report.to_json(), args.format)
     return EXIT_OK if report.match else EXIT_MISMATCH
 
@@ -148,7 +133,7 @@ def build_parser(defaults: Optional[Dict] = None) -> argparse.ArgumentParser:
     p = sub.add_parser("lab", help="rerun a constant-extraction script")
     p.add_argument("lemma", help=f"one of {sorted(LEMMAS)}")
     p.add_argument("--a", required=True)
-    p.add_argument("--c", help="branch selector for the two-branch scripts (0 or -1-A)")
+    p.add_argument("--c", default="0", help="branch of lemA12 and appendix-a3: 0 or -1-A")
     p.set_defaults(func=cmd_lab)
 
     for p in sub.choices.values():
@@ -165,7 +150,7 @@ def _glue_value_flags(argv: List[str]) -> List[str]:
     i = 0
     while i < len(argv):
         tok = argv[i]
-        if tok in ("--a", "--b", "--theta") and i + 1 < len(argv):
+        if tok in ("--a", "--b", "--c", "--theta") and i + 1 < len(argv):
             out.append(f"{tok}={argv[i + 1]}")
             i += 2
         else:

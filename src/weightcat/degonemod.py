@@ -21,7 +21,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
-from .rootsys import Root, RootSystem, build_root_system
+from .rootsys import Root, RootSystem, build_root_system, neg_root
 from .weylmod import WeylParams, act_monomial, act_polynomial, parse_rational
 
 Index = Tuple[int, ...]
@@ -269,7 +269,7 @@ class DegreeOneModule:
             c1, t1 = self.act_root(root, k)
             if c1 == 0:
                 continue
-            c2, t2 = self.act_root(tuple(-x for x in root), t1)
+            c2, t2 = self.act_root(neg_root(root), t1)
             if c1 * c2 == 0 or t2 != k:
                 return_ok = False
         return OrbitReport(sorted(orbit), cuspidal_ok, return_ok)

@@ -24,7 +24,7 @@ from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence,
 
 from . import linalg
 from .degonemod import DegreeOneModule, build_M, build_N
-from .rootsys import Root, RootPair
+from .rootsys import Root, RootPair, add_roots, neg_root
 from .weylmod import parse_rational, sparse_add
 
 Index = Tuple[int, ...]
@@ -68,7 +68,7 @@ def make_sl2_cocycle(b, module: DegreeOneModule, radius: int = 6) -> Cocycle:
     if system.rank != 1:
         raise ValueError("rank-one module expected")
     alpha = system.simple_root(1)
-    nalpha = tuple(-x for x in alpha)
+    nalpha = neg_root(alpha)
     plus: Dict[Index, Tuple[Fraction, Index]] = {}
     minus: Dict[Index, Tuple[Fraction, Index]] = {}
     for k in module.window(radius + 1):
@@ -162,11 +162,10 @@ def cocycle_identity_violations(c: Cocycle, radius: int) -> List[str]:
 class ExtensionModule:
     """Module structure on target + source glued along a cocycle."""
 
-    def __init__(self, c: Cocycle, radius: int = 4, validate: bool = True):
-        if validate:
-            bad = cocycle_identity_violations(c, radius)
-            if bad:
-                raise CocycleError(f"not a cocycle ({len(bad)} violations): {bad[0]}")
+    def __init__(self, c: Cocycle, radius: int = 4):
+        bad = cocycle_identity_violations(c, radius)
+        if bad:
+            raise CocycleError(f"not a cocycle ({len(bad)} violations): {bad[0]}")
         self.cocycle = c
         self.source = c.source
         self.target = c.target
@@ -180,13 +179,6 @@ class ExtensionModule:
             cv = self.cocycle.value(root, k)
             if cv and cv[0]:
                 out.append((("n", cv[1]), cv[0]))
-        return out
-
-    def act_root(self, root: Root, vec: Dict[Tuple[str, Index], Fraction]) -> Dict[Tuple[str, Index], Fraction]:
-        out: Dict[Tuple[str, Index], Fraction] = {}
-        for key, coeff in vec.items():
-            for key2, c in self._act_key(root, key):
-                sparse_add(out, key2, coeff * c)
         return out
 
     def bracket_violations(self, radius: int) -> List[str]:
@@ -203,7 +195,7 @@ class ExtensionModule:
 
 
 def build_extension(c: Cocycle, radius: int = 3) -> ExtensionModule:
-    return ExtensionModule(c, radius=radius, validate=True)
+    return ExtensionModule(c, radius=radius)
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +244,7 @@ def cocycle_space(source: DegreeOneModule, target: DegreeOneModule, radius: int)
     for root in roots:
         shift = system.coroot_values(root)
         for k in window:
-            w = tuple(a + b for a, b in zip(source.weight_of(k), shift))
+            w = add_roots(source.weight_of(k), shift)
             t = target.index_of_weight(w)
             if t is not None:
                 unknowns.append((root, k))
@@ -273,7 +265,7 @@ def cocycle_space(source: DegreeOneModule, target: DegreeOneModule, radius: int)
 
 
 def _phi_domain(source: DegreeOneModule, target: DegreeOneModule, radius: int):
-    """Weight-matched pairs (k, t) for phi, on the window extended one root step."""
+    """Weight-matched pairs (k, t) for phi, on the window extended one root step, sorted by k."""
     system = source.system
     window = list(source.window(radius))
     extended: Set[Index] = set(window)
@@ -291,32 +283,28 @@ def _phi_domain(source: DegreeOneModule, target: DegreeOneModule, radius: int):
     return pairs
 
 
-def coboundary_vector(source, target, pairs, fvals, unknowns, targets) -> List[Fraction]:
-    vec = []
-    for (root, k) in unknowns:
-        t_target, _ = targets[(root, k)]
-        val = Fraction(0)
-        if k in pairs and fvals.get(k):
-            cn, t2 = target.act_root(root, pairs[k])
-            if cn and t2 == t_target:
-                val += fvals[k] * cn
-        cm, k2 = source.act_root(root, k)
-        if cm and k2 in pairs and fvals.get(k2):
-            val -= cm * fvals[k2]
-        vec.append(val)
-    return vec
+def _coboundary_row(source: DegreeOneModule, target: DegreeOneModule, pairs: Dict[Index, Index],
+                    root: Root, k: Index, t: Index) -> List[Fraction]:
+    """d(phi)(X_root) x(k) = X_root phi(x(k)) - phi(X_root x(k)) at x(t), as
+    coefficients of the values of phi, one per source index of pairs."""
+    row = {}
+    if k in pairs:
+        cn, t2 = target.act_root(root, pairs[k])
+        if cn and t2 == t:
+            row[k] = cn
+    cm, k2 = source.act_root(root, k)
+    if cm and k2 in pairs:
+        sparse_add(row, k2, -cm)
+    return [row.get(kk, Fraction(0)) for kk in pairs]
 
 
 def coboundary_quotient_dim(source: DegreeOneModule, target: DegreeOneModule, radius: int) -> int:
     """Dimension of window cocycles modulo window coboundaries."""
     space = cocycle_space(source, target, radius)
     pairs = _phi_domain(source, target, radius)
-    order = sorted(pairs)
-    dvecs = []
-    for k0 in order:
-        fv = {k0: Fraction(1)}
-        dvecs.append(coboundary_vector(source, target, pairs, fv, space.unknowns, space.targets))
-    return space.dimension - linalg.rank(dvecs)
+    rows = [_coboundary_row(source, target, pairs, root, k, space.targets[(root, k)][0])
+            for root, k in space.unknowns]
+    return space.dimension - linalg.rank(rows)
 
 
 def is_coboundary(c: Cocycle, radius: int) -> Optional[Dict[Index, Fraction]]:
@@ -325,28 +313,17 @@ def is_coboundary(c: Cocycle, radius: int) -> Optional[Dict[Index, Fraction]]:
     phi lives on the window extended by one root step; equations are taken at
     every stored value of c.
     """
-    source, target = c.source, c.target
-    pairs = _phi_domain(source, target, radius)
-    order = sorted(pairs)
-    col = {k: i for i, k in enumerate(order)}
+    pairs = _phi_domain(c.source, c.target, radius)
     rows: List[List[Fraction]] = []
     rhs: List[Fraction] = []
     for root, cmap in c.maps.items():
-        for k, (cval, t_target) in cmap.items():
-            row = [Fraction(0)] * len(order)
-            if k in pairs:
-                cn, t2 = target.act_root(root, pairs[k])
-                if cn and t2 == t_target:
-                    row[col[k]] += cn
-            cm, k2 = source.act_root(root, k)
-            if cm and k2 in pairs:
-                row[col[k2]] -= cm
-            rows.append(row)
+        for k, (cval, t) in cmap.items():
+            rows.append(_coboundary_row(c.source, c.target, pairs, root, k, t))
             rhs.append(cval)
     sol = linalg.solve(rows, rhs)
     if sol is None:
         return None
-    return {k: sol[col[k]] for k in order if sol[col[k]]}
+    return {k: x for k, x in zip(pairs, sol) if x}
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +400,7 @@ class _NormalFormAssembler:
         self.system = module.system
         self.radius = radius
         self.alpha = self.system.simple_root(block[0])
-        self.nalpha = tuple(-x for x in self.alpha)
+        self.nalpha = neg_root(self.alpha)
         poly = self.system.realization.root_vector(self.alpha)
         ((qe, pe), _), = poly.terms.items()
         self.delta = tuple(q - p for q, p in zip(qe, pe))
@@ -446,7 +423,7 @@ class _NormalFormAssembler:
     def _split(self, root: Root) -> Tuple[Root, Root, Fraction]:
         """(sigma, tau, N): sigma = +-(a simple root), sigma + tau = root."""
         positive = sum(root) > 0
-        base = root if positive else tuple(-x for x in root)
+        base = root if positive else neg_root(root)
         i = next(j for j in range(self.system.rank)
                  if self.system.is_root(tuple(
                      (base[t] - (1 if t == j else 0)) for t in range(self.system.rank))))
@@ -454,7 +431,7 @@ class _NormalFormAssembler:
         if positive:
             sigma, tau = e, tuple(a - b for a, b in zip(root, e))
         else:
-            sigma, tau = tuple(-x for x in e), tuple(a + b for a, b in zip(root, e))
+            sigma, tau = neg_root(e), add_roots(root, e)
         return sigma, tau, self.system.realization.structure_constant(sigma, tau)
 
     def value(self, root: Root, k: Index) -> Dict[Index, Dict[Index, Fraction]]:

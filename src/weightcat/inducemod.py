@@ -23,7 +23,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from . import linalg
 from .degonemod import DegreeOneModule, build_M, build_N
-from .rootsys import Root, RootSystem, center_basis
+from .rootsys import Root, RootSystem, add_roots, center_basis, neg_root
 from .weylmod import sparse_add
 
 Index = Tuple[int, ...]
@@ -38,21 +38,6 @@ class DepthOverflowError(RuntimeError):
 
 class NonScalarActionError(RuntimeError):
     """An operator expected to act by a scalar did not."""
-
-
-def _neg(r: Root) -> Root:
-    return tuple(-x for x in r)
-
-
-def _addr(x: Root, y: Root) -> Root:
-    return tuple(a + b for a, b in zip(x, y))
-
-
-def vec_combine(a: InducedVector, b: InducedVector, f: Fraction = Fraction(1)) -> InducedVector:
-    out = dict(a)
-    for k, c in b.items():
-        sparse_add(out, k, f * c)
-    return out
 
 
 class LeviModule:
@@ -230,7 +215,7 @@ class TruncatedVerma:
             (r for r in self.system.positive_set if r not in self.levi_roots),
             key=lambda r: (sum(r), r))
         self.ideal_pos_set = frozenset(self.ideal_pos)
-        self.nminus: List[Root] = [_neg(r) for r in self.ideal_pos]
+        self.nminus: List[Root] = [neg_root(r) for r in self.ideal_pos]
         self._order = {r: i for i, r in enumerate(self.nminus)}
         self.nminus_set = frozenset(self.nminus)
         self._act_memo: Dict[Tuple[Root, Monomial, Index], InducedVector] = {}
@@ -249,10 +234,7 @@ class TruncatedVerma:
 
         The factors are multiplied in the given left-to-right order.
         """
-        vec = self.one_tensor(t, coeff)
-        for root in reversed([tuple(r) for r in roots]):
-            vec = self.act_root(root, vec)
-        return vec
+        return self.act_word(roots, self.one_tensor(t, coeff))
 
     # -- weights -----------------------------------------------------------------
     def root_weight(self, root: Root) -> Tuple[Fraction, ...]:
@@ -290,16 +272,10 @@ class TruncatedVerma:
                 sparse_add(out, key, c * val)
         return out
 
-    def act_word(self, word: Sequence, vec: InducedVector) -> InducedVector:
-        """Apply a product of root vectors / coroot combinations, rightmost first.
-
-        Entries are either root tuples or ("H", coeff-tuple).
-        """
-        for entry in reversed(list(word)):
-            if isinstance(entry, tuple) and entry and entry[0] == "H":
-                vec = self.act_coroot_combo(entry[1], vec)
-            else:
-                vec = self.act_root(tuple(entry), vec)
+    def act_word(self, word: Sequence[Root], vec: InducedVector) -> InducedVector:
+        """Apply a product of root vectors, rightmost first."""
+        for root in reversed(list(word)):
+            vec = self.act_root(root, vec)
             if not vec:
                 return {}
         return vec
@@ -331,7 +307,7 @@ class TruncatedVerma:
                 for key2, c2 in self._act_basis(root, rest, t).items():
                     for key3, c3 in self._act_basis(gamma, key2[0], key2[1]).items():
                         sparse_add(out, key3, c2 * c3)
-                s = _addr(root, gamma)
+                s = add_roots(root, gamma)
                 if s in self.system.roots:
                     n = self.real.structure_constant(root, gamma)
                     if n:
@@ -360,7 +336,7 @@ class TruncatedVerma:
                 return
             for i in range(start, len(self.nminus)):
                 r = self.nminus[i]
-                rec(i, mono + (r,), _addr(total, r))
+                rec(i, mono + (r,), add_roots(total, r))
 
         rec(0, (), zero)
         self._monomials = out
@@ -389,7 +365,7 @@ class TruncatedVerma:
             new = set()
             for s in frontier:
                 for r in self.levi_roots:
-                    new.add(_addr(s, r))
+                    new.add(add_roots(s, r))
             frontier = new - sums
             sums |= new
         return sums
@@ -436,7 +412,7 @@ class TruncatedVerma:
         for key in basis:
             total = (0,) * self.system.rank
             for r in key[0]:
-                total = _addr(total, r)
+                total = add_roots(total, r)
             mono_roots.add(total)
         shifts = self._levi_shift_sums(maxdepth)
         candidates: Set[Root] = set()
@@ -456,7 +432,7 @@ class TruncatedVerma:
                 row = [Fraction(0)] * len(basis)
                 nonzero = False
                 for j, key in enumerate(basis):
-                    image = self._act_basis_word(word, key)
+                    image = self.act_word(word, {key: Fraction(1)})
                     c = image.get(((), t_target), Fraction(0))
                     if c:
                         row[j] = c
@@ -469,18 +445,6 @@ class TruncatedVerma:
         self._kernel_cache[ck] = res
         return res
 
-    def _act_basis_word(self, word: Monomial, key: VectorKey) -> InducedVector:
-        vec: InducedVector = {key: Fraction(1)}
-        for root in reversed(word):
-            nxt: InducedVector = {}
-            for (mono, t), c in vec.items():
-                for k2, c2 in self._act_basis(root, mono, t).items():
-                    sparse_add(nxt, k2, c * c2)
-            vec = nxt
-            if not vec:
-                break
-        return vec
-
     # -- quotient ----------------------------------------------------------------
     def project(self, vec: InducedVector) -> InducedVector:
         """Canonical representative of vec in the simple quotient."""
@@ -491,9 +455,6 @@ class TruncatedVerma:
         coords = [vec.get(key, Fraction(0)) for key in basis]
         red = linalg.reduce_mod_rowspace(coords, rref_rows, pivots)
         return {key: c for key, c in zip(basis, red) if c}
-
-    def is_zero_in_quotient(self, vec: InducedVector) -> bool:
-        return not self.project(vec)
 
     def proportionality(self, v: InducedVector, w: InducedVector) -> Optional[Fraction]:
         """t with v = t*w in the simple quotient, or None."""
@@ -507,7 +468,7 @@ class TruncatedVerma:
             return None
         key, c = next(iter(sorted(pw.items())))
         t = pv.get(key, Fraction(0)) / c
-        return t if vec_combine(pv, pw, -t) == {} else None
+        return t if {k: t * c for k, c in pw.items()} == pv else None
 
 
 def induce(C: LeviModule, depth: int) -> TruncatedVerma:
@@ -557,7 +518,7 @@ def _zero_weight_words(system: RootSystem, max_len: int) -> List[Tuple[Root, ...
         if abs(sum(total)) > room * maxh:
             return
         for i in range(start, len(roots)):
-            rec(i, word + (roots[i],), _addr(total, roots[i]))
+            rec(i, word + (roots[i],), add_roots(total, roots[i]))
 
     rec(0, (), zero)
     return out
@@ -656,7 +617,7 @@ def _chain_exists(system: RootSystem, theta_pos: Sequence[Root], alpha: Root, re
         return True
     for beta in theta_pos:
         if all(b <= r for b, r in zip(beta, rem)):
-            nxt = _addr(alpha, beta)
+            nxt = add_roots(alpha, beta)
             if nxt in system.roots and _chain_exists(
                     system, theta_pos, nxt, tuple(r - b for r, b in zip(rem, beta))):
                 return True
@@ -696,7 +657,7 @@ def probe_restriction_failure(C: LeviModule, depth: int = 3) -> ProbeReport:
             if not _chain_exists(system, theta_pos, alpha, rem):
                 continue
             for mu in levi_pos:
-                nu = _addr(delta, mu)
+                nu = add_roots(delta, mu)
                 if nu not in system.roots:
                     continue
                 ok = True
@@ -711,13 +672,11 @@ def probe_restriction_failure(C: LeviModule, depth: int = 3) -> ProbeReport:
 
     base = C.zero_index()
     for cand in candidates:
-        lhs = verma.project(verma.monomial_tensor([_neg(cand.delta)], base))
-        c0, t0 = C.act_root(_neg(cand.alpha), base)
+        lhs = verma.project(verma.monomial_tensor([neg_root(cand.delta)], base))
+        c0, t0 = C.act_root(neg_root(cand.alpha), base)
         span_vectors: List[InducedVector] = []
         for word in verma._pos_monomials_of_weight(cand.chain_weight):
-            neg_word = tuple(_neg(r) for r in word)
-            vec = verma.act_word(list(neg_word), verma.one_tensor(t0, c0))
-            pv = verma.project(vec)
+            pv = verma.project(verma.monomial_tensor([neg_root(r) for r in word], t0, c0))
             if pv:
                 span_vectors.append(pv)
         keys = sorted({k for v in span_vectors for k in v} | set(lhs))

@@ -14,13 +14,17 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
-from .degonemod import build_M, build_N
-from .inducemod import (central_scalars, induce, levi_module, restrict_family,
-                        u0_compare)
-from .rootsys import build_root_system
+from .degonemod import DegreeOneModule, build_M, build_N
+from .extcoh import CertificationError
+from .inducemod import central_scalars, induce, levi_module, restrict_family, u0_compare
+from .rootsys import add_roots, build_root_system, neg_root
 from .weylmod import format_rational, parse_rational
 
 DEFAULT_DEPTH = 4
+# word length of the zero-weight monomial comparison
+U0_DEPTH = 4
+AC1_K_RANGE = (-1, 0, 1, 2)
+BRANCHES = ("0", "-1-A")
 
 
 @dataclass
@@ -51,16 +55,38 @@ class LemmaReport:
         }
 
 
-def _neg(r):
-    return tuple(-x for x in r)
-
-
-def _fr(x) -> Fraction:
-    return parse_rational(x)
-
-
 def _sl2_index(k: int) -> Tuple[int, int]:
     return (k, -k)
+
+
+def _one_root_induction(type_name: str, block: int, other: int, a1: Fraction, a2: Fraction,
+                        central: Fraction, k_range: Sequence[int], depth: int):
+    """N(a1,a2) on the simple root `block` of a rank-two type, with central
+    value `central` on the coroot of the simple root `other`, induced to depth.
+
+    Returns the truncated module, the central value read back through the
+    center of the Levi subalgebra, and the ratios
+    X_{-(alpha+beta)} x(k) : X_{-beta} x(k-1) for k in k_range, where alpha
+    and beta are the simple roots `block` and `other`.
+    """
+    system = build_root_system(type_name)
+    C = levi_module(system, [block], build_N([a1, a2]), {other: central})
+    V = induce(C, depth)
+    (z, zval), = central_scalars(C, [_sl2_index(k) for k in (-1, 0, 1)]).items()
+    # the central element sum t_i H_i acts by t_block (a1 - a2) + t_other central
+    central_read = (zval - z[block - 1] * (a1 - a2)) / z[other - 1]
+    beta = system.simple_root(other)
+    ab = add_roots(system.simple_root(block), beta)
+    etas = {k: V.proportionality(V.monomial_tensor([neg_root(ab)], _sl2_index(k)),
+                                 V.monomial_tensor([neg_root(beta)], _sl2_index(k - 1)))
+            for k in k_range}
+    return V, central_read, etas
+
+
+def _u0_self_compare(module: DegreeOneModule, depth: int) -> bool:
+    """The module induced from the block restriction against the family module."""
+    V = induce(restrict_family(module), depth)
+    return u0_compare(V, V.one_tensor(), module, module.zero_index(), depth=U0_DEPTH)
 
 
 # ---------------------------------------------------------------------------
@@ -75,36 +101,21 @@ def verify_lemA12(a1, a2, k_range: Sequence[int] = (-2, -1, 0, 1, 2),
     cuspidal module with central branch c in {0, -1-A}, re-extracts c from
     the center, and compares every ratio against (c+a1+k)/(a2-k+1).
     """
-    a1, a2 = _fr(a1), _fr(a2)
+    a1, a2 = parse_rational(a1), parse_rational(a2)
     if a1.denominator == 1 or a2.denominator == 1:
         raise ValueError("parameters must be non-integer rationals")
     A = a1 + a2
     c = Fraction(0) if branch == "0" else -1 - A
-    system = build_root_system("A2")
-    C = levi_module(system, [1], build_N([a1, a2]), {2: c + a2})
-    V = induce(C, depth)
-    alpha, beta = system.simple_root(1), system.simple_root(2)
-    ab = tuple(x + y for x, y in zip(alpha, beta))
-
-    scal = central_scalars(C, [_sl2_index(k) for k in (-1, 0, 1)])
-    (z, zval), = scal.items()
-    # central element t1*H1 + t2*H2 evaluates to t2*c plus a parameter part
-    c_extracted = (zval - (z[0] * (a1 - a2) + z[1] * a2)) / z[1]
-
-    etas: Dict[int, Optional[Fraction]] = {}
-    expected: Dict[int, Fraction] = {}
-    for k in k_range:
-        v = V.monomial_tensor([_neg(ab)], _sl2_index(k))
-        w = V.monomial_tensor([_neg(beta)], _sl2_index(k - 1))
-        etas[k] = V.proportionality(v, w)
-        expected[k] = (c + a1 + k) / (a2 - k + 1)
+    _, central, etas = _one_root_induction("A2", 1, 2, a1, a2, c + a2, k_range, depth)
+    c_extracted = central - a2
+    expected = {k: (c + a1 + k) / (a2 - k + 1) for k in k_range}
     match = (c_extracted == c and c in (Fraction(0), -1 - A)
              and all(etas[k] == expected[k] for k in k_range))
     return LemmaReport(
         "lemA12",
         {"a1": format_rational(a1), "a2": format_rational(a2), "branch": branch},
-        {"c": c_extracted, "eta": dict(etas)},
-        {"c_branches": [Fraction(0), -1 - A], "eta": dict(expected)},
+        {"c": c_extracted, "eta": etas},
+        {"c_branches": [Fraction(0), -1 - A], "eta": expected},
         match,
     )
 
@@ -163,8 +174,7 @@ def verify_A1N(params: Sequence, depth: int = DEFAULT_DEPTH) -> LemmaReport:
 # Interior connected block of size > 1 in type A
 # ---------------------------------------------------------------------------
 
-def verify_AkAn(params: Sequence, depth: int = DEFAULT_DEPTH,
-                u0_depth: int = 4) -> LemmaReport:
+def verify_AkAn(params: Sequence, depth: int = DEFAULT_DEPTH) -> LemmaReport:
     """Constants of an interior type A block family plus the module comparison.
 
     Right boundary constant 0, left boundary constant -1, all farther coroots
@@ -180,17 +190,13 @@ def verify_AkAn(params: Sequence, depth: int = DEFAULT_DEPTH,
     if j < 1 or module.spec.zeros < 1:
         raise ValueError("interior block required (at least one -1 and one 0)")
     mid = module.spec.a[j:m]
-    base = module.zero_index()
-    w0 = module.weight_of(base)
+    w0 = module.weight_of(module.zero_index())
 
     c = w0[m - 1] - mid[-1]          # value(H_{e_m}) = c + a_last + k_last
     cp = w0[j - 1] + mid[0]          # value(H_{e_j}) = c' - (a_1 + k_1)
     ds = {f"d_{i - m}": w0[i - 1] for i in range(m + 1, n + 1)}
     dps = {f"d'_{j - i}": w0[i - 1] for i in range(1, j)}
-
-    C = restrict_family(module)
-    Vr = induce(C, depth)
-    cmp_ok = u0_compare(Vr, Vr.one_tensor(), module, base, depth=u0_depth)
+    cmp_ok = _u0_self_compare(module, depth)
     match = (c == 0 and cp == -1
              and all(v == 0 for v in ds.values())
              and all(v == 0 for v in dps.values())
@@ -208,8 +214,7 @@ def verify_AkAn(params: Sequence, depth: int = DEFAULT_DEPTH,
 # Long-root block of C2
 # ---------------------------------------------------------------------------
 
-def verify_AC1(a1, a2, depth: int = DEFAULT_DEPTH, u0_depth: int = 4,
-               k_range: Sequence[int] = (-1, 0, 1, 2)) -> LemmaReport:
+def verify_AC1(a1, a2, depth: int = DEFAULT_DEPTH) -> LemmaReport:
     """Long-root induction on C2: branch constraint and target isomorphism.
 
     The parameter sum must be -1/2 (branch c = 0) or -3/2 (branch
@@ -218,32 +223,19 @@ def verify_AC1(a1, a2, depth: int = DEFAULT_DEPTH, u0_depth: int = 4,
     quotient agrees with the rank-two module with parameters
     (-1, a1 - a2 - 1/2).
     """
-    a1, a2 = _fr(a1), _fr(a2)
+    a1, a2 = parse_rational(a1), parse_rational(a2)
     A = a1 + a2
     if A not in (Fraction(-1, 2), Fraction(-3, 2)):
         raise ValueError(f"parameter sum must be -1/2 or -3/2, got {A}")
     c = Fraction(0) if A == Fraction(-1, 2) else -2 - 2 * A
-    system = build_root_system("C2")
-    C = levi_module(system, [2], build_N([a1, a2]), {1: c + 2 * a2})
-    V = induce(C, depth)
-    scal = central_scalars(C, [_sl2_index(k) for k in (-1, 0, 1)])
-    (z, zval), = scal.items()
-    # center H1 + H2 scaled: value = t1*(c + 2a2) + t2*(a1 - a2) at k = 0
-    c_extracted = (zval - (z[0] * 2 * a2 + z[1] * (a1 - a2))) / z[0]
-
-    alpha, b1 = system.simple_root(2), system.simple_root(1)
-    ab = tuple(x + y for x, y in zip(alpha, b1))
+    V, central, etas = _one_root_induction("C2", 2, 1, a1, a2, c + 2 * a2, AC1_K_RANGE, depth)
+    c_extracted = central - 2 * a2
     units = set()
-    etas = {}
-    for k in k_range:
-        v = V.monomial_tensor([_neg(ab)], _sl2_index(k))
-        w = V.monomial_tensor([_neg(b1)], _sl2_index(k - 1))
-        eta = V.proportionality(v, w)
-        etas[k] = eta
+    for k, eta in etas.items():
         closed = -(c + 2 * a1 + 2 * k) / (2 * a2 - 2 * k + 2)
         units.add(None if (eta is None or closed == 0) else eta / closed)
     target = build_M([Fraction(-1), a1 - a2 - Fraction(1, 2)])
-    cmp_ok = u0_compare(V, V.one_tensor(), target, (0, 0), depth=u0_depth)
+    cmp_ok = u0_compare(V, V.one_tensor(), target, (0, 0), depth=U0_DEPTH)
     unit_ok = len(units) == 1 and None not in units
     match = (c_extracted == c and 2 * c + 2 * A + 1 == 0 and unit_ok and cmp_ok)
     return LemmaReport(
@@ -262,7 +254,7 @@ def verify_AC1(a1, a2, depth: int = DEFAULT_DEPTH, u0_depth: int = 4,
 # Trailing type C block of size > 1
 # ---------------------------------------------------------------------------
 
-def verify_CC(params: Sequence, depth: int = DEFAULT_DEPTH, u0_depth: int = 4) -> LemmaReport:
+def verify_CC(params: Sequence, depth: int = DEFAULT_DEPTH) -> LemmaReport:
     """Boundary constant -1 and zero interior constants for trailing C blocks."""
     module = build_M(params)
     block = module.cuspidal_block()
@@ -272,13 +264,10 @@ def verify_CC(params: Sequence, depth: int = DEFAULT_DEPTH, u0_depth: int = 4) -
     if j < 1:
         raise ValueError("at least one -1 entry required")
     a1 = module.spec.a[j]
-    base = module.zero_index()
-    w0 = module.weight_of(base)
+    w0 = module.weight_of(module.zero_index())
     c = w0[j - 1] + a1               # value(H_{e_j}) = c - a_1 - k_1
     ds = {f"d_{j - i}": w0[i - 1] for i in range(1, j)}
-    C = restrict_family(module)
-    Vr = induce(C, depth)
-    cmp_ok = u0_compare(Vr, Vr.one_tensor(), module, base, depth=u0_depth)
+    cmp_ok = _u0_self_compare(module, depth)
     match = c == -1 and all(v == 0 for v in ds.values()) and cmp_ok
     return LemmaReport(
         "CC",
@@ -304,7 +293,7 @@ def appendix_a3(a1, a2, branch: str = "0", k_range: Sequence[int] = (-1, 0, 1),
     simple Verma quotients exactly when A is not an integer below -1, with
     the kernel vector appearing at lowering power -A-1 otherwise.
     """
-    a1, a2 = _fr(a1), _fr(a2)
+    a1, a2 = parse_rational(a1), parse_rational(a2)
     if a1.denominator == 1 or a2.denominator == 1:
         raise ValueError("parameters must be non-integer rationals")
     A = a1 + a2
@@ -314,7 +303,7 @@ def appendix_a3(a1, a2, branch: str = "0", k_range: Sequence[int] = (-1, 0, 1),
     C = levi_module(system, [1], build_N([a1, a2]), {2: c + a2, 3: d})
     V = induce(C, depth)
     alpha, b1, b2 = (system.simple_root(i) for i in (1, 2, 3))
-    full = tuple(x + y + z for x, y, z in zip(alpha, b1, b2))
+    full = add_roots(add_roots(alpha, b1), b2)
 
     etas1: Dict[int, Optional[Fraction]] = {}
     etas2: Dict[int, Optional[Fraction]] = {}
@@ -322,9 +311,9 @@ def appendix_a3(a1, a2, branch: str = "0", k_range: Sequence[int] = (-1, 0, 1),
     exp2: Dict[int, Fraction] = {}
     solved = True
     for k in k_range:
-        v0 = V.project(V.monomial_tensor([_neg(full)], _sl2_index(k)))
-        w1 = V.project(V.monomial_tensor([_neg(b2), _neg(b1)], _sl2_index(k - 1)))
-        w2 = V.project(V.monomial_tensor([_neg(b1), _neg(b2)], _sl2_index(k - 1)))
+        v0 = V.project(V.monomial_tensor([neg_root(full)], _sl2_index(k)))
+        w1 = V.project(V.monomial_tensor([neg_root(b2), neg_root(b1)], _sl2_index(k - 1)))
+        w2 = V.project(V.monomial_tensor([neg_root(b1), neg_root(b2)], _sl2_index(k - 1)))
         keys = sorted(set(v0) | set(w1) | set(w2))
         mat = [[w1.get(kk, Fraction(0)), w2.get(kk, Fraction(0))] for kk in keys]
         rhs = [v0.get(kk, Fraction(0)) for kk in keys]
@@ -342,10 +331,10 @@ def appendix_a3(a1, a2, branch: str = "0", k_range: Sequence[int] = (-1, 0, 1),
     if not verma_simple:
         power = int(-A - 1)
         if power <= depth:
-            vkill = V.monomial_tensor([_neg(b2)] * power, _sl2_index(0))
+            vkill = V.monomial_tensor([neg_root(b2)] * power, _sl2_index(0))
             kernel_ok = not V.project(vkill)
             if power > 1:
-                vlive = V.monomial_tensor([_neg(b2)] * (power - 1), _sl2_index(0))
+                vlive = V.monomial_tensor([neg_root(b2)] * (power - 1), _sl2_index(0))
                 kernel_ok = kernel_ok and bool(V.project(vlive))
     match = (solved and etas1 == exp1 and etas2 == exp2 and kernel_ok)
     return LemmaReport(
@@ -381,22 +370,46 @@ def random_nonint(rng: random.Random, lo: int = -3, hi: int = 3) -> Fraction:
     return Fraction(num, den)
 
 
+def run_lemma(lemma: str, params: Sequence, branch: str = "0", radius: int = 3,
+              depth: int = DEFAULT_DEPTH) -> LemmaReport:
+    """Run one lab script as `weightcat lab` does.
+
+    lemA12, AC1 and appendix-a3 take the two scalars a1,a2 as params, the
+    others the family vector.  lemA12 and appendix-a3 run on branch c = 0 or
+    c = -1-A and on the window -radius < k < radius; AC1 keeps its own k.
+    """
+    if lemma not in LEMMAS:
+        raise ValueError(f"unknown lemma id {lemma!r}; choose from {sorted(LEMMAS)}")
+    if branch not in BRANCHES:
+        raise ValueError(f"branch must be one of {list(BRANCHES)}, got {branch!r}")
+    run = LEMMAS[lemma]
+    if lemma in ("A1N", "AkAn", "CC"):
+        return run(params, depth=depth)
+    if len(params) != 2:
+        raise ValueError(f"{lemma} takes two parameters a1,a2, got {len(params)}")
+    a1, a2 = params
+    if lemma == "AC1":
+        return run(a1, a2, depth=depth)
+    if radius < 1:
+        raise CertificationError("window radius must be at least 1 to hold k = 0")
+    return run(a1, a2, branch=branch, k_range=tuple(range(1 - radius, radius)), depth=depth)
+
+
 def seeded_reports(lemma: str, seed: int, count: int = 5) -> List[LemmaReport]:
-    """Run one lemma on `count` random valid parameter sets."""
+    """Run one lemma on `count` random valid parameter sets, at the lab defaults."""
     rng = random.Random(seed)
     out: List[LemmaReport] = []
-    for trial in range(count):
-        branch = rng.choice(["0", "-1-A"])
-        if lemma == "lemA12":
-            out.append(verify_lemA12(random_nonint(rng), random_nonint(rng), branch=branch))
+    for _ in range(count):
+        branch = rng.choice(BRANCHES)
+        if lemma in ("lemA12", "appendix-a3"):
+            params = [random_nonint(rng), random_nonint(rng)]
         elif lemma == "A1N":
             z1, z2 = random_nonint(rng), random_nonint(rng)
             pre = [Fraction(-1)] * rng.choice([1, 2])
             post = [Fraction(0)] * rng.choice([1, 2])
-            out.append(verify_A1N(pre + [z1, z2] + post))
+            params = pre + [z1, z2] + post
         elif lemma == "AkAn":
-            mids = [random_nonint(rng) for _ in range(3)]
-            out.append(verify_AkAn([Fraction(-1)] + mids + [Fraction(0)]))
+            params = [Fraction(-1)] + [random_nonint(rng) for _ in range(3)] + [Fraction(0)]
         elif lemma == "AC1":
             a1 = random_nonint(rng)
             target = rng.choice([Fraction(-1, 2), Fraction(-3, 2)])
@@ -404,13 +417,9 @@ def seeded_reports(lemma: str, seed: int, count: int = 5) -> List[LemmaReport]:
             if a2.denominator == 1:
                 a1 += Fraction(1, 5)
                 a2 = target - a1
-            out.append(verify_AC1(a1, a2))
-        elif lemma == "CC":
+            params = [a1, a2]
+        else:                       # CC; run_lemma rejects an unknown name
             mids = [random_nonint(rng) for _ in range(2)]
-            pre = [Fraction(-1)] * rng.choice([1, 2])
-            out.append(verify_CC(pre + mids))
-        elif lemma == "appendix-a3":
-            out.append(appendix_a3(random_nonint(rng), random_nonint(rng), branch=branch))
-        else:
-            raise ValueError(f"unknown lemma {lemma!r}")
+            params = [Fraction(-1)] * rng.choice([1, 2]) + mids
+        out.append(run_lemma(lemma, params, branch=branch))
     return out

@@ -112,7 +112,7 @@ def _expected_root_count(ct: CartanType) -> int:
     return 48 if ct.family == "F" else 12
 
 
-def _add(x: Root, y: Root) -> Root:
+def add_roots(x: Root, y: Root) -> Root:
     return tuple(a + b for a, b in zip(x, y))
 
 
@@ -120,7 +120,7 @@ def _sub(x: Root, y: Root) -> Root:
     return tuple(a - b for a, b in zip(x, y))
 
 
-def _neg(x: Root) -> Root:
+def neg_root(x: Root) -> Root:
     return tuple(-a for a in x)
 
 
@@ -135,7 +135,7 @@ class RootSystem:
                                    for i in range(ct.rank)]
         self.positive: List[Root] = self._generate_positive()
         self.positive_set: FrozenSet[Root] = frozenset(self.positive)
-        self.roots: FrozenSet[Root] = frozenset(self.positive) | frozenset(map(_neg, self.positive))
+        self.roots: FrozenSet[Root] = frozenset(self.positive) | frozenset(map(neg_root, self.positive))
         if len(self.roots) != _expected_root_count(ct):
             raise AssertionError(f"root generation for {ct} produced {len(self.roots)} roots")
         self._realization: Optional[Realization] = None
@@ -155,7 +155,7 @@ class RootSystem:
                         cur = _sub(cur, alpha)
                     q = p - self.pairing(beta, i)
                     if q > 0:
-                        cand = _add(beta, alpha)
+                        cand = add_roots(beta, alpha)
                         if cand not in roots:
                             nxt.add(cand)
             roots |= nxt
@@ -174,9 +174,6 @@ class RootSystem:
 
     def is_positive(self, root: Root) -> bool:
         return sum(root) > 0
-
-    def height(self, root: Root) -> int:
-        return sum(root)
 
     def simple_root(self, i: int) -> Root:
         """Simple root e_i, 1-based."""
@@ -342,7 +339,7 @@ class Realization:
         key = (tuple(mu), tuple(nu))
         if key in self._nconst:
             return self._nconst[key]
-        s = _add(mu, nu)
+        s = add_roots(mu, nu)
         br = self.bracket(self.root_vector(mu), self.root_vector(nu))
         if s in self.system.roots:
             t = br.proportional_to(self.root_vector(s))
@@ -361,7 +358,7 @@ class Realization:
         nu = tuple(nu)
         if nu in self._cartan_coeffs:
             return self._cartan_coeffs[nu]
-        br = self.bracket(self.root_vector(nu), self.root_vector(_neg(nu)))
+        br = self.bracket(self.root_vector(nu), self.root_vector(neg_root(nu)))
         keys = sorted({k for h in self._coroot_polys for k in h.terms} | set(br.terms))
         mat = [[self._coroot_polys[j].terms.get(key, Fraction(0)) for j in range(self.system.rank)]
                for key in keys]
@@ -385,7 +382,7 @@ class Realization:
             pairs = []
             for i, mu in enumerate(roots):
                 for nu in roots[i + 1:]:
-                    s = _add(mu, nu)
+                    s = add_roots(mu, nu)
                     n = self.structure_constant(mu, nu) if s in self.system.roots else Fraction(0)
                     h = None if any(s) else self.cartan_coefficients(mu)
                     pairs.append((mu, nu, s, n, h))
@@ -459,12 +456,12 @@ class SubsetFlags:
 
 def classify_subset(subset: RootSubset) -> SubsetFlags:
     system, S = subset.system, subset.members
-    neg = frozenset(_neg(r) for r in S)
+    neg = frozenset(neg_root(r) for r in S)
     symmetric = S == neg
     closed = True
     for x in S:
         for y in S:
-            s = _add(x, y)
+            s = add_roots(x, y)
             if s in system.roots and s not in S:
                 closed = False
                 break
@@ -494,7 +491,7 @@ def levi_decomposition(system: RootSystem, theta: Iterable[int]):
     theta = frozenset(theta)
     span = system.span_closure(theta)
     n_plus = frozenset(r for r in system.positive_set if r not in span)
-    return span, n_plus, frozenset(_neg(r) for r in n_plus)
+    return span, n_plus, frozenset(neg_root(r) for r in n_plus)
 
 
 def center_basis(system: RootSystem, block: Iterable[int]) -> List[Tuple[Fraction, ...]]:

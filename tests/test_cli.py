@@ -63,10 +63,13 @@ def test_ext_rank_one_reports_the_line(capsys):
 
 def test_ext_window_too_small(capsys):
     # at B=0 every identity leaves the one-point window, in rank one too,
-    # and verify has no boundary row to certify
+    # verify has no boundary row to certify and the windowed lab scripts
+    # have no k with -B < k < B
     for argv in (["ext", "--module", "N", "--a", "-1,1/2,1/3,0"],
                  ["ext", "--module", "N", "--a", "1/2,1/3"],
-                 ["verify", "--module", "N", "--a", "-1,1/2,1/3,0"]):
+                 ["verify", "--module", "N", "--a", "-1,1/2,1/3,0"],
+                 ["lab", "lemA12", "--a", "1/2,1/3"],
+                 ["lab", "appendix-a3", "--a", "1/2,1/3"]):
         assert main(argv + ["--B", "0"]) == EXIT_UNCERTIFIED
 
 
@@ -80,6 +83,8 @@ def test_lab_commands(capsys):
     assert code == EXIT_OK and json.loads(out)["match"] is True
     code, out = run(capsys, "lab", "CC", "--a", "-1,1/4,1/5")
     assert code == EXIT_OK
+    code, out = run(capsys, "lab", "lemA12", "--a", "1/2,1/3", "--c", "-1-A")
+    assert code == EXIT_OK and json.loads(out)["params"]["branch"] == "-1-A"
 
 
 def test_lab_rejects_bad_parameters(capsys):
@@ -130,10 +135,11 @@ def test_config_file_sets_subcommand_flags(tmp_path, capsys):
     ["lab", "lemA12", "--a", "1/2"],
     ["lab", "lemA12", "--a", "1/0,1/3"],
     ["lab", "nosuch", "--a", "1/2,1/3"],
+    ["lab", "lemA12", "--a", "1/2,1/3", "--c", "5"],
     ["--config", "{missing}", "classify", "A4"],
     ["--config", "{malformed}", "classify", "A4"],
-], ids=["too-few-parameters", "zero-denominator", "unknown-lemma", "missing-config",
-        "malformed-config"])
+], ids=["too-few-parameters", "zero-denominator", "unknown-lemma", "bad-branch",
+        "missing-config", "malformed-config"])
 def test_bad_input_is_config_error(argv, tmp_path, capsys):
     (tmp_path / "malformed.json").write_text("{")
     paths = {"missing": tmp_path / "missing.json", "malformed": tmp_path / "malformed.json"}

@@ -1,17 +1,19 @@
 """Golden outputs: exact bytes of reference CLI runs and library results.
 
-The digests were recorded before elimination was made row-incremental;
-any change to the arithmetic that moves a single byte of these outputs
-fails here.
+The first digests were recorded before elimination was made
+row-incremental, the lab, rank-one ext and coboundary-witness pins before
+the lab scripts got one entry point; any change to the arithmetic that
+moves a single byte of these outputs fails here.
 """
 import hashlib
+import random
 from fractions import Fraction as F
 
 import pytest
 
 from weightcat.cli import EXIT_OK, main
 from weightcat.degonemod import build_M, build_N
-from weightcat.extcoh import cocycle_space
+from weightcat.extcoh import cocycle_space, is_coboundary
 from weightcat.inducemod import induce, restrict_family
 
 
@@ -40,6 +42,18 @@ GOLDEN_RUNS = {
         "c989cfcff6ff1be4e9dacd4b369997912c7bb77080c03c6249ff15cc4baa096c",
     "lab CC --a -1,1/4,1/5":
         "47dec0b4916df366335d336f538fe076fa972a9445e8693b882b0f40b780bdbb",
+    "lab A1N --a -1,1/2,1/3,0":
+        "6f601020f56146584d03650cf36276d0d63390c74ae38c18ee77d1e8fd8e9796",
+    "lab AkAn --a -1,1/2,1/3,1/5,0":
+        "4ec8e9f7aa974b3f6c0542669725b39405bbd0bd12d930796d196247fdca8a42",
+    "lab AC1 --a 1/3,-11/6":
+        "45ce352c853add5af7d9553c47808e58c267faaf1be98385c35541de00e6f82b",
+    "lab lemA12 --a 1/2,1/3 --c=-1-A --B 2 --D 5":
+        "faa12a232052aad1bef139311755b919d4d19877d2bc3f405983c888889cdd54",
+    "lab appendix-a3 --a 2/5,-1/3 --c=-1-A":
+        "c3e4c3e231c0cdc972cef387d7229777aff80a06d2e75b1f47d4a30af8aa9eb1",
+    "ext --module N --a 2/5,-3/7 --b 7/5,-10/7 --B 4":
+        "b8ef796f3f59143f0b56dd82858cee1eb2745e9768bc6133764ca7e5aa744b7a",
 }
 
 
@@ -62,3 +76,10 @@ def test_kernel_data_is_golden():
     assert (len(basis), pivots) == (8, [0, 1, 2, 3, 4, 5, 6])
     assert sha256(repr((rows, pivots, basis))) == \
         "cab15443e19a1d951fa1865f6c3ca8b96ed93cdac51b731832ff28070df4a0e4"
+
+
+def test_coboundary_witness_is_golden():
+    space = cocycle_space(build_M(["2/5", "-3/5"]), build_M(["7/5", "2/5"]), 2)
+    witness = is_coboundary(space.random_cocycle(random.Random(0)), 2)
+    assert witness is not None and len(witness) == 36
+    assert sha256(repr(witness)) == "f8f07c6f6eacd9d125310a4d0695e651fbf9dff78c8b1ddc34e02ad2929b13f1"

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction as F
 
 import pytest
@@ -80,10 +81,23 @@ def test_appendix_integer_sum_cases():
     assert rep.computed["verma_simple"] is True and rep.match
 
 
+# sha256 of repr([r.params for r in seeded_reports(lemma, seed=2024, count=5)])
+SEEDED_PARAMS = {
+    "A1N": "caa637f6681f61aad800b1c4b5f84c8bc5a7e6320f7241c772c02318c0363d21",
+    "AC1": "175f8c3005aca982232b2a8efba4a990f2fecd1ab75b2bd533a5559824df9cb3",
+    "AkAn": "aa2ae8a71da4e1c79765d5fe84af8b93c2e4ca05fa41827e13a77d3d8842a716",
+    "CC": "ff76887e8fab81fd8dda66338cd2bb1ad04bbad4011d9b1f65e56e6c961ae768",
+    "appendix-a3": "92ec043807734a7fa71ab844884116b7a61fac0413aa7878dd2f84d8bb79981d",
+    "lemA12": "92ec043807734a7fa71ab844884116b7a61fac0413aa7878dd2f84d8bb79981d",
+}
+
+
 @pytest.mark.parametrize("lemma", sorted(LEMMAS))
 def test_seeded_parameter_sweeps(lemma):
     reports = seeded_reports(lemma, seed=2024, count=5)
     assert len(reports) == 5
+    params = repr([rep.params for rep in reports])
+    assert hashlib.sha256(params.encode()).hexdigest() == SEEDED_PARAMS[lemma]
     for rep in reports:
         assert rep.match, (lemma, rep.params, rep.computed, rep.expected)
 
