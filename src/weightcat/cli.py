@@ -2,8 +2,8 @@
 
 Subcommands: classify, verify, ext, lab.  Output is JSON (sorted keys,
 schema tag "weightcat/1") or plain text.  Exit codes: 0 all checks pass,
-1 mathematical mismatch, 2 configuration error, 3 window too small to
-certify.
+1 mathematical mismatch, 2 configuration error, 3 window or truncation
+depth too small to certify.
 """
 from __future__ import annotations
 
@@ -16,6 +16,7 @@ from typing import Dict, List, Optional, Sequence
 from .categorio import check_membership, classify
 from .degonemod import PartitionError, build_M, build_N
 from .extcoh import CertificationError, coboundary_quotient_dim, ext_solve_typeA, ext_solve_typeC
+from .inducemod import DepthOverflowError
 from .paperlab import LEMMAS, run_lemma
 from .rootsys import RealizationUnavailableError, build_root_system
 from .weylmod import format_rational, parse_rational
@@ -183,6 +184,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_CONFIG
     except CertificationError as exc:
         print(f"certification impossible: {exc}", file=sys.stderr)
+        return EXIT_UNCERTIFIED
+    except DepthOverflowError as exc:
+        print(f"truncation depth too small: {exc}", file=sys.stderr)
         return EXIT_UNCERTIFIED
 
 

@@ -219,9 +219,11 @@ class TruncatedVerma:
         self._order = {r: i for i, r in enumerate(self.nminus)}
         self.nminus_set = frozenset(self.nminus)
         self._act_memo: Dict[Tuple[Root, Monomial, Index], InducedVector] = {}
-        self._kernel_cache: Dict[Tuple[Tuple[Fraction, ...], int], Tuple[List, List[int], List[VectorKey]]] = {}
+        self._kernel_cache: Dict[Tuple[Fraction, ...], Tuple[List, List[int], List[VectorKey]]] = {}
         self._space_cache: Dict[Tuple[Fraction, ...], List[VectorKey]] = {}
-        self._monomials: Optional[List[Tuple[Monomial, Root]]] = None
+        self._cartan_t = list(zip(*self.system.cartan))
+        self._off_block = [j for j in range(self.system.rank) if j + 1 not in C.block]
+        self._buckets: Dict[Tuple[int, ...], Dict[Root, List[Monomial]]] = {}
 
     # -- constructors ------------------------------------------------------------
     def one_tensor(self, t: Optional[Index] = None, coeff: Fraction = Fraction(1)) -> InducedVector:
@@ -323,37 +325,41 @@ class TruncatedVerma:
         return out
 
     # -- weight spaces and kernels -------------------------------------------------
-    def _all_monomials(self) -> List[Tuple[Monomial, Root]]:
-        """Every PBW monomial up to the truncation depth with its total root."""
-        if self._monomials is not None:
-            return self._monomials
-        out: List[Tuple[Monomial, Root]] = []
-        zero = (0,) * self.system.rank
+    def _bucket(self, off: Tuple[int, ...]) -> Dict[Root, List[Monomial]]:
+        """PBW monomials up to the truncation depth whose total root has the
+        given coordinates off the Levi block, grouped by total root."""
+        hit = self._buckets.get(off)
+        if hit is None:
+            hit = self._buckets[off] = {}
 
-        def rec(start: int, mono: Monomial, total: Root):
-            out.append((mono, total))
-            if len(mono) == self.depth:
-                return
-            for i in range(start, len(self.nminus)):
-                r = self.nminus[i]
-                rec(i, mono + (r,), add_roots(total, r))
+            def rec(start: int, mono: Monomial, total: Root):
+                # every factor lowers an off-block coordinate, so stop at the target
+                if all(total[j] == o for j, o in zip(self._off_block, off)):
+                    hit.setdefault(total, []).append(mono)
+                elif len(mono) < self.depth:
+                    for i in range(start, len(self.nminus)):
+                        nxt = add_roots(total, self.nminus[i])
+                        if all(nxt[j] >= o for j, o in zip(self._off_block, off)):
+                            rec(i, mono + (self.nminus[i],), nxt)
 
-        rec(0, (), zero)
-        self._monomials = out
-        return out
+            rec(0, (), (0,) * self.system.rank)
+        return hit
 
     def weight_space(self, mu: Sequence[Fraction]) -> List[VectorKey]:
         mu = tuple(Fraction(x) for x in mu)
         hit = self._space_cache.get(mu)
         if hit is not None:
             return hit
+        # mu = lam0 + <disp(t) + total, .> with disp(t) on the Levi block, so mu
+        # fixes the total's off-block coordinates, which must be integers
+        x = linalg.solve(self._cartan_t, [m - l for m, l in zip(mu, self.C.lam0)])
+        off = [x[j] for j in self._off_block]
         basis: List[VectorKey] = []
-        for mono, total in self._all_monomials():
-            resid = tuple(m - v for m, v in zip(mu, self.system.coroot_values(total))) \
-                if any(total) else mu
-            t = self.C.index_of_weight(resid)
-            if t is not None:
-                basis.append((mono, t))
+        if all(o.denominator == 1 for o in off):
+            for total, monos in self._bucket(tuple(map(int, off))).items():
+                t = self.C.index_of_weight(tuple(m - v for m, v in zip(mu, self.system.coroot_values(total))))
+                if t is not None:
+                    basis.extend((mono, t) for mono in monos)
         basis.sort(key=lambda key: (len(key[0]), key[0], key[1]))
         self._space_cache[mu] = basis
         return basis
@@ -397,14 +403,13 @@ class TruncatedVerma:
         are bounded through the weight grading.
         """
         mu = tuple(Fraction(x) for x in mu)
-        basis = self.weight_space(mu)
-        ck = (mu, len(basis))
-        hit = self._kernel_cache.get(ck)
+        hit = self._kernel_cache.get(mu)
         if hit is not None:
             return hit
+        basis = self.weight_space(mu)
         if not basis:
             res = ([], [], basis)
-            self._kernel_cache[ck] = res
+            self._kernel_cache[mu] = res
             return res
         maxdepth = max(len(key[0]) for key in basis)
         # candidate monomial total roots for the functionals
@@ -442,7 +447,7 @@ class TruncatedVerma:
         null = linalg.nullspace(rows, len(basis))
         rref_rows, pivots = linalg.rref(null)
         res = (rref_rows, pivots, basis)
-        self._kernel_cache[ck] = res
+        self._kernel_cache[mu] = res
         return res
 
     # -- quotient ----------------------------------------------------------------

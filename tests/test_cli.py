@@ -73,6 +73,15 @@ def test_ext_window_too_small(capsys):
         assert main(argv + ["--B", "0"]) == EXIT_UNCERTIFIED
 
 
+def test_lab_depth_too_small(capsys):
+    # appendix-a3 builds lowering words of depth 2, which overflow D=1
+    assert main(["lab", "appendix-a3", "--a", "1/2,1/3", "--D", "1"]) == EXIT_UNCERTIFIED
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("truncation depth too small")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
 def test_lab_commands(capsys):
     code, out = run(capsys, "lab", "lemA12", "--a", "1/2,1/3")
     assert code == EXIT_OK and json.loads(out)["match"] is True

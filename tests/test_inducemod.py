@@ -193,6 +193,43 @@ def test_probe_trivial_c3_cases():
     assert probe_restriction_failure(C, depth=3).restriction_impossible
 
 
+def _pbw_keys(V, indices):
+    """Every PBW monomial up to V's depth tensored with every given Levi index."""
+    return [(mono, t) for n in range(V.depth + 1)
+            for mono in itertools.combinations_with_replacement(V.nminus, n) for t in indices]
+
+
+def test_weight_space_matches_enumeration():
+    a2, a3, c2, c3 = (build_root_system(t) for t in ("A2", "A3", "C2", "C3"))
+    modules = [
+        levi_module(a2, [1], build_N([F(1, 2), F(1, 3)]), {2: F(1, 3)}),
+        restrict_family(build_N(["-1", "1/2", "1/3", "0"])),
+        levi_module_product(a3, [((1,), build_N([F(1, 2), F(1, 3)])),
+                                 ((3,), build_N([F(1, 5), F(2, 5)]))], {2: F(1, 7)}),
+        restrict_family(build_M(["-1", "1/4"])),
+        levi_module(c2, [1], build_N([F(1, 2), F(1, 3)]), {2: F(1, 5)}),
+        restrict_family(build_M(["-1", "-1", "1/4"])),
+        levi_module(c3, [1, 2], build_N([F(1, 2), F(1, 3), F(1, 5)]), {3: F(1, 7)}),
+    ]
+    checked = 0
+    for C in modules:
+        box = [t for t in itertools.product((-1, 0, 1), repeat=len(C.zero_index()))
+               if C.in_basis(t)]
+        for depth in (2, 3, 4):
+            V = induce(C, depth)
+            by_weight = {}
+            for key in _pbw_keys(V, box):
+                by_weight.setdefault(V.weight_of_key(key), set()).add(key)
+            for mu, keys in by_weight.items():
+                space = V.weight_space(mu)
+                assert all(V.weight_of_key(key) == mu for key in space), (C.block, depth, mu)
+                assert keys <= set(space), (C.block, depth, mu)
+                off = (mu[0] + F(1, 7),) + mu[1:]
+                assert V.weight_space(off) == [], (C.block, depth, off)
+                checked += len(keys)
+    assert checked > 4000
+
+
 def _brute_kernel(V, mu):
     """The kernel of kernel_data(mu) from every PBW word over the positive nilradical.
 
@@ -239,7 +276,7 @@ def test_kernel_data_matches_brute_force():
                    if C.in_basis(t)]
         for depth in (2, 3):
             V = induce(C, depth)
-            weights = {V.weight_of_key((mono, t)) for mono, _ in V._all_monomials() for t in indices}
+            weights = {V.weight_of_key(key) for key in _pbw_keys(V, indices)}
             for mu in sorted(weights):
                 rows, pivots, basis = V.kernel_data(mu)
                 assert _brute_kernel(V, mu) == (rows, pivots), (C.block, depth, mu)
