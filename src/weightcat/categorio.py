@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
-from . import linalg
 from .degonemod import DegreeOneModule, Index, build_M, build_N
 from .rootsys import CartanType, Root, RootSystem, add_roots, center_basis, neg_root
 from .weylmod import parse_rational
@@ -203,13 +202,12 @@ def _dominated_pairs(system: RootSystem, theta: FrozenSet[int],
     """
     n = system.rank
     center = center_basis(system, [i for i in range(1, n + 1) if i not in theta])
-    transpose = [[Fraction(system.cartan[j][i]) for j in range(n)] for i in range(n)]
     on = [i for i in range(n) if i + 1 in theta]
     off = [i for i in range(n) if i + 1 not in theta]
     groups: Dict[tuple, List[Index]] = {}
     key_of, coords = {}, {}
     for v, wt in weights.items():
-        x = linalg.solve(transpose, list(wt))
+        x = system.root_coordinates(wt)
         coords[v] = [x[i] for i in on]
         key_of[v] = (tuple(sum((a * b for a, b in zip(z, wt)), Fraction(0)) for z in center),
                      tuple(x[i] for i in off))

@@ -19,7 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from itertools import combinations_with_replacement
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .degonemod import DegreeOneModule, build_M, build_N
@@ -220,10 +221,8 @@ class TruncatedVerma:
         self.nminus_set = frozenset(self.nminus)
         self._act_memo: Dict[Tuple[Root, Monomial, Index], InducedVector] = {}
         self._kernel_cache: Dict[Tuple[Fraction, ...], Tuple[List, List[int], List[VectorKey]]] = {}
-        self._space_cache: Dict[Tuple[Fraction, ...], List[VectorKey]] = {}
-        self._cartan_t = list(zip(*self.system.cartan))
         self._off_block = [j for j in range(self.system.rank) if j + 1 not in C.block]
-        self._buckets: Dict[Tuple[int, ...], Dict[Root, List[Monomial]]] = {}
+        self._buckets: Dict[tuple, Dict[Root, List[Monomial]]] = {}
 
     # -- constructors ------------------------------------------------------------
     def one_tensor(self, t: Optional[Index] = None, coeff: Fraction = Fraction(1)) -> InducedVector:
@@ -325,127 +324,75 @@ class TruncatedVerma:
         return out
 
     # -- weight spaces and kernels -------------------------------------------------
-    def _bucket(self, off: Tuple[int, ...]) -> Dict[Root, List[Monomial]]:
-        """PBW monomials up to the truncation depth whose total root has the
-        given coordinates off the Levi block, grouped by total root."""
-        hit = self._buckets.get(off)
+    def _bucket(self, roots: Sequence[Root], off: Tuple[int, ...], cap: int) -> Dict[Root, List[Monomial]]:
+        """PBW monomials over one nilradical's roots, up to cap factors, whose
+        total root has the given coordinates off the Levi block, grouped by
+        total root."""
+        key = (tuple(roots), off, cap)
+        hit = self._buckets.get(key)
         if hit is None:
-            hit = self._buckets[off] = {}
+            hit = self._buckets[key] = {}
+            bounds = [(j, min(0, o), max(0, o)) for j, o in zip(self._off_block, off)]
 
             def rec(start: int, mono: Monomial, total: Root):
-                # every factor lowers an off-block coordinate, so stop at the target
+                # a nilradical's roots have off-block coordinates of one sign, not all
+                # zero, so totals only move away from 0: stop at the target
                 if all(total[j] == o for j, o in zip(self._off_block, off)):
                     hit.setdefault(total, []).append(mono)
-                elif len(mono) < self.depth:
-                    for i in range(start, len(self.nminus)):
-                        nxt = add_roots(total, self.nminus[i])
-                        if all(nxt[j] >= o for j, o in zip(self._off_block, off)):
-                            rec(i, mono + (self.nminus[i],), nxt)
+                elif len(mono) < cap:
+                    for i in range(start, len(roots)):
+                        nxt = add_roots(total, roots[i])
+                        if all(lo <= nxt[j] <= hi for j, lo, hi in bounds):
+                            rec(i, mono + (roots[i],), nxt)
 
             rec(0, (), (0,) * self.system.rank)
         return hit
 
     def weight_space(self, mu: Sequence[Fraction]) -> List[VectorKey]:
         mu = tuple(Fraction(x) for x in mu)
-        hit = self._space_cache.get(mu)
-        if hit is not None:
-            return hit
         # mu = lam0 + <disp(t) + total, .> with disp(t) on the Levi block, so mu
         # fixes the total's off-block coordinates, which must be integers
-        x = linalg.solve(self._cartan_t, [m - l for m, l in zip(mu, self.C.lam0)])
+        x = self.system.root_coordinates([m - l for m, l in zip(mu, self.C.lam0)])
         off = [x[j] for j in self._off_block]
         basis: List[VectorKey] = []
         if all(o.denominator == 1 for o in off):
-            for total, monos in self._bucket(tuple(map(int, off))).items():
+            for total, monos in self._bucket(self.nminus, tuple(map(int, off)), self.depth).items():
                 t = self.C.index_of_weight(tuple(m - v for m, v in zip(mu, self.system.coroot_values(total))))
                 if t is not None:
                     basis.extend((mono, t) for mono in monos)
         basis.sort(key=lambda key: (len(key[0]), key[0], key[1]))
-        self._space_cache[mu] = basis
         return basis
-
-    def _levi_shift_sums(self, max_terms: int) -> Set[Root]:
-        sums: Set[Root] = {(0,) * self.system.rank}
-        frontier = set(sums)
-        for _ in range(max_terms):
-            new = set()
-            for s in frontier:
-                for r in self.levi_roots:
-                    new.add(add_roots(s, r))
-            frontier = new - sums
-            sums |= new
-        return sums
-
-    def _pos_monomials_of_weight(self, nu: Root) -> List[Monomial]:
-        """PBW monomials over the positive nilradical with total root nu."""
-        out: List[Monomial] = []
-
-        def rec(start: int, remaining: Root, acc: Monomial):
-            if not any(remaining):
-                out.append(acc)
-                return
-            if any(x < 0 for x in remaining):
-                return
-            for i in range(start, len(self.ideal_pos)):
-                r = self.ideal_pos[i]
-                if all(x <= y for x, y in zip(r, remaining)):
-                    rec(i, tuple(y - x for x, y in zip(r, remaining)), acc + (r,))
-
-        rec(0, tuple(nu), ())
-        return out
 
     def kernel_data(self, mu: Sequence[Fraction]):
         """RREF of the maximal-submodule subspace of the mu weight space.
 
         Returns (rref rows, pivot columns, basis keys).  The kernel is the
         set of vectors all of whose images under positive nilradical
-        monomials project to zero in 1 (x) C; the relevant monomial weights
-        are bounded through the weight grading.
+        monomials project to zero in 1 (x) C.  A monomial of total root nu
+        maps the mu weight space to weight mu + nu, which meets 1 (x) C only
+        if mu + nu is a weight of C; so nu has the off-block coordinates of
+        the basis monomials' totals negated, and the words of those totals
+        are every functional that can be nonzero.
         """
         mu = tuple(Fraction(x) for x in mu)
         hit = self._kernel_cache.get(mu)
         if hit is not None:
             return hit
         basis = self.weight_space(mu)
-        if not basis:
-            res = ([], [], basis)
-            self._kernel_cache[mu] = res
-            return res
-        maxdepth = max(len(key[0]) for key in basis)
-        # candidate monomial total roots for the functionals
-        mono_roots = set()
-        for key in basis:
-            total = (0,) * self.system.rank
-            for r in key[0]:
-                total = add_roots(total, r)
-            mono_roots.add(total)
-        shifts = self._levi_shift_sums(maxdepth)
-        candidates: Set[Root] = set()
-        for m in mono_roots:
-            for s in shifts:
-                nu = tuple(a - b for a, b in zip(s, m))
-                if all(x >= 0 for x in nu):
-                    candidates.add(nu)
         rows: List[List[Fraction]] = []
-        for nu in sorted(candidates, key=lambda r: (sum(r), r)):
-            target_mu = tuple(m + v for m, v in zip(mu, self.system.coroot_values(nu))) \
-                if any(nu) else mu
-            t_target = self.C.index_of_weight(target_mu)
-            if t_target is None:
-                continue
-            for word in self._pos_monomials_of_weight(nu):
-                row = [Fraction(0)] * len(basis)
-                nonzero = False
-                for j, key in enumerate(basis):
-                    image = self.act_word(word, {key: Fraction(1)})
-                    c = image.get(((), t_target), Fraction(0))
-                    if c:
-                        row[j] = c
-                        nonzero = True
-                if nonzero:
-                    rows.append(row)
-        null = linalg.nullspace(rows, len(basis))
-        rref_rows, pivots = linalg.rref(null)
+        if basis:
+            # the monomials of one weight space share their off-block coordinates
+            off = tuple(-sum(r[j] for r in basis[0][0]) for j in self._off_block)
+            for nu, words in self._bucket(self.ideal_pos, off, sum(off)).items():
+                t = self.C.index_of_weight(tuple(m + v for m, v in zip(mu, self.system.coroot_values(nu))))
+                if t is None:
+                    continue
+                for word in words:
+                    row = [self.act_word(word, {key: Fraction(1)}).get(((), t), Fraction(0))
+                           for key in basis]
+                    if any(row):
+                        rows.append(row)
+        rref_rows, pivots = linalg.rref(linalg.nullspace(rows, len(basis)))
         res = (rref_rows, pivots, basis)
         self._kernel_cache[mu] = res
         return res
@@ -509,24 +456,25 @@ def central_scalars(C: LeviModule, samples: Sequence[Index]) -> Dict[Tuple[Fract
 # ---------------------------------------------------------------------------
 
 def _zero_weight_words(system: RootSystem, max_len: int) -> List[Tuple[Root, ...]]:
+    """Nonempty multisets of at most max_len roots with total zero.
+
+    Roots are indexed in (height, root) order; each word lists its roots by
+    index, and the words come in order of their index tuples.
+    """
     roots = sorted(system.roots, key=lambda r: (sum(r), r))
-    zero = (0,) * system.rank
-    out: List[Tuple[Root, ...]] = []
-    maxh = max(abs(sum(r)) for r in roots)
-
-    def rec(start: int, word: Tuple[Root, ...], total: Root):
-        if word and total == zero:
-            out.append(word)
-        if len(word) == max_len:
-            return
-        room = max_len - len(word)
-        if abs(sum(total)) > room * maxh:
-            return
-        for i in range(start, len(roots)):
-            rec(i, word + (roots[i],), add_roots(total, roots[i]))
-
-    rec(0, (), zero)
-    return out
+    index = {r: i for i, r in enumerate(roots)}
+    # negative roots come first: a word is a negative part followed by a
+    # positive part of the opposite total, each with fewer than max_len roots
+    by_total: Dict[Root, List[Tuple[int, ...]]] = {}
+    positive = [i for i, r in enumerate(roots) if sum(r) > 0]
+    for n in range(1, max_len):
+        for part in combinations_with_replacement(positive, n):
+            total = tuple(map(sum, zip(*(roots[i] for i in part))))
+            by_total.setdefault(total, []).append(part)
+    words = [tuple(sorted(index[neg_root(roots[i])] for i in lower)) + upper
+             for parts in by_total.values() for lower in parts for upper in parts
+             if len(lower) + len(upper) <= max_len]
+    return [tuple(roots[i] for i in word) for word in sorted(words)]
 
 
 @dataclass
@@ -680,7 +628,8 @@ def probe_restriction_failure(C: LeviModule, depth: int = 3) -> ProbeReport:
         lhs = verma.project(verma.monomial_tensor([neg_root(cand.delta)], base))
         c0, t0 = C.act_root(neg_root(cand.alpha), base)
         span_vectors: List[InducedVector] = []
-        for word in verma._pos_monomials_of_weight(cand.chain_weight):
+        off = tuple(cand.chain_weight[j] for j in verma._off_block)
+        for word in verma._bucket(verma.ideal_pos, off, sum(off))[cand.chain_weight]:
             pv = verma.project(verma.monomial_tensor([neg_root(r) for r in word], t0, c0))
             if pv:
                 span_vectors.append(pv)

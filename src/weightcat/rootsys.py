@@ -169,6 +169,11 @@ class RootSystem:
     def coroot_values(self, root: Root) -> Tuple[Fraction, ...]:
         return tuple(Fraction(self.pairing(root, i)) for i in range(self.rank))
 
+    def root_coordinates(self, weight: Sequence[Fraction]) -> List[Fraction]:
+        """Coordinates over the simple roots of the weight with the given
+        simple coroot values."""
+        return linalg.solve([list(col) for col in zip(*self.cartan)], list(weight))
+
     def is_root(self, v: Sequence[int]) -> bool:
         return tuple(v) in self.roots
 

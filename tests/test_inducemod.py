@@ -8,7 +8,8 @@ from weightcat import linalg
 from weightcat.degonemod import build_M, build_N
 from weightcat.inducemod import (DepthOverflowError, NonScalarActionError, central_scalars,
                                  induce, levi_module, levi_module_product,
-                                 probe_restriction_failure, restrict_family, u0_compare)
+                                 probe_restriction_failure, restrict_family, u0_compare,
+                                 _zero_weight_words)
 from weightcat.rootsys import build_root_system
 
 
@@ -261,20 +262,22 @@ def _brute_kernel(V, mu):
 def test_kernel_data_matches_brute_force():
     a2, a3, c2 = (build_root_system(t) for t in ("A2", "A3", "C2"))
     modules = [
-        levi_module(a2, [1], build_N([F(1, 2), F(1, 3)]), {2: F(1, 3)}),
-        restrict_family(build_N(["-1", "1/2", "1/3"])),
-        restrict_family(build_N(["-1", "1/2", "1/3", "0"])),
-        restrict_family(build_N(["-1", "1/2", "1/3", "1/5"])),
-        levi_module(a3, [1, 2], build_N([F(1, 2), F(1, 3), F(1, 5)]), {3: F(1, 7)}),
-        restrict_family(build_M(["-1", "1/4"])),
-        levi_module(c2, [1], build_N([F(1, 2), F(1, 3)]), {2: F(1, 5)}),
+        (levi_module(a2, [1], build_N([F(1, 2), F(1, 3)]), {2: F(1, 3)}), (2, 3)),
+        (restrict_family(build_N(["-1", "1/2", "1/3"])), (2, 3)),
+        (restrict_family(build_N(["-1", "1/2", "1/3", "0"])), (2, 3)),
+        (restrict_family(build_N(["-1", "1/2", "1/3", "1/5"])), (2, 3)),
+        (levi_module(a3, [1, 2], build_N([F(1, 2), F(1, 3), F(1, 5)]), {3: F(1, 7)}), (2, 3)),
+        (restrict_family(build_M(["-1", "1/4"])), (2, 3)),
+        (levi_module(c2, [1], build_N([F(1, 2), F(1, 3)]), {2: F(1, 5)}), (2, 3)),
+        # C3 at depth 3 costs over twice the time gate below
+        (restrict_family(build_M(["-1", "-1", "1/4"])), (2,)),
     ]
     started = time.time()
     checked = 0
-    for C in modules:
+    for C, depths in modules:
         indices = [t for t in itertools.product((-1, 0, 1), repeat=len(C.zero_index()))
                    if C.in_basis(t)]
-        for depth in (2, 3):
+        for depth in depths:
             V = induce(C, depth)
             weights = {V.weight_of_key(key) for key in _pbw_keys(V, indices)}
             for mu in sorted(weights):
@@ -283,3 +286,14 @@ def test_kernel_data_matches_brute_force():
                 checked += bool(rows)
     assert checked > 100
     assert time.time() - started < 10
+
+
+@pytest.mark.parametrize("name", ["A2", "A3", "A4", "C2", "C3", "C4"])
+def test_zero_weight_words_match_enumeration(name):
+    rs = build_root_system(name)
+    roots = sorted(rs.roots, key=lambda r: (sum(r), r))
+    expected = [word for n in range(1, 5)
+                for word in itertools.combinations_with_replacement(roots, n)
+                if not any(map(sum, zip(*word)))]
+    expected.sort(key=lambda word: [roots.index(r) for r in word])
+    assert _zero_weight_words(rs, 4) == expected
