@@ -20,7 +20,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from . import linalg
 from .degonemod import DegreeOneModule, build_M, build_N
@@ -126,22 +126,6 @@ def cocycle_identities(source: DegreeOneModule, target: DegreeOneModule, cval: C
         raise CertificationError("every identity left the window; enlarge it")
 
 
-def _unique_dense(rows: Iterable[Dict], col: Dict) -> List[List[Fraction]]:
-    """The distinct sparse rows as dense rows, column key -> position given by col."""
-    out: List[List[Fraction]] = []
-    seen = set()
-    for row in rows:
-        key = frozenset(row.items())
-        if key in seen:
-            continue
-        seen.add(key)
-        vec = [Fraction(0)] * len(col)
-        for c, v in row.items():
-            vec[col[c]] = v
-        out.append(vec)
-    return out
-
-
 def cocycle_identity_violations(c: Cocycle, radius: int) -> List[str]:
     """Check the identity on all root pairs and window vectors where defined."""
     M, N = c.source, c.target
@@ -236,12 +220,11 @@ def cocycle_space(source: DegreeOneModule, target: DegreeOneModule, radius: int)
     system = source.system
     if target.system.cartan_type != system.cartan_type:
         raise ValueError("modules over different algebras")
-    roots = sorted(system.roots, key=lambda r: (sum(r), r))
     window = source.window(radius)
     winset = set(window)
     unknowns: List[Tuple[Root, Index]] = []
     targets: Dict[Tuple[Root, Index], Tuple[Index, Tuple[Fraction, ...]]] = {}
-    for root in roots:
+    for root in system.ordered_roots:
         shift = system.coroot_values(root)
         for k in window:
             w = add_roots(source.weight_of(k), shift)
@@ -249,8 +232,7 @@ def cocycle_space(source: DegreeOneModule, target: DegreeOneModule, radius: int)
             if t is not None:
                 unknowns.append((root, k))
                 targets[(root, k)] = (t, w)
-    pos = {u: i for i, u in enumerate(unknowns)}
-    values = {u: {targets[u][0]: {u: Fraction(1)}} for u in unknowns}
+    values = {u: {targets[u][0]: {i: Fraction(1)}} for i, u in enumerate(unknowns)}
 
     def cval(root, k):
         return values.get((root, k), {}) if k in winset else None
@@ -260,12 +242,13 @@ def cocycle_space(source: DegreeOneModule, target: DegreeOneModule, radius: int)
                                              system.realization.root_pairs()):
         if ident is not None:
             rows.extend(ident.values())
-    basis = linalg.nullspace(_unique_dense(rows, pos), len(unknowns))
+    basis = linalg.nullspace(rows, len(unknowns))
     return CocycleSpace(source, target, radius, unknowns, targets, basis)
 
 
 def _phi_domain(source: DegreeOneModule, target: DegreeOneModule, radius: int):
-    """Weight-matched pairs (k, t) for phi, on the window extended one root step, sorted by k."""
+    """Weight-matched pairs k -> (column, t) for phi, on the window extended one
+    root step; the columns number the k in sorted order."""
     system = source.system
     window = list(source.window(radius))
     extended: Set[Index] = set(window)
@@ -279,23 +262,25 @@ def _phi_domain(source: DegreeOneModule, target: DegreeOneModule, radius: int):
             continue
         t = target.index_of_weight(source.weight_of(k))
         if t is not None:
-            pairs[k] = t
+            pairs[k] = (len(pairs), t)
     return pairs
 
 
-def _coboundary_row(source: DegreeOneModule, target: DegreeOneModule, pairs: Dict[Index, Index],
-                    root: Root, k: Index, t: Index) -> List[Fraction]:
+def _coboundary_row(source: DegreeOneModule, target: DegreeOneModule,
+                    pairs: Dict[Index, Tuple[int, Index]], root: Root, k: Index,
+                    t: Index) -> Dict[int, Fraction]:
     """d(phi)(X_root) x(k) = X_root phi(x(k)) - phi(X_root x(k)) at x(t), as
-    coefficients of the values of phi, one per source index of pairs."""
+    {column of pairs: coefficient} over the values of phi."""
     row = {}
     if k in pairs:
-        cn, t2 = target.act_root(root, pairs[k])
+        col, tk = pairs[k]
+        cn, t2 = target.act_root(root, tk)
         if cn and t2 == t:
-            row[k] = cn
+            row[col] = cn
     cm, k2 = source.act_root(root, k)
     if cm and k2 in pairs:
-        sparse_add(row, k2, -cm)
-    return [row.get(kk, Fraction(0)) for kk in pairs]
+        sparse_add(row, pairs[k2][0], -cm)
+    return row
 
 
 def coboundary_quotient_dim(source: DegreeOneModule, target: DegreeOneModule, radius: int) -> int:
@@ -304,7 +289,7 @@ def coboundary_quotient_dim(source: DegreeOneModule, target: DegreeOneModule, ra
     pairs = _phi_domain(source, target, radius)
     rows = [_coboundary_row(source, target, pairs, root, k, space.targets[(root, k)][0])
             for root, k in space.unknowns]
-    return space.dimension - linalg.rank(rows)
+    return space.dimension - linalg.rank(rows, len(pairs))
 
 
 def is_coboundary(c: Cocycle, radius: int) -> Optional[Dict[Index, Fraction]]:
@@ -314,13 +299,13 @@ def is_coboundary(c: Cocycle, radius: int) -> Optional[Dict[Index, Fraction]]:
     every stored value of c.
     """
     pairs = _phi_domain(c.source, c.target, radius)
-    rows: List[List[Fraction]] = []
+    rows: List[Dict[int, Fraction]] = []
     rhs: List[Fraction] = []
     for root, cmap in c.maps.items():
         for k, (cval, t) in cmap.items():
             rows.append(_coboundary_row(c.source, c.target, pairs, root, k, t))
             rhs.append(cval)
-    sol = linalg.solve(rows, rhs)
+    sol = linalg.solve(rows, rhs, len(pairs))
     if sol is None:
         return None
     return {k: x for k, x in zip(pairs, sol) if x}
@@ -478,7 +463,7 @@ def _normal_form_system(module: DegreeOneModule, radius: int, reason: str) -> Co
     if not rows and dropped:
         raise CertificationError("every identity left the window; enlarge it")
     col = {l: i for i, l in enumerate(labels)}
-    null = linalg.nullspace(_unique_dense(rows, col), len(labels))
+    null = linalg.nullspace([{col[l]: v for l, v in row.items()} for row in rows], len(labels))
     basis = [{labels[i]: v for i, v in enumerate(b) if v} for b in null]
     return ConstraintSystem(len(null), basis, radius, labels, "solved", reason)
 

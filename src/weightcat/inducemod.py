@@ -212,9 +212,7 @@ class TruncatedVerma:
         self.system = C.system
         self.real = self.system.realization
         self.levi_roots: FrozenSet[Root] = self.system.span_closure(C.block)
-        self.ideal_pos: List[Root] = sorted(
-            (r for r in self.system.positive_set if r not in self.levi_roots),
-            key=lambda r: (sum(r), r))
+        self.ideal_pos: List[Root] = [r for r in self.system.positive if r not in self.levi_roots]
         self.ideal_pos_set = frozenset(self.ideal_pos)
         self.nminus: List[Root] = [neg_root(r) for r in self.ideal_pos]
         self._order = {r: i for i, r in enumerate(self.nminus)}
@@ -238,14 +236,11 @@ class TruncatedVerma:
         return self.act_word(roots, self.one_tensor(t, coeff))
 
     # -- weights -----------------------------------------------------------------
-    def root_weight(self, root: Root) -> Tuple[Fraction, ...]:
-        return self.system.coroot_values(root)
-
     def weight_of_key(self, key: VectorKey) -> Tuple[Fraction, ...]:
         mono, t = key
         w = list(self.C.weight_of(t))
         for r in mono:
-            for i, v in enumerate(self.root_weight(r)):
+            for i, v in enumerate(self.system.coroot_values(r)):
                 w[i] += v
         return tuple(w)
 
@@ -379,7 +374,7 @@ class TruncatedVerma:
         if hit is not None:
             return hit
         basis = self.weight_space(mu)
-        rows: List[List[Fraction]] = []
+        rows: List[Dict[int, Fraction]] = []
         if basis:
             # the monomials of one weight space share their off-block coordinates
             off = tuple(-sum(r[j] for r in basis[0][0]) for j in self._off_block)
@@ -388,11 +383,11 @@ class TruncatedVerma:
                 if t is None:
                     continue
                 for word in words:
-                    row = [self.act_word(word, {key: Fraction(1)}).get(((), t), Fraction(0))
-                           for key in basis]
-                    if any(row):
+                    row = {i: c for i, key in enumerate(basis)
+                           if (c := self.act_word(word, {key: Fraction(1)}).get(((), t)))}
+                    if row:
                         rows.append(row)
-        rref_rows, pivots = linalg.rref(linalg.nullspace(rows, len(basis)))
+        rref_rows, pivots = linalg.rref(linalg.nullspace(rows, len(basis)), len(basis))
         res = (rref_rows, pivots, basis)
         self._kernel_cache[mu] = res
         return res
@@ -461,7 +456,7 @@ def _zero_weight_words(system: RootSystem, max_len: int) -> List[Tuple[Root, ...
     Roots are indexed in (height, root) order; each word lists its roots by
     index, and the words come in order of their index tuples.
     """
-    roots = sorted(system.roots, key=lambda r: (sum(r), r))
+    roots = system.ordered_roots
     index = {r: i for i, r in enumerate(roots)}
     # negative roots come first: a word is a negative part followed by a
     # positive part of the opposite total, each with fewer than max_len roots
@@ -537,8 +532,7 @@ def u0_compare(handle1, v1, handle2, v2, depth: int = 4) -> bool:
     s2 = side_of(handle2, v2)
     if s1.weight() != s2.weight():
         return False
-    system = handle1.system if isinstance(handle1, DegreeOneModule) else handle1.system
-    for word in _zero_weight_words(system, depth):
+    for word in _zero_weight_words(handle1.system, depth):
         if s1.scalar(word) != s2.scalar(word):
             return False
     return True
@@ -592,9 +586,9 @@ def probe_restriction_failure(C: LeviModule, depth: int = 3) -> ProbeReport:
     system = C.system
     verma = TruncatedVerma(C, depth)
     theta = [i for i in range(1, system.rank + 1) if i not in set(C.block)]
-    theta_pos = sorted((r for r in system.span_closure(theta) if sum(r) > 0),
-                       key=lambda r: (sum(r), r))
-    levi_pos = sorted((r for r in verma.levi_roots if sum(r) > 0), key=lambda r: (sum(r), r))
+    theta_span = system.span_closure(theta)
+    theta_pos = [r for r in system.positive if r in theta_span]
+    levi_pos = [r for r in system.positive if r in verma.levi_roots]
     theta_support = [i - 1 for i in theta]
 
     candidates: List[ProbeCandidate] = []
@@ -633,9 +627,6 @@ def probe_restriction_failure(C: LeviModule, depth: int = 3) -> ProbeReport:
             pv = verma.project(verma.monomial_tensor([neg_root(r) for r in word], t0, c0))
             if pv:
                 span_vectors.append(pv)
-        keys = sorted({k for v in span_vectors for k in v} | set(lhs))
-        basis_rows = [[v.get(k, Fraction(0)) for k in keys] for v in span_vectors]
-        target = [lhs.get(k, Fraction(0)) for k in keys]
-        if linalg.in_span(target, basis_rows) is None:
+        if linalg.in_span(lhs, span_vectors) is None:
             return ProbeReport(True, cand, len(candidates))
     return ProbeReport(False, None, len(candidates))

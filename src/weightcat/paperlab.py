@@ -314,10 +314,7 @@ def appendix_a3(a1, a2, branch: str = "0", k_range: Sequence[int] = (-1, 0, 1),
         v0 = V.project(V.monomial_tensor([neg_root(full)], _sl2_index(k)))
         w1 = V.project(V.monomial_tensor([neg_root(b2), neg_root(b1)], _sl2_index(k - 1)))
         w2 = V.project(V.monomial_tensor([neg_root(b1), neg_root(b2)], _sl2_index(k - 1)))
-        keys = sorted(set(v0) | set(w1) | set(w2))
-        mat = [[w1.get(kk, Fraction(0)), w2.get(kk, Fraction(0))] for kk in keys]
-        rhs = [v0.get(kk, Fraction(0)) for kk in keys]
-        sol = linalg.solve(mat, rhs)
+        sol = linalg.in_span(v0, [w1, w2])
         if sol is None:
             solved = False
             etas1[k] = etas2[k] = None

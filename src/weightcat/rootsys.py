@@ -13,6 +13,7 @@ these realizations, never tabulated.
 """
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -133,14 +134,18 @@ class RootSystem:
         self.cartan = cartan_matrix(ct)
         self.simple: List[Root] = [tuple(1 if j == i else 0 for j in range(ct.rank))
                                    for i in range(ct.rank)]
-        self.positive: List[Root] = self._generate_positive()
-        self.positive_set: FrozenSet[Root] = frozenset(self.positive)
-        self.roots: FrozenSet[Root] = frozenset(self.positive) | frozenset(map(neg_root, self.positive))
+        positive = self._generate_positive()
+        # every root once, in (height, root) order
+        self.ordered_roots: List[Root] = sorted(positive | set(map(neg_root, positive)),
+                                                key=lambda r: (sum(r), r))
+        self.positive: List[Root] = [r for r in self.ordered_roots if sum(r) > 0]
+        self.positive_set: FrozenSet[Root] = frozenset(positive)
+        self.roots: FrozenSet[Root] = frozenset(self.ordered_roots)
         if len(self.roots) != _expected_root_count(ct):
             raise AssertionError(f"root generation for {ct} produced {len(self.roots)} roots")
         self._realization: Optional[Realization] = None
 
-    def _generate_positive(self) -> List[Root]:
+    def _generate_positive(self) -> Set[Root]:
         roots: Set[Root] = set(self.simple)
         layer = list(self.simple)
         while layer:
@@ -160,7 +165,7 @@ class RootSystem:
                             nxt.add(cand)
             roots |= nxt
             layer = list(nxt)
-        return sorted(roots, key=lambda r: (sum(r), r))
+        return roots
 
     def pairing(self, root: Root, i: int) -> int:
         """Value of the root on the i-th simple coroot."""
@@ -172,7 +177,7 @@ class RootSystem:
     def root_coordinates(self, weight: Sequence[Fraction]) -> List[Fraction]:
         """Coordinates over the simple roots of the weight with the given
         simple coroot values."""
-        return linalg.solve([list(col) for col in zip(*self.cartan)], list(weight))
+        return linalg.in_span(weight, self.cartan)
 
     def is_root(self, v: Sequence[int]) -> bool:
         return tuple(v) in self.roots
@@ -193,18 +198,9 @@ class RootSystem:
                 out.add(r)
         return frozenset(out)
 
-    def adjacency(self) -> Dict[int, Set[int]]:
-        """Dynkin-diagram adjacency on 1-based simple indices."""
-        adj: Dict[int, Set[int]] = {i: set() for i in range(1, self.rank + 1)}
-        for i in range(self.rank):
-            for j in range(self.rank):
-                if i != j and self.cartan[i][j] != 0:
-                    adj[i + 1].add(j + 1)
-        return adj
-
     def connected_components(self, simple_indices: Iterable[int]) -> List[FrozenSet[int]]:
+        """Components of the Dynkin diagram restricted to the given 1-based simple indices."""
         nodes = set(simple_indices)
-        adj = self.adjacency()
         comps: List[FrozenSet[int]] = []
         seen: Set[int] = set()
         for s in sorted(nodes):
@@ -214,8 +210,8 @@ class RootSystem:
             stack = [s]
             while stack:
                 u = stack.pop()
-                for v in adj[u] & nodes:
-                    if v not in comp:
+                for v in nodes - comp:
+                    if self.cartan[u - 1][v - 1]:
                         comp.add(v)
                         stack.append(v)
             seen |= comp
@@ -364,11 +360,7 @@ class Realization:
         if nu in self._cartan_coeffs:
             return self._cartan_coeffs[nu]
         br = self.bracket(self.root_vector(nu), self.root_vector(neg_root(nu)))
-        keys = sorted({k for h in self._coroot_polys for k in h.terms} | set(br.terms))
-        mat = [[self._coroot_polys[j].terms.get(key, Fraction(0)) for j in range(self.system.rank)]
-               for key in keys]
-        rhs = [br.terms.get(key, Fraction(0)) for key in keys]
-        sol = linalg.solve(mat, rhs)
+        sol = linalg.in_span(br.terms, [h.terms for h in self._coroot_polys])
         if sol is None:
             raise AssertionError(f"[X_{nu}, X_{-nu}] is not in the coroot span")
         coeffs = tuple(sol)
@@ -383,7 +375,7 @@ class Realization:
         h is None except for nu = -mu, where [X_mu, X_nu] = sum_i h_i H_{e_i}.
         """
         if self._pairs is None:
-            roots = sorted(self.system.roots, key=lambda r: (sum(r), r))
+            roots = self.system.ordered_roots
             pairs = []
             for i, mu in enumerate(roots):
                 for nu in roots[i + 1:]:
@@ -442,11 +434,9 @@ class RootSubset:
     def generated_by_simples(cls, system: RootSystem, simple_indices: Iterable[int]) -> "RootSubset":
         return cls(system, system.span_closure(simple_indices))
 
-    def lattice_basis(self) -> List[List[int]]:
-        return linalg.integer_row_reduce([list(r) for r in sorted(self.members)])
-
     def lattice_rank(self) -> int:
-        return len(self.lattice_basis())
+        # integer vectors generate a lattice of the rank of their rational span
+        return linalg.rank(sorted(self.members), self.system.rank)
 
 
 @dataclass(frozen=True)
@@ -482,9 +472,8 @@ def lattice_disjoint(S: RootSubset, T: RootSubset) -> bool:
     """True iff the lattices generated by S and T meet only in 0."""
     if S.system is not T.system and S.system.cartan_type != T.system.cartan_type:
         raise ValueError("subsets of different root systems")
-    rows_s = [list(r) for r in sorted(S.members)]
-    rows_t = [list(r) for r in sorted(T.members)]
-    return linalg.lattice_rank(rows_s) + linalg.lattice_rank(rows_t) == linalg.lattice_rank(rows_s + rows_t)
+    union = sorted(S.members | T.members)
+    return S.lattice_rank() + T.lattice_rank() == linalg.rank(union, S.system.rank)
 
 
 def levi_decomposition(system: RootSystem, theta: Iterable[int]):
@@ -512,11 +501,8 @@ def center_basis(system: RootSystem, block: Iterable[int]) -> List[Tuple[Fractio
     basis = linalg.nullspace(rows, n)
     out = []
     for v in basis:
-        den = 1
-        for x in v:
-            den = den * x.denominator // __import__("math").gcd(den, x.denominator)
-        scaled = [x * den for x in v]
-        out.append(tuple(scaled))
+        den = math.lcm(*(x.denominator for x in v))
+        out.append(tuple(x * den for x in v))
     return out
 
 
@@ -533,12 +519,11 @@ def validate_category_data(system: RootSystem, P: RootSubset, S: RootSubset,
     flags_p = classify_subset(P)
     basis = [tuple(b) for b in B]
     basis_ok = (set(basis) <= T.members
-                and linalg.lattice_rank([list(b) for b in basis]) == len(basis)
+                and linalg.rank(basis, system.rank) == len(basis)
                 and len(basis) == T.lattice_rank())
     if basis_ok:
-        mat = [[Fraction(basis[j][i]) for j in range(len(basis))] for i in range(system.rank)]
         for t in T.members:
-            coeffs = linalg.solve(mat, list(t))
+            coeffs = linalg.in_span(t, basis)
             if coeffs is None or any(c.denominator != 1 for c in coeffs):
                 basis_ok = False
                 break

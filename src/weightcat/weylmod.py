@@ -221,10 +221,6 @@ class WeylParams:
         return num, den, ki
 
 
-def k_member(params: WeylParams, k: Sequence[int]) -> bool:
-    return params.in_lattice(k)
-
-
 def weyl_act(gen: Tuple[str, int], params: WeylParams, k: Sequence[int]) -> ActionTerm:
     """Action of q_i or p_i on x(k).  gen = ("q"|"p", i) with i zero-based."""
     if not params.in_lattice(k):

@@ -155,7 +155,7 @@ def test_center_separates_theta_span(name):
         center = center_basis(system, [i for i in range(1, n + 1) if i not in theta])
         pairing = [[sum(z[i] * system.cartan[j - 1][i] for i in range(n)) for j in sorted(theta)]
                    for z in center]
-        assert linalg.rank(pairing) == len(theta), sorted(theta)
+        assert linalg.rank(pairing, len(theta)) == len(theta), sorted(theta)
         above = tuple(F(sum(system.cartan[j - 1][i] for j in theta)) for i in range(n))
         assert _dominated_pairs(system, theta, {(1,): above, (0,): (F(0),) * n}) == []
 

@@ -256,7 +256,7 @@ def _brute_kernel(V, mu):
                     vec = V.act_root(root, vec)
                 row.append(vec.get(((), t), F(0)))
             rows.append(row)
-    return linalg.rref(linalg.nullspace(rows, len(basis)))
+    return linalg.rref(linalg.nullspace(rows, len(basis)), len(basis))
 
 
 def test_kernel_data_matches_brute_force():

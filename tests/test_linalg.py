@@ -7,11 +7,16 @@ from hypothesis import strategies as st
 from weightcat import linalg
 
 
+def _sparse(mat):
+    """The rows of mat as {column: value} dicts with the zeros dropped."""
+    return [{j: x for j, x in enumerate(row) if x} for row in mat]
+
+
 def test_rref_and_rank():
-    rows, pivots = linalg.rref([[1, 2, 3], [2, 4, 6], [0, 1, 1]])
+    rows, pivots = linalg.rref([[1, 2, 3], [2, 4, 6], [0, 1, 1]], 3)
     assert pivots == [0, 1]
-    assert linalg.rank([[1, 2], [3, 4]]) == 2
-    assert linalg.rank([[1, 2], [2, 4]]) == 1
+    assert linalg.rank([[1, 2], [3, 4]], 2) == 2
+    assert linalg.rank([[1, 2], [2, 4]], 2) == 1
 
 
 def test_nullspace_solves_system():
@@ -24,10 +29,10 @@ def test_nullspace_solves_system():
 
 
 def test_solve_consistency():
-    assert linalg.solve([[2, 0], [0, 3]], [4, 9]) == [F(2), F(3)]
-    assert linalg.solve([[1, 1], [1, 1]], [1, 2]) is None
+    assert linalg.solve([[2, 0], [0, 3]], [4, 9], 2) == [F(2), F(3)]
+    assert linalg.solve([[1, 1], [1, 1]], [1, 2], 2) is None
     # underdetermined: free variable set to zero
-    sol = linalg.solve([[1, 1]], [5])
+    sol = linalg.solve([[1, 1]], [5], 2)
     assert sol == [F(5), F(0)]
 
 
@@ -38,7 +43,7 @@ def test_in_span():
 
 
 def test_reduce_mod_rowspace_is_projection():
-    rows, pivots = linalg.rref([[1, 0, 2], [0, 1, 3]])
+    rows, pivots = linalg.rref([[1, 0, 2], [0, 1, 3]], 3)
     red = linalg.reduce_mod_rowspace([1, 1, 1], rows, pivots)
     assert red[:2] == [F(0), F(0)]
     twice = linalg.reduce_mod_rowspace(red, rows, pivots)
@@ -46,11 +51,11 @@ def test_reduce_mod_rowspace_is_projection():
 
 
 def test_integer_row_reduce_rank():
-    assert linalg.lattice_rank([[1, 0], [1, 1]]) == 2
-    assert linalg.lattice_rank([[2, 4], [1, 2]]) == 1
-    assert linalg.lattice_rank([]) == 0
-    basis = linalg.integer_row_reduce([[2, 4], [3, 6], [0, 5]])
-    assert len(basis) == 2
+    # integer vectors generate a lattice of the rank of their rational span
+    assert linalg.rank([[1, 0], [1, 1]], 2) == 2
+    assert linalg.rank([[2, 4], [1, 2]], 2) == 1
+    assert linalg.rank([], 2) == 0
+    assert linalg.rank([[2, 4], [3, 6], [0, 5]], 2) == 2
 
 
 def _matrix_and_rhs():
@@ -73,9 +78,11 @@ def test_solve_matches_rank_criterion(system):
     mat, rhs, ncols = system
     a = sympy.Matrix(len(mat), ncols, [x for row in mat for x in row])
     aug = a.row_join(sympy.Matrix(len(rhs), 1, rhs))
-    sol = linalg.solve(mat, rhs)
+    sol = linalg.solve(mat, rhs, ncols)
+    assert linalg.solve(_sparse(mat), rhs, ncols) == sol
     assert (sol is None) == (aug.rank() > a.rank())
     if sol is not None:
+        assert len(sol) == ncols
         assert all(sum((x * y for x, y in zip(row, sol)), F(0)) == b for row, b in zip(mat, rhs))
 
 
@@ -103,13 +110,49 @@ def _tall_matrix():
 @example(([[0, 0, 0]] * 4, 3))
 def test_rref_and_nullspace_match_sympy(system):
     mat, ncols = system
-    rows, pivots = linalg.rref(mat)
     expected, expected_pivots = sympy.Matrix(len(mat), ncols, [x for row in mat for x in row]).rref()
-    assert pivots == list(expected_pivots)
-    assert rows == [[F(int(x.p), int(x.q)) for x in expected.row(i)] for i in range(len(pivots))]
-    basis = linalg.nullspace(mat, ncols)
-    assert len(basis) == ncols - len(pivots)
-    assert all(sum((F(a) * b for a, b in zip(row, v)), F(0)) == 0 for row in mat for v in basis)
+    for form in (mat, _sparse(mat)):
+        rows, pivots = linalg.rref(form, ncols)
+        assert pivots == list(expected_pivots)
+        assert rows == [[F(int(x.p), int(x.q)) for x in expected.row(i)] for i in range(len(pivots))]
+        basis = linalg.nullspace(form, ncols)
+        assert len(basis) == ncols - len(pivots)
+        assert all(sum((F(a) * b for a, b in zip(row, v)), F(0)) == 0 for row in mat for v in basis)
+
+
+def _keyed_vectors():
+    """A target and a few basis vectors as {tuple key: value} dicts with zeros dropped;
+    the target is often a combination of the basis."""
+    small = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    vector = st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 1)), small,
+                             max_size=6).map(lambda v: {k: x for k, x in v.items() if x})
+
+    def with_target(basis):
+        combo = st.lists(small, min_size=len(basis), max_size=len(basis)).map(
+            lambda cs: {k: x for k in {k for b in basis for k in b}
+                        if (x := sum((c * b.get(k, 0) for c, b in zip(cs, basis)), F(0)))})
+        return st.tuples(st.one_of(combo, vector), st.just(basis))
+
+    return st.lists(vector, max_size=4).flatmap(with_target)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_keyed_vectors())
+@example(({}, []))
+@example(({(0, 0): F(1)}, []))
+@example(({(0, 0): F(2)}, [{(0, 0): F(1)}, {(0, 0): F(1)}]))
+def test_in_span_matches_sympy(case):
+    # sympy solves the transposed dense system: one equation per key
+    vec, basis = case
+    keys = sorted({k for v in [vec] + basis for k in v})
+    a = sympy.Matrix(len(keys), len(basis), [b.get(k, 0) for k in keys for b in basis])
+    rhs = sympy.Matrix(len(keys), 1, [vec.get(k, 0) for k in keys])
+    sol = linalg.in_span(vec, basis)
+    assert (sol is None) == (a.row_join(rhs).rank() > a.rank())
+    if sol is not None:
+        assert len(sol) == len(basis)
+        assert all(sum((c * b.get(k, 0) for c, b in zip(sol, basis)), F(0)) == vec.get(k, 0)
+                   for k in keys)
 
 
 class _Unread:
@@ -122,4 +165,4 @@ class _Unread:
 
 def test_rref_stops_at_full_column_rank():
     identity = [[F(int(i == j)) for j in range(3)] for i in range(3)]
-    assert linalg.rref(identity + [_Unread()]) == (identity, [0, 1, 2])
+    assert linalg.rref(identity + [_Unread()], 3) == (identity, [0, 1, 2])

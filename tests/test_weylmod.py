@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weightcat.weylmod import (WeylParams, WeylPolynomial, act_monomial, check_weyl_relations,
-                               format_rational, k_member, lattice_window, parse_rational,
+                               format_rational, lattice_window, parse_rational,
                                transitivity_probe, weyl_act)
 
 
@@ -35,10 +35,10 @@ def test_polynomial_defining_relations():
 
 
 def test_k_member_examples():
-    assert k_member(WeylParams.of(["-1"]), (0,)) is True
-    assert k_member(WeylParams.of(["-1"]), (1,)) is False
-    assert k_member(WeylParams.of(["1/2"]), (-7,)) is True
-    assert k_member(WeylParams.of(["0"]), (-1,)) is False
+    assert WeylParams.of(["-1"]).in_lattice((0,)) is True
+    assert WeylParams.of(["-1"]).in_lattice((1,)) is False
+    assert WeylParams.of(["1/2"]).in_lattice((-7,)) is True
+    assert WeylParams.of(["0"]).in_lattice((-1,)) is False
 
 
 def test_weyl_act_branches():
