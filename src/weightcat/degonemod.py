@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import accumulate, product
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .rootsys import Root, RootSystem, build_root_system, neg_root
@@ -32,21 +32,14 @@ class PartitionError(ValueError):
 
 
 @dataclass(frozen=True)
-class ModuleSpecA:
+class ModuleSpec:
     a: Tuple[Fraction, ...]
-    minus_ones: int      # j: leading -1 entries
-    middle_end: int      # m: 1-based position of the last non-integer entry
-    zeros: int           # l: trailing 0 entries
+    minus_ones: int      # leading -1 entries
+    free: int            # entries of the block the family varies, after the -1s
+    zeros: int           # trailing 0 entries (always 0 for type C)
 
 
-@dataclass(frozen=True)
-class ModuleSpecC:
-    a: Tuple[Fraction, ...]
-    minus_ones: int      # l: leading -1 entries
-    middle: int          # m = n - l entries in the tail block
-
-
-def _parse_spec_a(values: Iterable) -> ModuleSpecA:
+def _parse_spec_a(values: Iterable) -> ModuleSpec:
     a = tuple(parse_rational(v) for v in values)
     if len(a) < 2:
         raise PartitionError("type A parameter vector needs at least two entries")
@@ -63,10 +56,10 @@ def _parse_spec_a(values: Iterable) -> ModuleSpecA:
     if m - j < 2:
         raise PartitionError(
             f"{a}: the non-integer block must have at least two entries")
-    return ModuleSpecA(a, j, m, len(a) - m)
+    return ModuleSpec(a, j, m - j, len(a) - m)
 
 
-def _parse_spec_c(values: Iterable) -> ModuleSpecC:
+def _parse_spec_c(values: Iterable) -> ModuleSpec:
     a = tuple(parse_rational(v) for v in values)
     if not a:
         raise PartitionError("type C parameter vector needs at least one entry")
@@ -75,10 +68,9 @@ def _parse_spec_c(values: Iterable) -> ModuleSpecC:
     while l < n - 1 and a[l] == -1:
         l += 1
     tail = a[l:]
-    if all(x.denominator != 1 for x in tail):
-        return ModuleSpecC(a, l, n - l)
-    if len(tail) == 1 and tail[0] in (Fraction(-1), Fraction(-2)):
-        return ModuleSpecC(a, l, 1)
+    if all(x.denominator != 1 for x in tail) or (
+            len(tail) == 1 and tail[0] in (Fraction(-1), Fraction(-2))):
+        return ModuleSpec(a, l, n - l, 0)
     raise PartitionError(
         f"{a}: tail block must be non-integer (or a single -1/-2 entry)")
 
@@ -94,6 +86,7 @@ class DegreeOneModule:
         self.nvars = len(spec.a)
         self.realization = system.realization
         self._act_cache: Dict[Tuple[Root, Index], Tuple[Fraction, Index]] = {}
+        self._w0 = self.weight_of(self.zero_index())
 
     # -- basis ---------------------------------------------------------------
     def in_basis(self, k: Sequence[int]) -> bool:
@@ -163,45 +156,32 @@ class DegreeOneModule:
         vals.append(s[n - 1] + Fraction(1, 2))
         return tuple(vals)
 
+    def displacement(self, k: Sequence[int]) -> Tuple[Fraction, ...]:
+        """Simple-root coordinates of weight_of(k) - weight_of(0): the partial
+        sums of k, with sum(k)/2 as the last coordinate for type C."""
+        x = list(accumulate(k[:self.system.rank]))
+        if self.kind == "M":
+            x[-1] = Fraction(x[-1], 2)
+        return tuple(x)
+
+    def index_of_displacement(self, x: Sequence[Fraction]) -> Optional[Index]:
+        """The basis index with the given displacement, or None."""
+        # the partial sums of k, closed by the coordinate sum
+        partial = list(x) + [0] if self.kind == "N" else list(x[:-1]) + [2 * x[-1]]
+        if any(p.denominator != 1 for p in partial):
+            return None
+        k = tuple(q.numerator - p.numerator for p, q in zip([0] + partial, partial))
+        return k if self.in_basis(k) else None
+
     def index_of_weight(self, mu: Sequence[Fraction]) -> Optional[Index]:
         """The unique basis index of weight mu, or None."""
-        mu = [Fraction(x) for x in mu]
-        n = self.system.rank
-        if self.kind == "N":
-            # s_i - s_{i+1} = mu_i and sum k = 0
-            suffix = [Fraction(0)] * (n + 1)
-            for i in range(n - 1, -1, -1):
-                suffix[i] = suffix[i + 1] + mu[i]
-            total_a = sum(self.params.a, Fraction(0))
-            s_last = (total_a - sum(suffix, Fraction(0))) / (n + 1)
-            k = []
-            for i in range(n + 1):
-                ki = s_last + suffix[i] - self.params.a[i]
-                if ki.denominator != 1:
-                    return None
-                k.append(int(ki))
-        else:
-            s = [Fraction(0)] * n
-            s[n - 1] = mu[n - 1] - Fraction(1, 2)
-            for i in range(n - 2, -1, -1):
-                s[i] = mu[i] + s[i + 1]
-            k = []
-            for i in range(n):
-                ki = s[i] - self.params.a[i]
-                if ki.denominator != 1:
-                    return None
-                k.append(int(ki))
-        k = tuple(k)
-        return k if self.in_basis(k) else None
+        return self.index_of_displacement(
+            self.system.root_coordinates([m - w for m, w in zip(mu, self._w0)]))
 
     # -- structure -------------------------------------------------------------
     def cuspidal_block(self) -> Tuple[int, ...]:
         """Simple roots (1-based) on which every root vector acts injectively."""
-        if self.kind == "N":
-            j, m = self.spec.minus_ones, self.spec.middle_end
-            return tuple(range(j + 1, m))
-        l = self.spec.minus_ones
-        return tuple(range(l + 1, self.system.rank + 1))
+        return tuple(range(self.spec.minus_ones + 1, self.system.rank + 1 - self.spec.zeros))
 
     def theta_a(self) -> FrozenSet[int]:
         """The simple roots outside the cuspidal block."""
@@ -223,11 +203,8 @@ class DegreeOneModule:
 
     def predicted_hw(self, radius: int) -> List[Index]:
         """Window vectors supported on the free block of the highest-weight family."""
-        if self.kind == "N":
-            j, m = self.spec.minus_ones, self.spec.middle_end
-            free = set(range(j, m))
-        else:
-            free = set(range(self.spec.minus_ones, self.nvars))
+        j = self.spec.minus_ones
+        free = set(range(j, j + self.spec.free))
         out = []
         for k in self.window(radius):
             if all(k[i] == 0 for i in range(self.nvars) if i not in free):

@@ -192,7 +192,7 @@ class CocycleSpace:
     target: DegreeOneModule
     radius: int
     unknowns: List[Tuple[Root, Index]]
-    targets: Dict[Tuple[Root, Index], Tuple[Index, Tuple[Fraction, ...]]]
+    targets: Dict[Tuple[Root, Index], Index]
     basis: List[List[Fraction]]
 
     @property
@@ -206,7 +206,7 @@ class CocycleSpace:
             for i, x in enumerate(b):
                 vec[i] += Fraction(c) * x
         for (root, k), val in zip(self.unknowns, vec):
-            t, _ = self.targets[(root, k)]
+            t = self.targets[(root, k)]
             maps.setdefault(root, {})[k] = (val, t)
         return Cocycle(self.source, self.target, maps)
 
@@ -223,16 +223,15 @@ def cocycle_space(source: DegreeOneModule, target: DegreeOneModule, radius: int)
     window = source.window(radius)
     winset = set(window)
     unknowns: List[Tuple[Root, Index]] = []
-    targets: Dict[Tuple[Root, Index], Tuple[Index, Tuple[Fraction, ...]]] = {}
+    targets: Dict[Tuple[Root, Index], Index] = {}
     for root in system.ordered_roots:
         shift = system.coroot_values(root)
         for k in window:
-            w = add_roots(source.weight_of(k), shift)
-            t = target.index_of_weight(w)
+            t = target.index_of_weight(add_roots(source.weight_of(k), shift))
             if t is not None:
                 unknowns.append((root, k))
-                targets[(root, k)] = (t, w)
-    values = {u: {targets[u][0]: {i: Fraction(1)}} for i, u in enumerate(unknowns)}
+                targets[(root, k)] = t
+    values = {u: {targets[u]: {i: Fraction(1)}} for i, u in enumerate(unknowns)}
 
     def cval(root, k):
         return values.get((root, k), {}) if k in winset else None
@@ -287,7 +286,7 @@ def coboundary_quotient_dim(source: DegreeOneModule, target: DegreeOneModule, ra
     """Dimension of window cocycles modulo window coboundaries."""
     space = cocycle_space(source, target, radius)
     pairs = _phi_domain(source, target, radius)
-    rows = [_coboundary_row(source, target, pairs, root, k, space.targets[(root, k)][0])
+    rows = [_coboundary_row(source, target, pairs, root, k, space.targets[(root, k)])
             for root, k in space.unknowns]
     return space.dimension - linalg.rank(rows, len(pairs))
 
@@ -497,7 +496,7 @@ def ext_solve_typeC(params_a: Sequence, params_b: Sequence, radius: int = 3) -> 
     mod_a = build_M(params_a)
     mod_b = build_M(params_b)
     for m in (mod_a, mod_b):
-        if m.spec.middle != 1 or m.spec.minus_ones != m.nvars - 1:
+        if m.spec.free != 1 or m.spec.minus_ones != m.nvars - 1:
             raise ValueError("family of shape (-1,..,-1,a) required")
     if mod_a.nvars != mod_b.nvars:
         raise ValueError("families live in different categories")

@@ -60,8 +60,10 @@ class LeviModule:
         if len(self.block) != len(set(self.block)):
             raise ValueError("overlapping block components")
         for pos, inner in self.components:
-            if len(pos) != inner.system.rank:
-                raise ValueError("component size does not match its inner module rank")
+            # then inner displacement coordinates are outer root coordinates
+            if inner.system.cartan != tuple(tuple(system.cartan[i - 1][j - 1] for j in pos)
+                                            for i in pos):
+                raise ValueError(f"inner module does not live on the block {pos}")
         missing = [i for i in range(1, system.rank + 1)
                    if i not in self.block and i not in central]
         if missing:
@@ -127,15 +129,21 @@ class LeviModule:
         """Root-lattice displacement of x(t) from the base vector, over Phi."""
         coords = [Fraction(0)] * self.system.rank
         for ci, (pos, inner) in enumerate(self.components):
-            k = list(self._slice(t, ci))
-            m = len(k)
-            partial = 0
-            for u in range(m - 1):
-                partial += k[u]
-                coords[pos[u] - 1] = Fraction(partial)
-            if inner.kind == "M":
-                coords[pos[m - 1] - 1] = Fraction(sum(k), 2)
+            for b, d in zip(pos, inner.displacement(self._slice(t, ci))):
+                coords[b - 1] = d
         return coords
+
+    def index_of_displacement(self, x: Sequence[Fraction]) -> Optional[Index]:
+        """The basis index with the given displacement, or None."""
+        if any(x[j] for j in range(self.system.rank) if j + 1 not in self._pos_of):
+            return None
+        t: Index = ()
+        for pos, inner in self.components:
+            piece = inner.index_of_displacement([x[b - 1] for b in pos])
+            if piece is None:
+                return None
+            t += piece
+        return t
 
     def weight_of(self, t: Index) -> Tuple[Fraction, ...]:
         t = tuple(t)
@@ -150,17 +158,6 @@ class LeviModule:
         w = tuple(vals)
         self._wcache[t] = w
         return w
-
-    def index_of_weight(self, mu: Sequence[Fraction]) -> Optional[Index]:
-        pieces: List[Index] = []
-        for pos, inner in self.components:
-            inner_mu = tuple(Fraction(mu[b - 1]) for b in pos)
-            piece = inner.index_of_weight(inner_mu)
-            if piece is None:
-                return None
-            pieces.append(piece)
-        t = tuple(x for piece in pieces for x in piece)
-        return t if self.weight_of(t) == tuple(Fraction(x) for x in mu) else None
 
 
 def levi_module(system: RootSystem, block: Sequence[int], inner: DegreeOneModule,
@@ -188,12 +185,9 @@ def restrict_family(module: DegreeOneModule) -> LeviModule:
     block = module.cuspidal_block()
     if not block:
         raise ValueError("module has an empty cuspidal block")
-    if module.kind == "N":
-        j, m = module.spec.minus_ones, module.spec.middle_end
-        inner = build_N(module.spec.a[j:m])
-    else:
-        l = module.spec.minus_ones
-        inner = build_M(module.spec.a[l:])
+    j = module.spec.minus_ones
+    free = module.spec.a[j:j + module.spec.free]
+    inner = build_N(free) if module.kind == "N" else build_M(free)
     w0 = module.weight_of(module.zero_index())
     central = {i: w0[i - 1] for i in range(1, module.system.rank + 1) if i not in set(block)}
     return levi_module(module.system, block, inner, central)
@@ -345,14 +339,14 @@ class TruncatedVerma:
 
     def weight_space(self, mu: Sequence[Fraction]) -> List[VectorKey]:
         mu = tuple(Fraction(x) for x in mu)
-        # mu = lam0 + <disp(t) + total, .> with disp(t) on the Levi block, so mu
-        # fixes the total's off-block coordinates, which must be integers
+        # mu - lam0 has root coordinates disp(t) + total with disp(t) on the Levi
+        # block, so mu fixes the total's off-block coordinates, which must be integers
         x = self.system.root_coordinates([m - l for m, l in zip(mu, self.C.lam0)])
         off = [x[j] for j in self._off_block]
         basis: List[VectorKey] = []
         if all(o.denominator == 1 for o in off):
             for total, monos in self._bucket(self.nminus, tuple(map(int, off)), self.depth).items():
-                t = self.C.index_of_weight(tuple(m - v for m, v in zip(mu, self.system.coroot_values(total))))
+                t = self.C.index_of_displacement([a - b for a, b in zip(x, total)])
                 if t is not None:
                     basis.extend((mono, t) for mono in monos)
         basis.sort(key=lambda key: (len(key[0]), key[0], key[1]))
@@ -366,8 +360,8 @@ class TruncatedVerma:
         monomials project to zero in 1 (x) C.  A monomial of total root nu
         maps the mu weight space to weight mu + nu, which meets 1 (x) C only
         if mu + nu is a weight of C; so nu has the off-block coordinates of
-        the basis monomials' totals negated, and the words of those totals
-        are every functional that can be nonzero.
+        mu - lam0 negated, and the words of those totals are every
+        functional that can be nonzero.
         """
         mu = tuple(Fraction(x) for x in mu)
         hit = self._kernel_cache.get(mu)
@@ -376,10 +370,10 @@ class TruncatedVerma:
         basis = self.weight_space(mu)
         rows: List[Dict[int, Fraction]] = []
         if basis:
-            # the monomials of one weight space share their off-block coordinates
-            off = tuple(-sum(r[j] for r in basis[0][0]) for j in self._off_block)
+            x = self.system.root_coordinates([m - l for m, l in zip(mu, self.C.lam0)])
+            off = tuple(-int(x[j]) for j in self._off_block)
             for nu, words in self._bucket(self.ideal_pos, off, sum(off)).items():
-                t = self.C.index_of_weight(tuple(m + v for m, v in zip(mu, self.system.coroot_values(nu))))
+                t = self.C.index_of_displacement([a + b for a, b in zip(x, nu)])
                 if t is None:
                     continue
                 for word in words:

@@ -185,7 +185,7 @@ def verify_AkAn(params: Sequence, depth: int = DEFAULT_DEPTH) -> LemmaReport:
     block = module.cuspidal_block()
     if len(block) < 2:
         raise ValueError("block of size at least 2 required")
-    j, m = module.spec.minus_ones, module.spec.middle_end
+    j, m = module.spec.minus_ones, module.spec.minus_ones + module.spec.free
     n = module.system.rank
     if j < 1 or module.spec.zeros < 1:
         raise ValueError("interior block required (at least one -1 and one 0)")

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
@@ -174,10 +175,21 @@ class RootSystem:
     def coroot_values(self, root: Root) -> Tuple[Fraction, ...]:
         return tuple(Fraction(self.pairing(root, i)) for i in range(self.rank))
 
+    @cached_property
+    def _inverse_cartan(self) -> Tuple[List[List[int]], int]:
+        """Root coordinates of the fundamental weights, as integers over one denominator."""
+        inverse = [linalg.in_span(e, self.cartan) for e in self.simple]
+        den = math.lcm(*(c.denominator for row in inverse for c in row))
+        return [[int(c * den) for c in row] for row in inverse], den
+
     def root_coordinates(self, weight: Sequence[Fraction]) -> List[Fraction]:
         """Coordinates over the simple roots of the weight with the given
         simple coroot values."""
-        return linalg.in_span(weight, self.cartan)
+        rows, inv_den = self._inverse_cartan
+        den = math.lcm(*(w.denominator for w in weight))
+        nums = [w.numerator * (den // w.denominator) for w in weight]
+        return [Fraction(sum(p * row[j] for p, row in zip(nums, rows)), den * inv_den)
+                for j in range(self.rank)]
 
     def is_root(self, v: Sequence[int]) -> bool:
         return tuple(v) in self.roots

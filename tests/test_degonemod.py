@@ -82,6 +82,17 @@ def test_weight_examples_and_injectivity():
         assert w not in seen
         seen[w] = k
         assert m.index_of_weight(w) == k
+    for m in (build_N(["-1", "1/2", "1/3", "1/5"]), build_M(["-1", "1/4", "1/5"]),
+              build_M(["-1", "-2"])):
+        w0, n = m.weight_of(m.zero_index()), m.system.rank
+        for k in m.window(3):
+            x = m.displacement(k)
+            assert m.index_of_displacement(x) == k
+            w = m.weight_of(k)
+            assert w == tuple(w0[i] + sum(x[j] * m.system.cartan[j][i] for j in range(n))
+                              for i in range(n))
+            assert m.index_of_weight(w) == k
+            assert m.index_of_weight((w[0] + F(1, 3),) + w[1:]) is None
 
 
 @pytest.mark.parametrize("build,params,expected_count", [

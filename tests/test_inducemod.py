@@ -194,6 +194,26 @@ def test_probe_trivial_c3_cases():
     assert probe_restriction_failure(C, depth=3).restriction_impossible
 
 
+def test_levi_component_must_live_on_its_block():
+    a3, c3 = build_root_system("A3"), build_root_system("C3")
+    with pytest.raises(ValueError):
+        levi_module(a3, [1, 2], build_M([F(1, 5), F(2, 5)]), {3: F(1, 3)})
+    with pytest.raises(ValueError):
+        levi_module(c3, [2, 3], build_N([F(1, 5), F(2, 5), F(-3, 5)]), {1: F(1, 3)})
+
+
+def test_levi_index_of_displacement():
+    a3 = build_root_system("A3")
+    C = levi_module_product(a3, [((1,), build_N([F(1, 2), F(1, 3)])),
+                                 ((3,), build_N([F(1, 5), F(2, 5)]))], {2: F(1, 7)})
+    for t in itertools.product(range(-2, 3), repeat=4):
+        if C.in_basis(t):
+            x = a3.root_coordinates([w - l for w, l in zip(C.weight_of(t), C.lam0)])
+            assert C.index_of_displacement(x) == t
+            assert C.index_of_displacement([x[0], x[1] + 1, x[2]]) is None
+    assert C.index_of_displacement([F(1, 2), 0, 0]) is None
+
+
 def _pbw_keys(V, indices):
     """Every PBW monomial up to V's depth tensored with every given Levi index."""
     return [(mono, t) for n in range(V.depth + 1)
@@ -231,13 +251,16 @@ def test_weight_space_matches_enumeration():
     assert checked > 4000
 
 
-def _brute_kernel(V, mu):
+def _brute_kernel(V, mu, index_of_weight):
     """The kernel of kernel_data(mu) from every PBW word over the positive nilradical.
 
     A positive nilradical root raises the degree outside the Levi block by at
     least one, so a word longer than the largest such degree of a basis
     monomial cannot return to 1 (x) C: the words below are all functionals
-    that can be nonzero, with no Levi-shift pruning of their weights.
+    that can be nonzero, with no Levi-shift pruning of their weights.  The
+    1 (x) C target of a word is looked up in index_of_weight, a table of C
+    weights over a box of indices; a box too small drops functionals, and the
+    kernel then comes out too large.
     """
     basis = V.weight_space(mu)
     outside = [i for i in range(V.system.rank) if i + 1 not in V.C.block]
@@ -246,7 +269,8 @@ def _brute_kernel(V, mu):
     for n in range(longest + 1):
         for word in itertools.combinations_with_replacement(V.ideal_pos, n):
             nu = [sum(col) for col in zip(*word)] if word else [0] * V.system.rank
-            t = V.C.index_of_weight([m + v for m, v in zip(mu, V.system.coroot_values(tuple(nu)))])
+            t = index_of_weight.get(
+                tuple(m + v for m, v in zip(mu, V.system.coroot_values(tuple(nu)))))
             if t is None:
                 continue
             row = []
@@ -267,6 +291,8 @@ def test_kernel_data_matches_brute_force():
         (restrict_family(build_N(["-1", "1/2", "1/3", "0"])), (2, 3)),
         (restrict_family(build_N(["-1", "1/2", "1/3", "1/5"])), (2, 3)),
         (levi_module(a3, [1, 2], build_N([F(1, 2), F(1, 3), F(1, 5)]), {3: F(1, 7)}), (2, 3)),
+        (levi_module_product(a3, [((1,), build_N([F(1, 2), F(1, 3)])),
+                                  ((3,), build_N([F(1, 5), F(2, 5)]))], {2: F(1, 7)}), (2,)),
         (restrict_family(build_M(["-1", "1/4"])), (2, 3)),
         (levi_module(c2, [1], build_N([F(1, 2), F(1, 3)]), {2: F(1, 5)}), (2, 3)),
         # C3 at depth 3 costs over twice the time gate below
@@ -275,14 +301,17 @@ def test_kernel_data_matches_brute_force():
     started = time.time()
     checked = 0
     for C, depths in modules:
-        indices = [t for t in itertools.product((-1, 0, 1), repeat=len(C.zero_index()))
-                   if C.in_basis(t)]
+        # targets reach coordinate 7 (C2 at depth 3); radius 8 leaves a margin
+        box = [t for t in itertools.product(range(-8, 9), repeat=len(C.zero_index()))
+               if C.in_basis(t)]
+        index_of_weight = {C.weight_of(t): t for t in box}
+        indices = [t for t in box if max(map(abs, t)) <= 1]
         for depth in depths:
             V = induce(C, depth)
             weights = {V.weight_of_key(key) for key in _pbw_keys(V, indices)}
             for mu in sorted(weights):
                 rows, pivots, basis = V.kernel_data(mu)
-                assert _brute_kernel(V, mu) == (rows, pivots), (C.block, depth, mu)
+                assert _brute_kernel(V, mu, index_of_weight) == (rows, pivots), (C.block, depth, mu)
                 checked += bool(rows)
     assert checked > 100
     assert time.time() - started < 10
