@@ -68,9 +68,11 @@ def _parse_spec_c(values: Iterable) -> ModuleSpec:
     while l < n - 1 and a[l] == -1:
         l += 1
     tail = a[l:]
-    if all(x.denominator != 1 for x in tail) or (
-            len(tail) == 1 and tail[0] in (Fraction(-1), Fraction(-2))):
+    if all(x.denominator != 1 for x in tail):
         return ModuleSpec(a, l, n - l, 0)
+    if len(tail) == 1 and tail[0] in (Fraction(-1), Fraction(-2)):
+        # an integer tail leaves nothing free: the module is highest-weight
+        return ModuleSpec(a, l, 0, 0)
     raise PartitionError(
         f"{a}: tail block must be non-integer (or a single -1/-2 entry)")
 
@@ -86,7 +88,6 @@ class DegreeOneModule:
         self.nvars = len(spec.a)
         self.realization = system.realization
         self._act_cache: Dict[Tuple[Root, Index], Tuple[Fraction, Index]] = {}
-        self._w0 = self.weight_of(self.zero_index())
 
     # -- basis ---------------------------------------------------------------
     def in_basis(self, k: Sequence[int]) -> bool:
@@ -136,11 +137,7 @@ class DegreeOneModule:
             c, t = self.act_root(root, k)
             return ((t, c),) if c else ()
 
-        def act_cartan(h, k):
-            val = sum((a * b for a, b in zip(h, self.weight_of(k))), Fraction(0))
-            return ((k, val),) if val else ()
-
-        return self.realization.representation_defects(act, act_cartan, self.window(radius))
+        return self.realization.representation_defects(act, self.weight_of, self.window(radius))
 
     def act_element(self, poly, k: Sequence[int]) -> Dict[Index, Fraction]:
         """Action of an arbitrary realized element on x(k)."""
@@ -173,15 +170,13 @@ class DegreeOneModule:
         k = tuple(q.numerator - p.numerator for p, q in zip([0] + partial, partial))
         return k if self.in_basis(k) else None
 
-    def index_of_weight(self, mu: Sequence[Fraction]) -> Optional[Index]:
-        """The unique basis index of weight mu, or None."""
-        return self.index_of_displacement(
-            self.system.root_coordinates([m - w for m, w in zip(mu, self._w0)]))
-
     # -- structure -------------------------------------------------------------
     def cuspidal_block(self) -> Tuple[int, ...]:
         """Simple roots (1-based) on which every root vector acts injectively."""
-        return tuple(range(self.spec.minus_ones + 1, self.system.rank + 1 - self.spec.zeros))
+        j, free = self.spec.minus_ones, self.spec.free
+        # N's free entries span free - 1 simple roots, M's (with the long root) free
+        last = j + free if self.kind == "M" else j + free - 1
+        return tuple(range(j + 1, last + 1))
 
     def theta_a(self) -> FrozenSet[int]:
         """The simple roots outside the cuspidal block."""

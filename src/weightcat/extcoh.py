@@ -154,10 +154,11 @@ class ExtensionModule:
         self.source = c.source
         self.target = c.target
         self.system = c.source.system
+        self._sides = {"m": c.source, "n": c.target}
 
     def _act_key(self, root: Root, key: Tuple[str, Index]) -> List[Tuple[Tuple[str, Index], Fraction]]:
         side, k = key
-        cm, k2 = (self.target if side == "n" else self.source).act_root(root, k)
+        cm, k2 = self._sides[side].act_root(root, k)
         out = [((side, k2), cm)] if cm else []
         if side == "m":
             cv = self.cocycle.value(root, k)
@@ -165,17 +166,15 @@ class ExtensionModule:
                 out.append((("n", cv[1]), cv[0]))
         return out
 
-    def bracket_violations(self, radius: int) -> List[str]:
-        def act_cartan(h, key):
-            side, k = key
-            mod = self.target if side == "n" else self.source
-            val = sum((a * b for a, b in zip(h, mod.weight_of(k))), Fraction(0))
-            return [(key, val)] if val else []
+    def _weight_key(self, key: Tuple[str, Index]) -> Tuple[Fraction, ...]:
+        side, k = key
+        return self._sides[side].weight_of(k)
 
+    def bracket_violations(self, radius: int) -> List[str]:
         keys = [("m", k) for k in self.source.window(radius)] + \
                [("n", k) for k in self.target.window(radius)]
         return [f"{side} {k} pair {mu},{nu}" for mu, nu, (side, k), _ in
-                self.system.realization.representation_defects(self._act_key, act_cartan, keys)]
+                self.system.realization.representation_defects(self._act_key, self._weight_key, keys)]
 
 
 def build_extension(c: Cocycle, radius: int = 3) -> ExtensionModule:
@@ -222,12 +221,13 @@ def cocycle_space(source: DegreeOneModule, target: DegreeOneModule, radius: int)
         raise ValueError("modules over different algebras")
     window = source.window(radius)
     winset = set(window)
+    shifted = _shifted_displacements(source, target, window)
     unknowns: List[Tuple[Root, Index]] = []
     targets: Dict[Tuple[Root, Index], Index] = {}
     for root in system.ordered_roots:
-        shift = system.coroot_values(root)
-        for k in window:
-            t = target.index_of_weight(add_roots(source.weight_of(k), shift))
+        for k, x in zip(window, shifted):
+            # X_root moves the displacement by the root itself
+            t = target.index_of_displacement([a + r for a, r in zip(x, root)])
             if t is not None:
                 unknowns.append((root, k))
                 targets[(root, k)] = t
@@ -245,6 +245,17 @@ def cocycle_space(source: DegreeOneModule, target: DegreeOneModule, radius: int)
     return CocycleSpace(source, target, radius, unknowns, targets, basis)
 
 
+def _shifted_displacements(source: DegreeOneModule, target: DegreeOneModule,
+                           ks: Sequence[Index]) -> List[List[Fraction]]:
+    """For each source index k, the target displacement of the weight of x(k):
+    source.displacement(k) plus the root coordinates of the difference of the
+    two base weights."""
+    w_s = source.weight_of(source.zero_index())
+    w_t = target.weight_of(target.zero_index())
+    shift = source.system.root_coordinates([a - b for a, b in zip(w_s, w_t)])
+    return [[d + s for d, s in zip(source.displacement(k), shift)] for k in ks]
+
+
 def _phi_domain(source: DegreeOneModule, target: DegreeOneModule, radius: int):
     """Weight-matched pairs k -> (column, t) for phi, on the window extended one
     root step; the columns number the k in sorted order."""
@@ -255,11 +266,10 @@ def _phi_domain(source: DegreeOneModule, target: DegreeOneModule, radius: int):
         for root in system.roots:
             _, k2 = source.act_root(root, k)
             extended.add(k2)
+    domain = sorted(k for k in extended if source.in_basis(k))
     pairs = {}
-    for k in sorted(extended):
-        if not source.in_basis(k):
-            continue
-        t = target.index_of_weight(source.weight_of(k))
+    for k, x in zip(domain, _shifted_displacements(source, target, domain)):
+        t = target.index_of_displacement(x)
         if t is not None:
             pairs[k] = (len(pairs), t)
     return pairs
@@ -500,8 +510,7 @@ def ext_solve_typeC(params_a: Sequence, params_b: Sequence, radius: int = 3) -> 
             raise ValueError("family of shape (-1,..,-1,a) required")
     if mod_a.nvars != mod_b.nvars:
         raise ValueError("families live in different categories")
-    d = mod_b.spec.a[-1] - mod_a.spec.a[-1]
-    if d.denominator != 1 or d % 2 != 0:
+    if support_disjoint(mod_a, mod_b):
         return ConstraintSystem(0, [], radius, [], "support-disjoint",
                                 "weight supports are disjoint; graded cocycles vanish")
     return _normal_form_system(mod_a, radius, "self pair")

@@ -150,12 +150,7 @@ class LeviModule:
         hit = self._wcache.get(t)
         if hit is not None:
             return hit
-        disp = self._displacement(t)
-        vals = []
-        for i in range(1, self.system.rank + 1):
-            shift = sum(d * self.system.cartan[j][i - 1] for j, d in enumerate(disp) if d)
-            vals.append(self.lam0[i - 1] + shift)
-        w = tuple(vals)
+        w = tuple(l + v for l, v in zip(self.lam0, self.system.coroot_values(self._displacement(t))))
         self._wcache[t] = w
         return w
 
@@ -305,10 +300,8 @@ class TruncatedVerma:
                             sparse_add(out, key2, n * c2)
                 elif not any(s):
                     coeffs = self.real.cartan_coefficients(root)
-                    w = self.weight_of_key((rest, t))
-                    val = sum((a * b for a, b in zip(coeffs, w)), Fraction(0))
-                    if val:
-                        sparse_add(out, (rest, t), val)
+                    for key2, c2 in self.act_coroot_combo(coeffs, {(rest, t): Fraction(1)}).items():
+                        sparse_add(out, key2, c2)
         self._act_memo[key] = out
         return out
 
@@ -405,8 +398,6 @@ class TruncatedVerma:
         pv = self.project(v)
         if not pv:
             return Fraction(0)
-        if self.weight_of(pv) != self.weight_of(pw):
-            return None
         key, c = next(iter(sorted(pw.items())))
         t = pv.get(key, Fraction(0)) / c
         return t if {k: t * c for k, c in pw.items()} == pv else None

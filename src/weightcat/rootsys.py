@@ -172,8 +172,10 @@ class RootSystem:
         """Value of the root on the i-th simple coroot."""
         return sum(c * self.cartan[j][i] for j, c in enumerate(root) if c)
 
-    def coroot_values(self, root: Root) -> Tuple[Fraction, ...]:
-        return tuple(Fraction(self.pairing(root, i)) for i in range(self.rank))
+    def coroot_values(self, coords: Sequence[Fraction]) -> Tuple[Fraction, ...]:
+        """Values of the simple coroots on sum_j coords_j alpha_j, for a root or
+        any rational displacement over the simple roots."""
+        return tuple(Fraction(self.pairing(coords, i)) for i in range(self.rank))
 
     @cached_property
     def _inverse_cartan(self) -> Tuple[List[List[int]], int]:
@@ -398,15 +400,16 @@ class Realization:
             self._pairs = pairs
         return self._pairs
 
-    def representation_defects(self, act: Callable, act_cartan: Callable,
+    def representation_defects(self, act: Callable, weight: Callable,
                                keys: Sequence) -> Iterator[Tuple[Root, Root, object, Dict]]:
         """Where a linear action fails to respect the brackets of root vectors.
 
-        act(root, key) and act_cartan(h, key) give X_root x(key) and
-        (sum_i h_i H_{e_i}) x(key) as (key, nonzero coefficient) pairs.  Yields
-        (mu, nu, key, defect) for every pair of root_pairs() and every basis
-        key on which X_mu X_nu - X_nu X_mu - [X_mu, X_nu] is the nonzero
-        sparse vector defect.
+        act(root, key) gives X_root x(key) as (key, nonzero coefficient) pairs,
+        and weight(key) the values of the simple coroots H_{e_i} on x(key), so
+        the Cartan element sum_i h_i H_{e_i} scales x(key) by sum_i h_i
+        weight(key)_i.  Yields (mu, nu, key, defect) for every pair of
+        root_pairs() and every basis key on which
+        X_mu X_nu - X_nu X_mu - [X_mu, X_nu] is the nonzero sparse vector defect.
         """
         for mu, nu, s, n, h in self.root_pairs():
             for key in keys:
@@ -419,8 +422,7 @@ class Realization:
                     for k1, c1 in act(s, key):
                         sparse_add(defect, k1, -n * c1)
                 elif h is not None:
-                    for k1, c1 in act_cartan(h, key):
-                        sparse_add(defect, k1, -c1)
+                    sparse_add(defect, key, -sum(a * b for a, b in zip(h, weight(key))))
                 if defect:
                     yield mu, nu, key, defect
 

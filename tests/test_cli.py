@@ -1,8 +1,13 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from weightcat.cli import EXIT_CONFIG, EXIT_OK, EXIT_UNCERTIFIED, main
+from weightcat.cli import EXIT_CONFIG, EXIT_MISMATCH, EXIT_OK, EXIT_UNCERTIFIED, _parse_params, main
+from weightcat.degonemod import build_M, build_N
 
 
 def run(capsys, *argv):
@@ -153,3 +158,64 @@ def test_bad_input_is_config_error(argv, tmp_path, capsys):
     (tmp_path / "malformed.json").write_text("{")
     paths = {"missing": tmp_path / "missing.json", "malformed": tmp_path / "malformed.json"}
     assert main([x.format(**paths) for x in argv]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("a", ["-2", "-1", "-1,-2", "-1,-1", "-1,-1,-1", "-1,-1,-2"])
+@pytest.mark.parametrize("radius", ["2", "3"])
+def test_integer_tail_modules_are_highest_weight(a, radius, capsys):
+    # a single -1/-2 tail leaves no cuspidal simple root: every suite passes
+    # with theta the whole base, and ext rejects the shape itself
+    code, out = run(capsys, "verify", "--module", "M", "--a", a, "--B", radius)
+    assert code == EXIT_OK and json.loads(out)["all_pass"] is True
+    assert main(["ext", "--module", "M", "--a", a, "--B", radius]) == EXIT_CONFIG
+    assert "family of shape (-1,..,-1,a) required" in capsys.readouterr().err
+
+
+_NONINT = st.sampled_from(["1/2", "1/3", "-3/4", "5/2", "2/7"])
+# free draws of every entry kind, and vectors of the family shapes (-1.., z.., 0..)
+# and (-1.., -1 or -2) that the module parsers accept
+_VECTORS = st.one_of(
+    st.lists(st.sampled_from(["-2", "-1", "0", "1/2", "1/3", "x", "1/0", ""]),
+             min_size=1, max_size=4),
+    st.builds(lambda j, z, zeros: ["-1"] * j + z + ["0"] * zeros,
+              st.integers(0, 1), st.lists(_NONINT, min_size=1, max_size=2), st.integers(0, 1)),
+    st.builds(lambda j, tail: ["-1"] * j + [tail],
+              st.integers(0, 3), st.sampled_from(["-1", "-2"])),
+).map(",".join)
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(["classify", "verify", "ext", "lab"]))
+    if command == "classify":
+        theta = draw(st.lists(st.sampled_from(["1", "2", "3", "4", "5", "x"]), max_size=4))
+        argv = [command, draw(st.sampled_from(["A1", "A3", "A4", "C2", "C4", "G2", "D4", "Q7"])),
+                "--theta", ",".join(theta)]
+    elif command == "lab":
+        lemma = draw(st.sampled_from(["lemA12", "A1N", "AkAn", "AC1", "CC", "appendix-a3",
+                                      "nosuch"]))
+        branch = draw(st.sampled_from(["0", "-1-A", "5"]))
+        argv = [command, lemma, "--a", draw(_VECTORS), "--c", branch]
+    else:
+        argv = [command, "--module", draw(st.sampled_from(["N", "M"])), "--a", draw(_VECTORS)]
+        if command == "ext" and draw(st.booleans()):
+            argv += ["--b", draw(_VECTORS)]
+    return argv + ["--B", str(draw(st.integers(-1, 2))), "--D", str(draw(st.integers(0, 3)))]
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(_argv())
+@example(["verify", "--module", "M", "--a", "-2", "--B", "1"])
+@example(["verify", "--module", "M", "--a", "-1,-2", "--B", "2"])
+@example(["verify", "--module", "M", "--a", "-1,-1,-1", "--B", "2"])
+def test_cli_exit_code_contract(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in (EXIT_OK, EXIT_MISMATCH, EXIT_CONFIG, EXIT_UNCERTIFIED), argv
+    if argv[0] == "verify":
+        try:
+            (build_N if argv[2] == "N" else build_M)(_parse_params(argv[4]))
+        except ValueError:
+            return
+        # a module the parser accepts passes every suite
+        assert code != EXIT_MISMATCH, argv

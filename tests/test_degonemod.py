@@ -81,18 +81,18 @@ def test_weight_examples_and_injectivity():
         w = m.weight_of(k)
         assert w not in seen
         seen[w] = k
-        assert m.index_of_weight(w) == k
-    for m in (build_N(["-1", "1/2", "1/3", "1/5"]), build_M(["-1", "1/4", "1/5"]),
+    for m in (m, build_N(["-1", "1/2", "1/3", "1/5"]), build_M(["-1", "1/4", "1/5"]),
               build_M(["-1", "-2"])):
         w0, n = m.weight_of(m.zero_index()), m.system.rank
+        # the displacement of a weight moved by 1/3 on the first coroot
+        off = m.system.root_coordinates((F(1, 3),) + (F(0),) * (n - 1))
         for k in m.window(3):
             x = m.displacement(k)
             assert m.index_of_displacement(x) == k
             w = m.weight_of(k)
             assert w == tuple(w0[i] + sum(x[j] * m.system.cartan[j][i] for j in range(n))
                               for i in range(n))
-            assert m.index_of_weight(w) == k
-            assert m.index_of_weight((w[0] + F(1, 3),) + w[1:]) is None
+            assert m.index_of_displacement([a + b for a, b in zip(x, off)]) is None
 
 
 @pytest.mark.parametrize("build,params,expected_count", [
@@ -171,14 +171,10 @@ def test_levi_orbit_examples():
     assert m.levi_orbit((0, 0, 0), levi_simples=[], radius=2).orbit == [(0, 0, 0)]
 
 
-@pytest.mark.parametrize("build,params,radius", [
-    (build_N, ["1/2", "1/3", "0"], 3),
-    (build_N, ["-1", "1/2", "1/3", "0"], 2),
-    (build_M, ["-1", "1/4"], 3),
-    (build_M, ["-1", "1/4", "1/5"], 2),
-])
-def test_bracket_fidelity_on_window(build, params, radius):
-    m = build(params)
+def _first_bracket_failure(m, radius):
+    """The first (mu, nu, k) in root-pair order at which X_mu X_nu - X_nu X_mu
+    differs from [X_mu, X_nu] on x(k), or None; written apart from the
+    library's bracket check."""
     system = m.system
     roots = sorted(system.roots, key=lambda r: (sum(r), r))
     window = m.window(radius)
@@ -205,4 +201,47 @@ def test_bracket_fidelity_on_window(build, params, radius):
                     val = sum((a * b for a, b in zip(coeffs, m.weight_of(k))), F(0))
                     if val:
                         want[k] = val
-                assert got == want, (mu, nu, k)
+                if got != want:
+                    return mu, nu, k
+    return None
+
+
+@pytest.mark.parametrize("build,params,radius", [
+    (build_N, ["1/2", "1/3", "0"], 3),
+    (build_N, ["-1", "1/2", "1/3", "0"], 2),
+    (build_M, ["-1", "1/4"], 3),
+    (build_M, ["-1", "1/4", "1/5"], 2),
+])
+def test_bracket_fidelity_on_window(build, params, radius):
+    assert _first_bracket_failure(build(params), radius) is None
+
+
+def test_bracket_defects_find_a_corrupted_weight():
+    m = build_N(["-1", "1/2", "1/3", "0"])
+    key = (-1, 1, 0, 0)
+    assert key in m.window(1)
+    true_weight = m.weight_of
+    bad = (true_weight(key)[0] + 1,) + true_weight(key)[1:]
+    m.weight_of = lambda k: bad if tuple(k) == key else true_weight(k)
+    h = m.realization.cartan_coefficients
+    defects = list(m.bracket_defects(1))
+    assert defects
+    for mu, nu, k, defect in defects:
+        assert nu == neg(mu) and k == key and defect == {key: -h(mu)[0]}
+    # every pair whose Cartan element involves H_1 sees the corruption
+    assert {frozenset((mu, nu)) for mu, nu, _, _ in defects} == {
+        frozenset((r, neg(r))) for r in m.system.positive if h(r)[0]}
+
+
+@pytest.mark.parametrize("build,params", [
+    (build_N, ["-1", "1/2", "1/3", "0"]),
+    (build_M, ["-1", "1/4", "1/5"]),
+])
+def test_bracket_defects_first_witness_of_a_corrupted_action(build, params):
+    m = build(params)
+    root, k = m.system.simple_root(2), m.zero_index()
+    c, t = m.act_root(root, k)
+    m._act_cache[(root, k)] = (c + 1, t)
+    want = _first_bracket_failure(m, 1)
+    assert want is not None
+    assert next(m.bracket_defects(1))[:3] == want

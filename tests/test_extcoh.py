@@ -4,10 +4,11 @@ from fractions import Fraction as F
 import pytest
 
 from weightcat.degonemod import build_M, build_N
-from weightcat.extcoh import (CertificationError, Cocycle, CocycleError, build_extension,
-                              coboundary_quotient_dim, cocycle_identity_violations,
-                              cocycle_space, ext_solve_typeA, ext_solve_typeC,
-                              is_coboundary, make_sl2_cocycle, support_disjoint)
+from weightcat.extcoh import (CertificationError, Cocycle, CocycleError, _phi_domain,
+                              build_extension, coboundary_quotient_dim,
+                              cocycle_identity_violations, cocycle_space, ext_solve_typeA,
+                              ext_solve_typeC, is_coboundary, make_sl2_cocycle,
+                              support_disjoint)
 
 
 @pytest.fixture
@@ -45,6 +46,21 @@ def test_build_extension_and_fidelity(sl2):
     # zero cocycle: a direct sum, also fine
     ext0 = build_extension(make_sl2_cocycle(0, sl2, radius=6), radius=3)
     assert ext0.bracket_violations(2) == []
+
+
+def test_bracket_violations_see_a_corrupted_extension(sl2):
+    c = make_sl2_cocycle(1, sl2, radius=6)
+    ext = build_extension(c, radius=3)
+    alpha = sl2.system.simple_root(1)
+    val, t = c.maps[alpha][(0, 0)]
+    c.maps[alpha][(0, 0)] = (val + 1, t)
+    assert ext.bracket_violations(2)
+    # a wrong weight on the target side is seen at that target key only
+    other = build_N(["1/2", "1/3"])
+    ext = build_extension(Cocycle(sl2, other, make_sl2_cocycle(1, sl2, radius=6).maps), radius=3)
+    true_weight = other.weight_of
+    other.weight_of = lambda k: (true_weight(k)[0] + 1,) if tuple(k) == (0, 0) else true_weight(k)
+    assert ext.bracket_violations(2) == ["n (0, 0) pair (-1,),(1,)"]
 
 
 def test_non_cocycle_rejected(sl2):
@@ -141,6 +157,9 @@ def test_ext_solve_typeC_dimensions():
         assert cs.dimension == 0
     odd = ext_solve_typeC(["-1", "1/4"], ["-1", "5/4"], radius=3)
     assert odd.dimension == 0 and odd.status == "support-disjoint"
+    assert odd.reason == "weight supports are disjoint; graded cocycles vanish"
+    apart = ext_solve_typeC(["-1", "-1", "1/4"], ["-1", "-1", "1/3"], radius=3)
+    assert apart.status == "support-disjoint" and apart.reason == odd.reason
     even = ext_solve_typeC(["-1", "1/4"], ["-1", "9/4"], radius=3)
     assert even.dimension == 0 and even.status == "solved"
     with pytest.raises(ValueError):
@@ -161,6 +180,36 @@ def test_support_disjoint():
     # window comparison for different shapes
     assert support_disjoint(build_N(["1/2", "1/3"]), build_N(["1/2", "1/3", "0"]),
                             radius=2) in (True, False)
+
+
+@pytest.mark.parametrize("build,a,b,radius", [
+    (build_N, ["1/2", "1/3"], ["3/2", "-2/3"], 3),
+    (build_M, ["1/4", "1/3"], ["1/4", "1/3"], 2),
+    (build_M, ["1/4", "1/3"], ["5/4", "4/3"], 2),
+], ids=["A1-shifted", "C2-self", "C2-shifted"])
+def test_graded_targets_match_weight_table(build, a, b, radius):
+    # the target of a graded map on x(k) is the target vector of weight
+    # weight(k) + root, read from a table of target weights
+    source, target = build(a), build(b)
+    system = source.system
+    table = {target.weight_of(t): t for t in target.window(radius + 4)}
+
+    def lookup(k, root):
+        shift = system.coroot_values(root)
+        return table.get(tuple(w + v for w, v in zip(source.weight_of(k), shift)))
+
+    window = source.window(radius)
+    space = cocycle_space(source, target, radius)
+    want = {(root, k): lookup(k, root) for root in system.ordered_roots for k in window}
+    assert space.targets and space.targets == {u: t for u, t in want.items() if t is not None}
+    assert space.unknowns == list(space.targets)
+    # phi lives on the window extended one root step
+    domain = set(window) | {source.act_root(root, k)[1] for root in system.roots for k in window}
+    zero = (0,) * system.rank
+    want = {k: lookup(k, zero) for k in sorted(domain) if source.in_basis(k)}
+    pairs = _phi_domain(source, target, radius)
+    assert {k: t for k, (_, t) in pairs.items()} == {k: t for k, t in want.items() if t is not None}
+    assert [col for col, _ in pairs.values()] == list(range(len(pairs)))
 
 
 def test_materialized_cocycles_satisfy_identity():
