@@ -12,9 +12,9 @@ from .categorio import (FamilyDescriptor, MembershipReport, ThetaSpec, Verdict,
                         check_membership, classify, cuspidal_nilpotent_partition,
                         infinite_dim_criterion)
 from .degonemod import DegreeOneModule, build_M, build_N
-from .extcoh import (Cocycle, ConstraintSystem, ExtensionModule, build_extension,
-                     coboundary_quotient_dim, cocycle_space, ext_solve_typeA,
-                     ext_solve_typeC, is_coboundary, make_sl2_cocycle, support_disjoint)
+from .extcoh import (Cocycle, ConstraintSystem, ExtensionModule, coboundary_quotient_dim,
+                     cocycle_space, ext_solve_typeA, ext_solve_typeC, is_coboundary,
+                     make_sl2_cocycle, support_disjoint)
 from .inducemod import (LeviModule, TruncatedVerma, central_scalars, induce, levi_module,
                         levi_module_product, probe_restriction_failure, restrict_family,
                         u0_compare)

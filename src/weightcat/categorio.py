@@ -168,22 +168,13 @@ def _step_cap(radius: int, rank: int) -> int:
     return 4 * radius * (rank + 1) + 8
 
 
-def _survives(module: DegreeOneModule, root: Root, k: Index, cap: int) -> bool:
-    """True when cap successive applications of the root vector to x(k) stay nonzero."""
-    for _ in range(cap):
-        coeff, k = module.act_root(root, k)
-        if coeff == 0:
-            return False
-    return True
-
-
 def _witnesses(module: DegreeOneModule, roots: Iterable[Root], window: Sequence[Index],
                cap: int, survive: bool) -> List[Tuple[Root, Index]]:
     """(root, first window vector k) for every root whose chain from x(k)
     survives cap steps (survive=True) or dies within them (survive=False)."""
     out = []
     for root in roots:
-        k = next((k for k in window if _survives(module, root, k, cap) == survive), None)
+        k = next((k for k in window if bool(module.act_word((root,) * cap, k)[0]) == survive), None)
         if k is not None:
             out.append((root, k))
     return out
@@ -256,9 +247,9 @@ def check_membership(module: DegreeOneModule, theta: Iterable[int],
                 break
             b, root, target = step
             # the certificate needs the downward edge too: the vector must be
-            # recovered from above by the lowering operator
-            dcoeff, back = module.act_root(neg_root(root), target)
-            if dcoeff == 0 or back != cur:
+            # recovered from above by the lowering operator (the raising step
+            # is nonzero, so a zero lowering step stops the walk at target)
+            if module.act_word((neg_root(root), root), cur)[1] != cur:
                 broken_descents.append((cur, b))
             cur = target
         else:

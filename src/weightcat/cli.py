@@ -141,8 +141,23 @@ def build_parser(defaults: Optional[Dict] = None) -> argparse.ArgumentParser:
         p.add_argument("--B", type=int, default=3, help="window radius")
         p.add_argument("--D", type=int, default=4, help="truncation depth")
         p.add_argument("--format", choices=["json", "text"], default="json")
-        p.set_defaults(**(defaults or {}))
+        flags = {a.dest: a for a in p._actions if a.option_strings}
+        p.set_defaults(**{key: _flag_value(flags[key], key, value)
+                          for key, value in (defaults or {}).items() if key in flags})
     return ap
+
+
+def _flag_value(action: argparse.Action, key: str, value):
+    """A config file value passed through its flag's own converter and choices."""
+    if type(value) not in (str, int):
+        raise ValueError(f"config key {key!r}: {value!r} is not a string or an integer")
+    try:
+        value = (action.type or str)(value)
+    except ValueError:
+        raise ValueError(f"config key {key!r}: invalid value {value!r}") from None
+    if action.choices is not None and value not in action.choices:
+        raise ValueError(f"config key {key!r}: {value!r} is not one of {list(action.choices)}")
+    return value
 
 
 def _glue_value_flags(argv: List[str]) -> List[str]:

@@ -127,6 +127,18 @@ class DegreeOneModule:
         self._act_cache[key] = res
         return res
 
+    def act_word(self, word: Sequence[Root], k: Sequence[int]) -> Tuple[Fraction, Index]:
+        """Coefficient and target of a product of root vectors on x(k), rightmost
+        first; a zero coefficient stops the walk at the index it was applied to."""
+        num = den = 1
+        k = tuple(k)
+        for root in reversed(word):
+            c, target = self.act_root(root, k)
+            if not c:
+                return c, k
+            num, den, k = num * c.numerator, den * c.denominator, target
+        return Fraction(num, den), k
+
     def bracket_defects(self, radius: int):
         """Root pairs and window vectors where the action breaks a bracket.
 
@@ -234,16 +246,11 @@ class DegreeOneModule:
                 if target in window and target not in orbit:
                     orbit.add(target)
                     stack.append(target)
-        return_ok = True
-        for root in levi_roots:
-            if not self.system.is_positive(root):
-                continue
-            c1, t1 = self.act_root(root, k)
-            if c1 == 0:
-                continue
-            c2, t2 = self.act_root(neg_root(root), t1)
-            if c1 * c2 == 0 or t2 != k:
-                return_ok = False
+        # X_{-r} X_r x(k) comes back to x(k) unless X_r kills it: a root
+        # vector moves every index it does not kill, so the walk stops at k
+        # only when its first step is zero
+        return_ok = all(self.act_word((neg_root(r), r), k)[1] == k
+                        for r in levi_roots if self.system.is_positive(r))
         return OrbitReport(sorted(orbit), cuspidal_ok, return_ok)
 
 

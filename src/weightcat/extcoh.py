@@ -177,10 +177,6 @@ class ExtensionModule:
                 self.system.realization.representation_defects(self._act_key, self._weight_key, keys)]
 
 
-def build_extension(c: Cocycle, radius: int = 3) -> ExtensionModule:
-    return ExtensionModule(c, radius=radius)
-
-
 # ---------------------------------------------------------------------------
 # The full graded cocycle space on a window
 # ---------------------------------------------------------------------------
@@ -336,12 +332,12 @@ def support_disjoint(mod_a: DegreeOneModule, mod_b: DegreeOneModule,
                   and mod_a.spec.minus_ones == mod_b.spec.minus_ones)
     if same_shape:
         diffs = [b - a for a, b in zip(mod_a.spec.a, mod_b.spec.a)]
-        if any(d.denominator != 1 for d in diffs):
-            return True
-        total = sum(diffs)
         if mod_a.kind == "N":
-            return total % (mod_a.nvars) != 0
-        return total % 2 != 0
+            # N weights read only the differences of a + k, so a shift of every
+            # entry by the mean keeps the support
+            mean = sum(diffs) / mod_a.nvars
+            return any((d - mean).denominator != 1 for d in diffs)
+        return any(d.denominator != 1 for d in diffs) or sum(diffs) % 2 != 0
     if radius is None:
         raise ValueError("window radius required for modules of different shapes")
     wa = {mod_a.weight_of(k) for k in mod_a.window(radius)}

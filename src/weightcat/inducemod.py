@@ -17,7 +17,7 @@ the highest-weight restriction condition.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
@@ -457,70 +457,40 @@ def _zero_weight_words(system: RootSystem, max_len: int) -> List[Tuple[Root, ...
     return [tuple(roots[i] for i in word) for word in sorted(words)]
 
 
-@dataclass
-class _Deg1Side:
-    module: DegreeOneModule
-    base: Index
+def _weight_and_scalar(handle, base):
+    """The weight of a base vector, and the function giving the scalar by which
+    a zero-weight word acts on it: base is an index of a DegreeOneModule or a
+    vector of a TruncatedVerma, taken in the simple quotient."""
+    if isinstance(handle, DegreeOneModule):
+        base = tuple(base)
 
-    def weight(self):
-        return self.module.weight_of(self.base)
-
-    def scalar(self, word) -> Fraction:
-        coeff = Fraction(1)
-        cur = self.base
-        for root in reversed(word):
-            c, cur = self.module.act_root(root, cur)
-            coeff *= c
-            if coeff == 0:
-                return Fraction(0)
-        if cur != self.base:
-            raise NonScalarActionError(f"word {word} did not return to the base vector")
-        return coeff
-
-
-@dataclass
-class _QuotientSide:
-    verma: TruncatedVerma
-    base: InducedVector
-    _pbase: InducedVector = field(default=None, repr=False)
-
-    def __post_init__(self):
-        self._pbase = self.verma.project(self.base)
-        if not self._pbase:
+        def scalar(word) -> Fraction:
+            coeff, target = handle.act_word(word, base)
+            if coeff and target != base:
+                raise NonScalarActionError(f"word {word} did not return to the base vector")
+            return coeff
+        return handle.weight_of(base), scalar
+    if isinstance(handle, TruncatedVerma):
+        pbase = handle.project(base)
+        if not pbase:
             raise ValueError("base vector is zero in the quotient")
 
-    def weight(self):
-        return self.verma.weight_of(self._pbase)
-
-    def scalar(self, word) -> Fraction:
-        image = self.verma.act_word(list(word), self._pbase)
-        if not image:
-            return Fraction(0)
-        t = self.verma.proportionality(image, self._pbase)
-        if t is None:
-            raise NonScalarActionError(f"word {word} acted non-scalarly on the quotient vector")
-        return t
-
-
-def side_of(handle, base) -> object:
-    """Adapter: (DegreeOneModule, index) or (TruncatedVerma, vector)."""
-    if isinstance(handle, DegreeOneModule):
-        return _Deg1Side(handle, tuple(base))
-    if isinstance(handle, TruncatedVerma):
-        return _QuotientSide(handle, base)
+        def scalar(word) -> Fraction:
+            image = handle.act_word(word, pbase)
+            t = handle.proportionality(image, pbase) if image else Fraction(0)
+            if t is None:
+                raise NonScalarActionError(f"word {word} acted non-scalarly on the quotient vector")
+            return t
+        return handle.weight_of(pbase), scalar
     raise TypeError(f"unsupported handle {type(handle)!r}")
 
 
 def u0_compare(handle1, v1, handle2, v2, depth: int = 4) -> bool:
     """Equality of all zero-weight monomial scalars (and weights) on two vectors."""
-    s1 = side_of(handle1, v1)
-    s2 = side_of(handle2, v2)
-    if s1.weight() != s2.weight():
-        return False
-    for word in _zero_weight_words(handle1.system, depth):
-        if s1.scalar(word) != s2.scalar(word):
-            return False
-    return True
+    w1, s1 = _weight_and_scalar(handle1, v1)
+    w2, s2 = _weight_and_scalar(handle2, v2)
+    return w1 == w2 and all(s1(word) == s2(word)
+                            for word in _zero_weight_words(handle1.system, depth))
 
 
 # ---------------------------------------------------------------------------

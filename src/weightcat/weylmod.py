@@ -220,15 +220,26 @@ class WeylParams:
                                  f"with coefficient {Fraction(num, den)}")
         return num, den, ki
 
+    def _walk(self, word: Sequence[Tuple[str, int]], k: Sequence[int]) -> Tuple[int, int, Tuple[int, ...]]:
+        """(numerator, denominator, target) of a word of generators (kind, i) on
+        an admissible x(k), rightmost first; a zero step stops the walk at the
+        index that step was applied to."""
+        num = den = 1
+        cur = list(k)
+        for kind, i in reversed(word):
+            n, d, ki = self._step(kind, i, cur[i])
+            if not n:
+                return 0, 1, tuple(cur)
+            num, den, cur[i] = num * n, den * d, ki
+        return num, den, tuple(cur)
+
 
 def weyl_act(gen: Tuple[str, int], params: WeylParams, k: Sequence[int]) -> ActionTerm:
     """Action of q_i or p_i on x(k).  gen = ("q"|"p", i) with i zero-based."""
     if not params.in_lattice(k):
         raise ValueError(f"index {k} not admissible for parameters {params.a}")
-    kind, i = gen
-    num, den, ki = params._step(kind, i, k[i])
-    k = tuple(k)
-    return ActionTerm(Fraction(num, den), k[:i] + (ki,) + k[i + 1:])
+    num, den, target = params._walk((gen,), k)
+    return ActionTerm(Fraction(num, den), target)
 
 
 def act_monomial(params: WeylParams, qexp: Sequence[int], pexp: Sequence[int],
@@ -237,18 +248,11 @@ def act_monomial(params: WeylParams, qexp: Sequence[int], pexp: Sequence[int],
     coefficient stops the walk and returns the index it was applied to."""
     if not params.in_lattice(k):
         raise ValueError(f"index {k} not admissible for parameters {params.a}")
-    num = den = 1
-    cur = list(k)
-    for kind, exps in (("p", pexp), ("q", qexp)):
-        for i, e in enumerate(exps):
-            for _ in range(e):
-                n, d, ki = params._step(kind, i, cur[i])
-                if not n:
-                    return ActionTerm(_ZERO, tuple(cur))
-                num *= n
-                den *= d
-                cur[i] = ki
-    return ActionTerm(Fraction(num, den), tuple(cur))
+    # the p's act first, each kind with its indices ascending
+    steps = [(kind, i) for kind, exps in (("p", pexp), ("q", qexp))
+             for i, e in enumerate(exps) if e for _ in range(e)]
+    num, den, target = params._walk(steps[::-1], k)
+    return ActionTerm(Fraction(num, den), target)
 
 
 def act_polynomial(params: WeylParams, poly: WeylPolynomial,
@@ -257,8 +261,7 @@ def act_polynomial(params: WeylParams, poly: WeylPolynomial,
     out: Dict[Tuple[int, ...], Fraction] = {}
     for (qe, pe), c in poly.terms.items():
         t = act_monomial(params, qe, pe, k)
-        if t.coeff != 0:
-            sparse_add(out, t.target, c * t.coeff)
+        sparse_add(out, t.target, c * t.coeff)
     return out
 
 
@@ -267,44 +270,37 @@ def lattice_window(params: WeylParams, radius: int) -> List[Tuple[int, ...]]:
     return list(product(*params.window_ranges(radius)))
 
 
+def _bracket_is(ab: tuple, ba: tuple, k: Tuple[int, ...], want: int) -> bool:
+    """Whether g h x(k) - h g x(k) == want x(k), from the integer walks ab of
+    g h and ba of h g on x(k)."""
+    (n1, d1, t1), (n2, d2, t2) = ab, ba
+    if n1 and n2 and t1 != t2:
+        return False
+    return n1 * d2 - n2 * d1 == want * d1 * d2 and (not want or (t1 if n1 else t2) == k)
+
+
 def check_weyl_relations(params: WeylParams, radius: int) -> List[str]:
     """Exhaustively verify the defining relations on the window; returns violations."""
     if radius < 0:  # the window would be empty; for radius >= 0 it holds k = 0
         raise ValueError(f"radius must be >= 0, got {radius}")
-    window = lattice_window(params, radius)
     violations: List[str] = []
     n = params.n
-
-    def apply2(g1, g2, k):
-        (kind2, i2), (kind1, i1) = g2, g1
-        cur = list(k)
-        n2, d2, cur[i2] = params._step(kind2, i2, cur[i2])
-        if not n2:
-            return {}
-        n1, d1, cur[i1] = params._step(kind1, i1, cur[i1])
-        if not n1:
-            return {}
-        return {tuple(cur): Fraction(n1 * n2, d1 * d2)}
-
-    def comm(g1, g2, k):
-        out = apply2(g1, g2, k)
-        for key, c in apply2(g2, g1, k).items():
-            sparse_add(out, key, -c)
-        return out
-
-    for k in window:
+    for k in lattice_window(params, radius):
         for i in range(n):
             # [x_i, x_i] = 0 identically and [x_j, x_i] = -[x_i, x_j], so
             # the commuting relations are checked once per pair i < j
             for j in range(i + 1, n):
-                if comm(("q", i), ("q", j), k):
-                    violations.append(f"[q{i + 1},q{j + 1}] != 0 at {k}")
-                if comm(("p", i), ("p", j), k):
-                    violations.append(f"[p{i + 1},p{j + 1}] != 0 at {k}")
+                for kind in "qp":
+                    g, h = (kind, i), (kind, j)
+                    if not _bracket_is(params._walk((g, h), k), params._walk((h, g), k), k, 0):
+                        violations.append(f"[{kind}{i + 1},{kind}{j + 1}] != 0 at {k}")
             for j in range(n):
-                got = comm(("p", i), ("q", j), k)
-                want = {tuple(k): Fraction(1)} if i == j else {}
-                if got != want:
+                g, h = ("p", i), ("q", j)
+                ab, ba = params._walk((g, h), k), params._walk((h, g), k)
+                if not _bracket_is(ab, ba, k, int(i == j)):
+                    got: Dict[Tuple[int, ...], Fraction] = {}
+                    for sign, (num, den, t) in ((1, ab), (-1, ba)):
+                        sparse_add(got, t, Fraction(sign * num, den))
                     violations.append(f"[p{i + 1},q{j + 1}] wrong at {k}: {got}")
     return violations
 

@@ -152,12 +152,22 @@ def test_config_file_sets_subcommand_flags(tmp_path, capsys):
     ["lab", "lemA12", "--a", "1/2,1/3", "--c", "5"],
     ["--config", "{missing}", "classify", "A4"],
     ["--config", "{malformed}", "classify", "A4"],
+    ["--config", "{fractional_B}", "verify", "--module", "N", "--a", "1/2,1/3"],
+    ["--config", "{null_B}", "lab", "lemA12", "--a", "1/2,1/3"],
+    ["--config", "{theta_list}", "classify", "A4"],
+    ["--config", "{unknown_format}", "classify", "A4"],
 ], ids=["too-few-parameters", "zero-denominator", "unknown-lemma", "bad-branch",
-        "missing-config", "malformed-config"])
+        "missing-config", "malformed-config", "config-fractional-B", "config-null-B",
+        "config-theta-list", "config-unknown-format"])
 def test_bad_input_is_config_error(argv, tmp_path, capsys):
-    (tmp_path / "malformed.json").write_text("{")
-    paths = {"missing": tmp_path / "missing.json", "malformed": tmp_path / "malformed.json"}
+    configs = {"malformed": "{", "fractional_B": '{"B": 1.5}', "null_B": '{"B": null}',
+               "theta_list": '{"theta": [1, 4]}', "unknown_format": '{"format": "xml"}'}
+    paths = {"missing": tmp_path / "missing.json"}
+    for name, text in configs.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(text)
     assert main([x.format(**paths) for x in argv]) == EXIT_CONFIG
+    assert len(capsys.readouterr().err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("a", ["-2", "-1", "-1,-2", "-1,-1", "-1,-1,-1", "-1,-1,-2"])

@@ -4,8 +4,8 @@ from fractions import Fraction as F
 import pytest
 
 from weightcat.degonemod import build_M, build_N
-from weightcat.extcoh import (CertificationError, Cocycle, CocycleError, _phi_domain,
-                              build_extension, coboundary_quotient_dim,
+from weightcat.extcoh import (CertificationError, Cocycle, CocycleError, ExtensionModule,
+                              _phi_domain, coboundary_quotient_dim,
                               cocycle_identity_violations, cocycle_space, ext_solve_typeA,
                               ext_solve_typeC, is_coboundary, make_sl2_cocycle,
                               support_disjoint)
@@ -41,23 +41,23 @@ def test_non_cuspidal_module_rejected():
 
 def test_build_extension_and_fidelity(sl2):
     c = make_sl2_cocycle(1, sl2, radius=6)
-    ext = build_extension(c, radius=3)
+    ext = ExtensionModule(c, radius=3)
     assert ext.bracket_violations(2) == []
     # zero cocycle: a direct sum, also fine
-    ext0 = build_extension(make_sl2_cocycle(0, sl2, radius=6), radius=3)
+    ext0 = ExtensionModule(make_sl2_cocycle(0, sl2, radius=6), radius=3)
     assert ext0.bracket_violations(2) == []
 
 
 def test_bracket_violations_see_a_corrupted_extension(sl2):
     c = make_sl2_cocycle(1, sl2, radius=6)
-    ext = build_extension(c, radius=3)
+    ext = ExtensionModule(c, radius=3)
     alpha = sl2.system.simple_root(1)
     val, t = c.maps[alpha][(0, 0)]
     c.maps[alpha][(0, 0)] = (val + 1, t)
     assert ext.bracket_violations(2)
     # a wrong weight on the target side is seen at that target key only
     other = build_N(["1/2", "1/3"])
-    ext = build_extension(Cocycle(sl2, other, make_sl2_cocycle(1, sl2, radius=6).maps), radius=3)
+    ext = ExtensionModule(Cocycle(sl2, other, make_sl2_cocycle(1, sl2, radius=6).maps), radius=3)
     true_weight = other.weight_of
     other.weight_of = lambda k: (true_weight(k)[0] + 1,) if tuple(k) == (0, 0) else true_weight(k)
     assert ext.bracket_violations(2) == ["n (0, 0) pair (-1,),(1,)"]
@@ -67,10 +67,10 @@ def test_non_cocycle_rejected(sl2):
     alpha = sl2.system.simple_root(1)
     bad = Cocycle(sl2, sl2, {alpha: {(0, 0): (F(1), (1, -1))}})
     with pytest.raises(CocycleError):
-        build_extension(bad, radius=2)
+        ExtensionModule(bad, radius=2)
     # at radius 0 every identity leaves the one-point window: nothing was checked
     with pytest.raises(CertificationError):
-        build_extension(bad, radius=0)
+        ExtensionModule(bad, radius=0)
 
 
 def test_coboundaries_recovered(sl2):
@@ -177,9 +177,23 @@ def test_support_disjoint():
     assert support_disjoint(na, nb) is True
     nc = build_N(["-1", "3/2", "-2/3", "0"])
     assert support_disjoint(na, nc) is False
-    # window comparison for different shapes
-    assert support_disjoint(build_N(["1/2", "1/3"]), build_N(["1/2", "1/3", "0"]),
-                            radius=2) in (True, False)
+    # window comparison for different shapes on one algebra
+    assert support_disjoint(build_N(["1/2", "1/3", "0"]), build_N(["-1", "-7/6", "-3/2"]),
+                            radius=2) is False
+    assert support_disjoint(build_N(["1/2", "1/3", "0"]), build_N(["-1", "1/2", "1/3"]),
+                            radius=2) is True
+
+
+@pytest.mark.parametrize("a,b", [
+    (["1/2", "1/3"], ["7/10", "8/15"]),
+    (["1/2", "1/3"], ["7/10", "1/3"]),
+    (["1/2", "1/3", "1/5", "-1/30"], ["3/4", "7/12", "9/20", "13/60"]),
+])
+def test_support_disjoint_matches_window_weights(a, b):
+    # a shift of every entry of a by the same t keeps the support of N(a)
+    ma, mb = build_N(a), build_N(b)
+    shared = {ma.weight_of(k) for k in ma.window(3)} & {mb.weight_of(k) for k in mb.window(3)}
+    assert support_disjoint(ma, mb) is (not shared)
 
 
 @pytest.mark.parametrize("build,a,b,radius", [

@@ -9,7 +9,7 @@ from weightcat.degonemod import build_M, build_N
 from weightcat.inducemod import (DepthOverflowError, NonScalarActionError, central_scalars,
                                  induce, levi_module, levi_module_product,
                                  probe_restriction_failure, restrict_family, u0_compare,
-                                 _zero_weight_words)
+                                 _weight_and_scalar, _zero_weight_words)
 from weightcat.rootsys import build_root_system
 
 
@@ -144,6 +144,22 @@ def test_u0_compare_cor_isomorphism(a2_setup):
     assert u0_compare(Vm, Vm.one_tensor(), build_N([-1 - a2, -1 - a1, 0]), (0, 0, 0), depth=4)
     assert not u0_compare(V, V.one_tensor(), build_N([a1, F(1, 5), 0]), (0, 0, 0), depth=4)
     assert u0_compare(V, V.one_tensor(), V, V.one_tensor(), depth=3)
+
+
+def test_u0_compare_errors(a2_setup):
+    rs, a1, a2, C = a2_setup
+    V = induce(C, 3)
+    N = build_N([a1, a2, 0])
+    with pytest.raises(TypeError, match="unsupported handle"):
+        u0_compare(C, (0, 0), N, (0, 0, 0))
+    with pytest.raises(ValueError, match="zero in the quotient"):
+        u0_compare(V, {}, N, (0, 0, 0))
+    # a word of nonzero weight moves the base vector, so it has no scalar
+    word = (rs.simple_root(1),)
+    with pytest.raises(NonScalarActionError, match="did not return to the base vector"):
+        _weight_and_scalar(N, (0, 0, 0))[1](word)
+    with pytest.raises(NonScalarActionError, match="non-scalarly on the quotient vector"):
+        _weight_and_scalar(V, V.one_tensor())[1](word)
 
 
 def test_restrict_family_roundtrip():

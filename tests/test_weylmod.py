@@ -50,7 +50,7 @@ def test_weyl_act_branches():
     assert (t.coeff, t.target) == (F(1, 2), (-1,))
     # boundary annihilation: the raising coefficient vanishes exactly at the edge
     t = weyl_act(("q", 0), neg, (0,))
-    assert t.coeff == 0
+    assert (t.coeff, t.target) == (0, (0,))
     m2 = WeylParams.of(["-2"])
     t = weyl_act(("q", 0), m2, (1,))
     assert t.coeff == 0
@@ -68,6 +68,47 @@ def test_weyl_act_branches():
 ])
 def test_defining_relations_on_window(avals, radius):
     assert check_weyl_relations(WeylParams.of(avals), radius) == []
+
+
+def test_relation_check_sees_a_corrupted_step(monkeypatch):
+    # a wrong coefficient (p_1 on k_1 = 0) or a wrong move (q_2 from k_2 = 0
+    # to 2) breaks [p_i, q_i] at every window vector whose walks use it
+    params = WeylParams.of(["-1", "1/3"])
+    step = WeylParams._step
+
+    def wrong_coefficient(self, kind, i, ki):
+        num, den, ki2 = step(self, kind, i, ki)
+        return (num + den, den, ki2) if (kind, i, ki) == ("p", 0, 0) else (num, den, ki2)
+
+    monkeypatch.setattr(WeylParams, "_step", wrong_coefficient)
+    assert check_weyl_relations(params, 1) == [
+        "[p1,q1] wrong at (-1, -1): {}",
+        "[p1,q1] wrong at (-1, 0): {}",
+        "[p1,q1] wrong at (-1, 1): {}",
+        "[p1,q1] wrong at (0, -1): {(0, -1): Fraction(2, 1)}",
+        "[p1,q1] wrong at (0, 0): {(0, 0): Fraction(2, 1)}",
+        "[p1,q1] wrong at (0, 1): {(0, 1): Fraction(2, 1)}",
+    ]
+
+    def wrong_move(self, kind, i, ki):
+        num, den, ki2 = step(self, kind, i, ki)
+        return (num, den, ki2 + 1) if (kind, i, ki) == ("q", 1, 0) else (num, den, ki2)
+
+    monkeypatch.setattr(WeylParams, "_step", wrong_move)
+    assert check_weyl_relations(params, 1) == [
+        "[p2,q2] wrong at (-1, 0): {(-1, 1): Fraction(7, 3), (-1, 0): Fraction(-1, 3)}",
+        "[p2,q2] wrong at (-1, 1): {(-1, 1): Fraction(7, 3), (-1, 2): Fraction(-4, 3)}",
+        "[p2,q2] wrong at (0, 0): {(0, 1): Fraction(7, 3), (0, 0): Fraction(-1, 3)}",
+        "[p2,q2] wrong at (0, 1): {(0, 1): Fraction(7, 3), (0, 2): Fraction(-4, 3)}",
+    ]
+
+    # p_2 keeps k_2 everywhere: [p_2, q_2] x(k) is x(k + e_2), the right
+    # coefficient at the wrong target
+    monkeypatch.setattr(WeylParams, "_step", lambda self, kind, i, ki: (
+        step(self, kind, i, ki)[:2] + (ki,) if (kind, i) == ("p", 1) else step(self, kind, i, ki)))
+    assert check_weyl_relations(params, 1) == [
+        f"[p2,q2] wrong at {k}: {{{(k[0], k[1] + 1)}: Fraction(1, 1)}}"
+        for k in lattice_window(params, 1)]
 
 
 def test_monomial_action_composes():
@@ -110,10 +151,13 @@ def _oracle_admissible(a, k):
 
 
 def _oracle_act(a, kind, i, k):
+    """A zero coefficient leaves the walk at k."""
     neg = a[i].denominator == 1 and a[i] < 0
     if kind == "q":
-        return (a[i] + k[i] + 1 if neg else F(1)), k[:i] + (k[i] + 1,) + k[i + 1:]
-    return (F(1) if neg else a[i] + k[i]), k[:i] + (k[i] - 1,) + k[i + 1:]
+        c, ki = (a[i] + k[i] + 1 if neg else F(1)), k[i] + 1
+    else:
+        c, ki = (F(1) if neg else a[i] + k[i]), k[i] - 1
+    return c, (k[:i] + (ki,) + k[i + 1:] if c else k)
 
 
 def _oracle_monomial(a, qexp, pexp, k):
