@@ -16,13 +16,15 @@ fidelity is inherited from the algebra product.
 """
 from __future__ import annotations
 
+import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, product
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .rootsys import Root, RootSystem, build_root_system, neg_root
-from .weylmod import WeylParams, act_monomial, act_polynomial, parse_rational
+from .weylmod import Lookup, WeylParams, act_polynomial, monomial_word, parse_rational
 
 Index = Tuple[int, ...]
 
@@ -87,7 +89,14 @@ class DegreeOneModule:
         self.params = WeylParams(spec.a)
         self.nvars = len(spec.a)
         self.realization = system.realization
-        self._act_cache: Dict[Tuple[Root, Index], Tuple[Fraction, Index]] = {}
+        # one denominator for every root-action coefficient: q_i steps are
+        # integral and p_i steps divide by a_i's denominator (WeylParams._step)
+        self._scale = math.lcm(*(c0.denominator * math.prod(x.denominator ** e for x, e in zip(spec.a, pe))
+                                 for r in system.ordered_roots
+                                 for (_, pe), c0 in self.realization.root_vector(r).terms.items()))
+        # the one store of the root action: root -> {k: ((target, numerator),)}
+        self._action: Dict[Root, Dict[Index, Tuple]] = Lookup(self._root_action)
+        self._coefficient = Lookup(lambda num: Fraction(num, self._scale))  # made once per value
 
     # -- basis ---------------------------------------------------------------
     def in_basis(self, k: Sequence[int]) -> bool:
@@ -114,18 +123,25 @@ class DegreeOneModule:
         return out
 
     # -- actions ---------------------------------------------------------------
+    def _root_action(self, root: Root) -> Lookup:
+        """{k: ((target, numerator),)} of X_root on admissible k at the module's scale,
+        walked on first lookup; a zero numerator keeps the index the walk stopped at."""
+        ((qe, pe), c0), = self.realization.root_vector(root).terms.items()
+        walk, word, scale = self.params._walk, monomial_word(qe, pe), self._scale
+
+        def act(k):
+            num, den, target = walk(word, k)
+            return ((target, num * c0.numerator * (scale // (den * c0.denominator))),)
+
+        return Lookup(act)
+
     def act_root(self, root: Root, k: Sequence[int]) -> Tuple[Fraction, Index]:
         """Coefficient and target of the canonical root vector on x(k)."""
-        key = (tuple(root), tuple(k))
-        hit = self._act_cache.get(key)
-        if hit is not None:
-            return hit
-        poly = self.realization.root_vector(root)
-        ((qe, pe), c0), = poly.terms.items()
-        t = act_monomial(self.params, qe, pe, k)
-        res = (c0 * t.coeff, t.target)
-        self._act_cache[key] = res
-        return res
+        store, k = self._action[tuple(root)], tuple(k)
+        if k not in store and not self.params.in_lattice(k):
+            raise ValueError(f"index {k} not admissible for parameters {self.params.a}")
+        (target, num), = store[k]
+        return self._coefficient[num], target
 
     def act_word(self, word: Sequence[Root], k: Sequence[int]) -> Tuple[Fraction, Index]:
         """Coefficient and target of a product of root vectors on x(k), rightmost
@@ -143,13 +159,11 @@ class DegreeOneModule:
         """Root pairs and window vectors where the action breaks a bracket.
 
         Yields (mu, nu, k, defect) as `Realization.representation_defects`
-        does; an empty iteration certifies bracket fidelity on the window.
+        does; an empty iteration certifies bracket fidelity on the window,
+        and an empty window raises ValueError.
         """
-        def act(root, k):
-            c, t = self.act_root(root, k)
-            return ((t, c),) if c else ()
-
-        return self.realization.representation_defects(act, self.weight_of, self.window(radius))
+        return self.realization.representation_defects(self._action, self.weight_of,
+                                                       self.window(radius), self._scale)
 
     def act_element(self, poly, k: Sequence[int]) -> Dict[Index, Fraction]:
         """Action of an arbitrary realized element on x(k)."""
@@ -197,12 +211,8 @@ class DegreeOneModule:
 
     def is_hw(self, k: Sequence[int], theta: Iterable[int]) -> bool:
         """Annihilation by every positive root supported on theta."""
-        for root in self.system.span_closure(theta):
-            if self.system.is_positive(root):
-                coeff, _ = self.act_root(root, k)
-                if coeff != 0:
-                    return False
-        return True
+        return not any(self.act_root(root, k)[0] for root in self.system.span_closure(theta)
+                       if self.system.is_positive(root))
 
     def enumerate_hw(self, theta: Iterable[int], radius: int) -> List[Index]:
         theta = frozenset(theta)
@@ -211,19 +221,11 @@ class DegreeOneModule:
     def predicted_hw(self, radius: int) -> List[Index]:
         """Window vectors supported on the free block of the highest-weight family."""
         j = self.spec.minus_ones
-        free = set(range(j, j + self.spec.free))
-        out = []
-        for k in self.window(radius):
-            if all(k[i] == 0 for i in range(self.nvars) if i not in free):
-                out.append(k)
-        return out
+        free = range(j, j + self.spec.free)
+        return [k for k in self.window(radius) if not any(x for i, x in enumerate(k) if i not in free)]
 
     def degree_on_window(self, radius: int) -> int:
-        groups: Dict[Tuple[Fraction, ...], int] = {}
-        for k in self.window(radius):
-            w = self.weight_of(k)
-            groups[w] = groups.get(w, 0) + 1
-        return max(groups.values()) if groups else 1
+        return max(Counter(map(self.weight_of, self.window(radius))).values(), default=1)
 
     def levi_orbit(self, k: Sequence[int], levi_simples: Optional[Iterable[int]] = None,
                    radius: int = 3) -> "OrbitReport":

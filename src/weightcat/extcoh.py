@@ -20,12 +20,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from . import linalg
 from .degonemod import DegreeOneModule, build_M, build_N
 from .rootsys import Root, RootPair, add_roots, neg_root
-from .weylmod import parse_rational, sparse_add
+from .weylmod import Lookup, parse_rational, sparse_add
 
 Index = Tuple[int, ...]
 
@@ -128,6 +129,8 @@ def cocycle_identities(source: DegreeOneModule, target: DegreeOneModule, cval: C
 
 def cocycle_identity_violations(c: Cocycle, radius: int) -> List[str]:
     """Check the identity on all root pairs and window vectors where defined."""
+    if radius < 0:  # the window would be empty; for radius >= 0 it holds k = 0
+        raise ValueError(f"radius must be >= 0, got {radius}")
     M, N = c.source, c.target
     window = M.window(radius)
     winset = set(window)
@@ -166,15 +169,13 @@ class ExtensionModule:
                 out.append((("n", cv[1]), cv[0]))
         return out
 
-    def _weight_key(self, key: Tuple[str, Index]) -> Tuple[Fraction, ...]:
-        side, k = key
-        return self._sides[side].weight_of(k)
-
     def bracket_violations(self, radius: int) -> List[str]:
         keys = [("m", k) for k in self.source.window(radius)] + \
                [("n", k) for k in self.target.window(radius)]
         return [f"{side} {k} pair {mu},{nu}" for mu, nu, (side, k), _ in
-                self.system.realization.representation_defects(self._act_key, self._weight_key, keys)]
+                self.system.realization.representation_defects(
+                    {r: Lookup(partial(self._act_key, r)) for r in self.system.ordered_roots},
+                    lambda key: self._sides[key[0]].weight_of(key[1]), keys)]
 
 
 # ---------------------------------------------------------------------------

@@ -18,10 +18,11 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from operator import mul
+from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
 from . import linalg
-from .weylmod import WeylPolynomial, sparse_add
+from .weylmod import Lookup, WeylPolynomial
 
 Root = Tuple[int, ...]
 RootPair = Tuple[Root, Root, Root, Fraction, Optional[Tuple[Fraction, ...]]]
@@ -126,6 +127,12 @@ def neg_root(x: Root) -> Root:
     return tuple(-a for a in x)
 
 
+def _over_lcm(xs: Sequence[Fraction]) -> Tuple[Tuple[int, ...], int]:
+    """Integers n and the scale d with xs == n / d, d the lcm of the denominators."""
+    d = math.lcm(*(x.denominator for x in xs))
+    return tuple(x.numerator * (d // x.denominator) for x in xs), d
+
+
 class RootSystem:
     """Roots, simple basis, and pairing data for one Cartan type."""
 
@@ -144,7 +151,6 @@ class RootSystem:
         self.roots: FrozenSet[Root] = frozenset(self.ordered_roots)
         if len(self.roots) != _expected_root_count(ct):
             raise AssertionError(f"root generation for {ct} produced {len(self.roots)} roots")
-        self._realization: Optional[Realization] = None
 
     def _generate_positive(self) -> Set[Root]:
         roots: Set[Root] = set(self.simple)
@@ -188,8 +194,7 @@ class RootSystem:
         """Coordinates over the simple roots of the weight with the given
         simple coroot values."""
         rows, inv_den = self._inverse_cartan
-        den = math.lcm(*(w.denominator for w in weight))
-        nums = [w.numerator * (den // w.denominator) for w in weight]
+        nums, den = _over_lcm(weight)
         return [Fraction(sum(p * row[j] for p, row in zip(nums, rows)), den * inv_den)
                 for j in range(self.rank)]
 
@@ -232,11 +237,9 @@ class RootSystem:
             comps.append(frozenset(comp))
         return comps
 
-    @property
+    @cached_property
     def realization(self) -> "Realization":
-        if self._realization is None:
-            self._realization = Realization(self)
-        return self._realization
+        return Realization(self)
 
     def __repr__(self) -> str:
         return f"RootSystem({self.cartan_type})"
@@ -268,10 +271,10 @@ class Realization:
         self.system = system
         self.family = fam
         self.nvars = system.rank + 1 if fam == "A" else system.rank
-        self._root_polys: Dict[Root, WeylPolynomial] = {}
+        self._root_polys: Dict[Root, WeylPolynomial] = Lookup(self._root_vector)
         self._coroot_polys: List[WeylPolynomial] = [self._build_coroot(i) for i in range(1, system.rank + 1)]
-        self._nconst: Dict[Tuple[Root, Root], Fraction] = {}
-        self._cartan_coeffs: Dict[Root, Tuple[Fraction, ...]] = {}
+        self._nconst: Dict[Tuple[Root, Root], Fraction] = Lookup(self._structure_constant)
+        self._cartan_coeffs: Dict[Root, Tuple[Fraction, ...]] = Lookup(self._cartan_coefficients)
         self._pairs: Optional[List[RootPair]] = None
 
     # -- epsilon coordinates -------------------------------------------------
@@ -294,9 +297,9 @@ class Realization:
 
     # -- realized elements ----------------------------------------------------
     def root_vector(self, root: Root) -> WeylPolynomial:
-        root = tuple(root)
-        if root in self._root_polys:
-            return self._root_polys[root]
+        return self._root_polys[tuple(root)]
+
+    def _root_vector(self, root: Root) -> WeylPolynomial:
         if root not in self.system.roots:
             raise ValueError(f"{root} is not a root of {self.system.cartan_type}")
         eps = self.epsilon_vector(root)
@@ -322,9 +325,7 @@ class Realization:
         else:  # -2 eps_i
             pexp[neg[0]] = 2
             coeff = Fraction(-1, 2)
-        poly = WeylPolynomial.monomial(N, qexp, pexp, coeff)
-        self._root_polys[root] = poly
-        return poly
+        return WeylPolynomial.monomial(N, qexp, pexp, coeff)
 
     def _build_coroot(self, i: int) -> WeylPolynomial:
         N = self.nvars
@@ -351,35 +352,31 @@ class Realization:
     # -- structure constants ----------------------------------------------------
     def structure_constant(self, mu: Root, nu: Root) -> Fraction:
         """N with [X_mu, X_nu] = N * X_{mu+nu}; zero when mu+nu is not a root."""
-        key = (tuple(mu), tuple(nu))
-        if key in self._nconst:
-            return self._nconst[key]
+        return self._nconst[tuple(mu), tuple(nu)]
+
+    def _structure_constant(self, pair: Tuple[Root, Root]) -> Fraction:
+        mu, nu = pair
         s = add_roots(mu, nu)
         br = self.bracket(self.root_vector(mu), self.root_vector(nu))
         if s in self.system.roots:
             t = br.proportional_to(self.root_vector(s))
             if t is None:
                 raise AssertionError(f"bracket of {mu},{nu} not proportional to X_{s}")
-            val = t
-        else:
-            if not br.is_zero() and any(s):
-                raise AssertionError(f"bracket of {mu},{nu} nonzero but {s} is not a root")
-            val = Fraction(0)
-        self._nconst[key] = val
-        return val
+            return t
+        if not br.is_zero() and any(s):
+            raise AssertionError(f"bracket of {mu},{nu} nonzero but {s} is not a root")
+        return Fraction(0)
 
     def cartan_coefficients(self, nu: Root) -> Tuple[Fraction, ...]:
         """Coefficients c with [X_nu, X_{-nu}] = sum_i c_i H_{e_i}."""
-        nu = tuple(nu)
-        if nu in self._cartan_coeffs:
-            return self._cartan_coeffs[nu]
+        return self._cartan_coeffs[tuple(nu)]
+
+    def _cartan_coefficients(self, nu: Root) -> Tuple[Fraction, ...]:
         br = self.bracket(self.root_vector(nu), self.root_vector(neg_root(nu)))
         sol = linalg.in_span(br.terms, [h.terms for h in self._coroot_polys])
         if sol is None:
             raise AssertionError(f"[X_{nu}, X_{-nu}] is not in the coroot span")
-        coeffs = tuple(sol)
-        self._cartan_coeffs[nu] = coeffs
-        return coeffs
+        return tuple(sol)
 
     # -- the bracket table ------------------------------------------------------
     def root_pairs(self) -> List[RootPair]:
@@ -400,31 +397,44 @@ class Realization:
             self._pairs = pairs
         return self._pairs
 
-    def representation_defects(self, act: Callable, weight: Callable,
-                               keys: Sequence) -> Iterator[Tuple[Root, Root, object, Dict]]:
+    def representation_defects(self, act: Mapping, weight: Callable, keys: Sequence,
+                               den: int = 1) -> Iterator[Tuple[Root, Root, object, Dict]]:
         """Where a linear action fails to respect the brackets of root vectors.
 
-        act(root, key) gives X_root x(key) as (key, nonzero coefficient) pairs,
-        and weight(key) the values of the simple coroots H_{e_i} on x(key), so
-        the Cartan element sum_i h_i H_{e_i} scales x(key) by sum_i h_i
-        weight(key)_i.  Yields (mu, nu, key, defect) for every pair of
-        root_pairs() and every basis key on which
-        X_mu X_nu - X_nu X_mu - [X_mu, X_nu] is the nonzero sparse vector defect.
+        act[root][key] gives den * X_root x(key) as ((key, numerator), ...) at
+        one scale den (integers keep Fractions out of the loop), and weight(key)
+        the values of the simple coroots H_{e_i} on x(key), so the Cartan
+        element sum_i h_i H_{e_i} scales x(key) by sum_i h_i weight(key)_i; it
+        is read once per key.  Yields (mu, nu, key, defect) for every pair of
+        root_pairs() and every key on which the nonzero {key: Fraction} defect
+        is X_mu X_nu - X_nu X_mu - [X_mu, X_nu] on x(key).  No keys raise
+        ValueError: a check that saw no vector certifies nothing.
         """
+        if not keys:
+            raise ValueError("no basis vector to check: the window is empty")
+        weights = Lookup(lambda key: _over_lcm(weight(key)))
+        den2 = den * den
         for mu, nu, s, n, h in self.root_pairs():
+            nn, nd, tsum = n.numerator, n.denominator, act[s] if n else None
+            products = ((act[nu], act[mu], nd), (act[mu], act[nu], -nd))
+            hn, hd = _over_lcm(h or ())
             for key in keys:
-                defect: Dict = {}
-                for x, y, sign in ((mu, nu, 1), (nu, mu, -1)):
-                    for k1, c1 in act(y, key):
-                        for k2, c2 in act(x, k1):
-                            sparse_add(defect, k2, sign * c1 * c2)
-                if n:
-                    for k1, c1 in act(s, key):
-                        sparse_add(defect, k1, -n * c1)
+                # den^2 nd (X_mu X_nu - X_nu X_mu - N X_s) x(key), with N = nn / nd
+                acc: Dict = {}
+                for a1, a2, sign in products:
+                    for k1, c1 in a1[key]:
+                        for k2, c2 in a2[k1]:
+                            acc[k2] = acc.get(k2, 0) + sign * c1 * c2
+                if nn:
+                    for k1, c1 in tsum[key]:
+                        acc[k1] = acc.get(k1, 0) - nn * den * c1
                 elif h is not None:
-                    sparse_add(defect, key, -sum(a * b for a, b in zip(h, weight(key))))
-                if defect:
-                    yield mu, nu, key, defect
+                    # subtract den^2 h.weight(key) = den^2 (hn.wn) / (hd wd)
+                    wn, wd = weights[key]
+                    v = acc.get(key, 0) * hd * wd - den2 * sum(map(mul, hn, wn))
+                    acc[key] = Fraction(v, hd * wd) if v else 0
+                if any(acc.values()):
+                    yield mu, nu, key, {k: Fraction(v, den2 * nd) for k, v in acc.items() if v}
 
 
 # ---------------------------------------------------------------------------
@@ -512,12 +522,7 @@ def center_basis(system: RootSystem, block: Iterable[int]) -> List[Tuple[Fractio
     block = sorted(set(block))
     n = system.rank
     rows = [[Fraction(system.cartan[b - 1][i]) for i in range(n)] for b in block]
-    basis = linalg.nullspace(rows, n)
-    out = []
-    for v in basis:
-        den = math.lcm(*(x.denominator for x in v))
-        out.append(tuple(x * den for x in v))
-    return out
+    return [tuple(map(Fraction, _over_lcm(v)[0])) for v in linalg.nullspace(rows, n)]
 
 
 def validate_category_data(system: RootSystem, P: RootSubset, S: RootSubset,

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 NEG_INT = "NEG_INT"
 NONNEG_INT = "NONNEG_INT"
@@ -45,6 +45,18 @@ def sparse_add(acc: Dict, key, c) -> None:
         acc[key] = tot
     else:
         acc.pop(key, None)
+
+
+class Lookup(dict):
+    """{key: fn(key)}, each value computed on the first lookup of its key."""
+
+    def __init__(self, fn: Callable):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        val = self[key] = self.fn(key)
+        return val
 
 
 def format_rational(x: Fraction) -> str:
@@ -242,16 +254,21 @@ def weyl_act(gen: Tuple[str, int], params: WeylParams, k: Sequence[int]) -> Acti
     return ActionTerm(Fraction(num, den), target)
 
 
+def monomial_word(qexp: Sequence[int], pexp: Sequence[int]) -> List[Tuple[str, int]]:
+    """The normal-ordered monomial q^qexp p^pexp as a word of generators for
+    `WeylParams._walk`: the p's act first, each kind with its indices ascending."""
+    steps = [(kind, i) for kind, exps in (("p", pexp), ("q", qexp))
+             for i, e in enumerate(exps) if e for _ in range(e)]
+    return steps[::-1]
+
+
 def act_monomial(params: WeylParams, qexp: Sequence[int], pexp: Sequence[int],
                  k: Sequence[int]) -> ActionTerm:
     """Action of the normal-ordered monomial q^qexp p^pexp on x(k); a zero
     coefficient stops the walk and returns the index it was applied to."""
     if not params.in_lattice(k):
         raise ValueError(f"index {k} not admissible for parameters {params.a}")
-    # the p's act first, each kind with its indices ascending
-    steps = [(kind, i) for kind, exps in (("p", pexp), ("q", qexp))
-             for i, e in enumerate(exps) if e for _ in range(e)]
-    num, den, target = params._walk(steps[::-1], k)
+    num, den, target = params._walk(monomial_word(qexp, pexp), k)
     return ActionTerm(Fraction(num, den), target)
 
 

@@ -1,6 +1,7 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from weightcat.degonemod import PartitionError, build_M, build_N
 
@@ -171,10 +172,10 @@ def test_levi_orbit_examples():
     assert m.levi_orbit((0, 0, 0), levi_simples=[], radius=2).orbit == [(0, 0, 0)]
 
 
-def _first_bracket_failure(m, radius):
-    """The first (mu, nu, k) in root-pair order at which X_mu X_nu - X_nu X_mu
-    differs from [X_mu, X_nu] on x(k), or None; written apart from the
-    library's bracket check."""
+def _bracket_failures(m, radius):
+    """(mu, nu, k, defect) in root-pair order wherever X_mu X_nu - X_nu X_mu
+    differs from [X_mu, X_nu] on x(k), defect being the nonzero entries of the
+    difference; written apart from the library's bracket check."""
     system = m.system
     roots = sorted(system.roots, key=lambda r: (sum(r), r))
     window = m.window(radius)
@@ -189,21 +190,22 @@ def _first_bracket_failure(m, radius):
                         c2, k2 = m.act_root(x, k1)
                         if c1 * c2:
                             got[k2] = got.get(k2, F(0)) + sign * c1 * c2
-                got = {kk: v for kk, v in got.items() if v}
-                want = {}
                 if s in system.roots:
                     n = system.realization.structure_constant(mu, nu)
                     c3, k3 = m.act_root(s, k)
-                    if n * c3:
-                        want[k3] = n * c3
+                    got[k3] = got.get(k3, F(0)) - n * c3
                 elif not any(s):
                     coeffs = system.realization.cartan_coefficients(mu)
                     val = sum((a * b for a, b in zip(coeffs, m.weight_of(k))), F(0))
-                    if val:
-                        want[k] = val
-                if got != want:
-                    return mu, nu, k
-    return None
+                    got[k] = got.get(k, F(0)) - val
+                defect = {kk: v for kk, v in got.items() if v}
+                if defect:
+                    yield mu, nu, k, defect
+
+
+def _first_bracket_failure(m, radius):
+    """The first (mu, nu, k) of _bracket_failures, or None."""
+    return next((f[:3] for f in _bracket_failures(m, radius)), None)
 
 
 @pytest.mark.parametrize("build,params,radius", [
@@ -214,6 +216,14 @@ def _first_bracket_failure(m, radius):
 ])
 def test_bracket_fidelity_on_window(build, params, radius):
     assert _first_bracket_failure(build(params), radius) is None
+
+
+def test_bracket_defects_reject_an_empty_window():
+    m = build_N(["-1", "1/2", "1/3", "0"])
+    assert m.window(-1) == []
+    # a check that saw no vector certifies nothing
+    with pytest.raises(ValueError):
+        next(m.bracket_defects(-1))
 
 
 def test_bracket_defects_find_a_corrupted_weight():
@@ -240,8 +250,49 @@ def test_bracket_defects_find_a_corrupted_weight():
 def test_bracket_defects_first_witness_of_a_corrupted_action(build, params):
     m = build(params)
     root, k = m.system.simple_root(2), m.zero_index()
-    c, t = m.act_root(root, k)
-    m._act_cache[(root, k)] = (c + 1, t)
+    (t, num), = m._action[root][k]
+    m._action[root][k] = ((t, num + m._scale),)
     want = _first_bracket_failure(m, 1)
     assert want is not None
     assert next(m.bracket_defects(1))[:3] == want
+
+
+_PERTURBED = [(build_N, ["-1", "1/2", "1/3", "0"]), (build_M, ["-1", "1/4", "1/5"]),
+              (build_M, ["-1", "1/4"])]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(module=st.sampled_from(range(len(_PERTURBED))),
+       what=st.sampled_from(["coefficient", "target", "structure constant", "weight"]),
+       i=st.integers(0, 10 ** 6), j=st.integers(0, 10 ** 6),
+       delta=st.sampled_from([F(1), F(-1), F(1, 2), F(-2, 3), F(5, 7)]))
+def test_bracket_defects_match_the_oracle_under_perturbation(module, what, i, j, delta):
+    """The first defect equals the oracle's after one corruption; a coefficient
+    moves by delta's numerator over the module's scale, or by 1 when delta is 1."""
+    build, params = _PERTURBED[module]
+    m = build(params)
+    real = m.realization
+    roots, near = m.system.ordered_roots, m.window(2)
+    if what == "coefficient":
+        root, k = roots[i % len(roots)], near[j % len(near)]
+        (t, num), = m._action[root][k]
+        m._action[root][k] = ((t, num + (m._scale if delta == 1 else delta.numerator)),)
+    elif what == "target":
+        moved = [(r, k) for r in roots for k in near if m.act_root(r, k)[0]]
+        root, k = moved[i % len(moved)]
+        (_, num), = m._action[root][k]
+        m._action[root][k] = ((near[j % len(near)], num),)
+    elif what == "structure constant":
+        # root_pairs() reads the instance's structure_constant, as the oracle does
+        assert real._pairs is None
+        nonzero = [(mu, nu) for a, mu in enumerate(roots) for nu in roots[a + 1:]
+                   if tuple(x + y for x, y in zip(mu, nu)) in m.system.roots]
+        bad, true_n = nonzero[i % len(nonzero)], real.structure_constant
+        real.structure_constant = lambda mu, nu: true_n(mu, nu) + (delta if (mu, nu) == bad else 0)
+    else:
+        window, true_weight = m.window(1), m.weight_of
+        k = window[i % len(window)]
+        w = list(true_weight(k))
+        w[j % len(w)] += delta
+        m.weight_of = lambda x: tuple(w) if tuple(x) == k else true_weight(x)
+    assert next(m.bracket_defects(1), None) == next(_bracket_failures(m, 1), None)

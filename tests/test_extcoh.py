@@ -73,6 +73,20 @@ def test_non_cocycle_rejected(sl2):
         ExtensionModule(bad, radius=0)
 
 
+def test_empty_window_is_not_certified(sl2):
+    # radius -1 leaves no window vector: a check that saw nothing must not pass
+    ext = ExtensionModule(make_sl2_cocycle(1, sl2, radius=6), radius=3)
+    with pytest.raises(ValueError):
+        ext.bracket_violations(-1)
+
+
+def test_non_cocycle_rejected_on_an_empty_window(sl2):
+    alpha = sl2.system.simple_root(1)
+    bad = Cocycle(sl2, sl2, {alpha: {(0, 0): (F(1), (1, -1))}})
+    with pytest.raises(ValueError):
+        ExtensionModule(bad, radius=-1)
+
+
 def test_coboundaries_recovered(sl2):
     rng = random.Random(42)
     other = build_N(["1/2", "1/3"])
