@@ -254,7 +254,8 @@ def check_membership(module: DegreeOneModule, theta: Iterable[int],
             cur = target
         else:
             certified = False
-    hw_vectors = [k for k in hw_reached if module.is_hw(k, theta)]
+    theta_raising = system.span_closure(theta) & system.positive_set
+    hw_vectors = [k for k in hw_reached if module.is_hw(k, theta_raising)]
     dominated = _dominated_pairs(system, theta, {v: module.weight_of(v) for v in hw_vectors})
     restriction_ok = (certified and not broken_descents and not dominated
                       and len(hw_vectors) == len(hw_reached))

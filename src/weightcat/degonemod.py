@@ -209,14 +209,13 @@ class DegreeOneModule:
         block = set(self.cuspidal_block())
         return frozenset(i for i in range(1, self.system.rank + 1) if i not in block)
 
-    def is_hw(self, k: Sequence[int], theta: Iterable[int]) -> bool:
-        """Annihilation by every positive root supported on theta."""
-        return not any(self.act_root(root, k)[0] for root in self.system.span_closure(theta)
-                       if self.system.is_positive(root))
+    def is_hw(self, k: Sequence[int], raising: Iterable[Root]) -> bool:
+        """Annihilation by every root vector in raising, the positive roots on theta."""
+        return not any(self.act_root(root, k)[0] for root in raising)
 
     def enumerate_hw(self, theta: Iterable[int], radius: int) -> List[Index]:
-        theta = frozenset(theta)
-        return [k for k in self.window(radius) if self.is_hw(k, theta)]
+        raising = self.system.span_closure(theta) & self.system.positive_set
+        return [k for k in self.window(radius) if self.is_hw(k, raising)]
 
     def predicted_hw(self, radius: int) -> List[Index]:
         """Window vectors supported on the free block of the highest-weight family."""

@@ -13,7 +13,10 @@ cocycle on a window and `coboundary_quotient_dim` measures the quotient by
 coboundaries; `ext_solve_typeA` / `ext_solve_typeC` instead impose the
 inverse-shift normal form on the distinguished cuspidal direction of a
 degree-one family and reduce self-extension vanishing to a system in the
-orbit labels b(k).
+orbit labels b(k), read centre-out and reduced as it is read until the rank
+reaches the label count, which certifies a zero kernel; the reduced echelon
+form does not depend on the order of the rows, so an answer of positive
+dimension reads every identity and is that of the whole system.
 """
 from __future__ import annotations
 
@@ -401,8 +404,15 @@ class _NormalFormAssembler:
         self._splits = {r: self._split(r) for r in self.system.roots
                         if self.alpha_coordinate(r) and r not in (self.alpha, self.nalpha)}
         self._values: Dict[Tuple[Root, Index], Dict[Index, Dict[Index, Fraction]]] = {}
+        a = self.alpha_coordinate
+        # pairs with no alpha component anywhere give identically zero rows
+        self.pairs = [p for p in self.system.realization.root_pairs()
+                      if a(p[0]) or a(p[1]) or (p[3] and a(p[2]))]
         self.window = module.window(radius)
         self.labelset = {self.label(k) for k in self.window}
+        # the rows may stop before the window edge: check the inverse shift on all of it
+        for k in self.window:
+            self.value(self.alpha, k)
 
     def label(self, k: Index) -> Index:
         return tuple(x for i, x in enumerate(k) if i not in self.moved)
@@ -446,30 +456,31 @@ class _NormalFormAssembler:
             self._values[(root, k)] = out
         return out
 
-    def assemble(self) -> Tuple[List[Dict[Index, Fraction]], List[Index], int]:
-        a = self.alpha_coordinate
-        # pairs with no alpha component anywhere give identically zero rows
-        pairs = [p for p in self.system.realization.root_pairs()
-                 if a(p[0]) or a(p[1]) or (p[3] and a(p[2]))]
-        rows: List[Dict[Index, Fraction]] = []
-        dropped = 0
-        for _, _, _, ident in cocycle_identities(self.module, self.module, self.value,
-                                                 self.window, pairs):
-            for row in ident.values():
-                if all(l in self.labelset for l in row):
-                    rows.append(row)
-                else:
-                    dropped += 1
-        return rows, sorted(self.labelset), dropped
-
 
 def _normal_form_system(module: DegreeOneModule, radius: int, reason: str) -> ConstraintSystem:
-    # the assembler's memo is freed before the elimination
-    rows, labels, dropped = _NormalFormAssembler(module, radius).assemble()
-    if not rows and dropped:
-        raise CertificationError("every identity left the window; enlarge it")
+    nf = _NormalFormAssembler(module, radius)
+    labels = sorted(nf.labelset)
     col = {l: i for i, l in enumerate(labels)}
-    null = linalg.nullspace([{col[l]: v for l, v in row.items()} for row in rows], len(labels))
+    kept: List[List[Fraction]] = []  # the RREF of the rows reduced so far
+    new: List[Dict[int, Fraction]] = []  # rows read since
+    dropped = False
+    # centre-out: extra rows cannot shrink a zero kernel, so full rank ends the read
+    for k in sorted(nf.window, key=lambda k: (max(map(abs, k)), sum(map(abs, k)), k)):
+        for _, _, _, ident in cocycle_identities(module, module, nf.value, [k], nf.pairs):
+            for row in ident.values():
+                if all(l in col for l in row):
+                    new.append({col[l]: v for l, v in row.items()})
+                else:
+                    dropped = True
+        # each reduction reads the kept rows again: wait for as many new ones
+        if new and len(new) >= len(kept):
+            kept, pivots = linalg.rref(kept + new, len(labels))
+            new = []
+            if len(pivots) == len(labels):
+                break
+    if not kept and dropped:
+        raise CertificationError("every identity left the window; enlarge it")
+    null = linalg.nullspace(kept + new, len(labels))
     basis = [{labels[i]: v for i, v in enumerate(b) if v} for b in null]
     return ConstraintSystem(len(null), basis, radius, labels, "solved", reason)
 

@@ -395,12 +395,16 @@ class TruncatedVerma:
         pw = self.project(w)
         if not pw:
             raise ValueError("denominator vector is zero in the quotient")
-        pv = self.project(v)
-        if not pv:
-            return Fraction(0)
-        key, c = next(iter(sorted(pw.items())))
-        t = pv.get(key, Fraction(0)) / c
-        return t if {k: t * c for k, c in pw.items()} == pv else None
+        return _ratio(self.project(v), pw)
+
+
+def _ratio(pv: InducedVector, pw: InducedVector) -> Optional[Fraction]:
+    """t with pv = t*pw for vectors already in the quotient, pw nonzero, or None."""
+    if not pv:
+        return Fraction(0)
+    key, c = min(pw.items())
+    t = pv.get(key, Fraction(0)) / c
+    return t if {k: t * c for k, c in pw.items()} == pv else None
 
 
 def induce(C: LeviModule, depth: int) -> TruncatedVerma:
@@ -477,7 +481,7 @@ def _weight_and_scalar(handle, base):
 
         def scalar(word) -> Fraction:
             image = handle.act_word(word, pbase)
-            t = handle.proportionality(image, pbase) if image else Fraction(0)
+            t = _ratio(handle.project(image), pbase) if image else Fraction(0)
             if t is None:
                 raise NonScalarActionError(f"word {word} acted non-scalarly on the quotient vector")
             return t

@@ -1,14 +1,18 @@
 import random
+import re
 from fractions import Fraction as F
+from functools import lru_cache
 
 import pytest
 
+from weightcat import extcoh, linalg
 from weightcat.degonemod import build_M, build_N
 from weightcat.extcoh import (CertificationError, Cocycle, CocycleError, ExtensionModule,
-                              _phi_domain, coboundary_quotient_dim,
-                              cocycle_identity_violations, cocycle_space, ext_solve_typeA,
-                              ext_solve_typeC, is_coboundary, make_sl2_cocycle,
-                              support_disjoint)
+                              _normal_form_system, _phi_domain, coboundary_quotient_dim,
+                              cocycle_identities, cocycle_identity_violations, cocycle_space,
+                              ext_solve_typeA, ext_solve_typeC, is_coboundary,
+                              make_sl2_cocycle, support_disjoint)
+from weightcat.rootsys import neg_root
 
 
 @pytest.fixture
@@ -133,9 +137,117 @@ def test_quotient_dimension_zero_for_distinct_pairs(sl2):
 def test_normal_form_assembler_free_case(sl2):
     # with no raising chains the same label system leaves exactly the
     # one-parameter inverse-shift family
-    from weightcat.extcoh import _normal_form_system
     cs = _normal_form_system(sl2, 3, "free")
     assert cs.dimension == 1
+
+
+@lru_cache(maxsize=None)
+def _full_normal_form(build, params, radius):
+    """The normal-form system read whole: every identity of every root pair on
+    every window index, then one nullspace.  Returns the assembler (its memo
+    filled by the full read), the labels and the kernel basis."""
+    module = build(params)
+    nf = extcoh._NormalFormAssembler(module, radius)
+    labels = sorted(nf.labelset)
+    col = {l: i for i, l in enumerate(labels)}
+    rows = [{col[l]: v for l, v in row.items()}
+            for _, _, _, ident in cocycle_identities(module, module, nf.value, nf.window,
+                                                     module.realization.root_pairs())
+            for row in ident.values() if all(l in col for l in row)]
+    return nf, labels, linalg.nullspace(rows, len(labels))
+
+
+@pytest.mark.parametrize("build,params,radius", [
+    (build_N, ("-1", "1/2", "1/3", "0"), 3),
+    (build_N, ("-1", "1/2", "1/3", "0"), 4),
+    (build_M, ("-1", "1/4"), 3),
+    (build_M, ("-1", "1/4"), 4),
+    (build_M, ("-1", "1/4"), 5),
+    (build_M, ("-1", "1/4"), 6),
+    (build_M, ("-1", "-1", "1/4"), 3),
+    (build_M, ("-1", "-1", "1/4"), 4),
+    (build_N, ("-1", "-1", "1/2", "1/3", "0"), 2),
+    (build_N, ("1/2", "1/3"), 3),
+], ids=["A3-B3", "A3-B4", "C2-B3", "C2-B4", "C2-B5", "C2-B6", "C3-B3", "C3-B4", "A4-B2",
+        "A1-free"])
+def test_normal_form_system_matches_full_assembly(build, params, radius):
+    # the centre-out read stops at full rank; the whole system must give the
+    # same kernel, labels and basis
+    _, labels, null = _full_normal_form(build, params, radius)
+    cs = _normal_form_system(build(params), radius, "self pair")
+    assert cs.labels == labels
+    assert cs.dimension == len(null) == (1 if params == ("1/2", "1/3") else 0)
+    assert cs.basis == [{labels[i]: v for i, v in enumerate(b) if v} for b in null]
+
+
+@pytest.mark.parametrize("build,params,radius", [
+    (build_N, ("-1", "1/2", "1/3", "0"), 4),
+    (build_M, ("-1", "1/4"), 4),
+    (build_M, ("-1", "-1", "1/4"), 3),
+], ids=["A3-B4", "C2-B4", "C3-B3"])
+def test_normal_form_system_below_full_rank_reads_every_row(monkeypatch, build, params, radius):
+    # a label that no identity touches keeps the rank below the label count,
+    # so the read goes to the window edge (on A3 at B=4 with rows read after
+    # the last reduction) and the kernel has dimension one
+    class Padded(extcoh._NormalFormAssembler):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.labelset = self.labelset | {(99,) * len(next(iter(self.labelset)))}
+
+    monkeypatch.setattr(extcoh, "_NormalFormAssembler", Padded)
+    _, labels, null = _full_normal_form.__wrapped__(build, params, radius)
+    cs = _normal_form_system(build(params), radius, "self pair")
+    assert cs.labels == labels
+    assert cs.dimension == len(null) == 1
+    assert cs.basis == [{labels[i]: v for i, v in enumerate(b) if v} for b in null]
+
+
+def test_normal_form_reads_identities_only_until_full_rank(monkeypatch):
+    # the memo of derived cocycle values counts the identities read: the
+    # centre-out read of C3 M(-1,-1,1/4) at B=4 fills under half of it
+    made = []
+
+    class Recording(extcoh._NormalFormAssembler):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(extcoh, "_NormalFormAssembler", Recording)
+    params = ["-1", "-1", "1/4"]
+    assert ext_solve_typeC(params, params, radius=4).dimension == 0
+    lazy = len(made[0]._values)
+    full = len(_full_normal_form(build_M, tuple(params), 4)[0]._values)
+    assert 0 < lazy < full / 2
+
+
+def test_lowering_check_covers_the_window_edge(monkeypatch):
+    # the read stops before the window edge, yet a lowering operator that
+    # vanishes there must still stop the certification
+    module = build_M(["-1", "-1", "1/4"])
+    nalpha = neg_root(module.system.simple_root(module.cuspidal_block()[0]))
+    edge = max(module.window(4), key=lambda k: (max(map(abs, k)), sum(map(abs, k)), k))
+    true_act = module.act_root
+
+    def act_root(root, k):
+        c, t = true_act(root, k)
+        return (F(0), tuple(k)) if root == nalpha and t == edge else (c, t)
+
+    monkeypatch.setattr(module, "act_root", act_root)
+    with pytest.raises(CertificationError, match=re.escape(f"not invertible at {edge}")):
+        _normal_form_system(module, 4, "self pair")
+
+
+def test_normal_form_system_that_keeps_no_row_is_not_certified(monkeypatch):
+    # a label set that no identity fits drops every row: after the full read
+    # nothing was checked, which must not certify a kernel
+    class Unfit(extcoh._NormalFormAssembler):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.labelset = {("no label",)}
+
+    monkeypatch.setattr(extcoh, "_NormalFormAssembler", Unfit)
+    with pytest.raises(CertificationError, match="every identity left the window"):
+        ext_solve_typeC(["-1", "1/4"], ["-1", "1/4"], radius=2)
 
 
 def test_ext_solve_typeA_dimensions():
