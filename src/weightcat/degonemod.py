@@ -91,9 +91,9 @@ class DegreeOneModule:
         self.realization = system.realization
         # one denominator for every root-action coefficient: q_i steps are
         # integral and p_i steps divide by a_i's denominator (WeylParams._step)
-        self._scale = math.lcm(*(c0.denominator * math.prod(x.denominator ** e for x, e in zip(spec.a, pe))
-                                 for r in system.ordered_roots
-                                 for (_, pe), c0 in self.realization.root_vector(r).terms.items()))
+        self._scale = math.lcm(*(Fraction(c, 2).denominator
+                                 * math.prod(x.denominator ** e for x, e in zip(spec.a, pe))
+                                 for _, pe, c in map(self.realization.monomial, system.ordered_roots)))
         # the one store of the root action: root -> {k: ((target, numerator),)}
         self._action: Dict[Root, Dict[Index, Tuple]] = Lookup(self._root_action)
         self._coefficient = Lookup(lambda num: Fraction(num, self._scale))  # made once per value
@@ -126,12 +126,12 @@ class DegreeOneModule:
     def _root_action(self, root: Root) -> Lookup:
         """{k: ((target, numerator),)} of X_root on admissible k at the module's scale,
         walked on first lookup; a zero numerator keeps the index the walk stopped at."""
-        ((qe, pe), c0), = self.realization.root_vector(root).terms.items()
+        qe, pe, c = self.realization.monomial(root)  # X_root = c/2 q^qe p^pe
         walk, word, scale = self.params._walk, monomial_word(qe, pe), self._scale
 
         def act(k):
             num, den, target = walk(word, k)
-            return ((target, num * c0.numerator * (scale // (den * c0.denominator))),)
+            return ((target, num * (c * scale // (2 * den))),)
 
         return Lookup(act)
 

@@ -220,6 +220,8 @@ def cocycle_space(source: DegreeOneModule, target: DegreeOneModule, radius: int)
     if target.system.cartan_type != system.cartan_type:
         raise ValueError("modules over different algebras")
     window = source.window(radius)
+    if not window:
+        raise CertificationError("the window is empty: no cocycle identity to check")
     winset = set(window)
     shifted = _shifted_displacements(source, target, window)
     unknowns: List[Tuple[Root, Index]] = []
@@ -395,8 +397,7 @@ class _NormalFormAssembler:
         self.radius = radius
         self.alpha = self.system.simple_root(block[0])
         self.nalpha = neg_root(self.alpha)
-        poly = self.system.realization.root_vector(self.alpha)
-        ((qe, pe), _), = poly.terms.items()
+        qe, pe, _ = self.system.realization.monomial(self.alpha)
         self.delta = tuple(q - p for q, p in zip(qe, pe))
         self.moved = tuple(i for i, d in enumerate(self.delta) if d)
         # c(X_root) for every other root with an alpha component comes from

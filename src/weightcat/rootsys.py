@@ -7,9 +7,11 @@ hard-coded.
 
 For types A and C the root vectors are realized as concrete elements of a
 Weyl algebra (type A through the map sending the elementary matrix E_ij to
-q_i p_j, type C through the quadratic elements q_i q_j, q_i p_j, p_i p_j).
-Brackets, structure constants and coroot decompositions are computed from
-these realizations, never tabulated.
+q_i p_j, type C through the quadratic elements q_i q_j, q_i p_j, p_i p_j),
+each one normal-ordered quadratic monomial.  Structure constants come from
+the single contractions of two monomials, in integers, and the coroot
+coordinates of [X_nu, X_-nu] from the epsilon vectors, checked against the
+contraction; nothing is tabulated.
 """
 from __future__ import annotations
 
@@ -125,6 +127,12 @@ def _sub(x: Root, y: Root) -> Root:
 
 def neg_root(x: Root) -> Root:
     return tuple(-a for a in x)
+
+
+def _letters(qexp: Sequence[int], pexp: Sequence[int]) -> Tuple[int, ...]:
+    """The normal-ordered monomial q^qexp p^pexp as its sorted letters, q_i coded
+    i and p_i coded N + i on N generator pairs."""
+    return tuple(i for i, e in enumerate(tuple(qexp) + tuple(pexp)) for _ in range(e))
 
 
 def _over_lcm(xs: Sequence[Fraction]) -> Tuple[Tuple[int, ...], int]:
@@ -260,7 +268,8 @@ class Realization:
 
     Type A_n lives on N = n+1 generator pairs with X_{eps_i - eps_j} = q_i p_j;
     type C_n lives on N = n generator pairs with the symmetric quadratics.
-    All structure constants are derived from these elements by commutators.
+    X_root is kept as (qexp, pexp, num) for num/2 q^qexp p^pexp; `root_vector`,
+    `coroot` and `bracket` give Weyl polynomials, the commutator oracle.
     """
 
     def __init__(self, system: RootSystem):
@@ -271,76 +280,52 @@ class Realization:
         self.system = system
         self.family = fam
         self.nvars = system.rank + 1 if fam == "A" else system.rank
-        self._root_polys: Dict[Root, WeylPolynomial] = Lookup(self._root_vector)
+        self._monomials: Dict[Root, Tuple[Tuple[int, ...], Tuple[int, ...], int]] = Lookup(self._monomial)
         self._coroot_polys: List[WeylPolynomial] = [self._build_coroot(i) for i in range(1, system.rank + 1)]
+        # 2 H_{e_i} as {letters: integer}, the 1/2 of type C's long coroot included
+        self._coroots2 = [{_letters(qe, pe): int(2 * c) for (qe, pe), c in h.terms.items()}
+                          for h in self._coroot_polys]
+        self._simple_norms = [sum(x * x for x in self.epsilon_vector(e)) for e in system.simple]
         self._nconst: Dict[Tuple[Root, Root], Fraction] = Lookup(self._structure_constant)
         self._cartan_coeffs: Dict[Root, Tuple[Fraction, ...]] = Lookup(self._cartan_coefficients)
         self._pairs: Optional[List[RootPair]] = None
 
     # -- epsilon coordinates -------------------------------------------------
     def epsilon_vector(self, root: Root) -> Tuple[int, ...]:
-        n = self.system.rank
-        if self.family == "A":
-            v = [0] * (n + 1)
-            for t, c in enumerate(root):
+        v = [0] * self.nvars
+        for t, c in enumerate(root):
+            if self.family == "A" or t < self.system.rank - 1:  # eps_t - eps_{t+1}
                 v[t] += c
                 v[t + 1] -= c
-        else:
-            v = [0] * n
-            for t, c in enumerate(root):
-                if t < n - 1:
-                    v[t] += c
-                    v[t + 1] -= c
-                else:
-                    v[t] += 2 * c
+            else:  # the long root 2 eps_n of C_n
+                v[t] += 2 * c
         return tuple(v)
 
     # -- realized elements ----------------------------------------------------
-    def root_vector(self, root: Root) -> WeylPolynomial:
-        return self._root_polys[tuple(root)]
+    def monomial(self, root: Root) -> Tuple[Tuple[int, ...], Tuple[int, ...], int]:
+        """(qexp, pexp, num) with X_root = num/2 q^qexp p^pexp."""
+        return self._monomials[tuple(root)]
 
-    def _root_vector(self, root: Root) -> WeylPolynomial:
+    def _monomial(self, root: Root) -> Tuple[Tuple[int, ...], Tuple[int, ...], int]:
         if root not in self.system.roots:
             raise ValueError(f"{root} is not a root of {self.system.cartan_type}")
+        # q_i for +eps_i, p_i for -eps_i: q_i p_j, q_i q_j, q_i^2/2, -p_i p_j, -p_i^2/2
         eps = self.epsilon_vector(root)
-        N = self.nvars
-        pos = [i for i, v in enumerate(eps) if v > 0]
-        neg = [i for i, v in enumerate(eps) if v < 0]
-        qexp = [0] * N
-        pexp = [0] * N
-        coeff = Fraction(1)
-        if pos and neg:  # eps_i - eps_j
-            qexp[pos[0]] = 1
-            pexp[neg[0]] = 1
-        elif len(pos) == 2:  # eps_i + eps_j
-            qexp[pos[0]] = 1
-            qexp[pos[1]] = 1
-        elif len(pos) == 1:  # 2 eps_i
-            qexp[pos[0]] = 2
-            coeff = Fraction(1, 2)
-        elif len(neg) == 2:  # -(eps_i + eps_j)
-            pexp[neg[0]] = 1
-            pexp[neg[1]] = 1
-            coeff = Fraction(-1)
-        else:  # -2 eps_i
-            pexp[neg[0]] = 2
-            coeff = Fraction(-1, 2)
-        return WeylPolynomial.monomial(N, qexp, pexp, coeff)
+        qexp, pexp = tuple(max(v, 0) for v in eps), tuple(max(-v, 0) for v in eps)
+        return qexp, pexp, (-1 if sum(eps) < 0 else 1) * (2 // max(qexp + pexp))
+
+    def root_vector(self, root: Root) -> WeylPolynomial:
+        """X_root as a Weyl polynomial, for brackets computed by commutators."""
+        qe, pe, num = self.monomial(root)
+        return WeylPolynomial.monomial(self.nvars, qe, pe, Fraction(num, 2))
 
     def _build_coroot(self, i: int) -> WeylPolynomial:
-        N = self.nvars
-        n = self.system.rank
-
-        def qp(t):
-            qe = [0] * N
-            pe = [0] * N
-            qe[t] = 1
-            pe[t] = 1
-            return WeylPolynomial.monomial(N, qe, pe)
-
+        """q_i p_i - q_{i+1} p_{i+1}, or q_n p_n + 1/2 for the long root of C_n."""
+        N, n = self.nvars, self.system.rank
+        qp = [(tuple(int(j == t) for j in range(N)),) * 2 for t in range(N)]
         if self.family == "A" or i < n:
-            return qp(i - 1) - qp(i)
-        return qp(n - 1) + WeylPolynomial.constant(N, Fraction(1, 2))
+            return WeylPolynomial(N, {qp[i - 1]: 1, qp[i]: -1})
+        return WeylPolynomial(N, {qp[n - 1]: 1, ((0,) * N, (0,) * N): Fraction(1, 2)})
 
     def coroot(self, i: int) -> WeylPolynomial:
         """Coroot of the simple root e_i (1-based)."""
@@ -350,20 +335,40 @@ class Realization:
         return x.commutator(y)
 
     # -- structure constants ----------------------------------------------------
+    def _contract(self, mu: Root, nu: Root) -> Dict[Tuple[int, ...], int]:
+        """4 [X_mu, X_nu] as {letters: integer}, from X = num/2 AB for letters A, B:
+        [AB, CD] = [B,C] AD + [B,D] AC + [A,C] DB + [A,D] CB, with [p_i, q_i] = 1
+        and each product normal-ordered by p_i q_i = q_i p_i + 1 (letters ())."""
+        (qa, pa, na), (qb, pb, nb) = self.monomial(mu), self.monomial(nu)
+        (a, b), (c, d), N = _letters(qa, pa), _letters(qb, pb), self.nvars
+        out: Dict[Tuple[int, ...], int] = {}
+        for x, y, u, w in ((b, c, a, d), (b, d, a, c), (a, c, d, b), (a, d, c, b)):
+            sign = (x - y == N) - (y - x == N)
+            if sign:
+                sign *= na * nb
+                key = (u, w) if u <= w else (w, u)
+                out[key] = out.get(key, 0) + sign
+                if u - w == N:
+                    out[()] = out.get((), 0) + sign
+        return {key: v for key, v in out.items() if v}
+
     def structure_constant(self, mu: Root, nu: Root) -> Fraction:
-        """N with [X_mu, X_nu] = N * X_{mu+nu}; zero when mu+nu is not a root."""
+        """N with [X_mu, X_nu] = N * X_{mu+nu}, nonzero when mu+nu is a root and
+        zero when it is not."""
         return self._nconst[tuple(mu), tuple(nu)]
 
     def _structure_constant(self, pair: Tuple[Root, Root]) -> Fraction:
         mu, nu = pair
         s = add_roots(mu, nu)
-        br = self.bracket(self.root_vector(mu), self.root_vector(nu))
+        br = self._contract(mu, nu)
         if s in self.system.roots:
-            t = br.proportional_to(self.root_vector(s))
-            if t is None:
-                raise AssertionError(f"bracket of {mu},{nu} not proportional to X_{s}")
-            return t
-        if not br.is_zero() and any(s):
+            # 4 [X_mu, X_nu] = 4 N X_s = 2 N num q^qexp p^pexp, and N != 0
+            qe, pe, num = self.monomial(s)
+            v = br.pop(_letters(qe, pe), 0)
+            if br or not v:
+                raise AssertionError(f"bracket of {mu},{nu} not a nonzero multiple of X_{s}")
+            return Fraction(v, 2 * num)
+        if br and any(s):
             raise AssertionError(f"bracket of {mu},{nu} nonzero but {s} is not a root")
         return Fraction(0)
 
@@ -372,11 +377,18 @@ class Realization:
         return self._cartan_coeffs[tuple(nu)]
 
     def _cartan_coefficients(self, nu: Root) -> Tuple[Fraction, ...]:
-        br = self.bracket(self.root_vector(nu), self.root_vector(neg_root(nu)))
-        sol = linalg.in_span(br.terms, [h.terms for h in self._coroot_polys])
-        if sol is None:
-            raise AssertionError(f"[X_{nu}, X_{-nu}] is not in the coroot span")
-        return tuple(sol)
+        # the coroot coordinates c_i = nu_i |alpha_i|^2 / |nu|^2, checked in
+        # integers: 4 |nu|^2 [X_nu, X_-nu] == 2 sum_i nu_i |alpha_i|^2 (2 H_{e_i})
+        eps = self.epsilon_vector(nu)
+        norm = sum(x * x for x in eps)
+        want: Dict[Tuple[int, ...], int] = {}
+        for x, a2, h in zip(nu, self._simple_norms, self._coroots2):
+            for key, v in h.items():
+                want[key] = want.get(key, 0) + 2 * x * a2 * v
+        got = {key: norm * v for key, v in self._contract(nu, neg_root(nu)).items()}
+        if got != {key: v for key, v in want.items() if v}:
+            raise AssertionError(f"[X_{nu}, X_{neg_root(nu)}] is not the coroot of {nu}")
+        return tuple(Fraction(x * a2, norm) for x, a2 in zip(nu, self._simple_norms))
 
     # -- the bracket table ------------------------------------------------------
     def root_pairs(self) -> List[RootPair]:

@@ -1,7 +1,9 @@
+from fractions import Fraction
 from itertools import product
 
 import pytest
 
+from weightcat import linalg
 from weightcat.rootsys import (CartanType, RealizationUnavailableError, RootSubset,
                                build_root_system, center_basis, classify_subset,
                                lattice_disjoint, levi_decomposition, validate_category_data)
@@ -96,6 +98,65 @@ def test_bracket_nonzero_iff_root_sum(name):
                 assert not br.is_zero(), (a, b)
             else:
                 assert br.is_zero(), (a, b)
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4", "A5", "C1", "C2", "C3", "C4", "C5"])
+def test_bracket_table_matches_weyl_commutators(name):
+    # the integer contractions against the Weyl-polynomial commutator on every
+    # ordered root pair, on a system of its own so that no value is memoised
+    rs = build_root_system(name)
+    real = rs.realization
+    coroots = [real.coroot(i).terms for i in range(1, rs.rank + 1)]
+    for mu, nu in product(rs.ordered_roots, repeat=2):
+        s = tuple(x + y for x, y in zip(mu, nu))
+        br = real.bracket(real.root_vector(mu), real.root_vector(nu))
+        want = br.proportional_to(real.root_vector(s)) if s in rs.roots else 0
+        got = real.structure_constant(mu, nu)
+        assert type(got) is Fraction and got == want, (mu, nu)
+        if not any(s):
+            got = real.cartan_coefficients(mu)
+            assert all(type(c) is Fraction for c in got)
+            assert list(got) == linalg.in_span(br.terms, coroots), mu
+
+
+def _q_to_p(qe, pe, num):
+    # the first q letter of the monomial becomes the p letter of the same index
+    i = next(i for i, e in enumerate(qe) if e)
+    return (tuple(e - (j == i) for j, e in enumerate(qe)),
+            tuple(e + (j == i) for j, e in enumerate(pe)), num)
+
+
+def _corrupt(name, index, corrupt):
+    """A fresh realization whose simple root e_index has a corrupted monomial,
+    and a root nu with e_index + nu a root (None in rank one)."""
+    rs = build_root_system(name)
+    real = rs.realization
+    e = rs.simple_root(index)
+    real._monomials[e] = corrupt(*real.monomial(e))
+    nu = next((r for r in rs.ordered_roots if tuple(x + y for x, y in zip(e, r)) in rs.roots), None)
+    return real, e, nu
+
+
+@pytest.mark.parametrize("name,index", [("A1", 1), ("A3", 1), ("A3", 2), ("C2", 2), ("C3", 1), ("C3", 3)])
+def test_swapped_letter_breaks_the_bracket_table(name, index):
+    real, e, nu = _corrupt(name, index, _q_to_p)
+    if nu is not None:
+        with pytest.raises(AssertionError):
+            real.structure_constant(e, nu)
+    with pytest.raises(AssertionError):
+        real.cartan_coefficients(e)
+
+
+@pytest.mark.parametrize("name,index", [("A1", 1), ("A3", 2), ("C2", 2), ("C3", 3)])
+def test_doubled_numerator_breaks_the_bracket_table(name, index):
+    # a rescaled root vector keeps every bracket proportional; only the
+    # coroot normalisation of [X_e, X_-e] sees it
+    real, e, nu = _corrupt(name, index, lambda qe, pe, num: (qe, pe, 2 * num))
+    if nu is not None:
+        clean = build_root_system(name).realization.structure_constant(e, nu)
+        assert real.structure_constant(e, nu) == 2 * clean != 0
+    with pytest.raises(AssertionError):
+        real.cartan_coefficients(e)
 
 
 def test_realization_unavailable():
