@@ -91,12 +91,12 @@ class DegreeOneModule:
         self.realization = system.realization
         # one denominator for every root-action coefficient: q_i steps are
         # integral and p_i steps divide by a_i's denominator (WeylParams._step)
-        self._scale = math.lcm(*(Fraction(c, 2).denominator
+        self.scale = math.lcm(*(Fraction(c, 2).denominator
                                  * math.prod(x.denominator ** e for x, e in zip(spec.a, pe))
                                  for _, pe, c in map(self.realization.monomial, system.ordered_roots)))
         # the one store of the root action: root -> {k: ((target, numerator),)}
         self._action: Dict[Root, Dict[Index, Tuple]] = Lookup(self._root_action)
-        self._coefficient = Lookup(lambda num: Fraction(num, self._scale))  # made once per value
+        self._coefficient = Lookup(lambda num: Fraction(num, self.scale))  # made once per value
 
     # -- basis ---------------------------------------------------------------
     def in_basis(self, k: Sequence[int]) -> bool:
@@ -127,7 +127,7 @@ class DegreeOneModule:
         """{k: ((target, numerator),)} of X_root on admissible k at the module's scale,
         walked on first lookup; a zero numerator keeps the index the walk stopped at."""
         qe, pe, c = self.realization.monomial(root)  # X_root = c/2 q^qe p^pe
-        walk, word, scale = self.params._walk, monomial_word(qe, pe), self._scale
+        walk, word, scale = self.params._walk, monomial_word(qe, pe), self.scale
 
         def act(k):
             num, den, target = walk(word, k)
@@ -135,12 +135,18 @@ class DegreeOneModule:
 
         return Lookup(act)
 
-    def act_root(self, root: Root, k: Sequence[int]) -> Tuple[Fraction, Index]:
-        """Coefficient and target of the canonical root vector on x(k)."""
+    def act_root_num(self, root: Root, k: Sequence[int]) -> Tuple[int, Index]:
+        """Coefficient numerator over `scale`, and target, of the canonical root
+        vector on x(k): the root-action store as it is kept."""
         store, k = self._action[tuple(root)], tuple(k)
         if k not in store and not self.params.in_lattice(k):
             raise ValueError(f"index {k} not admissible for parameters {self.params.a}")
         (target, num), = store[k]
+        return num, target
+
+    def act_root(self, root: Root, k: Sequence[int]) -> Tuple[Fraction, Index]:
+        """Coefficient and target of the canonical root vector on x(k)."""
+        num, target = self.act_root_num(root, k)
         return self._coefficient[num], target
 
     def act_word(self, word: Sequence[Root], k: Sequence[int]) -> Tuple[Fraction, Index]:
@@ -163,7 +169,7 @@ class DegreeOneModule:
         and an empty window raises ValueError.
         """
         return self.realization.representation_defects(self._action, self.weight_of,
-                                                       self.window(radius), self._scale)
+                                                       self.window(radius), self.scale)
 
     def act_element(self, poly, k: Sequence[int]) -> Dict[Index, Fraction]:
         """Action of an arbitrary realized element on x(k)."""

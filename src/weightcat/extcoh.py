@@ -6,20 +6,24 @@ which is exactly the condition for the glued extension module to stay a
 weight module.  Because both modules here have one-dimensional weight
 spaces, a graded map is a single rational coefficient per basis vector,
 and the cocycle identity over all pairs of root vectors becomes a sparse
-exact linear system.
+exact linear system.  Its rows are built in integers: the root actions
+enter as the modules' store numerators over their scales, and every
+cocycle value is integers over one denominator.
 
 Two solvers are provided.  `cocycle_space` parametrises every graded
 cocycle on a window and `coboundary_quotient_dim` measures the quotient by
 coboundaries; `ext_solve_typeA` / `ext_solve_typeC` instead impose the
 inverse-shift normal form on the distinguished cuspidal direction of a
 degree-one family and reduce self-extension vanishing to a system in the
-orbit labels b(k), read centre-out and reduced as it is read until the rank
-reaches the label count, which certifies a zero kernel; the reduced echelon
-form does not depend on the order of the rows, so an answer of positive
-dimension reads every identity and is that of the whole system.
+orbit labels b(k), read centre-out into one fraction-free `linalg.Echelon`
+until the rank reaches the label count, which certifies a zero kernel; the
+reduced echelon form does not depend on the order of the rows, so an
+answer of positive dimension reads every identity and is that of the whole
+system.
 """
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -87,47 +91,58 @@ def make_sl2_cocycle(b, module: DegreeOneModule, radius: int = 6) -> Cocycle:
 
 def cocycle_identities(source: DegreeOneModule, target: DegreeOneModule, cval: Callable,
                        window: Sequence[Index], pairs: Sequence[RootPair]) -> Iterator:
-    """The cocycle identity on every root pair and window vector, as sparse rows.
+    """The cocycle identity on every root pair and window vector, as integer rows.
 
-    cval(root, k) is c(X_root) x(k) as {target index: {column: coefficient}},
-    or None where c is not known.  For each (mu, nu, mu+nu, N, h) in pairs and
-    each k in window this yields (mu, nu, k, rows), where rows maps each
-    target index to the nonzero coefficients of
+    cval(root, k) is c(X_root) x(k) as (den, {target index: {column: numerator}}),
+    integers over one positive denominator, or None where c is not known.  For
+    each (mu, nu, mu+nu, N, h) in pairs and each k in window this yields
+    (mu, nu, k, (den, rows)), where rows maps each target index to the nonzero
+    integer coefficients, over den, of
         N c(X_{mu+nu}) - c(X_mu) X_nu + X_nu c(X_mu) + c(X_nu) X_mu - X_mu c(X_nu)
-    applied to x(k), or is None when the identity needs a value cval does not know.
-    Raises CertificationError once exhausted if identities exist but every one
-    was None: a check that checked nothing must not pass.
+    applied to x(k); the root actions enter as the modules' store numerators
+    over their scales.  The last item is None when the identity needs a value
+    cval does not know.  Raises CertificationError once exhausted if identities
+    exist but every one was None: a check that checked nothing must not pass.
     """
     checked = skipped = False
-    for mu, nu, s, n, _ in pairs:
+    for pair in pairs:
         for k in window:
-            terms = [(cval(s, k), n, None)] if n else []
-            for a, b, sign in ((mu, nu, 1), (nu, mu, -1)):
-                cm, k2 = source.act_root(b, k)
-                if cm:
-                    terms.append((cval(a, k2), -sign * cm, None))
-                terms.append((cval(a, k), sign, b))
-            if any(value is None for value, _, _ in terms):
-                skipped = True
-                yield mu, nu, k, None
-                continue
-            checked = True
-            rows: Dict[Index, Dict] = {}
-            for value, scale, b in terms:
-                for t, form in value.items():
-                    if b is not None:
-                        cn, t = target.act_root(b, t)
-                        if not cn:
-                            continue
-                        f = scale * cn
-                    else:
-                        f = scale
-                    row = rows.setdefault(t, {})
-                    for col, v in form.items():
-                        sparse_add(row, col, f * v)
-            yield mu, nu, k, {t: row for t, row in rows.items() if row}
+            ident = _identity(source, target, cval, pair, k)
+            skipped |= ident is None
+            checked |= ident is not None
+            yield pair[0], pair[1], k, ident
     if skipped and not checked:
         raise CertificationError("every identity left the window; enlarge it")
+
+
+def _identity(source: DegreeOneModule, target: DegreeOneModule, cval: Callable,
+              pair: RootPair, k: Index) -> Optional[Tuple[int, Dict[Index, Dict]]]:
+    """The (den, rows) of `cocycle_identities` for one root pair at x(k), or None."""
+    mu, nu, s, n, _ = pair
+    # (value, factor numerator, factor denominator, root then acting on the target)
+    terms = [(cval(s, k), n.numerator, n.denominator, None)] if n else []
+    for a, b, sign in ((mu, nu, 1), (nu, mu, -1)):
+        cm, k2 = source.act_root_num(b, k)
+        if cm:
+            terms.append((cval(a, k2), -sign * cm, source.scale, None))
+        terms.append((cval(a, k), sign, target.scale, b))
+    if any(value is None for value, _, _, _ in terms):
+        return None
+    den = math.lcm(*(vden * fden for (vden, value), _, fden, _ in terms if value))
+    rows: Dict[Index, Dict] = {}
+    for (vden, value), f, fden, b in terms:
+        f *= den // (vden * fden)
+        for t, form in value.items():
+            g = f
+            if b is not None:
+                cn, t = target.act_root_num(b, t)
+                if not cn:
+                    continue
+                g *= cn
+            row = rows.setdefault(t, {})
+            for col, v in form.items():
+                row[col] = row.get(col, 0) + g * v
+    return den, {t: r for t, row in rows.items() if (r := {c: v for c, v in row.items() if v})}
 
 
 def cocycle_identity_violations(c: Cocycle, radius: int) -> List[str]:
@@ -142,11 +157,13 @@ def cocycle_identity_violations(c: Cocycle, radius: int) -> List[str]:
         if k not in winset:
             return None
         v = c.value(root, k)
-        return {v[1]: {None: v[0]}} if v is not None and v[0] else {}
+        return (v[0].denominator, {v[1]: {None: v[0].numerator}}) if v is not None and v[0] \
+            else (1, {})
 
-    return [f"pair {mu},{nu} fails at {k}: {rows}"
-            for mu, nu, k, rows in cocycle_identities(M, N, cval, window, M.realization.root_pairs())
-            if rows]
+    return [f"pair {mu},{nu} fails at {k}: "
+            f"{ {t: {j: Fraction(v, ident[0]) for j, v in row.items()} for t, row in ident[1].items()} }"
+            for mu, nu, k, ident in cocycle_identities(M, N, cval, window, M.realization.root_pairs())
+            if ident and ident[1]]
 
 
 class ExtensionModule:
@@ -202,8 +219,10 @@ class CocycleSpace:
         maps: Dict[Root, Dict[Index, Tuple[Fraction, Index]]] = {}
         vec = [Fraction(0)] * len(self.unknowns)
         for b, c in zip(self.basis, coeffs):
+            c = Fraction(c)
             for i, x in enumerate(b):
-                vec[i] += Fraction(c) * x
+                if x:
+                    vec[i] += c * x
         for (root, k), val in zip(self.unknowns, vec):
             t = self.targets[(root, k)]
             maps.setdefault(root, {})[k] = (val, t)
@@ -233,16 +252,18 @@ def cocycle_space(source: DegreeOneModule, target: DegreeOneModule, radius: int)
             if t is not None:
                 unknowns.append((root, k))
                 targets[(root, k)] = t
-    values = {u: {targets[u]: {i: Fraction(1)}} for i, u in enumerate(unknowns)}
+    # every unknown has value 1, so the rows are integers and their denominator drops
+    values = {u: (1, {targets[u]: {i: 1}}) for i, u in enumerate(unknowns)}
+    zero = (1, {})
 
     def cval(root, k):
-        return values.get((root, k), {}) if k in winset else None
+        return values.get((root, k), zero) if k in winset else None
 
     rows: List[Dict] = []
     for _, _, _, ident in cocycle_identities(source, target, cval, window,
                                              system.realization.root_pairs()):
         if ident is not None:
-            rows.extend(ident.values())
+            rows.extend(ident[1].values())
     basis = linalg.nullspace(rows, len(unknowns))
     return CocycleSpace(source, target, radius, unknowns, targets, basis)
 
@@ -404,7 +425,7 @@ class _NormalFormAssembler:
         # the bracket [X_sigma, X_tau] = N X_root of a simple split
         self._splits = {r: self._split(r) for r in self.system.roots
                         if self.alpha_coordinate(r) and r not in (self.alpha, self.nalpha)}
-        self._values: Dict[Tuple[Root, Index], Dict[Index, Dict[Index, Fraction]]] = {}
+        self._values: Dict[Tuple[Root, Index], Tuple[int, Dict]] = {}
         a = self.alpha_coordinate
         # pairs with no alpha component anywhere give identically zero rows
         self.pairs = [p for p in self.system.realization.root_pairs()
@@ -436,52 +457,57 @@ class _NormalFormAssembler:
             sigma, tau = neg_root(e), add_roots(root, e)
         return sigma, tau, self.system.realization.structure_constant(sigma, tau)
 
-    def value(self, root: Root, k: Index) -> Dict[Index, Dict[Index, Fraction]]:
-        """c(X_root) x(k) under the normal form, as {target index: {label: coefficient}}."""
-        if root == self.alpha:
-            k2 = tuple(a + d for a, d in zip(k, self.delta))
-            coeff, back = self.module.act_root(self.nalpha, k2)
-            if coeff == 0 or back != k:
-                raise CertificationError(f"lowering operator not invertible at {k}")
-            return {k2: {self.label(k): 1 / coeff}}
-        split = self._splits.get(root)
-        if split is None:
-            return {}
+    def value(self, root: Root, k: Index) -> Tuple[int, Dict[Index, Dict[Index, int]]]:
+        """c(X_root) x(k) under the normal form, as (den, {target index: {label: numerator}})
+        in lowest terms over a positive denominator."""
         out = self._values.get((root, k))
         if out is None:
-            # the cocycle identity on (sigma, tau) without its N c(X_root) term
-            sigma, tau, n = split
-            [(_, _, _, rest)] = cocycle_identities(self.module, self.module, self.value, [k],
-                                                   [(sigma, tau, root, 0, None)])
-            out = {t: {l: -v / n for l, v in row.items()} for t, row in rest.items()}
-            self._values[(root, k)] = out
+            if root == self.alpha:
+                k2 = tuple(a + d for a, d in zip(k, self.delta))
+                num, back = self.module.act_root_num(self.nalpha, k2)
+                if num == 0 or back != k:
+                    raise CertificationError(f"lowering operator not invertible at {k}")
+                # the inverse of the coefficient num / scale
+                out = _lowest(num, {k2: {self.label(k): self.module.scale}})
+            elif root in self._splits:
+                # the cocycle identity on (sigma, tau) without its N c(X_root) term, over -N
+                sigma, tau, n = self._splits[root]
+                den, rest = _identity(self.module, self.module, self.value, (sigma, tau, root, 0, None), k)
+                out = _lowest(-den * n.numerator,
+                              {t: {l: v * n.denominator for l, v in row.items()} for t, row in rest.items()})
+            else:
+                return 1, {}
+            self._values[root, k] = out
         return out
+
+
+def _lowest(den: int, rows: Dict[Index, Dict]) -> Tuple[int, Dict[Index, Dict]]:
+    """rows over den, with den made positive and the factor common to den and
+    every entry divided out."""
+    g = math.gcd(den, *(v for row in rows.values() for v in row.values())) * (1 if den > 0 else -1)
+    return den // g, {t: {l: v // g for l, v in row.items()} for t, row in rows.items()}
 
 
 def _normal_form_system(module: DegreeOneModule, radius: int, reason: str) -> ConstraintSystem:
     nf = _NormalFormAssembler(module, radius)
     labels = sorted(nf.labelset)
     col = {l: i for i, l in enumerate(labels)}
-    kept: List[List[Fraction]] = []  # the RREF of the rows reduced so far
-    new: List[Dict[int, Fraction]] = []  # rows read since
+    echelon = linalg.Echelon(len(labels))
     dropped = False
     # centre-out: extra rows cannot shrink a zero kernel, so full rank ends the read
-    for k in sorted(nf.window, key=lambda k: (max(map(abs, k)), sum(map(abs, k)), k)):
-        for _, _, _, ident in cocycle_identities(module, module, nf.value, [k], nf.pairs):
-            for row in ident.values():
-                if all(l in col for l in row):
-                    new.append({col[l]: v for l, v in row.items()})
-                else:
-                    dropped = True
-        # each reduction reads the kept rows again: wait for as many new ones
-        if new and len(new) >= len(kept):
-            kept, pivots = linalg.rref(kept + new, len(labels))
-            new = []
-            if len(pivots) == len(labels):
-                break
-    if not kept and dropped:
+    rows = (row for k in sorted(nf.window, key=lambda k: (max(map(abs, k)), sum(map(abs, k)), k))
+            for _, _, _, (_, ident) in cocycle_identities(module, module, nf.value, [k], nf.pairs)
+            for row in ident.values())
+    for row in rows:
+        if echelon.full:
+            break
+        if all(l in col for l in row):
+            echelon.add({col[l]: v for l, v in row.items()})
+        else:
+            dropped = True
+    if not echelon.rows and dropped:
         raise CertificationError("every identity left the window; enlarge it")
-    null = linalg.nullspace(kept + new, len(labels))
+    null = echelon.nullspace()
     basis = [{labels[i]: v for i, v in enumerate(b) if v} for b in null]
     return ConstraintSystem(len(null), basis, radius, labels, "solved", reason)
 

@@ -1,14 +1,17 @@
 """Exact linear algebra over the rationals.
 
 A row is either a sparse {column: value} dict or a dense sequence, and
-every system comes with its column count.  `rref` is the one elimination;
-`rank`, `nullspace`, `solve` and `in_span` go through it and return dense
-lists of Fraction.  No pivoting heuristics, no floating point: results are
-exact and deterministic, which the rest of the package relies on for
-reproducible canonical representatives.
+every system comes with its column count.  `Echelon` is the one
+elimination: it reads rows one at a time and keeps them fraction-free, as
+primitive integer rows; `rref`, `rank`, `nullspace`, `solve` and
+`in_span` go through it and return dense lists of Fraction.  No pivoting
+heuristics, no floating point: results are exact and deterministic, which
+the rest of the package relies on for reproducible canonical
+representatives.
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple, Union
 
@@ -25,82 +28,108 @@ def _entries(row: Row) -> Dict:
     return {j: x for j, x in items if x}
 
 
-def rref(rows: Sequence[Row], ncols: int) -> Tuple[Matrix, List[int]]:
-    """Reduced row echelon form.  Returns (nonzero rows, pivot columns).
+def _primitive(v: Dict[int, int]) -> Dict[int, int]:
+    """v divided by the gcd of its entries, signed so that its first column is positive."""
+    g = math.gcd(*v.values()) * (1 if v[min(v)] > 0 else -1)
+    return v if g == 1 else {j: x // g for j, x in v.items()}
 
-    Rows are read one at a time and reduced against the rows kept so far,
-    touching only nonzero entries; reading stops once the rank reaches the
-    column count, so the rows after that point are never looked at.
+
+def _clear(v: Dict[int, int], w: Dict[int, int], c: int) -> Dict[int, int]:
+    """a v - b w with the least a > 0 that makes it zero at c, where w[c] > 0."""
+    g = math.gcd(w[c], v[c])
+    a, b = w[c] // g, v[c] // g
+    out = {j: a * x for j, x in v.items()}
+    for j, y in w.items():
+        x = out.get(j, 0) - b * y
+        if x:
+            out[j] = x
+        else:
+            del out[j]
+    return out
+
+
+class Echelon:
+    """Reduced row echelon form over the integers, read one row at a time.
+
+    `rows` maps each pivot column to a primitive integer row that is positive
+    there, zero at every other pivot and at every column before its own.  An
+    added row is scaled to integers by the lcm of its denominators and
+    cleared at the kept pivots among its own columns, touching only nonzero
+    entries.  Division happens only in `rref` and `nullspace`, which return
+    Fractions.  The rows given to the constructor are added in order until
+    the rank reaches the column count; the rows after that are never read.
     """
-    kept: Dict[int, Dict[int, Fraction]] = {}  # pivot column -> row, zero at every other pivot
-    for raw in rows:
-        if len(kept) == ncols:
-            break
-        v = _entries(raw)
-        # clearing one pivot leaves v unchanged at every other pivot
-        for pc in [j for j in v if j in kept]:
-            f = v.pop(pc)
-            for j, y in kept[pc].items():
-                if j != pc:
-                    x = v.get(j, _ZERO) - f * y
-                    if x:
-                        v[j] = x
-                    else:
-                        del v[j]
-        if not v:
-            continue
-        c = min(v)
-        pv = Fraction(v[c])  # so that integer entries divide exactly
-        v = {j: x / pv for j, x in v.items()}
-        for prow in kept.values():
-            g = prow.pop(c, None)
-            if g:
-                for j, y in v.items():
-                    if j != c:
-                        x = prow.get(j, _ZERO) - g * y
-                        if x:
-                            prow[j] = x
-                        else:
-                            del prow[j]
-        kept[c] = v
-    pivots = sorted(kept)
-    return [[kept[c].get(j, _ZERO) for j in range(ncols)] for c in pivots], pivots
+
+    def __init__(self, ncols: int, rows: Sequence[Row] = ()):
+        self.ncols = ncols
+        self.rows: Dict[int, Dict[int, int]] = {}
+        for row in rows:
+            if self.full:
+                break
+            self.add(row)
+
+    @property
+    def full(self) -> bool:
+        """Rank equals the column count: no further row can change the form."""
+        return len(self.rows) == self.ncols
+
+    def add(self, row: Row) -> None:
+        """Reduce row against the form and keep it if it is independent of the rows kept."""
+        v = _entries(row)
+        den = math.lcm(*(x.denominator for x in v.values()))
+        v = {j: x.numerator * (den // x.denominator) for j, x in v.items()}
+        # clearing one pivot scales v but leaves it zero at every other pivot
+        for pc in [j for j in v if j in self.rows]:
+            v = _clear(v, self.rows[pc], pc)
+        if v:
+            v = _primitive(v)
+            c = min(v)
+            for pc, prow in self.rows.items():
+                if c in prow:
+                    self.rows[pc] = _primitive(_clear(prow, v, c))
+            self.rows[c] = v
+
+    def rref(self) -> Tuple[Matrix, List[int]]:
+        """(nonzero rows, pivot columns), the rows dense lists of Fraction."""
+        pivots = sorted(self.rows)
+        return [[Fraction(x, self.rows[c][c]) if (x := self.rows[c].get(j)) else _ZERO
+                 for j in range(self.ncols)] for c in pivots], pivots
+
+    def nullspace(self) -> List[Vector]:
+        """Basis of the right kernel, one vector per free column."""
+        basis = []
+        for free in (j for j in range(self.ncols) if j not in self.rows):
+            v = [_ZERO] * self.ncols
+            v[free] = Fraction(1)
+            for pc, row in self.rows.items():
+                if row.get(free):
+                    v[pc] = Fraction(-row[free], row[pc])
+            basis.append(v)
+        return basis
+
+
+def rref(rows: Sequence[Row], ncols: int) -> Tuple[Matrix, List[int]]:
+    """Reduced row echelon form.  Returns (nonzero rows, pivot columns)."""
+    return Echelon(ncols, rows).rref()
 
 
 def rank(rows: Sequence[Row], ncols: int) -> int:
-    return len(rref(rows, ncols)[1])
+    return len(Echelon(ncols, rows).rows)
 
 
 def nullspace(rows: Sequence[Row], ncols: int) -> List[Vector]:
     """Basis of the right kernel {x : rows @ x = 0}, one vector per free column."""
-    red, pivots = rref(rows, ncols)
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        v = [_ZERO] * ncols
-        v[free] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -red[r][free]
-        basis.append(v)
-    return basis
+    return Echelon(ncols, rows).nullspace()
 
 
 def solve(rows: Sequence[Row], rhs: Sequence, ncols: int) -> Optional[Vector]:
     """One exact solution of rows @ x = rhs (free variables set to 0), or None."""
-    aug = []
-    for row, b in zip(rows, rhs):
-        row = _entries(row)
-        if b:
-            row[ncols] = b
-        aug.append(row)
-    red, pivots = rref(aug, ncols + 1)
+    aug = Echelon(ncols + 1, [{**_entries(row), ncols: b} for row, b in zip(rows, rhs)])
+    if ncols in aug.rows:
+        return None  # row 0 = 1: inconsistent
     x = [_ZERO] * ncols
-    for r, pc in enumerate(pivots):
-        if pc == ncols:
-            return None  # row 0 = 1: inconsistent
-        x[pc] = red[r][ncols]
+    for pc, row in aug.rows.items():
+        x[pc] = Fraction(row.get(ncols, 0), row[pc])
     return x
 
 

@@ -193,10 +193,12 @@ class RootSystem:
 
     @cached_property
     def _inverse_cartan(self) -> Tuple[List[List[int]], int]:
-        """Root coordinates of the fundamental weights, as integers over one denominator."""
-        inverse = [linalg.in_span(e, self.cartan) for e in self.simple]
-        den = math.lcm(*(c.denominator for row in inverse for c in row))
-        return [[int(c * den) for c in row] for row in inverse], den
+        """Root coordinates of the fundamental weights, as integers over one denominator:
+        the inverse Cartan matrix, read from one integer elimination of [C | I]."""
+        n = self.rank
+        rows = linalg.Echelon(2 * n, [row + e for row, e in zip(self.cartan, self.simple)]).rows
+        den = math.lcm(*(rows[i][i] for i in range(n)))
+        return [[rows[i].get(n + j, 0) * den // rows[i][i] for j in range(n)] for i in range(n)], den
 
     def root_coordinates(self, weight: Sequence[Fraction]) -> List[Fraction]:
         """Coordinates over the simple roots of the weight with the given

@@ -251,7 +251,7 @@ def test_bracket_defects_first_witness_of_a_corrupted_action(build, params):
     m = build(params)
     root, k = m.system.simple_root(2), m.zero_index()
     (t, num), = m._action[root][k]
-    m._action[root][k] = ((t, num + m._scale),)
+    m._action[root][k] = ((t, num + m.scale),)
     want = _first_bracket_failure(m, 1)
     assert want is not None
     assert next(m.bracket_defects(1))[:3] == want
@@ -276,7 +276,7 @@ def test_bracket_defects_match_the_oracle_under_perturbation(module, what, i, j,
     if what == "coefficient":
         root, k = roots[i % len(roots)], near[j % len(near)]
         (t, num), = m._action[root][k]
-        m._action[root][k] = ((t, num + (m._scale if delta == 1 else delta.numerator)),)
+        m._action[root][k] = ((t, num + (m.scale if delta == 1 else delta.numerator)),)
     elif what == "target":
         moved = [(r, k) for r in roots for k in near if m.act_root(r, k)[0]]
         root, k = moved[i % len(moved)]

@@ -54,6 +54,12 @@ GOLDEN_RUNS = {
         "c3e4c3e231c0cdc972cef387d7229777aff80a06d2e75b1f47d4a30af8aa9eb1",
     "ext --module N --a 2/5,-3/7 --b 7/5,-10/7 --B 4":
         "b8ef796f3f59143f0b56dd82858cee1eb2745e9768bc6133764ca7e5aa744b7a",
+    "ext --module M --a -1,-1,1/4 --B 4":
+        "934154f3fecce3973430178c80be01210f9bfd9823cf2d16de9487f76650bfab",
+    "ext --module N --a -1,1/2,1/3,0 --B 4":
+        "abdeef807bd5f1ea2c8ae0df4224bd2dfdcc5ebdbaa80ef88a7d13a1a0926986",
+    "ext --module M --a -1,-1,1/4 --B 5":
+        "a9d49c668089dada331eeaf51bfa514ac84e5e2662a3292e537d2f3783896c3d",
 }
 
 

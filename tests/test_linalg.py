@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction as F
 
 import sympy
@@ -87,8 +88,9 @@ def test_solve_matches_rank_criterion(system):
 
 
 def _tall_matrix():
-    """Mostly tall matrices whose rows repeat, vanish or combine earlier rows."""
-    small = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    """Mostly tall matrices, up to 8 columns, whose rows repeat, vanish or
+    combine earlier rows; entries are often zero and have denominators up to 30."""
+    small = st.one_of(st.just(F(0)), st.fractions(min_value=-10, max_value=10, max_denominator=30))
 
     def rows(ncols):
         row = st.lists(small, min_size=ncols, max_size=ncols)
@@ -99,7 +101,7 @@ def _tall_matrix():
                 lambda t: [x + t[2] * y for x, y in zip(t[0], t[1])]),
             row), max_size=12))
 
-    return st.integers(0, 5).flatmap(lambda n: st.tuples(rows(n), st.just(n)))
+    return st.integers(0, 8).flatmap(lambda n: st.tuples(rows(n), st.just(n)))
 
 
 @settings(max_examples=200, deadline=None)
@@ -118,6 +120,30 @@ def test_rref_and_nullspace_match_sympy(system):
         basis = linalg.nullspace(form, ncols)
         assert len(basis) == ncols - len(pivots)
         assert all(sum((F(a) * b for a, b in zip(row, v)), F(0)) == 0 for row in mat for v in basis)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_tall_matrix(), st.data())
+@example(([], 0), None)
+@example(([[1, 2], [2, 4], [0, 3]], 2), None)
+def test_echelon_fed_row_by_row_matches_rref(system, data):
+    # one reducer fed in two runs, read out in between, ends where the
+    # elimination of the whole list does
+    mat, ncols = system
+    split = data.draw(st.integers(0, len(mat))) if data is not None else 1
+    echelon = linalg.Echelon(ncols)
+    for row in mat[:split]:
+        echelon.add(row)
+    assert echelon.rref() == linalg.rref(mat[:split], ncols)
+    for row in _sparse(mat[split:]):
+        echelon.add(row)
+    assert echelon.rref() == linalg.rref(mat, ncols)
+    assert echelon.nullspace() == linalg.nullspace(mat, ncols)
+    assert echelon.full == (len(echelon.rows) == ncols)
+    for pc, row in echelon.rows.items():
+        # primitive integer rows, positive at their pivot, zero at the others
+        assert row[pc] > 0 and all(type(x) is int and x for x in row.values())
+        assert math.gcd(*row.values()) == 1 and not set(row) & (set(echelon.rows) - {pc})
 
 
 def _keyed_vectors():
