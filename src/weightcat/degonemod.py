@@ -24,7 +24,7 @@ from itertools import accumulate, product
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .rootsys import Root, RootSystem, build_root_system, neg_root
-from .weylmod import Lookup, WeylParams, act_polynomial, monomial_word, parse_rational
+from .weylmod import Lookup, WeylParams, act_polynomial, format_rational, monomial_word, parse_rational
 
 Index = Tuple[int, ...]
 
@@ -41,6 +41,10 @@ class ModuleSpec:
     zeros: int           # trailing 0 entries (always 0 for type C)
 
 
+def _show(a: Sequence[Fraction]) -> str:
+    return "(" + ", ".join(map(format_rational, a)) + ")"
+
+
 def _parse_spec_a(values: Iterable) -> ModuleSpec:
     a = tuple(parse_rational(v) for v in values)
     if len(a) < 2:
@@ -54,10 +58,10 @@ def _parse_spec_a(values: Iterable) -> ModuleSpec:
     for i in range(m, len(a)):
         if a[i] != 0:
             raise PartitionError(
-                f"entry {i + 1} of {a} breaks the (-1.., non-integer.., 0..) shape")
+                f"entry {i + 1} of {_show(a)} breaks the (-1.., non-integer.., 0..) shape")
     if m - j < 2:
         raise PartitionError(
-            f"{a}: the non-integer block must have at least two entries")
+            f"{_show(a)}: the non-integer block must have at least two entries")
     return ModuleSpec(a, j, m - j, len(a) - m)
 
 
@@ -76,7 +80,7 @@ def _parse_spec_c(values: Iterable) -> ModuleSpec:
         # an integer tail leaves nothing free: the module is highest-weight
         return ModuleSpec(a, l, 0, 0)
     raise PartitionError(
-        f"{a}: tail block must be non-integer (or a single -1/-2 entry)")
+        f"{_show(a)}: tail block must be non-integer (or a single -1/-2 entry)")
 
 
 class DegreeOneModule:

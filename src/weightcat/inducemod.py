@@ -2,12 +2,14 @@
 
 Given a Levi module C on the block Phi\\theta, the induced module is spanned
 by PBW monomials in the negative nilradical roots tensored with C basis
-vectors, truncated at a fixed monomial depth.  The maximal submodule is cut
-out weight space by weight space as the joint kernel of the "project to
-1 (x) C after acting by a positive nilradical monomial" functionals; this is
-exact linear algebra over Q, and because positive actions never raise the
-monomial depth the computed kernel is the true kernel intersected with the
-truncation.
+vectors, truncated at a fixed monomial depth.  The action is kept in integers
+over one module scale (C's root-action scale and the denominators of its base
+weight); only the public act_root / act_word divide, once per call.  The
+maximal submodule is cut out weight space by weight space as the joint kernel
+of the "project to 1 (x) C after acting by a positive nilradical monomial"
+functionals, one integer row per monomial, by exact linear algebra; because
+positive actions never raise the monomial depth the computed kernel is the
+true kernel intersected with the truncation.
 
 The module exposes projection to the simple quotient with a canonical
 reduced-echelon representative, proportionality extraction, central
@@ -17,6 +19,7 @@ the highest-weight restriction condition.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -70,24 +73,18 @@ class LeviModule:
             raise ValueError(f"central character values missing for coroots {missing}")
         self._offsets: List[int] = []
         off = 0
-        for pos, inner in self.components:
+        # root of one component -> (component number, its coordinates over that component)
+        self._inner_root: Dict[Root, Tuple[int, Root]] = {}
+        lam0 = {i: Fraction(v) for i, v in central.items()}
+        for ci, (pos, inner) in enumerate(self.components):
             self._offsets.append(off)
             off += inner.nvars
+            for r in system.span_closure(pos):
+                self._inner_root[r] = (ci, tuple(r[b - 1] for b in pos))
+            lam0.update(zip(pos, inner.weight_of(inner.zero_index())))
         self._total_vars = off
-        # block simple index -> (component number, local 0-based simple position)
-        self._pos_of: Dict[int, Tuple[int, int]] = {}
-        for ci, (pos, inner) in enumerate(self.components):
-            for u, b in enumerate(pos):
-                self._pos_of[b] = (ci, u)
-        lam0: List[Fraction] = []
-        for i in range(1, system.rank + 1):
-            if i in self._pos_of:
-                ci, u = self._pos_of[i]
-                inner = self.components[ci][1]
-                lam0.append(inner.weight_of(inner.zero_index())[u])
-            else:
-                lam0.append(Fraction(central[i]))
-        self.lam0 = tuple(lam0)
+        self.scale = math.lcm(*(inner.scale for _, inner in self.components))
+        self.lam0 = tuple(lam0[i] for i in range(1, system.rank + 1))
         self._wcache: Dict[Index, Tuple[Fraction, ...]] = {}
 
     # -- index slicing -----------------------------------------------------------
@@ -110,19 +107,21 @@ class LeviModule:
                    for ci, (_, inner) in enumerate(self.components))
 
     # -- action ------------------------------------------------------------------
+    def act_root_num(self, root: Root, t: Index) -> Tuple[int, Index]:
+        """Coefficient numerator over `scale`, and target, of a root vector of one
+        block component on x(t), read from that component's root-action store."""
+        try:
+            ci, inner_root = self._inner_root[tuple(root)]
+        except KeyError:
+            raise ValueError(f"{root} is not a root of one block component") from None
+        inner = self.components[ci][1]
+        t = tuple(t)
+        num, piece = inner.act_root_num(inner_root, self._slice(t, ci))
+        return num * (self.scale // inner.scale), self._replace(t, ci, piece)
+
     def act_root(self, root: Root, t: Index) -> Tuple[Fraction, Index]:
-        support = {j + 1 for j, c in enumerate(root) if c}
-        comps = {self._pos_of[b][0] for b in support}
-        if len(comps) != 1:
-            raise ValueError(f"root {root} is not supported on one block component")
-        ci = next(iter(comps))
-        pos, inner = self.components[ci]
-        inner_coords = [0] * inner.system.rank
-        for j, c in enumerate(root):
-            if c:
-                inner_coords[self._pos_of[j + 1][1]] = c
-        coeff, piece = inner.act_root(tuple(inner_coords), self._slice(tuple(t), ci))
-        return coeff, self._replace(tuple(t), ci, piece)
+        num, target = self.act_root_num(root, t)
+        return Fraction(num, self.scale), target
 
     # -- weights ----------------------------------------------------------------
     def _displacement(self, t: Index) -> List[Fraction]:
@@ -135,7 +134,7 @@ class LeviModule:
 
     def index_of_displacement(self, x: Sequence[Fraction]) -> Optional[Index]:
         """The basis index with the given displacement, or None."""
-        if any(x[j] for j in range(self.system.rank) if j + 1 not in self._pos_of):
+        if any(x[j] for j in range(self.system.rank) if j + 1 not in self.block):
             return None
         t: Index = ()
         for pos, inner in self.components:
@@ -206,7 +205,9 @@ class TruncatedVerma:
         self.nminus: List[Root] = [neg_root(r) for r in self.ideal_pos]
         self._order = {r: i for i, r in enumerate(self.nminus)}
         self.nminus_set = frozenset(self.nminus)
-        self._act_memo: Dict[Tuple[Root, Monomial, Index], InducedVector] = {}
+        # one scale for the whole action: every memo value is an integer over it
+        self.scale = math.lcm(C.scale, *(x.denominator for x in C.lam0))
+        self._act_memo: Dict[Tuple[Root, Monomial, Index], Dict[VectorKey, int]] = {}
         self._kernel_cache: Dict[Tuple[Fraction, ...], Tuple[List, List[int], List[VectorKey]]] = {}
         self._off_block = [j for j in range(self.system.rank) if j + 1 not in C.block]
         self._buckets: Dict[tuple, Dict[Root, List[Monomial]]] = {}
@@ -241,12 +242,7 @@ class TruncatedVerma:
 
     # -- action ------------------------------------------------------------------
     def act_root(self, root: Root, vec: InducedVector) -> InducedVector:
-        root = tuple(root)
-        out: InducedVector = {}
-        for (mono, t), c in vec.items():
-            for key, c2 in self._act_basis(root, mono, t).items():
-                sparse_add(out, key, c * c2)
-        return out
+        return self.act_word((root,), vec)
 
     def act_coroot_combo(self, coeffs: Sequence[Fraction], vec: InducedVector) -> InducedVector:
         out: InducedVector = {}
@@ -258,26 +254,49 @@ class TruncatedVerma:
         return out
 
     def act_word(self, word: Sequence[Root], vec: InducedVector) -> InducedVector:
-        """Apply a product of root vectors, rightmost first."""
-        for root in reversed(list(word)):
-            vec = self.act_root(root, vec)
-            if not vec:
-                return {}
+        """Apply a product of root vectors, rightmost first: in integers over
+        the lcm of vec's denominators, divided once at the end."""
+        word = [tuple(root) for root in word]
+        if not self.system.roots.issuperset(word):
+            bad = next(root for root in word if root not in self.system.roots)
+            raise ValueError(f"{bad} is not a root of {self.system.cartan_type}")
+        den = math.lcm(*(c.denominator for c in vec.values()))
+        num = self._act_word_num(word, {key: c.numerator * (den // c.denominator)
+                                        for key, c in vec.items()})
+        den *= self.scale ** len(word)
+        return {key: Fraction(c, den) for key, c in num.items()}
+
+    def _act_word_num(self, word: Sequence[Root], vec: Dict[VectorKey, int]) -> Dict[VectorKey, int]:
+        """A product of root vectors, rightmost first, on an integer vector; each
+        root multiplies the vector's scale by `scale`."""
+        act = self._act_basis
+        for root in reversed(word):
+            out: Dict[VectorKey, int] = {}
+            for (mono, t), c in vec.items():
+                for key, c2 in act(root, mono, t).items():
+                    sparse_add(out, key, c * c2)
+            if not out:
+                return out
+            vec = out
         return vec
 
-    def _act_basis(self, root: Root, mono: Monomial, t: Index) -> InducedVector:
+    def _act_basis(self, root: Root, mono: Monomial, t: Index) -> Dict[VectorKey, int]:
+        """X_root (mono (x) x(t)) as integers over `scale`: each term carries at most
+        one Levi or Cartan factor, and structure constants and Cartan coefficients
+        are integers on A/C, so a product of two memo values divides by the scale."""
         key = (root, mono, t)
         hit = self._act_memo.get(key)
         if hit is not None:
             return hit
-        out: InducedVector = {}
+        scale = self.scale
+        out: Dict[VectorKey, int] = {}
         if not mono:
             if root in self.levi_roots:
-                coeff, t2 = self.C.act_root(root, t)
-                if coeff:
-                    out[((), t2)] = coeff
+                num, t2 = self.C.act_root_num(root, t)
+                if num:
+                    out[((), t2)] = num * (scale // self.C.scale)
             elif root in self.nminus_set:
-                out[((root,), t)] = Fraction(1)
+                out[((root,), t)] = scale
             # positive nilradical roots annihilate 1 (x) C
         else:
             gamma = mono[0]
@@ -285,23 +304,23 @@ class TruncatedVerma:
                 if len(mono) + 1 > self.depth:
                     raise DepthOverflowError(
                         f"monomial depth {len(mono) + 1} exceeds truncation {self.depth}")
-                out[((root,) + mono, t)] = Fraction(1)
+                out[((root,) + mono, t)] = scale
             else:
                 rest = mono[1:]
                 # X_root X_gamma = X_gamma X_root + [X_root, X_gamma]
                 for key2, c2 in self._act_basis(root, rest, t).items():
                     for key3, c3 in self._act_basis(gamma, key2[0], key2[1]).items():
-                        sparse_add(out, key3, c2 * c3)
+                        sparse_add(out, key3, _integral(c2 * c3, scale))
                 s = add_roots(root, gamma)
                 if s in self.system.roots:
-                    n = self.real.structure_constant(root, gamma)
+                    n = _integral(self.real.structure_constant(root, gamma))
                     if n:
                         for key2, c2 in self._act_basis(s, rest, t).items():
                             sparse_add(out, key2, n * c2)
                 elif not any(s):
                     coeffs = self.real.cartan_coefficients(root)
-                    for key2, c2 in self.act_coroot_combo(coeffs, {(rest, t): Fraction(1)}).items():
-                        sparse_add(out, key2, c2)
+                    for key2, c2 in self.act_coroot_combo(coeffs, {(rest, t): scale}).items():
+                        sparse_add(out, key2, _integral(c2))
         self._act_memo[key] = out
         return out
 
@@ -370,8 +389,9 @@ class TruncatedVerma:
                 if t is None:
                     continue
                 for word in words:
+                    # one integer row per word, at scale `scale ** len(word)`
                     row = {i: c for i, key in enumerate(basis)
-                           if (c := self.act_word(word, {key: Fraction(1)}).get(((), t)))}
+                           if (c := self._act_word_num(word, {key: 1}).get(((), t)))}
                     if row:
                         rows.append(row)
         rref_rows, pivots = linalg.rref(linalg.nullspace(rows, len(basis)), len(basis))
@@ -396,6 +416,14 @@ class TruncatedVerma:
         if not pw:
             raise ValueError("denominator vector is zero in the quotient")
         return _ratio(self.project(v), pw)
+
+
+def _integral(n, d: int = 1) -> int:
+    """n / d for an int or Fraction n, as the int the integer action relies on it being."""
+    q, r = divmod(n.numerator, n.denominator * d)
+    if r:
+        raise AssertionError(f"induced action coefficient {Fraction(n) / d} is not an integer")
+    return q
 
 
 def _ratio(pv: InducedVector, pw: InducedVector) -> Optional[Fraction]:

@@ -35,12 +35,10 @@ def parse_rational(s) -> Fraction:
         raise ValueError(f"zero denominator in {s!r}") from None
 
 
-_ZERO = Fraction(0)
-
-
 def sparse_add(acc: Dict, key, c) -> None:
-    """acc[key] += c on a sparse vector, dropping the entry when it cancels."""
-    tot = acc.get(key, _ZERO) + c
+    """acc[key] += c on a sparse vector, dropping the entry when it cancels;
+    int values stay ints and Fractions stay Fractions."""
+    tot = acc.get(key, 0) + c
     if tot:
         acc[key] = tot
     else:

@@ -25,7 +25,7 @@ from weightcat.weylmod import WeylParams, check_weyl_relations
 
 
 def report(criterion, name, started):
-    print(f"ACCEPTANCE {criterion} ({name}): PASS [{time.time() - started:.1f}s]")
+    print(f"ACCEPTANCE {criterion} ({name}): PASS [{time.perf_counter() - started:.1f}s]")
 
 
 def neg(r):
@@ -152,7 +152,7 @@ def _vsub(a, b):
 
 @pytest.mark.parametrize("name", sorted(MODULES_BY_ALGEBRA))
 def test_c1_bracket_fidelity(name):
-    started = time.time()
+    started = time.perf_counter()
     kind, params = MODULES_BY_ALGEBRA[name]
     module = build_N(params) if kind == "N" else build_M(params)
     nvars = module.nvars
@@ -162,7 +162,7 @@ def test_c1_bracket_fidelity(name):
     depth_cap = 1 if name == "A4" else 2
     c_rad = 1 if name in ("A4", "A3", "C3") else 2
     n_verma = _verma_fidelity(name, depth_cap, c_rad)
-    assert time.time() - started < 60, "runtime budget exceeded"
+    assert time.perf_counter() - started < 60, "runtime budget exceeded"
     report(1, f"bracket fidelity {name}: {n_mod} module + {n_verma} induced checks", started)
 
 
@@ -177,7 +177,7 @@ M_SPECS = [["-1", "1/4"], ["-1", "-1", "2/7"], ["-1", "1/4", "1/5"], ["-1", "-2"
 
 
 def test_c2_hw_enumeration():
-    started = time.time()
+    started = time.perf_counter()
     for params in N_SPECS:
         m = build_N(params)
         assert m.enumerate_hw(m.theta_a(), 3) == m.predicted_hw(3), params
@@ -192,7 +192,7 @@ def test_c2_hw_enumeration():
 # ---------------------------------------------------------------------------
 
 def test_c3_degree_one():
-    started = time.time()
+    started = time.perf_counter()
     for params in N_SPECS:
         m = build_N(params)
         for radius in (2, 4):
@@ -209,11 +209,11 @@ def test_c3_degree_one():
 # ---------------------------------------------------------------------------
 
 def test_c4_lemma_constants():
-    started = time.time()
+    started = time.perf_counter()
     for lemma in ("lemA12", "A1N", "AkAn", "AC1", "CC", "appendix-a3"):
         for rep in seeded_reports(lemma, seed=5, count=5):
             assert rep.match, (lemma, rep.params)
-    assert time.time() - started < 120
+    assert time.perf_counter() - started < 120
     report(4, "lemma constants, 5 seeded sets per script", started)
 
 
@@ -222,7 +222,7 @@ def test_c4_lemma_constants():
 # ---------------------------------------------------------------------------
 
 def test_c5_classification_goldens():
-    started = time.time()
+    started = time.perf_counter()
 
     def comp_theta(system, comp):
         return frozenset(range(1, system.rank + 1)) - frozenset(comp)
@@ -287,7 +287,7 @@ def _sample_nonints(count):
 
 
 def test_c6_cross_validation():
-    started = time.time()
+    started = time.perf_counter()
     # every nontrivial verdict at rank <= 4 supports a membership-certified instance
     names = ["A1", "A2", "A3", "A4", "C2", "C3", "C4"]
     nontrivial = trivial_ac = 0
@@ -313,7 +313,7 @@ def test_c6_cross_validation():
                     (name, sorted(comp))
                 trivial_ac += 1
     assert nontrivial >= 15 and trivial_ac >= 4
-    assert time.time() - started < 30, "runtime budget exceeded"
+    assert time.perf_counter() - started < 30, "runtime budget exceeded"
     report(6, f"{nontrivial} nontrivial memberships, {trivial_ac} trivial probes", started)
 
 
@@ -339,7 +339,7 @@ def _generic_levi(system, comp):
 # ---------------------------------------------------------------------------
 
 def test_c7_ext_certification():
-    started = time.time()
+    started = time.perf_counter()
     dims = {}
     for radius in (3, 4):
         dims[("A", radius)] = ext_solve_typeA(["-1", "1/2", "1/3", "0"],
@@ -362,7 +362,7 @@ def test_c7_ext_certification():
 # ---------------------------------------------------------------------------
 
 def test_c8_truncation_soundness():
-    started = time.time()
+    started = time.perf_counter()
     for depth in (4, 5):
         rep = verify_lemA12("1/2", "1/3", k_range=(-1, 0, 1), depth=depth)
         assert rep.computed["eta"] == {-1: F(-3, 14), 0: F(3, 8), 1: F(9, 2)}
@@ -400,7 +400,7 @@ def test_c8_truncation_soundness():
 # ---------------------------------------------------------------------------
 
 def test_c9_sp4_spot_check():
-    started = time.time()
+    started = time.perf_counter()
     rng = random.Random(53)
     ma = build_M(["1/4", "1/3"])
     mb = build_M(["2/5", "1/7"])

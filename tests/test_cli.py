@@ -48,6 +48,20 @@ def test_verify_rejects_bad_partition(capsys):
     assert main(["verify", "--module", "N", "--a", "1,2,0"]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--module", "M", "--a", "1/2,1/3,0", "--B", "1"],
+    ["ext", "--module", "M", "--a", "1/2,1/3,0", "--B", "1"],
+    ["verify", "--module", "N", "--a", "1/2,1,1/3", "--B", "1"],
+    ["verify", "--module", "N", "--a", "1/2,0", "--B", "1"],
+])
+def test_partition_error_prints_rationals(capsys, argv):
+    assert main(argv) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("configuration error: ") and "Fraction(" not in captured.err
+    assert "(" + argv[4].replace(",", ", ") + ")" in captured.err
+
+
 def test_ext_self_pair(capsys):
     code, out = run(capsys, "ext", "--module", "N", "--a", "-1,1/2,1/3,0", "--B", "3")
     assert code == EXIT_OK

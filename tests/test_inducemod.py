@@ -342,3 +342,132 @@ def test_zero_weight_words_match_enumeration(name):
                 if not any(map(sum, zip(*word)))]
     expected.sort(key=lambda word: [roots.index(r) for r in word])
     assert _zero_weight_words(rs, 4) == expected
+
+
+def _oracle_levi(C, root, t):
+    """X_root x(t) for a Levi root, from the inner module's own Fraction action."""
+    lo = 0
+    for pos, inner in C.components:
+        piece = t[lo:lo + inner.nvars]
+        if all(c == 0 or j + 1 in pos for j, c in enumerate(root)):
+            c, piece2 = inner.act_root(tuple(root[b - 1] for b in pos), piece)
+            return c, t[:lo] + piece2 + t[lo + inner.nvars:]
+        lo += inner.nvars
+    raise AssertionError(f"{root} is not a Levi root")
+
+
+def _oracle_word(V, word, t):
+    """word (x) x(t) as {(sorted monomial, index): Fraction}, the word's letters
+    applied rightmost first; a letter is a root or ("H", coroot coefficients).
+
+    Plain PBW straightening in Fractions: the rightmost letter that is not a
+    negative nilradical root moves right past the negative nilradical letters
+    after it, one commutator at a time, until it reaches x(t), where a Levi root
+    acts through the inner module, a Cartan element by the weight of x(t), and
+    a positive nilradical root by zero; the remaining letters are then sorted
+    into PBW order by commutators.
+    """
+    rs, real = V.system, V.system.realization
+    order = {r: i for i, r in enumerate(V.nminus)}
+    out = {}
+
+    def add(vec, f):
+        for key, c in vec.items():
+            out[key] = out.get(key, F(0)) + f * c
+
+    j = len(word)
+    while j and word[j - 1] in order:
+        j -= 1
+    if j == 0:  # only negative nilradical letters: sort them
+        i = next((i for i in range(len(word) - 1) if order[word[i]] > order[word[i + 1]]), None)
+        if i is None:
+            return {(tuple(word), t): F(1)}
+        a, b = word[i], word[i + 1]
+        add(_oracle_word(V, word[:i] + (b, a) + word[i + 2:], t), F(1))
+        s = tuple(x + y for x, y in zip(a, b))
+        if s in rs.roots:
+            add(_oracle_word(V, word[:i] + (s,) + word[i + 2:], t), real.structure_constant(a, b))
+        return {k: c for k, c in out.items() if c}
+    y, rest = word[j - 1], word[j:]
+    if not rest:  # y acts on x(t)
+        if y[0] == "H":
+            c = sum(a * w for a, w in zip(y[1], V.C.weight_of(t)))
+            return {k: c * v for k, v in _oracle_word(V, word[:-1], t).items() if c * v}
+        if y not in V.levi_roots:
+            return {}
+        c, t2 = _oracle_levi(V.C, y, t)
+        return {k: c * v for k, v in _oracle_word(V, word[:-1], t2).items() if c * v} if c else {}
+    g = rest[0]
+    add(_oracle_word(V, word[:j - 1] + (g, y) + rest[1:], t), F(1))
+    if y[0] == "H":  # [H, X_g] = g(H) X_g
+        c = sum(a * v for a, v in zip(y[1], rs.coroot_values(g)))
+        add(_oracle_word(V, word[:j - 1] + (g,) + rest[1:], t), c)
+    else:
+        s = tuple(x + z for x, z in zip(y, g))
+        if s in rs.roots:
+            add(_oracle_word(V, word[:j - 1] + (s,) + rest[1:], t), real.structure_constant(y, g))
+        elif not any(s):
+            h = ("H", real.cartan_coefficients(y))
+            add(_oracle_word(V, word[:j - 1] + (h,) + rest[1:], t), F(1))
+    return {k: c for k, c in out.items() if c}
+
+
+@pytest.mark.parametrize("case", ["A3{1,2}", "C3{2,3}", "A3{1}x{3}"])
+def test_induced_action_matches_fraction_oracle(case):
+    """act_root on every key of the weight spaces up to depth 3, for every root,
+    against a Fraction PBW straightening that shares no code with it."""
+    a3, c3 = build_root_system("A3"), build_root_system("C3")
+    C = {"A3{1,2}": lambda: levi_module(a3, [1, 2], build_N([F(1, 2), F(1, 3), F(1, 5)]),
+                                        {3: F(2, 3)}),
+         "C3{2,3}": lambda: levi_module(c3, [2, 3], build_M([F(1, 3), F(2, 5)]), {1: F(1, 4)}),
+         # the central value 1/7 puts a 7 into the scale that no inner module has
+         "A3{1}x{3}": lambda: levi_module_product(a3, [((1,), build_N([F(1, 2), F(1, 3)])),
+                                                       ((3,), build_N([F(1, 5), F(2, 5)]))],
+                                                  {2: F(1, 7)})}[case]()
+    V3, V = induce(C, 3), induce(C, 4)
+    if case == "A3{1}x{3}":
+        assert V.scale % 7 == 0 and C.scale % 7 != 0
+    box = [t for t in itertools.product((-1, 0, 1), repeat=len(C.zero_index())) if C.in_basis(t)]
+    keys = {key for mu in {V3.weight_of_key(k) for k in _pbw_keys(V3, box)}
+            for key in V3.weight_space(mu)}
+    roots = sorted(V.system.roots)
+    for key in sorted(keys):
+        for root in roots:
+            assert V.act_root(root, {key: F(1)}) == _oracle_word(V, (root,) + key[0], key[1]), \
+                (case, root, key)
+    assert len(keys) * len(roots) > 1000
+    assert all(type(c) is int for memo in V._act_memo.values() for c in memo.values())
+
+
+def test_act_word_divides_once():
+    a3 = build_root_system("A3")
+    C = levi_module(a3, [1, 2], build_N([F(1, 2), F(1, 3), F(1, 5)]), {3: F(2, 3)})
+    V = induce(C, 4)
+    word = [V.ideal_pos[0]] + [neg(r) for r in V.ideal_pos] + [a3.simple_root(1)]
+    vec = {((), (0, 0, 0)): F(3, 7), ((), (1, -1, 0)): F(-5, 4)}
+    step = vec
+    for root in reversed(word):
+        step = V.act_root(root, step)
+    assert V.act_word(word, vec) == step and step
+    assert all(type(c) is F for c in step.values())
+
+
+def test_non_roots_are_rejected():
+    a3 = build_root_system("A3")
+    C = levi_module(a3, [1, 2], build_N([F(1, 2), F(1, 3), F(1, 5)]), {3: F(2, 3)})
+    V = induce(C, 3)
+    deep = V.monomial_tensor([neg(r) for r in V.ideal_pos[:2]], C.zero_index())
+    for root in [(1, 0, 1), (0, 0, 0), (1, 1, 1, 1)]:
+        for vec in (V.one_tensor(), deep, {}):
+            with pytest.raises(ValueError):
+                V.act_root(root, vec)
+            with pytest.raises(ValueError):
+                V.act_word([a3.simple_root(1), root], vec)
+    # a root of the algebra that is off the Levi block, or no root at all
+    for root in [(0, 0, 1), (0, 1, 1), (1, 0, 1), (0, 0, 0)]:
+        with pytest.raises(ValueError):
+            C.act_root(root, C.zero_index())
+        with pytest.raises(ValueError):
+            C.act_root_num(root, C.zero_index())
+    num, t = C.act_root_num(neg(a3.simple_root(1)), C.zero_index())
+    assert C.act_root(neg(a3.simple_root(1)), C.zero_index()) == (F(num, C.scale), t)

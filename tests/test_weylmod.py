@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weightcat.weylmod import (WeylParams, WeylPolynomial, act_monomial, check_weyl_relations,
-                               format_rational, lattice_window, parse_rational,
+                               format_rational, lattice_window, parse_rational, sparse_add,
                                transitivity_probe, weyl_act)
 
 
@@ -208,3 +208,12 @@ def test_integer_action_matches_fraction_oracle(case):
         assert (t.coeff, t.target) == _oracle_act(a, kind, i, k)
     t = act_monomial(params, qexp, pexp, k)
     assert (t.coeff, t.target) == _oracle_monomial(a, qexp, pexp, k)
+
+
+def test_sparse_add_keeps_the_value_type():
+    ints, fracs = {}, {}
+    for key, c in [("a", 2), ("b", 3), ("a", -2), ("b", 4)]:
+        sparse_add(ints, key, c)
+        sparse_add(fracs, key, F(c, 3))
+    assert ints == {"b": 7} and type(ints["b"]) is int
+    assert fracs == {"b": F(7, 3)} and type(fracs["b"]) is F
