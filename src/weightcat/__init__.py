@@ -21,6 +21,6 @@ from .inducemod import (LeviModule, TruncatedVerma, central_scalars, induce, lev
 from .paperlab import LEMMAS, LemmaReport, run_lemma, seeded_reports
 from .rootsys import (CartanType, RootSubset, RootSystem, build_root_system,
                       classify_subset, lattice_disjoint, levi_decomposition)
-from .weylmod import WeylParams, WeylPolynomial, check_weyl_relations, weyl_act
+from .weylmod import WeylParams, check_weyl_relations, weyl_act
 
 __version__ = "0.1.0"

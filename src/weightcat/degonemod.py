@@ -24,7 +24,7 @@ from itertools import accumulate, product
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .rootsys import Root, RootSystem, build_root_system, neg_root
-from .weylmod import Lookup, WeylParams, act_polynomial, format_rational, monomial_word, parse_rational
+from .weylmod import Lookup, WeylParams, format_rational, monomial_word, parse_rational
 
 Index = Tuple[int, ...]
 
@@ -174,10 +174,6 @@ class DegreeOneModule:
         """
         return self.realization.representation_defects(self._action, self.weight_of,
                                                        self.window(radius), self.scale)
-
-    def act_element(self, poly, k: Sequence[int]) -> Dict[Index, Fraction]:
-        """Action of an arbitrary realized element on x(k)."""
-        return act_polynomial(self.params, poly, k)
 
     def weight_of(self, k: Sequence[int]) -> Tuple[Fraction, ...]:
         """Values of the simple coroots H_{e_1}..H_{e_n} on x(k)."""

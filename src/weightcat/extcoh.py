@@ -33,7 +33,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tupl
 from . import linalg
 from .degonemod import DegreeOneModule, build_M, build_N
 from .rootsys import Root, RootPair, add_roots, neg_root
-from .weylmod import Lookup, parse_rational, sparse_add
+from .weylmod import Lookup, format_rational, parse_rational, sparse_add
 
 Index = Tuple[int, ...]
 
@@ -386,7 +386,6 @@ class ConstraintSystem:
     reason: str = ""
 
     def to_json(self) -> Dict:
-        from .weylmod import format_rational
         return {
             "dimension": self.dimension,
             "window": self.window,

@@ -28,7 +28,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 from . import linalg
 from .degonemod import DegreeOneModule, build_M, build_N
 from .rootsys import Root, RootSystem, add_roots, center_basis, neg_root
-from .weylmod import sparse_add
+from .weylmod import Lookup, sparse_add
 
 Index = Tuple[int, ...]
 Monomial = Tuple[Root, ...]          # negative nilradical roots, sorted
@@ -85,7 +85,7 @@ class LeviModule:
         self._total_vars = off
         self.scale = math.lcm(*(inner.scale for _, inner in self.components))
         self.lam0 = tuple(lam0[i] for i in range(1, system.rank + 1))
-        self._wcache: Dict[Index, Tuple[Fraction, ...]] = {}
+        self._weights: Dict[Index, Tuple[Fraction, ...]] = Lookup(self._weight)
 
     # -- index slicing -----------------------------------------------------------
     def _slice(self, t: Index, ci: int) -> Index:
@@ -145,13 +145,10 @@ class LeviModule:
         return t
 
     def weight_of(self, t: Index) -> Tuple[Fraction, ...]:
-        t = tuple(t)
-        hit = self._wcache.get(t)
-        if hit is not None:
-            return hit
-        w = tuple(l + v for l, v in zip(self.lam0, self.system.coroot_values(self._displacement(t))))
-        self._wcache[t] = w
-        return w
+        return self._weights[tuple(t)]
+
+    def _weight(self, t: Index) -> Tuple[Fraction, ...]:
+        return tuple(l + v for l, v in zip(self.lam0, self.system.coroot_values(self._displacement(t))))
 
 
 def levi_module(system: RootSystem, block: Sequence[int], inner: DegreeOneModule,

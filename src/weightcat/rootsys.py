@@ -24,7 +24,7 @@ from operator import mul
 from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
 from . import linalg
-from .weylmod import Lookup, WeylPolynomial
+from .weylmod import Lookup
 
 Root = Tuple[int, ...]
 RootPair = Tuple[Root, Root, Root, Fraction, Optional[Tuple[Fraction, ...]]]
@@ -266,12 +266,13 @@ def build_root_system(ct) -> RootSystem:
 # ---------------------------------------------------------------------------
 
 class Realization:
-    """Weyl-algebra realization of the root vectors and coroots.
+    """Weyl-algebra realization of the root vectors and its integer bracket table.
 
     Type A_n lives on N = n+1 generator pairs with X_{eps_i - eps_j} = q_i p_j;
     type C_n lives on N = n generator pairs with the symmetric quadratics.
-    X_root is kept as (qexp, pexp, num) for num/2 q^qexp p^pexp; `root_vector`,
-    `coroot` and `bracket` give Weyl polynomials, the commutator oracle.
+    X_root is kept as (qexp, pexp, num) for num/2 q^qexp p^pexp, and the
+    coroot H_{e_i} is q_i p_i - q_{i+1} p_{i+1}, or q_n p_n + 1/2 for the long
+    root of C_n; brackets are read from single contractions in integers.
     """
 
     def __init__(self, system: RootSystem):
@@ -283,10 +284,11 @@ class Realization:
         self.family = fam
         self.nvars = system.rank + 1 if fam == "A" else system.rank
         self._monomials: Dict[Root, Tuple[Tuple[int, ...], Tuple[int, ...], int]] = Lookup(self._monomial)
-        self._coroot_polys: List[WeylPolynomial] = [self._build_coroot(i) for i in range(1, system.rank + 1)]
-        # 2 H_{e_i} as {letters: integer}, the 1/2 of type C's long coroot included
-        self._coroots2 = [{_letters(qe, pe): int(2 * c) for (qe, pe), c in h.terms.items()}
-                          for h in self._coroot_polys]
+        # 2 H_{e_i} as {letters: integer}: 2 q_i p_i - 2 q_{i+1} p_{i+1}, and
+        # 2 q_n p_n + 1 for the long root of C_n
+        N, n = self.nvars, system.rank
+        self._coroots2 = [{(i, N + i): 2, (i + 1, N + i + 1): -2} if fam == "A" or i < n - 1
+                          else {(i, N + i): 2, (): 1} for i in range(n)]
         self._simple_norms = [sum(x * x for x in self.epsilon_vector(e)) for e in system.simple]
         self._nconst: Dict[Tuple[Root, Root], Fraction] = Lookup(self._structure_constant)
         self._cartan_coeffs: Dict[Root, Tuple[Fraction, ...]] = Lookup(self._cartan_coefficients)
@@ -315,26 +317,6 @@ class Realization:
         eps = self.epsilon_vector(root)
         qexp, pexp = tuple(max(v, 0) for v in eps), tuple(max(-v, 0) for v in eps)
         return qexp, pexp, (-1 if sum(eps) < 0 else 1) * (2 // max(qexp + pexp))
-
-    def root_vector(self, root: Root) -> WeylPolynomial:
-        """X_root as a Weyl polynomial, for brackets computed by commutators."""
-        qe, pe, num = self.monomial(root)
-        return WeylPolynomial.monomial(self.nvars, qe, pe, Fraction(num, 2))
-
-    def _build_coroot(self, i: int) -> WeylPolynomial:
-        """q_i p_i - q_{i+1} p_{i+1}, or q_n p_n + 1/2 for the long root of C_n."""
-        N, n = self.nvars, self.system.rank
-        qp = [(tuple(int(j == t) for j in range(N)),) * 2 for t in range(N)]
-        if self.family == "A" or i < n:
-            return WeylPolynomial(N, {qp[i - 1]: 1, qp[i]: -1})
-        return WeylPolynomial(N, {qp[n - 1]: 1, ((0,) * N, (0,) * N): Fraction(1, 2)})
-
-    def coroot(self, i: int) -> WeylPolynomial:
-        """Coroot of the simple root e_i (1-based)."""
-        return self._coroot_polys[i - 1]
-
-    def bracket(self, x: WeylPolynomial, y: WeylPolynomial) -> WeylPolynomial:
-        return x.commutator(y)
 
     # -- structure constants ----------------------------------------------------
     def _contract(self, mu: Root, nu: Root) -> Dict[Tuple[int, ...], int]:

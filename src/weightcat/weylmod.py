@@ -1,9 +1,7 @@
 """The Weyl algebra on N generator pairs and its lattice-indexed simple modules.
 
 The algebra is generated by q_1..q_N, p_1..p_N with [q_i,q_j] = [p_i,p_j] = 0
-and [p_i,q_j] = delta_ij.  Elements are kept in normal order (all q's to the
-left of all p's); multiplication re-normalises with the exact contraction
-formula, so commutators of realized Lie algebra elements come out exactly.
+and [p_i,q_j] = delta_ij.
 
 A parameter vector a of rationals defines a module on basis vectors x(k)
 indexed by the integer lattice points admissible for a.  The action of the
@@ -12,11 +10,10 @@ a_i is a negative integer; all coefficients are exact rationals.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
 NEG_INT = "NEG_INT"
 NONNEG_INT = "NONNEG_INT"
@@ -60,99 +57,6 @@ class Lookup(dict):
 def format_rational(x: Fraction) -> str:
     x = Fraction(x)
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
-class WeylPolynomial:
-    """Normal-ordered polynomial in q_1..q_N, p_1..p_N with rational coefficients.
-
-    Terms map (q_exponents, p_exponents) -> coefficient.  The product uses
-    p^a q^c = sum_s s! C(a,s) C(c,s) q^(c-s) p^(a-s) per variable.
-    """
-
-    __slots__ = ("nvars", "terms")
-
-    def __init__(self, nvars: int, terms: Optional[Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], Fraction]] = None):
-        self.nvars = nvars
-        self.terms: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], Fraction] = {}
-        if terms:
-            for key, c in terms.items():
-                c = Fraction(c)
-                if c != 0:
-                    self.terms[key] = c
-
-    @classmethod
-    def monomial(cls, nvars: int, qexp: Sequence[int], pexp: Sequence[int], coeff=1) -> "WeylPolynomial":
-        return cls(nvars, {(tuple(qexp), tuple(pexp)): Fraction(coeff)})
-
-    @classmethod
-    def constant(cls, nvars: int, c) -> "WeylPolynomial":
-        zero = (0,) * nvars
-        return cls(nvars, {(zero, zero): Fraction(c)})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "WeylPolynomial") -> "WeylPolynomial":
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            sparse_add(out, key, c)
-        return WeylPolynomial(self.nvars, out)
-
-    def __sub__(self, other: "WeylPolynomial") -> "WeylPolynomial":
-        return self + -other
-
-    def __neg__(self) -> "WeylPolynomial":
-        return WeylPolynomial(self.nvars, {k: -c for k, c in self.terms.items()})
-
-    def scale(self, f) -> "WeylPolynomial":
-        f = Fraction(f)
-        return WeylPolynomial(self.nvars, {k: f * c for k, c in self.terms.items()})
-
-    def __mul__(self, other: "WeylPolynomial") -> "WeylPolynomial":
-        out: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], Fraction] = {}
-        n = self.nvars
-        for (qa, pa), ca in self.terms.items():
-            for (qb, pb), cb in other.terms.items():
-                # contract p^pa against q^qb variable by variable
-                ranges = [range(0, min(pa[i], qb[i]) + 1) for i in range(n)]
-                for s in product(*ranges):
-                    coeff = ca * cb
-                    for i in range(n):
-                        if s[i]:
-                            coeff *= math.comb(pa[i], s[i]) * math.comb(qb[i], s[i]) * math.factorial(s[i])
-                    qk = tuple(qa[i] + qb[i] - s[i] for i in range(n))
-                    pk = tuple(pa[i] + pb[i] - s[i] for i in range(n))
-                    sparse_add(out, (qk, pk), coeff)
-        return WeylPolynomial(n, out)
-
-    def commutator(self, other: "WeylPolynomial") -> "WeylPolynomial":
-        return self * other - other * self
-
-    def proportional_to(self, other: "WeylPolynomial") -> Optional[Fraction]:
-        """Return t with self == t*other, or None."""
-        if other.is_zero():
-            return Fraction(0) if self.is_zero() else None
-        if self.is_zero():
-            return Fraction(0)
-        key, c = next(iter(other.terms.items()))
-        if key not in self.terms:
-            return None
-        t = self.terms[key] / c
-        probe = other.scale(t)
-        return t if probe.terms == self.terms else None
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, WeylPolynomial) and self.nvars == other.nvars and self.terms == other.terms
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "0"
-        bits = []
-        for (qe, pe), c in sorted(self.terms.items()):
-            mono = "".join(f"q{i + 1}^{e}" if e > 1 else f"q{i + 1}" for i, e in enumerate(qe) if e)
-            mono += "".join(f"p{i + 1}^{e}" if e > 1 else f"p{i + 1}" for i, e in enumerate(pe) if e)
-            bits.append(f"{format_rational(c)}*{mono or '1'}")
-        return " + ".join(bits)
 
 
 @dataclass(frozen=True)
@@ -268,16 +172,6 @@ def act_monomial(params: WeylParams, qexp: Sequence[int], pexp: Sequence[int],
         raise ValueError(f"index {k} not admissible for parameters {params.a}")
     num, den, target = params._walk(monomial_word(qexp, pexp), k)
     return ActionTerm(Fraction(num, den), target)
-
-
-def act_polynomial(params: WeylParams, poly: WeylPolynomial,
-                   k: Sequence[int]) -> Dict[Tuple[int, ...], Fraction]:
-    """Action of a normal-ordered polynomial on x(k) as {target: coefficient}."""
-    out: Dict[Tuple[int, ...], Fraction] = {}
-    for (qe, pe), c in poly.terms.items():
-        t = act_monomial(params, qe, pe, k)
-        sparse_add(out, t.target, c * t.coeff)
-    return out
 
 
 def lattice_window(params: WeylParams, radius: int) -> List[Tuple[int, ...]]:

@@ -4,10 +4,25 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from weightcat.degonemod import PartitionError, build_M, build_N
+from weightcat.weylmod import weyl_act
 
 
 def neg(r):
     return tuple(-x for x in r)
+
+
+def _qp(m, i, k):
+    """The eigenvalue of q_i p_i (i zero-based) on x(k), from two weyl_act steps."""
+    p = weyl_act(("p", i), m.params, k)
+    return p.coeff * weyl_act(("q", i), m.params, p.target).coeff
+
+
+def _coroots_on(m, k):
+    """H_{e_1}..H_{e_n} on x(k) as q_i p_i - q_{i+1} p_{i+1}, or q_n p_n + 1/2 for
+    the long root of C_n, read from the Weyl-algebra action."""
+    n = m.system.rank
+    return tuple(_qp(m, i, k) - _qp(m, i + 1, k) if m.kind == "N" or i < n - 1
+                 else _qp(m, i, k) + F(1, 2) for i in range(n))
 
 
 # ---------------------------------------------------------------------------
@@ -16,7 +31,8 @@ def neg(r):
 
 def test_action_rows_type_A_middle_block():
     m = build_N(["1/2", "1/3", "0"])
-    assert m.act_element(m.realization.coroot(2), (0, 0, 0)) == {(0, 0, 0): F(1, 3)}
+    assert _coroots_on(m, (0, 0, 0))[1] == F(1, 3)
+    assert all(_coroots_on(m, k) == m.weight_of(k) for k in m.window(2))
     e1 = m.system.simple_root(1)
     assert m.act_root(neg(e1), (0, 0, 0)) == (F(1, 2), (-1, 1, 0))
     # raising with the middle coefficient
@@ -37,11 +53,13 @@ def test_action_rows_type_A_minus_one_block():
     # boundary Cartan row: -1 - a_{j+1} + k_j - k_{j+1}
     w = m.weight_of((0, 0, 0, 0))
     assert w[0] == -1 - F(1, 2)
+    assert all(_coroots_on(m, k) == m.weight_of(k) for k in m.window(2))
 
 
 def test_action_rows_type_C():
     m = build_M(["-1", "1/4"])
-    assert m.act_element(m.realization.coroot(2), (0, 0)) == {(0, 0): F(3, 4)}
+    assert _coroots_on(m, (0, 0))[1] == F(3, 4)
+    assert all(_coroots_on(m, k) == m.weight_of(k) for k in m.window(2))
     e2 = m.system.simple_root(2)
     assert m.act_root(e2, (0, 0)) == (F(1, 2), (0, 2))
     assert m.act_root(neg(e2), (0, 2)) == (-F(45, 32), (0, 0))

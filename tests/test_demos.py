@@ -14,7 +14,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 PINS = {
-    "01_root_systems": "fa4565f5a5c2102e869062276311bc29c54a53c51f0192b86d96baf6c9d3583c",
+    "01_root_systems": "2d38f81f2a357ef4cfd4789e91116bec6cd41f0ccb2f0506cc6bfb19cf212ad4",
     "02_weyl_algebra_modules": "620f634d0245bf8c0eaf167b4d2e82a2bc754739aacf98db5906d66e3095b52a",
     "03_degree_one_modules": "385fcefc68a367f38461b62d6d8c4c45678ea0a793ba6086a75a415e058b3665",
     "04_induced_modules": "0aefbd11637d79ae4f7b5c04c2f6cc14488411df3534711421858420e336627a",

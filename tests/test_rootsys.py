@@ -1,12 +1,15 @@
+import random
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
-from weightcat import linalg
-from weightcat.rootsys import (CartanType, RealizationUnavailableError, RootSubset,
+from weightcat.degonemod import build_M, build_N
+from weightcat.rootsys import (CartanType, RealizationUnavailableError, RootSubset, add_roots,
                                build_root_system, center_basis, classify_subset,
-                               lattice_disjoint, levi_decomposition, validate_category_data)
+                               lattice_disjoint, levi_decomposition, neg_root,
+                               validate_category_data)
+from weightcat.weylmod import sparse_add
 
 
 def test_cartan_type_parse_and_bounds():
@@ -64,74 +67,180 @@ def test_bracket_examples_type_A():
     rs = build_root_system("A3")
     real = rs.realization
     e1, e2 = rs.simple_root(1), rs.simple_root(2)
-    s = tuple(x + y for x, y in zip(e1, e2))
+    # [q1 p2, q2 p3] = q1 p3, and [X_e, X_-e] = H_e along the simple roots
     assert real.structure_constant(e1, e2) == 1
-    got = real.bracket(real.root_vector(e1), real.root_vector(tuple(-x for x in e1)))
-    assert got == real.coroot(1)
+    assert real.structure_constant(e2, e1) == -1
+    assert real.structure_constant(e1, neg_root(e2)) == 0
+    assert real.cartan_coefficients(e1) == (1, 0, 0)
+    assert real.cartan_coefficients(add_roots(e1, e2)) == (1, 1, 0)
+    assert real.cartan_coefficients(neg_root(e2)) == (0, -1, 0)
 
 
 def test_bracket_example_type_C_long_root():
     rs = build_root_system("C2")
     real = rs.realization
-    e2 = rs.simple_root(2)
-    got = real.bracket(real.root_vector(e2), real.root_vector(tuple(-x for x in e2)))
-    assert got == real.coroot(2)
+    e1, e2 = rs.simple_root(1), rs.simple_root(2)
+    # X_e2 = q2^2/2 and X_-e2 = -p2^2/2 bracket to q2 p2 + 1/2 = H_e2
+    assert real.monomial(e2) == ((0, 2), (0, 0), 1)
+    assert real.monomial(neg_root(e2)) == ((0, 0), (0, 2), -1)
+    assert real.cartan_coefficients(e2) == (0, 1)
+    # the short root eps1 + eps2 and the long root 2 eps1
+    s, l = add_roots(e1, e2), add_roots(add_roots(e1, e1), e2)
+    assert real.cartan_coefficients(s) == (1, 2)
+    assert real.cartan_coefficients(l) == (1, 1)
+    assert real.structure_constant(e1, e2) == 1
+    assert real.structure_constant(e1, s) == 2
 
 
-@pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4", "C2", "C3", "C4"])
-def test_antisymmetry_and_jacobi(name):
-    rs = build_root_system(name)
-    real = rs.realization
-    elems = [real.root_vector(r) for r in sorted(rs.roots)]
-    elems += [real.coroot(i) for i in range(1, rs.rank + 1)]
-    for x in elems:
-        for y in elems:
-            assert real.bracket(x, y) == real.bracket(y, x).scale(-1)
-    # Jacobi on all triples for small ranks, sampled for rank 4
-    import random
-    rng = random.Random(3)
-    if rs.rank <= 2:
-        triples = list(product(elems, repeat=3))
-    else:
-        triples = [tuple(rng.sample(elems, 3)) for _ in range(400)]
-    for x, y, z in triples:
-        j = real.bracket(x, real.bracket(y, z)) \
-            + real.bracket(y, real.bracket(z, x)) \
-            + real.bracket(z, real.bracket(x, y))
-        assert j.is_zero()
+def _cuspidal(name):
+    """The cuspidal module N(1/2, 1/3, ...) or M(1/2, 1/3, ...) on a system of
+    its own, so that no bracket value is memoised: every parameter is
+    non-integer, so every root vector acts injectively."""
+    ct = CartanType.parse(name)
+    a = [Fraction(1, j + 2) for j in range(ct.rank + (ct.family == "A"))]
+    return (build_N if ct.family == "A" else build_M)(a)
 
 
-@pytest.mark.parametrize("name", ["A3", "C3"])
-def test_bracket_nonzero_iff_root_sum(name):
-    rs = build_root_system(name)
-    real = rs.realization
-    for a in rs.roots:
-        for b in rs.roots:
-            br = real.bracket(real.root_vector(a), real.root_vector(b))
-            s = tuple(x + y for x, y in zip(a, b))
-            if s in rs.roots or not any(s):
-                assert not br.is_zero(), (a, b)
-            else:
-                assert br.is_zero(), (a, b)
+def _keys(m):
+    """x(0) and each X_{-alpha_i} x(0): rank + 1 vectors whose weights span
+    affinely, so a wrong Cartan coefficient shows on one of them."""
+    zero = m.zero_index()
+    return [zero] + [m.act_root(neg_root(e), zero)[1] for e in m.system.simple]
+
+
+def _commutator(m, mu, nu, k):
+    """X_mu X_nu x(k) - X_nu X_mu x(k) as {key: value}, from the module action."""
+    out = {}
+    for word, sign in (((mu, nu), 1), ((nu, mu), -1)):
+        c, t = m.act_word(word, k)
+        sparse_add(out, t, sign * c)
+    return out
+
+
+def _table_failures(m):
+    """(mu, nu, k) for every ordered root pair and key of `_keys` where the
+    bracket table's [X_mu, X_nu] differs from the commutator of the realized
+    action on x(k); written apart from the table's contraction arithmetic."""
+    rs, real = m.system, m.realization
+    keys = _keys(m)
+    for mu, nu in product(rs.ordered_roots, repeat=2):
+        s = add_roots(mu, nu)
+        for k in keys:
+            want = {}
+            if not any(s):
+                sparse_add(want, k, sum(c * w for c, w in zip(real.cartan_coefficients(mu), m.weight_of(k))))
+            elif s in rs.roots:
+                c, t = m.act_root(s, k)
+                sparse_add(want, t, real.structure_constant(mu, nu) * c)
+            if _commutator(m, mu, nu, k) != want:
+                yield mu, nu, k
 
 
 @pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4", "A5", "C1", "C2", "C3", "C4", "C5"])
 def test_bracket_table_matches_weyl_commutators(name):
-    # the integer contractions against the Weyl-polynomial commutator on every
-    # ordered root pair, on a system of its own so that no value is memoised
+    # the integer contractions against the commutators of the Weyl-algebra
+    # action on a cuspidal module, on every ordered root pair
+    m = _cuspidal(name)
+    real = m.realization
+    assert next(_table_failures(m), None) is None
+    for mu, nu in product(m.system.ordered_roots, repeat=2):
+        s = add_roots(mu, nu)
+        got = real.structure_constant(mu, nu)
+        assert type(got) is Fraction and (got != 0) == (s in m.system.roots), (mu, nu)
+        if not any(s):
+            assert all(type(c) is Fraction for c in real.cartan_coefficients(mu))
+
+
+@pytest.mark.parametrize("name", ["A3", "C3"])
+def test_bracket_table_check_sees_one_perturbed_entry(name):
+    m = _cuspidal(name)
+    mu, nu = m.system.simple_root(1), m.system.simple_root(2)
+    m.realization._nconst[mu, nu] = m.realization.structure_constant(mu, nu) + 1
+    assert {f[:2] for f in _table_failures(m)} == {(mu, nu)}
+    m = _cuspidal(name)
+    e = m.system.simple_root(3)
+    c = list(m.realization.cartan_coefficients(e))
+    c[0] += 1
+    m.realization._cartan_coeffs[e] = tuple(c)
+    assert {f[:2] for f in _table_failures(m)} == {(e, neg_root(e))}
+
+
+@pytest.mark.parametrize("name", ["A3", "C3"])
+def test_bracket_nonzero_iff_root_sum(name):
+    # read from the module action alone, without the bracket table
+    m = _cuspidal(name)
+    rs, keys = m.system, _keys(m)
+    for a, b in product(rs.roots, repeat=2):
+        s = add_roots(a, b)
+        nonzero = any(_commutator(m, a, b, k) for k in keys)
+        assert nonzero == (s in rs.roots or not any(s)), (a, b)
+
+
+def _table_bracket(real, x, y):
+    """[x, y] of basis elements ("X", root) and ("H", i) as {element: value},
+    read from the bracket table: N(mu, nu), [H_i, X_r] = coroot_values(r)_i X_r
+    and [X_nu, X_-nu] = sum_i cartan_coefficients(nu)_i H_i."""
+    (kx, x), (ky, y) = x, y
+    if kx == ky == "H":
+        return {}
+    if kx == "H":
+        v = real.system.coroot_values(y)[x - 1]
+        return {("X", y): v} if v else {}
+    if ky == "H":
+        return {z: -v for z, v in _table_bracket(real, ("H", y), ("X", x)).items()}
+    s = add_roots(x, y)
+    if not any(s):
+        return {("H", i): c for i, c in enumerate(real.cartan_coefficients(x), 1) if c}
+    n = real.structure_constant(x, y)
+    return {("X", s): n} if n else {}
+
+
+def _lie_failures(real, triples):
+    """Ordered pairs of basis elements whose brackets break antisymmetry, then
+    triples that break the Jacobi identity, of the table's bracket."""
+    rs = real.system
+    elems = [("X", r) for r in rs.ordered_roots] + [("H", i) for i in range(1, rs.rank + 1)]
+    for x, y in product(elems, repeat=2):
+        if _table_bracket(real, x, y) != {z: -v for z, v in _table_bracket(real, y, x).items()}:
+            yield x, y
+    for x, y, z in triples(elems):
+        jacobi = {}
+        for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
+            for w, v in _table_bracket(real, b, c).items():
+                for u, t in _table_bracket(real, a, w).items():
+                    sparse_add(jacobi, u, v * t)
+        if jacobi:
+            yield x, y, z
+
+
+def _triples(elems):
+    """All triples at rank <= 2 (at most ten elements), 400 seeded ones above."""
+    if len(elems) <= 10:
+        return list(product(elems, repeat=3))
+    rng = random.Random(3)
+    return [tuple(rng.sample(elems, 3)) for _ in range(400)]
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4", "C2", "C3", "C4"])
+def test_antisymmetry_and_jacobi(name):
+    real = build_root_system(name).realization
+    assert next(_lie_failures(real, _triples), None) is None
+
+
+@pytest.mark.parametrize("name", ["A2", "C2"])
+def test_jacobi_sees_one_perturbed_structure_constant(name):
     rs = build_root_system(name)
     real = rs.realization
-    coroots = [real.coroot(i).terms for i in range(1, rs.rank + 1)]
-    for mu, nu in product(rs.ordered_roots, repeat=2):
-        s = tuple(x + y for x, y in zip(mu, nu))
-        br = real.bracket(real.root_vector(mu), real.root_vector(nu))
-        want = br.proportional_to(real.root_vector(s)) if s in rs.roots else 0
-        got = real.structure_constant(mu, nu)
-        assert type(got) is Fraction and got == want, (mu, nu)
-        if not any(s):
-            got = real.cartan_coefficients(mu)
-            assert all(type(c) is Fraction for c in got)
-            assert list(got) == linalg.in_span(br.terms, coroots), mu
+    mu, nu = rs.simple_root(1), rs.simple_root(2)
+    n = real.structure_constant(mu, nu)
+    real._nconst[mu, nu] = 2 * n
+    # one entry alone breaks antisymmetry
+    x, y = ("X", mu), ("X", nu)
+    assert {f for f in _lie_failures(real, _triples) if len(f) == 2} == {(x, y), (y, x)}
+    # with N(nu, mu) doubled as well, Jacobi over all triples still sees it
+    real._nconst[nu, mu] = -2 * n
+    failures = list(_lie_failures(real, _triples))
+    assert failures and all(len(f) == 3 for f in failures)
 
 
 def _q_to_p(qe, pe, num):
@@ -195,7 +304,6 @@ def test_classify_subset_examples():
 def test_classify_subset_brute_force_agreement():
     rs = build_root_system("C2")
     roots = sorted(rs.roots)
-    import random
     rng = random.Random(5)
     for _ in range(40):
         members = frozenset(r for r in roots if rng.random() < 0.4)

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weightcat.weylmod import (WeylParams, WeylPolynomial, act_monomial, check_weyl_relations,
-                               format_rational, lattice_window, parse_rational, sparse_add,
-                               transitivity_probe, weyl_act)
+from weightcat.weylmod import (WeylParams, act_monomial, check_weyl_relations, format_rational,
+                               lattice_window, parse_rational, sparse_add, transitivity_probe,
+                               weyl_act)
 
 
 def test_rational_io():
@@ -15,23 +15,6 @@ def test_rational_io():
     assert parse_rational("4") == F(4)
     assert format_rational(F(5, 1)) == "5"
     assert format_rational(F(-2, 6)) == "-1/3"
-
-
-def test_polynomial_defining_relations():
-    one = WeylPolynomial.constant(2, 1)
-    q1 = WeylPolynomial.monomial(2, (1, 0), (0, 0))
-    p1 = WeylPolynomial.monomial(2, (0, 0), (1, 0))
-    q2 = WeylPolynomial.monomial(2, (0, 1), (0, 0))
-    p2 = WeylPolynomial.monomial(2, (0, 0), (0, 1))
-    assert p1.commutator(q1) == one
-    assert p1.commutator(q2).is_zero()
-    assert q1.commutator(q2).is_zero()
-    # the rank-one quadratic pair brackets to a diagonal plus a constant
-    half_q2 = q1 * q1
-    half_p2 = p1 * p1
-    qp = WeylPolynomial.monomial(2, (1, 0), (1, 0))
-    got = half_q2.scale(F(1, 2)).commutator(half_p2.scale(F(-1, 2)))
-    assert got == qp + WeylPolynomial.constant(2, F(1, 2))
 
 
 def test_k_member_examples():
