@@ -230,7 +230,11 @@ class DegreeOneModule:
         return [k for k in self.window(radius) if not any(x for i, x in enumerate(k) if i not in free)]
 
     def degree_on_window(self, radius: int) -> int:
-        return max(Counter(map(self.weight_of, self.window(radius))).values(), default=1)
+        """Largest weight multiplicity on the window; an empty window raises ValueError."""
+        counts = Counter(map(self.weight_of, self.window(radius)))
+        if not counts:
+            raise ValueError("no basis vector to check: the window is empty")
+        return max(counts.values())
 
     def levi_orbit(self, k: Sequence[int], levi_simples: Optional[Iterable[int]] = None,
                    radius: int = 3) -> "OrbitReport":

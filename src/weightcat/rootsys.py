@@ -412,25 +412,28 @@ class Realization:
         den2 = den * den
         for mu, nu, s, n, h in self.root_pairs():
             nn, nd, tsum = n.numerator, n.denominator, act[s] if n else None
-            products = ((act[nu], act[mu], nd), (act[mu], act[nu], -nd))
+            # den N, an int unless N's denominator nd is not 1 (no realized type)
+            amu, anu, ns = act[mu], act[nu], nn * den if nd == 1 else n * den
             hn, hd = _over_lcm(h or ())
             for key in keys:
-                # den^2 nd (X_mu X_nu - X_nu X_mu - N X_s) x(key), with N = nn / nd
+                # den^2 (X_mu X_nu - X_nu X_mu - N X_s) x(key)
                 acc: Dict = {}
-                for a1, a2, sign in products:
-                    for k1, c1 in a1[key]:
-                        for k2, c2 in a2[k1]:
-                            acc[k2] = acc.get(k2, 0) + sign * c1 * c2
+                for k1, c1 in anu[key]:
+                    for k2, c2 in amu[k1]:
+                        acc[k2] = acc.get(k2, 0) + c1 * c2
+                for k1, c1 in amu[key]:
+                    for k2, c2 in anu[k1]:
+                        acc[k2] = acc.get(k2, 0) - c1 * c2
                 if nn:
                     for k1, c1 in tsum[key]:
-                        acc[k1] = acc.get(k1, 0) - nn * den * c1
+                        acc[k1] = acc.get(k1, 0) - ns * c1
                 elif h is not None:
                     # subtract den^2 h.weight(key) = den^2 (hn.wn) / (hd wd)
                     wn, wd = weights[key]
                     v = acc.get(key, 0) * hd * wd - den2 * sum(map(mul, hn, wn))
                     acc[key] = Fraction(v, hd * wd) if v else 0
                 if any(acc.values()):
-                    yield mu, nu, key, {k: Fraction(v, den2 * nd) for k, v in acc.items() if v}
+                    yield mu, nu, key, {k: Fraction(v, den2) for k, v in acc.items() if v}
 
 
 # ---------------------------------------------------------------------------

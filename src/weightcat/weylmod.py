@@ -189,28 +189,39 @@ def _bracket_is(ab: tuple, ba: tuple, k: Tuple[int, ...], want: int) -> bool:
 
 
 def check_weyl_relations(params: WeylParams, radius: int) -> List[str]:
-    """Exhaustively verify the defining relations on the window; returns violations."""
+    """Exhaustively verify the defining relations on the window; returns violations.
+
+    A two-letter walk reads and moves only its letters' coordinates, so each
+    relation on coordinates i, j is decided once per pair (k_i, k_j) of the full
+    product `window_ranges`, at the window vector that is 0 elsewhere; the window
+    is walked only to list violations.  Of two faulty steps, either may raise first.
+    """
     if radius < 0:  # the window would be empty; for radius >= 0 it holds k = 0
         raise ValueError(f"radius must be >= 0, got {radius}")
+    n, ranges = params.n, params.window_ranges(radius)
+    # in the order listed at each k; [x_j, x_i] = -[x_i, x_j], so commuting i < j
+    relations = [rel for i in range(n) for rel in
+                 [((kind, i), (kind, j), 0) for j in range(i + 1, n) for kind in "qp"]
+                 + [(("p", i), ("q", j), int(i == j)) for j in range(n)]]
+    failed = set()
+    for r, (g, h, want) in enumerate(relations):
+        i, j = g[1], h[1]
+        for ki, kj in zip(ranges[i], ranges[i]) if i == j else product(ranges[i], ranges[j]):
+            k = tuple(ki if m == i else kj if m == j else 0 for m in range(n))
+            if not _bracket_is(params._walk((g, h), k), params._walk((h, g), k), k, want):
+                failed.add((r, ki, kj))
+    if not failed:
+        return []
     violations: List[str] = []
-    n = params.n
     for k in lattice_window(params, radius):
-        for i in range(n):
-            # [x_i, x_i] = 0 identically and [x_j, x_i] = -[x_i, x_j], so
-            # the commuting relations are checked once per pair i < j
-            for j in range(i + 1, n):
-                for kind in "qp":
-                    g, h = (kind, i), (kind, j)
-                    if not _bracket_is(params._walk((g, h), k), params._walk((h, g), k), k, 0):
-                        violations.append(f"[{kind}{i + 1},{kind}{j + 1}] != 0 at {k}")
-            for j in range(n):
-                g, h = ("p", i), ("q", j)
-                ab, ba = params._walk((g, h), k), params._walk((h, g), k)
-                if not _bracket_is(ab, ba, k, int(i == j)):
-                    got: Dict[Tuple[int, ...], Fraction] = {}
-                    for sign, (num, den, t) in ((1, ab), (-1, ba)):
-                        sparse_add(got, t, Fraction(sign * num, den))
-                    violations.append(f"[p{i + 1},q{j + 1}] wrong at {k}: {got}")
+        for r, (g, h, _) in enumerate(relations):
+            (kg, i), (kh, j) = g, h
+            if (r, k[i], k[j]) in failed:
+                got: Dict[Tuple[int, ...], Fraction] = {}
+                for sign, (num, den, t) in ((1, params._walk((g, h), k)), (-1, params._walk((h, g), k))):
+                    sparse_add(got, t, Fraction(sign * num, den))
+                violations.append(f"[{kg}{i + 1},{kh}{j + 1}] "
+                                  + (f"!= 0 at {k}" if kg == kh else f"wrong at {k}: {got}"))
     return violations
 
 

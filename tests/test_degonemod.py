@@ -244,6 +244,19 @@ def test_bracket_defects_reject_an_empty_window():
         next(m.bracket_defects(-1))
 
 
+@pytest.mark.parametrize("build,params", [
+    (build_N, ["-1", "1/2", "1/3", "0"]),
+    (build_M, ["-1", "1/4"]),
+])
+def test_degree_on_window_rejects_an_empty_window(build, params):
+    # "degree one" on no vector at all would be a pass that never ran
+    m = build(params)
+    assert m.window(-1) == []
+    with pytest.raises(ValueError, match="window is empty"):
+        m.degree_on_window(-1)
+    assert m.degree_on_window(0) == 1
+
+
 def test_bracket_defects_find_a_corrupted_weight():
     m = build_N(["-1", "1/2", "1/3", "0"])
     key = (-1, 1, 0, 0)

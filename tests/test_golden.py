@@ -2,8 +2,9 @@
 
 The first digests were recorded before elimination was made
 row-incremental, the lab, rank-one ext and coboundary-witness pins before
-the lab scripts got one entry point; any change to the arithmetic that
-moves a single byte of these outputs fails here.
+the lab scripts got one entry point, and the rank-4 `verify` pins before
+the bracket check's two products were written as two loops; any change to
+the arithmetic that moves a single byte of these outputs fails here.
 """
 import hashlib
 import random
@@ -60,6 +61,10 @@ GOLDEN_RUNS = {
         "abdeef807bd5f1ea2c8ae0df4224bd2dfdcc5ebdbaa80ef88a7d13a1a0926986",
     "ext --module M --a -1,-1,1/4 --B 5":
         "a9d49c668089dada331eeaf51bfa514ac84e5e2662a3292e537d2f3783896c3d",
+    "verify --module M --a -1,-1,-1,2/5 --B 2":
+        "9965f9a66ae1bfe7ad121715d00eac301ecc1a42b4b4cd8de28288532ea29971",
+    "verify --module N --a -1,-1,1/5,2/5,0 --B 2":
+        "adfac591f9660fba7f3387d9daf83feb824f54c7cd337e78ac4e398addca66cf",
 }
 
 

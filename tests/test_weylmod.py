@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weightcat.weylmod import (WeylParams, act_monomial, check_weyl_relations, format_rational,
-                               lattice_window, parse_rational, sparse_add, transitivity_probe,
-                               weyl_act)
+from weightcat.weylmod import (WeylAuditError, WeylParams, act_monomial, check_weyl_relations,
+                               format_rational, lattice_window, parse_rational, sparse_add,
+                               transitivity_probe, weyl_act)
 
 
 def test_rational_io():
@@ -92,6 +92,83 @@ def test_relation_check_sees_a_corrupted_step(monkeypatch):
     assert check_weyl_relations(params, 1) == [
         f"[p2,q2] wrong at {k}: {{{(k[0], k[1] + 1)}: Fraction(1, 1)}}"
         for k in lattice_window(params, 1)]
+
+
+def _oracle_relations(params, a, radius):
+    """The relation check as a scan: every admissible k of the cube, in order,
+    every relation at k from two walks, in Fractions."""
+    n, out = len(a), []
+
+    def bracket(g, h, k):
+        got = {}
+        for sign, (num, den, t) in ((1, params._walk((g, h), k)), (-1, params._walk((h, g), k))):
+            if num:
+                got[t] = got.get(t, 0) + sign * F(num, den)
+                if not got[t]:
+                    del got[t]
+        return got
+
+    for k in product(range(-radius, radius + 1), repeat=n):
+        if not _oracle_admissible(a, k):
+            continue
+        for i in range(n):
+            for j in range(i + 1, n):
+                for kind in "qp":
+                    if bracket((kind, i), (kind, j), k):
+                        out.append(f"[{kind}{i + 1},{kind}{j + 1}] != 0 at {k}")
+            for j in range(n):
+                got = bracket(("p", i), ("q", j), k)
+                if got != ({k: 1} if i == j else {}):
+                    out.append(f"[p{i + 1},q{j + 1}] wrong at {k}: {got}")
+    return out
+
+
+def test_relation_check_lists_every_violation_on_three_and_four_coordinates(monkeypatch):
+    # with three or four coordinates a value pair (k_i, k_j) recurs at many
+    # window vectors; each of them must be listed, in window order
+    step, walk = WeylParams._step, WeylParams._walk
+    params = WeylParams.of(["1/3", "-1", "0"])
+    monkeypatch.setattr(WeylParams, "_step", lambda self, kind, i, ki: (
+        (2, 1, ki - 1) if (kind, i, ki) == ("p", 2, 1) else step(self, kind, i, ki)))
+    got = check_weyl_relations(params, 2)
+    assert len(got) == 30 and {v[:7] for v in got} == {"[p3,q3]"}
+    assert got == _oracle_relations(params, params.a, 2)
+
+    params = WeylParams.of(["-2", "2/5", "1", "-1"])
+    monkeypatch.setattr(WeylParams, "_step", lambda self, kind, i, ki: (
+        step(self, kind, i, ki)[:2] + (1,) if (kind, i, ki) == ("q", 1, -1) else step(self, kind, i, ki)))
+    got = check_weyl_relations(params, 1)
+    assert len(got) == 36 and {v[:7] for v in got} == {"[p2,q2]"}
+    assert got == _oracle_relations(params, params.a, 1)
+
+    # a pure step corruption cannot break a relation on two coordinates, so
+    # skew two two-letter walks, each by the value of one of its coordinates
+    monkeypatch.setattr(WeylParams, "_step", step)
+
+    def skewed(self, word, k):
+        num, den, t = walk(self, word, k)
+        if (tuple(word), k[0]) in {((("q", 0), ("q", 2)), 0), ((("p", 1), ("q", 0)), -1)}:
+            num *= 2
+        return num, den, t
+
+    monkeypatch.setattr(WeylParams, "_walk", skewed)
+    params = WeylParams.of(["1/2", "-1", "1/5"])
+    got = check_weyl_relations(params, 1)
+    assert {v[:7] for v in got} == {"[q1,q3]", "[p2,q1]"}
+    assert got == _oracle_relations(params, params.a, 1)
+
+
+def test_relation_check_raises_the_audit_error_of_one_corrupted_move():
+    # q_2 on a_2 = -1 must vanish at k_2 = 0; with a_2's numerator read as -2
+    # it moves x(k) out of the index set there.  The relations are decided
+    # one at a time, not one window vector at a time: only with two faulty
+    # moves could another one raise first.
+    params = WeylParams.of(["1/3", "-1", "0"])
+    object.__setattr__(params, "_num", (1, -2, 0))
+    for check in (check_weyl_relations, lambda p, r: _oracle_relations(p, p.a, r)):
+        with pytest.raises(WeylAuditError) as err:
+            check(params, 2)
+        assert str(err.value) == "q_2 moves k_2 to 1, outside the index set, with coefficient -1"
 
 
 def test_monomial_action_composes():
@@ -200,3 +277,30 @@ def test_sparse_add_keeps_the_value_type():
         sparse_add(fracs, key, F(c, 3))
     assert ints == {"b": 7} and type(ints["b"]) is int
     assert fracs == {"b": F(7, 3)} and type(fracs["b"]) is F
+
+
+@st.composite
+def _two_letter_cases(draw):
+    a = tuple(draw(st.lists(_parameters, min_size=2, max_size=4)))
+    n = len(a)
+    k, other = ([draw(st.sampled_from([x for x in range(-3, 4) if _oracle_admissible((ai,), (x,))]))
+                 for ai in a] for _ in "ko")
+    word = tuple((draw(st.sampled_from("qp")), draw(st.integers(0, n - 1))) for _ in "gh")
+    return a, word, tuple(k), tuple(other)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_two_letter_cases())
+def test_two_letter_walk_reads_and_moves_only_its_coordinates(case):
+    # the premise of deciding each relation once per value pair (k_i, k_j)
+    a, word, k, other = case
+    params = WeylParams(a)
+    coords = {i for _, i in word}
+    mixed = tuple(x if m in coords else y for m, (x, y) in enumerate(zip(k, other)))
+    (num, den, t), (num2, den2, t2) = params._walk(word, k), params._walk(word, mixed)
+    assert (num, den) == (num2, den2)
+    for m in range(len(a)):
+        if m in coords:
+            assert t[m] == t2[m]
+        else:
+            assert (t[m], t2[m]) == (k[m], other[m])
