@@ -120,7 +120,7 @@ def _identity(source: DegreeOneModule, target: DegreeOneModule, cval: Callable,
     """The (den, rows) of `cocycle_identities` for one root pair at x(k), or None."""
     mu, nu, s, n, _ = pair
     # (value, factor numerator, factor denominator, root then acting on the target)
-    terms = [(cval(s, k), n.numerator, n.denominator, None)] if n else []
+    terms = [(cval(s, k), n, 1, None)] if n else []
     for a, b, sign in ((mu, nu, 1), (nu, mu, -1)):
         cm, k2 = source.act_root_num(b, k)
         if cm:
@@ -162,7 +162,7 @@ def cocycle_identity_violations(c: Cocycle, radius: int) -> List[str]:
 
     return [f"pair {mu},{nu} fails at {k}: "
             f"{ {t: {j: Fraction(v, ident[0]) for j, v in row.items()} for t, row in ident[1].items()} }"
-            for mu, nu, k, ident in cocycle_identities(M, N, cval, window, M.realization.root_pairs())
+            for mu, nu, k, ident in cocycle_identities(M, N, cval, window, M.realization.root_pairs)
             if ident and ident[1]]
 
 
@@ -261,7 +261,7 @@ def cocycle_space(source: DegreeOneModule, target: DegreeOneModule, radius: int)
 
     rows: List[Dict] = []
     for _, _, _, ident in cocycle_identities(source, target, cval, window,
-                                             system.realization.root_pairs()):
+                                             system.realization.root_pairs):
         if ident is not None:
             rows.extend(ident[1].values())
     basis = linalg.nullspace(rows, len(unknowns))
@@ -424,10 +424,10 @@ class _NormalFormAssembler:
         # the bracket [X_sigma, X_tau] = N X_root of a simple split
         self._splits = {r: self._split(r) for r in self.system.roots
                         if self.alpha_coordinate(r) and r not in (self.alpha, self.nalpha)}
-        self._values: Dict[Tuple[Root, Index], Tuple[int, Dict]] = {}
+        self._values: Dict[Tuple[Root, Index], Tuple[int, Dict]] = Lookup(self._value)
         a = self.alpha_coordinate
         # pairs with no alpha component anywhere give identically zero rows
-        self.pairs = [p for p in self.system.realization.root_pairs()
+        self.pairs = [p for p in self.system.realization.root_pairs
                       if a(p[0]) or a(p[1]) or (p[3] and a(p[2]))]
         self.window = module.window(radius)
         self.labelset = {self.label(k) for k in self.window}
@@ -442,7 +442,7 @@ class _NormalFormAssembler:
         idx = list(self.alpha).index(1)
         return root[idx]
 
-    def _split(self, root: Root) -> Tuple[Root, Root, Fraction]:
+    def _split(self, root: Root) -> Tuple[Root, Root, int]:
         """(sigma, tau, N): sigma = +-(a simple root), sigma + tau = root."""
         positive = sum(root) > 0
         base = root if positive else neg_root(root)
@@ -459,25 +459,23 @@ class _NormalFormAssembler:
     def value(self, root: Root, k: Index) -> Tuple[int, Dict[Index, Dict[Index, int]]]:
         """c(X_root) x(k) under the normal form, as (den, {target index: {label: numerator}})
         in lowest terms over a positive denominator."""
-        out = self._values.get((root, k))
-        if out is None:
-            if root == self.alpha:
-                k2 = tuple(a + d for a, d in zip(k, self.delta))
-                num, back = self.module.act_root_num(self.nalpha, k2)
-                if num == 0 or back != k:
-                    raise CertificationError(f"lowering operator not invertible at {k}")
-                # the inverse of the coefficient num / scale
-                out = _lowest(num, {k2: {self.label(k): self.module.scale}})
-            elif root in self._splits:
-                # the cocycle identity on (sigma, tau) without its N c(X_root) term, over -N
-                sigma, tau, n = self._splits[root]
-                den, rest = _identity(self.module, self.module, self.value, (sigma, tau, root, 0, None), k)
-                out = _lowest(-den * n.numerator,
-                              {t: {l: v * n.denominator for l, v in row.items()} for t, row in rest.items()})
-            else:
-                return 1, {}
-            self._values[root, k] = out
-        return out
+        if root == self.alpha or root in self._splits:
+            return self._values[root, k]
+        return 1, {}
+
+    def _value(self, key: Tuple[Root, Index]) -> Tuple[int, Dict[Index, Dict[Index, int]]]:
+        root, k = key
+        if root == self.alpha:
+            k2 = tuple(a + d for a, d in zip(k, self.delta))
+            num, back = self.module.act_root_num(self.nalpha, k2)
+            if num == 0 or back != k:
+                raise CertificationError(f"lowering operator not invertible at {k}")
+            # the inverse of the coefficient num / scale
+            return _lowest(num, {k2: {self.label(k): self.module.scale}})
+        # the cocycle identity on (sigma, tau) without its N c(X_root) term, over -N
+        sigma, tau, n = self._splits[root]
+        den, rest = _identity(self.module, self.module, self.value, (sigma, tau, root, 0, None), k)
+        return _lowest(-den * n, rest)
 
 
 def _lowest(den: int, rows: Dict[Index, Dict]) -> Tuple[int, Dict[Index, Dict]]:

@@ -154,16 +154,14 @@ class LeviModule:
 def levi_module(system: RootSystem, block: Sequence[int], inner: DegreeOneModule,
                 central: Optional[Dict[int, Fraction]] = None) -> LeviModule:
     """Levi module on one connected block."""
-    return LeviModule(system, [(tuple(block), inner)],
-                      {k: Fraction(v) for k, v in (central or {}).items()})
+    return LeviModule(system, [(tuple(block), inner)], central or {})
 
 
 def levi_module_product(system: RootSystem,
                         components: Sequence[Tuple[Sequence[int], DegreeOneModule]],
                         central: Optional[Dict[int, Fraction]] = None) -> LeviModule:
     """Levi module on several disjoint block components (tensor product)."""
-    return LeviModule(system, list(components),
-                      {k: Fraction(v) for k, v in (central or {}).items()})
+    return LeviModule(system, list(components), central or {})
 
 
 def restrict_family(module: DegreeOneModule) -> LeviModule:
@@ -197,17 +195,17 @@ class TruncatedVerma:
         self.system = C.system
         self.real = self.system.realization
         self.levi_roots: FrozenSet[Root] = self.system.span_closure(C.block)
-        self.ideal_pos: List[Root] = [r for r in self.system.positive if r not in self.levi_roots]
-        self.ideal_pos_set = frozenset(self.ideal_pos)
-        self.nminus: List[Root] = [neg_root(r) for r in self.ideal_pos]
+        self.ideal_pos: Tuple[Root, ...] = tuple(r for r in self.system.positive if r not in self.levi_roots)
+        self.nminus: Tuple[Root, ...] = tuple(neg_root(r) for r in self.ideal_pos)
         self._order = {r: i for i, r in enumerate(self.nminus)}
         self.nminus_set = frozenset(self.nminus)
         # one scale for the whole action: every memo value is an integer over it
         self.scale = math.lcm(C.scale, *(x.denominator for x in C.lam0))
-        self._act_memo: Dict[Tuple[Root, Monomial, Index], Dict[VectorKey, int]] = {}
-        self._kernel_cache: Dict[Tuple[Fraction, ...], Tuple[List, List[int], List[VectorKey]]] = {}
+        self._act: Dict[Tuple[Root, Monomial, Index], Dict[VectorKey, int]] = Lookup(self._act_basis)
+        self._kernels: Dict[Tuple[Fraction, ...], Tuple[List, List[int], List[VectorKey]]] = \
+            Lookup(self._kernel)
         self._off_block = [j for j in range(self.system.rank) if j + 1 not in C.block]
-        self._buckets: Dict[tuple, Dict[Root, List[Monomial]]] = {}
+        self._buckets: Dict[tuple, Dict[Root, List[Monomial]]] = Lookup(self._bucket)
 
     # -- constructors ------------------------------------------------------------
     def one_tensor(self, t: Optional[Index] = None, coeff: Fraction = Fraction(1)) -> InducedVector:
@@ -266,26 +264,24 @@ class TruncatedVerma:
     def _act_word_num(self, word: Sequence[Root], vec: Dict[VectorKey, int]) -> Dict[VectorKey, int]:
         """A product of root vectors, rightmost first, on an integer vector; each
         root multiplies the vector's scale by `scale`."""
-        act = self._act_basis
+        act = self._act
         for root in reversed(word):
             out: Dict[VectorKey, int] = {}
             for (mono, t), c in vec.items():
-                for key, c2 in act(root, mono, t).items():
+                for key, c2 in act[root, mono, t].items():
                     sparse_add(out, key, c * c2)
             if not out:
                 return out
             vec = out
         return vec
 
-    def _act_basis(self, root: Root, mono: Monomial, t: Index) -> Dict[VectorKey, int]:
-        """X_root (mono (x) x(t)) as integers over `scale`: each term carries at most
-        one Levi or Cartan factor, and structure constants and Cartan coefficients
-        are integers on A/C, so a product of two memo values divides by the scale."""
-        key = (root, mono, t)
-        hit = self._act_memo.get(key)
-        if hit is not None:
-            return hit
-        scale = self.scale
+    def _act_basis(self, key: Tuple[Root, Monomial, Index]) -> Dict[VectorKey, int]:
+        """X_root (mono (x) x(t)) for key (root, mono, t), as integers over `scale`:
+        each term carries at most one Levi or Cartan factor, and structure constants
+        and Cartan coefficients are integers, so a product of two memo values
+        divides by the scale."""
+        root, mono, t = key
+        act, scale = self._act, self.scale
         out: Dict[VectorKey, int] = {}
         if not mono:
             if root in self.levi_roots:
@@ -305,46 +301,42 @@ class TruncatedVerma:
             else:
                 rest = mono[1:]
                 # X_root X_gamma = X_gamma X_root + [X_root, X_gamma]
-                for key2, c2 in self._act_basis(root, rest, t).items():
-                    for key3, c3 in self._act_basis(gamma, key2[0], key2[1]).items():
+                for (mono2, t2), c2 in act[root, rest, t].items():
+                    for key3, c3 in act[gamma, mono2, t2].items():
                         sparse_add(out, key3, _integral(c2 * c3, scale))
                 s = add_roots(root, gamma)
                 if s in self.system.roots:
-                    n = _integral(self.real.structure_constant(root, gamma))
-                    if n:
-                        for key2, c2 in self._act_basis(s, rest, t).items():
-                            sparse_add(out, key2, n * c2)
+                    n = self.real.structure_constant(root, gamma)
+                    for key2, c2 in act[s, rest, t].items():
+                        sparse_add(out, key2, n * c2)
                 elif not any(s):
                     coeffs = self.real.cartan_coefficients(root)
                     for key2, c2 in self.act_coroot_combo(coeffs, {(rest, t): scale}).items():
                         sparse_add(out, key2, _integral(c2))
-        self._act_memo[key] = out
         return out
 
     # -- weight spaces and kernels -------------------------------------------------
-    def _bucket(self, roots: Sequence[Root], off: Tuple[int, ...], cap: int) -> Dict[Root, List[Monomial]]:
-        """PBW monomials over one nilradical's roots, up to cap factors, whose
-        total root has the given coordinates off the Levi block, grouped by
-        total root."""
-        key = (tuple(roots), off, cap)
-        hit = self._buckets.get(key)
-        if hit is None:
-            hit = self._buckets[key] = {}
-            bounds = [(j, min(0, o), max(0, o)) for j, o in zip(self._off_block, off)]
+    def _bucket(self, key: Tuple[Tuple[Root, ...], Tuple[int, ...], int]) -> Dict[Root, List[Monomial]]:
+        """For key (roots, off, cap): PBW monomials over one nilradical's roots, up
+        to cap factors, whose total root has the coordinates `off` off the Levi
+        block, grouped by total root."""
+        roots, off, cap = key
+        out: Dict[Root, List[Monomial]] = {}
+        bounds = [(j, min(0, o), max(0, o)) for j, o in zip(self._off_block, off)]
 
-            def rec(start: int, mono: Monomial, total: Root):
-                # a nilradical's roots have off-block coordinates of one sign, not all
-                # zero, so totals only move away from 0: stop at the target
-                if all(total[j] == o for j, o in zip(self._off_block, off)):
-                    hit.setdefault(total, []).append(mono)
-                elif len(mono) < cap:
-                    for i in range(start, len(roots)):
-                        nxt = add_roots(total, roots[i])
-                        if all(lo <= nxt[j] <= hi for j, lo, hi in bounds):
-                            rec(i, mono + (roots[i],), nxt)
+        def rec(start: int, mono: Monomial, total: Root):
+            # a nilradical's roots have off-block coordinates of one sign, not all
+            # zero, so totals only move away from 0: stop at the target
+            if all(total[j] == o for j, o in zip(self._off_block, off)):
+                out.setdefault(total, []).append(mono)
+            elif len(mono) < cap:
+                for i in range(start, len(roots)):
+                    nxt = add_roots(total, roots[i])
+                    if all(lo <= nxt[j] <= hi for j, lo, hi in bounds):
+                        rec(i, mono + (roots[i],), nxt)
 
-            rec(0, (), (0,) * self.system.rank)
-        return hit
+        rec(0, (), (0,) * self.system.rank)
+        return out
 
     def weight_space(self, mu: Sequence[Fraction]) -> List[VectorKey]:
         mu = tuple(Fraction(x) for x in mu)
@@ -354,7 +346,7 @@ class TruncatedVerma:
         off = [x[j] for j in self._off_block]
         basis: List[VectorKey] = []
         if all(o.denominator == 1 for o in off):
-            for total, monos in self._bucket(self.nminus, tuple(map(int, off)), self.depth).items():
+            for total, monos in self._buckets[self.nminus, tuple(map(int, off)), self.depth].items():
                 t = self.C.index_of_displacement([a - b for a, b in zip(x, total)])
                 if t is not None:
                     basis.extend((mono, t) for mono in monos)
@@ -362,7 +354,8 @@ class TruncatedVerma:
         return basis
 
     def kernel_data(self, mu: Sequence[Fraction]):
-        """RREF of the maximal-submodule subspace of the mu weight space.
+        """RREF of the maximal-submodule subspace of the mu weight space, computed
+        once per weight.
 
         Returns (rref rows, pivot columns, basis keys).  The kernel is the
         set of vectors all of whose images under positive nilradical
@@ -372,16 +365,15 @@ class TruncatedVerma:
         mu - lam0 negated, and the words of those totals are every
         functional that can be nonzero.
         """
-        mu = tuple(Fraction(x) for x in mu)
-        hit = self._kernel_cache.get(mu)
-        if hit is not None:
-            return hit
+        return self._kernels[tuple(Fraction(x) for x in mu)]
+
+    def _kernel(self, mu: Tuple[Fraction, ...]):
         basis = self.weight_space(mu)
         rows: List[Dict[int, Fraction]] = []
         if basis:
             x = self.system.root_coordinates([m - l for m, l in zip(mu, self.C.lam0)])
             off = tuple(-int(x[j]) for j in self._off_block)
-            for nu, words in self._bucket(self.ideal_pos, off, sum(off)).items():
+            for nu, words in self._buckets[self.ideal_pos, off, sum(off)].items():
                 t = self.C.index_of_displacement([a + b for a, b in zip(x, nu)])
                 if t is None:
                     continue
@@ -392,9 +384,7 @@ class TruncatedVerma:
                     if row:
                         rows.append(row)
         rref_rows, pivots = linalg.rref(linalg.nullspace(rows, len(basis)), len(basis))
-        res = (rref_rows, pivots, basis)
-        self._kernel_cache[mu] = res
-        return res
+        return rref_rows, pivots, basis
 
     # -- quotient ----------------------------------------------------------------
     def project(self, vec: InducedVector) -> InducedVector:
@@ -486,40 +476,27 @@ def _zero_weight_words(system: RootSystem, max_len: int) -> List[Tuple[Root, ...
     return [tuple(roots[i] for i in word) for word in sorted(words)]
 
 
-def _weight_and_scalar(handle, base):
-    """The weight of a base vector, and the function giving the scalar by which
-    a zero-weight word acts on it: base is an index of a DegreeOneModule or a
-    vector of a TruncatedVerma, taken in the simple quotient."""
-    if isinstance(handle, DegreeOneModule):
-        base = tuple(base)
-
-        def scalar(word) -> Fraction:
-            coeff, target = handle.act_word(word, base)
-            if coeff and target != base:
-                raise NonScalarActionError(f"word {word} did not return to the base vector")
-            return coeff
-        return handle.weight_of(base), scalar
-    if isinstance(handle, TruncatedVerma):
-        pbase = handle.project(base)
-        if not pbase:
-            raise ValueError("base vector is zero in the quotient")
-
-        def scalar(word) -> Fraction:
-            image = handle.act_word(word, pbase)
-            t = _ratio(handle.project(image), pbase) if image else Fraction(0)
-            if t is None:
-                raise NonScalarActionError(f"word {word} acted non-scalarly on the quotient vector")
-            return t
-        return handle.weight_of(pbase), scalar
-    raise TypeError(f"unsupported handle {type(handle)!r}")
-
-
-def u0_compare(handle1, v1, handle2, v2, depth: int = 4) -> bool:
-    """Equality of all zero-weight monomial scalars (and weights) on two vectors."""
-    w1, s1 = _weight_and_scalar(handle1, v1)
-    w2, s2 = _weight_and_scalar(handle2, v2)
-    return w1 == w2 and all(s1(word) == s2(word)
-                            for word in _zero_weight_words(handle1.system, depth))
+def u0_compare(verma: TruncatedVerma, v: InducedVector, module: DegreeOneModule, k: Index,
+               depth: int = 4) -> bool:
+    """Equality of the weights, and of the scalar of every zero-weight word, on
+    v in the simple quotient of verma and on x(k) in module."""
+    pv = verma.project(v)
+    if not pv:
+        raise ValueError("base vector is zero in the quotient")
+    k = tuple(k)
+    if verma.weight_of(pv) != module.weight_of(k):
+        return False
+    for word in _zero_weight_words(verma.system, depth):
+        image = verma.act_word(word, pv)
+        t = _ratio(verma.project(image), pv) if image else Fraction(0)
+        if t is None:
+            raise NonScalarActionError(f"word {word} acted non-scalarly on the quotient vector")
+        coeff, target = module.act_word(word, k)
+        if coeff and target != k:
+            raise NonScalarActionError(f"word {word} did not return to the base vector")
+        if t != coeff:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -607,7 +584,7 @@ def probe_restriction_failure(C: LeviModule, depth: int = 3) -> ProbeReport:
         c0, t0 = C.act_root(neg_root(cand.alpha), base)
         span_vectors: List[InducedVector] = []
         off = tuple(cand.chain_weight[j] for j in verma._off_block)
-        for word in verma._bucket(verma.ideal_pos, off, sum(off))[cand.chain_weight]:
+        for word in verma._buckets[verma.ideal_pos, off, sum(off)][cand.chain_weight]:
             pv = verma.project(verma.monomial_tensor([neg_root(r) for r in word], t0, c0))
             if pv:
                 span_vectors.append(pv)

@@ -27,7 +27,7 @@ from . import linalg
 from .weylmod import Lookup
 
 Root = Tuple[int, ...]
-RootPair = Tuple[Root, Root, Root, Fraction, Optional[Tuple[Fraction, ...]]]
+RootPair = Tuple[Root, Root, Root, int, Optional[Tuple[int, ...]]]
 
 _RANK_BOUNDS = {
     "A": (1, None),
@@ -290,9 +290,8 @@ class Realization:
         self._coroots2 = [{(i, N + i): 2, (i + 1, N + i + 1): -2} if fam == "A" or i < n - 1
                           else {(i, N + i): 2, (): 1} for i in range(n)]
         self._simple_norms = [sum(x * x for x in self.epsilon_vector(e)) for e in system.simple]
-        self._nconst: Dict[Tuple[Root, Root], Fraction] = Lookup(self._structure_constant)
-        self._cartan_coeffs: Dict[Root, Tuple[Fraction, ...]] = Lookup(self._cartan_coefficients)
-        self._pairs: Optional[List[RootPair]] = None
+        self._nconst: Dict[Tuple[Root, Root], int] = Lookup(self._structure_constant)
+        self._cartan_coeffs: Dict[Root, Tuple[int, ...]] = Lookup(self._cartan_coefficients)
 
     # -- epsilon coordinates -------------------------------------------------
     def epsilon_vector(self, root: Root) -> Tuple[int, ...]:
@@ -336,12 +335,12 @@ class Realization:
                     out[()] = out.get((), 0) + sign
         return {key: v for key, v in out.items() if v}
 
-    def structure_constant(self, mu: Root, nu: Root) -> Fraction:
-        """N with [X_mu, X_nu] = N * X_{mu+nu}, nonzero when mu+nu is a root and
-        zero when it is not."""
+    def structure_constant(self, mu: Root, nu: Root) -> int:
+        """The integer N with [X_mu, X_nu] = N * X_{mu+nu}, nonzero when mu+nu is a
+        root and zero when it is not."""
         return self._nconst[tuple(mu), tuple(nu)]
 
-    def _structure_constant(self, pair: Tuple[Root, Root]) -> Fraction:
+    def _structure_constant(self, pair: Tuple[Root, Root]) -> int:
         mu, nu = pair
         s = add_roots(mu, nu)
         br = self._contract(mu, nu)
@@ -349,18 +348,19 @@ class Realization:
             # 4 [X_mu, X_nu] = 4 N X_s = 2 N num q^qexp p^pexp, and N != 0
             qe, pe, num = self.monomial(s)
             v = br.pop(_letters(qe, pe), 0)
-            if br or not v:
-                raise AssertionError(f"bracket of {mu},{nu} not a nonzero multiple of X_{s}")
-            return Fraction(v, 2 * num)
+            n, r = divmod(v, 2 * num)
+            if br or not v or r:
+                raise AssertionError(f"bracket of {mu},{nu} not a nonzero integer multiple of X_{s}")
+            return n
         if br and any(s):
             raise AssertionError(f"bracket of {mu},{nu} nonzero but {s} is not a root")
-        return Fraction(0)
+        return 0
 
-    def cartan_coefficients(self, nu: Root) -> Tuple[Fraction, ...]:
-        """Coefficients c with [X_nu, X_{-nu}] = sum_i c_i H_{e_i}."""
+    def cartan_coefficients(self, nu: Root) -> Tuple[int, ...]:
+        """The integers c with [X_nu, X_{-nu}] = sum_i c_i H_{e_i}."""
         return self._cartan_coeffs[tuple(nu)]
 
-    def _cartan_coefficients(self, nu: Root) -> Tuple[Fraction, ...]:
+    def _cartan_coefficients(self, nu: Root) -> Tuple[int, ...]:
         # the coroot coordinates c_i = nu_i |alpha_i|^2 / |nu|^2, checked in
         # integers: 4 |nu|^2 [X_nu, X_-nu] == 2 sum_i nu_i |alpha_i|^2 (2 H_{e_i})
         eps = self.epsilon_vector(nu)
@@ -372,26 +372,27 @@ class Realization:
         got = {key: norm * v for key, v in self._contract(nu, neg_root(nu)).items()}
         if got != {key: v for key, v in want.items() if v}:
             raise AssertionError(f"[X_{nu}, X_{neg_root(nu)}] is not the coroot of {nu}")
-        return tuple(Fraction(x * a2, norm) for x, a2 in zip(nu, self._simple_norms))
+        if any(x * a2 % norm for x, a2 in zip(nu, self._simple_norms)):
+            raise AssertionError(f"the coroot of {nu} has coordinates that are not integers")
+        return tuple(x * a2 // norm for x, a2 in zip(nu, self._simple_norms))
 
     # -- the bracket table ------------------------------------------------------
+    @cached_property
     def root_pairs(self) -> List[RootPair]:
         """Every root pair mu < nu in (height, root) order as (mu, nu, mu+nu, N, h).
 
         [X_mu, X_nu] = N X_{mu+nu}, with N = 0 when mu+nu is not a root, and
         h is None except for nu = -mu, where [X_mu, X_nu] = sum_i h_i H_{e_i}.
         """
-        if self._pairs is None:
-            roots = self.system.ordered_roots
-            pairs = []
-            for i, mu in enumerate(roots):
-                for nu in roots[i + 1:]:
-                    s = add_roots(mu, nu)
-                    n = self.structure_constant(mu, nu) if s in self.system.roots else Fraction(0)
-                    h = None if any(s) else self.cartan_coefficients(mu)
-                    pairs.append((mu, nu, s, n, h))
-            self._pairs = pairs
-        return self._pairs
+        roots = self.system.ordered_roots
+        pairs = []
+        for i, mu in enumerate(roots):
+            for nu in roots[i + 1:]:
+                s = add_roots(mu, nu)
+                n = self.structure_constant(mu, nu) if s in self.system.roots else 0
+                h = None if any(s) else self.cartan_coefficients(mu)
+                pairs.append((mu, nu, s, n, h))
+        return pairs
 
     def representation_defects(self, act: Mapping, weight: Callable, keys: Sequence,
                                den: int = 1) -> Iterator[Tuple[Root, Root, object, Dict]]:
@@ -402,7 +403,7 @@ class Realization:
         the values of the simple coroots H_{e_i} on x(key), so the Cartan
         element sum_i h_i H_{e_i} scales x(key) by sum_i h_i weight(key)_i; it
         is read once per key.  Yields (mu, nu, key, defect) for every pair of
-        root_pairs() and every key on which the nonzero {key: Fraction} defect
+        root_pairs and every key on which the nonzero {key: Fraction} defect
         is X_mu X_nu - X_nu X_mu - [X_mu, X_nu] on x(key).  No keys raise
         ValueError: a check that saw no vector certifies nothing.
         """
@@ -410,11 +411,8 @@ class Realization:
             raise ValueError("no basis vector to check: the window is empty")
         weights = Lookup(lambda key: _over_lcm(weight(key)))
         den2 = den * den
-        for mu, nu, s, n, h in self.root_pairs():
-            nn, nd, tsum = n.numerator, n.denominator, act[s] if n else None
-            # den N, an int unless N's denominator nd is not 1 (no realized type)
-            amu, anu, ns = act[mu], act[nu], nn * den if nd == 1 else n * den
-            hn, hd = _over_lcm(h or ())
+        for mu, nu, s, n, h in self.root_pairs:
+            amu, anu, tsum, ns = act[mu], act[nu], act[s] if n else None, n * den
             for key in keys:
                 # den^2 (X_mu X_nu - X_nu X_mu - N X_s) x(key)
                 acc: Dict = {}
@@ -424,14 +422,14 @@ class Realization:
                 for k1, c1 in amu[key]:
                     for k2, c2 in anu[k1]:
                         acc[k2] = acc.get(k2, 0) - c1 * c2
-                if nn:
+                if n:
                     for k1, c1 in tsum[key]:
                         acc[k1] = acc.get(k1, 0) - ns * c1
                 elif h is not None:
-                    # subtract den^2 h.weight(key) = den^2 (hn.wn) / (hd wd)
+                    # subtract den^2 h.weight(key) = den^2 (h.wn) / wd
                     wn, wd = weights[key]
-                    v = acc.get(key, 0) * hd * wd - den2 * sum(map(mul, hn, wn))
-                    acc[key] = Fraction(v, hd * wd) if v else 0
+                    v = acc.get(key, 0) * wd - den2 * sum(map(mul, h, wn))
+                    acc[key] = Fraction(v, wd) if v else 0
                 if any(acc.values()):
                     yield mu, nu, key, {k: Fraction(v, den2) for k, v in acc.items() if v}
 

@@ -154,7 +154,7 @@ def _full_normal_form(build, params, radius):
     col = {l: i for i, l in enumerate(labels)}
     rows = [{col[l]: v for l, v in row.items()}
             for _, _, _, (_, ident) in cocycle_identities(module, module, nf.value, nf.window,
-                                                     module.realization.root_pairs())
+                                                     module.realization.root_pairs)
             for row in ident.values() if all(l in col for l in row)]
     return nf, labels, linalg.nullspace(rows, len(labels))
 
@@ -313,7 +313,7 @@ def test_integer_identity_rows_match_a_fraction_oracle(source, target, scales):
         return den, {t: {col: v.numerator * den // v.denominator for col, v in row.items()}
                      for t, row in rows.items()}
 
-    pairs = {p[:2]: p for p in source.realization.root_pairs()}
+    pairs = {p[:2]: p for p in source.realization.root_pairs}
     nonzero = []
     for mu, nu, k, ident in cocycle_identities(source, target, integer, source.window(1),
                                                list(pairs.values())):

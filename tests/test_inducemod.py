@@ -4,12 +4,12 @@ from fractions import Fraction as F
 
 import pytest
 
-from weightcat import linalg
+from weightcat import inducemod, linalg
 from weightcat.degonemod import build_M, build_N
 from weightcat.inducemod import (DepthOverflowError, NonScalarActionError, central_scalars,
                                  induce, levi_module, levi_module_product,
                                  probe_restriction_failure, restrict_family, u0_compare,
-                                 _weight_and_scalar, _zero_weight_words)
+                                 _zero_weight_words)
 from weightcat.rootsys import build_root_system
 
 
@@ -101,6 +101,33 @@ def test_depth_overflow_reported(a2_setup):
         V.act_root(neg(beta), v)
 
 
+def test_depth_overflow_is_not_memoised(a2_setup):
+    # the memo keeps nothing for a product that left the truncation, so a
+    # retry raises again instead of reading a partial value
+    rs, a1, a2, C = a2_setup
+    V = induce(C, 1)
+    nbeta = neg(rs.simple_root(2))
+    v = V.monomial_tensor([nbeta], (0, 0))
+    assert (nbeta, (), (0, 0)) in V._act
+    for _ in range(2):
+        with pytest.raises(DepthOverflowError):
+            V.act_root(nbeta, v)
+        assert (nbeta, (nbeta,), (0, 0)) not in V._act
+
+
+def test_kernel_data_reads_one_entry_per_weight():
+    # ints, Fractions, a list or a tuple of one weight reach one memo entry,
+    # keyed by a tuple of Fractions
+    rs = build_root_system("A2")
+    V = induce(levi_module(rs, [1], build_N([F(1, 2), F(1, 2)]), {2: 2}), 3)
+    first = V.kernel_data((1, 0))
+    assert len(first[2]) == 2
+    for mu in ([1, 0], (F(1), F(0)), [F(1), 0], (1, F(0))):
+        assert V.kernel_data(mu) is first
+    [key] = V._kernels
+    assert key == (1, 0) and all(type(x) is F for x in key)
+
+
 def test_kernel_depth_stability(a2_setup):
     rs, a1, a2, C = a2_setup
     alpha, beta = rs.simple_root(1), rs.simple_root(2)
@@ -143,23 +170,28 @@ def test_u0_compare_cor_isomorphism(a2_setup):
     Vm = induce(Cm, 5)
     assert u0_compare(Vm, Vm.one_tensor(), build_N([-1 - a2, -1 - a1, 0]), (0, 0, 0), depth=4)
     assert not u0_compare(V, V.one_tensor(), build_N([a1, F(1, 5), 0]), (0, 0, 0), depth=4)
-    assert u0_compare(V, V.one_tensor(), V, V.one_tensor(), depth=3)
 
 
-def test_u0_compare_errors(a2_setup):
+def test_u0_compare_errors(a2_setup, monkeypatch):
     rs, a1, a2, C = a2_setup
     V = induce(C, 3)
     N = build_N([a1, a2, 0])
-    with pytest.raises(TypeError, match="unsupported handle"):
-        u0_compare(C, (0, 0), N, (0, 0, 0))
     with pytest.raises(ValueError, match="zero in the quotient"):
         u0_compare(V, {}, N, (0, 0, 0))
-    # a word of nonzero weight moves the base vector, so it has no scalar
-    word = (rs.simple_root(1),)
-    with pytest.raises(NonScalarActionError, match="did not return to the base vector"):
-        _weight_and_scalar(N, (0, 0, 0))[1](word)
+    # a word of nonzero weight moves the base vector, so it has no scalar; the
+    # quotient is read before the module
+    word = [rs.simple_root(1)]
+    monkeypatch.setattr(inducemod, "_zero_weight_words", lambda system, max_len: [word])
     with pytest.raises(NonScalarActionError, match="non-scalarly on the quotient vector"):
-        _weight_and_scalar(V, V.one_tensor())[1](word)
+        u0_compare(V, V.one_tensor(), N, (0, 0, 0))
+    # X_{alpha_2} kills 1 (x) C, so the quotient scalar is 0, and moves x(0) of
+    # the cuspidal module of the same base weight
+    word[0] = rs.simple_root(2)
+    shifted = build_N([a1 + F(1, 7), a2 + F(1, 7), F(1, 7)])
+    assert shifted.weight_of((0, 0, 0)) == N.weight_of((0, 0, 0))
+    with pytest.raises(NonScalarActionError, match="did not return to the base vector"):
+        u0_compare(V, V.one_tensor(), shifted, (0, 0, 0))
+    assert u0_compare(V, V.one_tensor(), N, (0, 0, 0))
 
 
 def test_restrict_family_roundtrip():
@@ -436,7 +468,7 @@ def test_induced_action_matches_fraction_oracle(case):
             assert V.act_root(root, {key: F(1)}) == _oracle_word(V, (root,) + key[0], key[1]), \
                 (case, root, key)
     assert len(keys) * len(roots) > 1000
-    assert all(type(c) is int for memo in V._act_memo.values() for c in memo.values())
+    assert all(type(c) is int for memo in V._act.values() for c in memo.values())
 
 
 def test_act_word_divides_once():

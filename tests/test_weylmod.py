@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weightcat.weylmod import (WeylAuditError, WeylParams, act_monomial, check_weyl_relations,
+from weightcat.weylmod import (Lookup, WeylAuditError, WeylParams, act_monomial, check_weyl_relations,
                                format_rational, lattice_window, parse_rational, sparse_add,
                                transitivity_probe, weyl_act)
 
@@ -15,6 +15,30 @@ def test_rational_io():
     assert parse_rational("4") == F(4)
     assert format_rational(F(5, 1)) == "5"
     assert format_rational(F(-2, 6)) == "-1/3"
+
+
+def test_lookup_fills_each_key_once():
+    calls = []
+    memo = Lookup(lambda key: calls.append(key) or 2 * key)
+    assert [memo[k] for k in (3, 1, 3, 3, 1)] == [6, 2, 6, 6, 2]
+    assert calls == [3, 1] and memo == {3: 6, 1: 2}
+
+
+def test_lookup_stores_nothing_when_fn_raises():
+    calls = []
+
+    def fn(key):
+        calls.append(key)
+        if key < 0:
+            raise ValueError(key)
+        return key
+
+    memo = Lookup(fn)
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            memo[-1]
+    assert memo[2] == 2
+    assert calls == [-1, -1, 2] and memo == {2: 2}
 
 
 def test_k_member_examples():
