@@ -15,11 +15,15 @@ cocycle on a window and `coboundary_quotient_dim` measures the quotient by
 coboundaries; `ext_solve_typeA` / `ext_solve_typeC` instead impose the
 inverse-shift normal form on the distinguished cuspidal direction of a
 degree-one family and reduce self-extension vanishing to a system in the
-orbit labels b(k), read centre-out into one fraction-free `linalg.Echelon`
-until the rank reaches the label count, which certifies a zero kernel; the
-reduced echelon form does not depend on the order of the rows, so an
-answer of positive dimension reads every identity and is that of the whole
-system.
+orbit labels b(k).  Its rows go into one fraction-free `linalg.Echelon`:
+first the identities of the pairs through the cuspidal root α over the
+whole window, centre-out, then those of the other pairs in the same order,
+until the rank reaches the label count.  Every row is a constraint the
+cocycle must satisfy, so rows of full rank certify a zero kernel whichever
+identities they came from; the pairs through α carry most pivots, so full
+rank comes early.  The reduced echelon form does not depend on the order of
+the rows, so an answer of positive dimension reads every identity and is
+that of the whole system.
 """
 from __future__ import annotations
 
@@ -491,10 +495,15 @@ def _normal_form_system(module: DegreeOneModule, radius: int, reason: str) -> Co
     col = {l: i for i, l in enumerate(labels)}
     echelon = linalg.Echelon(len(labels))
     dropped = False
-    # centre-out: extra rows cannot shrink a zero kernel, so full rank ends the read
-    rows = (row for k in sorted(nf.window, key=lambda k: (max(map(abs, k)), sum(map(abs, k)), k))
-            for _, _, _, (_, ident) in cocycle_identities(module, module, nf.value, [k], nf.pairs)
-            for row in ident.values())
+    # every row constrains the cocycle, so rows of full rank prove a zero kernel
+    # whichever identities they came from: read the pairs through alpha over the
+    # whole window centre-out first, as they hold most pivots, then the rest, and
+    # stop at full rank
+    window = sorted(nf.window, key=lambda k: (max(map(abs, k)), sum(map(abs, k)), k))
+    through = [p for p in nf.pairs if nf.alpha in p[:2]]
+    rest = [p for p in nf.pairs if nf.alpha not in p[:2]]
+    rows = (row for pairs in (through, rest) for k in window for pair in pairs
+            for row in _identity(module, module, nf.value, pair, k)[1].values())
     for row in rows:
         if echelon.full:
             break
@@ -519,6 +528,7 @@ def ext_solve_typeA(params_a: Sequence, params_b: Sequence, radius: int = 3) -> 
     mod_a = build_N(params_a)
     mod_b = build_N(params_b)
     for m in (mod_a, mod_b):
+        m.params.window_ranges(radius)  # refuses an oversized window, read or not
         if len(m.cuspidal_block()) != 1 or m.spec.minus_ones < 1 or m.spec.zeros < 1:
             raise ValueError("interior family required: shape (-1..,z1,z2,0..)")
     if (mod_a.nvars, mod_a.spec.minus_ones) != (mod_b.nvars, mod_b.spec.minus_ones):
@@ -538,6 +548,7 @@ def ext_solve_typeC(params_a: Sequence, params_b: Sequence, radius: int = 3) -> 
     mod_a = build_M(params_a)
     mod_b = build_M(params_b)
     for m in (mod_a, mod_b):
+        m.params.window_ranges(radius)  # refuses an oversized window, read or not
         if m.spec.free != 1 or m.spec.minus_ones != m.nvars - 1:
             raise ValueError("family of shape (-1,..,-1,a) required")
     if mod_a.nvars != mod_b.nvars:

@@ -18,7 +18,7 @@ from .degonemod import DegreeOneModule, build_M, build_N
 from .extcoh import CertificationError
 from .inducemod import central_scalars, induce, levi_module, restrict_family, u0_compare
 from .rootsys import add_roots, build_root_system, neg_root
-from .weylmod import format_rational, parse_rational
+from .weylmod import check_window, format_rational, parse_rational
 
 DEFAULT_DEPTH = 4
 # word length of the zero-weight monomial comparison
@@ -374,11 +374,14 @@ def run_lemma(lemma: str, params: Sequence, branch: str = "0", radius: int = 3,
     lemA12, AC1 and appendix-a3 take the two scalars a1,a2 as params, the
     others the family vector.  lemA12 and appendix-a3 run on branch c = 0 or
     c = -1-A and on the window -radius < k < radius; AC1 keeps its own k.
+    Every lemma refuses that window above `weylmod.WINDOW_LIMIT` points.
     """
     if lemma not in LEMMAS:
         raise ValueError(f"unknown lemma id {lemma!r}; choose from {sorted(LEMMAS)}")
     if branch not in BRANCHES:
         raise ValueError(f"branch must be one of {list(BRANCHES)}, got {branch!r}")
+    k_range = range(1 - radius, radius)
+    check_window([k_range])
     run = LEMMAS[lemma]
     if lemma in ("A1N", "AkAn", "CC"):
         return run(params, depth=depth)
@@ -389,7 +392,7 @@ def run_lemma(lemma: str, params: Sequence, branch: str = "0", radius: int = 3,
         return run(a1, a2, depth=depth)
     if radius < 1:
         raise CertificationError("window radius must be at least 1 to hold k = 0")
-    return run(a1, a2, branch=branch, k_range=tuple(range(1 - radius, radius)), depth=depth)
+    return run(a1, a2, branch=branch, k_range=tuple(k_range), depth=depth)
 
 
 def seeded_reports(lemma: str, seed: int, count: int = 5) -> List[LemmaReport]:

@@ -10,6 +10,7 @@ a_i is a negative integer; all coefficients are exact rationals.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -18,6 +19,11 @@ from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 NEG_INT = "NEG_INT"
 NONNEG_INT = "NONNEG_INT"
 NON_INT = "NON_INT"
+
+# The most points a window may span, counted as the product of its range
+# lengths: 13x the largest window in use (A6 N(1/2,..,1/17) at B=2, 5**7),
+# and it stops a huge --B before any enumeration exhausts memory.
+WINDOW_LIMIT = 10**6
 
 
 def parse_rational(s) -> Fraction:
@@ -52,6 +58,14 @@ class Lookup(dict):
     def __missing__(self, key):
         val = self[key] = self.fn(key)
         return val
+
+
+def check_window(ranges: Sequence[range]) -> None:
+    """Raise ValueError if the product of the range lengths exceeds WINDOW_LIMIT."""
+    points = math.prod(max(0, r.stop - r.start) for r in ranges)
+    if points > WINDOW_LIMIT:
+        raise ValueError(f"window ranges span {points} points, above the limit of {WINDOW_LIMIT}; "
+                         f"lower --B")
 
 
 def format_rational(x: Fraction) -> str:
@@ -101,10 +115,13 @@ class WeylParams:
         return NON_INT if self._lo[i] is None else NONNEG_INT
 
     def window_ranges(self, radius: int) -> List[range]:
-        """Per-coordinate ranges of the admissible k with |k_i| <= radius."""
-        return [range(-radius if lo is None else max(lo, -radius),
-                      (radius if hi is None else min(hi, radius)) + 1)
-                for lo, hi in zip(self._lo, self._hi)]
+        """Per-coordinate ranges of the admissible k with |k_i| <= radius;
+        `check_window` refuses their product above WINDOW_LIMIT."""
+        ranges = [range(-radius if lo is None else max(lo, -radius),
+                        (radius if hi is None else min(hi, radius)) + 1)
+                  for lo, hi in zip(self._lo, self._hi)]
+        check_window(ranges)
+        return ranges
 
     def in_lattice(self, k: Sequence[int]) -> bool:
         """Membership of k in the admissible index set for these parameters."""

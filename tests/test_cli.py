@@ -102,6 +102,27 @@ def test_ext_rank_one_empty_window_is_uncertified(b, radius, capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--module", "N", "--a", "1/2,1/3"],
+    ["verify", "--module", "M", "--a", "-1,-1,1/4"],
+    ["ext", "--module", "N", "--a", "1/2,1/3"],
+    ["ext", "--module", "N", "--a", "-1,1/2,1/3,0"],
+    ["ext", "--module", "N", "--a", "-1,1/2,1/3,0", "--b", "-1,1/3,1/2,0"],
+    ["ext", "--module", "M", "--a", "-1,1/4"],
+    ["lab", "lemA12", "--a", "1/2,1/3"],
+    ["lab", "CC", "--a", "-1,1/4,1/5"],
+], ids=["verify-A1", "verify-C3", "ext-rank-one", "ext-A3", "ext-A3-support-disjoint", "ext-C2",
+        "lab-windowed", "lab-unwindowed"])
+def test_oversized_window_is_refused_before_any_work(argv, capsys):
+    # a window whose ranges span more than WINDOW_LIMIT points is a
+    # configuration error, raised before the window is enumerated
+    assert main(argv + ["--B", str(10**12)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("configuration error: window ranges span")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
 def test_lab_depth_too_small(capsys):
     # appendix-a3 builds lowering words of depth 2, which overflow D=1
     assert main(["lab", "appendix-a3", "--a", "1/2,1/3", "--D", "1"]) == EXIT_UNCERTIFIED
@@ -242,10 +263,20 @@ def _argv(draw):
 @example(["verify", "--module", "M", "--a", "-2", "--B", "1"])
 @example(["verify", "--module", "M", "--a", "-1,-2", "--B", "2"])
 @example(["verify", "--module", "M", "--a", "-1,-1,-1", "--B", "2"])
+@example(["ext", "--module", "N", "--a", "1/2,1/3", "--B", "2"])
+@example(["ext", "--module", "N", "--a", "-1,1/2,1/3,0", "--b", "-1,1/3,1/2,0", "--B", "2"])
 def test_cli_exit_code_contract(argv):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = main(argv)
     assert code in (EXIT_OK, EXIT_MISMATCH, EXIT_CONFIG, EXIT_UNCERTIFIED), argv
+    if argv[0] != "classify":
+        # the same input on a window far above the limit is refused, printing nothing
+        at = argv.index("--B") + 1
+        huge = argv[:at] + [str(10**12)] + argv[at + 1:]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            assert main(huge) == EXIT_CONFIG, huge
+        assert out.getvalue() == "", huge
     if argv[0] == "verify":
         try:
             (build_N if argv[2] == "N" else build_M)(_parse_params(argv[4]))

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weightcat.weylmod import (Lookup, WeylAuditError, WeylParams, act_monomial, check_weyl_relations,
-                               format_rational, lattice_window, parse_rational, sparse_add,
-                               transitivity_probe, weyl_act)
+from weightcat.weylmod import (WINDOW_LIMIT, Lookup, WeylAuditError, WeylParams, act_monomial,
+                               check_weyl_relations, format_rational, lattice_window,
+                               parse_rational, sparse_add, transitivity_probe, weyl_act)
 
 
 def test_rational_io():
@@ -224,6 +224,22 @@ def test_relation_checks_reject_negative_radius():
         check_weyl_relations(WeylParams.of(["1/2", "-1"]), -1)
     with pytest.raises(ValueError):
         transitivity_probe(WeylParams.of(["1/2"]), -1)
+
+
+def test_window_limit_admits_rank_six_and_refuses_before_enumerating():
+    # the largest window in use, A6 N(1/2,..,1/17) at B=2, spans 5**7 points
+    a6 = WeylParams.of(["1/2", "1/3", "1/5", "1/7", "1/11", "1/13", "1/17"])
+    assert [len(r) for r in a6.window_ranges(2)] == [5] * 7
+    # the first radius over the limit is refused; the ranges of a huge window
+    # are counted, never built
+    free = WeylParams.of(["1/2", "1/3"])
+    side = next(r for r in range(1, 1000) if (2 * r + 1) ** 2 > WINDOW_LIMIT)
+    assert [len(r) for r in free.window_ranges(side - 1)] == [2 * side - 1] * 2
+    for radius in (side, 10**12, 10**40):
+        with pytest.raises(ValueError, match="above the limit"):
+            free.window_ranges(radius)
+    # integer coordinates shorten their ranges, and the product counts that
+    assert [len(r) for r in WeylParams.of(["-1", "0"]).window_ranges(side)] == [side + 1] * 2
 
 
 # An independent statement of the lattice modules, in Fractions: an integer a_i
