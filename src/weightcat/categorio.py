@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
-from .degonemod import DegreeOneModule, Index, build_M, build_N
+from .degonemod import DegreeOneModule, Index, build_module
 from .rootsys import CartanType, Root, RootSystem, add_roots, center_basis, neg_root
 from .weylmod import parse_rational
 
@@ -42,7 +42,7 @@ class FamilyDescriptor:
         if len(params) != self.free:
             raise ValueError(f"family needs {self.free} non-integer parameters")
         vec = [Fraction(-1)] * self.minus_ones + list(params) + [Fraction(0)] * self.zeros
-        return build_N(vec) if self.kind == "N" else build_M(vec)
+        return build_module(self.kind, vec)
 
     def to_json(self) -> Dict:
         return {"kind": self.kind, "minus_ones": self.minus_ones,
@@ -278,14 +278,7 @@ def cuspidal_nilpotent_partition(module: DegreeOneModule, radius: int = 3):
     if not window:
         return set(), set(), set(system.roots)
     cap = _step_cap(radius, system.rank)
-    injective: Set[Root] = set()
-    nilpotent: Set[Root] = set()
-    undecided: Set[Root] = set()
-    for root in system.roots:
-        if not _witnesses(module, [root], window, 1, False):
-            injective.add(root)
-        elif _witnesses(module, [root], window, cap, True):
-            undecided.add(root)
-        else:
-            nilpotent.add(root)
-    return injective, nilpotent, undecided
+    # injective: kills no window vector; undecided: killed, yet a chain survives the cap
+    killed = {root for root, _ in _witnesses(module, system.roots, window, 1, False)}
+    undecided = {root for root, _ in _witnesses(module, killed, window, cap, True)}
+    return set(system.roots) - killed, killed - undecided, undecided

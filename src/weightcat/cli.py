@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence
 
 from .categorio import check_membership, classify
-from .degonemod import PartitionError, build_M, build_N
+from .degonemod import PartitionError, build_N, build_module
 from .extcoh import CertificationError, coboundary_quotient_dim, ext_solve_typeA, ext_solve_typeC
 from .inducemod import DepthOverflowError
 from .paperlab import LEMMAS, run_lemma
@@ -49,10 +49,6 @@ def _parse_params(s: str) -> List[Fraction]:
     return [parse_rational(x) for x in s.split(",") if x.strip()]
 
 
-def _build_module(kind: str, params: Sequence[Fraction]):
-    return build_N(params) if kind == "N" else build_M(params)
-
-
 def cmd_classify(args) -> int:
     system = build_root_system(args.type)
     theta = _parse_theta(args.theta)
@@ -65,7 +61,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    module = _build_module(args.module, _parse_params(args.a))
+    module = build_module(args.module, _parse_params(args.a))
     radius = args.B
     if radius < 1:
         raise CertificationError("window radius must be at least 1 to see a boundary row")

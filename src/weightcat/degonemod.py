@@ -21,10 +21,10 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, product
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .rootsys import Root, RootSystem, build_root_system, neg_root
-from .weylmod import Lookup, WeylParams, format_rational, monomial_word, parse_rational
+from .weylmod import Lookup, WeylParams, format_rational, monomial_word, parse_rational, reach
 
 Index = Tuple[int, ...]
 
@@ -244,19 +244,9 @@ class DegreeOneModule:
         levi_roots = [r for r in self.system.span_closure(levi_simples)]
         window = set(self.window(radius))
         k = tuple(k)
-        orbit: Set[Index] = {k}
-        stack = [k]
-        cuspidal_ok = True
-        while stack:
-            cur = stack.pop()
-            for root in levi_roots:
-                coeff, target = self.act_root(root, cur)
-                if coeff == 0:
-                    cuspidal_ok = False
-                    continue
-                if target in window and target not in orbit:
-                    orbit.add(target)
-                    stack.append(target)
+        orbit = reach(k, lambda cur: [t for c, t in (self.act_root(r, cur) for r in levi_roots)
+                                      if c and t in window])
+        cuspidal_ok = all(self.act_root(r, v)[0] for v in orbit for r in levi_roots)
         # X_{-r} X_r x(k) comes back to x(k) unless X_r kills it: a root
         # vector moves every index it does not kill, so the walk stops at k
         # only when its first step is zero
@@ -285,3 +275,7 @@ def build_M(values: Iterable) -> DegreeOneModule:
     system = build_root_system(f"C{len(spec.a)}")
     return DegreeOneModule("M", spec, system)
 
+
+def build_module(kind: str, values: Iterable) -> DegreeOneModule:
+    """The degree-one module of kind "N" (`build_N`) or "M" (`build_M`) on values."""
+    return build_N(values) if kind == "N" else build_M(values)

@@ -420,6 +420,7 @@ class _NormalFormAssembler:
         self.system = module.system
         self.radius = radius
         self.alpha = self.system.simple_root(block[0])
+        self._alpha_index = block[0] - 1  # alpha is the unit vector e_{block[0]}
         self.nalpha = neg_root(self.alpha)
         qe, pe, _ = self.system.realization.monomial(self.alpha)
         self.delta = tuple(q - p for q, p in zip(qe, pe))
@@ -443,8 +444,7 @@ class _NormalFormAssembler:
         return tuple(x for i, x in enumerate(k) if i not in self.moved)
 
     def alpha_coordinate(self, root: Root) -> int:
-        idx = list(self.alpha).index(1)
-        return root[idx]
+        return root[self._alpha_index]
 
     def _split(self, root: Root) -> Tuple[Root, Root, int]:
         """(sigma, tau, N): sigma = +-(a simple root), sigma + tau = root."""

@@ -26,7 +26,7 @@ from itertools import combinations_with_replacement
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from . import linalg
-from .degonemod import DegreeOneModule, build_M, build_N
+from .degonemod import DegreeOneModule, build_module
 from .rootsys import Root, RootSystem, add_roots, center_basis, neg_root
 from .weylmod import Lookup, sparse_add
 
@@ -176,7 +176,7 @@ def restrict_family(module: DegreeOneModule) -> LeviModule:
         raise ValueError("module has an empty cuspidal block")
     j = module.spec.minus_ones
     free = module.spec.a[j:j + module.spec.free]
-    inner = build_N(free) if module.kind == "N" else build_M(free)
+    inner = build_module(module.kind, free)
     w0 = module.weight_of(module.zero_index())
     central = {i: w0[i - 1] for i in range(1, module.system.rank + 1) if i not in set(block)}
     return levi_module(module.system, block, inner, central)

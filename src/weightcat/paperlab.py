@@ -375,6 +375,7 @@ def run_lemma(lemma: str, params: Sequence, branch: str = "0", radius: int = 3,
     others the family vector.  lemA12 and appendix-a3 run on branch c = 0 or
     c = -1-A and on the window -radius < k < radius; AC1 keeps its own k.
     Every lemma refuses that window above `weylmod.WINDOW_LIMIT` points.
+    A1N does not read depth: it induces nothing, reading the Levi restriction.
     """
     if lemma not in LEMMAS:
         raise ValueError(f"unknown lemma id {lemma!r}; choose from {sorted(LEMMAS)}")

@@ -24,7 +24,7 @@ from operator import mul
 from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
 from . import linalg
-from .weylmod import Lookup
+from .weylmod import Lookup, reach
 
 Root = Tuple[int, ...]
 RootPair = Tuple[Root, Root, Root, int, Optional[Tuple[int, ...]]]
@@ -231,20 +231,9 @@ class RootSystem:
         """Components of the Dynkin diagram restricted to the given 1-based simple indices."""
         nodes = set(simple_indices)
         comps: List[FrozenSet[int]] = []
-        seen: Set[int] = set()
         for s in sorted(nodes):
-            if s in seen:
-                continue
-            comp = {s}
-            stack = [s]
-            while stack:
-                u = stack.pop()
-                for v in nodes - comp:
-                    if self.cartan[u - 1][v - 1]:
-                        comp.add(v)
-                        stack.append(v)
-            seen |= comp
-            comps.append(frozenset(comp))
+            if not any(s in comp for comp in comps):
+                comps.append(frozenset(reach(s, lambda u: [v for v in nodes if self.cartan[u - 1][v - 1]])))
         return comps
 
     @cached_property

@@ -60,6 +60,17 @@ class Lookup(dict):
         return val
 
 
+def reach(start, neighbours: Callable[[object], Iterable]) -> set:
+    """Every node reachable from start (start included) along neighbours(node)."""
+    seen, stack = {start}, [start]
+    while stack:
+        for nxt in neighbours(stack.pop()):
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    return seen
+
+
 def check_window(ranges: Sequence[range]) -> None:
     """Raise ValueError if the product of the range lengths exceeds WINDOW_LIMIT."""
     points = math.prod(max(0, r.stop - r.start) for r in ranges)
@@ -260,19 +271,9 @@ def transitivity_probe(params: WeylParams, radius: int) -> bool:
                 if t.coeff != 0 and t.target in index:
                     succ[index[k]].append(index[t.target])
 
-    def reach(start: int, edges: List[List[int]]) -> set:
-        seen = {start}
-        stack = [start]
-        while stack:
-            for nxt in edges[stack.pop()]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        return seen
-
     pred: List[List[int]] = [[] for _ in window]
     for u, outs in enumerate(succ):
         for v in outs:
             pred[v].append(u)
     full = set(range(len(window)))
-    return reach(0, succ) == full and reach(0, pred) == full
+    return reach(0, succ.__getitem__) == full and reach(0, pred.__getitem__) == full

@@ -4,10 +4,11 @@ import pytest
 
 from weightcat import linalg
 from weightcat.categorio import (CUSPIDAL, EXCLUDED, HIGHEST_WEIGHT, NONTRIVIAL, TRIVIAL,
-                                 ThetaSpec, _dominated_pairs, check_membership, classify,
+                                 ThetaSpec, _dominated_pairs, _step_cap, check_membership, classify,
                                  cuspidal_nilpotent_partition, infinite_dim_criterion)
 from weightcat.degonemod import build_M, build_N
 from weightcat.rootsys import build_root_system, center_basis
+from weightcat.weylmod import WeylParams
 
 
 def comp_to_theta(system, comp):
@@ -169,6 +170,72 @@ def test_partition_of_roots():
     assert not (ri & rn)
     assert not und
     assert ri | rn == set(m.system.roots)
+
+
+def _chain_steps(m, root, k, cap):
+    """How many of cap successive act_root steps of root from x(k) are nonzero."""
+    for steps in range(cap):
+        c, k = m.act_root(root, k)
+        if not c:
+            return steps
+    return cap
+
+
+def _first_chains(m, roots, radius, cap, survive):
+    """Oracle for the witness scans: {root: first window vector whose chain of
+    act_root steps survives cap steps (survive) or dies within them}."""
+    out = {}
+    for root in roots:
+        for k in m.window(radius):
+            if (_chain_steps(m, root, k, cap) == cap) == survive:
+                out[root] = k
+                break
+    return out
+
+
+def _check_partition(m):
+    """Compare the partition at radius 2 with the chain oracle; its undecided roots."""
+    cap = _step_cap(2, m.system.rank)
+    killed = _first_chains(m, m.system.roots, 2, 1, False)
+    undecided = _first_chains(m, killed, 2, cap, True)
+    assert cuspidal_nilpotent_partition(m, 2) == (
+        set(m.system.roots) - set(killed), set(killed) - set(undecided), set(undecided))
+    return set(undecided)
+
+
+@pytest.mark.parametrize("build,a", [
+    (build_N, ["1/2", "1/3", "0"]), (build_N, ["-1", "1/2", "1/3", "0"]),
+    (build_N, ["1/2", "1/3", "1/5"]), (build_M, ["-1", "1/4"]), (build_M, ["1/3", "1/5"]),
+    (build_M, ["-1", "-1", "2/5"]), (build_M, ["-1", "-2"]),
+])
+def test_partition_matches_per_root_chains(build, a):
+    _check_partition(build(a))
+
+
+def test_partition_matches_per_root_chains_with_undecided_roots(monkeypatch):
+    # p_3 corrupted to keep k_3 = 1: a chain through it never dies there, while
+    # k_3 = 0 is still killed, so X_{e_2} = q_2 p_3 and X_{e_1+e_2} = q_1 p_3 are undecided
+    step = WeylParams._step
+    monkeypatch.setattr(WeylParams, "_step", lambda self, kind, i, ki: (
+        (1, 1, ki) if (kind, i, ki) == ("p", 2, 1) else step(self, kind, i, ki)))
+    assert _check_partition(build_N(["1/2", "1/3", "0"])) == {(0, 1), (1, 1)}
+
+
+def test_membership_witnesses_match_a_full_scan():
+    m = build_N(["1/2", "1/3", "0"])
+    system, cap = m.system, _step_cap(2, m.system.rank)
+    # condition 1 fails with theta empty: roots through the 0 entry kill a vector
+    rep = check_membership(m, frozenset(), radius=2)
+    want = _first_chains(m, system.span_closure({1, 2}), 2, 1, False)
+    assert want and not rep.cuspidality_ok
+    assert rep.details["cuspidality_witnesses"] == [(r, want[r]) for r in system.span_closure({1, 2})
+                                                    if r in want]
+    # condition 3 fails with theta = S = {2}: X_{e_1} = q_1 p_2 never dies
+    rep = check_membership(m, {2}, S={2}, radius=2)
+    outside = [r for r in system.positive_set if r not in system.span_closure({2})]
+    want = _first_chains(m, outside, 2, cap, True)
+    assert list(want) == [system.simple_root(1)] and not rep.finiteness_ok
+    assert rep.details["nilpotency_witnesses"] == [(r, want[r]) for r in outside if r in want]
 
 
 def test_classify_total_over_all_types():

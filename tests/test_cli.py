@@ -1,13 +1,14 @@
 import contextlib
 import io
 import json
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from weightcat.cli import EXIT_CONFIG, EXIT_MISMATCH, EXIT_OK, EXIT_UNCERTIFIED, _parse_params, main
-from weightcat.degonemod import build_M, build_N
+from weightcat.degonemod import build_module
 
 
 def run(capsys, *argv):
@@ -239,6 +240,22 @@ _VECTORS = st.one_of(
 ).map(",".join)
 
 
+# the rank >= 2 shapes the ext solvers accept: (-1.., z1, z2, 0..) for N, (-1.., z) for M
+_EXT_SHAPES = {
+    "N": st.builds(lambda j, z, zeros: ["-1"] * j + z + ["0"] * zeros,
+                   st.integers(1, 2), st.lists(_NONINT, min_size=2, max_size=2), st.integers(1, 2)),
+    "M": st.builds(lambda j, z: ["-1"] * j + [z], st.integers(1, 3), _NONINT),
+}
+
+
+def _shift_free_entry(entries, pick):
+    """The vector with its pick-th non-integer entry moved by 1/5: the pair has
+    one family shape and disjoint weight supports (no denominator in _NONINT is 5)."""
+    free = [i for i, x in enumerate(entries) if x not in ("-1", "0")]
+    i = free[pick % len(free)]
+    return ",".join(str(Fraction(x) + Fraction(1, 5)) if j == i else x for j, x in enumerate(entries))
+
+
 @st.composite
 def _argv(draw):
     command = draw(st.sampled_from(["classify", "verify", "ext", "lab"]))
@@ -252,9 +269,16 @@ def _argv(draw):
         branch = draw(st.sampled_from(["0", "-1-A", "5"]))
         argv = [command, lemma, "--a", draw(_VECTORS), "--c", branch]
     else:
-        argv = [command, "--module", draw(st.sampled_from(["N", "M"])), "--a", draw(_VECTORS)]
-        if command == "ext" and draw(st.booleans()):
-            argv += ["--b", draw(_VECTORS)]
+        module = draw(st.sampled_from(["N", "M"]))
+        b = draw(st.sampled_from(["a", "drawn", "shifted"])) if command == "ext" else "a"
+        if b == "shifted":
+            a = draw(_EXT_SHAPES[module])
+            argv = [command, "--module", module, "--a", ",".join(a),
+                    "--b", _shift_free_entry(a, draw(st.integers(0, 1)))]
+        else:
+            argv = [command, "--module", module, "--a", draw(_VECTORS)]
+            if b == "drawn":
+                argv += ["--b", draw(_VECTORS)]
     return argv + ["--B", str(draw(st.integers(-1, 2))), "--D", str(draw(st.integers(0, 3)))]
 
 
@@ -279,7 +303,7 @@ def test_cli_exit_code_contract(argv):
         assert out.getvalue() == "", huge
     if argv[0] == "verify":
         try:
-            (build_N if argv[2] == "N" else build_M)(_parse_params(argv[4]))
+            build_module(argv[2], _parse_params(argv[4]))
         except ValueError:
             return
         # a module the parser accepts passes every suite

@@ -190,6 +190,39 @@ def test_levi_orbit_examples():
     assert m.levi_orbit((0, 0, 0), levi_simples=[], radius=2).orbit == [(0, 0, 0)]
 
 
+def _levi_orbit_oracle(m, k, levi_simples, radius):
+    """(orbit, cuspidal_ok) for levi_orbit: the orbit grown by whole rounds of
+    nonzero in-window Levi root steps until a round adds nothing, and whether
+    no Levi root vector kills a vector of it."""
+    roots = sorted(m.system.span_closure(levi_simples))
+    window = set(m.window(radius))
+    orbit, frontier = {k}, {k}
+    while frontier:
+        frontier = {t for v in frontier for c, t in (m.act_root(r, v) for r in roots)
+                    if c and t in window} - orbit
+        orbit |= frontier
+    return sorted(orbit), all(m.act_root(r, v)[0] for v in orbit for r in roots)
+
+
+@pytest.mark.parametrize("build,a,k,levi", [
+    (build_N, ["1/2", "1/3", "0"], (0, 0, 0), None),
+    (build_N, ["-1", "1/2", "1/3", "0"], (0, 1, -1, 0), None),
+    (build_M, ["-1", "1/4"], (0, 0), None),
+    # Levi blocks off the cuspidal block: X_{e_1} = q_1 p_2 kills k_1 = 0 when
+    # a_1 = -1, and X_{e_2} = q_2 p_3 kills every k_3 = 0 when a_3 = 0
+    (build_N, ["-1", "1/2", "1/3", "0"], (0, 0, 0, 0), [1]),
+    (build_N, ["-1", "1/2", "1/3", "0"], (-1, 1, 0, 0), [1, 2]),
+    (build_M, ["-1", "1/4"], (-1, 1), [1]),
+])
+def test_levi_orbit_matches_the_round_oracle(build, a, k, levi):
+    m = build(a)
+    levi_simples = m.cuspidal_block() if levi is None else levi
+    rep = m.levi_orbit(k, levi_simples=levi, radius=2)
+    orbit, cuspidal_ok = _levi_orbit_oracle(m, k, levi_simples, 2)
+    assert (rep.orbit, rep.cuspidal_ok) == (orbit, cuspidal_ok)
+    assert cuspidal_ok is (levi is None)
+
+
 def _bracket_failures(m, radius):
     """(mu, nu, k, defect) in root-pair order wherever X_mu X_nu - X_nu X_mu
     differs from [X_mu, X_nu] on x(k), defect being the nonzero entries of the

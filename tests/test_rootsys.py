@@ -316,6 +316,35 @@ def test_classify_subset_brute_force_agreement():
         assert flags.symmetric == (members == frozenset(tuple(-a for a in r) for r in members))
 
 
+def _union_find_components(rs, nodes):
+    """Oracle for connected_components: merge the classes of every pair of
+    nodes joined in the Dynkin diagram, then list the classes by least node."""
+    parent = {v: v for v in nodes}
+
+    def root_of(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    for u in nodes:
+        for v in nodes:
+            if rs.cartan[u - 1][v - 1]:
+                parent[root_of(u)] = root_of(v)
+    classes = {}
+    for v in nodes:
+        classes.setdefault(root_of(v), set()).add(v)
+    return sorted(map(frozenset, classes.values()), key=min)
+
+
+@pytest.mark.parametrize("name", ["A4", "C4", "D5", "E6"])
+def test_connected_components_match_union_find_on_every_subset(name):
+    rs = build_root_system(name)
+    n = rs.rank
+    for mask in range(1 << n):
+        nodes = [i + 1 for i in range(n) if mask >> i & 1]
+        assert rs.connected_components(nodes) == _union_find_components(rs, nodes), nodes
+
+
 def test_levi_part_of_parabolic_is_levi():
     rs = build_root_system("C3")
     theta = [1, 2]

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from weightcat.weylmod import (WINDOW_LIMIT, Lookup, WeylAuditError, WeylParams, act_monomial,
                                check_weyl_relations, format_rational, lattice_window,
-                               parse_rational, sparse_add, transitivity_probe, weyl_act)
+                               parse_rational, reach, sparse_add, transitivity_probe, weyl_act)
 
 
 def test_rational_io():
@@ -201,13 +201,51 @@ def test_monomial_action_composes():
     assert (t.coeff, t.target) == (F(1, 3), (1, -1))
 
 
+def _strongly_connected(params, radius):
+    """Oracle for transitivity_probe: every window vector's reachable set, grown
+    by whole rounds of nonzero in-window moves until no round adds a vector."""
+    window = lattice_window(params, radius)
+    inside = set(window)
+    closure = {k: {k} | {t.target for i in range(params.n) for kind in "qp"
+                         for t in [weyl_act((kind, i), params, k)] if t.coeff and t.target in inside}
+               for k in window}
+    grown = True
+    while grown:
+        grown = False
+        for k in window:
+            wider = set().union(*(closure[t] for t in closure[k]))
+            if wider != closure[k]:
+                closure[k], grown = wider, True
+    return all(closure[k] == inside for k in window)
+
+
 @pytest.mark.parametrize("avals,radius", [
     (["1/2"], 2),
     (["-1"], 2),
     (["1/2", "-1"], 2),
+    (["2"], 2),
+    (["-2", "0"], 2),
 ])
 def test_transitivity(avals, radius):
-    assert transitivity_probe(WeylParams.of(avals), radius) is True
+    params = WeylParams.of(avals)
+    assert transitivity_probe(params, radius) is _strongly_connected(params, radius) is True
+
+
+@pytest.mark.parametrize("ki,connected", [(0, False), (2, True)])
+def test_transitivity_sees_a_step_corrupted_to_zero(monkeypatch, ki, connected):
+    # q_1 from k_1 = 0 corrupted to zero cuts every edge from k_1 = 0 to k_1 = 1;
+    # from k_1 = 2, the edge of the window, its target was outside anyway
+    params = WeylParams.of(["1/2", "-1"])
+    step = WeylParams._step
+    monkeypatch.setattr(WeylParams, "_step", lambda self, kind, i, k: (
+        (0, 1, k + 1) if (kind, i, k) == ("q", 0, ki) else step(self, kind, i, k)))
+    assert transitivity_probe(params, 2) is _strongly_connected(params, 2) is connected
+
+
+def test_reach_closes_over_cycles_and_keeps_the_start():
+    edges = {0: [1], 1: [2, 0], 2: [1], 3: [0], 4: [4]}
+    assert [reach(s, edges.__getitem__) for s in range(5)] == [
+        {0, 1, 2}, {0, 1, 2}, {0, 1, 2}, {0, 1, 2, 3}, {4}]
 
 
 def test_injectivity_for_non_integer_parameters():
