@@ -418,7 +418,6 @@ class _NormalFormAssembler:
             raise ValueError("normal-form system needs a single cuspidal simple root")
         self.module = module
         self.system = module.system
-        self.radius = radius
         self.alpha = self.system.simple_root(block[0])
         self._alpha_index = block[0] - 1  # alpha is the unit vector e_{block[0]}
         self.nalpha = neg_root(self.alpha)

@@ -518,20 +518,6 @@ class ProbeReport:
     candidates_checked: int
 
 
-def _chain_exists(system: RootSystem, theta_pos: Sequence[Root], alpha: Root, rem: Root) -> bool:
-    """Can rem be written as an ordered sum of theta-positive roots with all
-    partial sums alpha + ... remaining roots?"""
-    if not any(rem):
-        return True
-    for beta in theta_pos:
-        if all(b <= r for b, r in zip(beta, rem)):
-            nxt = add_roots(alpha, beta)
-            if nxt in system.roots and _chain_exists(
-                    system, theta_pos, nxt, tuple(r - b for r, b in zip(rem, beta))):
-                return True
-    return False
-
-
 def probe_restriction_failure(C: LeviModule, depth: int = 3) -> ProbeReport:
     """Replays the induced-module contradiction pattern for a Levi module.
 
@@ -546,48 +532,35 @@ def probe_restriction_failure(C: LeviModule, depth: int = 3) -> ProbeReport:
     """
     system = C.system
     verma = TruncatedVerma(C, depth)
-    theta = [i for i in range(1, system.rank + 1) if i not in set(C.block)]
-    theta_span = system.span_closure(theta)
-    theta_pos = [r for r in system.positive if r in theta_span]
     levi_pos = [r for r in system.positive if r in verma.levi_roots]
-    theta_support = [i - 1 for i in theta]
+    theta_pos = [r for r in system.positive if not any(r[b - 1] for b in C.block)]
 
     candidates: List[ProbeCandidate] = []
     for delta in verma.ideal_pos:
         for alpha in levi_pos:
+            # alpha vanishes off the block, so delta - alpha is delta there;
+            # zero on the block, it is a nonzero sum of theta simple roots, and
+            # simple steps through roots join alpha to delta (by induction on
+            # the height: |delta - alpha|^2 > 0 gives a step at one end,
+            # Humphreys, GTM 9, 9.4), so a chain of theta roots always exists
             rem = tuple(d - a for d, a in zip(delta, alpha))
-            if any(x < 0 for x in rem):
-                continue
-            if any(rem[i] for i in range(system.rank) if i not in theta_support):
-                continue
-            if not any(rem):
-                continue
-            if not _chain_exists(system, theta_pos, alpha, rem):
+            if any(rem[b - 1] for b in C.block):
                 continue
             for mu in levi_pos:
                 nu = add_roots(delta, mu)
-                if nu not in system.roots:
-                    continue
-                ok = True
-                for gamma in theta_pos:
-                    if all(g <= r for g, r in zip(gamma, rem)):
-                        d = tuple(n - g for n, g in zip(nu, gamma))
-                        if d in system.roots or not any(d):
-                            ok = False
-                            break
-                if ok:
+                if nu in system.roots and not any(
+                        tuple(n - g for n, g in zip(nu, gamma)) in system.roots
+                        for gamma in theta_pos if all(g <= r for g, r in zip(gamma, rem))):
                     candidates.append(ProbeCandidate(alpha, rem, delta, nu))
 
     base = C.zero_index()
     for cand in candidates:
         lhs = verma.project(verma.monomial_tensor([neg_root(cand.delta)], base))
         c0, t0 = C.act_root(neg_root(cand.alpha), base)
-        span_vectors: List[InducedVector] = []
         off = tuple(cand.chain_weight[j] for j in verma._off_block)
-        for word in verma._buckets[verma.ideal_pos, off, sum(off)][cand.chain_weight]:
-            pv = verma.project(verma.monomial_tensor([neg_root(r) for r in word], t0, c0))
-            if pv:
-                span_vectors.append(pv)
+        words = verma._buckets[verma.ideal_pos, off, sum(off)][cand.chain_weight]
+        span_vectors = [verma.project(verma.monomial_tensor([neg_root(r) for r in word], t0, c0))
+                        for word in words]
         if linalg.in_span(lhs, span_vectors) is None:
             return ProbeReport(True, cand, len(candidates))
     return ProbeReport(False, None, len(candidates))

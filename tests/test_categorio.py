@@ -221,6 +221,29 @@ def test_partition_matches_per_root_chains_with_undecided_roots(monkeypatch):
     assert _check_partition(build_N(["1/2", "1/3", "0"])) == {(0, 1), (1, 1)}
 
 
+@pytest.mark.parametrize("extra", [0, 1])
+def test_chain_scans_stop_at_the_step_cap(monkeypatch, extra):
+    # q_1 corrupted to vanish at k_1 = 0 and at k_1 = cap + extra: X_{e_1} = q_1 p_2
+    # and X_{e_1+e_2} = q_1 p_3 kill the window vectors with k_1 = 0, and their
+    # longest chain, from k_1 = 1, dies at step cap + extra exactly; so they are
+    # undecided, and witnesses of condition 3, only when that chain outlives the cap
+    cap = _step_cap(2, 2)
+    step = WeylParams._step
+    monkeypatch.setattr(WeylParams, "_step", lambda self, kind, i, ki: (
+        (0, 1, ki + 1) if (kind, i) == ("q", 0) and ki in (0, cap + extra)
+        else step(self, kind, i, ki)))
+    m = build_N(["1/2", "1/3", "1/5"])
+    system, outlived = m.system, {(1, 0), (1, 1)} if extra else set()
+    for root in ((1, 0), (1, 1)):
+        assert max(_chain_steps(m, root, k, 2 * cap) for k in m.window(2)) == cap + extra - 1
+    assert _check_partition(m) == outlived
+    rep = check_membership(m, {2}, S={2}, radius=2)
+    outside = [r for r in system.positive_set if r not in system.span_closure({2})]
+    want = _first_chains(m, outside, 2, cap, True)
+    assert set(want) == outlived and rep.finiteness_ok == (not extra)
+    assert rep.details["nilpotency_witnesses"] == [(r, want[r]) for r in outside if r in want]
+
+
 def test_membership_witnesses_match_a_full_scan():
     m = build_N(["1/2", "1/3", "0"])
     system, cap = m.system, _step_cap(2, m.system.rank)

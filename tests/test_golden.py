@@ -3,10 +3,12 @@
 The first digests were recorded before elimination was made
 row-incremental, the lab, rank-one ext and coboundary-witness pins before
 the lab scripts got one entry point, and the rank-4 `verify` pins before
-the bracket check's two products were written as two loops; any change to
-the arithmetic that moves a single byte of these outputs fails here.
+the bracket check's two products were written as two loops, and the probe
+pins before its candidate loop lost the chain search; any change to the
+arithmetic that moves a single byte of these outputs fails here.
 """
 import hashlib
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -15,7 +17,9 @@ import pytest
 from weightcat.cli import EXIT_OK, main
 from weightcat.degonemod import build_M, build_N
 from weightcat.extcoh import cocycle_space, is_coboundary
-from weightcat.inducemod import induce, restrict_family
+from weightcat.inducemod import (DepthOverflowError, induce, levi_module_product,
+                                 probe_restriction_failure, restrict_family)
+from weightcat.rootsys import build_root_system
 
 
 def sha256(text):
@@ -94,3 +98,132 @@ def test_coboundary_witness_is_golden():
     witness = is_coboundary(space.random_cocycle(random.Random(0)), 2)
     assert witness is not None and len(witness) == 36
     assert sha256(repr(witness)) == "f8f07c6f6eacd9d125310a4d0695e651fbf9dff78c8b1ddc34e02ad2929b13f1"
+
+
+# restriction-failure probes on every proper block of A2-A4 and C2-C4 at D = 3
+# and 4: (restriction_impossible, witness, candidates_checked), or the type of
+# the error raised; C4 {1} overflows its truncation at both depths
+PROBE_RUNS = {
+    "A2 1 D=3": "f44460bc638ecba952c7b312d40b59aa51edc3acb84c75d7a487d423e8c2ccb1",
+    "A2 1 D=4": "f44460bc638ecba952c7b312d40b59aa51edc3acb84c75d7a487d423e8c2ccb1",
+    "A2 2 D=3": "f44460bc638ecba952c7b312d40b59aa51edc3acb84c75d7a487d423e8c2ccb1",
+    "A2 2 D=4": "f44460bc638ecba952c7b312d40b59aa51edc3acb84c75d7a487d423e8c2ccb1",
+    "A3 1 D=3": "f44460bc638ecba952c7b312d40b59aa51edc3acb84c75d7a487d423e8c2ccb1",
+    "A3 1 D=4": "f44460bc638ecba952c7b312d40b59aa51edc3acb84c75d7a487d423e8c2ccb1",
+    "A3 2 D=3": "f44460bc638ecba952c7b312d40b59aa51edc3acb84c75d7a487d423e8c2ccb1",
+    "A3 2 D=4": "f44460bc638ecba952c7b312d40b59aa51edc3acb84c75d7a487d423e8c2ccb1",
+    "A3 3 D=3": "f44460bc638ecba952c7b312d40b59aa51edc3acb84c75d7a487d423e8c2ccb1",
+    "A3 3 D=4": "f44460bc638ecba952c7b312d40b59aa51edc3acb84c75d7a487d423e8c2ccb1",
+    "A3 1,2 D=3": "f44460bc638ecba952c7b312d40b59aa51edc3acb84c75d7a487d423e8c2ccb1",
+    "A3 1,2 D=4": "f44460bc638ecba952c7b312d40b59aa51edc3acb84c75d7a487d423e8c2ccb1",
+    "A3 1,3 D=3": "6403768ff5d7aa502ba0b880f71d1686b9860e1f1292477ffa07febfb1a84cf8",
+    "A3 1,3 D=4": "6403768ff5d7aa502ba0b880f71d1686b9860e1f1292477ffa07febfb1a84cf8",
+    "A3 2,3 D=3": "f44460bc638ecba952c7b312d40b59aa51edc3acb84c75d7a487d423e8c2ccb1",
+    "A3 2,3 D=4": "f44460bc638ecba952c7b312d40b59aa51edc3acb84c75d7a487d423e8c2ccb1",
+    "A4 1 D=3": "f44460bc638ecba952c7b312d40b59aa51edc3acb84c75d7a487d423e8c2ccb1",
+    "A4 1 D=4": "f44460bc638ecba952c7b312d40b59aa51edc3acb84c75d7a487d423e8c2ccb1",
+    "A4 2 D=3": "f44460bc638ecba952c7b312d40b59aa51edc3acb84c75d7a487d423e8c2ccb1",
+    "A4 2 D=4": "f44460bc638ecba952c7b312d40b59aa51edc3acb84c75d7a487d423e8c2ccb1",
+    "A4 3 D=3": "f44460bc638ecba952c7b312d40b59aa51edc3acb84c75d7a487d423e8c2ccb1",
+    "A4 3 D=4": "f44460bc638ecba952c7b312d40b59aa51edc3acb84c75d7a487d423e8c2ccb1",
+    "A4 4 D=3": "f44460bc638ecba952c7b312d40b59aa51edc3acb84c75d7a487d423e8c2ccb1",
+    "A4 4 D=4": "f44460bc638ecba952c7b312d40b59aa51edc3acb84c75d7a487d423e8c2ccb1",
+    "A4 1,2 D=3": "f44460bc638ecba952c7b312d40b59aa51edc3acb84c75d7a487d423e8c2ccb1",
+    "A4 1,2 D=4": "f44460bc638ecba952c7b312d40b59aa51edc3acb84c75d7a487d423e8c2ccb1",
+    "A4 1,3 D=3": "7e959f00b39691a72633c56e0088ab4dc8705e2f11828b406825f87b020683fe",
+    "A4 1,3 D=4": "7e959f00b39691a72633c56e0088ab4dc8705e2f11828b406825f87b020683fe",
+    "A4 1,4 D=3": "dc83aefbc1a48abfd887e30e1316440a788770f435e8b181514f4b637a8ca8f7",
+    "A4 1,4 D=4": "dc83aefbc1a48abfd887e30e1316440a788770f435e8b181514f4b637a8ca8f7",
+    "A4 2,3 D=3": "f44460bc638ecba952c7b312d40b59aa51edc3acb84c75d7a487d423e8c2ccb1",
+    "A4 2,3 D=4": "f44460bc638ecba952c7b312d40b59aa51edc3acb84c75d7a487d423e8c2ccb1",
+    "A4 2,4 D=3": "1a20f34b9eb35cde4f70928c5770e806e85e73b12529a75f15b528a0466d6158",
+    "A4 2,4 D=4": "1a20f34b9eb35cde4f70928c5770e806e85e73b12529a75f15b528a0466d6158",
+    "A4 3,4 D=3": "f44460bc638ecba952c7b312d40b59aa51edc3acb84c75d7a487d423e8c2ccb1",
+    "A4 3,4 D=4": "f44460bc638ecba952c7b312d40b59aa51edc3acb84c75d7a487d423e8c2ccb1",
+    "A4 1,2,3 D=3": "f44460bc638ecba952c7b312d40b59aa51edc3acb84c75d7a487d423e8c2ccb1",
+    "A4 1,2,3 D=4": "f44460bc638ecba952c7b312d40b59aa51edc3acb84c75d7a487d423e8c2ccb1",
+    "A4 1,2,4 D=3": "7e8ff9aca2bc08a3fcac6987dfe0b5a8bdcb0b65ce1b096dc94f3c0de50958ff",
+    "A4 1,2,4 D=4": "7e8ff9aca2bc08a3fcac6987dfe0b5a8bdcb0b65ce1b096dc94f3c0de50958ff",
+    "A4 1,3,4 D=3": "39305224295477c3af984638a623951db84bd658c307874f014bbbf2a8e51ce4",
+    "A4 1,3,4 D=4": "39305224295477c3af984638a623951db84bd658c307874f014bbbf2a8e51ce4",
+    "A4 2,3,4 D=3": "f44460bc638ecba952c7b312d40b59aa51edc3acb84c75d7a487d423e8c2ccb1",
+    "A4 2,3,4 D=4": "f44460bc638ecba952c7b312d40b59aa51edc3acb84c75d7a487d423e8c2ccb1",
+    "C2 1 D=3": "d1f6141615ceb3e464782b507be4c19235279000f1a2711097c87367c6489e56",
+    "C2 1 D=4": "d1f6141615ceb3e464782b507be4c19235279000f1a2711097c87367c6489e56",
+    "C2 2 D=3": "f44460bc638ecba952c7b312d40b59aa51edc3acb84c75d7a487d423e8c2ccb1",
+    "C2 2 D=4": "f44460bc638ecba952c7b312d40b59aa51edc3acb84c75d7a487d423e8c2ccb1",
+    "C3 1 D=3": "46f5227202f7cfc4182d3595cfaf2a5513a1d3fc93828938ec1298694190e192",
+    "C3 1 D=4": "46f5227202f7cfc4182d3595cfaf2a5513a1d3fc93828938ec1298694190e192",
+    "C3 2 D=3": "88728565d7b36e5ed37b1f4900b5d733fe56bc099cba117a07455c1d46b3115a",
+    "C3 2 D=4": "88728565d7b36e5ed37b1f4900b5d733fe56bc099cba117a07455c1d46b3115a",
+    "C3 3 D=3": "f44460bc638ecba952c7b312d40b59aa51edc3acb84c75d7a487d423e8c2ccb1",
+    "C3 3 D=4": "f44460bc638ecba952c7b312d40b59aa51edc3acb84c75d7a487d423e8c2ccb1",
+    "C3 1,2 D=3": "5e814cc0152b6363657bf80a8df2ab864cd9f1108eb37ef2f60963d3308ca5de",
+    "C3 1,2 D=4": "5e814cc0152b6363657bf80a8df2ab864cd9f1108eb37ef2f60963d3308ca5de",
+    "C3 1,3 D=3": "6403768ff5d7aa502ba0b880f71d1686b9860e1f1292477ffa07febfb1a84cf8",
+    "C3 1,3 D=4": "6403768ff5d7aa502ba0b880f71d1686b9860e1f1292477ffa07febfb1a84cf8",
+    "C3 2,3 D=3": "f44460bc638ecba952c7b312d40b59aa51edc3acb84c75d7a487d423e8c2ccb1",
+    "C3 2,3 D=4": "f44460bc638ecba952c7b312d40b59aa51edc3acb84c75d7a487d423e8c2ccb1",
+    "C4 1 D=3": "b2e8740d3a6be9812589411b47e4cfc6f541b479ae043714b416786caa000b89",
+    "C4 1 D=4": "b2e8740d3a6be9812589411b47e4cfc6f541b479ae043714b416786caa000b89",
+    "C4 2 D=3": "005a5e37649fdf865d2578f7df2266347b899cffb9d6ad89b3d51c923d8dbd2c",
+    "C4 2 D=4": "005a5e37649fdf865d2578f7df2266347b899cffb9d6ad89b3d51c923d8dbd2c",
+    "C4 3 D=3": "4f3eec520dcefff6c64611ad420af44749ccc01065dc78bbad9a47a7dcae0e81",
+    "C4 3 D=4": "4f3eec520dcefff6c64611ad420af44749ccc01065dc78bbad9a47a7dcae0e81",
+    "C4 4 D=3": "f44460bc638ecba952c7b312d40b59aa51edc3acb84c75d7a487d423e8c2ccb1",
+    "C4 4 D=4": "f44460bc638ecba952c7b312d40b59aa51edc3acb84c75d7a487d423e8c2ccb1",
+    "C4 1,2 D=3": "1d8757c05a47732a0e5653c117497d7587a40813663e58bd4e1714494ca6a462",
+    "C4 1,2 D=4": "1d8757c05a47732a0e5653c117497d7587a40813663e58bd4e1714494ca6a462",
+    "C4 1,3 D=3": "05862e362ad6670051894889632edf0380a4afe89f3b374b28c4cd076e29814c",
+    "C4 1,3 D=4": "05862e362ad6670051894889632edf0380a4afe89f3b374b28c4cd076e29814c",
+    "C4 1,4 D=3": "dc83aefbc1a48abfd887e30e1316440a788770f435e8b181514f4b637a8ca8f7",
+    "C4 1,4 D=4": "dc83aefbc1a48abfd887e30e1316440a788770f435e8b181514f4b637a8ca8f7",
+    "C4 2,3 D=3": "e6d92d17a01f78e7dc88216636ae658e116ba7137fdb29b4fed6a95ca2543142",
+    "C4 2,3 D=4": "e6d92d17a01f78e7dc88216636ae658e116ba7137fdb29b4fed6a95ca2543142",
+    "C4 2,4 D=3": "1a20f34b9eb35cde4f70928c5770e806e85e73b12529a75f15b528a0466d6158",
+    "C4 2,4 D=4": "1a20f34b9eb35cde4f70928c5770e806e85e73b12529a75f15b528a0466d6158",
+    "C4 3,4 D=3": "f44460bc638ecba952c7b312d40b59aa51edc3acb84c75d7a487d423e8c2ccb1",
+    "C4 3,4 D=4": "f44460bc638ecba952c7b312d40b59aa51edc3acb84c75d7a487d423e8c2ccb1",
+    "C4 1,2,3 D=3": "6c842c9e450484ad176ade8f2abe9c4afea101c985b2040145f6b16e55a24f96",
+    "C4 1,2,3 D=4": "6c842c9e450484ad176ade8f2abe9c4afea101c985b2040145f6b16e55a24f96",
+    "C4 1,2,4 D=3": "7e8ff9aca2bc08a3fcac6987dfe0b5a8bdcb0b65ce1b096dc94f3c0de50958ff",
+    "C4 1,2,4 D=4": "7e8ff9aca2bc08a3fcac6987dfe0b5a8bdcb0b65ce1b096dc94f3c0de50958ff",
+    "C4 1,3,4 D=3": "16cf3b6d2b1ad388f824aa7dcb6dc4b23c36c5c1d224a122995dcaa88f2b2446",
+    "C4 1,3,4 D=4": "16cf3b6d2b1ad388f824aa7dcb6dc4b23c36c5c1d224a122995dcaa88f2b2446",
+    "C4 2,3,4 D=3": "f44460bc638ecba952c7b312d40b59aa51edc3acb84c75d7a487d423e8c2ccb1",
+    "C4 2,3,4 D=4": "f44460bc638ecba952c7b312d40b59aa51edc3acb84c75d7a487d423e8c2ccb1",
+}
+PROBE_VALUES = (F(1, 2), F(1, 3), F(2, 5), F(-3, 7), F(5, 6), F(-1, 4), F(3, 8), F(7, 9))
+
+
+def _probe_outcome(name, block, depth):
+    """Probe of a Levi module on the block: a type C component through the last
+    simple root carries M, every other component N, and PROBE_VALUES feed the
+    parameters and then the central values."""
+    system = build_root_system(name)
+    values = iter(PROBE_VALUES)
+    parts = []
+    for comp in sorted((tuple(sorted(c)) for c in system.connected_components(block)), key=min):
+        if system.cartan_type.family == "C" and system.rank in comp:
+            parts.append((comp, build_M([next(values) for _ in comp])))
+        else:
+            parts.append((comp, build_N([next(values) for _ in range(len(comp) + 1)])))
+    central = {i: next(values) for i in range(1, system.rank + 1) if i not in block}
+    try:
+        rep = probe_restriction_failure(levi_module_product(system, parts, central), depth)
+    except DepthOverflowError as exc:
+        return type(exc).__name__
+    w = rep.witness
+    return (rep.restriction_impossible,
+            None if w is None else (w.alpha, w.chain_weight, w.delta, w.witness_root),
+            rep.candidates_checked)
+
+
+@pytest.mark.parametrize("name", ["A2", "A3", "A4", "C2", "C3", "C4"])
+def test_probe_reports_are_golden(name):
+    rank = int(name[1:])
+    for size in range(1, rank):
+        for block in itertools.combinations(range(1, rank + 1), size):
+            for depth in (3, 4):
+                key = f"{name} {','.join(map(str, block))} D={depth}"
+                assert sha256(repr(_probe_outcome(name, block, depth))) == PROBE_RUNS[key], key

@@ -242,6 +242,121 @@ def test_probe_trivial_c3_cases():
     assert probe_restriction_failure(C, depth=3).restriction_impossible
 
 
+def _proper_blocks(system):
+    n = system.rank
+    return [b for size in range(1, n) for b in itertools.combinations(range(1, n + 1), size)]
+
+
+def _oracle_candidates(system, block):
+    """The probe's candidate rule written out with every test it ever had: a
+    recursive search for a chain of theta-positive roots from alpha to delta
+    whose partial sums are roots, delta != alpha, and nu != gamma."""
+    roots, n = system.roots, system.rank
+    levi = [r for r in system.positive if all(r[i] == 0 for i in range(n) if i + 1 not in block)]
+    ideal = [r for r in system.positive if r not in levi]
+    theta_pos = [r for r in system.positive if all(r[b - 1] == 0 for b in block)]
+    plus = lambda x, y: tuple(a + b for a, b in zip(x, y))
+    minus = lambda x, y: tuple(a - b for a, b in zip(x, y))
+    below = lambda x, y: all(a <= b for a, b in zip(x, y))
+
+    def chain(alpha, rem):
+        return not any(rem) or any(below(beta, rem) and plus(alpha, beta) in roots
+                                   and chain(plus(alpha, beta), minus(rem, beta))
+                                   for beta in theta_pos)
+
+    out = []
+    for delta in ideal:
+        for alpha in levi:
+            rem = minus(delta, alpha)
+            if (min(rem) < 0 or any(rem[b - 1] for b in block) or not any(rem)
+                    or not chain(alpha, rem)):
+                continue
+            for mu in levi:
+                nu = plus(delta, mu)
+                if nu in roots and all(minus(nu, g) not in roots and any(minus(nu, g))
+                                       for g in theta_pos if below(g, rem)):
+                    out.append((alpha, rem, delta, nu))
+    return out
+
+
+def _levi_on(system, block, values):
+    """A Levi module on the block: a type C component through the last simple
+    root carries M, every other component N; values feeds the parameters and
+    then the central values."""
+    values = iter(values)
+    parts = []
+    for comp in sorted((tuple(sorted(c)) for c in system.connected_components(block)), key=min):
+        if system.cartan_type.family == "C" and system.rank in comp:
+            parts.append((comp, build_M([next(values) for _ in comp])))
+        else:
+            parts.append((comp, build_N([next(values) for _ in range(len(comp) + 1)])))
+    central = {i: next(values) for i in range(1, system.rank + 1) if i not in block}
+    return levi_module_product(system, parts, central)
+
+
+def test_probe_candidates_match_the_chain_search_oracle(monkeypatch):
+    """The ordered candidate list of the probe, read from the ProbeCandidate
+    constructions before the first projection, equals the oracle's on every
+    proper block of A2-A5 and C2-C5."""
+    made = []
+
+    class Recording(inducemod.ProbeCandidate):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(args)
+
+    class ListBuilt(Exception):
+        pass
+
+    def stop(self, vec):
+        raise ListBuilt
+
+    monkeypatch.setattr(inducemod, "ProbeCandidate", Recording)
+    monkeypatch.setattr(inducemod.TruncatedVerma, "project", stop)
+    total = 0
+    for name in ("A2", "A3", "A4", "A5", "C2", "C3", "C4", "C5"):
+        system = build_root_system(name)
+        for block in _proper_blocks(system):
+            made.clear()
+            C = _levi_on(system, block, [F(1, p) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23)])
+            try:
+                assert probe_restriction_failure(C, depth=3).candidates_checked == 0
+            except ListBuilt:
+                pass
+            assert made == _oracle_candidates(system, block), (name, block)
+            total += len(made)
+    assert total == 252
+
+
+def test_simple_theta_steps_join_alpha_to_delta():
+    """Whenever delta - alpha >= 0 vanishes on the block, greedy steps by theta
+    simple roots lead from alpha to delta through roots; so the probe needs no
+    chain search, and delta - alpha is never zero."""
+    pairs = 0
+    for name in ("A5", "B4", "C5", "D5", "E6", "F4", "G2"):
+        system = build_root_system(name)
+        n = system.rank
+        for block in _proper_blocks(system):
+            theta = [i for i in range(n) if i + 1 not in block]
+            on_levi = lambda r: all(r[i] == 0 for i in theta)
+            for delta in (r for r in system.positive if not on_levi(r)):
+                for alpha in (r for r in system.positive if on_levi(r)):
+                    rem = [d - a for d, a in zip(delta, alpha)]
+                    if min(rem) < 0 or any(rem[b - 1] for b in block):
+                        continue
+                    assert any(rem)
+                    pairs += 1
+                    cur = list(alpha)
+                    while rem != [0] * n:
+                        i = next((i for i in theta if rem[i] > 0 and tuple(
+                            c + (j == i) for j, c in enumerate(cur)) in system.roots), None)
+                        assert i is not None, (name, block, delta, alpha, cur)
+                        cur[i] += 1
+                        rem[i] -= 1
+                    assert tuple(cur) == delta
+    assert pairs == 1581
+
+
 def test_levi_component_must_live_on_its_block():
     a3, c3 = build_root_system("A3"), build_root_system("C3")
     with pytest.raises(ValueError):
