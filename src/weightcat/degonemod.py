@@ -98,8 +98,11 @@ class DegreeOneModule:
         self.scale = math.lcm(*(Fraction(c, 2).denominator
                                  * math.prod(x.denominator ** e for x, e in zip(spec.a, pe))
                                  for _, pe, c in map(self.realization.monomial, system.ordered_roots)))
-        # the one store of the root action: root -> {k: ((target, numerator),)}
-        self._action: Dict[Root, Dict[Index, Tuple]] = Lookup(self._root_action)
+        # every admissible index gets a number on first sight, _keys[_ids[k]] == k
+        self._keys: List[Index] = []
+        self._ids: Dict[Index, int] = Lookup(self._number)
+        # the one store of the root action: root -> {number: ((target number, numerator),)}
+        self._action: Dict[Root, Dict[int, Tuple]] = Lookup(self._root_action)
         self._coefficient = Lookup(lambda num: Fraction(num, self.scale))  # made once per value
 
     # -- basis ---------------------------------------------------------------
@@ -127,26 +130,36 @@ class DegreeOneModule:
         return out
 
     # -- actions ---------------------------------------------------------------
+    def _number(self, k: Index) -> int:
+        self._keys.append(k)
+        return len(self._keys) - 1
+
     def _root_action(self, root: Root) -> Lookup:
-        """{k: ((target, numerator),)} of X_root on admissible k at the module's scale,
-        walked on first lookup; a zero numerator keeps the index the walk stopped at."""
+        """{number: ((target number, numerator),)} of X_root on admissible indices at
+        the module's scale, walked on first lookup; a zero numerator keeps the index
+        the walk stopped at, and every target is admissible (`WeylParams._step`)."""
         qe, pe, c = self.realization.monomial(root)  # X_root = c/2 q^qe p^pe
         walk, word, scale = self.params._walk, monomial_word(qe, pe), self.scale
+        keys, ids = self._keys, self._ids
 
-        def act(k):
-            num, den, target = walk(word, k)
-            return ((target, num * (c * scale // (2 * den))),)
+        def act(i):
+            num, den, target = walk(word, keys[i])
+            return ((ids[target], num * (c * scale // (2 * den))),)
 
         return Lookup(act)
 
     def act_root_num(self, root: Root, k: Sequence[int]) -> Tuple[int, Index]:
         """Coefficient numerator over `scale`, and target, of the canonical root
-        vector on x(k): the root-action store as it is kept."""
-        store, k = self._action[tuple(root)], tuple(k)
-        if k not in store and not self.params.in_lattice(k):
-            raise ValueError(f"index {k} not admissible for parameters {self.params.a}")
-        (target, num), = store[k]
-        return num, target
+        vector on x(k): the root-action store as it is kept.  Only an index
+        without a number needs the admissibility check."""
+        k = tuple(k)
+        i = self._ids.get(k)
+        if i is None:
+            if not self.params.in_lattice(k):
+                raise ValueError(f"index {k} not admissible for parameters {self.params.a}")
+            i = self._ids[k]
+        (target, num), = self._action[tuple(root)][i]
+        return num, self._keys[target]
 
     def act_root(self, root: Root, k: Sequence[int]) -> Tuple[Fraction, Index]:
         """Coefficient and target of the canonical root vector on x(k)."""
@@ -169,11 +182,15 @@ class DegreeOneModule:
         """Root pairs and window vectors where the action breaks a bracket.
 
         Yields (mu, nu, k, defect) as `Realization.representation_defects`
-        does; an empty iteration certifies bracket fidelity on the window,
-        and an empty window raises ValueError.
+        does, which runs on index numbers; an empty iteration certifies bracket
+        fidelity on the window, and an empty window raises ValueError.
         """
-        return self.realization.representation_defects(self._action, self.weight_of,
-                                                       self.window(radius), self.scale)
+        keys, ids = self._keys, self._ids
+        defects = self.realization.representation_defects(
+            self._action, lambda i: self.weight_of(keys[i]),
+            [ids[k] for k in self.window(radius)], self.scale)
+        return ((mu, nu, keys[i], {keys[j]: v for j, v in defect.items()})
+                for mu, nu, i, defect in defects)
 
     def weight_of(self, k: Sequence[int]) -> Tuple[Fraction, ...]:
         """Values of the simple coroots H_{e_1}..H_{e_n} on x(k)."""

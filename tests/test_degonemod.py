@@ -3,6 +3,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from weightcat.categorio import check_membership
 from weightcat.degonemod import PartitionError, build_M, build_N
 from weightcat.weylmod import weyl_act
 
@@ -314,8 +315,8 @@ def test_bracket_defects_find_a_corrupted_weight():
 def test_bracket_defects_first_witness_of_a_corrupted_action(build, params):
     m = build(params)
     root, k = m.system.simple_root(2), m.zero_index()
-    (t, num), = m._action[root][k]
-    m._action[root][k] = ((t, num + m.scale),)
+    (t, num), = m._action[root][m._ids[k]]
+    m._action[root][m._ids[k]] = ((t, num + m.scale),)
     want = _first_bracket_failure(m, 1)
     assert want is not None
     assert next(m.bracket_defects(1))[:3] == want
@@ -339,13 +340,13 @@ def test_bracket_defects_match_the_oracle_under_perturbation(module, what, i, j,
     roots, near = m.system.ordered_roots, m.window(2)
     if what == "coefficient":
         root, k = roots[i % len(roots)], near[j % len(near)]
-        (t, num), = m._action[root][k]
-        m._action[root][k] = ((t, num + (m.scale if delta == 1 else delta.numerator)),)
+        (t, num), = m._action[root][m._ids[k]]
+        m._action[root][m._ids[k]] = ((t, num + (m.scale if delta == 1 else delta.numerator)),)
     elif what == "target":
         moved = [(r, k) for r in roots for k in near if m.act_root(r, k)[0]]
         root, k = moved[i % len(moved)]
-        (_, num), = m._action[root][k]
-        m._action[root][k] = ((near[j % len(near)], num),)
+        (_, num), = m._action[root][m._ids[k]]
+        m._action[root][m._ids[k]] = ((m._ids[near[j % len(near)]], num),)
     elif what == "structure constant":
         # root_pairs reads the instance's structure_constant, as the oracle does
         assert "root_pairs" not in vars(real)
@@ -360,3 +361,47 @@ def test_bracket_defects_match_the_oracle_under_perturbation(module, what, i, j,
         w[j % len(w)] += delta
         m.weight_of = lambda x: tuple(w) if tuple(x) == k else true_weight(x)
     assert next(m.bracket_defects(1), None) == next(_bracket_failures(m, 1), None)
+
+
+@pytest.mark.parametrize("build,params", [
+    (build_N, ["-1", "1/2", "1/3", "0"]),
+    (build_M, ["-1", "1/4", "1/5"]),
+])
+@pytest.mark.parametrize("what", ["coefficient", "target"])
+def test_bracket_defects_list_the_oracle_under_a_corrupted_action(build, params, what):
+    """Every yielded defect, not only the first, names the oracle's pair, index
+    and {index: Fraction} entries, in the oracle's order: the store runs on
+    index numbers and bracket_defects maps each one back."""
+    m = build(params)
+    root, k = m.system.simple_root(2), m.zero_index()
+    (t, num), = m._action[root][m._ids[k]]
+    if what == "coefficient":
+        m._action[root][m._ids[k]] = ((t, num + m.scale),)
+    else:
+        m._action[root][m._ids[k]] = ((m._ids[m.window(1)[0]], num),)
+    got, want = list(m.bracket_defects(1)), list(_bracket_failures(m, 1))
+    assert len(want) > 1 and got == want
+    window = set(m.window(1))
+    for _, _, key, defect in got:
+        assert key in window and all(type(x) is tuple and m.in_basis(x) for x in defect)
+        assert all(type(v) is F for v in defect.values())
+
+
+def test_index_numbering_invariants():
+    m = build_M(["-1", "1/4", "1/5"])
+    theta = m.theta_a()
+    assert next(m.bracket_defects(2), None) is None
+    m.enumerate_hw(theta, 2)
+    assert check_membership(m, theta, radius=2).passed
+    keys = m._keys
+    assert set(m.window(2)) <= set(keys)
+    # each numbered index once, and its number leads back to it
+    assert len(set(keys)) == len(keys) == len(m._ids)
+    assert all(keys[i] == k for k, i in m._ids.items())
+    assert all(m.params.in_lattice(k) for k in keys)
+    bad = (1, 1, 0)
+    assert not m.params.in_lattice(bad)
+    n = len(keys)
+    with pytest.raises(ValueError, match="not admissible"):
+        m.act_root_num(m.system.simple_root(1), bad)
+    assert len(m._keys) == n and bad not in m._ids
