@@ -19,7 +19,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tup
 
 from .degonemod import DegreeOneModule, Index, build_module
 from .rootsys import CartanType, Root, RootSystem, add_roots, center_basis, neg_root
-from .weylmod import parse_rational
+from .weylmod import Lookup, parse_rational, representatives
 
 TRIVIAL = "TRIVIAL"
 EXCLUDED = "EXCLUDED"
@@ -171,10 +171,13 @@ def _step_cap(radius: int, rank: int) -> int:
 def _witnesses(module: DegreeOneModule, roots: Iterable[Root], window: Sequence[Index],
                cap: int, survive: bool) -> List[Tuple[Root, Index]]:
     """(root, first window vector k) for every root whose chain from x(k)
-    survives cap steps (survive=True) or dies within them (survive=False)."""
+    survives cap steps (survive=True) or dies within them (survive=False),
+    tried once per projection onto the root's letters (`weylmod.representatives`)."""
+    supports, first = module.realization.supports, Lookup(lambda coords: representatives(window, coords))
     out = []
     for root in roots:
-        k = next((k for k in window if bool(module.act_word((root,) * cap, k)[0]) == survive), None)
+        k = next((k for k in first[supports[root]]
+                  if bool(module.act_word((root,) * cap, k)[0]) == survive), None)
         if k is not None:
             out.append((root, k))
     return out

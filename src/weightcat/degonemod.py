@@ -24,7 +24,8 @@ from itertools import accumulate, product
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .rootsys import Root, RootSystem, build_root_system, neg_root
-from .weylmod import Lookup, WeylParams, format_rational, monomial_word, parse_rational, reach
+from .weylmod import (Lookup, WeylParams, format_rational, monomial_word, parse_rational, reach,
+                      representatives)
 
 Index = Tuple[int, ...]
 
@@ -182,13 +183,14 @@ class DegreeOneModule:
         """Root pairs and window vectors where the action breaks a bracket.
 
         Yields (mu, nu, k, defect) as `Realization.representation_defects`
-        does, which runs on index numbers; an empty iteration certifies bracket
-        fidelity on the window, and an empty window raises ValueError.
+        does, which runs on index numbers, projected onto each pair's letters;
+        an empty iteration certifies bracket fidelity on the window, and an
+        empty window raises ValueError.
         """
-        keys, ids = self._keys, self._ids
+        keys, ids, window = self._keys, self._ids, self.window(radius)
         defects = self.realization.representation_defects(
-            self._action, lambda i: self.weight_of(keys[i]),
-            [ids[k] for k in self.window(radius)], self.scale)
+            self._action, lambda i: self.weight_of(keys[i]), [ids[k] for k in window], self.scale,
+            Lookup(lambda coords: [ids[k] for k in representatives(window, coords)]))
         return ((mu, nu, keys[i], {keys[j]: v for j, v in defect.items()})
                 for mu, nu, i, defect in defects)
 
@@ -247,8 +249,9 @@ class DegreeOneModule:
         return [k for k in self.window(radius) if not any(x for i, x in enumerate(k) if i not in free)]
 
     def degree_on_window(self, radius: int) -> int:
-        """Largest weight multiplicity on the window; an empty window raises ValueError."""
-        counts = Counter(map(self.weight_of, self.window(radius)))
+        """Largest weight multiplicity on the window, counted by displacement (an
+        invertible linear image of the weight); an empty window raises ValueError."""
+        counts = Counter(map(self.displacement, self.window(radius)))
         if not counts:
             raise ValueError("no basis vector to check: the window is empty")
         return max(counts.values())

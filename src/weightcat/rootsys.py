@@ -306,6 +306,12 @@ class Realization:
         qexp, pexp = tuple(max(v, 0) for v in eps), tuple(max(-v, 0) for v in eps)
         return qexp, pexp, (-1 if sum(eps) < 0 else 1) * (2 // max(qexp + pexp))
 
+    @cached_property
+    def supports(self) -> Dict[Root, FrozenSet[int]]:
+        """{root: the generator pairs X_root has letters on, all its walk reads and moves}."""
+        return {r: frozenset(i for i, qp in enumerate(zip(*self.monomial(r)[:2])) if any(qp))
+                for r in self.system.ordered_roots}
+
     # -- structure constants ----------------------------------------------------
     def _contract(self, mu: Root, nu: Root) -> Dict[Tuple[int, ...], int]:
         """4 [X_mu, X_nu] as {letters: integer}, from X = num/2 AB for letters A, B:
@@ -383,8 +389,8 @@ class Realization:
                 pairs.append((mu, nu, s, n, h))
         return pairs
 
-    def representation_defects(self, act: Mapping, weight: Callable, keys: Sequence,
-                               den: int = 1) -> Iterator[Tuple[Root, Root, object, Dict]]:
+    def representation_defects(self, act: Mapping, weight: Callable, keys: Sequence, den: int = 1,
+                               local: Optional[Mapping] = None) -> Iterator[Tuple[Root, Root, object, Dict]]:
         """Where a linear action fails to respect the brackets of root vectors.
 
         act[root][key] gives den * X_root x(key) as ((key, numerator), ...) at
@@ -395,32 +401,51 @@ class Realization:
         root_pairs and every key on which the nonzero {key: Fraction} defect
         is X_mu X_nu - X_nu X_mu - [X_mu, X_nu] on x(key).  No keys raise
         ValueError: a check that saw no vector certifies nothing.
+
+        local[coords], for an action by lattice walks, lists one key per
+        projection of keys onto coords (`weylmod.representatives`).  A pair off
+        the Cartan is then tried there on its supports' union and scanned on
+        every key only if one fails; one with disjoint supports commutes letter
+        by letter (mu + nu is neither a root nor 0) and is skipped.  The Cartan
+        pairs read weight(key), every coordinate, on every key.
         """
         if not keys:
             raise ValueError("no basis vector to check: the window is empty")
         weights = Lookup(lambda key: _over_lcm(weight(key)))
-        den2 = den * den
-        for mu, nu, s, n, h in self.root_pairs:
-            amu, anu, tsum, ns = act[mu], act[nu], act[s] if n else None, n * den
-            for key in keys:
-                # den^2 (X_mu X_nu - X_nu X_mu - N X_s) x(key)
-                acc: Dict = {}
-                for k1, c1 in anu[key]:
-                    for k2, c2 in amu[k1]:
-                        acc[k2] = acc.get(k2, 0) + c1 * c2
-                for k1, c1 in amu[key]:
-                    for k2, c2 in anu[k1]:
-                        acc[k2] = acc.get(k2, 0) - c1 * c2
-                if n:
-                    for k1, c1 in tsum[key]:
-                        acc[k1] = acc.get(k1, 0) - ns * c1
-                elif h is not None:
-                    # subtract den^2 h.weight(key) = den^2 (h.wn) / wd
-                    wn, wd = weights[key]
-                    v = acc.get(key, 0) * wd - den2 * sum(map(mul, h, wn))
-                    acc[key] = Fraction(v, wd) if v else 0
-                if any(acc.values()):
-                    yield mu, nu, key, {k: Fraction(v, den2) for k, v in acc.items() if v}
+        for pair in self.root_pairs:
+            mu, nu, _, _, h = pair
+            if local is not None and h is None:
+                a, b = self.supports[mu], self.supports[nu]
+                if a.isdisjoint(b) or next(_pair_defects(act, weights, den, pair, local[a | b]), None) is None:
+                    continue
+            for key, defect in _pair_defects(act, weights, den, pair, keys):
+                yield mu, nu, key, defect
+
+
+def _pair_defects(act: Mapping, weights: Mapping, den: int, pair: RootPair,
+                  keys: Iterable) -> Iterator[Tuple[object, Dict]]:
+    """(key, defect) of one pair of root_pairs, as `representation_defects` yields them."""
+    mu, nu, s, n, h = pair
+    amu, anu, tsum, ns, den2 = act[mu], act[nu], act[s] if n else None, n * den, den * den
+    for key in keys:
+        # den^2 (X_mu X_nu - X_nu X_mu - N X_s) x(key)
+        acc: Dict = {}
+        for k1, c1 in anu[key]:
+            for k2, c2 in amu[k1]:
+                acc[k2] = acc.get(k2, 0) + c1 * c2
+        for k1, c1 in amu[key]:
+            for k2, c2 in anu[k1]:
+                acc[k2] = acc.get(k2, 0) - c1 * c2
+        if n:
+            for k1, c1 in tsum[key]:
+                acc[k1] = acc.get(k1, 0) - ns * c1
+        elif h is not None:
+            # subtract den^2 h.weight(key) = den^2 (h.wn) / wd
+            wn, wd = weights[key]
+            v = acc.get(key, 0) * wd - den2 * sum(map(mul, h, wn))
+            acc[key] = Fraction(v, wd) if v else 0
+        if any(acc.values()):
+            yield key, {k: Fraction(v, den2) for k, v in acc.items() if v}
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from operator import itemgetter
 from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
 NEG_INT = "NEG_INT"
@@ -69,6 +70,22 @@ def reach(start, neighbours: Callable[[object], Iterable]) -> set:
                 seen.add(nxt)
                 stack.append(nxt)
     return seen
+
+
+def representatives(keys: Iterable[Sequence[int]], coords: Iterable[int]) -> List:
+    """The first of keys, in their order, of each projection onto coords (not empty).
+
+    `WeylParams._walk` reads and moves only its letters' coordinates: each
+    `_step` reads and writes k_i alone.  So walks of words whose letters lie on
+    coords have, at every key of one projection class, the same coefficients
+    and targets that agree with the key off coords.  A check made of such walks
+    on x(k), compared with k, holds at every key of a class or at none, and the
+    first key it fails at is the first failing representative.
+    """
+    proj, first = itemgetter(*coords), {}
+    for k in keys:
+        first.setdefault(proj(k), k)
+    return list(first.values())
 
 
 def check_window(ranges: Sequence[range]) -> None:

@@ -261,6 +261,38 @@ def test_membership_witnesses_match_a_full_scan():
     assert rep.details["nilpotency_witnesses"] == [(r, want[r]) for r in outside if r in want]
 
 
+@pytest.mark.parametrize("build,a,theta,S,fault", [
+    # condition 1 fails with theta empty off the cuspidal block, condition 3
+    # with theta = S too small to hold the block
+    (build_N, ["-1", "1/2", "1/3", "0"], set(), None, None),
+    (build_N, ["-1", "1/2", "1/3", "0"], {3}, {3}, None),
+    (build_M, ["-1", "1/4", "1/5"], set(), None, None),
+    (build_M, ["-1", "1/4", "1/5"], {1}, {1}, None),
+    (build_N, ["1/2", "1/3", "1/5", "1/7"], {1}, {1, 2}, None),
+    # a Weyl step made to vanish at one value: the cuspidal module kills the
+    # window vectors whose chains take it, and chains started above it survive
+    (build_N, ["1/2", "1/3", "1/5", "1/7"], set(), None, ("p", 2, 1)),
+    (build_N, ["1/2", "1/3", "1/5", "1/7"], {2}, {2, 3}, ("q", 0, 0)),
+    (build_M, ["1/3", "1/5", "1/7"], set(), None, ("q", 1, -1)),
+    (build_M, ["1/3", "1/5", "1/7"], {3}, {2, 3}, ("q", 0, 1)),
+])
+def test_membership_witnesses_match_a_full_scan_on_rank_three(monkeypatch, build, a, theta, S, fault):
+    if fault is not None:
+        step = WeylParams._step
+        monkeypatch.setattr(WeylParams, "_step", lambda self, kind, i, ki: (
+            (0, 1, ki) if (kind, i, ki) == fault else step(self, kind, i, ki)))
+    m = build(a)
+    system, cap = m.system, _step_cap(2, m.system.rank)
+    S = set(range(1, system.rank + 1)) if S is None else S
+    rep = check_membership(m, theta, S=S, radius=2)
+    inside = system.span_closure(S - theta)
+    outside = [r for r in system.positive_set if r not in system.span_closure(S)]
+    killed, outlived = _first_chains(m, inside, 2, 1, False), _first_chains(m, outside, 2, cap, True)
+    assert killed or outlived
+    assert rep.details["cuspidality_witnesses"] == [(r, killed[r]) for r in inside if r in killed]
+    assert rep.details["nilpotency_witnesses"] == [(r, outlived[r]) for r in outside if r in outlived]
+
+
 def test_classify_total_over_all_types():
     names = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4",
              "D4", "D5", "E6", "E7", "E8", "F4", "G2"]

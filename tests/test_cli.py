@@ -124,6 +124,16 @@ def test_oversized_window_is_refused_before_any_work(argv, capsys):
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("lemma,a", [
+    ("lemA12", "1/2,1/3"), ("A1N", "-1,1/2,1/3,0"), ("AkAn", "-1,1/2,1/3,1/5,0"),
+    ("AC1", "1/4,-3/4"), ("CC", "-1,1/4,1/5"), ("appendix-a3", "1/2,1/3"),
+])
+def test_lab_at_a_huge_depth(capsys, lemma, a):
+    # the truncation depth bounds the words a lemma builds and sizes nothing
+    assert main(["lab", lemma, "--a", a, "--D", str(10**9)]) == EXIT_OK
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_lab_depth_too_small(capsys):
     # appendix-a3 builds lowering words of depth 2, which overflow D=1
     assert main(["lab", "appendix-a3", "--a", "1/2,1/3", "--D", "1"]) == EXIT_UNCERTIFIED
@@ -289,6 +299,8 @@ def _argv(draw):
 @example(["verify", "--module", "M", "--a", "-1,-1,-1", "--B", "2"])
 @example(["ext", "--module", "N", "--a", "1/2,1/3", "--B", "2"])
 @example(["ext", "--module", "N", "--a", "-1,1/2,1/3,0", "--b", "-1,1/3,1/2,0", "--B", "2"])
+# the derandomized draws hold no appendix-a3 input
+@example(["lab", "appendix-a3", "--a", "1/2,1/3", "--c", "-1-A", "--B", "2", "--D", "3"])
 def test_cli_exit_code_contract(argv):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = main(argv)
@@ -301,6 +313,12 @@ def test_cli_exit_code_contract(argv):
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
             assert main(huge) == EXIT_CONFIG, huge
         assert out.getvalue() == "", huge
+    if argv[0] == "lab":
+        # a truncation depth far above any weight a lemma reads only bounds it
+        at = argv.index("--D") + 1
+        deep = argv[:at] + [str(10**9)] + argv[at + 1:]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert main(deep) in (EXIT_OK, EXIT_MISMATCH, EXIT_CONFIG, EXIT_UNCERTIFIED), deep
     if argv[0] == "verify":
         try:
             build_module(argv[2], _parse_params(argv[4]))

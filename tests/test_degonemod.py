@@ -1,11 +1,14 @@
+import contextlib
+from collections import Counter
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from weightcat.categorio import check_membership
 from weightcat.degonemod import PartitionError, build_M, build_N
-from weightcat.weylmod import weyl_act
+from weightcat.weylmod import NON_INT, WeylParams, weyl_act
 
 
 def neg(r):
@@ -291,6 +294,24 @@ def test_degree_on_window_rejects_an_empty_window(build, params):
     assert m.degree_on_window(0) == 1
 
 
+@pytest.mark.parametrize("build,params,radius", [
+    (build_N, ["1/2", "1/3"], 3), (build_N, ["-1", "1/2", "1/3", "0"], 2),
+    (build_N, ["1/2", "1/3", "1/5", "1/7"], 2), (build_M, ["-1", "1/4"], 3),
+    (build_M, ["-1", "-2"], 3), (build_M, ["-1", "1/4", "1/5"], 2),
+])
+def test_degree_on_window_counts_weights(monkeypatch, build, params, radius):
+    # displacement is an invertible linear image of weight_of(k) - weight_of(0),
+    # so it counts the same multiplicities; a window listing some vectors twice
+    # or three times gives a multiplicity above one to count
+    m = build(params)
+    window = m.window(radius)
+    for keys in (window, window + window[:3] + window[1:2]):
+        monkeypatch.setattr(m, "window", lambda r: list(keys))
+        assert m.degree_on_window(radius) == max(Counter(map(m.weight_of, keys)).values())
+        assert (sorted(Counter(map(m.displacement, keys)).values())
+                == sorted(Counter(map(m.weight_of, keys)).values()))
+
+
 def test_bracket_defects_find_a_corrupted_weight():
     m = build_N(["-1", "1/2", "1/3", "0"])
     key = (-1, 1, 0, 0)
@@ -308,15 +329,30 @@ def test_bracket_defects_find_a_corrupted_weight():
         frozenset((r, neg(r))) for r in m.system.positive if h(r)[0]}
 
 
+def _faulty_step(kind, i, value, what, shift=1):
+    """WeylParams._step with one fault planted in the fill, at (kind, i, k_i = value):
+    the coefficient moved by shift over its denominator, or the target moved by
+    shift.  Placed on a non-integer coordinate, every index stays admissible."""
+    step = WeylParams._step
+
+    def faulty(self, kind_, i_, ki):
+        num, den, t = step(self, kind_, i_, ki)
+        if (kind_, i_, ki) != (kind, i, value):
+            return num, den, t
+        return (num + shift, den, t) if what == "coefficient" else (num, den, t + shift)
+
+    return faulty
+
+
 @pytest.mark.parametrize("build,params", [
     (build_N, ["-1", "1/2", "1/3", "0"]),
     (build_M, ["-1", "1/4", "1/5"]),
 ])
-def test_bracket_defects_first_witness_of_a_corrupted_action(build, params):
+def test_bracket_defects_first_witness_of_a_corrupted_action(monkeypatch, build, params):
+    # q_2 on k_2 = 0 one too large: the fault is in every walk that takes that
+    # step, so the projected check reads it wherever the full scan does
+    monkeypatch.setattr(WeylParams, "_step", _faulty_step("q", 1, 0, "coefficient"))
     m = build(params)
-    root, k = m.system.simple_root(2), m.zero_index()
-    (t, num), = m._action[root][m._ids[k]]
-    m._action[root][m._ids[k]] = ((t, num + m.scale),)
     want = _first_bracket_failure(m, 1)
     assert want is not None
     assert next(m.bracket_defects(1))[:3] == want
@@ -333,20 +369,17 @@ _PERTURBED = [(build_N, ["-1", "1/2", "1/3", "0"]), (build_M, ["-1", "1/4", "1/5
        delta=st.sampled_from([F(1), F(-1), F(1, 2), F(-2, 3), F(5, 7)]))
 def test_bracket_defects_match_the_oracle_under_perturbation(module, what, i, j, delta):
     """The first defect equals the oracle's after one corruption; a coefficient
-    moves by delta's numerator over the module's scale, or by 1 when delta is 1."""
+    or a target of one Weyl step moves by delta's numerator."""
     build, params = _PERTURBED[module]
     m = build(params)
     real = m.realization
-    roots, near = m.system.ordered_roots, m.window(2)
-    if what == "coefficient":
-        root, k = roots[i % len(roots)], near[j % len(near)]
-        (t, num), = m._action[root][m._ids[k]]
-        m._action[root][m._ids[k]] = ((t, num + (m.scale if delta == 1 else delta.numerator)),)
-    elif what == "target":
-        moved = [(r, k) for r in roots for k in near if m.act_root(r, k)[0]]
-        root, k = moved[i % len(moved)]
-        (_, num), = m._action[root][m._ids[k]]
-        m._action[root][m._ids[k]] = ((m._ids[near[j % len(near)]], num),)
+    roots = m.system.ordered_roots
+    fault = contextlib.nullcontext()
+    if what in ("coefficient", "target"):
+        free = [c for c in range(m.nvars) if m.params.coordinate_class(c) == NON_INT]
+        kind, c = "qp"[i % 2], free[i // 2 % len(free)]
+        fault = mock.patch.object(WeylParams, "_step",
+                                  _faulty_step(kind, c, j % 5 - 2, what, delta.numerator))
     elif what == "structure constant":
         # root_pairs reads the instance's structure_constant, as the oracle does
         assert "root_pairs" not in vars(real)
@@ -360,30 +393,33 @@ def test_bracket_defects_match_the_oracle_under_perturbation(module, what, i, j,
         w = list(true_weight(k))
         w[j % len(w)] += delta
         m.weight_of = lambda x: tuple(w) if tuple(x) == k else true_weight(x)
-    assert next(m.bracket_defects(1), None) == next(_bracket_failures(m, 1), None)
+    with fault:
+        assert next(m.bracket_defects(1), None) == next(_bracket_failures(m, 1), None)
 
 
 @pytest.mark.parametrize("build,params", [
     (build_N, ["-1", "1/2", "1/3", "0"]),
     (build_M, ["-1", "1/4", "1/5"]),
+    # q_3 on k_3 = 1 breaks pairs whose first root, 2 eps_3 or eps_i + eps_3,
+    # lacks a letter of the second on the integer coordinates
+    (build_M, ["-1", "-1", "1/4"]),
 ])
 @pytest.mark.parametrize("what", ["coefficient", "target"])
-def test_bracket_defects_list_the_oracle_under_a_corrupted_action(build, params, what):
+def test_bracket_defects_list_the_oracle_under_a_corrupted_action(monkeypatch, build, params, what):
     """Every yielded defect, not only the first, names the oracle's pair, index
-    and {index: Fraction} entries, in the oracle's order: the store runs on
-    index numbers and bracket_defects maps each one back."""
+    and {index: Fraction} entries, in the oracle's order: a pair that fails on
+    a representative of its supports' union is scanned on the whole window,
+    and the store runs on index numbers that bracket_defects maps back."""
     m = build(params)
-    root, k = m.system.simple_root(2), m.zero_index()
-    (t, num), = m._action[root][m._ids[k]]
-    if what == "coefficient":
-        m._action[root][m._ids[k]] = ((t, num + m.scale),)
-    else:
-        m._action[root][m._ids[k]] = ((m._ids[m.window(1)[0]], num),)
+    free = next(c for c in range(m.nvars) if m.params.coordinate_class(c) == NON_INT)
+    monkeypatch.setattr(WeylParams, "_step", _faulty_step("q", free, 1, what))
     got, want = list(m.bracket_defects(1)), list(_bracket_failures(m, 1))
     assert len(want) > 1 and got == want
     window = set(m.window(1))
+    # a moved target leaves the coordinate-sum condition, not the index set
+    admissible = m.in_basis if what == "coefficient" else m.params.in_lattice
     for _, _, key, defect in got:
-        assert key in window and all(type(x) is tuple and m.in_basis(x) for x in defect)
+        assert key in window and all(type(x) is tuple and admissible(x) for x in defect)
         assert all(type(v) is F for v in defect.values())
 
 

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from weightcat.rootsys import build_root_system
 from weightcat.weylmod import (WINDOW_LIMIT, Lookup, WeylAuditError, WeylParams, act_monomial,
-                               check_weyl_relations, format_rational, lattice_window,
-                               parse_rational, reach, sparse_add, transitivity_probe, weyl_act)
+                               check_weyl_relations, format_rational, lattice_window, monomial_word,
+                               parse_rational, reach, representatives, sparse_add,
+                               transitivity_probe, weyl_act)
 
 
 def test_rational_io():
@@ -358,20 +360,25 @@ def test_sparse_add_keeps_the_value_type():
 
 
 @st.composite
+def _index_pairs(draw, a):
+    """Two admissible indices k, other for the parameters a, |k_i| <= 3."""
+    return [tuple(draw(st.sampled_from([x for x in range(-3, 4) if _oracle_admissible((ai,), (x,))]))
+                  for ai in a) for _ in "ko"]
+
+
+@st.composite
 def _two_letter_cases(draw):
     a = tuple(draw(st.lists(_parameters, min_size=2, max_size=4)))
     n = len(a)
-    k, other = ([draw(st.sampled_from([x for x in range(-3, 4) if _oracle_admissible((ai,), (x,))]))
-                 for ai in a] for _ in "ko")
+    k, other = draw(_index_pairs(a))
     word = tuple((draw(st.sampled_from("qp")), draw(st.integers(0, n - 1))) for _ in "gh")
-    return a, word, tuple(k), tuple(other)
+    return a, word, k, other
 
 
-@settings(max_examples=300, deadline=None)
-@given(_two_letter_cases())
-def test_two_letter_walk_reads_and_moves_only_its_coordinates(case):
-    # the premise of deciding each relation once per value pair (k_i, k_j)
-    a, word, k, other = case
+def _assert_walk_is_local(a, word, k, other):
+    """The walk of word from k and from k with its coordinates off the letters
+    taken from other: equal numerator and denominator, equal target on the
+    letters, and each start's own coordinates off them."""
     params = WeylParams(a)
     coords = {i for _, i in word}
     mixed = tuple(x if m in coords else y for m, (x, y) in enumerate(zip(k, other)))
@@ -382,3 +389,36 @@ def test_two_letter_walk_reads_and_moves_only_its_coordinates(case):
             assert t[m] == t2[m]
         else:
             assert (t[m], t2[m]) == (k[m], other[m])
+
+
+def test_representatives_are_the_first_key_of_each_projection():
+    keys = lattice_window(WeylParams.of(["-1", "1/2", "0", "1/3"]), 2)
+    for coords in ([0], [3], [1, 2], [2, 0, 3], range(4)):
+        proj = lambda k: [k[i] for i in sorted(coords)]
+        assert representatives(keys, coords) == [
+            k for n, k in enumerate(keys) if all(proj(k) != proj(x) for x in keys[:n])]
+    assert representatives(keys, range(4)) == keys
+    assert representatives([], [0]) == []
+
+
+@settings(max_examples=300, deadline=None)
+@given(_two_letter_cases())
+def test_two_letter_walk_reads_and_moves_only_its_coordinates(case):
+    # the premise of deciding each relation once per value pair (k_i, k_j)
+    _assert_walk_is_local(*case)
+
+
+@pytest.mark.parametrize("name", ["A2", "A3", "A4", "A5", "C2", "C3", "C4", "C5"])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_root_vector_walks_read_and_move_only_their_letters(name, data):
+    # the premise of checking a bracket pair, or a membership chain, once per
+    # projection onto its letters: every root's monomial word, q_i p_j, and in
+    # type C also q_i q_j, p_i p_j, q_i^2 and p_i^2, walks only the supports
+    real = build_root_system(name).realization
+    a = tuple(data.draw(st.lists(_parameters, min_size=real.nvars, max_size=real.nvars)))
+    k, other = data.draw(_index_pairs(a))
+    for root in real.system.ordered_roots:
+        word = monomial_word(*real.monomial(root)[:2])
+        assert {i for _, i in word} == real.supports[root]
+        _assert_walk_is_local(a, word, k, other)
