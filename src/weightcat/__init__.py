@@ -1,20 +1,20 @@
 """weightcat: exact computations with weight modules over simple Lie algebras.
 
 The package builds root systems with concrete Weyl-algebra realizations for
-types A and C, the lattice-indexed degree-one weight modules, truncated
-parabolically induced modules with exact quotient projection, a
-classification oracle for the categories attached to subsets of simple
-roots, and cocycle/coboundary solvers that certify extension vanishing on
-finite windows.  All arithmetic is exact over the rationals.
+types A and C, the lattice-indexed degree-one weight modules with their
+bracket and membership certificates, truncated parabolically induced modules
+with exact quotient projection, a classification oracle for the categories
+attached to subsets of simple roots, and cocycle spaces, coboundary witnesses
+and normal-form Ext systems that certify extension vanishing on finite
+windows.  All arithmetic is exact over the rationals.
 """
 
 from .categorio import (FamilyDescriptor, MembershipReport, ThetaSpec, Verdict,
-                        check_membership, classify, cuspidal_nilpotent_partition,
-                        infinite_dim_criterion)
+                        check_membership, classify)
 from .degonemod import DegreeOneModule, build_M, build_N
-from .extcoh import (Cocycle, ConstraintSystem, ExtensionModule, coboundary_quotient_dim,
-                     cocycle_space, ext_solve_typeA, ext_solve_typeC, is_coboundary,
-                     make_sl2_cocycle, support_disjoint)
+from .extcoh import (Cocycle, ConstraintSystem, coboundary_quotient_dim, cocycle_space,
+                     ext_solve_typeA, ext_solve_typeC, is_coboundary, make_sl2_cocycle,
+                     support_disjoint)
 from .inducemod import (LeviModule, TruncatedVerma, central_scalars, induce, levi_module,
                         levi_module_product, probe_restriction_failure, restrict_family,
                         u0_compare)

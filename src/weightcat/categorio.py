@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .degonemod import DegreeOneModule, Index, build_module
-from .rootsys import CartanType, Root, RootSystem, add_roots, center_basis, neg_root
+from .rootsys import CartanType, Root, RootSystem, center_basis, neg_root
 from .weylmod import Lookup, parse_rational, representatives
 
 TRIVIAL = "TRIVIAL"
@@ -132,18 +132,6 @@ def classify(system: RootSystem, theta: Iterable[int]) -> Verdict:
             return Verdict(NONTRIVIAL, fam, True, True,
                            "long-root block" if lo == n else "trailing type C block")
     return Verdict(TRIVIAL, None, None, True, "only the zero module")
-
-
-def infinite_dim_criterion(spec: ThetaSpec) -> bool:
-    """True iff some simple root of S minus theta plus a theta root is a root."""
-    system = spec.system
-    for a in spec.S - spec.theta:
-        ra = system.simple_root(a)
-        for b in spec.theta:
-            rb = system.simple_root(b)
-            if system.is_root(add_roots(ra, rb)):
-                return True
-    return False
 
 
 # ---------------------------------------------------------------------------
@@ -272,16 +260,3 @@ def check_membership(module: DegreeOneModule, theta: Iterable[int],
                "nilpotency_witnesses": nil_witnesses}
     return MembershipReport(not cusp_witnesses, restriction_ok, not nil_witnesses,
                             certified, details)
-
-
-def cuspidal_nilpotent_partition(module: DegreeOneModule, radius: int = 3):
-    """Sort roots into injective / locally nilpotent by window evidence."""
-    system = module.system
-    window = module.window(radius)
-    if not window:
-        return set(), set(), set(system.roots)
-    cap = _step_cap(radius, system.rank)
-    # injective: kills no window vector; undecided: killed, yet a chain survives the cap
-    killed = {root for root, _ in _witnesses(module, system.roots, window, 1, False)}
-    undecided = {root for root, _ in _witnesses(module, killed, window, cap, True)}
-    return set(system.roots) - killed, killed - undecided, undecided

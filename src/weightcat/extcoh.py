@@ -31,7 +31,6 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from . import linalg
@@ -44,10 +43,6 @@ Index = Tuple[int, ...]
 
 class CertificationError(RuntimeError):
     """The window is too small to assemble a meaningful constraint system."""
-
-
-class CocycleError(ValueError):
-    """A map fails the cocycle identity."""
 
 
 # ---------------------------------------------------------------------------
@@ -64,9 +59,6 @@ class Cocycle:
 
     def value(self, root: Root, k: Index) -> Optional[Tuple[Fraction, Index]]:
         return self.maps.get(tuple(root), {}).get(tuple(k))
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for m in self.maps.values() for c, _ in m.values())
 
 
 def make_sl2_cocycle(b, module: DegreeOneModule, radius: int = 6) -> Cocycle:
@@ -147,59 +139,6 @@ def _identity(source: DegreeOneModule, target: DegreeOneModule, cval: Callable,
             for col, v in form.items():
                 row[col] = row.get(col, 0) + g * v
     return den, {t: r for t, row in rows.items() if (r := {c: v for c, v in row.items() if v})}
-
-
-def cocycle_identity_violations(c: Cocycle, radius: int) -> List[str]:
-    """Check the identity on all root pairs and window vectors where defined."""
-    if radius < 0:  # the window would be empty; for radius >= 0 it holds k = 0
-        raise ValueError(f"radius must be >= 0, got {radius}")
-    M, N = c.source, c.target
-    window = M.window(radius)
-    winset = set(window)
-
-    def cval(root, k):
-        if k not in winset:
-            return None
-        v = c.value(root, k)
-        return (v[0].denominator, {v[1]: {None: v[0].numerator}}) if v is not None and v[0] \
-            else (1, {})
-
-    return [f"pair {mu},{nu} fails at {k}: "
-            f"{ {t: {j: Fraction(v, ident[0]) for j, v in row.items()} for t, row in ident[1].items()} }"
-            for mu, nu, k, ident in cocycle_identities(M, N, cval, window, M.realization.root_pairs)
-            if ident and ident[1]]
-
-
-class ExtensionModule:
-    """Module structure on target + source glued along a cocycle."""
-
-    def __init__(self, c: Cocycle, radius: int = 4):
-        bad = cocycle_identity_violations(c, radius)
-        if bad:
-            raise CocycleError(f"not a cocycle ({len(bad)} violations): {bad[0]}")
-        self.cocycle = c
-        self.source = c.source
-        self.target = c.target
-        self.system = c.source.system
-        self._sides = {"m": c.source, "n": c.target}
-
-    def _act_key(self, root: Root, key: Tuple[str, Index]) -> List[Tuple[Tuple[str, Index], Fraction]]:
-        side, k = key
-        cm, k2 = self._sides[side].act_root(root, k)
-        out = [((side, k2), cm)] if cm else []
-        if side == "m":
-            cv = self.cocycle.value(root, k)
-            if cv and cv[0]:
-                out.append((("n", cv[1]), cv[0]))
-        return out
-
-    def bracket_violations(self, radius: int) -> List[str]:
-        keys = [("m", k) for k in self.source.window(radius)] + \
-               [("n", k) for k in self.target.window(radius)]
-        return [f"{side} {k} pair {mu},{nu}" for mu, nu, (side, k), _ in
-                self.system.realization.representation_defects(
-                    {r: Lookup(partial(self._act_key, r)) for r in self.system.ordered_roots},
-                    lambda key: self._sides[key[0]].weight_of(key[1]), keys)]
 
 
 # ---------------------------------------------------------------------------

@@ -389,9 +389,9 @@ class Realization:
                 pairs.append((mu, nu, s, n, h))
         return pairs
 
-    def representation_defects(self, act: Mapping, weight: Callable, keys: Sequence, den: int = 1,
-                               local: Optional[Mapping] = None) -> Iterator[Tuple[Root, Root, object, Dict]]:
-        """Where a linear action fails to respect the brackets of root vectors.
+    def representation_defects(self, act: Mapping, weight: Callable, keys: Sequence, den: int,
+                               local: Mapping) -> Iterator[Tuple[Root, Root, object, Dict]]:
+        """Where an action by lattice walks fails to respect the brackets of root vectors.
 
         act[root][key] gives den * X_root x(key) as ((key, numerator), ...) at
         one scale den (integers keep Fractions out of the loop), and weight(key)
@@ -402,19 +402,19 @@ class Realization:
         is X_mu X_nu - X_nu X_mu - [X_mu, X_nu] on x(key).  No keys raise
         ValueError: a check that saw no vector certifies nothing.
 
-        local[coords], for an action by lattice walks, lists one key per
-        projection of keys onto coords (`weylmod.representatives`).  A pair off
-        the Cartan is then tried there on its supports' union and scanned on
-        every key only if one fails; one with disjoint supports commutes letter
-        by letter (mu + nu is neither a root nor 0) and is skipped.  The Cartan
-        pairs read weight(key), every coordinate, on every key.
+        local[coords] lists one key per projection of keys onto coords
+        (`weylmod.representatives`).  A pair off the Cartan is tried there on
+        its supports' union and scanned on every key only if one fails, so the
+        yielded sequence is the full scan's; one with disjoint supports commutes
+        letter by letter (mu + nu is neither a root nor 0) and is skipped.  The
+        Cartan pairs read weight(key), every coordinate, on every key.
         """
         if not keys:
             raise ValueError("no basis vector to check: the window is empty")
         weights = Lookup(lambda key: _over_lcm(weight(key)))
         for pair in self.root_pairs:
             mu, nu, _, _, h = pair
-            if local is not None and h is None:
+            if h is None:
                 a, b = self.supports[mu], self.supports[nu]
                 if a.isdisjoint(b) or next(_pair_defects(act, weights, den, pair, local[a | b]), None) is None:
                     continue
@@ -534,38 +534,3 @@ def center_basis(system: RootSystem, block: Iterable[int]) -> List[Tuple[Fractio
     n = system.rank
     rows = [[Fraction(system.cartan[b - 1][i]) for i in range(n)] for b in block]
     return [tuple(map(Fraction, _over_lcm(v)[0])) for v in linalg.nullspace(rows, n)]
-
-
-def validate_category_data(system: RootSystem, P: RootSubset, S: RootSubset,
-                           T: RootSubset, B: Iterable[Sequence[int]]) -> Dict[str, bool]:
-    """Predicate bundle for a (parabolic, Levi, Levi, basis) quadruple.
-
-    Checks: S and T are Levi subsets, their lattices are independent, P is a
-    parabolic subset containing S and T, and B is a basis of T (independent,
-    with every member of T a signed nonnegative integer combination).
-    """
-    flags_s = classify_subset(S)
-    flags_t = classify_subset(T)
-    flags_p = classify_subset(P)
-    basis = [tuple(b) for b in B]
-    basis_ok = (set(basis) <= T.members
-                and linalg.rank(basis, system.rank) == len(basis)
-                and len(basis) == T.lattice_rank())
-    if basis_ok:
-        for t in T.members:
-            coeffs = linalg.in_span(t, basis)
-            if coeffs is None or any(c.denominator != 1 for c in coeffs):
-                basis_ok = False
-                break
-            signs = {1 if c > 0 else -1 for c in coeffs if c != 0}
-            if len(signs) > 1:
-                basis_ok = False
-                break
-    return {
-        "S_levi": flags_s.levi,
-        "T_levi": flags_t.levi,
-        "lattices_disjoint": lattice_disjoint(S, T),
-        "P_parabolic": flags_p.parabolic,
-        "P_contains_S_and_T": (S.members | T.members) <= P.members,
-        "B_basis_of_T": basis_ok,
-    }

@@ -209,16 +209,6 @@ def monomial_word(qexp: Sequence[int], pexp: Sequence[int]) -> List[Tuple[str, i
     return steps[::-1]
 
 
-def act_monomial(params: WeylParams, qexp: Sequence[int], pexp: Sequence[int],
-                 k: Sequence[int]) -> ActionTerm:
-    """Action of the normal-ordered monomial q^qexp p^pexp on x(k); a zero
-    coefficient stops the walk and returns the index it was applied to."""
-    if not params.in_lattice(k):
-        raise ValueError(f"index {k} not admissible for parameters {params.a}")
-    num, den, target = params._walk(monomial_word(qexp, pexp), k)
-    return ActionTerm(Fraction(num, den), target)
-
-
 def lattice_window(params: WeylParams, radius: int) -> List[Tuple[int, ...]]:
     """All admissible k with |k_i| <= radius."""
     return list(product(*params.window_ranges(radius)))

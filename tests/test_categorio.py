@@ -4,8 +4,7 @@ import pytest
 
 from weightcat import linalg
 from weightcat.categorio import (CUSPIDAL, EXCLUDED, HIGHEST_WEIGHT, NONTRIVIAL, TRIVIAL,
-                                 ThetaSpec, _dominated_pairs, _step_cap, check_membership, classify,
-                                 cuspidal_nilpotent_partition, infinite_dim_criterion)
+                                 ThetaSpec, _dominated_pairs, _step_cap, check_membership, classify)
 from weightcat.degonemod import build_M, build_N
 from weightcat.rootsys import build_root_system, center_basis
 from weightcat.weylmod import WeylParams
@@ -98,6 +97,11 @@ def test_degenerate_theta():
     assert classify(b3, set()).kind == CUSPIDAL
     with pytest.raises(ValueError):
         classify(a2, {5})
+    # theta must lie inside S, inside the simple roots
+    a3 = build_root_system("A3")
+    assert ThetaSpec(a3, frozenset({1, 3}), frozenset({3})).theta == {3}
+    with pytest.raises(ValueError):
+        ThetaSpec(a3, frozenset({1}), frozenset({2}))
 
 
 def test_family_instantiation_roundtrip():
@@ -161,17 +165,6 @@ def test_center_separates_theta_span(name):
         assert _dominated_pairs(system, theta, {(1,): above, (0,): (F(0),) * n}) == []
 
 
-def test_partition_of_roots():
-    m = build_N(["1/2", "1/3", "0"])
-    ri, rn, und = cuspidal_nilpotent_partition(m, 3)
-    e1, e2 = m.system.simple_root(1), m.system.simple_root(2)
-    assert e1 in ri and tuple(-x for x in e1) in ri
-    assert e2 in rn
-    assert not (ri & rn)
-    assert not und
-    assert ri | rn == set(m.system.roots)
-
-
 def _chain_steps(m, root, k, cap):
     """How many of cap successive act_root steps of root from x(k) are nonzero."""
     for steps in range(cap):
@@ -193,34 +186,6 @@ def _first_chains(m, roots, radius, cap, survive):
     return out
 
 
-def _check_partition(m):
-    """Compare the partition at radius 2 with the chain oracle; its undecided roots."""
-    cap = _step_cap(2, m.system.rank)
-    killed = _first_chains(m, m.system.roots, 2, 1, False)
-    undecided = _first_chains(m, killed, 2, cap, True)
-    assert cuspidal_nilpotent_partition(m, 2) == (
-        set(m.system.roots) - set(killed), set(killed) - set(undecided), set(undecided))
-    return set(undecided)
-
-
-@pytest.mark.parametrize("build,a", [
-    (build_N, ["1/2", "1/3", "0"]), (build_N, ["-1", "1/2", "1/3", "0"]),
-    (build_N, ["1/2", "1/3", "1/5"]), (build_M, ["-1", "1/4"]), (build_M, ["1/3", "1/5"]),
-    (build_M, ["-1", "-1", "2/5"]), (build_M, ["-1", "-2"]),
-])
-def test_partition_matches_per_root_chains(build, a):
-    _check_partition(build(a))
-
-
-def test_partition_matches_per_root_chains_with_undecided_roots(monkeypatch):
-    # p_3 corrupted to keep k_3 = 1: a chain through it never dies there, while
-    # k_3 = 0 is still killed, so X_{e_2} = q_2 p_3 and X_{e_1+e_2} = q_1 p_3 are undecided
-    step = WeylParams._step
-    monkeypatch.setattr(WeylParams, "_step", lambda self, kind, i, ki: (
-        (1, 1, ki) if (kind, i, ki) == ("p", 2, 1) else step(self, kind, i, ki)))
-    assert _check_partition(build_N(["1/2", "1/3", "0"])) == {(0, 1), (1, 1)}
-
-
 @pytest.mark.parametrize("extra", [0, 1])
 def test_chain_scans_stop_at_the_step_cap(monkeypatch, extra):
     # q_1 corrupted to vanish at k_1 = 0 and at k_1 = cap + extra: X_{e_1} = q_1 p_2
@@ -236,7 +201,6 @@ def test_chain_scans_stop_at_the_step_cap(monkeypatch, extra):
     system, outlived = m.system, {(1, 0), (1, 1)} if extra else set()
     for root in ((1, 0), (1, 1)):
         assert max(_chain_steps(m, root, k, 2 * cap) for k in m.window(2)) == cap + extra - 1
-    assert _check_partition(m) == outlived
     rep = check_membership(m, {2}, S={2}, radius=2)
     outside = [r for r in system.positive_set if r not in system.span_closure({2})]
     want = _first_chains(m, outside, 2, cap, True)
@@ -261,6 +225,19 @@ def test_membership_witnesses_match_a_full_scan():
     assert rep.details["nilpotency_witnesses"] == [(r, want[r]) for r in outside if r in want]
 
 
+def _scan_witnesses(m, theta, S):
+    """Check both witness lists of check_membership at radius 2 against the
+    _first_chains oracle; returns the oracle's (killed, outlived)."""
+    system, cap = m.system, _step_cap(2, m.system.rank)
+    rep = check_membership(m, theta, S=S, radius=2)
+    inside = system.span_closure(S - theta)
+    outside = [r for r in system.positive_set if r not in system.span_closure(S)]
+    killed, outlived = _first_chains(m, inside, 2, 1, False), _first_chains(m, outside, 2, cap, True)
+    assert rep.details["cuspidality_witnesses"] == [(r, killed[r]) for r in inside if r in killed]
+    assert rep.details["nilpotency_witnesses"] == [(r, outlived[r]) for r in outside if r in outlived]
+    return killed, outlived
+
+
 @pytest.mark.parametrize("build,a,theta,S,fault", [
     # condition 1 fails with theta empty off the cuspidal block, condition 3
     # with theta = S too small to hold the block
@@ -282,15 +259,23 @@ def test_membership_witnesses_match_a_full_scan_on_rank_three(monkeypatch, build
         monkeypatch.setattr(WeylParams, "_step", lambda self, kind, i, ki: (
             (0, 1, ki) if (kind, i, ki) == fault else step(self, kind, i, ki)))
     m = build(a)
-    system, cap = m.system, _step_cap(2, m.system.rank)
-    S = set(range(1, system.rank + 1)) if S is None else S
-    rep = check_membership(m, theta, S=S, radius=2)
-    inside = system.span_closure(S - theta)
-    outside = [r for r in system.positive_set if r not in system.span_closure(S)]
-    killed, outlived = _first_chains(m, inside, 2, 1, False), _first_chains(m, outside, 2, cap, True)
+    killed, outlived = _scan_witnesses(m, theta, set(range(1, m.system.rank + 1)) if S is None else S)
     assert killed or outlived
-    assert rep.details["cuspidality_witnesses"] == [(r, killed[r]) for r in inside if r in killed]
-    assert rep.details["nilpotency_witnesses"] == [(r, outlived[r]) for r in outside if r in outlived]
+
+
+@pytest.mark.parametrize("build,a", [
+    (build_N, ["1/2", "1/3", "0"]), (build_N, ["-1", "1/2", "1/3", "0"]),
+    (build_N, ["1/2", "1/3", "1/5"]), (build_M, ["-1", "1/4"]), (build_M, ["1/3", "1/5"]),
+    (build_M, ["-1", "-1", "2/5"]), (build_M, ["-1", "-2"]),
+])
+def test_partition_matches_per_root_chains(build, a):
+    # with theta empty the two scans split the roots by their chains: S every
+    # simple root puts condition 1 on every root, S empty condition 3 on every
+    # positive root
+    m = build(a)
+    killed, _ = _scan_witnesses(m, set(), set(range(1, m.system.rank + 1)))
+    _, outlived = _scan_witnesses(m, set(), set())
+    assert killed or outlived
 
 
 def test_classify_total_over_all_types():
@@ -308,13 +293,3 @@ def test_classify_total_over_all_types():
                 assert v.family is not None and system.cartan_type.family in "AC"
             else:
                 assert v.family is None
-
-
-def test_infinite_dimension_criterion():
-    a2 = build_root_system("A2")
-    assert infinite_dim_criterion(ThetaSpec(a2, frozenset({1, 2}), frozenset({2})))
-    a3 = build_root_system("A3")
-    assert not infinite_dim_criterion(ThetaSpec(a3, frozenset({1, 3}), frozenset({3})))
-    assert not infinite_dim_criterion(ThetaSpec(a3, frozenset({1, 2, 3}), frozenset()))
-    with pytest.raises(ValueError):
-        ThetaSpec(a3, frozenset({1}), frozenset({2}))

@@ -258,6 +258,24 @@ _EXT_SHAPES = {
 }
 
 
+# the vectors each lab lemma accepts, read from paperlab's shape checks: two
+# non-integers (lemA12, appendix-a3), an interior type A block (-1.., z1, z2, 0..)
+# (A1N) or one of at least three entries (AkAn), a trailing type C block of at
+# least two entries (CC), and two non-integers summing to -1/2 or -3/2 (AC1)
+_TWO_NONINT = st.lists(_NONINT, min_size=2, max_size=2)
+_LAB_SHAPES = {
+    "lemA12": _TWO_NONINT,
+    "appendix-a3": _TWO_NONINT,
+    "A1N": _EXT_SHAPES["N"],
+    "AkAn": st.builds(lambda j, z, zeros: ["-1"] * j + z + ["0"] * zeros,
+                      st.integers(1, 2), st.lists(_NONINT, min_size=3, max_size=4), st.integers(1, 2)),
+    "CC": st.builds(lambda j, z: ["-1"] * j + z,
+                    st.integers(1, 2), st.lists(_NONINT, min_size=2, max_size=3)),
+    "AC1": st.builds(lambda a1, total: [a1, str(Fraction(total) - Fraction(a1))],
+                     st.sampled_from(["1/3", "-3/4", "2/7"]), st.sampled_from(["-1/2", "-3/2"])),
+}
+
+
 def _shift_free_entry(entries, pick):
     """The vector with its pick-th non-integer entry moved by 1/5: the pair has
     one family shape and disjoint weight supports (no denominator in _NONINT is 5)."""
@@ -276,8 +294,11 @@ def _argv(draw):
     elif command == "lab":
         lemma = draw(st.sampled_from(["lemA12", "A1N", "AkAn", "AC1", "CC", "appendix-a3",
                                       "nosuch"]))
-        branch = draw(st.sampled_from(["0", "-1-A", "5"]))
-        argv = [command, lemma, "--a", draw(_VECTORS), "--c", branch]
+        # for part of the draws, a vector and a branch the lemma accepts
+        shaped = lemma in _LAB_SHAPES and not draw(st.booleans())
+        a = ",".join(draw(_LAB_SHAPES[lemma])) if shaped else draw(_VECTORS)
+        branch = draw(st.sampled_from(["0", "-1-A"] + ([] if shaped else ["5"])))
+        argv = [command, lemma, "--a", a, "--c", branch]
     else:
         module = draw(st.sampled_from(["N", "M"]))
         b = draw(st.sampled_from(["a", "drawn", "shifted"])) if command == "ext" else "a"
@@ -299,8 +320,9 @@ def _argv(draw):
 @example(["verify", "--module", "M", "--a", "-1,-1,-1", "--B", "2"])
 @example(["ext", "--module", "N", "--a", "1/2,1/3", "--B", "2"])
 @example(["ext", "--module", "N", "--a", "-1,1/2,1/3,0", "--b", "-1,1/3,1/2,0", "--B", "2"])
-# the derandomized draws hold no appendix-a3 input
+# the derandomized draws run neither appendix-a3 nor AkAn to a report
 @example(["lab", "appendix-a3", "--a", "1/2,1/3", "--c", "-1-A", "--B", "2", "--D", "3"])
+@example(["lab", "AkAn", "--a", "-1,1/3,2/7,-3/4,0", "--c", "0", "--B", "2", "--D", "3"])
 def test_cli_exit_code_contract(argv):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = main(argv)

@@ -8,9 +8,8 @@ import pytest
 
 from weightcat import extcoh, linalg
 from weightcat.degonemod import build_M, build_N
-from weightcat.extcoh import (CertificationError, Cocycle, CocycleError, ExtensionModule,
-                              _normal_form_system, _phi_domain, coboundary_quotient_dim,
-                              cocycle_identities, cocycle_identity_violations, cocycle_space,
+from weightcat.extcoh import (CertificationError, Cocycle, _normal_form_system, _phi_domain,
+                              coboundary_quotient_dim, cocycle_identities, cocycle_space,
                               ext_solve_typeA, ext_solve_typeC, is_coboundary,
                               make_sl2_cocycle, support_disjoint)
 from weightcat.rootsys import neg_root
@@ -19,6 +18,75 @@ from weightcat.rootsys import neg_root
 @pytest.fixture
 def sl2():
     return build_N(["1/2", "1/3"])
+
+
+def _glued_defects(c, radius, map_radius):
+    """Bracket check of the module glued along c, written out from act_root.
+
+    The glued module is target + source: X_r sends a target vector ("n", t) to
+    target.act_root(r, t), and a source vector ("m", k) to source.act_root(r, k)
+    plus c.value(r, k) on the target side.  A value of c is known, and zero
+    where c stores none, only for k in source.window(map_radius); an identity
+    that needs another one is skipped.  Every root pair mu <= nu is checked on
+    the vectors of both windows of the radius.  Returns the failing
+    (side, index, mu, nu) and the number of identities checked.
+    """
+    source, target = c.source, c.target
+    system, sides = source.system, {"m": source, "n": target}
+    realization = system.realization
+    known = set(source.window(map_radius))
+
+    def act(root, vec):
+        # X_root on {(side, index): Fraction}; None once a value of c is unknown
+        if vec is None:
+            return None
+        out = {}
+        for (side, k), x in vec.items():
+            coeff, k2 = sides[side].act_root(root, k)
+            terms = [((side, k2), coeff)]
+            if side == "m":
+                if k not in known:
+                    return None
+                value = c.value(root, k)
+                if value is not None:
+                    terms.append((("n", value[1]), value[0]))
+            for key, y in terms:
+                out[key] = out.get(key, F(0)) + x * y
+        return {key: x for key, x in out.items() if x}
+
+    roots = sorted(system.roots, key=lambda r: (sum(r), r))
+    failures, checked = [], 0
+    for i, mu in enumerate(roots):
+        for nu in roots[i:]:
+            s = tuple(a + b for a, b in zip(mu, nu))
+            n = realization.structure_constant(mu, nu) if s in system.roots else 0
+            for side in "nm":
+                for k in sides[side].window(radius):
+                    v = {(side, k): F(1)}
+                    ab, ba = act(mu, act(nu, v)), act(nu, act(mu, v))
+                    if n:
+                        want = act(s, v)
+                        want = None if want is None else {key: n * x for key, x in want.items()}
+                    elif not any(s):
+                        h = realization.cartan_coefficients(mu)
+                        value = sum((a * b for a, b in zip(h, sides[side].weight_of(k))), F(0))
+                        want = {(side, k): value} if value else {}
+                    else:
+                        want = {}
+                    if ab is None or ba is None or want is None:
+                        continue
+                    checked += 1
+                    got = dict(ab)
+                    for key, x in ba.items():
+                        got[key] = got.get(key, F(0)) - x
+                    if {key: x for key, x in got.items() if x} != want:
+                        failures.append((side, k, mu, nu))
+    return failures, checked
+
+
+def _assert_glued_module(c, radius, map_radius):
+    failures, checked = _glued_defects(c, radius, map_radius)
+    assert checked and failures == []
 
 
 def test_make_sl2_cocycle_values(sl2):
@@ -30,12 +98,34 @@ def test_make_sl2_cocycle_values(sl2):
         assert coeff == 1 / (F(1, 2) + k + 1)
         assert target == (k + 1, -(k + 1))
     czero = make_sl2_cocycle(0, sl2)
-    assert czero.is_zero()
+    assert czero.maps and all(v == 0 for m in czero.maps.values() for v, _ in m.values())
+
+
+def _window_values(c, radius):
+    """c as the cval of cocycle_identities: (den, {target: {None: numerator}}) for
+    k in source.window(radius), zero where c stores nothing, None elsewhere."""
+    window = set(c.source.window(radius))
+
+    def cval(root, k):
+        if k not in window:
+            return None
+        v = c.value(root, k)
+        return (v[0].denominator, {v[1]: {None: v[0].numerator}}) if v is not None and v[0] else (1, {})
+
+    return cval
+
+
+def _identity_rows(c, radius):
+    """The cocycle identities of c on source.window(radius), as cocycle_identities
+    yields them."""
+    return list(cocycle_identities(c.source, c.target, _window_values(c, radius),
+                                   c.source.window(radius), c.source.realization.root_pairs))
 
 
 def test_cocycle_identity_holds(sl2):
-    c = make_sl2_cocycle(1, sl2, radius=6)
-    assert cocycle_identity_violations(c, 3) == []
+    idents = [ident for *_, ident in _identity_rows(make_sl2_cocycle(1, sl2, radius=6), 3)]
+    assert any(ident is not None for ident in idents)
+    assert all(ident is None or not ident[1] for ident in idents)
 
 
 def test_non_cuspidal_module_rejected():
@@ -45,51 +135,44 @@ def test_non_cuspidal_module_rejected():
 
 
 def test_build_extension_and_fidelity(sl2):
-    c = make_sl2_cocycle(1, sl2, radius=6)
-    ext = ExtensionModule(c, radius=3)
-    assert ext.bracket_violations(2) == []
-    # zero cocycle: a direct sum, also fine
-    ext0 = ExtensionModule(make_sl2_cocycle(0, sl2, radius=6), radius=3)
-    assert ext0.bracket_violations(2) == []
+    # the inverse-shift cocycle glues a module, and so does the zero cocycle,
+    # whose glued module is a direct sum
+    for b in (0, 1):
+        _assert_glued_module(make_sl2_cocycle(b, sl2, radius=6), 2, 3)
 
 
-def test_bracket_violations_see_a_corrupted_extension(sl2):
+def test_glued_module_oracle_sees_a_corrupted_extension(sl2):
     c = make_sl2_cocycle(1, sl2, radius=6)
-    ext = ExtensionModule(c, radius=3)
     alpha = sl2.system.simple_root(1)
     val, t = c.maps[alpha][(0, 0)]
     c.maps[alpha][(0, 0)] = (val + 1, t)
-    assert ext.bracket_violations(2)
+    failures, _ = _glued_defects(c, 2, 3)
+    assert failures and {side for side, *_ in failures} == {"m"}
     # a wrong weight on the target side is seen at that target key only
     other = build_N(["1/2", "1/3"])
-    ext = ExtensionModule(Cocycle(sl2, other, make_sl2_cocycle(1, sl2, radius=6).maps), radius=3)
+    c = Cocycle(sl2, other, make_sl2_cocycle(1, sl2, radius=6).maps)
+    _assert_glued_module(c, 2, 3)
     true_weight = other.weight_of
     other.weight_of = lambda k: (true_weight(k)[0] + 1,) if tuple(k) == (0, 0) else true_weight(k)
-    assert ext.bracket_violations(2) == ["n (0, 0) pair (-1,),(1,)"]
+    assert _glued_defects(c, 2, 3)[0] == [("n", (0, 0), (-1,), (1,))]
 
 
 def test_non_cocycle_rejected(sl2):
     alpha = sl2.system.simple_root(1)
     bad = Cocycle(sl2, sl2, {alpha: {(0, 0): (F(1), (1, -1))}})
-    with pytest.raises(CocycleError):
-        ExtensionModule(bad, radius=2)
+    assert _glued_defects(bad, 2, 2)[0]
+    assert any(ident and ident[1] for *_, ident in _identity_rows(bad, 2))
     # at radius 0 every identity leaves the one-point window: nothing was checked
-    with pytest.raises(CertificationError):
-        ExtensionModule(bad, radius=0)
+    with pytest.raises(CertificationError, match="every identity left the window"):
+        _identity_rows(bad, 0)
 
 
 def test_empty_window_is_not_certified(sl2):
-    # radius -1 leaves no window vector: a check that saw nothing must not pass
-    ext = ExtensionModule(make_sl2_cocycle(1, sl2, radius=6), radius=3)
-    with pytest.raises(ValueError):
-        ext.bracket_violations(-1)
-
-
-def test_non_cocycle_rejected_on_an_empty_window(sl2):
-    alpha = sl2.system.simple_root(1)
-    bad = Cocycle(sl2, sl2, {alpha: {(0, 0): (F(1), (1, -1))}})
-    with pytest.raises(ValueError):
-        ExtensionModule(bad, radius=-1)
+    # radius -1 leaves no window vector: a cocycle space that saw no identity
+    # must not be reported
+    for solve in (cocycle_space, coboundary_quotient_dim):
+        with pytest.raises(CertificationError, match="the window is empty"):
+            solve(sl2, sl2, -1)
 
 
 def test_coboundaries_recovered(sl2):
@@ -468,7 +551,12 @@ def test_materialized_cocycles_satisfy_identity():
     space = cocycle_space(ma, ma, 2)
     for _ in range(3):
         c = space.random_cocycle(rng)
-        assert cocycle_identity_violations(c, 1) == []
+        _assert_glued_module(c, 2, 2)
+    # a value moved at the window centre breaks the glued module
+    root = next(r for r in c.maps if (0, 0) in c.maps[r])
+    val, t = c.maps[root][0, 0]
+    c.maps[root][0, 0] = (val + 1, t)
+    assert _glued_defects(c, 2, 2)[0]
 
 
 def test_sp4_spot_check_seeded():

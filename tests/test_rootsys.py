@@ -7,8 +7,7 @@ import pytest
 from weightcat.degonemod import build_M, build_N
 from weightcat.rootsys import (CartanType, RealizationUnavailableError, RootSubset, add_roots,
                                build_root_system, center_basis, classify_subset,
-                               lattice_disjoint, levi_decomposition, neg_root,
-                               validate_category_data)
+                               lattice_disjoint, levi_decomposition, neg_root)
 from weightcat.weylmod import sparse_add
 
 
@@ -388,15 +387,3 @@ def test_center_basis():
     # the full block leaves no central direction
     assert center_basis(a2, [1, 2]) == []
     assert len(center_basis(a2, [])) == 2
-
-
-def test_validate_category_data():
-    a3 = build_root_system("A3")
-    S = RootSubset.generated_by_simples(a3, [1])
-    T = RootSubset.generated_by_simples(a3, [3])
-    P = RootSubset(a3, frozenset(a3.span_closure([1, 3])) |
-                   frozenset(r for r in a3.roots if sum(r) > 0))
-    flags = validate_category_data(a3, P, S, T, [a3.simple_root(3)])
-    assert all(flags.values()), flags
-    bad = validate_category_data(a3, P, S, S, [a3.simple_root(1)])
-    assert not bad["lattices_disjoint"]

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weightcat.rootsys import build_root_system
-from weightcat.weylmod import (WINDOW_LIMIT, Lookup, WeylAuditError, WeylParams, act_monomial,
+from weightcat.weylmod import (WINDOW_LIMIT, Lookup, WeylAuditError, WeylParams,
                                check_weyl_relations, format_rational, lattice_window, monomial_word,
                                parse_rational, reach, representatives, sparse_add,
                                transitivity_probe, weyl_act)
@@ -199,8 +199,8 @@ def test_relation_check_raises_the_audit_error_of_one_corrupted_move():
 
 def test_monomial_action_composes():
     params = WeylParams.of(["1/2", "1/3"])
-    t = act_monomial(params, (1, 0), (0, 1), (0, 0))  # q1 p2
-    assert (t.coeff, t.target) == (F(1, 3), (1, -1))
+    # q1 p2, walked as the root-action store walks it
+    assert params._walk(monomial_word((1, 0), (0, 1)), (0, 0)) == (1, 3, (1, -1))
 
 
 def _strongly_connected(params, radius):
@@ -339,15 +339,12 @@ def test_integer_action_matches_fraction_oracle(case):
     if not admissible:
         with pytest.raises(ValueError):
             weyl_act(("q", 0), params, k)
-        if any(qexp) or any(pexp):
-            with pytest.raises(ValueError):
-                act_monomial(params, qexp, pexp, k)
         return
     for i, kind in product(range(len(a)), "qp"):
         t = weyl_act((kind, i), params, k)
         assert (t.coeff, t.target) == _oracle_act(a, kind, i, k)
-    t = act_monomial(params, qexp, pexp, k)
-    assert (t.coeff, t.target) == _oracle_monomial(a, qexp, pexp, k)
+    num, den, target = params._walk(monomial_word(qexp, pexp), k)
+    assert (F(num, den), target) == _oracle_monomial(a, qexp, pexp, k)
 
 
 def test_sparse_add_keeps_the_value_type():
