@@ -247,7 +247,9 @@ def check_membership(module: DegreeOneModule, theta: Iterable[int],
             certified = False
     theta_raising = system.span_closure(theta) & system.positive_set
     hw_vectors = [k for k in hw_reached if module.is_hw(k, theta_raising)]
-    dominated = _dominated_pairs(system, theta, {v: module.weight_of(v) for v in hw_vectors})
+    # with theta empty no coordinate tells two vectors apart: no pair is dominated
+    dominated = (_dominated_pairs(system, theta, {v: module.weight_of(v) for v in hw_vectors})
+                 if theta else [])
     restriction_ok = (certified and not broken_descents and not dominated
                       and len(hw_vectors) == len(hw_reached))
 

@@ -102,8 +102,8 @@ class DegreeOneModule:
         # every admissible index gets a number on first sight, _keys[_ids[k]] == k
         self._keys: List[Index] = []
         self._ids: Dict[Index, int] = Lookup(self._number)
-        # the one store of the root action: root -> {number: ((target number, numerator),)}
-        self._action: Dict[Root, Dict[int, Tuple]] = Lookup(self._root_action)
+        # the one store of the root action: root -> {number: (target number, numerator)}
+        self._action: Dict[Root, Dict[int, Tuple[int, int]]] = Lookup(self._root_action)
         self._coefficient = Lookup(lambda num: Fraction(num, self.scale))  # made once per value
 
     # -- basis ---------------------------------------------------------------
@@ -136,7 +136,7 @@ class DegreeOneModule:
         return len(self._keys) - 1
 
     def _root_action(self, root: Root) -> Lookup:
-        """{number: ((target number, numerator),)} of X_root on admissible indices at
+        """{number: (target number, numerator)} of X_root on admissible indices at
         the module's scale, walked on first lookup; a zero numerator keeps the index
         the walk stopped at, and every target is admissible (`WeylParams._step`)."""
         qe, pe, c = self.realization.monomial(root)  # X_root = c/2 q^qe p^pe
@@ -145,7 +145,7 @@ class DegreeOneModule:
 
         def act(i):
             num, den, target = walk(word, keys[i])
-            return ((ids[target], num * (c * scale // (2 * den))),)
+            return ids[target], num * (c * scale // (2 * den))
 
         return Lookup(act)
 
@@ -159,7 +159,7 @@ class DegreeOneModule:
             if not self.params.in_lattice(k):
                 raise ValueError(f"index {k} not admissible for parameters {self.params.a}")
             i = self._ids[k]
-        (target, num), = self._action[tuple(root)][i]
+        target, num = self._action[tuple(root)][i]
         return num, self._keys[target]
 
     def act_root(self, root: Root, k: Sequence[int]) -> Tuple[Fraction, Index]:

@@ -307,10 +307,15 @@ class Realization:
         return qexp, pexp, (-1 if sum(eps) < 0 else 1) * (2 // max(qexp + pexp))
 
     @cached_property
+    def letter_kinds(self) -> Dict[Root, Tuple[FrozenSet[int], FrozenSet[int]]]:
+        """{root: (the generator pairs X_root has q letters on, those it has p letters on)}."""
+        return {r: tuple(frozenset(i for i, e in enumerate(exps) if e) for exps in self.monomial(r)[:2])
+                for r in self.system.ordered_roots}
+
+    @cached_property
     def supports(self) -> Dict[Root, FrozenSet[int]]:
         """{root: the generator pairs X_root has letters on, all its walk reads and moves}."""
-        return {r: frozenset(i for i, qp in enumerate(zip(*self.monomial(r)[:2])) if any(qp))
-                for r in self.system.ordered_roots}
+        return {r: q | p for r, (q, p) in self.letter_kinds.items()}
 
     # -- structure constants ----------------------------------------------------
     def _contract(self, mu: Root, nu: Root) -> Dict[Tuple[int, ...], int]:
@@ -393,7 +398,7 @@ class Realization:
                                local: Mapping) -> Iterator[Tuple[Root, Root, object, Dict]]:
         """Where an action by lattice walks fails to respect the brackets of root vectors.
 
-        act[root][key] gives den * X_root x(key) as ((key, numerator), ...) at
+        act[root][key] gives den * X_root x(key) as (target key, numerator) at
         one scale den (integers keep Fractions out of the loop), and weight(key)
         the values of the simple coroots H_{e_i} on x(key), so the Cartan
         element sum_i h_i H_{e_i} scales x(key) by sum_i h_i weight(key)_i; it
@@ -402,21 +407,28 @@ class Realization:
         is X_mu X_nu - X_nu X_mu - [X_mu, X_nu] on x(key).  No keys raise
         ValueError: a check that saw no vector certifies nothing.
 
-        local[coords] lists one key per projection of keys onto coords
-        (`weylmod.representatives`).  A pair off the Cartan is tried there on
-        its supports' union and scanned on every key only if one fails, so the
-        yielded sequence is the full scan's; one with disjoint supports commutes
-        letter by letter (mu + nu is neither a root nor 0) and is skipped.  The
-        Cartan pairs read weight(key), every coordinate, on every key.
+        A pair off the Cartan with no coordinate where one root has a q letter
+        and the other a p letter is skipped, pairs of disjoint supports among
+        them.  Its bracket is 0, having no single contraction.  Each lattice
+        step reads and writes k_i alone, so both orders run the same step
+        sequence from the same k_i on every coordinate, and the two products
+        agree, with a zero step or a corrupted step too.  Any other pair off the
+        Cartan is tried on local[coords], one key per projection of keys onto
+        its letters' coordinates (`weylmod.representatives`), and scanned on
+        every key only if one fails, so the yielded sequence is the full scan's.
+        The Cartan pairs read weight(key), every coordinate, on every key.
         """
         if not keys:
             raise ValueError("no basis vector to check: the window is empty")
         weights = Lookup(lambda key: _over_lcm(weight(key)))
+        kinds = self.letter_kinds
         for pair in self.root_pairs:
             mu, nu, _, _, h = pair
             if h is None:
-                a, b = self.supports[mu], self.supports[nu]
-                if a.isdisjoint(b) or next(_pair_defects(act, weights, den, pair, local[a | b]), None) is None:
+                (qa, pa), (qb, pb) = kinds[mu], kinds[nu]
+                if qa.isdisjoint(pb) and pa.isdisjoint(qb):
+                    continue
+                if next(_pair_defects(act, weights, den, pair, local[qa | pa | qb | pb]), None) is None:
                     continue
             for key, defect in _pair_defects(act, weights, den, pair, keys):
                 yield mu, nu, key, defect
@@ -424,21 +436,22 @@ class Realization:
 
 def _pair_defects(act: Mapping, weights: Mapping, den: int, pair: RootPair,
                   keys: Iterable) -> Iterator[Tuple[object, Dict]]:
-    """(key, defect) of one pair of root_pairs, as `representation_defects` yields them."""
+    """(key, defect) of one pair of root_pairs, as `representation_defects` yields
+    them, from at most five store reads per key, one term each: X_nu then X_mu
+    (reaching t2), X_mu then X_nu (reaching t4), and X_{mu+nu} when N != 0."""
     mu, nu, s, n, h = pair
     amu, anu, tsum, ns, den2 = act[mu], act[nu], act[s] if n else None, n * den, den * den
     for key in keys:
         # den^2 (X_mu X_nu - X_nu X_mu - N X_s) x(key)
-        acc: Dict = {}
-        for k1, c1 in anu[key]:
-            for k2, c2 in amu[k1]:
-                acc[k2] = acc.get(k2, 0) + c1 * c2
-        for k1, c1 in amu[key]:
-            for k2, c2 in anu[k1]:
-                acc[k2] = acc.get(k2, 0) - c1 * c2
+        t1, c1 = anu[key]
+        t2, c2 = amu[t1]
+        t3, c3 = amu[key]
+        t4, c4 = anu[t3]
+        acc = {t2: c1 * c2}
+        acc[t4] = acc.get(t4, 0) - c3 * c4
         if n:
-            for k1, c1 in tsum[key]:
-                acc[k1] = acc.get(k1, 0) - ns * c1
+            t5, c5 = tsum[key]
+            acc[t5] = acc.get(t5, 0) - ns * c5
         elif h is not None:
             # subtract den^2 h.weight(key) = den^2 (h.wn) / wd
             wn, wd = weights[key]

@@ -139,6 +139,24 @@ def test_membership_cuspidality_fails_for_empty_theta():
     assert not rep.cuspidality_ok and not rep.passed
 
 
+@pytest.mark.parametrize("build,a", [(build_N, ["1/2", "1/3", "1/5"]), (build_M, ["1/3", "1/5", "1/7"])])
+def test_membership_for_empty_theta_reads_no_weight(monkeypatch, build, a):
+    # with theta empty no coordinate tells two vectors apart, so the dominance
+    # grouping returns no pair: the report keeps it without reading a weight
+    m = build(a)
+    window = m.window(2)
+    assert m.theta_a() == frozenset()
+    assert _dominated_pairs(m.system, frozenset(), {v: m.weight_of(v) for v in window}) == []
+
+    def no_weight(k):
+        raise AssertionError("weight_of read with theta empty")
+
+    monkeypatch.setattr(m, "weight_of", no_weight)
+    rep = check_membership(m, frozenset(), radius=2)
+    assert rep.passed and rep.details["dominated_pairs"] == []
+    assert rep.details["hw_count"] == len(window)
+
+
 def test_membership_restriction_fails_for_wrong_theta():
     # declaring the cuspidal direction as part of theta breaks the ascent
     m = build_N(["1/2", "1/3", "0"])

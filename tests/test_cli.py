@@ -287,6 +287,7 @@ def _shift_free_entry(entries, pick):
 @st.composite
 def _argv(draw):
     command = draw(st.sampled_from(["classify", "verify", "ext", "lab"]))
+    depth = st.integers(0, 3)
     if command == "classify":
         theta = draw(st.lists(st.sampled_from(["1", "2", "3", "4", "5", "x"]), max_size=4))
         argv = [command, draw(st.sampled_from(["A1", "A3", "A4", "C2", "C4", "G2", "D4", "Q7"])),
@@ -294,11 +295,14 @@ def _argv(draw):
     elif command == "lab":
         lemma = draw(st.sampled_from(["lemA12", "A1N", "AkAn", "AC1", "CC", "appendix-a3",
                                       "nosuch"]))
-        # for part of the draws, a vector and a branch the lemma accepts
-        shaped = lemma in _LAB_SHAPES and not draw(st.booleans())
+        # three draws in four take a vector and a branch the lemma accepts, and of
+        # those three in four a depth it accepts (at least 1); the rest draw the
+        # depth from -1..3, which keeps the refusal of 0 and -1 in reach
+        shaped = lemma in _LAB_SHAPES and draw(st.integers(0, 3)) > 0
         a = ",".join(draw(_LAB_SHAPES[lemma])) if shaped else draw(_VECTORS)
         branch = draw(st.sampled_from(["0", "-1-A"] + ([] if shaped else ["5"])))
         argv = [command, lemma, "--a", a, "--c", branch]
+        depth = st.integers(1 if shaped and draw(st.integers(0, 3)) else -1, 3)
     else:
         module = draw(st.sampled_from(["N", "M"]))
         b = draw(st.sampled_from(["a", "drawn", "shifted"])) if command == "ext" else "a"
@@ -310,41 +314,58 @@ def _argv(draw):
             argv = [command, "--module", module, "--a", draw(_VECTORS)]
             if b == "drawn":
                 argv += ["--b", draw(_VECTORS)]
-    return argv + ["--B", str(draw(st.integers(-1, 2))), "--D", str(draw(st.integers(0, 3)))]
+    return argv + ["--B", str(draw(st.integers(-1, 2))), "--D", str(draw(depth))]
 
 
-@settings(derandomize=True, deadline=None, max_examples=150)
-@given(_argv())
-@example(["verify", "--module", "M", "--a", "-2", "--B", "1"])
-@example(["verify", "--module", "M", "--a", "-1,-2", "--B", "2"])
-@example(["verify", "--module", "M", "--a", "-1,-1,-1", "--B", "2"])
-@example(["ext", "--module", "N", "--a", "1/2,1/3", "--B", "2"])
-@example(["ext", "--module", "N", "--a", "-1,1/2,1/3,0", "--b", "-1,1/3,1/2,0", "--B", "2"])
-# the derandomized draws run neither appendix-a3 nor AkAn to a report
-@example(["lab", "appendix-a3", "--a", "1/2,1/3", "--c", "-1-A", "--B", "2", "--D", "3"])
-@example(["lab", "AkAn", "--a", "-1,1/3,2/7,-3/4,0", "--c", "0", "--B", "2", "--D", "3"])
-def test_cli_exit_code_contract(argv):
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        code = main(argv)
-    assert code in (EXIT_OK, EXIT_MISMATCH, EXIT_CONFIG, EXIT_UNCERTIFIED), argv
-    if argv[0] != "classify":
-        # the same input on a window far above the limit is refused, printing nothing
-        at = argv.index("--B") + 1
-        huge = argv[:at] + [str(10**12)] + argv[at + 1:]
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-            assert main(huge) == EXIT_CONFIG, huge
-        assert out.getvalue() == "", huge
-    if argv[0] == "lab":
-        # a truncation depth far above any weight a lemma reads only bounds it
-        at = argv.index("--D") + 1
-        deep = argv[:at] + [str(10**9)] + argv[at + 1:]
+# distinct lab inputs that must run a lemma to a report (exit 0 or 1) at the
+# drawn --D: 32 of the 58 do, the four lab examples included, against 7 of 49
+# when half the lab draws were shaped and every one took --D from 0..3
+_LAB_REPORT_FLOOR = 25
+
+
+def test_cli_exit_code_contract():
+    lab_reports = set()
+
+    @settings(derandomize=True, deadline=None, max_examples=150, database=None)
+    @given(_argv())
+    @example(["verify", "--module", "M", "--a", "-2", "--B", "1"])
+    @example(["verify", "--module", "M", "--a", "-1,-2", "--B", "2"])
+    @example(["verify", "--module", "M", "--a", "-1,-1,-1", "--B", "2"])
+    @example(["ext", "--module", "N", "--a", "1/2,1/3", "--B", "2"])
+    @example(["ext", "--module", "N", "--a", "-1,1/2,1/3,0", "--b", "-1,1/3,1/2,0", "--B", "2"])
+    # four lemmas run to a report whatever the draws
+    @example(["lab", "appendix-a3", "--a", "1/2,1/3", "--c", "-1-A", "--B", "2", "--D", "3"])
+    @example(["lab", "AkAn", "--a", "-1,1/3,2/7,-3/4,0", "--c", "0", "--B", "2", "--D", "3"])
+    @example(["lab", "CC", "--a", "-1,1/3,2/7", "--c", "0", "--B", "2", "--D", "2"])
+    @example(["lab", "AC1", "--a", "1/3,-5/6", "--c", "-1-A", "--B", "2", "--D", "2"])
+    def contract(argv):
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            assert main(deep) in (EXIT_OK, EXIT_MISMATCH, EXIT_CONFIG, EXIT_UNCERTIFIED), deep
-    if argv[0] == "verify":
-        try:
-            build_module(argv[2], _parse_params(argv[4]))
-        except ValueError:
-            return
-        # a module the parser accepts passes every suite
-        assert code != EXIT_MISMATCH, argv
+            code = main(argv)
+        assert code in (EXIT_OK, EXIT_MISMATCH, EXIT_CONFIG, EXIT_UNCERTIFIED), argv
+        if argv[0] != "classify":
+            # the same input on a window far above the limit is refused, printing nothing
+            at = argv.index("--B") + 1
+            huge = argv[:at] + [str(10**12)] + argv[at + 1:]
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                assert main(huge) == EXIT_CONFIG, huge
+            assert out.getvalue() == "", huge
+        if argv[0] == "lab":
+            if code in (EXIT_OK, EXIT_MISMATCH):
+                lab_reports.add(tuple(argv))
+            # a truncation depth far above any weight a lemma reads only bounds it
+            at = argv.index("--D") + 1
+            deep = argv[:at] + [str(10**9)] + argv[at + 1:]
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                assert main(deep) in (EXIT_OK, EXIT_MISMATCH, EXIT_CONFIG, EXIT_UNCERTIFIED), deep
+        if argv[0] == "verify":
+            try:
+                build_module(argv[2], _parse_params(argv[4]))
+            except ValueError:
+                return
+            # a module the parser accepts passes every suite
+            assert code != EXIT_MISMATCH, argv
+
+    contract()
+    # the fuzz reaches the lemmas, not only their configuration errors
+    assert len(lab_reports) >= _LAB_REPORT_FLOOR, sorted(lab_reports)

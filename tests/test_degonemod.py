@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from weightcat.categorio import check_membership
 from weightcat.degonemod import PartitionError, build_M, build_N
-from weightcat.weylmod import NON_INT, WeylParams, weyl_act
+from weightcat.weylmod import NON_INT, WeylAuditError, WeylParams, weyl_act
 
 
 def neg(r):
@@ -421,6 +421,35 @@ def test_bracket_defects_list_the_oracle_under_a_corrupted_action(monkeypatch, b
     for _, _, key, defect in got:
         assert key in window and all(type(x) is tuple and admissible(x) for x in defect)
         assert all(type(v) is F for v in defect.values())
+
+
+_SWEPT = [(build_N, ["-1", "1/2", "1/3", "0"]), (build_M, ["-1", "1/4", "1/5"]),
+          (build_M, ["-1", "-1", "1/4"])]
+# one fault per run: every module, fault kind, generator kind, coordinate and k_i
+_FAULTS = [(build, params, what, kind, c, value) for build, params in _SWEPT
+           for what in ("coefficient", "target") for kind in "qp"
+           for c in range(len(params)) for value in range(-2, 3)]
+
+
+@settings(max_examples=24, deadline=None, derandomize=True)
+@given(fault=st.sampled_from(_FAULTS))
+def test_pairs_without_a_mixed_coordinate_survive_a_faulty_step(fault):
+    """Under one fault of one Weyl step, integer coordinates included, the full
+    scan finds no defect on a pair with no coordinate where one root has a q
+    letter and the other a p letter, the pairs the bracket check skips, and
+    the check yields the full scan's defects."""
+    build, params, what, kind, c, value = fault
+    with mock.patch.object(WeylParams, "_step", _faulty_step(kind, c, value, what)):
+        m = build(params)
+        real = m.realization
+        try:
+            want = list(_bracket_failures(m, 1))
+        except WeylAuditError:
+            return  # a target moved out of the index set, where no walk may go
+        for mu, nu, _, _ in want:
+            (qa, pa, _), (qb, pb, _) = real.monomial(mu), real.monomial(nu)
+            assert any(x and y for x, y in zip(qa + pa, pb + qb)), (mu, nu)
+        assert list(m.bracket_defects(1)) == want
 
 
 def test_index_numbering_invariants():

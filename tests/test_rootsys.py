@@ -175,6 +175,24 @@ def test_bracket_nonzero_iff_root_sum(name):
         assert nonzero == (s in rs.roots or not any(s)), (a, b)
 
 
+@pytest.mark.parametrize("name", [f + str(n) for f in "AC" for n in range(2, 8)])
+def test_pairs_without_a_mixed_coordinate_commute(name):
+    """The bracket check skips a pair with no coordinate where one root has a q
+    letter and the other a p letter; every such pair is off the Cartan with
+    N = 0 and no single contraction, and every pair with N != 0 or on the
+    Cartan has a mixed coordinate.  Letter kinds are read from the monomials."""
+    real = build_root_system(name).realization
+    for mu, nu, _, n, h in real.root_pairs:
+        (qa, pa, _), (qb, pb, _) = real.monomial(mu), real.monomial(nu)
+        mixed = any(x and y for x, y in zip(qa + pa, pb + qb))
+        if not mixed:
+            assert h is None and n == 0 and real._contract(mu, nu) == {}, (mu, nu)
+    for r, (q, p) in real.letter_kinds.items():
+        qe, pe, _ = real.monomial(r)
+        assert (q, p) == tuple({i for i, e in enumerate(x) if e} for x in (qe, pe))
+        assert real.supports[r] == q | p
+
+
 def _table_bracket(real, x, y):
     """[x, y] of basis elements ("X", root) and ("H", i) as {element: value},
     read from the bracket table: N(mu, nu), [H_i, X_r] = coroot_values(r)_i X_r
