@@ -9,8 +9,7 @@ and normal-form Ext systems that certify extension vanishing on finite
 windows.  All arithmetic is exact over the rationals.
 """
 
-from .categorio import (FamilyDescriptor, MembershipReport, ThetaSpec, Verdict,
-                        check_membership, classify)
+from .categorio import FamilyDescriptor, MembershipReport, Verdict, check_membership, classify
 from .degonemod import DegreeOneModule, build_M, build_N
 from .extcoh import (Cocycle, ConstraintSystem, coboundary_quotient_dim, cocycle_space,
                      ext_solve_typeA, ext_solve_typeC, is_coboundary, make_sl2_cocycle,

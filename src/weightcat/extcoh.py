@@ -290,29 +290,24 @@ def is_coboundary(c: Cocycle, radius: int) -> Optional[Dict[Index, Fraction]]:
 # Support comparison
 # ---------------------------------------------------------------------------
 
-def support_disjoint(mod_a: DegreeOneModule, mod_b: DegreeOneModule,
-                     radius: Optional[int] = None) -> bool:
-    """Exact disjointness of the two weight supports.
+def support_disjoint(mod_a: DegreeOneModule, mod_b: DegreeOneModule) -> bool:
+    """Exact disjointness of the weight supports of two modules of the same
+    kind and block shape, decided from the parameter differences.
 
-    For modules of the same kind and block shape this is decided exactly from
-    the parameter differences; otherwise it falls back to comparing window
-    weights (radius required), which is window-relative evidence only.
+    Modules of different kind or block shape raise `ValueError`: no
+    parameter comparison decides them, and a window comparison would be
+    evidence on that window only.
     """
-    same_shape = (mod_a.kind == mod_b.kind and mod_a.nvars == mod_b.nvars
-                  and mod_a.spec.minus_ones == mod_b.spec.minus_ones)
-    if same_shape:
-        diffs = [b - a for a, b in zip(mod_a.spec.a, mod_b.spec.a)]
-        if mod_a.kind == "N":
-            # N weights read only the differences of a + k, so a shift of every
-            # entry by the mean keeps the support
-            mean = sum(diffs) / mod_a.nvars
-            return any((d - mean).denominator != 1 for d in diffs)
-        return any(d.denominator != 1 for d in diffs) or sum(diffs) % 2 != 0
-    if radius is None:
-        raise ValueError("window radius required for modules of different shapes")
-    wa = {mod_a.weight_of(k) for k in mod_a.window(radius)}
-    wb = {mod_b.weight_of(k) for k in mod_b.window(radius)}
-    return not (wa & wb)
+    shape_a, shape_b = ((m.kind, m.nvars, m.spec.minus_ones) for m in (mod_a, mod_b))
+    if shape_a != shape_b:
+        raise ValueError("support comparison needs modules of one kind and block shape")
+    diffs = [b - a for a, b in zip(mod_a.spec.a, mod_b.spec.a)]
+    if mod_a.kind == "N":
+        # N weights read only the differences of a + k, so a shift of every
+        # entry by the mean keeps the support
+        mean = sum(diffs) / mod_a.nvars
+        return any((d - mean).denominator != 1 for d in diffs)
+    return any(d.denominator != 1 for d in diffs) or sum(diffs) % 2 != 0
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,8 @@ _RANK_BOUNDS = {
     # rank one is admitted in type C so that a single long simple root can
     # carry its own quadratic realization when a block is restricted
     "C": (1, None),
-    "D": (3, None),
+    # D3 is A3, which serves that algebra with its own numbering
+    "D": (4, None),
     "E": (6, 8),
     "F": (4, 4),
     "G": (2, 2),

@@ -4,9 +4,9 @@ import pytest
 
 from weightcat import linalg
 from weightcat.categorio import (CUSPIDAL, EXCLUDED, HIGHEST_WEIGHT, NONTRIVIAL, TRIVIAL,
-                                 ThetaSpec, _dominated_pairs, _step_cap, check_membership, classify)
+                                 _step_cap, check_membership, classify)
 from weightcat.degonemod import build_M, build_N
-from weightcat.rootsys import build_root_system, center_basis
+from weightcat.rootsys import add_roots, build_root_system, center_basis
 from weightcat.weylmod import WeylParams
 
 
@@ -97,11 +97,20 @@ def test_degenerate_theta():
     assert classify(b3, set()).kind == CUSPIDAL
     with pytest.raises(ValueError):
         classify(a2, {5})
-    # theta must lie inside S, inside the simple roots
-    a3 = build_root_system("A3")
-    assert ThetaSpec(a3, frozenset({1, 3}), frozenset({3})).theta == {3}
+    # membership needs theta inside S
+    m = build_N(["-1", "1/2", "1/3", "0"])
+    assert check_membership(m, {3}, S={1, 3}, radius=2).certified
     with pytest.raises(ValueError):
-        ThetaSpec(a3, frozenset({1}), frozenset({2}))
+        check_membership(m, {2}, S={1}, radius=2)
+
+
+@pytest.mark.parametrize("small,same", [("C1", "A1"), ("B2", "C2")])
+def test_classify_agrees_across_low_rank_isomorphisms(small, same):
+    # C1 is A1 and B2 is C2: with theta empty or full the node numbering does
+    # not matter, so the verdicts agree
+    a, b = build_root_system(small), build_root_system(same)
+    for theta in (set(), set(range(1, a.rank + 1))):
+        assert classify(a, theta) == classify(b, theta)
 
 
 def test_family_instantiation_roundtrip():
@@ -139,22 +148,25 @@ def test_membership_cuspidality_fails_for_empty_theta():
     assert not rep.cuspidality_ok and not rep.passed
 
 
-@pytest.mark.parametrize("build,a", [(build_N, ["1/2", "1/3", "1/5"]), (build_M, ["1/3", "1/5", "1/7"])])
-def test_membership_for_empty_theta_reads_no_weight(monkeypatch, build, a):
-    # with theta empty no coordinate tells two vectors apart, so the dominance
-    # grouping returns no pair: the report keeps it without reading a weight
+@pytest.mark.parametrize("build,a", [
+    (build_N, ["1/2", "1/3", "1/5"]), (build_M, ["1/3", "1/5", "1/7"]),
+    (build_N, ["-1", "1/2", "1/3", "0"]), (build_M, ["-1", "-1", "1/4"]),
+])
+def test_membership_reads_no_weight(monkeypatch, build, a):
+    # no pair of highest-weight vectors can be dominated (see
+    # test_center_separates_theta_span), so the report reads no weight, on
+    # cuspidal modules (theta empty) and on their Levi theta alike
     m = build(a)
-    window = m.window(2)
-    assert m.theta_a() == frozenset()
-    assert _dominated_pairs(m.system, frozenset(), {v: m.weight_of(v) for v in window}) == []
+    theta = m.theta_a()
 
     def no_weight(k):
-        raise AssertionError("weight_of read with theta empty")
+        raise AssertionError("weight_of read by check_membership")
 
     monkeypatch.setattr(m, "weight_of", no_weight)
-    rep = check_membership(m, frozenset(), radius=2)
-    assert rep.passed and rep.details["dominated_pairs"] == []
-    assert rep.details["hw_count"] == len(window)
+    rep = check_membership(m, theta, radius=2)
+    assert rep.passed
+    # with theta empty every window vector is its own highest-weight vector
+    assert (rep.details["hw_count"] == len(m.window(2))) == (not theta)
 
 
 def test_membership_restriction_fails_for_wrong_theta():
@@ -164,13 +176,16 @@ def test_membership_restriction_fails_for_wrong_theta():
     assert not rep.passed
 
 
-@pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4", "C2", "C3", "C4"])
+@pytest.mark.parametrize("name", [f"{family}{n}" for family, ranks in (
+    ("A", range(1, 8)), ("B", range(2, 8)), ("C", range(1, 8)), ("D", range(4, 8)),
+    ("E", range(6, 9)), ("F", [4]), ("G", [2])) for n in ranks])
 def test_center_separates_theta_span(name):
     # The center is taken on the complement of theta, and the matrix
     # (z . alpha_j), z in that center, j in theta, has rank |theta|: equal
     # central characters and a difference in the theta span force equal
-    # weights, so dominated_pairs is always empty.  A center on the theta-Levi
-    # would make the branch reachable, and the dominance check below fire.
+    # weights, so no highest-weight vector lies in the theta cone of another
+    # with its central character, and check_membership compares no weights.
+    # A center on the theta-Levi would break this.
     system = build_root_system(name)
     n = system.rank
     for mask in range(1 << n):
@@ -179,8 +194,48 @@ def test_center_separates_theta_span(name):
         pairing = [[sum(z[i] * system.cartan[j - 1][i] for i in range(n)) for j in sorted(theta)]
                    for z in center]
         assert linalg.rank(pairing, len(theta)) == len(theta), sorted(theta)
-        above = tuple(F(sum(system.cartan[j - 1][i] for j in theta)) for i in range(n))
-        assert _dominated_pairs(system, theta, {(1,): above, (0,): (F(0),) * n}) == []
+
+
+def test_restriction_needs_a_certified_ascent():
+    # with no raising step allowed, a vector below its highest-weight vector
+    # leaves the ascent uncertified
+    m = build_N(["-1", "1/2", "1/3", "0"])
+    rep = check_membership(m, m.theta_a(), radius=2, step_cap=0)
+    assert not rep.certified and not rep.restriction_ok
+    assert not rep.details["broken_descents"]
+    assert check_membership(m, m.theta_a(), radius=2).restriction_ok
+
+
+def test_restriction_needs_every_descent(monkeypatch):
+    # q_2 made to vanish at k_2 = 0: the lowering operator X_{-e_1} reads that
+    # step, so some raising steps of the ascent are not undone, while every
+    # ascent still ends at a vector the positive theta roots kill
+    step = WeylParams._step
+    monkeypatch.setattr(WeylParams, "_step", lambda self, kind, i, ki: (
+        (0, 1, ki) if (kind, i, ki) == ("q", 1, 0) else step(self, kind, i, ki)))
+    m = build_N(["-1", "1/2", "1/3", "0"])
+    theta = m.theta_a()
+    rep = check_membership(m, theta, radius=2)
+    assert rep.certified and rep.details["broken_descents"] and not rep.restriction_ok
+
+
+def test_restriction_needs_the_non_simple_theta_roots():
+    # theta = {1, 2} on C3: a store fault makes X_{e_1+e_2} act on one reached
+    # vector, which the simple theta roots still kill, so the ascent stops
+    # there and the vector is not highest weight
+    m = build_M(["-1", "-1", "1/4"])
+    system, theta = m.system, m.theta_a()
+    assert theta == {1, 2}
+    rep = check_membership(m, theta, radius=2)
+    assert rep.restriction_ok
+    hw_count = rep.details["hw_count"]
+    k = m.enumerate_hw(theta, 2)[0]
+    root = add_roots(system.simple_root(1), system.simple_root(2))
+    m._action[root][m._ids[k]] = (m._ids[k], 1)
+    assert m.act_root(root, k)[0] and m.is_hw(k, [system.simple_root(1), system.simple_root(2)])
+    rep = check_membership(m, theta, radius=2)
+    assert rep.certified and not rep.details["broken_descents"]
+    assert rep.details["hw_count"] == hw_count - 1 and not rep.restriction_ok
 
 
 def _chain_steps(m, root, k, cap):

@@ -35,6 +35,7 @@ def test_classify_excluded_and_trivial(capsys):
 
 def test_classify_bad_type_is_config_error(capsys):
     assert main(["classify", "Q7", "--theta", "1"]) == EXIT_CONFIG
+    assert main(["classify", "D3", "--theta", "3"]) == EXIT_CONFIG
 
 
 def test_verify_passes(capsys):

@@ -496,11 +496,13 @@ def test_support_disjoint():
     assert support_disjoint(na, nb) is True
     nc = build_N(["-1", "3/2", "-2/3", "0"])
     assert support_disjoint(na, nc) is False
-    # window comparison for different shapes on one algebra
-    assert support_disjoint(build_N(["1/2", "1/3", "0"]), build_N(["-1", "-7/6", "-3/2"]),
-                            radius=2) is False
-    assert support_disjoint(build_N(["1/2", "1/3", "0"]), build_N(["-1", "1/2", "1/3"]),
-                            radius=2) is True
+    # no parameter comparison decides modules of different kind or shape
+    with pytest.raises(ValueError):
+        support_disjoint(build_N(["1/2", "1/3", "0"]), build_N(["-1", "-7/6", "-3/2"]))
+    with pytest.raises(ValueError):
+        support_disjoint(build_N(["1/2", "1/3", "0"]), build_N(["-1", "1/2", "1/3"]))
+    with pytest.raises(ValueError):
+        support_disjoint(build_N(["-1", "1/4"]), build_M(["-1", "1/4"]))
 
 
 @pytest.mark.parametrize("a,b", [

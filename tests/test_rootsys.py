@@ -14,7 +14,8 @@ from weightcat.weylmod import sparse_add
 def test_cartan_type_parse_and_bounds():
     assert CartanType.parse("A3") == CartanType("A", 3)
     assert str(CartanType.parse(" c2 ")) == "C2"
-    for bad in ("E5", "E9", "F3", "G3", "D2", "B1", "H4", "A0"):
+    # D3 is A3, which serves that algebra with its own numbering
+    for bad in ("E5", "E9", "F3", "G3", "D2", "D3", "B1", "H4", "A0"):
         with pytest.raises(ValueError):
             CartanType.parse(bad)
 
