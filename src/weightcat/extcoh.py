@@ -17,13 +17,14 @@ inverse-shift normal form on the distinguished cuspidal direction of a
 degree-one family and reduce self-extension vanishing to a system in the
 orbit labels b(k).  Its rows go into one fraction-free `linalg.Echelon`:
 first the identities of the pairs through the cuspidal root α over the
-whole window, centre-out, then those of the other pairs in the same order,
-until the rank reaches the label count.  Every row is a constraint the
-cocycle must satisfy, so rows of full rank certify a zero kernel whichever
-identities they came from; the pairs through α carry most pivots, so full
-rank comes early.  The reduced echelon form does not depend on the order of
-the rows, so an answer of positive dimension reads every identity and is
-that of the whole system.
+whole window, outward along the α orbit and then in the labels, then those
+of the other pairs in the same order, until the rank reaches the label
+count.  Every row is a constraint the cocycle must satisfy, so rows of full
+rank certify a zero kernel whichever identities they came from; the pairs
+through α carry most pivots, and every label meets its orbit's centre
+early, so full rank comes early.  The reduced echelon form does not depend
+on the order of the rows, so an answer of positive dimension reads every
+identity and is that of the whole system.
 """
 from __future__ import annotations
 
@@ -429,10 +430,12 @@ def _normal_form_system(module: DegreeOneModule, radius: int, reason: str) -> Co
     echelon = linalg.Echelon(len(labels))
     dropped = False
     # every row constrains the cocycle, so rows of full rank prove a zero kernel
-    # whichever identities they came from: read the pairs through alpha over the
-    # whole window centre-out first, as they hold most pivots, then the rest, and
-    # stop at full rank
-    window = sorted(nf.window, key=lambda k: (max(map(abs, k)), sum(map(abs, k)), k))
+    # whichever identities they came from: read the pairs through alpha first, as
+    # they hold most pivots, then the rest, each outward along the alpha orbit
+    # (|<k, delta>|) and then in the labels, and stop at full rank
+    window = sorted(nf.window, key=lambda k: (abs(sum(x * d for x, d in zip(k, nf.delta))),
+                                              max(map(abs, lab := nf.label(k)), default=0),
+                                              sum(map(abs, lab)), k))
     through = [p for p in nf.pairs if nf.alpha in p[:2]]
     rest = [p for p in nf.pairs if nf.alpha not in p[:2]]
     rows = (row for pairs in (through, rest) for k in window for pair in pairs

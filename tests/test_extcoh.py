@@ -253,10 +253,12 @@ def _full_normal_form(build, params, radius):
     (build_M, ("-1", "-1", "1/4"), 4),
     (build_N, ("-1", "-1", "1/2", "1/3", "0"), 2),
     (build_N, ("-1", "-1", "1/6", "5/6", "0", "0"), 2),
+    (build_M, ("-1", "-1", "-1", "1/4"), 3),
+    (build_N, ("-1", "1/6", "5/6", "0", "0"), 3),
     (build_N, ("1/2", "1/3"), 3),
     (build_M, ("1/4",), 4),
 ], ids=["A3-B3", "A3-B4", "C2-B3", "C2-B4", "C2-B5", "C2-B6", "C3-B3", "C3-B4", "A4-B2",
-        "A5-B2", "A1-free", "C1-free"])
+        "A5-B2", "C4-B3", "A4-B3", "A1-free", "C1-free"])
 def test_normal_form_system_matches_full_assembly(build, params, radius):
     # the read takes the pairs through alpha first and stops at full rank; the
     # whole system must give the same kernel, labels and basis
@@ -294,8 +296,8 @@ def test_normal_form_system_below_full_rank_reads_every_row(monkeypatch, build, 
 
 def test_normal_form_reads_identities_only_until_full_rank(monkeypatch):
     # the memo of cocycle values counts the identities read: the read of
-    # C3 M(-1,-1,1/4) at B=4, pairs through alpha first, fills under a quarter
-    # of it (670 of 3,308 values)
+    # C3 M(-1,-1,1/4) at B=4, pairs through alpha first and outward along the
+    # alpha orbit, fills under an eighth of it (323 of 3,308 values)
     made = []
 
     class Recording(extcoh._NormalFormAssembler):
@@ -308,16 +310,60 @@ def test_normal_form_reads_identities_only_until_full_rank(monkeypatch):
     assert ext_solve_typeC(params, params, radius=4).dimension == 0
     lazy = len(made[0]._values)
     full = len(_full_normal_form(build_M, tuple(params), 4)[0]._values)
-    assert 0 < lazy < full / 4
+    assert 0 < lazy < full / 8
+
+
+def test_normal_form_reaches_full_rank_in_few_rows_per_label(monkeypatch):
+    # read outward along the alpha orbit, every label gets rows from its
+    # orbit's centre early: at most 3.5 rows per label reach full rank on
+    # these zero-kernel systems, where a centre-out read by max |k| took up
+    # to 15.7 (A3 at B=4: 392 rows for 25 labels)
+    added = []
+    add = linalg.Echelon.add
+
+    def counting_add(self, row):
+        added.append(row)
+        return add(self, row)
+
+    monkeypatch.setattr(linalg.Echelon, "add", counting_add)
+    per_label = {}
+    for build, params, radii in [(build_M, ("-1", "1/4"), (3, 4, 5, 6)),
+                                 (build_M, ("-1", "-1", "1/4"), (3, 4)),
+                                 (build_N, ("-1", "1/2", "1/3", "0"), (3, 4))]:
+        for radius in radii:
+            added.clear()
+            cs = _normal_form_system(build(params), radius, "self pair")
+            assert cs.dimension == 0
+            per_label[params, radius] = len(added) / len(cs.labels)
+    assert max(per_label.values()) <= 3.5, per_label
 
 
 def test_lowering_check_covers_the_window_edge(monkeypatch):
     # the read stops before the window edge, yet a lowering operator that
     # vanishes there must still stop the certification; the assembler reads
-    # the root action as store numerators, so the corruption goes there
+    # the root action as store numerators, so the corruption goes there.  The
+    # edge is the last key of the read order, outward along the alpha orbit
+    # and then in the labels, and the lazy read fills no value off alpha there
+    made = []
+
+    class Recording(extcoh._NormalFormAssembler):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(extcoh, "_NormalFormAssembler", Recording)
     module = build_M(["-1", "-1", "1/4"])
+    assert _normal_form_system(module, 4, "self pair").dimension == 0
+    nf = made[0]
+
+    def order(k):
+        label = nf.label(k)
+        return (abs(sum(x * d for x, d in zip(k, nf.delta))), max(map(abs, label)),
+                sum(map(abs, label)), k)
+
+    edge = max(nf.window, key=order)
+    assert not [root for root, k in nf._values if k == edge and root != nf.alpha]
     nalpha = neg_root(module.system.simple_root(module.cuspidal_block()[0]))
-    edge = max(module.window(4), key=lambda k: (max(map(abs, k)), sum(map(abs, k)), k))
     true_act = module.act_root_num
 
     def act_root_num(root, k):

@@ -4,8 +4,9 @@ The first digests were recorded before elimination was made
 row-incremental, the lab, rank-one ext and coboundary-witness pins before
 the lab scripts got one entry point, and the rank-4 `verify` pins before
 the bracket check's two products were written as two loops, and the probe
-pins before its candidate loop lost the chain search; any change to the
-arithmetic that moves a single byte of these outputs fails here.
+pins before its candidate loop lost the chain search, and the rank-4 and
+rank-5 `ext` pins before the normal-form read went along the alpha orbit;
+any change to the arithmetic that moves a single byte of these outputs fails here.
 """
 import hashlib
 import itertools
@@ -65,6 +66,12 @@ GOLDEN_RUNS = {
         "abdeef807bd5f1ea2c8ae0df4224bd2dfdcc5ebdbaa80ef88a7d13a1a0926986",
     "ext --module M --a -1,-1,1/4 --B 5":
         "a9d49c668089dada331eeaf51bfa514ac84e5e2662a3292e537d2f3783896c3d",
+    "ext --module M --a -1,-1,-1,1/4 --B 3":
+        "62d12c4305b29de7d4282bd3d31e16852802d33e6aa9e39808ac8f5d866d0697",
+    "ext --module N --a -1,1/6,5/6,0,0 --B 3":
+        "71a495c771d5914bf07ba9376182bd4b26e99bf0ea3a58ae4d4b1e4b9834e54b",
+    "ext --module M --a -1,-1,-1,-1,2/5 --B 3":
+        "c294eeda3c2e98e34f6adb99e3c27f30b5d31abcc3428fbcdcbc43cc2b365705",
     "verify --module M --a -1,-1,-1,2/5 --B 2":
         "9965f9a66ae1bfe7ad121715d00eac301ecc1a42b4b4cd8de28288532ea29971",
     "verify --module N --a -1,-1,1/5,2/5,0 --B 2":
