@@ -154,11 +154,19 @@ def _witnesses(module: DegreeOneModule, roots: Iterable[Root], window: Sequence[
     supports, first = module.realization.supports, Lookup(lambda coords: representatives(window, coords))
     out = []
     for root in roots:
-        k = next((k for k in first[supports[root]]
-                  if bool(module.act_word((root,) * cap, k)[0]) == survive), None)
+        k = next((k for k in first[supports[root]] if _survives(module, root, k, cap) == survive), None)
         if k is not None:
             out.append((root, k))
     return out
+
+
+def _survives(module: DegreeOneModule, root: Root, k: Index, steps: int) -> bool:
+    """Whether steps successive actions of X_root from x(k) are all nonzero."""
+    for _ in range(steps):
+        num, k = module.act_root_num(root, k)
+        if not num:
+            return False
+    return True
 
 
 def check_membership(module: DegreeOneModule, theta: Iterable[int],
@@ -178,6 +186,9 @@ def check_membership(module: DegreeOneModule, theta: Iterable[int],
     central characters and a difference in the theta span force equal
     weights, and no weight is read.  Condition 3: positive root vectors
     outside the span of S act locally nilpotently within the step cap.
+    Every step reads a numerator and a target from the root-action store, and
+    each vector's raising step is taken once for all the ascents through it;
+    each ascent still lists every broken step it takes.
     """
     system = module.system
     theta = frozenset(theta)
@@ -194,22 +205,29 @@ def check_membership(module: DegreeOneModule, theta: Iterable[int],
     # condition 2: ascend along the first theta raising operator that acts,
     # at most cap + 1 steps, to a highest-weight vector
     raising = [(b, system.simple_root(b)) for b in sorted(theta)]
+
+    def raise_once(cur: Index) -> Optional[Tuple[int, Index, bool]]:
+        # (b, target, broken), None at a highest-weight vector: the certificate
+        # needs the downward edge too, the lowering step taking target to cur
+        for b, root in raising:
+            num, target = module.act_root_num(root, cur)
+            if num:
+                back, source = module.act_root_num(neg_root(root), target)
+                return b, target, not back or source != cur
+
+    steps = Lookup(raise_once)
     certified = True
     broken_descents = []
     hw_reached: Set[Index] = set()
     for k in window:
         cur = k
         for _ in range(cap + 1):
-            step = next(((b, root, t) for b, root in raising
-                         for c, t in [module.act_root(root, cur)] if c), None)
+            step = steps[cur]
             if step is None:
                 hw_reached.add(cur)
                 break
-            b, root, target = step
-            # the certificate needs the downward edge too: the vector must be
-            # recovered from above by the lowering operator (the raising step
-            # is nonzero, so a zero lowering step stops the walk at target)
-            if module.act_word((neg_root(root), root), cur)[1] != cur:
+            b, target, broken = step
+            if broken:
                 broken_descents.append((cur, b))
             cur = target
         else:

@@ -236,7 +236,7 @@ class DegreeOneModule:
 
     def is_hw(self, k: Sequence[int], raising: Iterable[Root]) -> bool:
         """Annihilation by every root vector in raising, the positive roots on theta."""
-        return not any(self.act_root(root, k)[0] for root in raising)
+        return not any(self.act_root_num(root, k)[0] for root in raising)
 
     def enumerate_hw(self, theta: Iterable[int], radius: int) -> List[Index]:
         raising = self.system.span_closure(theta) & self.system.positive_set

@@ -130,12 +130,6 @@ def neg_root(x: Root) -> Root:
     return tuple(-a for a in x)
 
 
-def _letters(qexp: Sequence[int], pexp: Sequence[int]) -> Tuple[int, ...]:
-    """The normal-ordered monomial q^qexp p^pexp as its sorted letters, q_i coded
-    i and p_i coded N + i on N generator pairs."""
-    return tuple(i for i, e in enumerate(tuple(qexp) + tuple(pexp)) for _ in range(e))
-
-
 def _over_lcm(xs: Sequence[Fraction]) -> Tuple[Tuple[int, ...], int]:
     """Integers n and the scale d with xs == n / d, d the lcm of the denominators."""
     d = math.lcm(*(x.denominator for x in xs))
@@ -274,6 +268,7 @@ class Realization:
         self.family = fam
         self.nvars = system.rank + 1 if fam == "A" else system.rank
         self._monomials: Dict[Root, Tuple[Tuple[int, ...], Tuple[int, ...], int]] = Lookup(self._monomial)
+        self._terms: Dict[Root, Tuple[Tuple[int, ...], int]] = Lookup(self._term)
         # 2 H_{e_i} as {letters: integer}: 2 q_i p_i - 2 q_{i+1} p_{i+1}, and
         # 2 q_n p_n + 1 for the long root of C_n
         N, n = self.nvars, system.rank
@@ -307,6 +302,12 @@ class Realization:
         qexp, pexp = tuple(max(v, 0) for v in eps), tuple(max(-v, 0) for v in eps)
         return qexp, pexp, (-1 if sum(eps) < 0 else 1) * (2 // max(qexp + pexp))
 
+    def _term(self, root: Root) -> Tuple[Tuple[int, ...], int]:
+        """X_root as (letters, num): the sorted letters of q^qexp p^pexp, q_i coded
+        i and p_i coded N + i on N generator pairs, for the contractions."""
+        qexp, pexp, num = self.monomial(root)
+        return tuple(i for i, e in enumerate(qexp + pexp) for _ in range(e)), num
+
     @cached_property
     def letter_kinds(self) -> Dict[Root, Tuple[FrozenSet[int], FrozenSet[int]]]:
         """{root: (the generator pairs X_root has q letters on, those it has p letters on)}."""
@@ -323,8 +324,7 @@ class Realization:
         """4 [X_mu, X_nu] as {letters: integer}, from X = num/2 AB for letters A, B:
         [AB, CD] = [B,C] AD + [B,D] AC + [A,C] DB + [A,D] CB, with [p_i, q_i] = 1
         and each product normal-ordered by p_i q_i = q_i p_i + 1 (letters ())."""
-        (qa, pa, na), (qb, pb, nb) = self.monomial(mu), self.monomial(nu)
-        (a, b), (c, d), N = _letters(qa, pa), _letters(qb, pb), self.nvars
+        ((a, b), na), ((c, d), nb), N = self._terms[mu], self._terms[nu], self.nvars
         out: Dict[Tuple[int, ...], int] = {}
         for x, y, u, w in ((b, c, a, d), (b, d, a, c), (a, c, d, b), (a, d, c, b)):
             sign = (x - y == N) - (y - x == N)
@@ -347,8 +347,8 @@ class Realization:
         br = self._contract(mu, nu)
         if s in self.system.roots:
             # 4 [X_mu, X_nu] = 4 N X_s = 2 N num q^qexp p^pexp, and N != 0
-            qe, pe, num = self.monomial(s)
-            v = br.pop(_letters(qe, pe), 0)
+            letters, num = self._terms[s]
+            v = br.pop(letters, 0)
             n, r = divmod(v, 2 * num)
             if br or not v or r:
                 raise AssertionError(f"bracket of {mu},{nu} not a nonzero integer multiple of X_{s}")
@@ -418,6 +418,7 @@ class Realization:
         its letters' coordinates (`weylmod.representatives`), and scanned on
         every key only if one fails, so the yielded sequence is the full scan's.
         The Cartan pairs read weight(key), every coordinate, on every key.
+        Keys that pass are decided on the store's integers (`_pair_defects`).
         """
         if not keys:
             raise ValueError("no basis vector to check: the window is empty")
@@ -439,27 +440,35 @@ def _pair_defects(act: Mapping, weights: Mapping, den: int, pair: RootPair,
                   keys: Iterable) -> Iterator[Tuple[object, Dict]]:
     """(key, defect) of one pair of root_pairs, as `representation_defects` yields
     them, from at most five store reads per key, one term each: X_nu then X_mu
-    (reaching t2), X_mu then X_nu (reaching t4), and X_{mu+nu} when N != 0."""
+    (reaching t2), X_mu then X_nu (reaching t4), and X_{mu+nu} when N != 0.
+    When both products land on one target t (a zero one lands nowhere), the key
+    passes in integers if their difference is the bracket term, N den c5 on
+    X_{mu+nu}'s target or den^2 h.weight(key) on key, and that target is t unless
+    the term is 0; only a key that fails builds its {target: Fraction} defect."""
     mu, nu, s, n, h = pair
     amu, anu, tsum, ns, den2 = act[mu], act[nu], act[s] if n else None, n * den, den * den
     for key in keys:
-        # den^2 (X_mu X_nu - X_nu X_mu - N X_s) x(key)
+        # den^2 d (X_mu X_nu - X_nu X_mu - [X_mu, X_nu]) x(key): p on t2, q on t4
+        # and the bracket term r on t5, d = 1 but for den^2 h.weight(key) = r / d
         t1, c1 = anu[key]
         t2, c2 = amu[t1]
         t3, c3 = amu[key]
         t4, c4 = anu[t3]
-        acc = {t2: c1 * c2}
-        acc[t4] = acc.get(t4, 0) - c3 * c4
+        p, q = c1 * c2, c3 * c4
+        t5, r, d = key, 0, 1
         if n:
             t5, c5 = tsum[key]
-            acc[t5] = acc.get(t5, 0) - ns * c5
+            r = ns * c5
         elif h is not None:
-            # subtract den^2 h.weight(key) = den^2 (h.wn) / wd
-            wn, wd = weights[key]
-            v = acc.get(key, 0) * wd - den2 * sum(map(mul, h, wn))
-            acc[key] = Fraction(v, wd) if v else 0
+            wn, d = weights[key]
+            r = den2 * sum(map(mul, h, wn))
+        if (t2 == t4 or not p or not q) and (p - q) * d == r and (not r or t5 == (t2 if p else t4)):
+            continue
+        acc = {t2: p * d}
+        acc[t4] = acc.get(t4, 0) - q * d
+        acc[t5] = acc.get(t5, 0) - r
         if any(acc.values()):
-            yield key, {k: Fraction(v, den2) for k, v in acc.items() if v}
+            yield key, {k: Fraction(v, den2 * d) for k, v in acc.items() if v}
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,9 @@ import pytest
 
 from weightcat import linalg
 from weightcat.categorio import (CUSPIDAL, EXCLUDED, HIGHEST_WEIGHT, NONTRIVIAL, TRIVIAL,
-                                 _step_cap, check_membership, classify)
+                                 MembershipReport, _step_cap, check_membership, classify)
 from weightcat.degonemod import build_M, build_N
-from weightcat.rootsys import add_roots, build_root_system, center_basis
+from weightcat.rootsys import add_roots, build_root_system, center_basis, neg_root
 from weightcat.weylmod import WeylParams
 
 
@@ -169,6 +169,28 @@ def test_membership_reads_no_weight(monkeypatch, build, a):
     assert (rep.details["hw_count"] == len(m.window(2))) == (not theta)
 
 
+@pytest.mark.parametrize("build,a,theta,S", [
+    (build_N, ["1/2", "1/3", "1/5"], None, None), (build_M, ["-1", "-1", "1/4"], None, None),
+    (build_N, ["-1", "1/2", "1/3", "0"], None, None), (build_N, ["1/2", "1/3", "0"], {1}, {1, 2}),
+    (build_M, ["-1", "1/4", "1/5"], {1}, {1}),
+])
+def test_membership_reads_no_fraction_action(monkeypatch, build, a, theta, S):
+    # the three conditions and the highest-weight scan read numerators and
+    # targets from the root-action store, passing or not
+    m = build(a)
+    theta = m.theta_a() if theta is None else theta
+    want_rep, want_hw = check_membership(build(a), theta, S=S, radius=2), build(a).enumerate_hw(theta, 2)
+
+    def no_fraction(*args):
+        raise AssertionError("a Fraction action read by check_membership or enumerate_hw")
+
+    monkeypatch.setattr(m, "act_word", no_fraction)
+    monkeypatch.setattr(m, "act_root", no_fraction)
+    assert check_membership(m, theta, S=S, radius=2) == want_rep
+    assert m.enumerate_hw(theta, 2) == want_hw
+    assert want_rep.passed == (S is None)
+
+
 def test_membership_restriction_fails_for_wrong_theta():
     # declaring the cuspidal direction as part of theta breaks the ascent
     m = build_N(["1/2", "1/3", "0"])
@@ -217,6 +239,30 @@ def test_restriction_needs_every_descent(monkeypatch):
     theta = m.theta_a()
     rep = check_membership(m, theta, radius=2)
     assert rep.certified and rep.details["broken_descents"] and not rep.restriction_ok
+    # ascents that meet repeat the broken steps above their meeting point, and
+    # the report lists each as often as the per-vector walks take it
+    broken = rep.details["broken_descents"]
+    assert len(set(broken)) < len(broken)
+    assert rep == _membership_oracle(m, theta, frozenset(range(1, 4)), 2)
+
+
+def test_restriction_needs_the_lowering_step_to_return():
+    # a store fault makes X_{-e_b} act on one raising target t as a nonzero
+    # multiple of x(t): the raising step from k is not undone, and no step is zero
+    m = build_N(["-1", "1/2", "1/3", "0"])
+    theta = m.theta_a()
+    b = min(theta)
+    root = m.system.simple_root(b)
+    assert check_membership(m, theta, radius=2).restriction_ok
+    k = next(k for k in m.window(2) if m.act_root_num(root, k)[0])
+    i, j = m._ids[k], m._ids[m.act_root_num(root, k)[1]]
+    lower = m._action[neg_root(root)]
+    back = lower[j][1]
+    assert lower[j] == (i, back) and back
+    lower[j] = (j, back)
+    rep = check_membership(m, theta, radius=2)
+    assert rep.certified and (k, b) in rep.details["broken_descents"] and not rep.restriction_ok
+    assert rep == _membership_oracle(m, theta, frozenset(range(1, 4)), 2)
 
 
 def test_restriction_needs_the_non_simple_theta_roots():
@@ -236,6 +282,7 @@ def test_restriction_needs_the_non_simple_theta_roots():
     rep = check_membership(m, theta, radius=2)
     assert rep.certified and not rep.details["broken_descents"]
     assert rep.details["hw_count"] == hw_count - 1 and not rep.restriction_ok
+    assert rep == _membership_oracle(m, theta, frozenset(range(1, 4)), 2)
 
 
 def _chain_steps(m, root, k, cap):
@@ -349,6 +396,63 @@ def test_partition_matches_per_root_chains(build, a):
     killed, _ = _scan_witnesses(m, set(), set(range(1, m.system.rank + 1)))
     _, outlived = _scan_witnesses(m, set(), set())
     assert killed or outlived
+
+
+def _membership_oracle(m, theta, S, radius):
+    """check_membership's report rebuilt from act_root and act_word: every
+    window vector walks up on its own, and every chain is tried on every window
+    vector (`_first_chains`)."""
+    system, cap = m.system, _step_cap(radius, m.system.rank)
+    raising = [(b, system.simple_root(b)) for b in sorted(theta)]
+    certified, broken, reached = True, [], set()
+    for k in m.window(radius):
+        cur = k
+        for _ in range(cap + 1):
+            step = next(((b, root, t) for b, root in raising
+                         for c, t in [m.act_root(root, cur)] if c), None)
+            if step is None:
+                reached.add(cur)
+                break
+            b, root, target = step
+            if m.act_word((neg_root(root), root), cur)[1] != cur:
+                broken.append((cur, b))
+            cur = target
+        else:
+            certified = False
+    theta_raising = system.span_closure(theta) & system.positive_set
+    hw_count = sum(not any(m.act_root(r, k)[0] for r in theta_raising) for k in reached)
+    inside = system.span_closure(S - theta)
+    outside = [r for r in system.positive_set if r not in system.span_closure(S)]
+    killed, outlived = _first_chains(m, inside, radius, 1, False), _first_chains(m, outside, radius, cap, True)
+    details = {"cuspidality_witnesses": [(r, killed[r]) for r in inside if r in killed],
+               "broken_descents": broken, "hw_count": hw_count,
+               "nilpotency_witnesses": [(r, outlived[r]) for r in outside if r in outlived]}
+    return MembershipReport(not killed, certified and not broken and hw_count == len(reached),
+                            not outlived, certified, details)
+
+
+def _nontrivial_families():
+    """(type, theta) of every NONTRIVIAL verdict on types A and C of rank <= 4."""
+    out = []
+    for name in ("A1", "A2", "A3", "A4", "C1", "C2", "C3", "C4"):
+        system = build_root_system(name)
+        for mask in range(1 << system.rank):
+            theta = frozenset(i + 1 for i in range(system.rank) if mask >> i & 1)
+            if classify(system, theta).kind == NONTRIVIAL:
+                out.append((name, theta))
+    return out
+
+
+@pytest.mark.parametrize("name,theta", _nontrivial_families())
+def test_membership_matches_the_per_vector_oracle(name, theta):
+    # the family's own theta passes; all of S as theta leaves the ascent
+    # uncertified, theta empty breaks condition 1 and S = theta condition 3
+    system = build_root_system(name)
+    family = classify(system, theta).family
+    m = family.instantiate([F(1, 2), F(1, 3), F(1, 5), F(2, 7), F(3, 11)][:family.free])
+    full = frozenset(range(1, system.rank + 1))
+    for th, S in ((theta, full), (full, full), (frozenset(), full), (theta, theta)):
+        assert check_membership(m, th, S=S, radius=2) == _membership_oracle(m, th, S, 2), (th, S)
 
 
 def test_classify_total_over_all_types():

@@ -1,6 +1,7 @@
 import contextlib
 from collections import Counter
 from fractions import Fraction as F
+from operator import mul
 from unittest import mock
 
 import pytest
@@ -8,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from weightcat.categorio import check_membership
 from weightcat.degonemod import PartitionError, build_M, build_N
-from weightcat.weylmod import NON_INT, WeylAuditError, WeylParams, weyl_act
+from weightcat.rootsys import _over_lcm, _pair_defects
+from weightcat.weylmod import NON_INT, Lookup, WeylAuditError, WeylParams, weyl_act
 
 
 def neg(r):
@@ -421,6 +423,77 @@ def test_bracket_defects_list_the_oracle_under_a_corrupted_action(monkeypatch, b
     for _, _, key, defect in got:
         assert key in window and all(type(x) is tuple and admissible(x) for x in defect)
         assert all(type(v) is F for v in defect.values())
+
+
+def _exact_pair_defects(act, weights, den, pair, keys):
+    """(key, defect) of one root pair from its {target: value} sum on every key,
+    with no integer short cut: the reference for `rootsys._pair_defects`."""
+    mu, nu, s, n, h = pair
+    for key in keys:
+        t1, c1 = act[nu][key]
+        t2, c2 = act[mu][t1]
+        t3, c3 = act[mu][key]
+        t4, c4 = act[nu][t3]
+        acc = Counter({t2: c1 * c2})
+        acc[t4] -= c3 * c4
+        if n:
+            t5, c5 = act[s][key]
+            acc[t5] -= n * den * c5
+        elif h is not None:
+            wn, wd = weights[key]
+            acc[key] -= F(den * den * sum(map(mul, h, wn)), wd)
+        defect = {k: F(v, den * den) for k, v in acc.items() if v}
+        if defect:
+            yield key, defect
+
+
+def _check_pairs_exactly(m, window):
+    """_pair_defects of every root pair on the window, on the store and weights
+    bracket_defects hands over, equals the exact reference."""
+    keys = [m._ids[k] for k in window]
+    weights = Lookup(lambda i: _over_lcm(m.weight_of(m._keys[i])))
+    for pair in m.realization.root_pairs:
+        want = list(_exact_pair_defects(m._action, weights, m.scale, pair, keys))
+        assert list(_pair_defects(m._action, weights, m.scale, pair, keys)) == want, pair[:2]
+
+
+@pytest.mark.parametrize("build,params", [
+    (build_N, ["1/2", "1/3", "1/5"]), (build_M, ["1/3", "1/5", "1/7"]),
+    (build_M, ["-1", "1/4", "1/5"]),
+])
+@pytest.mark.parametrize("what", ["numerator", "target"])
+def test_pair_guards_see_a_corrupted_sum_term(build, params, what):
+    # X_{mu+nu} corrupted on one key in its numerator alone or its target alone
+    # (made a self-loop): the two products of (mu, nu) still meet on one target
+    # there, so only the integer test of the N term can send the key to the
+    # exact defect; the first window vector represents every projection
+    m = build(params)
+    window = m.window(1)
+    _check_pairs_exactly(m, window)
+    key = m._ids[window[0]]
+    mu, nu, s, _, _ = next(p for p in m.realization.root_pairs if p[3] and m._action[p[2]][key][1])
+    t5, c5 = m._action[s][key]
+    m._action[s][key] = (t5, c5 + 1) if what == "numerator" else (key, c5)
+    _check_pairs_exactly(m, window)
+    assert (mu, nu, window[0]) in [d[:3] for d in m.bracket_defects(1)]
+
+
+@pytest.mark.parametrize("build,params", [(build_N, ["1/2", "1/3", "1/5"]), (build_M, ["1/3", "1/5", "1/7"])])
+def test_pair_guards_see_a_corrupted_cartan_target(build, params):
+    # both second steps of a Cartan pair (mu, -mu) on one key moved to one other
+    # index, numerators kept: the products still meet and their sum still equals
+    # h.weight there, so only the test that they meet on the key itself can send
+    # it to the exact defect; on a cuspidal module no step is zero
+    m = build(params)
+    window, act = m.window(1), m._action
+    key, other = m._ids[window[0]], m._ids[window[1]]
+    mu, nu, _, _, _ = next(p for p in m.realization.root_pairs
+                           if p[4] is not None and sum(map(mul, p[4], m.weight_of(window[0]))))
+    t1, t3 = act[nu][key][0], act[mu][key][0]
+    act[mu][t1] = (other, act[mu][t1][1])
+    act[nu][t3] = (other, act[nu][t3][1])
+    _check_pairs_exactly(m, window)
+    assert (mu, nu, window[0]) in [d[:3] for d in m.bracket_defects(1)]
 
 
 _SWEPT = [(build_N, ["-1", "1/2", "1/3", "0"]), (build_M, ["-1", "1/4", "1/5"]),
