@@ -17,7 +17,7 @@ from .extcoh import (Cocycle, ConstraintSystem, coboundary_quotient_dim, cocycle
 from .inducemod import (LeviModule, TruncatedVerma, central_scalars, induce, levi_module,
                         levi_module_product, probe_restriction_failure, restrict_family,
                         u0_compare)
-from .paperlab import LEMMAS, LemmaReport, run_lemma, seeded_reports
+from .paperlab import LEMMAS, LemmaReport, run_lemma
 from .rootsys import (CartanType, RootSubset, RootSystem, build_root_system,
                       classify_subset, lattice_disjoint, levi_decomposition)
 from .weylmod import WeylParams, check_weyl_relations, weyl_act

@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .degonemod import DegreeOneModule, Index, build_module
-from .rootsys import CartanType, Root, RootSystem, neg_root
+from .rootsys import CartanType, Root, RootSystem, build_root_system, neg_root
 from .weylmod import Lookup, parse_rational, representatives
 
 TRIVIAL = "TRIVIAL"
@@ -88,17 +88,18 @@ def classify(system: RootSystem, theta: Iterable[int]) -> Verdict:
     theta = frozenset(theta)
     if not theta <= set(range(1, n + 1)):
         raise ValueError(f"theta {sorted(theta)} is not a subset of the simple roots of {ct}")
+    if str(ct) in ("C1", "B2"):
+        # C1 is A1, and B2 is C2 with nodes 1 and 2 swapped
+        return classify(build_root_system("A1" if n == 1 else "C2"), {n + 1 - i for i in theta})
     full = frozenset(range(1, n + 1))
     if theta == full:
         return Verdict(HIGHEST_WEIGHT, None, None, True,
                        "direct sums of simple highest-weight modules")
     if not theta:
-        # C1 is A1 and B2 is C2; with theta empty the node numbering does not matter
-        family = {"C1": "A", "B2": "C"}.get(str(ct), ct.family)
-        if family == "A":
+        if ct.family == "A":
             return Verdict(CUSPIDAL, None, None, False,
                            "cuspidal category; nonsplit self-extensions exist in type A")
-        if family == "C":
+        if ct.family == "C":
             return Verdict(CUSPIDAL, None, None, True, "cuspidal category is semisimple in type C")
         return Verdict(CUSPIDAL, None, None, True, "no cuspidal modules outside types A and C")
     comp = full - theta

@@ -189,20 +189,23 @@ class DegreeOneModule:
         """
         keys, ids, window = self._keys, self._ids, self.window(radius)
         defects = self.realization.representation_defects(
-            self._action, lambda i: self.weight_of(keys[i]), [ids[k] for k in window], self.scale,
+            self._action, lambda i: self.weight_num(keys[i]), [ids[k] for k in window], self.scale,
             Lookup(lambda coords: [ids[k] for k in representatives(window, coords)]))
         return ((mu, nu, keys[i], {keys[j]: v for j, v in defect.items()})
                 for mu, nu, i, defect in defects)
 
-    def weight_of(self, k: Sequence[int]) -> Tuple[Fraction, ...]:
-        """Values of the simple coroots H_{e_1}..H_{e_n} on x(k)."""
-        s = [self.params.a[i] + k[i] for i in range(self.nvars)]
-        n = self.system.rank
+    def weight_num(self, k: Sequence[int]) -> Tuple[int, ...]:
+        """weight_of(k) as integers over `scale`, which every a_i's denominator divides
+        (some root has a p letter on each coordinate), and 2 for type C (q_n^2 / 2)."""
+        scale, n = self.scale, self.system.rank
+        s = [x.numerator * (scale // x.denominator) + scale * ki for x, ki in zip(self.params.a, k)]
         if self.kind == "N":
             return tuple(s[i] - s[i + 1] for i in range(n))
-        vals = [s[i] - s[i + 1] for i in range(n - 1)]
-        vals.append(s[n - 1] + Fraction(1, 2))
-        return tuple(vals)
+        return tuple(s[i] - s[i + 1] for i in range(n - 1)) + (s[n - 1] + scale // 2,)
+
+    def weight_of(self, k: Sequence[int]) -> Tuple[Fraction, ...]:
+        """Values of the simple coroots H_{e_1}..H_{e_n} on x(k)."""
+        return tuple(Fraction(x, self.scale) for x in self.weight_num(k))
 
     def displacement(self, k: Sequence[int]) -> Tuple[Fraction, ...]:
         """Simple-root coordinates of weight_of(k) - weight_of(0): the partial

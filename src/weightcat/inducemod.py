@@ -202,6 +202,9 @@ class TruncatedVerma:
         # one scale for the whole action: every memo value is an integer over it
         self.scale = math.lcm(C.scale, *(x.denominator for x in C.lam0))
         self._act: Dict[Tuple[Root, Monomial, Index], Dict[VectorKey, int]] = Lookup(self._act_basis)
+        # each key's weight at the scale, which lam0's denominators divide: the rest is integral
+        self._weight_nums: Dict[VectorKey, Tuple[int, ...]] = Lookup(
+            lambda key: tuple(_integral(w * self.scale) for w in self.weight_of_key(key)))
         self._kernels: Dict[Tuple[Fraction, ...], Tuple[List, List[int], List[VectorKey]]] = \
             Lookup(self._kernel)
         self._off_block = [j for j in range(self.system.rank) if j + 1 not in C.block]
@@ -310,9 +313,8 @@ class TruncatedVerma:
                     for key2, c2 in act[s, rest, t].items():
                         sparse_add(out, key2, n * c2)
                 elif not any(s):
-                    coeffs = self.real.cartan_coefficients(root)
-                    for key2, c2 in self.act_coroot_combo(coeffs, {(rest, t): scale}).items():
-                        sparse_add(out, key2, _integral(c2))
+                    h = self.real.cartan_coefficients(root)
+                    sparse_add(out, (rest, t), sum(a * w for a, w in zip(h, self._weight_nums[rest, t])))
         return out
 
     # -- weight spaces and kernels -------------------------------------------------

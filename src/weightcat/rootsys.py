@@ -401,12 +401,13 @@ class Realization:
 
         act[root][key] gives den * X_root x(key) as (target key, numerator) at
         one scale den (integers keep Fractions out of the loop), and weight(key)
-        the values of the simple coroots H_{e_i} on x(key), so the Cartan
-        element sum_i h_i H_{e_i} scales x(key) by sum_i h_i weight(key)_i; it
-        is read once per key.  Yields (mu, nu, key, defect) for every pair of
-        root_pairs and every key on which the nonzero {key: Fraction} defect
-        is X_mu X_nu - X_nu X_mu - [X_mu, X_nu] on x(key).  No keys raise
-        ValueError: a check that saw no vector certifies nothing.
+        the values of the simple coroots H_{e_i} on x(key) as numerators over
+        den, so the Cartan element sum_i h_i H_{e_i} scales x(key) by
+        sum_i h_i weight(key)_i / den; it is read once per key.  Yields
+        (mu, nu, key, defect) for every pair of root_pairs and every key on
+        which the nonzero {key: Fraction} defect is X_mu X_nu - X_nu X_mu -
+        [X_mu, X_nu] on x(key).  No keys raise ValueError: a check that saw no
+        vector certifies nothing.
 
         A pair off the Cartan with no coordinate where one root has a q letter
         and the other a p letter is skipped, pairs of disjoint supports among
@@ -422,7 +423,7 @@ class Realization:
         """
         if not keys:
             raise ValueError("no basis vector to check: the window is empty")
-        weights = Lookup(lambda key: _over_lcm(weight(key)))
+        weights = Lookup(weight)
         kinds = self.letter_kinds
         for pair in self.root_pairs:
             mu, nu, _, _, h = pair
@@ -443,32 +444,30 @@ def _pair_defects(act: Mapping, weights: Mapping, den: int, pair: RootPair,
     (reaching t2), X_mu then X_nu (reaching t4), and X_{mu+nu} when N != 0.
     When both products land on one target t (a zero one lands nowhere), the key
     passes in integers if their difference is the bracket term, N den c5 on
-    X_{mu+nu}'s target or den^2 h.weight(key) on key, and that target is t unless
+    X_{mu+nu}'s target or den h.weight(key) on key, and that target is t unless
     the term is 0; only a key that fails builds its {target: Fraction} defect."""
     mu, nu, s, n, h = pair
     amu, anu, tsum, ns, den2 = act[mu], act[nu], act[s] if n else None, n * den, den * den
     for key in keys:
-        # den^2 d (X_mu X_nu - X_nu X_mu - [X_mu, X_nu]) x(key): p on t2, q on t4
-        # and the bracket term r on t5, d = 1 but for den^2 h.weight(key) = r / d
+        # den^2 (X_mu X_nu - X_nu X_mu - [X_mu, X_nu]) x(key): p on t2, q on t4, r on t5
         t1, c1 = anu[key]
         t2, c2 = amu[t1]
         t3, c3 = amu[key]
         t4, c4 = anu[t3]
         p, q = c1 * c2, c3 * c4
-        t5, r, d = key, 0, 1
+        t5, r = key, 0
         if n:
             t5, c5 = tsum[key]
             r = ns * c5
         elif h is not None:
-            wn, d = weights[key]
-            r = den2 * sum(map(mul, h, wn))
-        if (t2 == t4 or not p or not q) and (p - q) * d == r and (not r or t5 == (t2 if p else t4)):
+            r = den * sum(map(mul, h, weights[key]))
+        if (t2 == t4 or not p or not q) and p - q == r and (not r or t5 == (t2 if p else t4)):
             continue
-        acc = {t2: p * d}
-        acc[t4] = acc.get(t4, 0) - q * d
+        acc = {t2: p}
+        acc[t4] = acc.get(t4, 0) - q
         acc[t5] = acc.get(t5, 0) - r
         if any(acc.values()):
-            yield key, {k: Fraction(v, den2 * d) for k, v in acc.items() if v}
+            yield key, {k: Fraction(v, den2) for k, v in acc.items() if v}
 
 
 # ---------------------------------------------------------------------------

@@ -12,14 +12,15 @@ from fractions import Fraction as F
 
 import pytest
 
+from lab_seeds import seeded_reports
 from weightcat.categorio import NONTRIVIAL, TRIVIAL, check_membership, classify
 from weightcat.degonemod import DegreeOneModule, build_M, build_N
 from weightcat.extcoh import (cocycle_space, coboundary_quotient_dim, ext_solve_typeA,
                               ext_solve_typeC, is_coboundary)
 from weightcat.inducemod import (induce, levi_module, levi_module_product,
                                  probe_restriction_failure)
-from weightcat.paperlab import (appendix_a3, seeded_reports, verify_AC1, verify_AkAn,
-                                verify_A1N, verify_CC, verify_lemA12)
+from weightcat.paperlab import (appendix_a3, verify_AC1, verify_AkAn, verify_A1N, verify_CC,
+                                verify_lemA12)
 from weightcat.rootsys import build_root_system
 from weightcat.weylmod import WeylParams, check_weyl_relations
 

@@ -106,11 +106,23 @@ def test_degenerate_theta():
 
 @pytest.mark.parametrize("small,same", [("C1", "A1"), ("B2", "C2")])
 def test_classify_agrees_across_low_rank_isomorphisms(small, same):
-    # C1 is A1 and B2 is C2: with theta empty or full the node numbering does
-    # not matter, so the verdicts agree
+    # C1 is A1, and B2 is C2 with nodes 1 and 2 swapped: every theta gets the
+    # verdict of its image under the swap
     a, b = build_root_system(small), build_root_system(same)
-    for theta in (set(), set(range(1, a.rank + 1))):
-        assert classify(a, theta) == classify(b, theta)
+    n = a.rank
+    swap = {i: n + 1 - i for i in range(1, n + 1)}
+    assert a.cartan == tuple(tuple(b.cartan[swap[i] - 1][swap[j] - 1] for j in range(1, n + 1))
+                             for i in range(1, n + 1))
+    for mask in range(1 << n):
+        theta = {i + 1 for i in range(n) if mask >> i & 1}
+        assert classify(a, theta) == classify(b, {swap[i] for i in theta}), theta
+
+
+def test_b2_long_root_block_is_the_c2_family():
+    # the complement {1} of B2 is its long root, the complement {2} of C2
+    v = vclassify("B2", {1})
+    assert v.kind == NONTRIVIAL and (v.family.kind, v.family.minus_ones, v.family.free) == ("M", 1, 1)
+    assert vclassify("B2", {2}).kind == TRIVIAL
 
 
 def test_family_instantiation_roundtrip():
@@ -160,9 +172,10 @@ def test_membership_reads_no_weight(monkeypatch, build, a):
     theta = m.theta_a()
 
     def no_weight(k):
-        raise AssertionError("weight_of read by check_membership")
+        raise AssertionError("weight read by check_membership")
 
     monkeypatch.setattr(m, "weight_of", no_weight)
+    monkeypatch.setattr(m, "weight_num", no_weight)
     rep = check_membership(m, theta, radius=2)
     assert rep.passed
     # with theta empty every window vector is its own highest-weight vector
@@ -467,6 +480,7 @@ def test_classify_total_over_all_types():
             v = classify(system, theta)
             assert v.kind in kinds
             if v.kind == NONTRIVIAL:
-                assert v.family is not None and system.cartan_type.family in "AC"
+                # B2 is C2 with its nodes swapped
+                assert v.family is not None and (name == "B2" or system.cartan_type.family in "AC")
             else:
                 assert v.family is None

@@ -7,9 +7,9 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from weightcat.categorio import check_membership
+from weightcat.categorio import NONTRIVIAL, check_membership, classify
 from weightcat.degonemod import PartitionError, build_M, build_N
-from weightcat.rootsys import _over_lcm, _pair_defects
+from weightcat.rootsys import _pair_defects, build_root_system
 from weightcat.weylmod import NON_INT, Lookup, WeylAuditError, WeylParams, weyl_act
 
 
@@ -96,6 +96,35 @@ def test_theta_blocks():
     assert build_M(["-1", "1/4"]).theta_a() == frozenset({1})
     assert build_M(["-1", "1/4", "1/5"]).cuspidal_block() == (2, 3)
     assert build_M(["1/4", "1/3"]).theta_a() == frozenset()
+
+
+def _weight_num_cases():
+    """(module, radius): every NONTRIVIAL A/C family of ranks 1-7 on mixed
+    denominators, and the integer-tailed M(-1, -2) and M(-1, ..., -1)."""
+    free = [F(1, 4), F(-2, 3), F(1, 5), F(5, 7), F(-7, 6), F(3, 11), F(1, 2)]
+    cases = {}
+    for family in "AC":
+        for n in range(1, 8):
+            system = build_root_system(f"{family}{n}")
+            for mask in range(1, 1 << n):
+                v = classify(system, {i + 1 for i in range(n) if mask >> i & 1})
+                if v.kind == NONTRIVIAL:
+                    m = v.family.instantiate(free[:v.family.free])
+                    cases[m.kind, m.spec.a] = m, 2 if n <= 3 else 1
+    for a in [(-1, -2)] + [(-1,) * n for n in range(1, 8)]:
+        m = build_M(a)
+        cases["M", m.spec.a] = m, 2
+    return list(cases.values())
+
+
+def test_weight_num_is_the_weyl_action_over_scale():
+    # scale is the root action's denominator; every weight is an integer over it
+    cases = _weight_num_cases()
+    assert {m.system.rank for m, _ in cases} == set(range(1, 8))
+    for m, radius in cases:
+        for k in m.window(radius):
+            assert tuple(F(x, m.scale) for x in m.weight_num(k)) == _coroots_on(m, k), (m.spec.a, k)
+            assert all(type(x) is int for x in m.weight_num(k))
 
 
 def test_weight_examples_and_injectivity():
@@ -318,9 +347,10 @@ def test_bracket_defects_find_a_corrupted_weight():
     m = build_N(["-1", "1/2", "1/3", "0"])
     key = (-1, 1, 0, 0)
     assert key in m.window(1)
-    true_weight = m.weight_of
-    bad = (true_weight(key)[0] + 1,) + true_weight(key)[1:]
-    m.weight_of = lambda k: bad if tuple(k) == key else true_weight(k)
+    # one unit on H_1, planted in the integers the bracket check reads
+    true_weight = m.weight_num
+    bad = (true_weight(key)[0] + m.scale,) + true_weight(key)[1:]
+    m.weight_num = lambda k: bad if tuple(k) == key else true_weight(k)
     h = m.realization.cartan_coefficients
     defects = list(m.bracket_defects(1))
     assert defects
@@ -371,7 +401,8 @@ _PERTURBED = [(build_N, ["-1", "1/2", "1/3", "0"]), (build_M, ["-1", "1/4", "1/5
        delta=st.sampled_from([F(1), F(-1), F(1, 2), F(-2, 3), F(5, 7)]))
 def test_bracket_defects_match_the_oracle_under_perturbation(module, what, i, j, delta):
     """The first defect equals the oracle's after one corruption; a coefficient
-    or a target of one Weyl step moves by delta's numerator."""
+    or a target of one Weyl step, or one weight numerator, moves by delta's
+    numerator."""
     build, params = _PERTURBED[module]
     m = build(params)
     real = m.realization
@@ -390,11 +421,11 @@ def test_bracket_defects_match_the_oracle_under_perturbation(module, what, i, j,
         bad, true_n = nonzero[i % len(nonzero)], real.structure_constant
         real.structure_constant = lambda mu, nu: true_n(mu, nu) + (delta if (mu, nu) == bad else 0)
     else:
-        window, true_weight = m.window(1), m.weight_of
+        window, true_weight = m.window(1), m.weight_num
         k = window[i % len(window)]
         w = list(true_weight(k))
-        w[j % len(w)] += delta
-        m.weight_of = lambda x: tuple(w) if tuple(x) == k else true_weight(x)
+        w[j % len(w)] += delta.numerator
+        m.weight_num = lambda x: tuple(w) if tuple(x) == k else true_weight(x)
     with fault:
         assert next(m.bracket_defects(1), None) == next(_bracket_failures(m, 1), None)
 
@@ -427,7 +458,8 @@ def test_bracket_defects_list_the_oracle_under_a_corrupted_action(monkeypatch, b
 
 def _exact_pair_defects(act, weights, den, pair, keys):
     """(key, defect) of one root pair from its {target: value} sum on every key,
-    with no integer short cut: the reference for `rootsys._pair_defects`."""
+    weights[key] being the coroot values as numerators over den, with no integer
+    short cut: the reference for `rootsys._pair_defects`."""
     mu, nu, s, n, h = pair
     for key in keys:
         t1, c1 = act[nu][key]
@@ -440,8 +472,7 @@ def _exact_pair_defects(act, weights, den, pair, keys):
             t5, c5 = act[s][key]
             acc[t5] -= n * den * c5
         elif h is not None:
-            wn, wd = weights[key]
-            acc[key] -= F(den * den * sum(map(mul, h, wn)), wd)
+            acc[key] -= den * sum(map(mul, h, weights[key]))
         defect = {k: F(v, den * den) for k, v in acc.items() if v}
         if defect:
             yield key, defect
@@ -451,7 +482,7 @@ def _check_pairs_exactly(m, window):
     """_pair_defects of every root pair on the window, on the store and weights
     bracket_defects hands over, equals the exact reference."""
     keys = [m._ids[k] for k in window]
-    weights = Lookup(lambda i: _over_lcm(m.weight_of(m._keys[i])))
+    weights = Lookup(lambda i: m.weight_num(m._keys[i]))
     for pair in m.realization.root_pairs:
         want = list(_exact_pair_defects(m._action, weights, m.scale, pair, keys))
         assert list(_pair_defects(m._action, weights, m.scale, pair, keys)) == want, pair[:2]

@@ -1,8 +1,10 @@
-"""Every module-level import in src/weightcat is used by the module that makes it.
+"""Every module-level import in src/weightcat is used by the module that makes it,
+and names a module of the standard library or of the package itself.
 
-`__init__` is left out: its imports are the package's exports.
+`__init__` is left out of the first check: its imports are the package's exports.
 """
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -50,3 +52,29 @@ def test_no_unused_import(path):
 def test_an_unused_import_is_found():
     tree = ast.parse("from typing import Dict, List\nimport os.path\nx: 'Dict[int, int]' = {}\n")
     assert [name for name, _ in _imported(tree) if name not in _used(tree)] == ["List", "os"]
+
+
+def _third_party(tree):
+    """(top-level name, line) of every absolute module-level import outside the
+    standard library; relative imports are the package's own."""
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        yield from ((name.split(".")[0], node.lineno) for name in names
+                    if name.split(".")[0] not in sys.stdlib_module_names)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.stem)
+def test_runtime_code_is_stdlib_only(path):
+    found = [f"{name} (line {line})" for name, line in _third_party(ast.parse(path.read_text()))]
+    assert not found, f"{path.name} imports outside the standard library: {', '.join(found)}"
+
+
+def test_a_third_party_import_is_found():
+    tree = ast.parse("import sympy\nimport os.path\nfrom fractions import Fraction\n"
+                     "from . import linalg\nfrom hypothesis.strategies import integers\n")
+    assert list(_third_party(tree)) == [("sympy", 1), ("hypothesis", 5)]

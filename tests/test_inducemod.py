@@ -586,6 +586,28 @@ def test_induced_action_matches_fraction_oracle(case):
     assert all(type(c) is int for memo in V._act.values() for c in memo.values())
 
 
+def test_induced_cartan_term_reads_the_integer_weight():
+    # X_beta (X_{-beta} (x) x(t)) = h.weight(t) x(t) for a positive nilradical
+    # root beta, with [X_beta, X_{-beta}] = sum_i h_i H_{e_i}: the term is read
+    # from the key's weight as integers over V.scale, so one unit planted on H_i
+    # there moves it by h_i
+    a3 = build_root_system("A3")
+    C = levi_module(a3, [1, 2], build_N([F(1, 2), F(1, 3), F(1, 5)]), {3: F(2, 3)})
+    t = C.zero_index()
+    for i in range(a3.rank):
+        V = induce(C, 3)
+        beta = next(r for r in V.ideal_pos if V.real.cartan_coefficients(r)[i])
+        h = V.real.cartan_coefficients(beta)
+        vec = {((neg(beta),), t): F(1)}
+        assert V.act_root(beta, vec) == _oracle_word(V, (beta, neg(beta)), t)
+        want = sum(a * w for a, w in zip(h, C.weight_of(t))) + h[i]
+        V = induce(C, 3)
+        w = list(V._weight_nums[(), t])
+        w[i] += V.scale
+        V._weight_nums[(), t] = tuple(w)
+        assert V.act_root(beta, vec) == ({((), t): want} if want else {})
+
+
 def test_act_word_divides_once():
     a3 = build_root_system("A3")
     C = levi_module(a3, [1, 2], build_N([F(1, 2), F(1, 3), F(1, 5)]), {3: F(2, 3)})

@@ -3,8 +3,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from weightcat.paperlab import (LEMMAS, appendix_a3, seeded_reports, verify_A1N, verify_AC1,
-                                verify_AkAn, verify_CC, verify_lemA12)
+from lab_seeds import seeded_reports
+from weightcat.paperlab import (LEMMAS, appendix_a3, verify_A1N, verify_AC1, verify_AkAn,
+                                verify_CC, verify_lemA12)
 
 
 def test_lemA12_frozen_values():
