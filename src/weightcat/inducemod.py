@@ -2,20 +2,19 @@
 
 Given a Levi module C on the block Phi\\theta, the induced module is spanned
 by PBW monomials in the negative nilradical roots tensored with C basis
-vectors, truncated at a fixed monomial depth.  The action is kept in integers
-over one module scale (C's root-action scale and the denominators of its base
-weight); only the public act_root / act_word divide, once per call.  The
-maximal submodule is cut out weight space by weight space as the joint kernel
-of the "project to 1 (x) C after acting by a positive nilradical monomial"
-functionals, one integer row per monomial, by exact linear algebra; because
-positive actions never raise the monomial depth the computed kernel is the
-true kernel intersected with the truncation.
+vectors, truncated at a fixed monomial depth.  The action and the weights are
+kept in integers over one module scale (C's root-action scale and the
+denominators of its base weight); only the public act_root / act_word divide,
+once per call.  The maximal submodule is the joint kernel of the "coefficient
+of 1 (x) C after acting by a positive nilradical monomial" functionals, so a
+vector's values under those functionals are its image in the simple quotient;
+because positive actions never raise the monomial depth, the images are read
+inside the truncation.
 
-The module exposes projection to the simple quotient with a canonical
-reduced-echelon representative, proportionality extraction, central
-character evaluation, zero-weight monomial comparison between two modules,
-and the lemma-style probe that detects when no induced module can satisfy
-the highest-weight restriction condition.
+The module exposes projection to the simple quotient, proportionality
+extraction, central character evaluation, zero-weight monomial comparison
+between two modules, and the lemma-style probe that detects when no induced
+module can satisfy the highest-weight restriction condition.
 """
 from __future__ import annotations
 
@@ -83,9 +82,11 @@ class LeviModule:
                 self._inner_root[r] = (ci, tuple(r[b - 1] for b in pos))
             lam0.update(zip(pos, inner.weight_of(inner.zero_index())))
         self._total_vars = off
-        self.scale = math.lcm(*(inner.scale for _, inner in self.components))
         self.lam0 = tuple(lam0[i] for i in range(1, system.rank + 1))
-        self._weights: Dict[Index, Tuple[Fraction, ...]] = Lookup(self._weight)
+        # one scale for the root action and the weights
+        self.scale = math.lcm(*(inner.scale for _, inner in self.components),
+                              *(x.denominator for x in self.lam0))
+        self._lam0_num = tuple(x.numerator * (self.scale // x.denominator) for x in self.lam0)
 
     # -- index slicing -----------------------------------------------------------
     def _slice(self, t: Index, ci: int) -> Index:
@@ -124,31 +125,17 @@ class LeviModule:
         return Fraction(num, self.scale), target
 
     # -- weights ----------------------------------------------------------------
-    def _displacement(self, t: Index) -> List[Fraction]:
-        """Root-lattice displacement of x(t) from the base vector, over Phi."""
-        coords = [Fraction(0)] * self.system.rank
+    def weight_num(self, t: Index) -> Tuple[int, ...]:
+        """weight_of(t) as integers over `scale`: lam0 plus the coroot values of the
+        root-lattice displacement of x(t), which `scale` clears (type C's halves too)."""
+        x = [0] * self.system.rank
         for ci, (pos, inner) in enumerate(self.components):
             for b, d in zip(pos, inner.displacement(self._slice(t, ci))):
-                coords[b - 1] = d
-        return coords
-
-    def index_of_displacement(self, x: Sequence[Fraction]) -> Optional[Index]:
-        """The basis index with the given displacement, or None."""
-        if any(x[j] for j in range(self.system.rank) if j + 1 not in self.block):
-            return None
-        t: Index = ()
-        for pos, inner in self.components:
-            piece = inner.index_of_displacement([x[b - 1] for b in pos])
-            if piece is None:
-                return None
-            t += piece
-        return t
+                x[b - 1] = int(d * self.scale)
+        return tuple(l + self.system.pairing(x, i) for i, l in enumerate(self._lam0_num))
 
     def weight_of(self, t: Index) -> Tuple[Fraction, ...]:
-        return self._weights[tuple(t)]
-
-    def _weight(self, t: Index) -> Tuple[Fraction, ...]:
-        return tuple(l + v for l, v in zip(self.lam0, self.system.coroot_values(self._displacement(t))))
+        return tuple(Fraction(w, self.scale) for w in self.weight_num(t))
 
 
 def levi_module(system: RootSystem, block: Sequence[int], inner: DegreeOneModule,
@@ -200,15 +187,11 @@ class TruncatedVerma:
         self._order = {r: i for i, r in enumerate(self.nminus)}
         self.nminus_set = frozenset(self.nminus)
         # one scale for the whole action: every memo value is an integer over it
-        self.scale = math.lcm(C.scale, *(x.denominator for x in C.lam0))
+        self.scale = C.scale
         self._act: Dict[Tuple[Root, Monomial, Index], Dict[VectorKey, int]] = Lookup(self._act_basis)
-        # each key's weight at the scale, which lam0's denominators divide: the rest is integral
-        self._weight_nums: Dict[VectorKey, Tuple[int, ...]] = Lookup(
-            lambda key: tuple(_integral(w * self.scale) for w in self.weight_of_key(key)))
-        self._kernels: Dict[Tuple[Fraction, ...], Tuple[List, List[int], List[VectorKey]]] = \
-            Lookup(self._kernel)
+        self._weight_nums: Dict[VectorKey, Tuple[int, ...]] = Lookup(self._weight_num)
         self._off_block = [j for j in range(self.system.rank) if j + 1 not in C.block]
-        self._buckets: Dict[tuple, Dict[Root, List[Monomial]]] = Lookup(self._bucket)
+        self._buckets: Dict[Tuple[int, ...], Dict[Root, List[Monomial]]] = Lookup(self._bucket)
 
     # -- constructors ------------------------------------------------------------
     def one_tensor(self, t: Optional[Index] = None, coeff: Fraction = Fraction(1)) -> InducedVector:
@@ -225,18 +208,20 @@ class TruncatedVerma:
 
     # -- weights -----------------------------------------------------------------
     def weight_of_key(self, key: VectorKey) -> Tuple[Fraction, ...]:
+        return tuple(Fraction(w, self.scale) for w in self._weight_nums[key])
+
+    def _weight_num(self, key: VectorKey) -> Tuple[int, ...]:
+        """The weight of a key as integers over `scale`: C's weight of x(t) plus the
+        coroot values of the monomial's roots."""
         mono, t = key
-        w = list(self.C.weight_of(t))
-        for r in mono:
-            for i, v in enumerate(self.system.coroot_values(r)):
-                w[i] += v
-        return tuple(w)
+        return tuple(w + self.scale * sum(self.system.pairing(r, i) for r in mono)
+                     for i, w in enumerate(self.C.weight_num(t)))
 
     def weight_of(self, vec: InducedVector) -> Tuple[Fraction, ...]:
-        weights = {self.weight_of_key(k) for k in vec}
+        weights = {self._weight_nums[key] for key in vec}
         if len(weights) != 1:
-            raise ValueError(f"vector is not weight-homogeneous: {weights}")
-        return next(iter(weights))
+            raise ValueError(f"vector is not weight-homogeneous: {len(weights)} weights")
+        return self.weight_of_key(next(iter(vec)))
 
     # -- action ------------------------------------------------------------------
     def act_root(self, root: Root, vec: InducedVector) -> InducedVector:
@@ -259,24 +244,18 @@ class TruncatedVerma:
             bad = next(root for root in word if root not in self.system.roots)
             raise ValueError(f"{bad} is not a root of {self.system.cartan_type}")
         den = math.lcm(*(c.denominator for c in vec.values()))
-        num = self._act_word_num(word, {key: c.numerator * (den // c.denominator)
-                                        for key, c in vec.items()})
-        den *= self.scale ** len(word)
-        return {key: Fraction(c, den) for key, c in num.items()}
-
-    def _act_word_num(self, word: Sequence[Root], vec: Dict[VectorKey, int]) -> Dict[VectorKey, int]:
-        """A product of root vectors, rightmost first, on an integer vector; each
-        root multiplies the vector's scale by `scale`."""
-        act = self._act
+        num = {key: c.numerator * (den // c.denominator) for key, c in vec.items()}
+        # each root multiplies the integer vector's scale by `scale`
         for root in reversed(word):
             out: Dict[VectorKey, int] = {}
-            for (mono, t), c in vec.items():
-                for key, c2 in act[root, mono, t].items():
+            for (mono, t), c in num.items():
+                for key, c2 in self._act[root, mono, t].items():
                     sparse_add(out, key, c * c2)
             if not out:
-                return out
-            vec = out
-        return vec
+                return {}
+            num = out
+        den *= self.scale ** len(word)
+        return {key: Fraction(c, den) for key, c in num.items()}
 
     def _act_basis(self, key: Tuple[Root, Monomial, Index]) -> Dict[VectorKey, int]:
         """X_root (mono (x) x(t)) for key (root, mono, t), as integers over `scale`:
@@ -290,7 +269,7 @@ class TruncatedVerma:
             if root in self.levi_roots:
                 num, t2 = self.C.act_root_num(root, t)
                 if num:
-                    out[((), t2)] = num * (scale // self.C.scale)
+                    out[((), t2)] = num
             elif root in self.nminus_set:
                 out[((root,), t)] = scale
             # positive nilradical roots annihilate 1 (x) C
@@ -317,87 +296,50 @@ class TruncatedVerma:
                     sparse_add(out, (rest, t), sum(a * w for a, w in zip(h, self._weight_nums[rest, t])))
         return out
 
-    # -- weight spaces and kernels -------------------------------------------------
-    def _bucket(self, key: Tuple[Tuple[Root, ...], Tuple[int, ...], int]) -> Dict[Root, List[Monomial]]:
-        """For key (roots, off, cap): PBW monomials over one nilradical's roots, up
-        to cap factors, whose total root has the coordinates `off` off the Levi
-        block, grouped by total root."""
-        roots, off, cap = key
-        out: Dict[Root, List[Monomial]] = {}
-        bounds = [(j, min(0, o), max(0, o)) for j, o in zip(self._off_block, off)]
+    # -- quotient ----------------------------------------------------------------
+    def _bucket(self, off: Tuple[int, ...]) -> Dict[Root, List[Monomial]]:
+        """PBW monomials over the positive nilradical whose total root has the
+        coordinates `off` off the Levi block, grouped by total root."""
+        roots, out = self.ideal_pos, {}
 
         def rec(start: int, mono: Monomial, total: Root):
-            # a nilradical's roots have off-block coordinates of one sign, not all
-            # zero, so totals only move away from 0: stop at the target
+            # each root adds a nonzero, non-negative vector off the block, so
+            # totals only grow: stop at the target
             if all(total[j] == o for j, o in zip(self._off_block, off)):
                 out.setdefault(total, []).append(mono)
-            elif len(mono) < cap:
+            else:
                 for i in range(start, len(roots)):
                     nxt = add_roots(total, roots[i])
-                    if all(lo <= nxt[j] <= hi for j, lo, hi in bounds):
+                    if all(nxt[j] <= o for j, o in zip(self._off_block, off)):
                         rec(i, mono + (roots[i],), nxt)
 
         rec(0, (), (0,) * self.system.rank)
         return out
 
-    def weight_space(self, mu: Sequence[Fraction]) -> List[VectorKey]:
-        mu = tuple(Fraction(x) for x in mu)
-        # mu - lam0 has root coordinates disp(t) + total with disp(t) on the Levi
-        # block, so mu fixes the total's off-block coordinates, which must be integers
-        x = self.system.root_coordinates([m - l for m, l in zip(mu, self.C.lam0)])
-        off = [x[j] for j in self._off_block]
-        basis: List[VectorKey] = []
-        if all(o.denominator == 1 for o in off):
-            for total, monos in self._buckets[self.nminus, tuple(map(int, off)), self.depth].items():
-                t = self.C.index_of_displacement([a - b for a, b in zip(x, total)])
-                if t is not None:
-                    basis.extend((mono, t) for mono in monos)
-        basis.sort(key=lambda key: (len(key[0]), key[0], key[1]))
-        return basis
-
-    def kernel_data(self, mu: Sequence[Fraction]):
-        """RREF of the maximal-submodule subspace of the mu weight space, computed
-        once per weight.
-
-        Returns (rref rows, pivot columns, basis keys).  The kernel is the
-        set of vectors all of whose images under positive nilradical
-        monomials project to zero in 1 (x) C.  A monomial of total root nu
-        maps the mu weight space to weight mu + nu, which meets 1 (x) C only
-        if mu + nu is a weight of C; so nu has the off-block coordinates of
-        mu - lam0 negated, and the words of those totals are every
-        functional that can be nonzero.
-        """
-        return self._kernels[tuple(Fraction(x) for x in mu)]
-
-    def _kernel(self, mu: Tuple[Fraction, ...]):
-        basis = self.weight_space(mu)
-        rows: List[Dict[int, Fraction]] = []
-        if basis:
-            x = self.system.root_coordinates([m - l for m, l in zip(mu, self.C.lam0)])
-            off = tuple(-int(x[j]) for j in self._off_block)
-            for nu, words in self._buckets[self.ideal_pos, off, sum(off)].items():
-                t = self.C.index_of_displacement([a + b for a, b in zip(x, nu)])
-                if t is None:
-                    continue
-                for word in words:
-                    # one integer row per word, at scale `scale ** len(word)`
-                    row = {i: c for i, key in enumerate(basis)
-                           if (c := self._act_word_num(word, {key: 1}).get(((), t)))}
-                    if row:
-                        rows.append(row)
-        rref_rows, pivots = linalg.rref(linalg.nullspace(rows, len(basis)), len(basis))
-        return rref_rows, pivots, basis
-
-    # -- quotient ----------------------------------------------------------------
     def project(self, vec: InducedVector) -> InducedVector:
-        """Canonical representative of vec in the simple quotient."""
+        """The image of vec in the simple quotient: {(word, t): the coefficient of
+        1 (x) x(t) in word.vec}.
+
+        The maximal submodule is the set of vectors whose images under positive
+        nilradical monomials have no 1 (x) C component (Jantzen, Moduln mit einem
+        hoechsten Gewicht, LNM 750, 1979), so these values map the weight space
+        of vec modulo that submodule injectively.  A word of total root nu maps
+        weight mu to mu + nu, which meets 1 (x) C only if nu has the off-block
+        coordinates of vec's monomials negated; its PBW words are every functional
+        that can be nonzero.  Raises ValueError unless vec is weight-homogeneous.
+        """
         if not vec:
             return {}
-        mu = self.weight_of(vec)
-        rref_rows, pivots, basis = self.kernel_data(mu)
-        coords = [vec.get(key, Fraction(0)) for key in basis]
-        red = linalg.reduce_mod_rowspace(coords, rref_rows, pivots)
-        return {key: c for key, c in zip(basis, red) if c}
+        self.weight_of(vec)
+        mono = next(iter(vec))[0]
+        off = tuple(-sum(r[j] for r in mono) for j in self._off_block)
+        out: InducedVector = {}
+        for words in self._buckets[off].values():
+            for word in words:
+                for (m, t), c in self.act_word(word, vec).items():
+                    if not m:
+                        out[word, t] = c
+        return out
 
     def proportionality(self, v: InducedVector, w: InducedVector) -> Optional[Fraction]:
         """t with v = t*w in the simple quotient, or None."""
@@ -407,16 +349,16 @@ class TruncatedVerma:
         return _ratio(self.project(v), pw)
 
 
-def _integral(n, d: int = 1) -> int:
-    """n / d for an int or Fraction n, as the int the integer action relies on it being."""
-    q, r = divmod(n.numerator, n.denominator * d)
+def _integral(n: int, d: int) -> int:
+    """n / d, as the int the integer action relies on it being."""
+    q, r = divmod(n, d)
     if r:
-        raise AssertionError(f"induced action coefficient {Fraction(n) / d} is not an integer")
+        raise AssertionError(f"induced action coefficient {Fraction(n, d)} is not an integer")
     return q
 
 
 def _ratio(pv: InducedVector, pw: InducedVector) -> Optional[Fraction]:
-    """t with pv = t*pw for vectors already in the quotient, pw nonzero, or None."""
+    """t with pv = t*pw for images in the quotient, pw nonzero, or None."""
     if not pv:
         return Fraction(0)
     key, c = min(pw.items())
@@ -481,15 +423,16 @@ def _zero_weight_words(system: RootSystem, max_len: int) -> List[Tuple[Root, ...
 def u0_compare(verma: TruncatedVerma, v: InducedVector, module: DegreeOneModule, k: Index,
                depth: int = 4) -> bool:
     """Equality of the weights, and of the scalar of every zero-weight word, on
-    v in the simple quotient of verma and on x(k) in module."""
+    v in the simple quotient of verma and on x(k) in module; the words act on v
+    itself, as the maximal submodule is a submodule."""
     pv = verma.project(v)
     if not pv:
         raise ValueError("base vector is zero in the quotient")
     k = tuple(k)
-    if verma.weight_of(pv) != module.weight_of(k):
+    if verma.weight_of(v) != module.weight_of(k):
         return False
     for word in _zero_weight_words(verma.system, depth):
-        image = verma.act_word(word, pv)
+        image = verma.act_word(word, v)
         t = _ratio(verma.project(image), pv) if image else Fraction(0)
         if t is None:
             raise NonScalarActionError(f"word {word} acted non-scalarly on the quotient vector")
@@ -560,7 +503,7 @@ def probe_restriction_failure(C: LeviModule, depth: int = 3) -> ProbeReport:
         lhs = verma.project(verma.monomial_tensor([neg_root(cand.delta)], base))
         c0, t0 = C.act_root(neg_root(cand.alpha), base)
         off = tuple(cand.chain_weight[j] for j in verma._off_block)
-        words = verma._buckets[verma.ideal_pos, off, sum(off)][cand.chain_weight]
+        words = verma._buckets[off][cand.chain_weight]
         span_vectors = [verma.project(verma.monomial_tensor([neg_root(r) for r in word], t0, c0))
                         for word in words]
         if linalg.in_span(lhs, span_vectors) is None:

@@ -148,14 +148,3 @@ def in_span(vec: Row, basis: Sequence[Row]) -> Optional[Vector]:
         eqs.setdefault(key, {})
     return solve(list(eqs.values()), [target.get(key, _ZERO) for key in eqs], len(basis))
 
-
-def reduce_mod_rowspace(vec: Sequence, rows: Matrix, pivots: List[int]) -> Vector:
-    """Canonical representative of vec modulo the row space given in RREF."""
-    v = [Fraction(x) for x in vec]
-    for row, pc in zip(rows, pivots):
-        f = v[pc]
-        if f:
-            for j, y in enumerate(row):
-                if y:
-                    v[j] -= f * y
-    return v

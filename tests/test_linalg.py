@@ -43,14 +43,6 @@ def test_in_span():
     assert linalg.in_span([1, 0, 0], basis) is None
 
 
-def test_reduce_mod_rowspace_is_projection():
-    rows, pivots = linalg.rref([[1, 0, 2], [0, 1, 3]], 3)
-    red = linalg.reduce_mod_rowspace([1, 1, 1], rows, pivots)
-    assert red[:2] == [F(0), F(0)]
-    twice = linalg.reduce_mod_rowspace(red, rows, pivots)
-    assert twice == red
-
-
 def test_integer_row_reduce_rank():
     # integer vectors generate a lattice of the rank of their rational span
     assert linalg.rank([[1, 0], [1, 1]], 2) == 2
