@@ -215,14 +215,20 @@ class DegreeOneModule:
             x[-1] = Fraction(x[-1], 2)
         return tuple(x)
 
-    def index_of_displacement(self, x: Sequence[Fraction]) -> Optional[Index]:
-        """The basis index with the given displacement, or None."""
-        # the partial sums of k, closed by the coordinate sum
-        partial = list(x) + [0] if self.kind == "N" else list(x[:-1]) + [2 * x[-1]]
-        if any(p.denominator != 1 for p in partial):
+    def index_shift(self, other: "DegreeOneModule") -> Optional[Index]:
+        """The integer vector s with other.weight_of(k + s) == self.weight_of(k), or
+        None if there is none.  M weights read a + k and N weights its differences,
+        so s is a - b for M, if integral with an even sum, and for N a - b less its
+        mean, if integral; a module of another kind or rank raises ValueError."""
+        if (other.kind, other.nvars) != (self.kind, self.nvars):
+            raise ValueError("modules over different algebras")
+        s = [x - y for x, y in zip(self.params.a, other.params.a)]
+        if self.kind == "N":
+            mean = sum(s) / self.nvars
+            s = [x - mean for x in s]
+        if any(x.denominator != 1 for x in s) or sum(s) % 2:
             return None
-        k = tuple(q.numerator - p.numerator for p, q in zip([0] + partial, partial))
-        return k if self.in_basis(k) else None
+        return tuple(map(int, s))
 
     # -- structure -------------------------------------------------------------
     def cuspidal_block(self) -> Tuple[int, ...]:
@@ -252,9 +258,8 @@ class DegreeOneModule:
         return [k for k in self.window(radius) if not any(x for i, x in enumerate(k) if i not in free)]
 
     def degree_on_window(self, radius: int) -> int:
-        """Largest weight multiplicity on the window, counted by displacement (an
-        invertible linear image of the weight); an empty window raises ValueError."""
-        counts = Counter(map(self.displacement, self.window(radius)))
+        """Largest weight multiplicity on the window; an empty window raises ValueError."""
+        counts = Counter(map(self.weight_num, self.window(radius)))
         if not counts:
             raise ValueError("no basis vector to check: the window is empty")
         return max(counts.values())

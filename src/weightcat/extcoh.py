@@ -179,21 +179,21 @@ class CocycleSpace:
 
 def cocycle_space(source: DegreeOneModule, target: DegreeOneModule, radius: int) -> CocycleSpace:
     """All weight-graded cocycles with data on the window, Cartan sent to zero."""
-    system = source.system
-    if target.system.cartan_type != system.cartan_type:
-        raise ValueError("modules over different algebras")
+    system, eps = source.system, source.realization.epsilon_vector
+    shift = source.index_shift(target)
     window = source.window(radius)
     if not window:
         raise CertificationError("the window is empty: no cocycle identity to check")
     winset = set(window)
-    shifted = _shifted_displacements(source, target, window)
     unknowns: List[Tuple[Root, Index]] = []
     targets: Dict[Tuple[Root, Index], Index] = {}
-    for root in system.ordered_roots:
-        for k, x in zip(window, shifted):
-            # X_root moves the displacement by the root itself
-            t = target.index_of_displacement([a + r for a, r in zip(x, root)])
-            if t is not None:
+    # X_root moves an index by its epsilon vector, and the target index has the
+    # weight of the source index at `shift` from it; no shift, no shared weight
+    for root in system.ordered_roots if shift is not None else ():
+        step = [e + s for e, s in zip(eps(root), shift)]
+        for k in window:
+            t = tuple(a + b for a, b in zip(k, step))
+            if target.in_basis(t):
                 unknowns.append((root, k))
                 targets[(root, k)] = t
     # every unknown has value 1, so the rows are integers and their denominator drops
@@ -212,20 +212,12 @@ def cocycle_space(source: DegreeOneModule, target: DegreeOneModule, radius: int)
     return CocycleSpace(source, target, radius, unknowns, targets, basis)
 
 
-def _shifted_displacements(source: DegreeOneModule, target: DegreeOneModule,
-                           ks: Sequence[Index]) -> List[List[Fraction]]:
-    """For each source index k, the target displacement of the weight of x(k):
-    source.displacement(k) plus the root coordinates of the difference of the
-    two base weights."""
-    w_s = source.weight_of(source.zero_index())
-    w_t = target.weight_of(target.zero_index())
-    shift = source.system.root_coordinates([a - b for a, b in zip(w_s, w_t)])
-    return [[d + s for d, s in zip(source.displacement(k), shift)] for k in ks]
-
-
 def _phi_domain(source: DegreeOneModule, target: DegreeOneModule, radius: int):
     """Weight-matched pairs k -> (column, t) for phi, on the window extended one
     root step; the columns number the k in sorted order."""
+    shift = source.index_shift(target)
+    if shift is None:
+        return {}
     system = source.system
     window = list(source.window(radius))
     extended: Set[Index] = set(window)
@@ -233,11 +225,10 @@ def _phi_domain(source: DegreeOneModule, target: DegreeOneModule, radius: int):
         for root in system.roots:
             _, k2 = source.act_root(root, k)
             extended.add(k2)
-    domain = sorted(k for k in extended if source.in_basis(k))
     pairs = {}
-    for k, x in zip(domain, _shifted_displacements(source, target, domain)):
-        t = target.index_of_displacement(x)
-        if t is not None:
+    for k in sorted(extended):
+        t = tuple(a + b for a, b in zip(k, shift))
+        if source.in_basis(k) and target.in_basis(t):
             pairs[k] = (len(pairs), t)
     return pairs
 
@@ -302,13 +293,7 @@ def support_disjoint(mod_a: DegreeOneModule, mod_b: DegreeOneModule) -> bool:
     shape_a, shape_b = ((m.kind, m.nvars, m.spec.minus_ones) for m in (mod_a, mod_b))
     if shape_a != shape_b:
         raise ValueError("support comparison needs modules of one kind and block shape")
-    diffs = [b - a for a, b in zip(mod_a.spec.a, mod_b.spec.a)]
-    if mod_a.kind == "N":
-        # N weights read only the differences of a + k, so a shift of every
-        # entry by the mean keeps the support
-        mean = sum(diffs) / mod_a.nvars
-        return any((d - mean).denominator != 1 for d in diffs)
-    return any(d.denominator != 1 for d in diffs) or sum(diffs) % 2 != 0
+    return mod_a.index_shift(mod_b) is None
 
 
 # ---------------------------------------------------------------------------
@@ -356,8 +341,7 @@ class _NormalFormAssembler:
         self.alpha = self.system.simple_root(block[0])
         self._alpha_index = block[0] - 1  # alpha is the unit vector e_{block[0]}
         self.nalpha = neg_root(self.alpha)
-        qe, pe, _ = self.system.realization.monomial(self.alpha)
-        self.delta = tuple(q - p for q, p in zip(qe, pe))
+        self.delta = self.system.realization.epsilon_vector(self.alpha)
         self.moved = tuple(i for i, d in enumerate(self.delta) if d)
         # c(X_root) for every other root with an alpha component comes from
         # the bracket [X_sigma, X_tau] = N X_root of a simple split
@@ -469,11 +453,10 @@ def ext_solve_typeA(params_a: Sequence, params_b: Sequence, radius: int = 3) -> 
             raise ValueError("interior family required: shape (-1..,z1,z2,0..)")
     if (mod_a.nvars, mod_a.spec.minus_ones) != (mod_b.nvars, mod_b.spec.minus_ones):
         raise ValueError("families live in different categories")
-    j = mod_a.spec.minus_ones
-    d1 = mod_b.spec.a[j] - mod_a.spec.a[j]
-    d2 = mod_b.spec.a[j + 1] - mod_a.spec.a[j + 1]
-    iso = d1.denominator == 1 and d2.denominator == 1 and d1 + d2 == 0
-    if not iso:
+    # isomorphic exactly when the index shift leaves the -1 and 0 entries, on
+    # which it is constant
+    shift = mod_a.index_shift(mod_b)
+    if shift is None or shift[0]:
         return ConstraintSystem(0, [], radius, [], "support-disjoint",
                                 "no shared highest-weight support; graded cocycles vanish")
     return _normal_form_system(mod_a, radius, "self pair")

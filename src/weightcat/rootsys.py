@@ -186,23 +186,6 @@ class RootSystem:
         any rational displacement over the simple roots."""
         return tuple(Fraction(self.pairing(coords, i)) for i in range(self.rank))
 
-    @cached_property
-    def _inverse_cartan(self) -> Tuple[List[List[int]], int]:
-        """Root coordinates of the fundamental weights, as integers over one denominator:
-        the inverse Cartan matrix, read from one integer elimination of [C | I]."""
-        n = self.rank
-        rows = linalg.Echelon(2 * n, [row + e for row, e in zip(self.cartan, self.simple)]).rows
-        den = math.lcm(*(rows[i][i] for i in range(n)))
-        return [[rows[i].get(n + j, 0) * den // rows[i][i] for j in range(n)] for i in range(n)], den
-
-    def root_coordinates(self, weight: Sequence[Fraction]) -> List[Fraction]:
-        """Coordinates over the simple roots of the weight with the given
-        simple coroot values."""
-        rows, inv_den = self._inverse_cartan
-        nums, den = _over_lcm(weight)
-        return [Fraction(sum(p * row[j] for p, row in zip(nums, rows)), den * inv_den)
-                for j in range(self.rank)]
-
     def is_root(self, v: Sequence[int]) -> bool:
         return tuple(v) in self.roots
 

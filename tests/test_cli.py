@@ -94,11 +94,12 @@ def test_ext_window_too_small(capsys):
         assert main(argv + ["--B", "0"]) == EXIT_UNCERTIFIED
 
 
-@pytest.mark.parametrize("b", [[], ["--b", "3/2,-2/3"]])
+@pytest.mark.parametrize("b", [[], ["--b", "3/2,-2/3"], ["--b", "1/2,4/3"]])
 @pytest.mark.parametrize("radius", ["0", "-1", "-3"])
 def test_ext_rank_one_empty_window_is_uncertified(b, radius, capsys):
     # B=0 leaves every identity outside the one-point window and a negative B
-    # leaves the window empty: either way nothing was checked
+    # leaves the window empty: either way nothing was checked, for a pair of
+    # disjoint supports (1/2,4/3) too
     code, out = run(capsys, "ext", "--module", "N", "--a", "1/2,1/3", *b, "--B", radius)
     assert code == EXIT_UNCERTIFIED
     assert out == ""

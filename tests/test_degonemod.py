@@ -138,15 +138,34 @@ def test_weight_examples_and_injectivity():
     for m in (m, build_N(["-1", "1/2", "1/3", "1/5"]), build_M(["-1", "1/4", "1/5"]),
               build_M(["-1", "-2"])):
         w0, n = m.weight_of(m.zero_index()), m.system.rank
-        # the displacement of a weight moved by 1/3 on the first coroot
-        off = m.system.root_coordinates((F(1, 3),) + (F(0),) * (n - 1))
         for k in m.window(3):
             x = m.displacement(k)
-            assert m.index_of_displacement(x) == k
             w = m.weight_of(k)
             assert w == tuple(w0[i] + sum(x[j] * m.system.cartan[j][i] for j in range(n))
                               for i in range(n))
-            assert m.index_of_displacement([a + b for a, b in zip(x, off)]) is None
+
+
+@pytest.mark.parametrize("build,a,b,shift", [
+    (build_N, ["1/2", "1/3"], ["3/2", "-2/3"], (-1, 1)),
+    (build_N, ["1/2", "1/3", "0"], ["7/10", "8/15", "1/5"], (0, 0, 0)),
+    (build_N, ["-1", "1/2", "1/3", "0"], ["-1", "5/2", "7/3", "0"], (1, -1, -1, 1)),
+    (build_N, ["1/2", "1/3"], ["7/10", "1/3"], None),
+    (build_M, ["-1", "1/4", "1/5"], ["-1", "5/4", "6/5"], (0, -1, -1)),
+    (build_M, ["-1", "1/4"], ["-1", "5/4"], None),
+    (build_M, ["-1", "1/4"], ["-1", "1/3"], None),
+])
+def test_index_shift_matches_weights(build, a, b, shift):
+    # every weight of the source window at the shifted index of the target, and
+    # no shared weight on a box around both windows when there is no shift
+    source, target = build(a), build(b)
+    assert source.index_shift(target) == shift
+    if shift is None:
+        assert not {source.weight_of(k) for k in source.window(3)} & {
+            target.weight_of(t) for t in target.window(4)}
+        return
+    assert target.index_shift(source) == tuple(-x for x in shift)
+    for k in source.window(2):
+        assert target.weight_of(tuple(x + s for x, s in zip(k, shift))) == source.weight_of(k)
 
 
 @pytest.mark.parametrize("build,params,expected_count", [
@@ -331,15 +350,15 @@ def test_degree_on_window_rejects_an_empty_window(build, params):
     (build_M, ["-1", "-2"], 3), (build_M, ["-1", "1/4", "1/5"], 2),
 ])
 def test_degree_on_window_counts_weights(monkeypatch, build, params, radius):
-    # displacement is an invertible linear image of weight_of(k) - weight_of(0),
-    # so it counts the same multiplicities; a window listing some vectors twice
-    # or three times gives a multiplicity above one to count
+    # weight_num is weight_of over one scale, so it counts the same multiplicities;
+    # a window listing some vectors twice or three times gives a multiplicity
+    # above one to count
     m = build(params)
     window = m.window(radius)
     for keys in (window, window + window[:3] + window[1:2]):
         monkeypatch.setattr(m, "window", lambda r: list(keys))
         assert m.degree_on_window(radius) == max(Counter(map(m.weight_of, keys)).values())
-        assert (sorted(Counter(map(m.displacement, keys)).values())
+        assert (sorted(Counter(map(m.weight_num, keys)).values())
                 == sorted(Counter(map(m.weight_of, keys)).values()))
 
 
@@ -359,6 +378,25 @@ def test_bracket_defects_find_a_corrupted_weight():
     # every pair whose Cartan element involves H_1 sees the corruption
     assert {frozenset((mu, nu)) for mu, nu, _, _ in defects} == {
         frozenset((r, neg(r))) for r in m.system.positive if h(r)[0]}
+
+
+@pytest.mark.parametrize("build,params", [
+    (build_N, ["-1", "1/2", "1/3", "0"]),
+    (build_M, ["-1", "1/4", "1/5"]),
+])
+def test_bracket_defects_find_a_uniformly_shifted_weight(build, params):
+    # one unit on H_1 at every key: weight(k) - weight(0) is unchanged, so a check
+    # of the weight's differences alone passes, and the full scan must still see
+    # every Cartan pair whose element involves H_1 fail on every key
+    m = build(params)
+    true_weight = m.weight_num
+    m.weight_num = lambda k: (true_weight(k)[0] + m.scale,) + true_weight(k)[1:]
+    h = m.realization.cartan_coefficients
+    defects = list(m.bracket_defects(1))
+    for mu, nu, k, defect in defects:
+        assert nu == neg(mu) and defect == {k: -h(mu)[0]}
+    assert {(frozenset((mu, nu)), k) for mu, nu, k, _ in defects} == {
+        (frozenset((r, neg(r))), k) for r in m.system.positive if h(r)[0] for k in m.window(1)}
 
 
 def _faulty_step(kind, i, value, what, shift=1):

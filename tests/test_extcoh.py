@@ -498,6 +498,9 @@ def test_ext_solve_typeA_dimensions():
     assert generic.dimension == 0 and generic.status == "support-disjoint"
     shifted = ext_solve_typeA(["-1", "1/2", "1/3", "0"], ["-1", "3/2", "-2/3", "0"], radius=3)
     assert shifted.dimension == 0 and shifted.status == "solved"
+    # supports that meet, at an index shift that moves the -1 and 0 entries: not isomorphic
+    moved = ext_solve_typeA(["-1", "1/2", "1/3", "0"], ["-1", "5/2", "7/3", "0"], radius=3)
+    assert moved.dimension == 0 and moved.status == "support-disjoint"
     with pytest.raises(ValueError):
         ext_solve_typeA(["1/2", "1/3", "0"], ["1/2", "1/3", "0"], radius=3)
     with pytest.raises(CertificationError):
@@ -551,6 +554,10 @@ def test_support_disjoint():
         support_disjoint(build_N(["-1", "1/4"]), build_M(["-1", "1/4"]))
 
 
+def _share_a_window_weight(ma, mb):
+    return bool({ma.weight_of(k) for k in ma.window(3)} & {mb.weight_of(k) for k in mb.window(3)})
+
+
 @pytest.mark.parametrize("a,b", [
     (["1/2", "1/3"], ["7/10", "8/15"]),
     (["1/2", "1/3"], ["7/10", "1/3"]),
@@ -559,18 +566,35 @@ def test_support_disjoint():
 def test_support_disjoint_matches_window_weights(a, b):
     # a shift of every entry of a by the same t keeps the support of N(a)
     ma, mb = build_N(a), build_N(b)
-    shared = {ma.weight_of(k) for k in ma.window(3)} & {mb.weight_of(k) for k in mb.window(3)}
-    assert support_disjoint(ma, mb) is (not shared)
+    assert support_disjoint(ma, mb) is not _share_a_window_weight(ma, mb)
 
 
-@pytest.mark.parametrize("build,a,b,radius", [
-    (build_N, ["1/2", "1/3"], ["3/2", "-2/3"], 3),
-    (build_M, ["1/4", "1/3"], ["1/4", "1/3"], 2),
-    (build_M, ["1/4", "1/3"], ["5/4", "4/3"], 2),
-], ids=["A1-shifted", "C2-self", "C2-shifted"])
-def test_graded_targets_match_weight_table(build, a, b, radius):
+@pytest.mark.parametrize("a,b", [
+    (["-1", "1/4"], ["-1", "5/4"]),
+    (["-1", "1/4"], ["-1", "9/4"]),
+    (["1/4", "1/3"], ["5/4", "1/3"]),
+    (["-1", "1/4", "1/5"], ["-1", "5/4", "6/5"]),
+])
+def test_support_disjoint_matches_window_weights_on_M(a, b):
+    # M(a) and M(b) share a weight only at indices k, t with a + k == b + t
+    ma, mb = build_M(a), build_M(b)
+    assert support_disjoint(ma, mb) is not _share_a_window_weight(ma, mb)
+
+
+@pytest.mark.parametrize("build,a,b,radius,shared", [
+    (build_N, ["1/2", "1/3"], ["3/2", "-2/3"], 3, True),
+    (build_M, ["1/4", "1/3"], ["1/4", "1/3"], 2, True),
+    (build_M, ["1/4", "1/3"], ["5/4", "4/3"], 2, True),
+    (build_N, ["-1", "1/2", "1/3", "0"], ["-1", "5/2", "7/3", "0"], 2, True),
+    (build_M, ["-1", "1/4", "1/5"], ["-1", "5/4", "6/5"], 2, True),
+    (build_N, ["1/2", "1/3"], ["7/10", "1/3"], 3, False),
+    (build_M, ["-1", "1/4"], ["-1", "5/4"], 2, False),
+], ids=["A1-shifted", "C2-self", "C2-shifted", "A3-interior-shifted", "C3-shifted",
+        "A1-non-integral", "C2-odd-sum"])
+def test_graded_targets_match_weight_table(build, a, b, radius, shared):
     # the target of a graded map on x(k) is the target vector of weight
-    # weight(k) + root, read from a table of target weights
+    # weight(k) + root, read from a table of target weights; modules that share
+    # no weight have no graded map and no weight-matched phi
     source, target = build(a), build(b)
     system = source.system
     table = {target.weight_of(t): t for t in target.window(radius + 4)}
@@ -582,15 +606,28 @@ def test_graded_targets_match_weight_table(build, a, b, radius):
     window = source.window(radius)
     space = cocycle_space(source, target, radius)
     want = {(root, k): lookup(k, root) for root in system.ordered_roots for k in window}
-    assert space.targets and space.targets == {u: t for u, t in want.items() if t is not None}
+    assert bool(space.targets) is shared
+    assert space.targets == {u: t for u, t in want.items() if t is not None}
     assert space.unknowns == list(space.targets)
     # phi lives on the window extended one root step
     domain = set(window) | {source.act_root(root, k)[1] for root in system.roots for k in window}
     zero = (0,) * system.rank
     want = {k: lookup(k, zero) for k in sorted(domain) if source.in_basis(k)}
     pairs = _phi_domain(source, target, radius)
+    assert bool(pairs) is shared
     assert {k: t for k, (_, t) in pairs.items()} == {k: t for k, t in want.items() if t is not None}
     assert [col for col, _ in pairs.values()] == list(range(len(pairs)))
+
+
+def test_is_coboundary_needs_one_algebra():
+    # weights of modules over different algebras are not compared
+    source = build_N(["1/2", "1/3"])
+    for target in (build_M(["1/3", "1/5"]), build_N(["1/2", "1/3", "1/5"])):
+        c = Cocycle(source, target, {(1,): {(0, 0): (F(1), target.zero_index())}})
+        with pytest.raises(ValueError, match="different algebras"):
+            is_coboundary(c, 2)
+        with pytest.raises(ValueError, match="different algebras"):
+            cocycle_space(source, target, 2)
 
 
 def test_materialized_cocycles_satisfy_identity():

@@ -5,7 +5,9 @@ row-incremental, the lab, rank-one ext and coboundary-witness pins before
 the lab scripts got one entry point, and the rank-4 `verify` pins before
 the bracket check's two products were written as two loops, and the probe
 pins before its candidate loop lost the chain search, and the rank-4 and
-rank-5 `ext` pins before the normal-form read went along the alpha orbit;
+rank-5 `ext` pins before the normal-form read went along the alpha orbit,
+and the rank-6 `verify` pins before two modules' weights were matched by one
+index shift;
 any change to the arithmetic that moves a single byte of these outputs fails here.
 """
 import hashlib
@@ -75,6 +77,10 @@ GOLDEN_RUNS = {
         "9965f9a66ae1bfe7ad121715d00eac301ecc1a42b4b4cd8de28288532ea29971",
     "verify --module N --a -1,-1,1/5,2/5,0 --B 2":
         "adfac591f9660fba7f3387d9daf83feb824f54c7cd337e78ac4e398addca66cf",
+    "verify --module M --a 1/3,1/5,1/7,1/11,1/13,1/17 --B 2":
+        "9d90c43dc91b1f9219d3fc72f5aae2ddeead60b4ff549c353036f59c92658dae",
+    "verify --module N --a 1/2,1/3,1/5,1/7,1/11,1/13,1/17 --B 2":
+        "43412f6c37f4e93077e5611972dbd55932e8122def5f07c23d3e7efb1d6284dc",
 }
 
 

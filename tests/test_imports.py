@@ -1,5 +1,6 @@
 """Every module-level import in src/weightcat is used by the module that makes it,
-and names a module of the standard library or of the package itself.
+and names a module of the standard library or of the package itself; every
+private function, method, property and class there is read somewhere in it.
 
 `__init__` is left out of the first check: its imports are the package's exports.
 """
@@ -52,6 +53,43 @@ def test_no_unused_import(path):
 def test_an_unused_import_is_found():
     tree = ast.parse("from typing import Dict, List\nimport os.path\nx: 'Dict[int, int]' = {}\n")
     assert [name for name, _ in _imported(tree) if name not in _used(tree)] == ["List", "os"]
+
+
+def _private_definitions(tree):
+    """(name, line) of every function, method, property or class whose name has a
+    leading underscore and is not a dunder."""
+    for node in ast.walk(tree):
+        if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                and node.name.startswith("_")
+                and not (node.name.startswith("__") and node.name.endswith("__"))):
+            yield node.name, node.lineno
+
+
+def _read(tree):
+    """Every name the code reads, and every attribute it reads."""
+    return _used(tree) | {node.attr for node in ast.walk(tree)
+                          if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
+PACKAGE_READS = set().union(*(_read(ast.parse(p.read_text())) for p in SRC.glob("*.py")))
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.stem)
+def test_no_unread_private_definition(path):
+    unread = [f"{name} (line {line})" for name, line in _private_definitions(ast.parse(path.read_text()))
+              if name not in PACKAGE_READS]
+    assert not unread, f"{path.name} defines but the package never reads: {', '.join(unread)}"
+
+
+def test_an_unread_private_definition_is_found():
+    tree = ast.parse("class _Box:\n    def __init__(self):\n        self._memo = self._fill()\n"
+                     "    def _fill(self):\n        return {}\n    def _spare(self):\n        pass\n"
+                     "    @property\n    def _size(self):\n        return 0\n"
+                     "def _helper():\n    return _Box()._size\n"
+                     "def _orphan():\n    pass\n"
+                     "SIZE = _helper()\n")
+    assert [name for name, _ in _private_definitions(tree) if name not in _read(tree)] == [
+        "_orphan", "_spare"]
 
 
 def _third_party(tree):
