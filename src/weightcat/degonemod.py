@@ -21,9 +21,10 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, product
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from operator import mul
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
-from .rootsys import Root, RootSystem, build_root_system, neg_root
+from .rootsys import Root, RootPair, RootSystem, build_root_system, neg_root
 from .weylmod import (Lookup, WeylParams, format_rational, monomial_word, parse_rational, reach,
                       representatives)
 
@@ -179,20 +180,45 @@ class DegreeOneModule:
             num, den, k = num * c.numerator, den * c.denominator, target
         return Fraction(num, den), k
 
-    def bracket_defects(self, radius: int):
+    def bracket_defects(self, radius: int) -> Iterator[Tuple[Root, Root, Index, Dict[Index, Fraction]]]:
         """Root pairs and window vectors where the action breaks a bracket.
 
-        Yields (mu, nu, k, defect) as `Realization.representation_defects`
-        does, which runs on index numbers, projected onto each pair's letters;
-        an empty iteration certifies bracket fidelity on the window, and an
-        empty window raises ValueError.
+        Yields (mu, nu, k, defect) for every pair of `Realization.root_pairs` and
+        window vector k on which the nonzero {index: Fraction} defect is
+        X_mu X_nu - X_nu X_mu - [X_mu, X_nu] on x(k), decided on index numbers
+        over the root-action store and `weight_num` at `scale` (`_pair_defects`);
+        an empty iteration certifies bracket fidelity on the window.  The window
+        is enumerated at the first next(), so an empty window, or one too large
+        to enumerate, raises ValueError there, not at the call.
+
+        A pair off the Cartan with no coordinate where one root has a q letter
+        and the other a p letter is skipped, pairs of disjoint supports among
+        them: its bracket is 0, having no single contraction, and each lattice
+        step reads and writes k_i alone, so both orders run the same steps from
+        the same k_i on every coordinate and agree, a zero or corrupted step
+        included.  Any other pair off the Cartan is tried on one window vector
+        per projection onto its letters' coordinates (`weylmod.representatives`)
+        and scanned on the whole window only if one fails, so the yielded
+        sequence is the full scan's.  The Cartan pairs read every vector.
         """
-        keys, ids, window = self._keys, self._ids, self.window(radius)
-        defects = self.realization.representation_defects(
-            self._action, lambda i: self.weight_num(keys[i]), [ids[k] for k in window], self.scale,
-            Lookup(lambda coords: [ids[k] for k in representatives(window, coords)]))
-        return ((mu, nu, keys[i], {keys[j]: v for j, v in defect.items()})
-                for mu, nu, i, defect in defects)
+        window = self.window(radius)
+        if not window:
+            raise ValueError("no basis vector to check: the window is empty")
+        act, den, keys, ids = self._action, self.scale, self._keys, self._ids
+        numbers = [ids[k] for k in window]
+        weights = Lookup(lambda i: self.weight_num(keys[i]))
+        local = Lookup(lambda coords: [ids[k] for k in representatives(window, coords)])
+        kinds = self.realization.letter_kinds
+        for pair in self.realization.root_pairs:
+            mu, nu, _, _, h = pair
+            if h is None:
+                (qa, pa), (qb, pb) = kinds[mu], kinds[nu]
+                if qa.isdisjoint(pb) and pa.isdisjoint(qb):
+                    continue
+                if next(_pair_defects(act, weights, den, pair, local[qa | pa | qb | pb]), None) is None:
+                    continue
+            for i, defect in _pair_defects(act, weights, den, pair, numbers):
+                yield mu, nu, keys[i], {keys[j]: v for j, v in defect.items()}
 
     def weight_num(self, k: Sequence[int]) -> Tuple[int, ...]:
         """weight_of(k) as integers over `scale`, which every a_i's denominator divides
@@ -281,6 +307,39 @@ class DegreeOneModule:
         return_ok = all(self.act_word((neg_root(r), r), k)[1] == k
                         for r in levi_roots if self.system.is_positive(r))
         return OrbitReport(sorted(orbit), cuspidal_ok, return_ok)
+
+
+def _pair_defects(act: Mapping, weights: Mapping, den: int, pair: RootPair,
+                  keys: Iterable) -> Iterator[Tuple[object, Dict]]:
+    """(key, defect) of one pair of root_pairs, as `bracket_defects` yields
+    them, from at most five store reads per key, one term each: X_nu then X_mu
+    (reaching t2), X_mu then X_nu (reaching t4), and X_{mu+nu} when N != 0.
+    When both products land on one target t (a zero one lands nowhere), the key
+    passes in integers if their difference is the bracket term, N den c5 on
+    X_{mu+nu}'s target or den h.weight(key) on key, and that target is t unless
+    the term is 0; only a key that fails builds its {target: Fraction} defect."""
+    mu, nu, s, n, h = pair
+    amu, anu, tsum, ns, den2 = act[mu], act[nu], act[s] if n else None, n * den, den * den
+    for key in keys:
+        # den^2 (X_mu X_nu - X_nu X_mu - [X_mu, X_nu]) x(key): p on t2, q on t4, r on t5
+        t1, c1 = anu[key]
+        t2, c2 = amu[t1]
+        t3, c3 = amu[key]
+        t4, c4 = anu[t3]
+        p, q = c1 * c2, c3 * c4
+        t5, r = key, 0
+        if n:
+            t5, c5 = tsum[key]
+            r = ns * c5
+        elif h is not None:
+            r = den * sum(map(mul, h, weights[key]))
+        if (t2 == t4 or not p or not q) and p - q == r and (not r or t5 == (t2 if p else t4)):
+            continue
+        acc = {t2: p}
+        acc[t4] = acc.get(t4, 0) - q
+        acc[t5] = acc.get(t5, 0) - r
+        if any(acc.values()):
+            yield key, {k: Fraction(v, den2) for k, v in acc.items() if v}
 
 
 @dataclass(frozen=True)

@@ -443,7 +443,9 @@ def ext_solve_typeA(params_a: Sequence, params_b: Sequence, radius: int = 3) -> 
 
     Both parameter vectors must have the shape (-1..,-1, z1, z2, 0..,0) with
     at least one -1 and one 0.  Non-isomorphic pairs are dispatched by the
-    highest-weight support argument and give an empty system.
+    highest-weight support argument and give an empty system with status
+    "support-disjoint", which here means disjoint highest-weight supports: it
+    includes non-isomorphic pairs whose weight supports meet.
     """
     mod_a = build_N(params_a)
     mod_b = build_N(params_b)

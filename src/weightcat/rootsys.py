@@ -20,8 +20,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from operator import mul
-from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from . import linalg
 from .weylmod import Lookup, reach
@@ -377,80 +376,6 @@ class Realization:
                 h = None if any(s) else self.cartan_coefficients(mu)
                 pairs.append((mu, nu, s, n, h))
         return pairs
-
-    def representation_defects(self, act: Mapping, weight: Callable, keys: Sequence, den: int,
-                               local: Mapping) -> Iterator[Tuple[Root, Root, object, Dict]]:
-        """Where an action by lattice walks fails to respect the brackets of root vectors.
-
-        act[root][key] gives den * X_root x(key) as (target key, numerator) at
-        one scale den (integers keep Fractions out of the loop), and weight(key)
-        the values of the simple coroots H_{e_i} on x(key) as numerators over
-        den, so the Cartan element sum_i h_i H_{e_i} scales x(key) by
-        sum_i h_i weight(key)_i / den; it is read once per key.  Yields
-        (mu, nu, key, defect) for every pair of root_pairs and every key on
-        which the nonzero {key: Fraction} defect is X_mu X_nu - X_nu X_mu -
-        [X_mu, X_nu] on x(key).  No keys raise ValueError: a check that saw no
-        vector certifies nothing.
-
-        A pair off the Cartan with no coordinate where one root has a q letter
-        and the other a p letter is skipped, pairs of disjoint supports among
-        them.  Its bracket is 0, having no single contraction.  Each lattice
-        step reads and writes k_i alone, so both orders run the same step
-        sequence from the same k_i on every coordinate, and the two products
-        agree, with a zero step or a corrupted step too.  Any other pair off the
-        Cartan is tried on local[coords], one key per projection of keys onto
-        its letters' coordinates (`weylmod.representatives`), and scanned on
-        every key only if one fails, so the yielded sequence is the full scan's.
-        The Cartan pairs read weight(key), every coordinate, on every key.
-        Keys that pass are decided on the store's integers (`_pair_defects`).
-        """
-        if not keys:
-            raise ValueError("no basis vector to check: the window is empty")
-        weights = Lookup(weight)
-        kinds = self.letter_kinds
-        for pair in self.root_pairs:
-            mu, nu, _, _, h = pair
-            if h is None:
-                (qa, pa), (qb, pb) = kinds[mu], kinds[nu]
-                if qa.isdisjoint(pb) and pa.isdisjoint(qb):
-                    continue
-                if next(_pair_defects(act, weights, den, pair, local[qa | pa | qb | pb]), None) is None:
-                    continue
-            for key, defect in _pair_defects(act, weights, den, pair, keys):
-                yield mu, nu, key, defect
-
-
-def _pair_defects(act: Mapping, weights: Mapping, den: int, pair: RootPair,
-                  keys: Iterable) -> Iterator[Tuple[object, Dict]]:
-    """(key, defect) of one pair of root_pairs, as `representation_defects` yields
-    them, from at most five store reads per key, one term each: X_nu then X_mu
-    (reaching t2), X_mu then X_nu (reaching t4), and X_{mu+nu} when N != 0.
-    When both products land on one target t (a zero one lands nowhere), the key
-    passes in integers if their difference is the bracket term, N den c5 on
-    X_{mu+nu}'s target or den h.weight(key) on key, and that target is t unless
-    the term is 0; only a key that fails builds its {target: Fraction} defect."""
-    mu, nu, s, n, h = pair
-    amu, anu, tsum, ns, den2 = act[mu], act[nu], act[s] if n else None, n * den, den * den
-    for key in keys:
-        # den^2 (X_mu X_nu - X_nu X_mu - [X_mu, X_nu]) x(key): p on t2, q on t4, r on t5
-        t1, c1 = anu[key]
-        t2, c2 = amu[t1]
-        t3, c3 = amu[key]
-        t4, c4 = anu[t3]
-        p, q = c1 * c2, c3 * c4
-        t5, r = key, 0
-        if n:
-            t5, c5 = tsum[key]
-            r = ns * c5
-        elif h is not None:
-            r = den * sum(map(mul, h, weights[key]))
-        if (t2 == t4 or not p or not q) and p - q == r and (not r or t5 == (t2 if p else t4)):
-            continue
-        acc = {t2: p}
-        acc[t4] = acc.get(t4, 0) - q
-        acc[t5] = acc.get(t5, 0) - r
-        if any(acc.values()):
-            yield key, {k: Fraction(v, den2) for k, v in acc.items() if v}
 
 
 # ---------------------------------------------------------------------------

@@ -269,18 +269,12 @@ def transitivity_probe(params: WeylParams, radius: int) -> bool:
     if radius < 0:
         raise ValueError(f"radius must be >= 0, got {radius}")
     window = lattice_window(params, radius)
-    index = {k: i for i, k in enumerate(window)}
-    succ: List[List[int]] = [[] for _ in window]
-    for k in window:
-        for i in range(params.n):
-            for kind in ("q", "p"):
-                t = weyl_act((kind, i), params, k)
-                if t.coeff != 0 and t.target in index:
-                    succ[index[k]].append(index[t.target])
-
-    pred: List[List[int]] = [[] for _ in window]
-    for u, outs in enumerate(succ):
-        for v in outs:
-            pred[v].append(u)
-    full = set(range(len(window)))
-    return reach(0, succ.__getitem__) == full and reach(0, pred.__getitem__) == full
+    inside = set(window)
+    succ = {k: [t.target for i in range(params.n) for kind in "qp"
+                for t in [weyl_act((kind, i), params, k)] if t.coeff and t.target in inside]
+            for k in window}
+    pred: Dict[Tuple[int, ...], List[Tuple[int, ...]]] = {k: [] for k in window}
+    for k, outs in succ.items():
+        for t in outs:
+            pred[t].append(k)
+    return reach(window[0], succ.__getitem__) == inside == reach(window[0], pred.__getitem__)

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from weightcat.categorio import NONTRIVIAL, check_membership, classify
-from weightcat.degonemod import PartitionError, build_M, build_N
-from weightcat.rootsys import _pair_defects, build_root_system
+from weightcat.degonemod import PartitionError, _pair_defects, build_M, build_N
+from weightcat.rootsys import build_root_system
 from weightcat.weylmod import NON_INT, Lookup, WeylAuditError, WeylParams, weyl_act
 
 
@@ -497,7 +497,7 @@ def test_bracket_defects_list_the_oracle_under_a_corrupted_action(monkeypatch, b
 def _exact_pair_defects(act, weights, den, pair, keys):
     """(key, defect) of one root pair from its {target: value} sum on every key,
     weights[key] being the coroot values as numerators over den, with no integer
-    short cut: the reference for `rootsys._pair_defects`."""
+    short cut: the reference for `degonemod._pair_defects`."""
     mu, nu, s, n, h = pair
     for key in keys:
         t1, c1 = act[nu][key]
@@ -518,7 +518,7 @@ def _exact_pair_defects(act, weights, den, pair, keys):
 
 def _check_pairs_exactly(m, window):
     """_pair_defects of every root pair on the window, on the store and weights
-    bracket_defects hands over, equals the exact reference."""
+    bracket_defects reads, equals the exact reference."""
     keys = [m._ids[k] for k in window]
     weights = Lookup(lambda i: m.weight_num(m._keys[i]))
     for pair in m.realization.root_pairs:

@@ -1,6 +1,7 @@
 """Every module-level import in src/weightcat is used by the module that makes it,
 and names a module of the standard library or of the package itself; every
-private function, method, property and class there is read somewhere in it.
+private function, method, property and class there is read somewhere in it;
+each imports from the package only modules of an earlier layer.
 
 `__init__` is left out of the first check: its imports are the package's exports.
 """
@@ -53,6 +54,41 @@ def test_no_unused_import(path):
 def test_an_unused_import_is_found():
     tree = ast.parse("from typing import Dict, List\nimport os.path\nx: 'Dict[int, int]' = {}\n")
     assert [name for name, _ in _imported(tree) if name not in _used(tree)] == ["List", "os"]
+
+
+# the package's layers, lowest first: a module imports only from earlier ones,
+# so the root system stays below the modules whose stores it would read
+LAYERS = [("linalg", "weylmod"), ("rootsys",), ("degonemod",), ("categorio", "extcoh", "inducemod"),
+          ("paperlab",), ("cli",)]
+LAYER = {name: depth for depth, names in enumerate(LAYERS) for name in names}
+
+
+def _package_imports(tree):
+    """(module name, line) of every relative import, at any depth of the module."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            names = [node.module] if node.module else [a.name for a in node.names]
+            yield from ((name.split(".")[0], node.lineno) for name in names)
+
+
+def _layer_breaks(name, tree):
+    """The package imports of module `name` that are not from an earlier layer."""
+    return [f"{mod} (line {line})" for mod, line in _package_imports(tree)
+            if LAYER.get(mod, len(LAYERS)) >= LAYER[name]]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_imports_follow_the_layers(path):
+    assert path.stem in LAYER, f"{path.name} has no layer"
+    breaks = _layer_breaks(path.stem, ast.parse(path.read_text()))
+    assert not breaks, f"{path.name} imports from its own or a later layer: {', '.join(breaks)}"
+
+
+def test_a_layer_break_is_found():
+    tree = ast.parse("from . import linalg, degonemod\nfrom .weylmod import Lookup\n"
+                     "def act():\n    from .extcoh import cocycle_space\n    from .rootsys import neg_root\n")
+    assert _layer_breaks("rootsys", tree) == ["degonemod (line 1)", "extcoh (line 4)", "rootsys (line 5)"]
+    assert _layer_breaks("extcoh", ast.parse("from .inducemod import induce\n")) == ["inducemod (line 1)"]
 
 
 def _private_definitions(tree):
