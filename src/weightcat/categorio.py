@@ -143,7 +143,7 @@ class MembershipReport:
 
 
 def _step_cap(radius: int, rank: int) -> int:
-    """Default number of steps a chain walk may take on a window of this radius."""
+    """Number of steps a chain walk may take on a window of this radius."""
     return 4 * radius * (rank + 1) + 8
 
 
@@ -171,8 +171,7 @@ def _survives(module: DegreeOneModule, root: Root, k: Index, steps: int) -> bool
 
 
 def check_membership(module: DegreeOneModule, theta: Iterable[int],
-                     S: Optional[Iterable[int]] = None, radius: int = 3,
-                     step_cap: Optional[int] = None) -> MembershipReport:
+                     S: Optional[Iterable[int]] = None, radius: int = 3) -> MembershipReport:
     """Certify the three category conditions for a module on a window.
 
     Condition 1: every root vector supported on S minus theta acts with a
@@ -199,7 +198,7 @@ def check_membership(module: DegreeOneModule, theta: Iterable[int],
     window = module.window(radius)
     if not window:
         raise ValueError("empty window: radius too small for these parameters")
-    cap = step_cap if step_cap is not None else _step_cap(radius, system.rank)
+    cap = _step_cap(radius, system.rank)
     # condition 1: a root vector on S minus theta that kills a window vector
     cusp_witnesses = _witnesses(module, system.span_closure(S - theta), window, 1, False)
 

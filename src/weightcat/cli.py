@@ -14,11 +14,11 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence
 
 from .categorio import check_membership, classify
-from .degonemod import PartitionError, build_N, build_module
+from .degonemod import build_N, build_module
 from .extcoh import CertificationError, coboundary_quotient_dim, ext_solve_typeA, ext_solve_typeC
 from .inducemod import DepthOverflowError
 from .paperlab import LEMMAS, run_lemma
-from .rootsys import RealizationUnavailableError, build_root_system
+from .rootsys import build_root_system
 from .weylmod import format_rational, parse_rational
 
 SCHEMA = "weightcat/1"
@@ -190,7 +190,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             # flags given on the command line still win over the file
             args = build_parser(_read_config(args.config)).parse_args(argv)
         return args.func(args)
-    except (PartitionError, RealizationUnavailableError, ValueError) as exc:
+    except ValueError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except CertificationError as exc:

@@ -105,7 +105,6 @@ class DegreeOneModule:
         self._ids: Dict[Index, int] = Lookup(self._number)
         # the one store of the root action: root -> {number: (target number, numerator)}
         self._action: Dict[Root, Dict[int, Tuple[int, int]]] = Lookup(self._root_action)
-        self._coefficient = Lookup(lambda num: Fraction(num, self.scale))  # made once per value
 
     # -- basis ---------------------------------------------------------------
     def in_basis(self, k: Sequence[int]) -> bool:
@@ -166,7 +165,7 @@ class DegreeOneModule:
     def act_root(self, root: Root, k: Sequence[int]) -> Tuple[Fraction, Index]:
         """Coefficient and target of the canonical root vector on x(k)."""
         num, target = self.act_root_num(root, k)
-        return self._coefficient[num], target
+        return Fraction(num, self.scale), target
 
     def act_word(self, word: Sequence[Root], k: Sequence[int]) -> Tuple[Fraction, Index]:
         """Coefficient and target of a product of root vectors on x(k), rightmost

@@ -283,16 +283,9 @@ def is_coboundary(c: Cocycle, radius: int) -> Optional[Dict[Index, Fraction]]:
 # ---------------------------------------------------------------------------
 
 def support_disjoint(mod_a: DegreeOneModule, mod_b: DegreeOneModule) -> bool:
-    """Exact disjointness of the weight supports of two modules of the same
-    kind and block shape, decided from the parameter differences.
-
-    Modules of different kind or block shape raise `ValueError`: no
-    parameter comparison decides them, and a window comparison would be
-    evidence on that window only.
-    """
-    shape_a, shape_b = ((m.kind, m.nvars, m.spec.minus_ones) for m in (mod_a, mod_b))
-    if shape_a != shape_b:
-        raise ValueError("support comparison needs modules of one kind and block shape")
+    """Exact disjointness of the weight supports of two modules of one kind and
+    rank: they share a weight exactly when an index shift matches their weights
+    (`DegreeOneModule.index_shift`, which raises `ValueError` on any other pair)."""
     return mod_a.index_shift(mod_b) is None
 
 
@@ -339,19 +332,18 @@ class _NormalFormAssembler:
         self.module = module
         self.system = module.system
         self.alpha = self.system.simple_root(block[0])
-        self._alpha_index = block[0] - 1  # alpha is the unit vector e_{block[0]}
+        i = block[0] - 1  # alpha is the unit vector e_{block[0]}
         self.nalpha = neg_root(self.alpha)
         self.delta = self.system.realization.epsilon_vector(self.alpha)
-        self.moved = tuple(i for i, d in enumerate(self.delta) if d)
+        self.moved = self.system.realization.supports[self.alpha]
         # c(X_root) for every other root with an alpha component comes from
         # the bracket [X_sigma, X_tau] = N X_root of a simple split
         self._splits = {r: self._split(r) for r in self.system.roots
-                        if self.alpha_coordinate(r) and r not in (self.alpha, self.nalpha)}
+                        if r[i] and r not in (self.alpha, self.nalpha)}
         self._values: Dict[Tuple[Root, Index], Tuple[int, Dict]] = Lookup(self._value)
-        a = self.alpha_coordinate
         # pairs with no alpha component anywhere give identically zero rows
         self.pairs = [p for p in self.system.realization.root_pairs
-                      if a(p[0]) or a(p[1]) or (p[3] and a(p[2]))]
+                      if p[0][i] or p[1][i] or (p[3] and p[2][i])]
         self.window = module.window(radius)
         self.labelset = {self.label(k) for k in self.window}
         # the rows may stop before the window edge: check the inverse shift on all of it
@@ -360,9 +352,6 @@ class _NormalFormAssembler:
 
     def label(self, k: Index) -> Index:
         return tuple(x for i, x in enumerate(k) if i not in self.moved)
-
-    def alpha_coordinate(self, root: Root) -> int:
-        return root[self._alpha_index]
 
     def _split(self, root: Root) -> Tuple[Root, Root, int]:
         """(sigma, tau, N): sigma = +-(a simple root), sigma + tau = root."""

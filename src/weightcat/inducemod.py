@@ -433,7 +433,7 @@ def u0_compare(verma: TruncatedVerma, v: InducedVector, module: DegreeOneModule,
         return False
     for word in _zero_weight_words(verma.system, depth):
         image = verma.act_word(word, v)
-        t = _ratio(verma.project(image), pv) if image else Fraction(0)
+        t = _ratio(verma.project(image), pv)
         if t is None:
             raise NonScalarActionError(f"word {word} acted non-scalarly on the quotient vector")
         coeff, target = module.act_word(word, k)

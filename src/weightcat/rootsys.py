@@ -129,12 +129,6 @@ def neg_root(x: Root) -> Root:
     return tuple(-a for a in x)
 
 
-def _over_lcm(xs: Sequence[Fraction]) -> Tuple[Tuple[int, ...], int]:
-    """Integers n and the scale d with xs == n / d, d the lcm of the denominators."""
-    d = math.lcm(*(x.denominator for x in xs))
-    return tuple(x.numerator * (d // x.denominator) for x in xs), d
-
-
 class RootSystem:
     """Roots, simple basis, and pairing data for one Cartan type."""
 
@@ -463,4 +457,5 @@ def center_basis(system: RootSystem, block: Iterable[int]) -> List[Tuple[Fractio
     block = sorted(set(block))
     n = system.rank
     rows = [[Fraction(system.cartan[b - 1][i]) for i in range(n)] for b in block]
-    return [tuple(map(Fraction, _over_lcm(v)[0])) for v in linalg.nullspace(rows, n)]
+    return [tuple(x * d for x in v) for v in linalg.nullspace(rows, n)
+            for d in [math.lcm(*(x.denominator for x in v))]]

@@ -2,7 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from weightcat import linalg
+from weightcat import categorio, linalg
 from weightcat.categorio import (CUSPIDAL, EXCLUDED, HIGHEST_WEIGHT, NONTRIVIAL, TRIVIAL,
                                  MembershipReport, _step_cap, check_membership, classify)
 from weightcat.degonemod import build_M, build_N
@@ -204,10 +204,11 @@ def test_membership_reads_no_fraction_action(monkeypatch, build, a, theta, S):
     assert want_rep.passed == (S is None)
 
 
-def test_membership_restriction_fails_for_wrong_theta():
+def test_membership_restriction_fails_for_wrong_theta(monkeypatch):
     # declaring the cuspidal direction as part of theta breaks the ascent
     m = build_N(["1/2", "1/3", "0"])
-    rep = check_membership(m, frozenset({1}), S=frozenset({1, 2}), radius=2, step_cap=12)
+    monkeypatch.setattr(categorio, "_step_cap", lambda radius, rank: 12)
+    rep = check_membership(m, frozenset({1}), S=frozenset({1, 2}), radius=2)
     assert not rep.passed
 
 
@@ -231,14 +232,15 @@ def test_center_separates_theta_span(name):
         assert linalg.rank(pairing, len(theta)) == len(theta), sorted(theta)
 
 
-def test_restriction_needs_a_certified_ascent():
+def test_restriction_needs_a_certified_ascent(monkeypatch):
     # with no raising step allowed, a vector below its highest-weight vector
     # leaves the ascent uncertified
     m = build_N(["-1", "1/2", "1/3", "0"])
-    rep = check_membership(m, m.theta_a(), radius=2, step_cap=0)
+    assert check_membership(m, m.theta_a(), radius=2).restriction_ok
+    monkeypatch.setattr(categorio, "_step_cap", lambda radius, rank: 0)
+    rep = check_membership(m, m.theta_a(), radius=2)
     assert not rep.certified and not rep.restriction_ok
     assert not rep.details["broken_descents"]
-    assert check_membership(m, m.theta_a(), radius=2).restriction_ok
 
 
 def test_restriction_needs_every_descent(monkeypatch):

@@ -545,13 +545,12 @@ def test_support_disjoint():
     assert support_disjoint(na, nb) is True
     nc = build_N(["-1", "3/2", "-2/3", "0"])
     assert support_disjoint(na, nc) is False
-    # no parameter comparison decides modules of different kind or shape
-    with pytest.raises(ValueError):
-        support_disjoint(build_N(["1/2", "1/3", "0"]), build_N(["-1", "-7/6", "-3/2"]))
-    with pytest.raises(ValueError):
-        support_disjoint(build_N(["1/2", "1/3", "0"]), build_N(["-1", "1/2", "1/3"]))
-    with pytest.raises(ValueError):
-        support_disjoint(build_N(["-1", "1/4"]), build_M(["-1", "1/4"]))
+    # pairs of different block shape are decided too: the shift (0, 0, 0)
+    # meets at k = 0, and no integer shift matches the second pair
+    assert support_disjoint(build_N(["1/2", "1/3", "0"]), build_N(["-1", "-7/6", "-3/2"])) is False
+    assert support_disjoint(build_N(["1/2", "1/3", "0"]), build_N(["-1", "1/2", "1/3"])) is True
+    with pytest.raises(ValueError, match="modules over different algebras"):
+        support_disjoint(build_N(["1/2", "1/3"]), build_M(["1/4", "1/3"]))
 
 
 def _share_a_window_weight(ma, mb):
@@ -562,6 +561,10 @@ def _share_a_window_weight(ma, mb):
     (["1/2", "1/3"], ["7/10", "8/15"]),
     (["1/2", "1/3"], ["7/10", "1/3"]),
     (["1/2", "1/3", "1/5", "-1/30"], ["3/4", "7/12", "9/20", "13/60"]),
+    # pairs of different block shape
+    (["1/2", "1/3", "0"], ["-1", "-7/6", "-3/2"]),
+    (["1/2", "1/3", "0"], ["-1", "1/2", "1/3"]),
+    (["-1", "1/3", "1/5", "0"], ["-3/2", "-1/6", "-3/10", "-1/2"]),
 ])
 def test_support_disjoint_matches_window_weights(a, b):
     # a shift of every entry of a by the same t keeps the support of N(a)

@@ -179,6 +179,23 @@ def test_pairs_without_a_mixed_coordinate_commute(name):
         assert real.supports[r] == q | p
 
 
+@pytest.mark.parametrize("name", [f + str(n) for f in "AC" for n in range(2, 8)])
+def test_a_coroot_does_not_see_coordinates_off_its_support(name):
+    """h_mu pairs to 0 with the weight change of a unit step e_j for every
+    coordinate j off supp mu, and to a nonzero value on supp mu.  So where the
+    weights are affine in k, h_mu . weight is one value on each projection
+    class onto supp mu, and a Cartan pair may be tried on one window vector
+    per class."""
+    m = _cuspidal(name)
+    real, zero = m.realization, m.weight_num(m.zero_index())
+    for j in range(m.nvars):
+        e_j = tuple(int(i == j) for i in range(m.nvars))
+        step = [x - y for x, y in zip(m.weight_num(e_j), zero)]
+        for mu in m.system.positive_set:
+            pairing = sum(c * w for c, w in zip(real.cartan_coefficients(mu), step))
+            assert (pairing != 0) == (j in real.supports[mu]), (mu, j, pairing)
+
+
 def _table_bracket(real, x, y):
     """[x, y] of basis elements ("X", root) and ("H", i) as {element: value},
     read from the bracket table: N(mu, nu), [H_i, X_r] = coroot_values(r)_i X_r
