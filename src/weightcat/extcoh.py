@@ -150,7 +150,6 @@ def _identity(source: DegreeOneModule, target: DegreeOneModule, cval: Callable,
 class CocycleSpace:
     source: DegreeOneModule
     target: DegreeOneModule
-    radius: int
     unknowns: List[Tuple[Root, Index]]
     targets: Dict[Tuple[Root, Index], Index]
     basis: List[List[Fraction]]
@@ -209,7 +208,7 @@ def cocycle_space(source: DegreeOneModule, target: DegreeOneModule, radius: int)
         if ident is not None:
             rows.extend(ident[1].values())
     basis = linalg.nullspace(rows, len(unknowns))
-    return CocycleSpace(source, target, radius, unknowns, targets, basis)
+    return CocycleSpace(source, target, unknowns, targets, basis)
 
 
 def _phi_domain(source: DegreeOneModule, target: DegreeOneModule, radius: int):

@@ -100,13 +100,6 @@ class LeviModule:
     def zero_index(self) -> Index:
         return (0,) * self._total_vars
 
-    def in_basis(self, t: Sequence[int]) -> bool:
-        t = tuple(t)
-        if len(t) != self._total_vars:
-            return False
-        return all(inner.in_basis(self._slice(t, ci))
-                   for ci, (_, inner) in enumerate(self.components))
-
     # -- action ------------------------------------------------------------------
     def act_root_num(self, root: Root, t: Index) -> Tuple[int, Index]:
         """Coefficient numerator over `scale`, and target, of a root vector of one

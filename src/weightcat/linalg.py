@@ -3,20 +3,19 @@
 A row is either a sparse {column: value} dict or a dense sequence, and
 every system comes with its column count.  `Echelon` is the one
 elimination: it reads rows one at a time and keeps them fraction-free, as
-primitive integer rows; `rref`, `rank`, `nullspace`, `solve` and
-`in_span` go through it and return dense lists of Fraction.  No pivoting
-heuristics, no floating point: results are exact and deterministic, which
-the rest of the package relies on for reproducible canonical
-representatives.
+primitive integer rows, and of its methods only `nullspace` divides.
+`rank`, `nullspace`, `solve` and `in_span` go through it; the vectors they
+return are dense lists of Fraction.  No pivoting heuristics, no floating
+point: results are exact and deterministic, which the rest of the package
+relies on for reproducible canonical representatives.
 """
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Hashable, List, Optional, Sequence, Union
 
 Vector = List[Fraction]
-Matrix = List[List[Fraction]]
 Row = Union[Dict[Hashable, object], Sequence]
 
 _ZERO = Fraction(0)
@@ -55,7 +54,7 @@ class Echelon:
     there, zero at every other pivot and at every column before its own.  An
     added row is scaled to integers by the lcm of its denominators and
     cleared at the kept pivots among its own columns, touching only nonzero
-    entries.  Division happens only in `rref` and `nullspace`, which return
+    entries.  Of its methods only `nullspace` divides, returning
     Fractions.  The rows given to the constructor are added in order until
     the rank reaches the column count; the rows after that are never read.
     """
@@ -89,12 +88,6 @@ class Echelon:
                     self.rows[pc] = _primitive(_clear(prow, v, c))
             self.rows[c] = v
 
-    def rref(self) -> Tuple[Matrix, List[int]]:
-        """(nonzero rows, pivot columns), the rows dense lists of Fraction."""
-        pivots = sorted(self.rows)
-        return [[Fraction(x, self.rows[c][c]) if (x := self.rows[c].get(j)) else _ZERO
-                 for j in range(self.ncols)] for c in pivots], pivots
-
     def nullspace(self) -> List[Vector]:
         """Basis of the right kernel, one vector per free column."""
         basis = []
@@ -106,11 +99,6 @@ class Echelon:
                     v[pc] = Fraction(-row[free], row[pc])
             basis.append(v)
         return basis
-
-
-def rref(rows: Sequence[Row], ncols: int) -> Tuple[Matrix, List[int]]:
-    """Reduced row echelon form.  Returns (nonzero rows, pivot columns)."""
-    return Echelon(ncols, rows).rref()
 
 
 def rank(rows: Sequence[Row], ncols: int) -> int:

@@ -74,9 +74,8 @@ def cartan_matrix(ct: CartanType) -> Tuple[Tuple[int, ...], ...]:
     n = ct.rank
     a = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
 
-    def join(i, j, aij=-1, aji=-1):
-        a[i][j] = aij
-        a[j][i] = aji
+    def join(i, j):
+        a[i][j] = a[j][i] = -1
 
     fam = ct.family
     if fam in ("A", "B", "C", "F"):
@@ -173,11 +172,6 @@ class RootSystem:
     def pairing(self, root: Root, i: int) -> int:
         """Value of the root on the i-th simple coroot."""
         return sum(c * self.cartan[j][i] for j, c in enumerate(root) if c)
-
-    def coroot_values(self, coords: Sequence[Fraction]) -> Tuple[Fraction, ...]:
-        """Values of the simple coroots on sum_j coords_j alpha_j, for a root or
-        any rational displacement over the simple roots."""
-        return tuple(Fraction(self.pairing(coords, i)) for i in range(self.rank))
 
     def is_root(self, v: Sequence[int]) -> bool:
         return tuple(v) in self.roots

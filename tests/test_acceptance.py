@@ -132,7 +132,14 @@ def _verma_fidelity(name, max_depth, c_radius) -> int:
                 if s_root and nconst:
                     want = {k: nconst * c for k, c in V.act_root(s, vec).items()}
                 elif cartan is not None:
-                    want = V.act_coroot_combo(cartan, vec)
+                    # sum_i h_i H_i scales the key (mono, t) by h on its weight:
+                    # C's weight of x(t) plus the pairings of mono's roots
+                    want = {}
+                    for (mono, t), c in vec.items():
+                        w = [x + sum(system.pairing(r, i) for r in mono)
+                             for i, x in enumerate(C.weight_of(t))]
+                        if val := c * sum(h * x for h, x in zip(cartan, w)):
+                            want[mono, t] = val
                 else:
                     want = {}
                 assert _vsub(got, want) == {}, (mu, nu)

@@ -603,7 +603,7 @@ def test_graded_targets_match_weight_table(build, a, b, radius, shared):
     table = {target.weight_of(t): t for t in target.window(radius + 4)}
 
     def lookup(k, root):
-        shift = system.coroot_values(root)
+        shift = [system.pairing(root, i) for i in range(system.rank)]
         return table.get(tuple(w + v for w, v in zip(source.weight_of(k), shift)))
 
     window = source.window(radius)

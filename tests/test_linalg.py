@@ -13,9 +13,8 @@ def _sparse(mat):
     return [{j: x for j, x in enumerate(row) if x} for row in mat]
 
 
-def test_rref_and_rank():
-    rows, pivots = linalg.rref([[1, 2, 3], [2, 4, 6], [0, 1, 1]], 3)
-    assert pivots == [0, 1]
+def test_pivots_and_rank():
+    assert sorted(linalg.Echelon(3, [[1, 2, 3], [2, 4, 6], [0, 1, 1]]).rows) == [0, 1]
     assert linalg.rank([[1, 2], [3, 4]], 2) == 2
     assert linalg.rank([[1, 2], [2, 4]], 2) == 1
 
@@ -102,13 +101,16 @@ def _tall_matrix():
 @example(([], 3))
 @example(([[], [], []], 0))
 @example(([[0, 0, 0]] * 4, 3))
-def test_rref_and_nullspace_match_sympy(system):
+def test_echelon_and_nullspace_match_sympy(system):
+    # each integer row divided by its pivot entry is a row of the reduced form
     mat, ncols = system
     expected, expected_pivots = sympy.Matrix(len(mat), ncols, [x for row in mat for x in row]).rref()
     for form in (mat, _sparse(mat)):
-        rows, pivots = linalg.rref(form, ncols)
+        rows = linalg.Echelon(ncols, form).rows
+        pivots = sorted(rows)
         assert pivots == list(expected_pivots)
-        assert rows == [[F(int(x.p), int(x.q)) for x in expected.row(i)] for i in range(len(pivots))]
+        assert [[F(rows[c].get(j, 0), rows[c][c]) for j in range(ncols)] for c in pivots] == \
+            [[F(int(x.p), int(x.q)) for x in expected.row(i)] for i in range(len(pivots))]
         basis = linalg.nullspace(form, ncols)
         assert len(basis) == ncols - len(pivots)
         assert all(sum((F(a) * b for a, b in zip(row, v)), F(0)) == 0 for row in mat for v in basis)
@@ -118,7 +120,7 @@ def test_rref_and_nullspace_match_sympy(system):
 @given(_tall_matrix(), st.data())
 @example(([], 0), None)
 @example(([[1, 2], [2, 4], [0, 3]], 2), None)
-def test_echelon_fed_row_by_row_matches_rref(system, data):
+def test_echelon_fed_row_by_row_matches_one_batch(system, data):
     # one reducer fed in two runs, read out in between, ends where the
     # elimination of the whole list does
     mat, ncols = system
@@ -126,10 +128,10 @@ def test_echelon_fed_row_by_row_matches_rref(system, data):
     echelon = linalg.Echelon(ncols)
     for row in mat[:split]:
         echelon.add(row)
-    assert echelon.rref() == linalg.rref(mat[:split], ncols)
+    assert echelon.rows == linalg.Echelon(ncols, mat[:split]).rows
     for row in _sparse(mat[split:]):
         echelon.add(row)
-    assert echelon.rref() == linalg.rref(mat, ncols)
+    assert echelon.rows == linalg.Echelon(ncols, mat).rows
     assert echelon.nullspace() == linalg.nullspace(mat, ncols)
     assert echelon.full == (len(echelon.rows) == ncols)
     for pc, row in echelon.rows.items():
@@ -175,12 +177,12 @@ def test_in_span_matches_sympy(case):
 
 class _Unread:
     def __iter__(self):
-        raise AssertionError("rref read a row after reaching full column rank")
+        raise AssertionError("Echelon read a row after reaching full column rank")
 
     def __len__(self):
-        raise AssertionError("rref read a row after reaching full column rank")
+        raise AssertionError("Echelon read a row after reaching full column rank")
 
 
-def test_rref_stops_at_full_column_rank():
+def test_echelon_stops_at_full_column_rank():
     identity = [[F(int(i == j)) for j in range(3)] for i in range(3)]
-    assert linalg.rref(identity + [_Unread()], 3) == (identity, [0, 1, 2])
+    assert linalg.Echelon(3, identity + [_Unread()]).rows == {i: {i: 1} for i in range(3)}

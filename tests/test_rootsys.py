@@ -198,13 +198,13 @@ def test_a_coroot_does_not_see_coordinates_off_its_support(name):
 
 def _table_bracket(real, x, y):
     """[x, y] of basis elements ("X", root) and ("H", i) as {element: value},
-    read from the bracket table: N(mu, nu), [H_i, X_r] = coroot_values(r)_i X_r
+    read from the bracket table: N(mu, nu), [H_i, X_r] = pairing(r, i - 1) X_r
     and [X_nu, X_-nu] = sum_i cartan_coefficients(nu)_i H_i."""
     (kx, x), (ky, y) = x, y
     if kx == ky == "H":
         return {}
     if kx == "H":
-        v = real.system.coroot_values(y)[x - 1]
+        v = real.system.pairing(y, x - 1)
         return {("X", y): v} if v else {}
     if ky == "H":
         return {z: -v for z, v in _table_bracket(real, ("H", y), ("X", x)).items()}
