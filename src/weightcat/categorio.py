@@ -19,7 +19,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tup
 
 from .degonemod import DegreeOneModule, Index, build_module
 from .rootsys import CartanType, Root, RootSystem, build_root_system, neg_root
-from .weylmod import Lookup, parse_rational, representatives
+from .weylmod import Lookup, parse_rational
 
 TRIVIAL = "TRIVIAL"
 EXCLUDED = "EXCLUDED"
@@ -147,15 +147,16 @@ def _step_cap(radius: int, rank: int) -> int:
     return 4 * radius * (rank + 1) + 8
 
 
-def _witnesses(module: DegreeOneModule, roots: Iterable[Root], window: Sequence[Index],
+def _witnesses(module: DegreeOneModule, roots: Iterable[Root], radius: int,
                cap: int, survive: bool) -> List[Tuple[Root, Index]]:
     """(root, first window vector k) for every root whose chain from x(k)
     survives cap steps (survive=True) or dies within them (survive=False),
-    tried once per projection onto the root's letters (`weylmod.representatives`)."""
-    supports, first = module.realization.supports, Lookup(lambda coords: representatives(window, coords))
-    out = []
+    tried once per projection onto the root's letters, the classes the
+    bracket check reads (`DegreeOneModule.window_representatives`)."""
+    supports, out = module.realization.supports, []
     for root in roots:
-        k = next((k for k in first[supports[root]] if _survives(module, root, k, cap) == survive), None)
+        k = next((k for k in module.window_representatives(radius, supports[root])
+                  if _survives(module, root, k, cap) == survive), None)
         if k is not None:
             out.append((root, k))
     return out
@@ -200,7 +201,7 @@ def check_membership(module: DegreeOneModule, theta: Iterable[int],
         raise ValueError("empty window: radius too small for these parameters")
     cap = _step_cap(radius, system.rank)
     # condition 1: a root vector on S minus theta that kills a window vector
-    cusp_witnesses = _witnesses(module, system.span_closure(S - theta), window, 1, False)
+    cusp_witnesses = _witnesses(module, system.span_closure(S - theta), radius, 1, False)
 
     # condition 2: ascend along the first theta raising operator that acts,
     # at most cap + 1 steps, to a highest-weight vector
@@ -239,7 +240,7 @@ def check_membership(module: DegreeOneModule, theta: Iterable[int],
     # condition 3: a positive root vector outside the span of S that survives the cap
     span_S = system.span_closure(S)
     nil_witnesses = _witnesses(module, [r for r in system.positive_set if r not in span_S],
-                               window, cap, True)
+                               radius, cap, True)
     details = {"cuspidality_witnesses": cusp_witnesses, "broken_descents": broken_descents,
                "hw_count": hw_count, "nilpotency_witnesses": nil_witnesses}
     return MembershipReport(not cusp_witnesses, restriction_ok, not nil_witnesses,

@@ -103,6 +103,12 @@ class DegreeOneModule:
         # every admissible index gets a number on first sight, _keys[_ids[k]] == k
         self._keys: List[Index] = []
         self._ids: Dict[Index, int] = Lookup(self._number)
+        # each window, projection class, weight and Weyl step is read once per module
+        self._windows: Dict[int, List[Index]] = Lookup(self._window)
+        self._classes: Dict[Tuple[int, FrozenSet[int]], List[Index]] = Lookup(
+            lambda key: representatives(self.window(key[0]), key[1]))
+        self._weights: Dict[int, Tuple[int, ...]] = Lookup(lambda i: self.weight_num(self._keys[i]))
+        self._steps = self.params.steps()
         # the one store of the root action: root -> {number: (target number, numerator)}
         self._action: Dict[Root, Dict[int, Tuple[int, int]]] = Lookup(self._root_action)
 
@@ -118,7 +124,16 @@ class DegreeOneModule:
         return (0,) * self.nvars
 
     def window(self, radius: int) -> List[Index]:
-        """All basis indices with every coordinate in [-radius, radius]."""
+        """All basis indices with every coordinate in [-radius, radius], listed
+        once per module and radius: a shared list that callers must not mutate."""
+        return self._windows[radius]
+
+    def window_representatives(self, radius: int, coords: FrozenSet[int]) -> List[Index]:
+        """`weylmod.representatives` of window(radius) on coords, once per module,
+        radius and coords: a shared list that callers must not mutate."""
+        return self._classes[radius, coords]
+
+    def _window(self, radius: int) -> List[Index]:
         *head_ranges, last = self.params.window_ranges(radius)
         out = []
         for head in product(*head_ranges):
@@ -141,10 +156,10 @@ class DegreeOneModule:
         the walk stopped at, and every target is admissible (`WeylParams._step`)."""
         qe, pe, c = self.realization.monomial(root)  # X_root = c/2 q^qe p^pe
         walk, word, scale = self.params._walk, monomial_word(qe, pe), self.scale
-        keys, ids = self._keys, self._ids
+        keys, ids, steps = self._keys, self._ids, self._steps
 
         def act(i):
-            num, den, target = walk(word, keys[i])
+            num, den, target = walk(word, keys[i], steps)
             return ids[target], num * (c * scale // (2 * den))
 
         return Lookup(act)
@@ -196,26 +211,46 @@ class DegreeOneModule:
         step reads and writes k_i alone, so both orders run the same steps from
         the same k_i on every coordinate and agree, a zero or corrupted step
         included.  Any other pair off the Cartan is tried on one window vector
-        per projection onto its letters' coordinates (`weylmod.representatives`)
+        per projection onto its letters' coordinates (`window_representatives`)
         and scanned on the whole window only if one fails, so the yielded
-        sequence is the full scan's.  The Cartan pairs read every vector.
+        sequence is the full scan's.
+
+        The Cartan pairs (mu, -mu) are tried the same way on supp mu if the
+        weight is affine on the window: checked once, in integers, as weight(k)
+        less L(k) being one value on every key, with L the weight's linear part,
+        scale (k_i - k_{i+1}) and for M scale k_n last.  Then the two products
+        depend only on the projection of k onto supp mu, and so does
+        h.weight(k), since a coroot pairs to 0 with L of every unit step off its
+        support (pinned by `tests/test_rootsys.py::
+        test_a_coroot_does_not_see_coordinates_off_its_support`).  If the check
+        fails at any key, every Cartan pair scans the whole window.
+
+        The window, its projection classes, the weights and the Weyl steps are
+        read once per module, so a second call reads no step again.
         """
         window = self.window(radius)
         if not window:
             raise ValueError("no basis vector to check: the window is empty")
-        act, den, keys, ids = self._action, self.scale, self._keys, self._ids
+        act, den, keys, ids, weights = self._action, self.scale, self._keys, self._ids, self._weights
         numbers = [ids[k] for k in window]
-        weights = Lookup(lambda i: self.weight_num(keys[i]))
-        local = Lookup(lambda coords: [ids[k] for k in representatives(window, coords)])
+        tail = () if self.kind == "N" else (0,)
+
+        def offset(i):  # weight(k) - L(k)
+            k = keys[i] + tail
+            return tuple(w - den * (x - y) for w, x, y in zip(weights[i], k, k[1:]))
+
+        base = offset(numbers[0])
+        affine = all(offset(i) == base for i in numbers)
+        local = Lookup(lambda coords: [ids[k] for k in self.window_representatives(radius, coords)])
         kinds = self.realization.letter_kinds
         for pair in self.realization.root_pairs:
             mu, nu, _, _, h = pair
-            if h is None:
-                (qa, pa), (qb, pb) = kinds[mu], kinds[nu]
-                if qa.isdisjoint(pb) and pa.isdisjoint(qb):
-                    continue
-                if next(_pair_defects(act, weights, den, pair, local[qa | pa | qb | pb]), None) is None:
-                    continue
+            (qa, pa), (qb, pb) = kinds[mu], kinds[nu]
+            if h is None and qa.isdisjoint(pb) and pa.isdisjoint(qb):
+                continue
+            if ((h is None or affine)
+                    and next(_pair_defects(act, weights, den, pair, local[qa | pa | qb | pb]), None) is None):
+                continue
             for i, defect in _pair_defects(act, weights, den, pair, numbers):
                 yield mu, nu, keys[i], {keys[j]: v for j, v in defect.items()}
 
@@ -284,7 +319,8 @@ class DegreeOneModule:
 
     def degree_on_window(self, radius: int) -> int:
         """Largest weight multiplicity on the window; an empty window raises ValueError."""
-        counts = Counter(map(self.weight_num, self.window(radius)))
+        ids, weights = self._ids, self._weights
+        counts = Counter(weights[ids[k]] for k in self.window(radius))
         if not counts:
             raise ValueError("no basis vector to check: the window is empty")
         return max(counts.values())

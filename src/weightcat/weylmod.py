@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from operator import itemgetter
-from typing import Callable, Dict, Iterable, List, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Sequence, Tuple
 
 NEG_INT = "NEG_INT"
 NONNEG_INT = "NONNEG_INT"
@@ -179,14 +179,21 @@ class WeylParams:
                                  f"with coefficient {Fraction(num, den)}")
         return num, den, ki
 
-    def _walk(self, word: Sequence[Tuple[str, int]], k: Sequence[int]) -> Tuple[int, int, Tuple[int, ...]]:
+    def steps(self) -> Lookup:
+        """{(kind, i, k_i): `_step(kind, i, k_i)`}, each step taken on its first
+        lookup, so a table sees `_step` as it is when the table is filled."""
+        return Lookup(lambda key: self._step(*key))
+
+    def _walk(self, word: Sequence[Tuple[str, int]], k: Sequence[int],
+              steps: Mapping[Tuple[str, int, int], Tuple[int, int, int]]) -> Tuple[int, int, Tuple[int, ...]]:
         """(numerator, denominator, target) of a word of generators (kind, i) on
-        an admissible x(k), rightmost first; a zero step stops the walk at the
-        index that step was applied to."""
+        an admissible x(k), rightmost first, each step read from steps, a table
+        from `steps()`; a zero step stops the walk at the index that step was
+        applied to."""
         num = den = 1
         cur = list(k)
         for kind, i in reversed(word):
-            n, d, ki = self._step(kind, i, cur[i])
+            n, d, ki = steps[kind, i, cur[i]]
             if not n:
                 return 0, 1, tuple(cur)
             num, den, cur[i] = num * n, den * d, ki
@@ -197,7 +204,7 @@ def weyl_act(gen: Tuple[str, int], params: WeylParams, k: Sequence[int]) -> Acti
     """Action of q_i or p_i on x(k).  gen = ("q"|"p", i) with i zero-based."""
     if not params.in_lattice(k):
         raise ValueError(f"index {k} not admissible for parameters {params.a}")
-    num, den, target = params._walk((gen,), k)
+    num, den, target = params._walk((gen,), k, params.steps())
     return ActionTerm(Fraction(num, den), target)
 
 
@@ -238,12 +245,12 @@ def check_weyl_relations(params: WeylParams, radius: int) -> List[str]:
     relations = [rel for i in range(n) for rel in
                  [((kind, i), (kind, j), 0) for j in range(i + 1, n) for kind in "qp"]
                  + [(("p", i), ("q", j), int(i == j)) for j in range(n)]]
-    failed = set()
+    failed, walk, steps = set(), params._walk, params.steps()
     for r, (g, h, want) in enumerate(relations):
         i, j = g[1], h[1]
         for ki, kj in zip(ranges[i], ranges[i]) if i == j else product(ranges[i], ranges[j]):
             k = tuple(ki if m == i else kj if m == j else 0 for m in range(n))
-            if not _bracket_is(params._walk((g, h), k), params._walk((h, g), k), k, want):
+            if not _bracket_is(walk((g, h), k, steps), walk((h, g), k, steps), k, want):
                 failed.add((r, ki, kj))
     if not failed:
         return []
@@ -253,7 +260,7 @@ def check_weyl_relations(params: WeylParams, radius: int) -> List[str]:
             (kg, i), (kh, j) = g, h
             if (r, k[i], k[j]) in failed:
                 got: Dict[Tuple[int, ...], Fraction] = {}
-                for sign, (num, den, t) in ((1, params._walk((g, h), k)), (-1, params._walk((h, g), k))):
+                for sign, (num, den, t) in ((1, walk((g, h), k, steps)), (-1, walk((h, g), k, steps))):
                     sparse_add(got, t, Fraction(sign * num, den))
                 violations.append(f"[{kg}{i + 1},{kh}{j + 1}] "
                                   + (f"!= 0 at {k}" if kg == kh else f"wrong at {k}: {got}"))

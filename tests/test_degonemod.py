@@ -7,10 +7,12 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from weightcat import degonemod
 from weightcat.categorio import NONTRIVIAL, check_membership, classify
-from weightcat.degonemod import PartitionError, _pair_defects, build_M, build_N
+from weightcat.cli import EXIT_OK, main
+from weightcat.degonemod import DegreeOneModule, PartitionError, _pair_defects, build_M, build_N
 from weightcat.rootsys import build_root_system
-from weightcat.weylmod import NON_INT, Lookup, WeylAuditError, WeylParams, weyl_act
+from weightcat.weylmod import NON_INT, Lookup, WeylAuditError, WeylParams, representatives, weyl_act
 
 
 def neg(r):
@@ -612,3 +614,57 @@ def test_index_numbering_invariants():
     with pytest.raises(ValueError, match="not admissible"):
         m.act_root_num(m.system.simple_root(1), bad)
     assert len(m._keys) == n and bad not in m._ids
+
+
+_RANK_FIVE = [("M", ["-1", "-1", "1/4", "1/5", "1/7"]), ("N", ["1/2", "1/3", "1/5", "1/7", "1/11"])]
+
+
+@pytest.mark.parametrize("kind,params", _RANK_FIVE)
+def test_cartan_pairs_are_tried_on_their_support_classes(monkeypatch, kind, params):
+    # the weight is affine on the window, so each Cartan pair (mu, -mu) reads one
+    # window vector per projection onto supp mu, and passes there
+    m = build_M(params) if kind == "M" else build_N(params)
+    handed = []
+
+    def recording(act, weights, den, pair, keys):
+        keys = list(keys)
+        handed.append((pair, keys))
+        return _pair_defects(act, weights, den, pair, keys)
+
+    monkeypatch.setattr(degonemod, "_pair_defects", recording)
+    assert next(m.bracket_defects(2), None) is None
+    window, supports = m.window(2), m.realization.supports
+    cartan = [(pair, keys) for pair, keys in handed if pair[4] is not None]
+    assert [pair for pair, _ in cartan] == [p for p in m.realization.root_pairs if p[4] is not None]
+    for (mu, *_), keys in cartan:
+        assert keys == [m._ids[k] for k in representatives(window, supports[mu])]
+        assert len(keys) < len(window)
+
+
+@pytest.mark.parametrize("kind,params", _RANK_FIVE)
+def test_verify_reads_each_step_weight_and_window_once(monkeypatch, capsys, kind, params):
+    # the bracket check, the highest-weight suites, degree_on_window and
+    # membership share one window, one weight per key and one step table
+    steps, weights, windows = Counter(), Counter(), Counter()
+    step, weight_num, window_ranges = WeylParams._step, DegreeOneModule.weight_num, WeylParams.window_ranges
+
+    def counted_step(self, kind_, i, ki):
+        steps[kind_, i, ki] += 1
+        return step(self, kind_, i, ki)
+
+    def counted_weight(self, k):
+        weights[tuple(k)] += 1
+        return weight_num(self, k)
+
+    def counted_ranges(self, radius):
+        windows[radius] += 1
+        return window_ranges(self, radius)
+
+    monkeypatch.setattr(WeylParams, "_step", counted_step)
+    monkeypatch.setattr(DegreeOneModule, "weight_num", counted_weight)
+    monkeypatch.setattr(WeylParams, "window_ranges", counted_ranges)
+    assert main(["verify", "--module", kind, "--a", ",".join(params), "--B", "2"]) == EXIT_OK
+    assert '"all_pass": true' in capsys.readouterr().out
+    assert steps and max(steps.values()) == 1
+    assert weights and max(weights.values()) == 1
+    assert windows == {2: 1}

@@ -7,7 +7,8 @@ the bracket check's two products were written as two loops, and the probe
 pins before its candidate loop lost the chain search, and the rank-4 and
 rank-5 `ext` pins before the normal-form read went along the alpha orbit,
 and the rank-6 `verify` pins before two modules' weights were matched by one
-index shift;
+index shift, and the rank-7 `verify` pins before the Cartan pairs were tried
+on one window vector per projection onto their support;
 any change to the arithmetic that moves a single byte of these outputs fails here.
 """
 import hashlib
@@ -81,6 +82,10 @@ GOLDEN_RUNS = {
         "9d90c43dc91b1f9219d3fc72f5aae2ddeead60b4ff549c353036f59c92658dae",
     "verify --module N --a 1/2,1/3,1/5,1/7,1/11,1/13,1/17 --B 2":
         "43412f6c37f4e93077e5611972dbd55932e8122def5f07c23d3e7efb1d6284dc",
+    "verify --module M --a 1/3,1/5,1/7,1/11,1/13,1/17,1/19 --B 2":
+        "42a7df3ed49f592645382a3b40fc58cf53cb58cd490f568ab45773135f281e5d",
+    "verify --module N --a 1/2,1/3,1/5,1/7,1/11,1/13,1/17,1/19 --B 2":
+        "84dcf1bed5a0c7daa24054fccacaa702d7fe0ae53b52daaaf614220de8bcb83c",
 }
 
 

@@ -179,7 +179,7 @@ def test_pairs_without_a_mixed_coordinate_commute(name):
         assert real.supports[r] == q | p
 
 
-@pytest.mark.parametrize("name", [f + str(n) for f in "AC" for n in range(2, 8)])
+@pytest.mark.parametrize("name", [f + str(n) for f in "AC" for n in range(2, 9)])
 def test_a_coroot_does_not_see_coordinates_off_its_support(name):
     """h_mu pairs to 0 with the weight change of a unit step e_j for every
     coordinate j off supp mu, and to a nonzero value on supp mu.  So where the
