@@ -155,11 +155,11 @@ class DegreeOneModule:
         the module's scale, walked on first lookup; a zero numerator keeps the index
         the walk stopped at, and every target is admissible (`WeylParams._step`)."""
         qe, pe, c = self.realization.monomial(root)  # X_root = c/2 q^qe p^pe
-        walk, word, scale = self.params._walk, monomial_word(qe, pe), self.scale
-        keys, ids, steps = self._keys, self._ids, self._steps
+        walk, letters, scale = self.params._walk, self._steps[monomial_word(qe, pe)], self.scale
+        keys, ids = self._keys, self._ids
 
         def act(i):
-            num, den, target = walk(word, keys[i], steps)
+            num, den, target = walk(letters, keys[i])
             return ids[target], num * (c * scale // (2 * den))
 
         return Lookup(act)
@@ -349,6 +349,9 @@ def _pair_defects(act: Mapping, weights: Mapping, den: int, pair: RootPair,
     """(key, defect) of one pair of root_pairs, as `bracket_defects` yields
     them, from at most five store reads per key, one term each: X_nu then X_mu
     (reaching t2), X_mu then X_nu (reaching t4), and X_{mu+nu} when N != 0.
+    A product's second factor is read only after a nonzero first: a zero
+    product adds nothing to the test or the defect wherever it stops, so no
+    walk starts from the index a zero walk stopped at.
     When both products land on one target t (a zero one lands nowhere), the key
     passes in integers if their difference is the bracket term, N den c5 on
     X_{mu+nu}'s target or den h.weight(key) on key, and that target is t unless
@@ -358,9 +361,9 @@ def _pair_defects(act: Mapping, weights: Mapping, den: int, pair: RootPair,
     for key in keys:
         # den^2 (X_mu X_nu - X_nu X_mu - [X_mu, X_nu]) x(key): p on t2, q on t4, r on t5
         t1, c1 = anu[key]
-        t2, c2 = amu[t1]
+        t2, c2 = amu[t1] if c1 else (t1, 0)
         t3, c3 = amu[key]
-        t4, c4 = anu[t3]
+        t4, c4 = anu[t3] if c3 else (t3, 0)
         p, q = c1 * c2, c3 * c4
         t5, r = key, 0
         if n:

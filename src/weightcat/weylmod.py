@@ -180,20 +180,23 @@ class WeylParams:
         return num, den, ki
 
     def steps(self) -> Lookup:
-        """{(kind, i, k_i): `_step(kind, i, k_i)`}, each step taken on its first
-        lookup, so a table sees `_step` as it is when the table is filled."""
-        return Lookup(lambda key: self._step(*key))
+        """{word: its letters in walk order, rightmost first}, for a word of
+        generators (kind, i) as a tuple, each letter (kind, i, table) with table
+        {k_i: `_step(kind, i, k_i)`}, one per generator, shared by every word of
+        this lookup and filled on first lookup, so a table sees `_step` as it is
+        when the table is filled."""
+        tables = Lookup(lambda gen: Lookup(lambda ki: self._step(*gen, ki)))
+        return Lookup(lambda word: tuple((kind, i, tables[kind, i]) for kind, i in reversed(word)))
 
-    def _walk(self, word: Sequence[Tuple[str, int]], k: Sequence[int],
-              steps: Mapping[Tuple[str, int, int], Tuple[int, int, int]]) -> Tuple[int, int, Tuple[int, ...]]:
-        """(numerator, denominator, target) of a word of generators (kind, i) on
-        an admissible x(k), rightmost first, each step read from steps, a table
-        from `steps()`; a zero step stops the walk at the index that step was
-        applied to."""
+    def _walk(self, letters: Sequence[Tuple[str, int, Mapping[int, Tuple[int, int, int]]]],
+              k: Sequence[int]) -> Tuple[int, int, Tuple[int, ...]]:
+        """(numerator, denominator, target) of a word on an admissible x(k), from
+        its letters as `steps()` gives them; a zero step stops the walk at the
+        index that step was applied to."""
         num = den = 1
         cur = list(k)
-        for kind, i in reversed(word):
-            n, d, ki = steps[kind, i, cur[i]]
+        for _, i, table in letters:
+            n, d, ki = table[cur[i]]
             if not n:
                 return 0, 1, tuple(cur)
             num, den, cur[i] = num * n, den * d, ki
@@ -204,16 +207,16 @@ def weyl_act(gen: Tuple[str, int], params: WeylParams, k: Sequence[int]) -> Acti
     """Action of q_i or p_i on x(k).  gen = ("q"|"p", i) with i zero-based."""
     if not params.in_lattice(k):
         raise ValueError(f"index {k} not admissible for parameters {params.a}")
-    num, den, target = params._walk((gen,), k, params.steps())
+    num, den, target = params._walk(params.steps()[gen,], k)
     return ActionTerm(Fraction(num, den), target)
 
 
-def monomial_word(qexp: Sequence[int], pexp: Sequence[int]) -> List[Tuple[str, int]]:
+def monomial_word(qexp: Sequence[int], pexp: Sequence[int]) -> Tuple[Tuple[str, int], ...]:
     """The normal-ordered monomial q^qexp p^pexp as a word of generators for
-    `WeylParams._walk`: the p's act first, each kind with its indices ascending."""
+    `WeylParams.steps()`: the p's act first, each kind with its indices ascending."""
     steps = [(kind, i) for kind, exps in (("p", pexp), ("q", qexp))
              for i, e in enumerate(exps) if e for _ in range(e)]
-    return steps[::-1]
+    return tuple(steps[::-1])
 
 
 def lattice_window(params: WeylParams, radius: int) -> List[Tuple[int, ...]]:
@@ -248,9 +251,11 @@ def check_weyl_relations(params: WeylParams, radius: int) -> List[str]:
     failed, walk, steps = set(), params._walk, params.steps()
     for r, (g, h, want) in enumerate(relations):
         i, j = g[1], h[1]
+        gh, hg, cur = steps[g, h], steps[h, g], [0] * n
         for ki, kj in zip(ranges[i], ranges[i]) if i == j else product(ranges[i], ranges[j]):
-            k = tuple(ki if m == i else kj if m == j else 0 for m in range(n))
-            if not _bracket_is(walk((g, h), k, steps), walk((h, g), k, steps), k, want):
+            cur[i], cur[j] = ki, kj
+            k = tuple(cur)
+            if not _bracket_is(walk(gh, k), walk(hg, k), k, want):
                 failed.add((r, ki, kj))
     if not failed:
         return []
@@ -260,7 +265,7 @@ def check_weyl_relations(params: WeylParams, radius: int) -> List[str]:
             (kg, i), (kh, j) = g, h
             if (r, k[i], k[j]) in failed:
                 got: Dict[Tuple[int, ...], Fraction] = {}
-                for sign, (num, den, t) in ((1, walk((g, h), k, steps)), (-1, walk((h, g), k, steps))):
+                for sign, (num, den, t) in ((1, walk(steps[g, h], k)), (-1, walk(steps[h, g], k))):
                     sparse_add(got, t, Fraction(sign * num, den))
                 violations.append(f"[{kg}{i + 1},{kh}{j + 1}] "
                                   + (f"!= 0 at {k}" if kg == kh else f"wrong at {k}: {got}"))
@@ -276,9 +281,10 @@ def transitivity_probe(params: WeylParams, radius: int) -> bool:
     if radius < 0:
         raise ValueError(f"radius must be >= 0, got {radius}")
     window = lattice_window(params, radius)
-    inside = set(window)
-    succ = {k: [t.target for i in range(params.n) for kind in "qp"
-                for t in [weyl_act((kind, i), params, k)] if t.coeff and t.target in inside]
+    inside, steps = set(window), params.steps()
+    # the window keys are admissible, so the moves are walked without weyl_act's check
+    moves = [steps[(kind, i),] for i in range(params.n) for kind in "qp"]
+    succ = {k: [t for num, _, t in (params._walk(m, k) for m in moves) if num and t in inside]
             for k in window}
     pred: Dict[Tuple[int, ...], List[Tuple[int, ...]]] = {k: [] for k in window}
     for k, outs in succ.items():

@@ -668,3 +668,19 @@ def test_verify_reads_each_step_weight_and_window_once(monkeypatch, capsys, kind
     assert steps and max(steps.values()) == 1
     assert weights and max(weights.values()) == 1
     assert windows == {2: 1}
+
+
+@pytest.mark.parametrize("kind,params,radius", [
+    ("M", ["-1", "-1", "-1", "7/5"], 2), ("N", ["-1", "-2/5", "7/5", "3/5", "0"], 2),
+    ("M", ["-1", "-2/5", "7/5"], 3), ("N", ["-1", "1/2", "1/3", "0"], 3)])
+def test_root_action_store_fills_on_basis_indices_only(kind, params, radius):
+    # a product whose first factor is zero reads no second factor: the index
+    # where a zero walk of a -1 coordinate stopped is off the basis
+    m = build_M(params) if kind == "M" else build_N(params)
+    theta = m.theta_a()
+    assert next(m.bracket_defects(radius), None) is None
+    m.enumerate_hw(theta, radius)
+    m.degree_on_window(radius)
+    check_membership(m, theta, radius=radius)
+    filled = [i for store in m._action.values() for i in store]
+    assert filled and all(m.in_basis(m._keys[i]) for i in filled)

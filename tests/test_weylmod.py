@@ -127,7 +127,7 @@ def _oracle_relations(params, a, radius):
 
     def bracket(g, h, k):
         got, steps = {}, params.steps()
-        for sign, (num, den, t) in ((1, params._walk((g, h), k, steps)), (-1, params._walk((h, g), k, steps))):
+        for sign, (num, den, t) in ((1, params._walk(steps[g, h], k)), (-1, params._walk(steps[h, g], k))):
             if num:
                 got[t] = got.get(t, 0) + sign * F(num, den)
                 if not got[t]:
@@ -171,9 +171,10 @@ def test_relation_check_lists_every_violation_on_three_and_four_coordinates(monk
     # skew two two-letter walks, each by the value of one of its coordinates
     monkeypatch.setattr(WeylParams, "_step", step)
 
-    def skewed(self, word, k, steps):
-        num, den, t = walk(self, word, k, steps)
-        if (tuple(word), k[0]) in {((("q", 0), ("q", 2)), 0), ((("p", 1), ("q", 0)), -1)}:
+    def skewed(self, letters, k):
+        num, den, t = walk(self, letters, k)
+        word = tuple((kind, i) for kind, i, _ in reversed(letters))
+        if (word, k[0]) in {((("q", 0), ("q", 2)), 0), ((("p", 1), ("q", 0)), -1)}:
             num *= 2
         return num, den, t
 
@@ -200,7 +201,7 @@ def test_relation_check_raises_the_audit_error_of_one_corrupted_move():
 def test_monomial_action_composes():
     params = WeylParams.of(["1/2", "1/3"])
     # q1 p2, walked as the root-action store walks it
-    assert params._walk(monomial_word((1, 0), (0, 1)), (0, 0), params.steps()) == (1, 3, (1, -1))
+    assert params._walk(params.steps()[monomial_word((1, 0), (0, 1))], (0, 0)) == (1, 3, (1, -1))
 
 
 def _strongly_connected(params, radius):
@@ -343,7 +344,7 @@ def test_integer_action_matches_fraction_oracle(case):
     for i, kind in product(range(len(a)), "qp"):
         t = weyl_act((kind, i), params, k)
         assert (t.coeff, t.target) == _oracle_act(a, kind, i, k)
-    num, den, target = params._walk(monomial_word(qexp, pexp), k, params.steps())
+    num, den, target = params._walk(params.steps()[monomial_word(qexp, pexp)], k)
     assert (F(num, den), target) == _oracle_monomial(a, qexp, pexp, k)
 
 
@@ -379,8 +380,8 @@ def _assert_walk_is_local(a, word, k, other):
     params = WeylParams(a)
     coords = {i for _, i in word}
     mixed = tuple(x if m in coords else y for m, (x, y) in enumerate(zip(k, other)))
-    steps = params.steps()
-    (num, den, t), (num2, den2, t2) = params._walk(word, k, steps), params._walk(word, mixed, steps)
+    letters = params.steps()[word]
+    (num, den, t), (num2, den2, t2) = params._walk(letters, k), params._walk(letters, mixed)
     assert (num, den) == (num2, den2)
     for m in range(len(a)):
         if m in coords:
