@@ -181,21 +181,21 @@ class WeylParams:
 
     def steps(self) -> Lookup:
         """{word: its letters in walk order, rightmost first}, for a word of
-        generators (kind, i) as a tuple, each letter (kind, i, table) with table
+        generators (kind, i) as a tuple, each letter (i, table) with table
         {k_i: `_step(kind, i, k_i)`}, one per generator, shared by every word of
         this lookup and filled on first lookup, so a table sees `_step` as it is
         when the table is filled."""
         tables = Lookup(lambda gen: Lookup(lambda ki: self._step(*gen, ki)))
-        return Lookup(lambda word: tuple((kind, i, tables[kind, i]) for kind, i in reversed(word)))
+        return Lookup(lambda word: tuple((i, tables[kind, i]) for kind, i in reversed(word)))
 
-    def _walk(self, letters: Sequence[Tuple[str, int, Mapping[int, Tuple[int, int, int]]]],
+    def _walk(self, letters: Sequence[Tuple[int, Mapping[int, Tuple[int, int, int]]]],
               k: Sequence[int]) -> Tuple[int, int, Tuple[int, ...]]:
         """(numerator, denominator, target) of a word on an admissible x(k), from
         its letters as `steps()` gives them; a zero step stops the walk at the
         index that step was applied to."""
         num = den = 1
         cur = list(k)
-        for _, i, table in letters:
+        for i, table in letters:
             n, d, ki = table[cur[i]]
             if not n:
                 return 0, 1, tuple(cur)
@@ -281,10 +281,9 @@ def transitivity_probe(params: WeylParams, radius: int) -> bool:
     if radius < 0:
         raise ValueError(f"radius must be >= 0, got {radius}")
     window = lattice_window(params, radius)
-    inside, steps = set(window), params.steps()
-    # the window keys are admissible, so the moves are walked without weyl_act's check
-    moves = [steps[(kind, i),] for i in range(params.n) for kind in "qp"]
-    succ = {k: [t for num, _, t in (params._walk(m, k) for m in moves) if num and t in inside]
+    inside = set(window)
+    succ = {k: [t.target for i in range(params.n) for kind in "qp"
+                for t in [weyl_act((kind, i), params, k)] if t.coeff and t.target in inside]
             for k in window}
     pred: Dict[Tuple[int, ...], List[Tuple[int, ...]]] = {k: [] for k in window}
     for k, outs in succ.items():
