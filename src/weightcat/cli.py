@@ -133,13 +133,19 @@ def build_parser(defaults: Optional[Dict] = None) -> argparse.ArgumentParser:
     p.add_argument("--c", default="0", help="branch of lemA12 and appendix-a3: 0 or -1-A")
     p.set_defaults(func=cmd_lab)
 
+    known = set()
     for p in sub.choices.values():
         p.add_argument("--B", type=int, default=3, help="window radius")
         p.add_argument("--D", type=int, default=4, help="truncation depth")
         p.add_argument("--format", choices=["json", "text"], default="json")
         flags = {a.dest: a for a in p._actions if a.option_strings}
+        known |= flags.keys()
         p.set_defaults(**{key: _flag_value(flags[key], key, value)
                           for key, value in (defaults or {}).items() if key in flags})
+    # a key of another subcommand is fine: one config file may serve several
+    unknown = set(defaults or {}) - known
+    if unknown:
+        raise ValueError(f"config key {min(unknown)!r} is not a flag of any subcommand")
     return ap
 
 

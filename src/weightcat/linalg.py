@@ -5,9 +5,14 @@ every system comes with its column count.  `Echelon` is the one
 elimination: it reads rows one at a time and keeps them fraction-free, as
 primitive integer rows, and of its methods only `nullspace` divides.
 `rank`, `nullspace`, `solve` and `in_span` go through it; the vectors they
-return are dense lists of Fraction.  No pivoting heuristics, no floating
-point: results are exact and deterministic, which the rest of the package
-relies on for reproducible canonical representatives.
+return are dense lists of Fraction.  These four reduce bottom-up: they read
+every row and hand `Echelon` the nonzero ones by descending leading column,
+so a new pivot lands left of the kept ones, where no kept row has an entry,
+and is rarely cleared back into them.  The reduced form depends only on the
+row space, so the answer is that of any order; they stop reducing, not
+reading, at full rank.  No pivoting heuristics, no floating point: results
+are exact and deterministic, which the rest of the package relies on for
+reproducible canonical representatives.
 """
 from __future__ import annotations
 
@@ -101,18 +106,23 @@ class Echelon:
         return basis
 
 
+def _bottom_up(ncols: int, rows: Sequence[Row]) -> Echelon:
+    """The Echelon of the nonzero rows, fed by descending leading column (stable)."""
+    return Echelon(ncols, sorted((v for row in rows if (v := _entries(row))), key=min, reverse=True))
+
+
 def rank(rows: Sequence[Row], ncols: int) -> int:
-    return len(Echelon(ncols, rows).rows)
+    return len(_bottom_up(ncols, rows).rows)
 
 
 def nullspace(rows: Sequence[Row], ncols: int) -> List[Vector]:
     """Basis of the right kernel {x : rows @ x = 0}, one vector per free column."""
-    return Echelon(ncols, rows).nullspace()
+    return _bottom_up(ncols, rows).nullspace()
 
 
 def solve(rows: Sequence[Row], rhs: Sequence, ncols: int) -> Optional[Vector]:
     """One exact solution of rows @ x = rhs (free variables set to 0), or None."""
-    aug = Echelon(ncols + 1, [{**_entries(row), ncols: b} for row, b in zip(rows, rhs)])
+    aug = _bottom_up(ncols + 1, [{**_entries(row), ncols: b} for row, b in zip(rows, rhs)])
     if ncols in aug.rows:
         return None  # row 0 = 1: inconsistent
     x = [_ZERO] * ncols

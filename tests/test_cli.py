@@ -203,6 +203,17 @@ def test_config_file_sets_subcommand_flags(tmp_path, capsys):
     assert code == EXIT_OK and json.loads(out)["B"] == 2
 
 
+def test_config_file_may_hold_flags_of_other_subcommands(tmp_path, capsys):
+    # one file may serve several subcommands; a key that is no flag of any is an error
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"theta": "1,4", "c": "-1-A", "B": 1}))
+    code, out = run(capsys, "--config", str(cfg), "ext", "--module", "N", "--a", "1/2,1/3")
+    assert code == EXIT_OK and json.loads(out)["B"] == 1
+    cfg.write_text(json.dumps({"B": 1, "radius": 5}))
+    assert main(["--config", str(cfg), "ext", "--module", "N", "--a", "1/2,1/3"]) == EXIT_CONFIG
+    assert "'radius'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [
     ["lab", "lemA12", "--a", "1/2"],
     ["lab", "lemA12", "--a", "1/0,1/3"],
@@ -214,12 +225,14 @@ def test_config_file_sets_subcommand_flags(tmp_path, capsys):
     ["--config", "{null_B}", "lab", "lemA12", "--a", "1/2,1/3"],
     ["--config", "{theta_list}", "classify", "A4"],
     ["--config", "{unknown_format}", "classify", "A4"],
+    ["--config", "{unknown_key}", "verify", "--module", "N", "--a", "1/2,1/3"],
 ], ids=["too-few-parameters", "zero-denominator", "unknown-lemma", "bad-branch",
         "missing-config", "malformed-config", "config-fractional-B", "config-null-B",
-        "config-theta-list", "config-unknown-format"])
+        "config-theta-list", "config-unknown-format", "config-unknown-key"])
 def test_bad_input_is_config_error(argv, tmp_path, capsys):
     configs = {"malformed": "{", "fractional_B": '{"B": 1.5}', "null_B": '{"B": null}',
-               "theta_list": '{"theta": [1, 4]}', "unknown_format": '{"format": "xml"}'}
+               "theta_list": '{"theta": [1, 4]}', "unknown_format": '{"format": "xml"}',
+               "unknown_key": '{"radius": 5}'}
     paths = {"missing": tmp_path / "missing.json"}
     for name, text in configs.items():
         paths[name] = tmp_path / f"{name}.json"

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 from functools import lru_cache
 
 import pytest
+import sympy
 
 from weightcat import extcoh, linalg
 from weightcat.degonemod import build_M, build_N
@@ -620,6 +621,26 @@ def test_graded_targets_match_weight_table(build, a, b, radius, shared):
     assert bool(pairs) is shared
     assert {k: t for k, (_, t) in pairs.items()} == {k: t for k, t in want.items() if t is not None}
     assert [col for col, _ in pairs.values()] == list(range(len(pairs)))
+
+
+def test_c2_cocycle_nullspace_is_cheap_and_matches_sympy(monkeypatch):
+    # the C2 self-pair system at radius 2 (140 x 104, rank 68) reduces to 4.5
+    # nonzeros per row; an elimination that back-clears kept rows over and over
+    # makes 1,565 clears on it.  sympy is an independent oracle with the same
+    # one-vector-per-free-column convention.
+    systems, nullspace, clear = [], linalg.nullspace, linalg._clear
+    monkeypatch.setattr(linalg, "nullspace",
+                        lambda rows, ncols: systems.append((rows, ncols)) or nullspace(rows, ncols))
+    m = build_M(["2/5", "-3/5"])
+    basis = cocycle_space(m, m, 2).basis
+    (rows, ncols), = systems
+    assert (len(rows), ncols, len(basis)) == (140, 104, 36)
+    clears = []
+    monkeypatch.setattr(linalg, "_clear", lambda *args: clears.append(1) or clear(*args))
+    assert nullspace(rows, ncols) == basis
+    assert len(clears) <= 700
+    expected = sympy.Matrix(len(rows), ncols, lambda i, j: rows[i].get(j, 0)).nullspace()
+    assert basis == [[F(int(x.p), int(x.q)) for x in v] for v in expected]
 
 
 def test_is_coboundary_needs_one_algebra():

@@ -8,7 +8,9 @@ pins before its candidate loop lost the chain search, and the rank-4 and
 rank-5 `ext` pins before the normal-form read went along the alpha orbit,
 and the rank-6 `verify` pins before two modules' weights were matched by one
 index shift, and the rank-7 `verify` pins before the Cartan pairs were tried
-on one window vector per projection onto their support;
+on one window vector per projection onto their support, and the rank-one
+`ext --B 30` pin before the list entry points of `linalg` fed their rows by
+descending leading column;
 any change to the arithmetic that moves a single byte of these outputs fails here.
 """
 import hashlib
@@ -42,6 +44,8 @@ GOLDEN_RUNS = {
         "bea86ee93543261811852dcfbfd76b25f727cbd91036d4f3f363f03406df873c",
     "ext --module N --a 1/2,1/3":
         "aa6e6adf0687a785280589ae8d77629dec15b4e7470894dd8bab2ce59f02eb1d",
+    "ext --module N --a 1/2,1/3 --B 30":
+        "a65589d14778c5f9fc7575c6ff4daf6f1620e5d2cfeccb41a9d4f7ffec9e4c80",
     "ext --module N --a -1,1/2,1/3,0 --b -1,1/5,1/7,0":
         "81ccb0f2398bc117a5c77987055bee78b877f63118a14a3022330ddf7c068d49",
     "lab appendix-a3 --a 1/2,1/3 --c 0":

@@ -140,6 +140,26 @@ def test_echelon_fed_row_by_row_matches_one_batch(system, data):
         assert math.gcd(*row.values()) == 1 and not set(row) & (set(echelon.rows) - {pc})
 
 
+# the reduced form depends only on the row space, so no answer may depend on
+# the order the rows come in; rhs moves with its row
+@settings(max_examples=100, deadline=None)
+@given(_tall_matrix().flatmap(lambda s: st.tuples(st.just(s), st.permutations(s[0]))))
+@example((([[1, 2], [2, 4], [0, 3]], 2), [[0, 3], [1, 2], [2, 4]]))
+def test_rank_and_nullspace_ignore_row_order(case):
+    (mat, ncols), permuted = case
+    assert linalg.rank(permuted, ncols) == linalg.rank(mat, ncols)
+    assert linalg.nullspace(permuted, ncols) == linalg.nullspace(mat, ncols)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_matrix_and_rhs().flatmap(lambda s: st.tuples(st.just(s), st.permutations(range(len(s[0]))))))
+@example((([[1, 1], [1, 1]], [1, 2], 2), [1, 0]))
+def test_solve_ignores_row_order(case):
+    (mat, rhs, ncols), order = case
+    permuted, permuted_rhs = [mat[i] for i in order], [rhs[i] for i in order]
+    assert linalg.solve(permuted, permuted_rhs, ncols) == linalg.solve(mat, rhs, ncols)
+
+
 def _keyed_vectors():
     """A target and a few basis vectors as {tuple key: value} dicts with zeros dropped;
     the target is often a combination of the basis."""
