@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence
@@ -30,13 +31,15 @@ EXIT_UNCERTIFIED = 3
 
 
 def _emit(report: Dict, fmt: str) -> None:
-    report = dict(report)
-    report["schema"] = SCHEMA
-    if fmt == "json":
-        print(json.dumps(report, sort_keys=True))
-    else:
-        for key in sorted(report):
-            print(f"{key}: {report[key]}")
+    report = dict(report, schema=SCHEMA)
+    lines = ([json.dumps(report, sort_keys=True)] if fmt == "json"
+             else [f"{key}: {report[key]}" for key in sorted(report)])
+    try:
+        print(*lines, sep="\n", flush=True)
+    except BrokenPipeError:
+        # the reader left: the rest, and the flush at exit, go to devnull (Python `signal` docs)
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
 
 
 def _parse_theta(s: Optional[str]) -> frozenset:

@@ -36,10 +36,13 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tupl
 
 from . import linalg
 from .degonemod import DegreeOneModule, build_M, build_N
-from .rootsys import Root, RootPair, add_roots, neg_root
+from .rootsys import Root, RootPair, neg_root
 from .weylmod import Lookup, format_rational, parse_rational, sparse_add
 
 Index = Tuple[int, ...]
+# (den, target index, {column: numerator}): a cocycle value or identity row
+Value = Tuple[int, Optional[Index], Dict]
+_ZERO: Value = (1, None, {})
 
 
 class CertificationError(RuntimeError):
@@ -90,15 +93,17 @@ def cocycle_identities(source: DegreeOneModule, target: DegreeOneModule, cval: C
                        window: Sequence[Index], pairs: Sequence[RootPair]) -> Iterator:
     """The cocycle identity on every root pair and window vector, as integer rows.
 
-    cval(root, k) is c(X_root) x(k) as (den, {target index: {column: numerator}}),
-    integers over one positive denominator, or None where c is not known.  For
-    each (mu, nu, mu+nu, N, h) in pairs and each k in window this yields
-    (mu, nu, k, (den, rows)), where rows maps each target index to the nonzero
-    integer coefficients, over den, of
+    cval(root, k) is c(X_root) x(k) as (den, target, {column: int}), integers
+    over one positive denominator at the target index of weight wt(k) + root,
+    (1, None, {}) if zero, or None where c is not known; the normal form's
+    values on roots with a negative alpha coordinate are zero, never computed.
+    For each (mu, nu, mu+nu, N, h) in pairs and each k in window this yields
+    (mu, nu, k, (den, t, row)), row the nonzero integer coefficients at x(t) of
         N c(X_{mu+nu}) - c(X_mu) X_nu + X_nu c(X_mu) + c(X_nu) X_mu - X_mu c(X_nu)
-    applied to x(k); the root actions enter as the modules' store numerators
-    over their scales.  The last item is None when the identity needs a value
-    cval does not know.  Raises CertificationError once exhausted if identities
+    applied to x(k), over den; the root actions enter as the modules' store
+    numerators over their scales.  A term off t raises ValueError: c is not
+    graded.  The last item is None when the identity needs a value cval does
+    not know.  Raises CertificationError once exhausted if identities
     exist but every one was None: a check that checked nothing must not pass.
     """
     checked = skipped = False
@@ -113,8 +118,8 @@ def cocycle_identities(source: DegreeOneModule, target: DegreeOneModule, cval: C
 
 
 def _identity(source: DegreeOneModule, target: DegreeOneModule, cval: Callable,
-              pair: RootPair, k: Index) -> Optional[Tuple[int, Dict[Index, Dict]]]:
-    """The (den, rows) of `cocycle_identities` for one root pair at x(k), or None."""
+              pair: RootPair, k: Index) -> Optional[Value]:
+    """The (den, t, row) of `cocycle_identities` for one root pair at x(k), or None."""
     mu, nu, s, n, _ = pair
     # (value, factor numerator, factor denominator, root then acting on the target)
     terms = [(cval(s, k), n, 1, None)] if n else []
@@ -125,21 +130,22 @@ def _identity(source: DegreeOneModule, target: DegreeOneModule, cval: Callable,
         terms.append((cval(a, k), sign, target.scale, b))
     if any(value is None for value, _, _, _ in terms):
         return None
-    den = math.lcm(*(vden * fden for (vden, value), _, fden, _ in terms if value))
-    rows: Dict[Index, Dict] = {}
-    for (vden, value), f, fden, b in terms:
+    terms = [term for term in terms if term[0][2]]
+    den = math.lcm(*(vden * fden for (vden, _, _), _, fden, _ in terms))
+    at, row = None, {}
+    for (vden, t, form), f, fden, b in terms:
         f *= den // (vden * fden)
-        for t, form in value.items():
-            g = f
-            if b is not None:
-                cn, t = target.act_root_num(b, t)
-                if not cn:
-                    continue
-                g *= cn
-            row = rows.setdefault(t, {})
-            for col, v in form.items():
-                row[col] = row.get(col, 0) + g * v
-    return den, {t: r for t, row in rows.items() if (r := {c: v for c, v in row.items() if v})}
+        if b is not None:
+            cn, t = target.act_root_num(b, t)
+            if not cn:
+                continue
+            f *= cn
+        if at not in (None, t):
+            raise ValueError(f"identity of {pair[:2]} at {k} lands on {at} and {t}: c is not graded")
+        at = t
+        for col, v in form.items():
+            row[col] = row.get(col, 0) + f * v
+    return den, at, {c: v for c, v in row.items() if v}
 
 
 # ---------------------------------------------------------------------------
@@ -196,17 +202,13 @@ def cocycle_space(source: DegreeOneModule, target: DegreeOneModule, radius: int)
                 unknowns.append((root, k))
                 targets[(root, k)] = t
     # every unknown has value 1, so the rows are integers and their denominator drops
-    values = {u: (1, {targets[u]: {i: 1}}) for i, u in enumerate(unknowns)}
-    zero = (1, {})
+    values = {u: (1, targets[u], {i: 1}) for i, u in enumerate(unknowns)}
 
     def cval(root, k):
-        return values.get((root, k), zero) if k in winset else None
+        return values.get((root, k), _ZERO) if k in winset else None
 
-    rows: List[Dict] = []
-    for _, _, _, ident in cocycle_identities(source, target, cval, window,
-                                             system.realization.root_pairs):
-        if ident is not None:
-            rows.extend(ident[1].values())
+    rows = [ident[2] for _, _, _, ident in cocycle_identities(
+        source, target, cval, window, system.realization.root_pairs) if ident and ident[2]]
     basis = linalg.nullspace(rows, len(unknowns))
     return CocycleSpace(source, target, unknowns, targets, basis)
 
@@ -335,14 +337,14 @@ class _NormalFormAssembler:
         self.nalpha = neg_root(self.alpha)
         self.delta = self.system.realization.epsilon_vector(self.alpha)
         self.moved = self.system.realization.supports[self.alpha]
-        # c(X_root) for every other root with an alpha component comes from
-        # the bracket [X_sigma, X_tau] = N X_root of a simple split
+        # c(X_root) for every other root with a positive alpha coordinate comes
+        # from the bracket [X_sigma, X_tau] = N X_root of a simple split
+        # (c(X_r) = 0 if r_alpha < 0, by height: r = -e_j + (r + e_j), both alpha parts <= 0)
         self._splits = {r: self._split(r) for r in self.system.roots
-                        if r[i] and r not in (self.alpha, self.nalpha)}
-        self._values: Dict[Tuple[Root, Index], Tuple[int, Dict]] = Lookup(self._value)
-        # pairs with no alpha component anywhere give identically zero rows
-        self.pairs = [p for p in self.system.realization.root_pairs
-                      if p[0][i] or p[1][i] or (p[3] and p[2][i])]
+                        if r[i] > 0 and r != self.alpha}
+        self._values: Dict[Tuple[Root, Index], Value] = Lookup(self._value)
+        # a pair with no positive alpha coordinate, nor then in its sum, reads only zeros
+        self.pairs = [p for p in self.system.realization.root_pairs if p[0][i] > 0 or p[1][i] > 0]
         self.window = module.window(radius)
         self.labelset = {self.label(k) for k in self.window}
         # the rows may stop before the window edge: check the inverse shift on all of it
@@ -353,27 +355,22 @@ class _NormalFormAssembler:
         return tuple(x for i, x in enumerate(k) if i not in self.moved)
 
     def _split(self, root: Root) -> Tuple[Root, Root, int]:
-        """(sigma, tau, N): sigma = +-(a simple root), sigma + tau = root."""
-        positive = sum(root) > 0
-        base = root if positive else neg_root(root)
-        i = next(j for j in range(self.system.rank)
-                 if self.system.is_root(tuple(
-                     (base[t] - (1 if t == j else 0)) for t in range(self.system.rank))))
-        e = self.system.simple_root(i + 1)
-        if positive:
-            sigma, tau = e, tuple(a - b for a, b in zip(root, e))
-        else:
-            sigma, tau = neg_root(e), add_roots(root, e)
-        return sigma, tau, self.system.realization.structure_constant(sigma, tau)
+        """(sigma, tau, N) of a positive root that is not simple: sigma is a
+        simple root and tau = root - sigma is a root."""
+        system = self.system
+        sigma = next(e for e in map(system.simple_root, range(1, system.rank + 1))
+                     if system.is_root(tuple(a - b for a, b in zip(root, e))))
+        tau = tuple(a - b for a, b in zip(root, sigma))
+        return sigma, tau, system.realization.structure_constant(sigma, tau)
 
-    def value(self, root: Root, k: Index) -> Tuple[int, Dict[Index, Dict[Index, int]]]:
-        """c(X_root) x(k) under the normal form, as (den, {target index: {label: numerator}})
-        in lowest terms over a positive denominator."""
+    def value(self, root: Root, k: Index) -> Value:
+        """c(X_root) x(k) under the normal form, as (den, target index, {label:
+        numerator}) in lowest terms over a positive denominator."""
         if root == self.alpha or root in self._splits:
             return self._values[root, k]
-        return 1, {}
+        return _ZERO
 
-    def _value(self, key: Tuple[Root, Index]) -> Tuple[int, Dict[Index, Dict[Index, int]]]:
+    def _value(self, key: Tuple[Root, Index]) -> Value:
         root, k = key
         if root == self.alpha:
             k2 = tuple(a + d for a, d in zip(k, self.delta))
@@ -381,18 +378,18 @@ class _NormalFormAssembler:
             if num == 0 or back != k:
                 raise CertificationError(f"lowering operator not invertible at {k}")
             # the inverse of the coefficient num / scale
-            return _lowest(num, {k2: {self.label(k): self.module.scale}})
+            return _lowest(num, k2, {self.label(k): self.module.scale})
         # the cocycle identity on (sigma, tau) without its N c(X_root) term, over -N
         sigma, tau, n = self._splits[root]
-        den, rest = _identity(self.module, self.module, self.value, (sigma, tau, root, 0, None), k)
-        return _lowest(-den * n, rest)
+        den, t, rest = _identity(self.module, self.module, self.value, (sigma, tau, root, 0, None), k)
+        return _lowest(-den * n, t, rest)
 
 
-def _lowest(den: int, rows: Dict[Index, Dict]) -> Tuple[int, Dict[Index, Dict]]:
-    """rows over den, with den made positive and the factor common to den and
-    every entry divided out."""
-    g = math.gcd(den, *(v for row in rows.values() for v in row.values())) * (1 if den > 0 else -1)
-    return den // g, {t: {l: v // g for l, v in row.items()} for t, row in rows.items()}
+def _lowest(den: int, t: Optional[Index], row: Dict) -> Value:
+    """row at x(t) over den, with den made positive and the factor common to
+    den and every entry divided out; the shared zero if row is empty."""
+    g = math.gcd(den, *row.values()) * (1 if den > 0 else -1)
+    return (den // g, t, {l: v // g for l, v in row.items()}) if row else _ZERO
 
 
 def _normal_form_system(module: DegreeOneModule, radius: int, reason: str) -> ConstraintSystem:
@@ -410,9 +407,9 @@ def _normal_form_system(module: DegreeOneModule, radius: int, reason: str) -> Co
                                               sum(map(abs, lab)), k))
     through = [p for p in nf.pairs if nf.alpha in p[:2]]
     rest = [p for p in nf.pairs if nf.alpha not in p[:2]]
-    rows = (row for pairs in (through, rest) for k in window for pair in pairs
-            for row in _identity(module, module, nf.value, pair, k)[1].values())
-    for row in rows:
+    rows = (_identity(module, module, nf.value, pair, k)[2]
+            for pairs in (through, rest) for k in window for pair in pairs)
+    for row in filter(None, rows):
         if echelon.full:
             break
         if all(l in col for l in row):

@@ -1,7 +1,11 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -172,6 +176,45 @@ def test_lab_mismatch_exit_code(capsys, monkeypatch):
 
     monkeypatch.setitem(climod.LEMMAS, "CC", fake)
     assert main(["lab", "CC", "--a", "-1,1/4,1/5"]) == 1
+
+
+VERIFY_ARGV = ["verify", "--module", "M", "--a", "-1,-1,1/4", "--B", "2"]
+
+
+@pytest.mark.parametrize("mismatch", [False, True], ids=["verify-ok", "lab-mismatch"])
+def test_closed_stdout_keeps_the_exit_code(capsys, monkeypatch, mismatch):
+    # a reader that quit early: writing stdout raises BrokenPipeError, and the
+    # run still returns its own exit code with no traceback
+    from weightcat import cli as climod
+    from weightcat.paperlab import LemmaReport
+
+    monkeypatch.setitem(climod.LEMMAS, "CC", lambda *args, **kwargs: LemmaReport(
+        "CC", {}, {"c": "0"}, {"c": "-1"}, match=False))
+    argv, code = (["lab", "CC", "--a", "-1,1/4,1/5"], EXIT_MISMATCH) if mismatch else (VERIFY_ARGV, EXIT_OK)
+    read, write = os.pipe()
+    os.close(read)
+    with open(write, "w") as closed:
+        with pytest.raises(BrokenPipeError):
+            closed.write("x")
+            closed.flush()
+        monkeypatch.setattr(sys, "stdout", closed)
+        assert main(argv) == code
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_closed_stdout_pipe_keeps_the_exit_code():
+    # the same in a real process: stdout is a pipe whose read end is closed
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "weightcat.cli", *VERIFY_ARGV], stdout=write,
+                              stderr=subprocess.PIPE, env=env, text=True, timeout=120)
+    finally:
+        os.close(write)
+    assert "Traceback" not in proc.stderr
+    assert proc.returncode == EXIT_OK, proc.stderr
 
 
 def test_json_output_roundtrips(capsys):

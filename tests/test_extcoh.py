@@ -103,7 +103,7 @@ def test_make_sl2_cocycle_values(sl2):
 
 
 def _window_values(c, radius):
-    """c as the cval of cocycle_identities: (den, {target: {None: numerator}}) for
+    """c as the cval of cocycle_identities: (den, target, {None: numerator}) for
     k in source.window(radius), zero where c stores nothing, None elsewhere."""
     window = set(c.source.window(radius))
 
@@ -111,7 +111,7 @@ def _window_values(c, radius):
         if k not in window:
             return None
         v = c.value(root, k)
-        return (v[0].denominator, {v[1]: {None: v[0].numerator}}) if v is not None and v[0] else (1, {})
+        return (v[0].denominator, v[1], {None: v[0].numerator}) if v is not None and v[0] else (1, None, {})
 
     return cval
 
@@ -126,7 +126,7 @@ def _identity_rows(c, radius):
 def test_cocycle_identity_holds(sl2):
     idents = [ident for *_, ident in _identity_rows(make_sl2_cocycle(1, sl2, radius=6), 3)]
     assert any(ident is not None for ident in idents)
-    assert all(ident is None or not ident[1] for ident in idents)
+    assert all(ident is None or not ident[2] for ident in idents)
 
 
 def test_non_cuspidal_module_rejected():
@@ -162,7 +162,7 @@ def test_non_cocycle_rejected(sl2):
     alpha = sl2.system.simple_root(1)
     bad = Cocycle(sl2, sl2, {alpha: {(0, 0): (F(1), (1, -1))}})
     assert _glued_defects(bad, 2, 2)[0]
-    assert any(ident and ident[1] for *_, ident in _identity_rows(bad, 2))
+    assert any(ident and ident[2] for *_, ident in _identity_rows(bad, 2))
     # at radius 0 every identity leaves the one-point window: nothing was checked
     with pytest.raises(CertificationError, match="every identity left the window"):
         _identity_rows(bad, 0)
@@ -237,9 +237,9 @@ def _full_normal_form(build, params, radius):
     labels = sorted(nf.labelset)
     col = {l: i for i, l in enumerate(labels)}
     rows = [{col[l]: v for l, v in row.items()}
-            for _, _, _, (_, ident) in cocycle_identities(module, module, nf.value, nf.window,
-                                                     module.realization.root_pairs)
-            for row in ident.values() if all(l in col for l in row)]
+            for _, _, _, (_, _, row) in cocycle_identities(module, module, nf.value, nf.window,
+                                                         module.realization.root_pairs)
+            if row and all(l in col for l in row)]
     return nf, labels, linalg.nullspace(rows, len(labels))
 
 
@@ -416,47 +416,79 @@ def _fraction_identity(source, target, cval, pair, k):
 
 
 def _over(value):
-    """An integer (den, rows) value as {target index: {column: Fraction}}."""
-    den, rows = value
-    return {t: {col: F(v, den) for col, v in row.items()} for t, row in rows.items()}
+    """An integer (den, t, row) value as {target index: {column: Fraction}}."""
+    den, t, row = value
+    return {t: {col: F(v, den) for col, v in row.items()}} if row else {}
 
 
-@pytest.mark.parametrize("source,target,scales", [
-    (("N", "1/2", "1/3"), ("N", "1/2", "1/3"), (6, 6)),
-    (("M", "1/4", "1/3"), ("M", "2/5", "1/7"), (288, 2450)),
-    (("M", "-1", "1/4"), ("M", "1/6", "-3/5"), (32, 1800)),
+_SEEDED_PAIRS = pytest.mark.parametrize("source,target,scales,d", [
+    (("N", "1/2", "1/3"), ("N", "1/2", "1/3"), (6, 6), (1, -1)),
+    (("M", "1/4", "1/3"), ("M", "2/5", "1/7"), (288, 2450), (1, 1)),
+    (("M", "-1", "1/4"), ("M", "1/6", "-3/5"), (32, 1800), (1, 1)),
 ], ids=["A1-self", "C2-cross", "C2-integer-entry"])
-def test_integer_identity_rows_match_a_fraction_oracle(source, target, scales):
-    # seeded values with several targets and columns: the integer rows over
-    # their denominator are the identity computed from act_root Fractions,
-    # also when the two module scales differ
-    build = {"N": build_N, "M": build_M}
-    source, target = (build[m[0]](m[1:]) for m in (source, target))
-    assert (source.scale, target.scale) == scales
+
+
+def _seeded_graded_values(source, target, d):
+    """Seeded values {(root, k): {t: {column: Fraction}}} on source.window(3),
+    each with two columns at its graded target t = k + epsilon_vector(root) + d."""
+    eps = source.realization.epsilon_vector
     rng = random.Random(3)
-    targets = target.window(3)
     values = {}
     for root in source.system.ordered_roots:
         for k in source.window(3):
-            if rng.random() < 0.8:
-                values[root, k] = {rng.choice(targets): {col: F(rng.randint(-9, 9), rng.randint(1, 12))
-                                                         for col in rng.sample(range(4), 2)}
-                                   for _ in range(rng.randint(1, 2))}
+            t = tuple(a + b + c for a, b, c in zip(k, eps(root), d))
+            if rng.random() < 0.8 and target.in_basis(t):
+                values[root, k] = {t: {col: F(rng.randint(-9, 9), rng.randint(1, 12))
+                                       for col in rng.sample(range(4), 2)}}
+    return values
 
+
+def _integer_values(values):
+    """Seeded Fraction values as the cval of cocycle_identities."""
     def integer(root, k):
-        rows = values.get((root, k), {})
-        den = math.lcm(*(v.denominator for row in rows.values() for v in row.values()))
-        return den, {t: {col: v.numerator * den // v.denominator for col, v in row.items()}
-                     for t, row in rows.items()}
+        [(t, row)] = values.get((root, k), {None: {}}).items()
+        den = math.lcm(*(v.denominator for v in row.values()))
+        return den, t, {col: v.numerator * den // v.denominator for col, v in row.items()}
+    return integer
 
+
+def _build_pair(source, target):
+    build = {"N": build_N, "M": build_M}
+    return tuple(build[m[0]](m[1:]) for m in (source, target))
+
+
+@_SEEDED_PAIRS
+def test_integer_identity_rows_match_a_fraction_oracle(source, target, scales, d):
+    # seeded graded values with several columns: the integer rows over their
+    # denominator are the identity computed from act_root Fractions, also when
+    # the two module scales differ
+    source, target = _build_pair(source, target)
+    assert (source.scale, target.scale) == scales
+    values = _seeded_graded_values(source, target, d)
     pairs = {p[:2]: p for p in source.realization.root_pairs}
     nonzero = []
-    for mu, nu, k, ident in cocycle_identities(source, target, integer, source.window(1),
-                                               list(pairs.values())):
+    for mu, nu, k, ident in cocycle_identities(source, target, _integer_values(values),
+                                               source.window(1), list(pairs.values())):
         want = _fraction_identity(source, target, lambda r, j: values.get((r, j), {}), pairs[mu, nu], k)
         assert _over(ident) == want
         nonzero.append(bool(want))
     assert sum(nonzero) > len(nonzero) / 2
+
+
+@_SEEDED_PAIRS
+def test_a_value_off_its_graded_target_is_refused(source, target, scales, d):
+    # every term of an identity lands on one target; a value moved off its
+    # graded target must stop the identities, not merge two targets' rows
+    source, target = _build_pair(source, target)
+    values = _seeded_graded_values(source, target, d)
+    pairs = source.realization.root_pairs
+    assert list(cocycle_identities(source, target, _integer_values(values), source.window(1), pairs))
+    key = next((root, k) for root, k in values if k == (0, 0))
+    [(t, row)] = values[key].items()
+    moved = next(m for m in ((t[0] + 2, t[1]), (t[0] + 1, t[1] - 1)) if target.in_basis(m))
+    values[key] = {moved: row}
+    with pytest.raises(ValueError, match="not graded"):
+        list(cocycle_identities(source, target, _integer_values(values), source.window(1), pairs))
 
 
 @pytest.mark.parametrize("build,params,radius", [
@@ -477,17 +509,18 @@ def test_normal_form_values_match_a_fraction_oracle(build, params, radius):
             [(_, _, _, ident)] = cocycle_identities(module, module, nf.value, [k], [pair])
             assert _over(ident) == _fraction_identity(module, module, frac, pair, k)
     assert {root for root, _ in nf._values} == {nf.alpha} | set(nf._splits)
-    for (root, k), (den, rows) in nf._values.items():
-        assert den > 0 and math.gcd(den, *(v for row in rows.values() for v in row.values())) == 1
+    for (root, k), value in nf._values.items():
+        den, t, row = value
+        assert den > 0 and math.gcd(den, *row.values()) == 1
+        assert row or value is extcoh._ZERO
         if root == nf.alpha:
             k2 = tuple(a + d for a, d in zip(k, nf.delta))
             coeff, back = module.act_root(nf.nalpha, k2)
-            assert back == k and _over((den, rows)) == {k2: {nf.label(k): 1 / coeff}}
+            assert back == k and _over(value) == {k2: {nf.label(k): 1 / coeff}}
         else:
             sigma, tau, n = nf._splits[root]
             rest = _fraction_identity(module, module, frac, (sigma, tau, root, 0, None), k)
-            assert _over((den, rows)) == {t: {l: -v / n for l, v in row.items()}
-                                          for t, row in rest.items()}
+            assert _over(value) == {t: {l: -v / n for l, v in r.items()} for t, r in rest.items()}
 
 
 def test_ext_solve_typeA_dimensions():
@@ -681,3 +714,48 @@ def test_sp4_spot_check_seeded():
     for _ in range(10):
         c = cross.random_cocycle(rng)
         assert is_coboundary(c, 2) is not None
+
+
+class _NegativeSplits(extcoh._NormalFormAssembler):
+    """The normal form with the value of every root r with a negative alpha
+    coordinate, other than -alpha, computed from the split r = -e_j + (r + e_j)
+    as the other values are, instead of taken as zero."""
+
+    def __init__(self, module, radius):
+        super().__init__(module, radius)
+        system = self.system
+        for r in self.below_alpha():
+            e = next(e for e in map(system.simple_root, range(1, system.rank + 1))
+                     if system.is_root(tuple(a + b for a, b in zip(r, e))))
+            sigma, tau = neg_root(e), tuple(a + b for a, b in zip(r, e))
+            self._splits[r] = (sigma, tau, system.realization.structure_constant(sigma, tau))
+
+    def below_alpha(self):
+        i = self.alpha.index(1)
+        return [r for r in self.system.roots if r[i] < 0 and r != self.nalpha]
+
+
+@pytest.mark.parametrize("build,params,radius", [
+    (build_N, ("-1", "1/2", "1/3", "0"), 3),
+    (build_N, ("-1", "-1", "1/2", "1/3", "0"), 2),
+    (build_N, ("-1", "-1", "1/6", "5/6", "0", "0"), 2),
+    (build_N, ("-1", "-1", "-1", "1/6", "5/6", "0", "0"), 1),
+    (build_M, ("-1", "1/4"), 4),
+    (build_M, ("-1", "-1", "1/4"), 3),
+    (build_M, ("-1", "-1", "-1", "1/4"), 2),
+    (build_M, ("-1", "-1", "-1", "-1", "2/5"), 2),
+    (build_M, ("-1", "-1", "-1", "-1", "-1", "2/5"), 1),
+], ids=["A3-B3", "A4-B2", "A5-B2", "A6-B1", "C2-B4", "C3-B3", "C4-B2", "C5-B2", "C6-B1"])
+def test_values_of_the_roots_below_alpha_are_zero(build, params, radius):
+    # the normal form takes c(X_r) = 0 for every root r with a negative alpha
+    # coordinate and never computes it: computed through its split, by
+    # induction on height from c(X_-alpha) = 0, every such value is zero
+    module = build(params)
+    nf, plain = _NegativeSplits(module, radius), extcoh._NormalFormAssembler(module, radius)
+    assert nf.below_alpha()
+    for r in nf.below_alpha():
+        for k in nf.window:
+            assert nf.value(r, k) == (1, None, {}), (r, k)
+            assert plain.value(r, k) is extcoh._ZERO
+    assert {r for r, _ in nf._values} == {nf.alpha} | set(nf.below_alpha())
+    assert {r for r, _ in plain._values} == {plain.alpha}

@@ -10,7 +10,9 @@ and the rank-6 `verify` pins before two modules' weights were matched by one
 index shift, and the rank-7 `verify` pins before the Cartan pairs were tried
 on one window vector per projection onto their support, and the rank-one
 `ext --B 30` pin before the list entry points of `linalg` fed their rows by
-descending leading column;
+descending leading column, and the rank-6 interior `ext --B 3` pin before the
+normal form stopped computing the values of the roots with a negative alpha
+coordinate, which are zero;
 any change to the arithmetic that moves a single byte of these outputs fails here.
 """
 import hashlib
@@ -76,6 +78,8 @@ GOLDEN_RUNS = {
         "62d12c4305b29de7d4282bd3d31e16852802d33e6aa9e39808ac8f5d866d0697",
     "ext --module N --a -1,1/6,5/6,0,0 --B 3":
         "71a495c771d5914bf07ba9376182bd4b26e99bf0ea3a58ae4d4b1e4b9834e54b",
+    "ext --module N --a -1,-1,-1,1/6,5/6,0,0 --B 3":
+        "805d0926dfc7fae11a1b8ea9beb933eaef2ad6b6de0e1435e73743ceaac4fb90",
     "ext --module M --a -1,-1,-1,-1,2/5 --B 3":
         "c294eeda3c2e98e34f6adb99e3c27f30b5d31abcc3428fbcdcbc43cc2b365705",
     "verify --module M --a -1,-1,-1,2/5 --B 2":
