@@ -107,44 +107,46 @@ def cmd_lab(args) -> int:
     return EXIT_OK if report.match else EXIT_MISMATCH
 
 
-def build_parser(defaults: Optional[Dict] = None) -> argparse.ArgumentParser:
-    """The command parser; `defaults` (keys as the flags) override the built-in defaults."""
+def build_parser(defaults: Optional[Dict] = None, command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The command parser; `defaults` (keys as the flags) override the built-in defaults.
+
+    One subcommand per run: with `command` a subcommand name, only its
+    subparser is built.  Any other `command`, None included, builds all four,
+    which help, usage errors and `--config` need (the file comes before the
+    subcommand, and its keys are checked against every subcommand's flags)."""
+    # subcommand -> (help, handler, its own arguments), built per call so that the
+    # handlers are this module's names at call time (the benchmark tracer rebinds them)
+    commands = {
+        "classify": ("decide a category from a Cartan type and theta", cmd_classify, [
+            ("type", {"help": "Cartan type, e.g. A3"}),
+            ("--theta", {"help": "1-based simple-root indices in theta, comma separated"})]),
+        "verify": ("run the invariant suites on one module", cmd_verify, [
+            ("--module", {"choices": ["N", "M"], "required": True}),
+            ("--a", {"required": True, "help": "parameter vector, e.g. -1,1/2,1/3,0"})]),
+        "ext": ("solve a self-extension constraint system", cmd_ext, [
+            ("--module", {"choices": ["N", "M"], "required": True}), ("--a", {"required": True}),
+            ("--b", {"help": "second parameter vector (defaults to --a)"})]),
+        "lab": ("rerun a constant-extraction script", cmd_lab, [
+            ("lemma", {"help": f"one of {sorted(LEMMAS)}"}), ("--a", {"required": True}),
+            ("--c", {"default": "0", "help": "branch of lemA12 and appendix-a3: 0 or -1-A"})]),
+    }
     ap = argparse.ArgumentParser(prog="weightcat",
                                  description="exact computations with weight module categories")
     ap.add_argument("--config", help="JSON file with the same keys as the flags")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("classify", help="decide a category from a Cartan type and theta")
-    p.add_argument("type", help="Cartan type, e.g. A3")
-    p.add_argument("--theta", help="1-based simple-root indices in theta, comma separated")
-    p.set_defaults(func=cmd_classify)
-
-    p = sub.add_parser("verify", help="run the invariant suites on one module")
-    p.add_argument("--module", choices=["N", "M"], required=True)
-    p.add_argument("--a", required=True, help="parameter vector, e.g. -1,1/2,1/3,0")
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("ext", help="solve a self-extension constraint system")
-    p.add_argument("--module", choices=["N", "M"], required=True)
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", help="second parameter vector (defaults to --a)")
-    p.set_defaults(func=cmd_ext)
-
-    p = sub.add_parser("lab", help="rerun a constant-extraction script")
-    p.add_argument("lemma", help=f"one of {sorted(LEMMAS)}")
-    p.add_argument("--a", required=True)
-    p.add_argument("--c", default="0", help="branch of lemA12 and appendix-a3: 0 or -1-A")
-    p.set_defaults(func=cmd_lab)
-
     known = set()
-    for p in sub.choices.values():
+    for name in [command] if command in commands else commands:
+        help_, func, arguments = commands[name]
+        p = sub.add_parser(name, help=help_)
+        for flag, options in arguments:
+            p.add_argument(flag, **options)
         p.add_argument("--B", type=int, default=3, help="window radius")
         p.add_argument("--D", type=int, default=4, help="truncation depth")
         p.add_argument("--format", choices=["json", "text"], default="json")
         flags = {a.dest: a for a in p._actions if a.option_strings}
         known |= flags.keys()
-        p.set_defaults(**{key: _flag_value(flags[key], key, value)
-                          for key, value in (defaults or {}).items() if key in flags})
+        p.set_defaults(func=func, **{key: _flag_value(flags[key], key, value)
+                                     for key, value in (defaults or {}).items() if key in flags})
     # a key of another subcommand is fine: one config file may serve several
     unknown = set(defaults or {}) - known
     if unknown:
@@ -194,7 +196,9 @@ def _read_config(path: str) -> Dict:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = _glue_value_flags(list(sys.argv[1:] if argv is None else argv))
     try:
-        args = build_parser().parse_args(argv)
+        args, extra = build_parser(command=argv[0] if argv else None).parse_known_args(argv)
+        if extra:
+            build_parser().parse_args(argv)  # exits, naming them under the full usage line
         if args.config:
             # flags given on the command line still win over the file
             args = build_parser(_read_config(args.config)).parse_args(argv)

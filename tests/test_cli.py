@@ -1,4 +1,6 @@
+import argparse
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -6,6 +8,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -40,6 +43,33 @@ def test_classify_excluded_and_trivial(capsys):
 def test_classify_bad_type_is_config_error(capsys):
     assert main(["classify", "Q7", "--theta", "1"]) == EXIT_CONFIG
     assert main(["classify", "D3", "--theta", "3"]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "A99999999999"],
+    ["classify", "B101", "--theta", "1"],
+    ["classify", "C101"],
+    ["classify", "D101"],
+    ["verify", "--module", "N", "--a", ",".join(["1/2"] * 102)],
+    ["ext", "--module", "M", "--a", ",".join(["-1"] * 100 + ["1/2"])],
+    ["lab", "CC", "--a", ",".join(["-1"] * 99 + ["1/4", "1/5"])],
+], ids=["classify-A99999999999", "classify-B101", "classify-C101", "classify-D101",
+        "verify-A101", "ext-C101", "lab-C101"])
+def test_a_rank_past_the_bound_is_refused_before_its_cartan_matrix(argv, capsys, monkeypatch):
+    # classify A99999999999 used to be killed allocating its Cartan matrix; a
+    # classical rank above 100 is a configuration error raised before the root
+    # system is built (the stub makes an unguarded build fail, not run)
+    from weightcat import rootsys
+
+    def unbuilt(ct):
+        raise AssertionError(f"the Cartan matrix of {ct} was built")
+
+    monkeypatch.setattr(rootsys, "cartan_matrix", unbuilt)
+    assert main(argv) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("configuration error: rank ") and "out of range" in captured.err
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
 
 
 def test_verify_passes(capsys):
@@ -202,19 +232,83 @@ def test_closed_stdout_keeps_the_exit_code(capsys, monkeypatch, mismatch):
     assert "Traceback" not in capsys.readouterr().err
 
 
+def _cli_env(**extra):
+    """The environment of a `python -m weightcat.cli` subprocess that imports this tree."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+                **extra)
+
+
 def test_closed_stdout_pipe_keeps_the_exit_code():
     # the same in a real process: stdout is a pipe whose read end is closed
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     read, write = os.pipe()
     os.close(read)
     try:
         proc = subprocess.run([sys.executable, "-m", "weightcat.cli", *VERIFY_ARGV], stdout=write,
-                              stderr=subprocess.PIPE, env=env, text=True, timeout=120)
+                              stderr=subprocess.PIPE, env=_cli_env(), text=True, timeout=120)
     finally:
         os.close(write)
     assert "Traceback" not in proc.stderr
     assert proc.returncode == EXIT_OK, proc.stderr
+
+
+# argv -> (exit code, digest at COLUMNS=80, digest at COLUMNS=30), a digest being
+# the first 16 hex digits of the sha256 of stdout, a NUL and stderr; recorded when
+# every run built the parsers of all four subcommands
+PARSER_RUNS = {
+    "--help": (0, "3e317f1c7d2f4fc6", "ce2ff0d68e4bd6af"),
+    "-h": (0, "3e317f1c7d2f4fc6", "ce2ff0d68e4bd6af"),
+    "classify --help": (0, "103836a59f2efee5", "4204ab38bf077322"),
+    "verify --help": (0, "334887b35f6653eb", "61d674ce93a1d1a6"),
+    "ext --help": (0, "d9329d0e825e443e", "018590b43529b4bd"),
+    "lab --help": (0, "48ad0cc85826d54b", "f6afe93a4f27f9f7"),
+    "": (2, "72705cb379d70c34", "6d11de18ff3b10ab"),
+    "verfy": (2, "cb709da09f6dfa2f", "27d62e6cfecb025e"),
+    "--config": (2, "fa292019fe50798d", "b6e77a32537bcc67"),
+    "classify": (2, "794f20e4810f273e", "15b5482b56a7963f"),
+    "verify": (2, "12741aaa2167651b", "646d9e07171c70e4"),
+    "verify --bogus": (2, "12741aaa2167651b", "646d9e07171c70e4"),
+    "verify --module X --a 1/2": (2, "7ec04fb040d85b8f", "566e906eca530084"),
+    "ext --module N --a 1/2,1/3 --B x": (2, "1dd889acd223cf27", "cc05d8f47c74ab09"),
+    "ext --module M --a -1,1/4 --format xml": (2, "9eb21f8e468b282a", "c3151a1acdbbdda5"),
+    "classify A3 --theta 1,2 extra": (2, "38da894a4637f7cd", "7114e25937214eb8"),
+    "verify --module N --a 1/2,1/3 --config x": (2, "e7e39c130839d7ed", "f9465d6e568edd06"),
+    "--config /nonexistent verify": (2, "12741aaa2167651b", "646d9e07171c70e4"),
+    "--conf /nonexistent lab": (2, "6d9e1844dbb784fa", "fda68758c1e07936"),
+    "lab nolemma --a 1": (2, "cfedd476755cf109", "cfedd476755cf109"),
+    "classify A3 --theta 1,3 --format text": (0, "3ae92888410b4cbf", "3ae92888410b4cbf"),
+}
+
+
+@pytest.mark.parametrize("argv", list(PARSER_RUNS))
+def test_the_parser_prints_what_it_printed(argv):
+    # help, usage errors and their wrapping at two terminal widths, in a real
+    # process: a run that builds one subcommand's parser prints the same bytes
+    code, *digests = PARSER_RUNS[argv]
+    for columns, digest in zip(("80", "30"), digests):
+        proc = subprocess.run([sys.executable, "-m", "weightcat.cli", *argv.split()], capture_output=True,
+                              env=_cli_env(COLUMNS=columns), text=True, timeout=120)
+        got = hashlib.sha256((proc.stdout + "\0" + proc.stderr).encode()).hexdigest()[:16]
+        assert (proc.returncode, got) == (code, digest), (columns, proc.stdout, proc.stderr)
+
+
+def test_a_run_builds_the_parser_of_its_subcommand_alone(monkeypatch, capsys):
+    # each call builds its own parser, the main one and the one subparser its
+    # argv names, and keeps neither for the next call
+    built = []
+
+    class Counting(argparse.ArgumentParser):
+        def __init__(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            super().__init__(*args, **kwargs)
+
+    from weightcat import cli as climod
+    monkeypatch.setattr(climod, "argparse", SimpleNamespace(ArgumentParser=Counting))
+    argv = ["verify", "--module", "M", "--a", "-1,-1,1/4", "--B", "1"]
+    assert main(argv) == EXIT_OK
+    assert built == ["weightcat", "weightcat verify"]
+    assert main(argv) == EXIT_OK
+    assert built == ["weightcat", "weightcat verify"] * 2
 
 
 def test_json_output_roundtrips(capsys):

@@ -15,7 +15,9 @@ def test_cartan_type_parse_and_bounds():
     assert CartanType.parse("A3") == CartanType("A", 3)
     assert str(CartanType.parse(" c2 ")) == "C2"
     # D3 is A3, which serves that algebra with its own numbering
-    for bad in ("E5", "E9", "F3", "G3", "D2", "D3", "B1", "H4", "A0"):
+    # the classical ranks stop at 100
+    assert [CartanType(family, 100).rank for family in "ABCD"] == [100] * 4
+    for bad in ("E5", "E9", "F3", "G3", "D2", "D3", "B1", "H4", "A0", "A101", "B101", "C101", "D101"):
         with pytest.raises(ValueError):
             CartanType.parse(bad)
 
