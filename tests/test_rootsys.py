@@ -22,11 +22,50 @@ def test_cartan_type_parse_and_bounds():
             CartanType.parse(bad)
 
 
+def _classical_roots(family, n):
+    """Every root of A_n..D_n, written in the epsilon basis as textbooks list them and
+    carried to simple-root coordinates (Bourbaki numbering) by partial sums."""
+    dim = n + 1 if family == "A" else n
+
+    def eps(*terms):
+        v = [0] * dim
+        for c, i in terms:
+            v[i] += c
+        return v
+
+    pairs = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
+    if family == "A":
+        vectors = [eps((1, i), (-1, j)) for i, j in pairs]
+    else:
+        vectors = [eps((1, i), (s, j)) for i, j in pairs for s in (1, -1)]
+        vectors += [eps((1 + (family == "C"), i)) for i in range(n) if family != "D"]
+    roots = set()
+    for v in vectors:
+        s = [sum(v[:k + 1]) for k in range(n)]  # the alpha_k coefficient below the special end
+        if family == "C":
+            s[-1] //= 2  # alpha_n = 2 eps_n
+        elif family == "D":
+            s[-2:] = [(s[-2] - v[-1]) // 2, s[-1] // 2]  # alpha_{n-1}, alpha_n = eps_{n-1} -+ eps_n
+        roots |= {tuple(s), tuple(-x for x in s)}
+    return roots
+
+
+# the exceptional highest roots and positive-root counts in Bourbaki numbering
+_HIGHEST = {"G2": ((3, 2), 6), "F4": ((2, 3, 4, 2), 24), "E6": ((1, 2, 2, 3, 2, 1), 36),
+            "E7": ((2, 2, 3, 4, 3, 2, 1), 63), "E8": ((2, 3, 4, 6, 5, 4, 3, 2), 120)}
+
+
 @pytest.mark.parametrize("name,count,simples", [
     ("A2", 6, 2), ("C2", 8, 2), ("G2", 12, 2), ("A4", 20, 4),
     ("B3", 18, 3), ("D4", 24, 4), ("F4", 48, 4), ("E6", 72, 6),
-])
+    ("E7", 126, 7), ("E8", 240, 8),
+] + [(f"{fam}{n}", count(n), n) for fam, lo, count in (
+    ("A", 1, lambda n: n * (n + 1)), ("B", 2, lambda n: 2 * n * n),
+    ("C", 1, lambda n: 2 * n * n), ("D", 4, lambda n: 2 * n * (n - 1)))
+    for n in range(lo, 11) if f"{fam}{n}" not in ("A2", "C2", "A4", "B3", "D4")])
 def test_root_counts(name, count, simples):
+    """The exact root set: the classical ones against their epsilon-basis lists,
+    the exceptional ones by their highest root and their count."""
     rs = build_root_system(name)
     assert len(rs.roots) == count
     assert len(rs.simple) == simples
@@ -34,6 +73,14 @@ def test_root_counts(name, count, simples):
     assert len(pos) * 2 == count
     neg = {tuple(-x for x in r) for r in pos}
     assert neg | set(pos) == set(rs.roots)
+    assert set(rs.positive) == set(pos) == rs.positive_set
+    assert all(x >= 0 for r in rs.positive for x in r)
+    if name in _HIGHEST:
+        highest, npos = _HIGHEST[name]
+        assert (rs.positive[-1], len(rs.positive)) == (highest, npos)
+        assert all(x <= y for r in rs.positive for x, y in zip(r, highest))
+    else:
+        assert rs.roots == _classical_roots(name[0], simples)
 
 
 def test_c2_long_simple_root():
