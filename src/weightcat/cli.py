@@ -88,7 +88,7 @@ def cmd_ext(args) -> int:
     if args.module == "N" and len(params_a) == 2:
         # rank one: report the cocycle space modulo coboundaries
         module = build_N(params_a)
-        other = build_N(params_b)
+        other = module if params_b == params_a else build_N(params_b)
         dim = coboundary_quotient_dim(module, other, args.B)
         report = {"case": "rank-one cuspidal pair", "B": args.B, "dimension": dim}
         _emit(report, args.format)

@@ -20,6 +20,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import accumulate, product
 from operator import mul
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
@@ -95,11 +96,6 @@ class DegreeOneModule:
         self.params = WeylParams(spec.a)
         self.nvars = len(spec.a)
         self.realization = system.realization
-        # one denominator for every root-action coefficient: q_i steps are
-        # integral and p_i steps divide by a_i's denominator (WeylParams._step)
-        self.scale = math.lcm(*(Fraction(c, 2).denominator
-                                 * math.prod(x.denominator ** e for x, e in zip(spec.a, pe))
-                                 for _, pe, c in map(self.realization.monomial, system.ordered_roots)))
         # every admissible index gets a number on first sight, _keys[_ids[k]] == k
         self._keys: List[Index] = []
         self._ids: Dict[Index, int] = Lookup(self._number)
@@ -111,6 +107,14 @@ class DegreeOneModule:
         self._steps = self.params.steps()
         # the one store of the root action: root -> {number: (target number, numerator)}
         self._action: Dict[Root, Dict[int, Tuple[int, int]]] = Lookup(self._root_action)
+
+    @cached_property
+    def scale(self) -> int:
+        """One denominator for every root-action coefficient: q_i steps are
+        integral and p_i steps divide by a_i's denominator (WeylParams._step)."""
+        return math.lcm(*(Fraction(c, 2).denominator
+                          * math.prod(x.denominator ** e for x, e in zip(self.spec.a, pe))
+                          for _, pe, c in map(self.realization.monomial, self.system.ordered_roots)))
 
     # -- basis ---------------------------------------------------------------
     def in_basis(self, k: Sequence[int]) -> bool:

@@ -22,9 +22,12 @@ of the other pairs in the same order, until the rank reaches the label
 count.  Every row is a constraint the cocycle must satisfy, so rows of full
 rank certify a zero kernel whichever identities they came from; the pairs
 through α carry most pivots, and every label meets its orbit's centre
-early, so full rank comes early.  The reduced echelon form does not depend
-on the order of the rows, so an answer of positive dimension reads every
-identity and is that of the whole system.
+early, so full rank comes early.  The pairs through α are built one by one
+(`Realization.pair`); the other pairs, and with them the whole bracket table
+`Realization.root_pairs`, are built only if the rank is still short after
+them.  The reduced echelon form does not depend on the order of the rows,
+so an answer of positive dimension reads every identity and is that of the
+whole system.  A self pair, two equal parameter vectors, is one module.
 """
 from __future__ import annotations
 
@@ -343,13 +346,23 @@ class _NormalFormAssembler:
         self._splits = {r: self._split(r) for r in self.system.roots
                         if r[i] > 0 and r != self.alpha}
         self._values: Dict[Tuple[Root, Index], Value] = Lookup(self._value)
-        # a pair with no positive alpha coordinate, nor then in its sum, reads only zeros
-        self.pairs = [p for p in self.system.realization.root_pairs if p[0][i] > 0 or p[1][i] > 0]
         self.window = module.window(radius)
         self.labelset = {self.label(k) for k in self.window}
         # the rows may stop before the window edge: check the inverse shift on all of it
         for k in self.window:
             self.value(self.alpha, k)
+
+    def pair_groups(self) -> Iterator[List[RootPair]]:
+        """The pairs through alpha in table order, each built alone by
+        `Realization.pair`; then, only if asked for, the other pairs with a
+        positive alpha coordinate, read from the whole bracket table
+        `Realization.root_pairs`.  A pair with no positive alpha coordinate,
+        nor then in its sum, reads only zeros."""
+        realization, alpha, roots = self.system.realization, self.alpha, self.system.ordered_roots
+        at, i = roots.index(alpha), alpha.index(1)
+        yield ([realization.pair(r, alpha) for r in roots[:at]]
+               + [realization.pair(alpha, r) for r in roots[at + 1:]])
+        yield [p for p in realization.root_pairs if alpha not in p[:2] and (p[0][i] > 0 or p[1][i] > 0)]
 
     def label(self, k: Index) -> Index:
         return tuple(x for i, x in enumerate(k) if i not in self.moved)
@@ -401,19 +414,20 @@ def _normal_form_system(module: DegreeOneModule, radius: int, reason: str) -> Co
     # every row constrains the cocycle, so rows of full rank prove a zero kernel
     # whichever identities they came from: read the pairs through alpha first, as
     # they hold most pivots, then the rest, each outward along the alpha orbit
-    # (|<k, delta>|) and then in the labels, and stop at full rank
+    # (|<k, delta>|) and then in the labels, and stop at full rank: the other
+    # pairs, and the bracket table they come from, are built only if the rank is
+    # short after the pairs through alpha
     window = sorted(nf.window, key=lambda k: (abs(sum(x * d for x, d in zip(k, nf.delta))),
                                               max(map(abs, lab := nf.label(k)), default=0),
                                               sum(map(abs, lab)), k))
-    through = [p for p in nf.pairs if nf.alpha in p[:2]]
-    rest = [p for p in nf.pairs if nf.alpha not in p[:2]]
     rows = (_identity(module, module, nf.value, pair, k)[2]
-            for pairs in (through, rest) for k in window for pair in pairs)
+            for pairs in nf.pair_groups() for k in window for pair in pairs)
+    # the check follows the add, so no row, nor group of pairs, is built past full rank
     for row in filter(None, rows):
-        if echelon.full:
-            break
         if all(l in col for l in row):
             echelon.add({col[l]: v for l, v in row.items()})
+            if echelon.full:
+                break
         else:
             dropped = True
     if not echelon.rows and dropped:
@@ -421,6 +435,12 @@ def _normal_form_system(module: DegreeOneModule, radius: int, reason: str) -> Co
     null = echelon.nullspace()
     basis = [{labels[i]: v for i, v in enumerate(b) if v} for b in null]
     return ConstraintSystem(len(null), basis, radius, labels, "solved", reason)
+
+
+def _second_module(mod_a: DegreeOneModule, build: Callable, params_b: Sequence) -> DegreeOneModule:
+    """The module of params_b: mod_a itself when the two vectors are equal, so a
+    self pair builds and fills one root system, realization, window and store."""
+    return mod_a if tuple(map(parse_rational, params_b)) == mod_a.spec.a else build(params_b)
 
 
 def ext_solve_typeA(params_a: Sequence, params_b: Sequence, radius: int = 3) -> ConstraintSystem:
@@ -433,7 +453,7 @@ def ext_solve_typeA(params_a: Sequence, params_b: Sequence, radius: int = 3) -> 
     includes non-isomorphic pairs whose weight supports meet.
     """
     mod_a = build_N(params_a)
-    mod_b = build_N(params_b)
+    mod_b = _second_module(mod_a, build_N, params_b)
     for m in (mod_a, mod_b):
         m.params.window_ranges(radius)  # refuses an oversized window, read or not
         if len(m.cuspidal_block()) != 1 or m.spec.minus_ones < 1 or m.spec.zeros < 1:
@@ -452,7 +472,7 @@ def ext_solve_typeA(params_a: Sequence, params_b: Sequence, radius: int = 3) -> 
 def ext_solve_typeC(params_a: Sequence, params_b: Sequence, radius: int = 3) -> ConstraintSystem:
     """Self-extension system for the long-root type C degree-one families."""
     mod_a = build_M(params_a)
-    mod_b = build_M(params_b)
+    mod_b = _second_module(mod_a, build_M, params_b)
     for m in (mod_a, mod_b):
         m.params.window_ranges(radius)  # refuses an oversized window, read or not
         if m.spec.free != 1 or m.spec.minus_ones != m.nvars - 1:

@@ -2,8 +2,9 @@
 
 Roots are stored as integer coordinate vectors over the simple basis
 e_1..e_n (Bourbaki numbering).  The full root set is generated from the
-Cartan matrix by raising simple reflections, so no root table is ever
-hard-coded.
+Cartan matrix by raising simple reflections on its first read, so no root
+table is ever hard-coded and a caller that reads only the rank and the
+Cartan matrix never generates it.
 
 For types A and C the root vectors are realized as concrete elements of a
 Weyl algebra (type A through the map sending the elementary matrix E_ij to
@@ -28,7 +29,7 @@ from .weylmod import Lookup, reach
 Root = Tuple[int, ...]
 RootPair = Tuple[Root, Root, Root, int, Optional[Tuple[int, ...]]]
 
-# the classical ranks stop at 100: a root system costs about rank^4 to build (about 5 s
+# the classical ranks stop at 100: the roots cost about rank^4 to generate (about 5 s
 # for B100-D100 on a 2-core Xeon), and a far larger rank exhausts memory on its Cartan matrix
 _RANK_BOUNDS = {
     "A": (1, 100),
@@ -135,15 +136,27 @@ class RootSystem:
         self.cartan = cartan_matrix(ct)
         self.simple: List[Root] = [tuple(1 if j == i else 0 for j in range(ct.rank))
                                    for i in range(ct.rank)]
+
+    @cached_property
+    def ordered_roots(self) -> List[Root]:
+        """Every root once, in (height, root) order, generated and counted on first read."""
         positive = self._generate_positive()
-        # every root once, in (height, root) order
-        self.ordered_roots: List[Root] = sorted(positive | set(map(neg_root, positive)),
-                                                key=lambda r: (sum(r), r))
-        self.positive: List[Root] = [r for r in self.ordered_roots if sum(r) > 0]
-        self.positive_set: FrozenSet[Root] = frozenset(positive)
-        self.roots: FrozenSet[Root] = frozenset(self.ordered_roots)
-        if len(self.roots) != _expected_root_count(ct):
-            raise AssertionError(f"root generation for {ct} produced {len(self.roots)} roots")
+        roots = sorted(positive | set(map(neg_root, positive)), key=lambda r: (sum(r), r))
+        if len(roots) != _expected_root_count(self.cartan_type):
+            raise AssertionError(f"root generation for {self.cartan_type} produced {len(roots)} roots")
+        return roots
+
+    @cached_property
+    def positive(self) -> List[Root]:
+        return [r for r in self.ordered_roots if sum(r) > 0]
+
+    @cached_property
+    def positive_set(self) -> FrozenSet[Root]:
+        return frozenset(self.positive)
+
+    @cached_property
+    def roots(self) -> FrozenSet[Root]:
+        return frozenset(self.ordered_roots)
 
     def _generate_positive(self) -> Set[Root]:
         """The positive roots: all that the simple roots reach by raising simple reflections.
@@ -348,14 +361,14 @@ class Realization:
         h is None except for nu = -mu, where [X_mu, X_nu] = sum_i h_i H_{e_i}.
         """
         roots = self.system.ordered_roots
-        pairs = []
-        for i, mu in enumerate(roots):
-            for nu in roots[i + 1:]:
-                s = add_roots(mu, nu)
-                n = self.structure_constant(mu, nu) if s in self.system.roots else 0
-                h = None if any(s) else self.cartan_coefficients(mu)
-                pairs.append((mu, nu, s, n, h))
-        return pairs
+        return [self.pair(mu, nu) for i, mu in enumerate(roots) for nu in roots[i + 1:]]
+
+    def pair(self, mu: Root, nu: Root) -> RootPair:
+        """The entry (mu, nu, mu+nu, N, h) of `root_pairs` for two roots."""
+        s = add_roots(mu, nu)
+        n = self.structure_constant(mu, nu) if s in self.system.roots else 0
+        h = None if any(s) else self.cartan_coefficients(mu)
+        return mu, nu, s, n, h
 
 
 # ---------------------------------------------------------------------------

@@ -72,6 +72,64 @@ def test_a_rank_past_the_bound_is_refused_before_its_cartan_matrix(argv, capsys,
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
 
 
+H101 = ",".join(["1/2"] * 101)  # A100, cuspidal
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["classify", "B100"], EXIT_OK),
+    (["classify", "C100"], EXIT_OK),
+    (["classify", "D100"], EXIT_OK),
+    (["classify", "C100", "--theta", "1"], EXIT_OK),
+    (["verify", "--module", "N", "--a", H101], EXIT_CONFIG),
+    (["ext", "--module", "N", "--a", H101], EXIT_CONFIG),
+], ids=["classify-B100", "classify-C100", "classify-D100", "classify-C100-theta", "verify-A100",
+        "ext-A100"])
+def test_a_rank_100_run_that_reads_no_root_generates_none(argv, code, capsys, monkeypatch):
+    # classify reads the rank and the Cartan matrix alone, and a window too large
+    # to enumerate is refused from the vector's length: neither generates a root
+    # (about 5 s at rank 100), and the stub makes a generation fail, not run
+    from weightcat import rootsys
+
+    def ungenerated(self):
+        raise AssertionError(f"the roots of {self.cartan_type} were generated")
+
+    monkeypatch.setattr(rootsys.RootSystem, "_generate_positive", ungenerated)
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    if code == EXIT_CONFIG:
+        assert captured.out == ""
+        assert captured.err.startswith("configuration error: window ranges span")
+    else:
+        assert json.loads(captured.out)["type"] == argv[1]
+
+
+@pytest.mark.parametrize("module,a,b,normal_form", [
+    ("M", "-1,-1,1/4", "-1,-1,5/4", True),
+    ("N", "-1,1/2,1/3,0", "-1,1/3,1/2,0", True),
+    ("N", "1/2,1/3", "1/5,2/5", False),
+], ids=["C3", "A3", "A1-rank-one"])
+def test_an_ext_self_pair_builds_one_module(module, a, b, normal_form, capsys, monkeypatch):
+    # a --b equal to --a, given or not, is the --a module itself: one root system,
+    # with the same stdout; a differing --b builds its own.  A full-rank normal
+    # form reads the pairs through alpha alone and never builds the bracket table
+    from weightcat import degonemod
+
+    systems = []
+    build = degonemod.build_root_system
+    monkeypatch.setattr(degonemod, "build_root_system", lambda ct: systems.append(build(ct)) or systems[-1])
+    argv = ["ext", "--module", module, "--a", a]
+    assert main(argv) == EXIT_OK
+    alone = capsys.readouterr().out
+    assert len(systems) == 1
+    if normal_form:
+        assert "root_pairs" not in systems[0].realization.__dict__
+    assert main(argv + ["--b", a]) == EXIT_OK
+    assert capsys.readouterr().out == alone
+    assert len(systems) == 2
+    assert main(argv + ["--b", b]) == EXIT_OK
+    assert len(systems) == 4
+
+
 def test_verify_passes(capsys):
     code, out = run(capsys, "verify", "--module", "N", "--a", "-1,1/2,1/3,0", "--B", "2")
     assert code == EXIT_OK

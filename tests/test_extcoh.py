@@ -295,6 +295,37 @@ def test_normal_form_system_below_full_rank_reads_every_row(monkeypatch, build, 
     assert cs.basis == [{labels[i]: v for i, v in enumerate(b) if v} for b in null]
 
 
+@pytest.mark.parametrize("build,params,radius", [
+    (build_N, ("-1", "1/2", "1/3", "0"), 3),
+    (build_M, ("-1", "1/4"), 4),
+    (build_M, ("-1", "-1", "1/4"), 3),
+], ids=["A3-B3", "C2-B4", "C3-B3"])
+def test_normal_form_reads_the_other_pairs_when_alpha_leaves_the_rank_short(monkeypatch, build, params,
+                                                                            radius):
+    # with every row of a pair through alpha emptied, those pairs leave the rank
+    # at 0: the system must build the bracket table, read the other pairs and
+    # give the answer of every table row with the same rows emptied
+    identity = extcoh._identity
+
+    def emptied(source, target, cval, pair, k):
+        den, t, row = identity(source, target, cval, pair, k)
+        # a table entry has N != 0 exactly at a root sum; a split value's
+        # identity (sigma, tau, root, 0, None) passes N = 0 at one
+        entry = pair[3] or not source.system.is_root(pair[2])
+        through = source.system.simple_root(source.cuspidal_block()[0]) in pair[:2]
+        return den, t, {} if entry and through else row
+
+    monkeypatch.setattr(extcoh, "_identity", emptied)
+    _, labels, null = _full_normal_form.__wrapped__(build, params, radius)
+    assert len(null) < len(labels)  # the other pairs constrain the labels
+    module = build(params)
+    cs = _normal_form_system(module, radius, "self pair")
+    assert "root_pairs" in module.realization.__dict__
+    assert cs.labels == labels
+    assert cs.dimension == len(null)
+    assert cs.basis == [{labels[i]: v for i, v in enumerate(b) if v} for b in null]
+
+
 def test_normal_form_reads_identities_only_until_full_rank(monkeypatch):
     # the memo of cocycle values counts the identities read: the read of
     # C3 M(-1,-1,1/4) at B=4, pairs through alpha first and outward along the
@@ -504,8 +535,11 @@ def test_normal_form_values_match_a_fraction_oracle(build, params, radius):
     module = build(params)
     nf = extcoh._NormalFormAssembler(module, radius)
     frac = lambda root, k: _over(nf.value(root, k))
+    # the pairs the system can read: one root with a positive alpha coordinate
+    i = nf.alpha.index(1)
+    pairs = [p for p in module.realization.root_pairs if p[0][i] > 0 or p[1][i] > 0]
     for k in nf.window:
-        for pair in nf.pairs:
+        for pair in pairs:
             [(_, _, _, ident)] = cocycle_identities(module, module, nf.value, [k], [pair])
             assert _over(ident) == _fraction_identity(module, module, frac, pair, k)
     assert {root for root, _ in nf._values} == {nf.alpha} | set(nf._splits)
