@@ -8,8 +8,8 @@ window cocycle is a coboundary.
 import random
 
 from weightcat.degonemod import build_M, build_N
-from weightcat.extcoh import (coboundary_quotient_dim, cocycle_space, ext_solve_typeA,
-                              ext_solve_typeC, is_coboundary, make_sl2_cocycle)
+from weightcat.extcoh import (coboundary_quotient_dim, cocycle_space, ext_solve, is_coboundary,
+                              make_sl2_cocycle)
 
 sl2 = build_N(["1/2", "1/3"])
 c = make_sl2_cocycle(1, sl2, radius=6)
@@ -20,14 +20,16 @@ print("non-isomorphic pair, B=3:              ",
       coboundary_quotient_dim(sl2, build_N(["1/5", "2/5"]), 3))
 
 print()
+na = build_N(["-1", "1/2", "1/3", "0"])
 for radius in (3, 4):
-    cs = ext_solve_typeA(["-1", "1/2", "1/3", "0"], ["-1", "1/2", "1/3", "0"], radius=radius)
+    cs = ext_solve(na, na, radius=radius)
     print(f"interior type A self pair, B={radius}: solution dimension {cs.dimension}")
+mc = build_M(["-1", "-1", "1/4"])
 for radius in (3, 4):
-    cs = ext_solve_typeC(["-1", "-1", "1/4"], ["-1", "-1", "1/4"], radius=radius)
+    cs = ext_solve(mc, mc, radius=radius)
     print(f"long-root type C self pair, B={radius}: solution dimension {cs.dimension}")
 print("disjoint-support pair:",
-      ext_solve_typeC(["-1", "1/4"], ["-1", "5/4"], radius=3).status)
+      ext_solve(build_M(["-1", "1/4"]), build_M(["-1", "5/4"]), radius=3).status)
 
 print()
 rng = random.Random(1)

@@ -11,9 +11,8 @@ windows.  All arithmetic is exact over the rationals.
 
 from .categorio import FamilyDescriptor, MembershipReport, Verdict, check_membership, classify
 from .degonemod import DegreeOneModule, build_M, build_N
-from .extcoh import (Cocycle, ConstraintSystem, coboundary_quotient_dim, cocycle_space,
-                     ext_solve_typeA, ext_solve_typeC, is_coboundary, make_sl2_cocycle,
-                     support_disjoint)
+from .extcoh import (Cocycle, ConstraintSystem, coboundary_quotient_dim, cocycle_space, ext_solve,
+                     is_coboundary, make_sl2_cocycle)
 from .inducemod import (LeviModule, TruncatedVerma, central_scalars, induce, levi_module,
                         levi_module_product, probe_restriction_failure, restrict_family,
                         u0_compare)

@@ -15,8 +15,8 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence
 
 from .categorio import check_membership, classify
-from .degonemod import build_N, build_module
-from .extcoh import CertificationError, coboundary_quotient_dim, ext_solve_typeA, ext_solve_typeC
+from .degonemod import build_module
+from .extcoh import CertificationError, coboundary_quotient_dim, ext_solve
 from .inducemod import DepthOverflowError
 from .paperlab import LEMMAS, run_lemma
 from .rootsys import build_root_system
@@ -84,19 +84,16 @@ def cmd_verify(args) -> int:
 
 def cmd_ext(args) -> int:
     params_a = _parse_params(args.a)
-    params_b = _parse_params(args.b) if args.b else list(params_a)
+    params_b = _parse_params(args.b) if args.b else params_a
+    # a self pair is one module: one root system, realization, window and store
+    module = build_module(args.module, params_a)
+    other = module if params_b == params_a else build_module(args.module, params_b)
     if args.module == "N" and len(params_a) == 2:
         # rank one: report the cocycle space modulo coboundaries
-        module = build_N(params_a)
-        other = module if params_b == params_a else build_N(params_b)
         dim = coboundary_quotient_dim(module, other, args.B)
         report = {"case": "rank-one cuspidal pair", "B": args.B, "dimension": dim}
-        _emit(report, args.format)
-        return EXIT_OK
-    solver = ext_solve_typeA if args.module == "N" else ext_solve_typeC
-    cs = solver(params_a, params_b, radius=args.B)
-    report = cs.to_json()
-    report["module"] = args.module
+    else:
+        report = dict(ext_solve(module, other, args.B).to_json(), module=args.module)
     _emit(report, args.format)
     return EXIT_OK
 

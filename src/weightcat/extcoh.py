@@ -12,10 +12,12 @@ cocycle value is integers over one denominator.
 
 Two solvers are provided.  `cocycle_space` parametrises every graded
 cocycle on a window and `coboundary_quotient_dim` measures the quotient by
-coboundaries; `ext_solve_typeA` / `ext_solve_typeC` instead impose the
-inverse-shift normal form on the distinguished cuspidal direction of a
-degree-one family and reduce self-extension vanishing to a system in the
-orbit labels b(k).  Its rows go into one fraction-free `linalg.Echelon`:
+coboundaries; `ext_solve` instead imposes the inverse-shift normal form on
+the distinguished cuspidal direction of a degree-one family and reduces
+self-extension vanishing to a system in the orbit labels b(k).  It calls a
+pair of modules that is not isomorphic "support-disjoint", which for type A
+means disjoint highest-weight supports, whether or not the weight supports
+meet.  Its rows go into one fraction-free `linalg.Echelon`:
 first the identities of the pairs through the cuspidal root α over the
 whole window, outward along the α orbit and then in the labels, then those
 of the other pairs in the same order, until the rank reaches the label
@@ -27,7 +29,7 @@ early, so full rank comes early.  The pairs through α are built one by one
 `Realization.root_pairs`, are built only if the rank is still short after
 them.  The reduced echelon form does not depend on the order of the rows,
 so an answer of positive dimension reads every identity and is that of the
-whole system.  A self pair, two equal parameter vectors, is one module.
+whole system.  A self pair is one module, passed as both.
 """
 from __future__ import annotations
 
@@ -38,7 +40,7 @@ from fractions import Fraction
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from . import linalg
-from .degonemod import DegreeOneModule, build_M, build_N
+from .degonemod import DegreeOneModule
 from .rootsys import Root, RootPair, neg_root
 from .weylmod import Lookup, format_rational, parse_rational, sparse_add
 
@@ -283,17 +285,6 @@ def is_coboundary(c: Cocycle, radius: int) -> Optional[Dict[Index, Fraction]]:
 
 
 # ---------------------------------------------------------------------------
-# Support comparison
-# ---------------------------------------------------------------------------
-
-def support_disjoint(mod_a: DegreeOneModule, mod_b: DegreeOneModule) -> bool:
-    """Exact disjointness of the weight supports of two modules of one kind and
-    rank: they share a weight exactly when an index shift matches their weights
-    (`DegreeOneModule.index_shift`, which raises `ValueError` on any other pair)."""
-    return mod_a.index_shift(mod_b) is None
-
-
-# ---------------------------------------------------------------------------
 # Normal-form self-extension systems for degree-one families
 # ---------------------------------------------------------------------------
 
@@ -437,49 +428,39 @@ def _normal_form_system(module: DegreeOneModule, radius: int, reason: str) -> Co
     return ConstraintSystem(len(null), basis, radius, labels, "solved", reason)
 
 
-def _second_module(mod_a: DegreeOneModule, build: Callable, params_b: Sequence) -> DegreeOneModule:
-    """The module of params_b: mod_a itself when the two vectors are equal, so a
-    self pair builds and fills one root system, realization, window and store."""
-    return mod_a if tuple(map(parse_rational, params_b)) == mod_a.spec.a else build(params_b)
+# per family: the shape test of each module, its refusal, and the reason given to
+# a pair that is not isomorphic
+_FAMILIES = {
+    "N": (lambda m: len(m.cuspidal_block()) == 1 and m.spec.minus_ones >= 1 and m.spec.zeros >= 1,
+          "interior family required: shape (-1..,z1,z2,0..)",
+          "no shared highest-weight support; graded cocycles vanish"),
+    "M": (lambda m: m.spec.free == 1 and m.spec.minus_ones == m.nvars - 1,
+          "family of shape (-1,..,-1,a) required",
+          "weight supports are disjoint; graded cocycles vanish"),
+}
 
 
-def ext_solve_typeA(params_a: Sequence, params_b: Sequence, radius: int = 3) -> ConstraintSystem:
-    """Self-extension system for interior type A degree-one families.
+def ext_solve(source: DegreeOneModule, target: DegreeOneModule, radius: int = 3) -> ConstraintSystem:
+    """Self-extension system of two degree-one modules of one family; a self
+    pair passes one module as both.
 
-    Both parameter vectors must have the shape (-1..,-1, z1, z2, 0..,0) with
-    at least one -1 and one 0.  Non-isomorphic pairs are dispatched by the
-    highest-weight support argument and give an empty system with status
-    "support-disjoint", which here means disjoint highest-weight supports: it
+    Type A ("N") takes the interior families, of shape (-1..,-1, z1, z2, 0..,0)
+    with at least one -1 and one 0; type C ("M") the long-root families, of
+    shape (-1,..,-1,a).  The pair is isomorphic exactly when the index shift
+    exists and is 0 on the -1 entries (for N it is constant on the -1 and 0
+    entries; for M the -1 entries never shift).  Any other pair gives an empty
+    system with status "support-disjoint": for type C the weight supports are
+    disjoint; for type A it means disjoint highest-weight supports, and so
     includes non-isomorphic pairs whose weight supports meet.
     """
-    mod_a = build_N(params_a)
-    mod_b = _second_module(mod_a, build_N, params_b)
-    for m in (mod_a, mod_b):
+    shaped, refusal, disjoint = _FAMILIES[source.kind]
+    for m in (source, target):
         m.params.window_ranges(radius)  # refuses an oversized window, read or not
-        if len(m.cuspidal_block()) != 1 or m.spec.minus_ones < 1 or m.spec.zeros < 1:
-            raise ValueError("interior family required: shape (-1..,z1,z2,0..)")
-    if (mod_a.nvars, mod_a.spec.minus_ones) != (mod_b.nvars, mod_b.spec.minus_ones):
+        if not shaped(m):
+            raise ValueError(refusal)
+    if (source.nvars, source.spec.minus_ones) != (target.nvars, target.spec.minus_ones):
         raise ValueError("families live in different categories")
-    # isomorphic exactly when the index shift leaves the -1 and 0 entries, on
-    # which it is constant
-    shift = mod_a.index_shift(mod_b)
-    if shift is None or shift[0]:
-        return ConstraintSystem(0, [], radius, [], "support-disjoint",
-                                "no shared highest-weight support; graded cocycles vanish")
-    return _normal_form_system(mod_a, radius, "self pair")
-
-
-def ext_solve_typeC(params_a: Sequence, params_b: Sequence, radius: int = 3) -> ConstraintSystem:
-    """Self-extension system for the long-root type C degree-one families."""
-    mod_a = build_M(params_a)
-    mod_b = _second_module(mod_a, build_M, params_b)
-    for m in (mod_a, mod_b):
-        m.params.window_ranges(radius)  # refuses an oversized window, read or not
-        if m.spec.free != 1 or m.spec.minus_ones != m.nvars - 1:
-            raise ValueError("family of shape (-1,..,-1,a) required")
-    if mod_a.nvars != mod_b.nvars:
-        raise ValueError("families live in different categories")
-    if support_disjoint(mod_a, mod_b):
-        return ConstraintSystem(0, [], radius, [], "support-disjoint",
-                                "weight supports are disjoint; graded cocycles vanish")
-    return _normal_form_system(mod_a, radius, "self pair")
+    shift = source.index_shift(target)
+    if shift is None or any(shift[:source.spec.minus_ones]):
+        return ConstraintSystem(0, [], radius, [], "support-disjoint", disjoint)
+    return _normal_form_system(source, radius, "self pair")

@@ -15,8 +15,7 @@ import pytest
 from lab_seeds import seeded_reports
 from weightcat.categorio import NONTRIVIAL, TRIVIAL, check_membership, classify
 from weightcat.degonemod import DegreeOneModule, build_M, build_N
-from weightcat.extcoh import (cocycle_space, coboundary_quotient_dim, ext_solve_typeA,
-                              ext_solve_typeC, is_coboundary)
+from weightcat.extcoh import cocycle_space, coboundary_quotient_dim, ext_solve, is_coboundary
 from weightcat.inducemod import (induce, levi_module, levi_module_product,
                                  probe_restriction_failure)
 from weightcat.paperlab import (appendix_a3, verify_AC1, verify_AkAn, verify_A1N, verify_CC,
@@ -349,16 +348,14 @@ def _generic_levi(system, comp):
 def test_c7_ext_certification():
     started = time.perf_counter()
     dims = {}
+    na, mc = build_N(["-1", "1/2", "1/3", "0"]), build_M(["-1", "-1", "1/4"])
     for radius in (3, 4):
-        dims[("A", radius)] = ext_solve_typeA(["-1", "1/2", "1/3", "0"],
-                                              ["-1", "1/2", "1/3", "0"], radius=radius).dimension
-        dims[("C", radius)] = ext_solve_typeC(["-1", "-1", "1/4"],
-                                              ["-1", "-1", "1/4"], radius=radius).dimension
+        dims[("A", radius)] = ext_solve(na, na, radius=radius).dimension
+        dims[("C", radius)] = ext_solve(mc, mc, radius=radius).dimension
     assert dims[("A", 3)] == dims[("A", 4)] == 0
     assert dims[("C", 3)] == dims[("C", 4)] == 0
-    assert ext_solve_typeA(["-1", "1/2", "1/3", "0"], ["-1", "1/5", "1/7", "0"],
-                           radius=3).dimension == 0
-    assert ext_solve_typeC(["-1", "-1", "1/4"], ["-1", "-1", "1/3"], radius=3).dimension == 0
+    assert ext_solve(na, build_N(["-1", "1/5", "1/7", "0"]), radius=3).dimension == 0
+    assert ext_solve(mc, build_M(["-1", "-1", "1/3"]), radius=3).dimension == 0
     sl2 = build_N(["1/2", "1/3"])
     assert coboundary_quotient_dim(sl2, sl2, 3) == 1
     assert coboundary_quotient_dim(sl2, sl2, 4) == 1

@@ -11,8 +11,7 @@ from weightcat import extcoh, linalg
 from weightcat.degonemod import build_M, build_N
 from weightcat.extcoh import (CertificationError, Cocycle, _normal_form_system, _phi_domain,
                               coboundary_quotient_dim, cocycle_identities, cocycle_space,
-                              ext_solve_typeA, ext_solve_typeC, is_coboundary,
-                              make_sl2_cocycle, support_disjoint)
+                              ext_solve, is_coboundary, make_sl2_cocycle)
 from weightcat.rootsys import neg_root
 
 
@@ -265,7 +264,8 @@ def test_normal_form_system_matches_full_assembly(build, params, radius):
     # whole system must give the same kernel, labels and basis
     _, labels, null = _full_normal_form(build, params, radius)
     if build is build_M:  # the public solver, whose self pairs reach the same read
-        cs = ext_solve_typeC(list(params), list(params), radius)
+        module = build(params)
+        cs = ext_solve(module, module, radius)
     else:
         cs = _normal_form_system(build(params), radius, "self pair")
     assert cs.labels == labels
@@ -339,7 +339,8 @@ def test_normal_form_reads_identities_only_until_full_rank(monkeypatch):
 
     monkeypatch.setattr(extcoh, "_NormalFormAssembler", Recording)
     params = ["-1", "-1", "1/4"]
-    assert ext_solve_typeC(params, params, radius=4).dimension == 0
+    module = build_M(params)
+    assert ext_solve(module, module, radius=4).dimension == 0
     lazy = len(made[0]._values)
     full = len(_full_normal_form(build_M, tuple(params), 4)[0]._values)
     assert 0 < lazy < full / 8
@@ -416,8 +417,9 @@ def test_normal_form_system_that_keeps_no_row_is_not_certified(monkeypatch):
             self.labelset = {("no label",)}
 
     monkeypatch.setattr(extcoh, "_NormalFormAssembler", Unfit)
+    module = build_M(["-1", "1/4"])
     with pytest.raises(CertificationError, match="every identity left the window"):
-        ext_solve_typeC(["-1", "1/4"], ["-1", "1/4"], radius=2)
+        ext_solve(module, module, radius=2)
 
 
 def _fraction_identity(source, target, cval, pair, k):
@@ -558,67 +560,111 @@ def test_normal_form_values_match_a_fraction_oracle(build, params, radius):
 
 
 def test_ext_solve_typeA_dimensions():
-    self_pair = ext_solve_typeA(["-1", "1/2", "1/3", "0"], ["-1", "1/2", "1/3", "0"], radius=3)
+    a = build_N(["-1", "1/2", "1/3", "0"])
+    self_pair = ext_solve(a, a, radius=3)
     assert self_pair.dimension == 0 and self_pair.status == "solved"
-    bigger = ext_solve_typeA(["-1", "1/2", "1/3", "0"], ["-1", "1/2", "1/3", "0"], radius=4)
+    bigger = ext_solve(a, a, radius=4)
     assert bigger.dimension == 0
-    generic = ext_solve_typeA(["-1", "1/2", "1/3", "0"], ["-1", "1/5", "1/7", "0"], radius=3)
+    generic = ext_solve(a, build_N(["-1", "1/5", "1/7", "0"]), radius=3)
     assert generic.dimension == 0 and generic.status == "support-disjoint"
-    shifted = ext_solve_typeA(["-1", "1/2", "1/3", "0"], ["-1", "3/2", "-2/3", "0"], radius=3)
+    shifted = ext_solve(a, build_N(["-1", "3/2", "-2/3", "0"]), radius=3)
     assert shifted.dimension == 0 and shifted.status == "solved"
     # supports that meet, at an index shift that moves the -1 and 0 entries: not isomorphic
-    moved = ext_solve_typeA(["-1", "1/2", "1/3", "0"], ["-1", "5/2", "7/3", "0"], radius=3)
+    moved = ext_solve(a, build_N(["-1", "5/2", "7/3", "0"]), radius=3)
     assert moved.dimension == 0 and moved.status == "support-disjoint"
+    free = build_N(["1/2", "1/3", "0"])
     with pytest.raises(ValueError):
-        ext_solve_typeA(["1/2", "1/3", "0"], ["1/2", "1/3", "0"], radius=3)
+        ext_solve(free, free, radius=3)
     with pytest.raises(CertificationError):
-        ext_solve_typeA(["-1", "1/2", "1/3", "0"], ["-1", "1/2", "1/3", "0"], radius=0)
+        ext_solve(a, a, radius=0)
 
 
 def test_ext_solve_deeper_interior_position():
     # two leading -1 entries force chains of length two on the lowered side
-    cs = ext_solve_typeA(["-1", "-1", "1/2", "1/3", "0"],
-                         ["-1", "-1", "1/2", "1/3", "0"], radius=2)
+    module = build_N(["-1", "-1", "1/2", "1/3", "0"])
+    cs = ext_solve(module, module, radius=2)
     assert cs.dimension == 0 and cs.status == "solved"
 
 
 def test_ext_solve_typeC_rank_two():
+    module = build_M(["-1", "1/4"])
     for radius in (2, 3, 4):
-        assert ext_solve_typeC(["-1", "1/4"], ["-1", "1/4"], radius=radius).dimension == 0
+        assert ext_solve(module, module, radius=radius).dimension == 0
 
 
 def test_ext_solve_typeC_dimensions():
+    c3 = build_M(["-1", "-1", "1/4"])
     for radius in (3, 4):
-        cs = ext_solve_typeC(["-1", "-1", "1/4"], ["-1", "-1", "1/4"], radius=radius)
+        cs = ext_solve(c3, c3, radius=radius)
         assert cs.dimension == 0
-    odd = ext_solve_typeC(["-1", "1/4"], ["-1", "5/4"], radius=3)
+    c2 = build_M(["-1", "1/4"])
+    odd = ext_solve(c2, build_M(["-1", "5/4"]), radius=3)
     assert odd.dimension == 0 and odd.status == "support-disjoint"
     assert odd.reason == "weight supports are disjoint; graded cocycles vanish"
-    apart = ext_solve_typeC(["-1", "-1", "1/4"], ["-1", "-1", "1/3"], radius=3)
+    apart = ext_solve(c3, build_M(["-1", "-1", "1/3"]), radius=3)
     assert apart.status == "support-disjoint" and apart.reason == odd.reason
-    even = ext_solve_typeC(["-1", "1/4"], ["-1", "9/4"], radius=3)
+    even = ext_solve(c2, build_M(["-1", "9/4"]), radius=3)
     assert even.dimension == 0 and even.status == "solved"
+    wide = build_M(["-1", "1/4", "1/5"])
     with pytest.raises(ValueError):
-        ext_solve_typeC(["-1", "1/4", "1/5"], ["-1", "1/4", "1/5"], radius=3)
+        ext_solve(wide, wide, radius=3)
+
+
+@pytest.mark.parametrize("build,a,b", [
+    (build_N, ["-1", "1/2", "1/3", "0"], ["-1", "1/2", "1/3", "0"]),
+    (build_N, ["-1", "1/2", "1/3", "0"], ["-1", "3/2", "-2/3", "0"]),
+    (build_N, ["-1", "1/2", "1/3", "0"], ["-1", "5/2", "7/3", "0"]),
+    (build_N, ["-1", "1/2", "1/3", "0"], ["-1", "1/5", "1/7", "0"]),
+    (build_N, ["-1", "-1", "1/2", "1/3", "0"], ["-1", "-1", "3/2", "-2/3", "0"]),
+    (build_N, ["-1", "-1", "1/2", "1/3", "0"], ["-1", "-1", "5/2", "10/3", "0"]),
+    (build_N, ["-1", "-1", "1/2", "1/3", "0"], ["-1", "-1", "5/2", "7/3", "0"]),
+    (build_N, ["-1", "1/6", "5/6", "0", "0"], ["-1", "7/6", "-1/6", "0", "0"]),
+    (build_N, ["-1", "1/6", "5/6", "0", "0"], ["-1", "13/6", "23/6", "0", "0"]),
+    (build_M, ["1/4"], ["9/4"]),
+    (build_M, ["1/4"], ["-7/4"]),
+    (build_M, ["1/4"], ["5/4"]),
+    (build_M, ["-1", "1/4"], ["-1", "9/4"]),
+    (build_M, ["-1", "1/4"], ["-1", "5/4"]),
+    (build_M, ["-1", "-1", "1/4"], ["-1", "-1", "-7/4"]),
+    (build_M, ["-1", "-1", "1/4"], ["-1", "-1", "1/3"]),
+], ids=["A3-self", "A3-iso", "A3-moved", "A3-apart", "A4-iso", "A4-moved", "A4-apart",
+        "A4z-iso", "A4z-moved", "C1-up", "C1-down", "C1-odd", "C2-iso", "C2-odd", "C3-iso",
+        "C3-apart"])
+def test_one_isomorphism_rule_is_each_familys_rule(build, a, b):
+    # the one rule, a shift that is 0 on the -1 entries, is the first-entry
+    # rule on N, whose shift is constant on the -1 and 0 entries, and "a shift
+    # exists" on M, whose -1 entries never shift; C1 has no -1 entry, so a
+    # shift that moves its only coordinate is still a self pair
+    source, target = build(a), build(b)
+    shift = source.index_shift(target)
+    j = source.spec.minus_ones
+    if build is build_N:
+        assert shift is None or len(set(shift[:j] + shift[j + source.spec.free:])) == 1
+        disjoint = shift is None or shift[0] != 0
+    else:
+        assert shift is None or not any(shift[:j])
+        disjoint = shift is None
+    assert ext_solve(source, target, radius=2).status == ("support-disjoint" if disjoint else "solved")
 
 
 def test_support_disjoint():
+    # disjoint weight supports are exactly the pairs with no index shift
     ma, mb = build_M(["-1", "1/4"]), build_M(["-1", "1/3"])
-    assert support_disjoint(ma, mb) is True
-    assert support_disjoint(ma, ma) is False
-    assert support_disjoint(build_M(["-1", "1/4"]), build_M(["-1", "9/4"])) is False
-    assert support_disjoint(build_M(["-1", "1/4"]), build_M(["-1", "5/4"])) is True
+    assert ma.index_shift(mb) is None
+    assert ma.index_shift(ma) is not None
+    assert build_M(["-1", "1/4"]).index_shift(build_M(["-1", "9/4"])) is not None
+    assert build_M(["-1", "1/4"]).index_shift(build_M(["-1", "5/4"])) is None
     na = build_N(["-1", "1/2", "1/3", "0"])
     nb = build_N(["-1", "1/5", "1/7", "0"])
-    assert support_disjoint(na, nb) is True
+    assert na.index_shift(nb) is None
     nc = build_N(["-1", "3/2", "-2/3", "0"])
-    assert support_disjoint(na, nc) is False
+    assert na.index_shift(nc) is not None
     # pairs of different block shape are decided too: the shift (0, 0, 0)
     # meets at k = 0, and no integer shift matches the second pair
-    assert support_disjoint(build_N(["1/2", "1/3", "0"]), build_N(["-1", "-7/6", "-3/2"])) is False
-    assert support_disjoint(build_N(["1/2", "1/3", "0"]), build_N(["-1", "1/2", "1/3"])) is True
+    assert build_N(["1/2", "1/3", "0"]).index_shift(build_N(["-1", "-7/6", "-3/2"])) is not None
+    assert build_N(["1/2", "1/3", "0"]).index_shift(build_N(["-1", "1/2", "1/3"])) is None
     with pytest.raises(ValueError, match="modules over different algebras"):
-        support_disjoint(build_N(["1/2", "1/3"]), build_M(["1/4", "1/3"]))
+        build_N(["1/2", "1/3"]).index_shift(build_M(["1/4", "1/3"]))
 
 
 def _share_a_window_weight(ma, mb):
@@ -637,7 +683,7 @@ def _share_a_window_weight(ma, mb):
 def test_support_disjoint_matches_window_weights(a, b):
     # a shift of every entry of a by the same t keeps the support of N(a)
     ma, mb = build_N(a), build_N(b)
-    assert support_disjoint(ma, mb) is not _share_a_window_weight(ma, mb)
+    assert (ma.index_shift(mb) is None) is not _share_a_window_weight(ma, mb)
 
 
 @pytest.mark.parametrize("a,b", [
@@ -649,7 +695,7 @@ def test_support_disjoint_matches_window_weights(a, b):
 def test_support_disjoint_matches_window_weights_on_M(a, b):
     # M(a) and M(b) share a weight only at indices k, t with a + k == b + t
     ma, mb = build_M(a), build_M(b)
-    assert support_disjoint(ma, mb) is not _share_a_window_weight(ma, mb)
+    assert (ma.index_shift(mb) is None) is not _share_a_window_weight(ma, mb)
 
 
 @pytest.mark.parametrize("build,a,b,radius,shared", [

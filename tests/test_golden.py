@@ -94,6 +94,14 @@ GOLDEN_RUNS = {
         "42a7df3ed49f592645382a3b40fc58cf53cb58cd490f568ab45773135f281e5d",
     "verify --module N --a 1/2,1/3,1/5,1/7,1/11,1/13,1/17,1/19 --B 2":
         "84dcf1bed5a0c7daa24054fccacaa702d7fe0ae53b52daaaf614220de8bcb83c",
+    # the verdict of each family: type C disjoint supports, C1 shifting its
+    # only coordinate (a self pair), and an isomorphic interior N pair
+    "ext --module M --a -1,1/4 --b -1,5/4":
+        "6f9f26b8509f9e674914a764b49d9e659de46acbb062c0cf36d8fd2d0bd0553f",
+    "ext --module M --a 1/4 --b 9/4":
+        "e286e031ca97b58db286106f4abdbab52717d2a7d48ba1f88aaa5361f0d9ddce",
+    "ext --module N --a -1,-1,1/2,1/3,0 --b -1,-1,3/2,-2/3,0":
+        "eba1c8b4031988bcae4d27455c9f7a174d3b16c1b74bb2e7fbb0cf27123700f7",
 }
 
 
