@@ -7,7 +7,7 @@ lowering ratio that the choice of central branch forces.
 from fractions import Fraction as F
 
 from weightcat.degonemod import build_N
-from weightcat.inducemod import central_scalars, induce, levi_module, u0_compare
+from weightcat.inducemod import LeviModule, central_scalars, induce, u0_compare
 from weightcat.rootsys import build_root_system
 
 a1, a2 = F(1, 2), F(1, 3)
@@ -15,7 +15,7 @@ A = a1 + a2
 system = build_root_system("A2")
 
 for branch, c in (("0", F(0)), ("-1-A", -1 - A)):
-    C = levi_module(system, [1], build_N([a1, a2]), {2: c + a2})
+    C = LeviModule(system, [([1], build_N([a1, a2]))], {2: c + a2})
     V = induce(C, 4)
     print(f"branch c = {c}")
     print("  central scalars:", central_scalars(C, [(0, 0), (1, -1)]))
@@ -28,7 +28,7 @@ for branch, c in (("0", F(0)), ("-1-A", -1 - A)):
         print(f"  eta({k}) = {eta}   closed form {(c + a1 + k) / (a2 - k + 1)}")
 
 # a wrong central value leaves the two vectors independent in the quotient
-Cbad = levi_module(system, [1], build_N([a1, a2]), {2: F(9, 7) + a2})
+Cbad = LeviModule(system, [([1], build_N([a1, a2]))], {2: F(9, 7) + a2})
 Vbad = induce(Cbad, 4)
 alpha, beta = system.simple_root(1), system.simple_root(2)
 ab = tuple(x + y for x, y in zip(alpha, beta))
@@ -37,7 +37,7 @@ w = Vbad.monomial_tensor([tuple(-x for x in beta)], (-1, 1))
 print("off-branch central value: proportionality =", Vbad.proportionality(v, w))
 
 # the quotient with branch 0 is the three-parameter degree-one module
-C0 = levi_module(system, [1], build_N([a1, a2]), {2: a2})
+C0 = LeviModule(system, [([1], build_N([a1, a2]))], {2: a2})
 V0 = induce(C0, 5)
 print("quotient matches N(a1,a2,0):",
-      u0_compare(V0, V0.one_tensor(), build_N([a1, a2, 0]), (0, 0, 0), depth=4))
+      u0_compare(V0, V0.one_tensor(), build_N([a1, a2, 0]), (0, 0, 0)))

@@ -9,7 +9,7 @@ from fractions import Fraction as F
 
 from weightcat.categorio import check_membership, classify
 from weightcat.degonemod import build_N
-from weightcat.inducemod import levi_module, probe_restriction_failure
+from weightcat.inducemod import LeviModule, probe_restriction_failure
 from weightcat.rootsys import build_root_system
 
 for name in ("A3", "C3", "B3", "D4", "G2"):
@@ -32,7 +32,7 @@ rep = check_membership(module, frozenset({1, 4}), radius=3)
 print("A4, complement {e2,e3}: instantiated family passes membership:", rep.passed)
 
 c2 = build_root_system("C2")
-C = levi_module(c2, [1], build_N([F(1, 4), F(1, 7)]), {2: F(2, 3)})
+C = LeviModule(c2, [([1], build_N([F(1, 4), F(1, 7)]))], {2: F(2, 3)})
 probe = probe_restriction_failure(C, depth=3)
 print("C2, complement {e1}: restriction impossible:", probe.restriction_impossible,
       " witness roots:", probe.witness)

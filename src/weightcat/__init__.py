@@ -13,9 +13,8 @@ from .categorio import FamilyDescriptor, MembershipReport, Verdict, check_member
 from .degonemod import DegreeOneModule, build_M, build_N
 from .extcoh import (Cocycle, ConstraintSystem, coboundary_quotient_dim, cocycle_space, ext_solve,
                      is_coboundary, make_sl2_cocycle)
-from .inducemod import (LeviModule, TruncatedVerma, central_scalars, induce, levi_module,
-                        levi_module_product, probe_restriction_failure, restrict_family,
-                        u0_compare)
+from .inducemod import (LeviModule, TruncatedVerma, central_scalars, induce, levi_module_product,
+                        probe_restriction_failure, restrict_family, u0_compare)
 from .paperlab import LEMMAS, LemmaReport, run_lemma
 from .rootsys import (CartanType, RootSubset, RootSystem, build_root_system,
                       classify_subset, lattice_disjoint, levi_decomposition)

@@ -161,7 +161,6 @@ def _identity(source: DegreeOneModule, target: DegreeOneModule, cval: Callable,
 class CocycleSpace:
     source: DegreeOneModule
     target: DegreeOneModule
-    unknowns: List[Tuple[Root, Index]]
     targets: Dict[Tuple[Root, Index], Index]
     basis: List[List[Fraction]]
 
@@ -169,22 +168,17 @@ class CocycleSpace:
     def dimension(self) -> int:
         return len(self.basis)
 
-    def materialize(self, coeffs: Sequence[Fraction]) -> Cocycle:
-        maps: Dict[Root, Dict[Index, Tuple[Fraction, Index]]] = {}
-        vec = [Fraction(0)] * len(self.unknowns)
+    def random_cocycle(self, rng: random.Random) -> Cocycle:
+        coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in self.basis]
+        vec = [Fraction(0)] * len(self.targets)
         for b, c in zip(self.basis, coeffs):
-            c = Fraction(c)
             for i, x in enumerate(b):
                 if x:
                     vec[i] += c * x
-        for (root, k), val in zip(self.unknowns, vec):
-            t = self.targets[(root, k)]
+        maps: Dict[Root, Dict[Index, Tuple[Fraction, Index]]] = {}
+        for ((root, k), t), val in zip(self.targets.items(), vec):
             maps.setdefault(root, {})[k] = (val, t)
         return Cocycle(self.source, self.target, maps)
-
-    def random_cocycle(self, rng: random.Random) -> Cocycle:
-        coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in self.basis]
-        return self.materialize(coeffs)
 
 
 def cocycle_space(source: DegreeOneModule, target: DegreeOneModule, radius: int) -> CocycleSpace:
@@ -195,7 +189,6 @@ def cocycle_space(source: DegreeOneModule, target: DegreeOneModule, radius: int)
     if not window:
         raise CertificationError("the window is empty: no cocycle identity to check")
     winset = set(window)
-    unknowns: List[Tuple[Root, Index]] = []
     targets: Dict[Tuple[Root, Index], Index] = {}
     # X_root moves an index by its epsilon vector, and the target index has the
     # weight of the source index at `shift` from it; no shift, no shared weight
@@ -204,18 +197,17 @@ def cocycle_space(source: DegreeOneModule, target: DegreeOneModule, radius: int)
         for k in window:
             t = tuple(a + b for a, b in zip(k, step))
             if target.in_basis(t):
-                unknowns.append((root, k))
                 targets[(root, k)] = t
     # every unknown has value 1, so the rows are integers and their denominator drops
-    values = {u: (1, targets[u], {i: 1}) for i, u in enumerate(unknowns)}
+    values = {u: (1, t, {i: 1}) for i, (u, t) in enumerate(targets.items())}
 
     def cval(root, k):
         return values.get((root, k), _ZERO) if k in winset else None
 
     rows = [ident[2] for _, _, _, ident in cocycle_identities(
         source, target, cval, window, system.realization.root_pairs) if ident and ident[2]]
-    basis = linalg.nullspace(rows, len(unknowns))
-    return CocycleSpace(source, target, unknowns, targets, basis)
+    basis = linalg.nullspace(rows, len(targets))
+    return CocycleSpace(source, target, targets, basis)
 
 
 def _phi_domain(source: DegreeOneModule, target: DegreeOneModule, radius: int):
@@ -260,8 +252,7 @@ def coboundary_quotient_dim(source: DegreeOneModule, target: DegreeOneModule, ra
     """Dimension of window cocycles modulo window coboundaries."""
     space = cocycle_space(source, target, radius)
     pairs = _phi_domain(source, target, radius)
-    rows = [_coboundary_row(source, target, pairs, root, k, space.targets[(root, k)])
-            for root, k in space.unknowns]
+    rows = [_coboundary_row(source, target, pairs, root, k, t) for (root, k), t in space.targets.items()]
     return space.dimension - linalg.rank(rows, len(pairs))
 
 
@@ -331,6 +322,9 @@ class _NormalFormAssembler:
         self.nalpha = neg_root(self.alpha)
         self.delta = self.system.realization.epsilon_vector(self.alpha)
         self.moved = self.system.realization.supports[self.alpha]
+        # an index's orbit label: the coordinates that alpha does not move
+        self.label: Dict[Index, Index] = Lookup(
+            lambda k: tuple(x for i, x in enumerate(k) if i not in self.moved))
         # c(X_root) for every other root with a positive alpha coordinate comes
         # from the bracket [X_sigma, X_tau] = N X_root of a simple split
         # (c(X_r) = 0 if r_alpha < 0, by height: r = -e_j + (r + e_j), both alpha parts <= 0)
@@ -338,7 +332,7 @@ class _NormalFormAssembler:
                         if r[i] > 0 and r != self.alpha}
         self._values: Dict[Tuple[Root, Index], Value] = Lookup(self._value)
         self.window = module.window(radius)
-        self.labelset = {self.label(k) for k in self.window}
+        self.labelset = {self.label[k] for k in self.window}
         # the rows may stop before the window edge: check the inverse shift on all of it
         for k in self.window:
             self.value(self.alpha, k)
@@ -355,15 +349,12 @@ class _NormalFormAssembler:
                + [realization.pair(alpha, r) for r in roots[at + 1:]])
         yield [p for p in realization.root_pairs if alpha not in p[:2] and (p[0][i] > 0 or p[1][i] > 0)]
 
-    def label(self, k: Index) -> Index:
-        return tuple(x for i, x in enumerate(k) if i not in self.moved)
-
     def _split(self, root: Root) -> Tuple[Root, Root, int]:
         """(sigma, tau, N) of a positive root that is not simple: sigma is a
         simple root and tau = root - sigma is a root."""
         system = self.system
         sigma = next(e for e in map(system.simple_root, range(1, system.rank + 1))
-                     if system.is_root(tuple(a - b for a, b in zip(root, e))))
+                     if tuple(a - b for a, b in zip(root, e)) in system.roots)
         tau = tuple(a - b for a, b in zip(root, sigma))
         return sigma, tau, system.realization.structure_constant(sigma, tau)
 
@@ -382,7 +373,7 @@ class _NormalFormAssembler:
             if num == 0 or back != k:
                 raise CertificationError(f"lowering operator not invertible at {k}")
             # the inverse of the coefficient num / scale
-            return _lowest(num, k2, {self.label(k): self.module.scale})
+            return _lowest(num, k2, {self.label[k]: self.module.scale})
         # the cocycle identity on (sigma, tau) without its N c(X_root) term, over -N
         sigma, tau, n = self._splits[root]
         den, t, rest = _identity(self.module, self.module, self.value, (sigma, tau, root, 0, None), k)
@@ -396,7 +387,7 @@ def _lowest(den: int, t: Optional[Index], row: Dict) -> Value:
     return (den // g, t, {l: v // g for l, v in row.items()}) if row else _ZERO
 
 
-def _normal_form_system(module: DegreeOneModule, radius: int, reason: str) -> ConstraintSystem:
+def _normal_form_system(module: DegreeOneModule, radius: int) -> ConstraintSystem:
     nf = _NormalFormAssembler(module, radius)
     labels = sorted(nf.labelset)
     col = {l: i for i, l in enumerate(labels)}
@@ -409,7 +400,7 @@ def _normal_form_system(module: DegreeOneModule, radius: int, reason: str) -> Co
     # pairs, and the bracket table they come from, are built only if the rank is
     # short after the pairs through alpha
     window = sorted(nf.window, key=lambda k: (abs(sum(x * d for x, d in zip(k, nf.delta))),
-                                              max(map(abs, lab := nf.label(k)), default=0),
+                                              max(map(abs, lab := nf.label[k]), default=0),
                                               sum(map(abs, lab)), k))
     rows = (_identity(module, module, nf.value, pair, k)[2]
             for pairs in nf.pair_groups() for k in window for pair in pairs)
@@ -425,7 +416,7 @@ def _normal_form_system(module: DegreeOneModule, radius: int, reason: str) -> Co
         raise CertificationError("every identity left the window; enlarge it")
     null = echelon.nullspace()
     basis = [{labels[i]: v for i, v in enumerate(b) if v} for b in null]
-    return ConstraintSystem(len(null), basis, radius, labels, "solved", reason)
+    return ConstraintSystem(len(null), basis, radius, labels, "solved", "self pair")
 
 
 # per family: the shape test of each module, its refusal, and the reason given to
@@ -463,4 +454,4 @@ def ext_solve(source: DegreeOneModule, target: DegreeOneModule, radius: int = 3)
     shift = source.index_shift(target)
     if shift is None or any(shift[:source.spec.minus_ones]):
         return ConstraintSystem(0, [], radius, [], "support-disjoint", disjoint)
-    return _normal_form_system(source, radius, "self pair")
+    return _normal_form_system(source, radius)

@@ -70,6 +70,9 @@ class LeviModule:
                    if i not in self.block and i not in central]
         if missing:
             raise ValueError(f"central character values missing for coroots {missing}")
+        unused = sorted(i for i in central if i in self.block or not 1 <= i <= system.rank)
+        if unused:
+            raise ValueError(f"central character values given for block or out-of-range coroots {unused}")
         self._offsets: List[int] = []
         off = 0
         # root of one component -> (component number, its coordinates over that component)
@@ -113,10 +116,6 @@ class LeviModule:
         num, piece = inner.act_root_num(inner_root, self._slice(t, ci))
         return num * (self.scale // inner.scale), self._replace(t, ci, piece)
 
-    def act_root(self, root: Root, t: Index) -> Tuple[Fraction, Index]:
-        num, target = self.act_root_num(root, t)
-        return Fraction(num, self.scale), target
-
     # -- weights ----------------------------------------------------------------
     def weight_num(self, t: Index) -> Tuple[int, ...]:
         """weight_of(t) as integers over `scale`: lam0 plus the coroot values of the
@@ -129,12 +128,6 @@ class LeviModule:
 
     def weight_of(self, t: Index) -> Tuple[Fraction, ...]:
         return tuple(Fraction(w, self.scale) for w in self.weight_num(t))
-
-
-def levi_module(system: RootSystem, block: Sequence[int], inner: DegreeOneModule,
-                central: Optional[Dict[int, Fraction]] = None) -> LeviModule:
-    """Levi module on one connected block."""
-    return LeviModule(system, [(tuple(block), inner)], central or {})
 
 
 def levi_module_product(system: RootSystem,
@@ -159,7 +152,7 @@ def restrict_family(module: DegreeOneModule) -> LeviModule:
     inner = build_module(module.kind, free)
     w0 = module.weight_of(module.zero_index())
     central = {i: w0[i - 1] for i in range(1, module.system.rank + 1) if i not in set(block)}
-    return levi_module(module.system, block, inner, central)
+    return LeviModule(module.system, [(block, inner)], central)
 
 
 # ---------------------------------------------------------------------------
@@ -413,8 +406,7 @@ def _zero_weight_words(system: RootSystem, max_len: int) -> List[Tuple[Root, ...
     return [tuple(roots[i] for i in word) for word in sorted(words)]
 
 
-def u0_compare(verma: TruncatedVerma, v: InducedVector, module: DegreeOneModule, k: Index,
-               depth: int = 4) -> bool:
+def u0_compare(verma: TruncatedVerma, v: InducedVector, module: DegreeOneModule, k: Index) -> bool:
     """Equality of the weights, and of the scalar of every zero-weight word, on
     v in the simple quotient of verma and on x(k) in module; the words act on v
     itself, as the maximal submodule is a submodule."""
@@ -424,7 +416,8 @@ def u0_compare(verma: TruncatedVerma, v: InducedVector, module: DegreeOneModule,
     k = tuple(k)
     if verma.weight_of(v) != module.weight_of(k):
         return False
-    for word in _zero_weight_words(verma.system, depth):
+    # word length of the zero-weight monomial comparison
+    for word in _zero_weight_words(verma.system, 4):
         image = verma.act_word(word, v)
         t = _ratio(verma.project(image), pv)
         if t is None:
@@ -494,7 +487,8 @@ def probe_restriction_failure(C: LeviModule, depth: int = 3) -> ProbeReport:
     base = C.zero_index()
     for cand in candidates:
         lhs = verma.project(verma.monomial_tensor([neg_root(cand.delta)], base))
-        c0, t0 = C.act_root(neg_root(cand.alpha), base)
+        num, t0 = C.act_root_num(neg_root(cand.alpha), base)
+        c0 = Fraction(num, C.scale)
         off = tuple(cand.chain_weight[j] for j in verma._off_block)
         words = verma._buckets[off][cand.chain_weight]
         span_vectors = [verma.project(verma.monomial_tensor([neg_root(r) for r in word], t0, c0))

@@ -15,13 +15,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from . import linalg
 from .degonemod import DegreeOneModule, build_M, build_N
 from .extcoh import CertificationError
-from .inducemod import central_scalars, induce, levi_module, restrict_family, u0_compare
+from .inducemod import LeviModule, central_scalars, induce, restrict_family, u0_compare
 from .rootsys import add_roots, build_root_system, neg_root
 from .weylmod import check_window, format_rational, parse_rational
 
 DEFAULT_DEPTH = 4
-# word length of the zero-weight monomial comparison
-U0_DEPTH = 4
 AC1_K_RANGE = (-1, 0, 1, 2)
 BRANCHES = ("0", "-1-A")
 
@@ -69,7 +67,7 @@ def _one_root_induction(type_name: str, block: int, other: int, a1: Fraction, a2
     and beta are the simple roots `block` and `other`.
     """
     system = build_root_system(type_name)
-    C = levi_module(system, [block], build_N([a1, a2]), {other: central})
+    C = LeviModule(system, [([block], build_N([a1, a2]))], {other: central})
     V = induce(C, depth)
     (z, zval), = central_scalars(C, [_sl2_index(k) for k in (-1, 0, 1)]).items()
     # the central element sum t_i H_i acts by t_block (a1 - a2) + t_other central
@@ -85,7 +83,7 @@ def _one_root_induction(type_name: str, block: int, other: int, a1: Fraction, a2
 def _u0_self_compare(module: DegreeOneModule, depth: int) -> bool:
     """The module induced from the block restriction against the family module."""
     V = induce(restrict_family(module), depth)
-    return u0_compare(V, V.one_tensor(), module, module.zero_index(), depth=U0_DEPTH)
+    return u0_compare(V, V.one_tensor(), module, module.zero_index())
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +232,7 @@ def verify_AC1(a1, a2, depth: int = DEFAULT_DEPTH) -> LemmaReport:
         closed = -(c + 2 * a1 + 2 * k) / (2 * a2 - 2 * k + 2)
         units.add(None if (eta is None or closed == 0) else eta / closed)
     target = build_M([Fraction(-1), a1 - a2 - Fraction(1, 2)])
-    cmp_ok = u0_compare(V, V.one_tensor(), target, (0, 0), depth=U0_DEPTH)
+    cmp_ok = u0_compare(V, V.one_tensor(), target, (0, 0))
     unit_ok = len(units) == 1 and None not in units
     match = (c_extracted == c and 2 * c + 2 * A + 1 == 0 and unit_ok and cmp_ok)
     return LemmaReport(
@@ -299,7 +297,7 @@ def appendix_a3(a1, a2, branch: str = "0", k_range: Sequence[int] = (-1, 0, 1),
     c = Fraction(0) if branch == "0" else -1 - A
     d = -2 - A - 2 * c
     system = build_root_system("A3")
-    C = levi_module(system, [1], build_N([a1, a2]), {2: c + a2, 3: d})
+    C = LeviModule(system, [([1], build_N([a1, a2]))], {2: c + a2, 3: d})
     V = induce(C, depth)
     alpha, b1, b2 = (system.simple_root(i) for i in (1, 2, 3))
     full = add_roots(add_roots(alpha, b1), b2)

@@ -181,9 +181,6 @@ class RootSystem:
         """Value of the root on the i-th simple coroot."""
         return sum(c * self.cartan[j][i] for j, c in enumerate(root) if c)
 
-    def is_root(self, v: Sequence[int]) -> bool:
-        return tuple(v) in self.roots
-
     def simple_root(self, i: int) -> Root:
         """Simple root e_i, 1-based."""
         return self.simple[i - 1]
@@ -214,10 +211,8 @@ class RootSystem:
         return f"RootSystem({self.cartan_type})"
 
 
-def build_root_system(ct) -> RootSystem:
-    if isinstance(ct, str):
-        ct = CartanType.parse(ct)
-    return RootSystem(ct)
+def build_root_system(name: str) -> RootSystem:
+    return RootSystem(CartanType.parse(name))
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,7 @@ from lab_seeds import seeded_reports
 from weightcat.categorio import NONTRIVIAL, TRIVIAL, check_membership, classify
 from weightcat.degonemod import DegreeOneModule, build_M, build_N
 from weightcat.extcoh import cocycle_space, coboundary_quotient_dim, ext_solve, is_coboundary
-from weightcat.inducemod import (induce, levi_module, levi_module_product,
-                                 probe_restriction_failure)
+from weightcat.inducemod import LeviModule, induce, levi_module_product, probe_restriction_failure
 from weightcat.paperlab import (appendix_a3, verify_AC1, verify_AkAn, verify_A1N, verify_CC,
                                 verify_lemA12)
 from weightcat.rootsys import build_root_system
@@ -95,7 +94,7 @@ def _verma_fidelity(name, max_depth, c_radius) -> int:
     block, inner_params, central, kind = VERMA_BY_ALGEBRA[name]
     if block:
         inner = build_N(inner_params) if kind == "N" else build_M(inner_params)
-        C = levi_module(system, list(block), inner, central)
+        C = LeviModule(system, [(block, inner)], central)
     else:
         C = levi_module_product(system, [], central)
     V = induce(C, 4)
@@ -105,7 +104,7 @@ def _verma_fidelity(name, max_depth, c_radius) -> int:
     if block:
         for t in list(base_indices):
             for b in block:
-                c0, t2 = C.act_root(neg(system.simple_root(b)), t)
+                c0, t2 = C.act_root_num(neg(system.simple_root(b)), t)
                 if c0 and max(abs(x) for x in t2) <= c_radius:
                     base_indices.append(t2)
     base_indices = base_indices[:3]
@@ -386,7 +385,7 @@ def test_c8_truncation_soundness():
     # quotient images stable under depth growth on a saturated weight space
     from weightcat.inducemod import induce as _induce
     system = build_root_system("A2")
-    C = levi_module(system, [1], build_N(["1/2", "1/3"]), {2: F(1, 3)})
+    C = LeviModule(system, [([1], build_N(["1/2", "1/3"]))], {2: F(1, 3)})
     images = []
     for depth in (2, 3):
         V = _induce(C, depth)

@@ -1,4 +1,5 @@
 import itertools
+import re
 import time
 from fractions import Fraction as F
 
@@ -6,8 +7,8 @@ import pytest
 
 from weightcat import inducemod, linalg
 from weightcat.degonemod import build_M, build_N
-from weightcat.inducemod import (DepthOverflowError, NonScalarActionError, central_scalars,
-                                 induce, levi_module, levi_module_product,
+from weightcat.inducemod import (DepthOverflowError, LeviModule, NonScalarActionError, central_scalars,
+                                 induce, levi_module_product,
                                  probe_restriction_failure, restrict_family, u0_compare,
                                  _zero_weight_words)
 from weightcat.rootsys import build_root_system
@@ -21,7 +22,7 @@ def neg(r):
 def a2_setup():
     rs = build_root_system("A2")
     a1, a2 = F(1, 2), F(1, 3)
-    C = levi_module(rs, [1], build_N([a1, a2]), {2: a2})  # branch c = 0
+    C = LeviModule(rs, [([1], build_N([a1, a2]))], {2: a2})  # branch c = 0
     return rs, a1, a2, C
 
 
@@ -154,7 +155,7 @@ def test_central_scalars(a2_setup):
     with pytest.raises(ValueError):
         central_scalars(C, [])
     # the non-constant guard trips on a weight corrupted in its integers
-    Cbad = levi_module(rs, [1], build_N([a1, a2]), {2: a2})
+    Cbad = LeviModule(rs, [([1], build_N([a1, a2]))], {2: a2})
     true_weight = Cbad.weight_num
     Cbad.weight_num = lambda t: tuple(
         w + Cbad.scale * (i == 1 and tuple(t) == (1, -1)) for i, w in enumerate(true_weight(t)))
@@ -165,12 +166,12 @@ def test_central_scalars(a2_setup):
 def test_u0_compare_cor_isomorphism(a2_setup):
     rs, a1, a2, C = a2_setup
     V = induce(C, 5)
-    assert u0_compare(V, V.one_tensor(), build_N([a1, a2, 0]), (0, 0, 0), depth=4)
+    assert u0_compare(V, V.one_tensor(), build_N([a1, a2, 0]), (0, 0, 0))
     # the other branch matches the reflected parameters
-    Cm = levi_module(rs, [1], build_N([a1, a2]), {2: -1 - a1 - a2 + a2})
+    Cm = LeviModule(rs, [([1], build_N([a1, a2]))], {2: -1 - a1 - a2 + a2})
     Vm = induce(Cm, 5)
-    assert u0_compare(Vm, Vm.one_tensor(), build_N([-1 - a2, -1 - a1, 0]), (0, 0, 0), depth=4)
-    assert not u0_compare(V, V.one_tensor(), build_N([a1, F(1, 5), 0]), (0, 0, 0), depth=4)
+    assert u0_compare(Vm, Vm.one_tensor(), build_N([-1 - a2, -1 - a1, 0]), (0, 0, 0))
+    assert not u0_compare(V, V.one_tensor(), build_N([a1, F(1, 5), 0]), (0, 0, 0))
 
 
 def test_u0_compare_errors(a2_setup, monkeypatch):
@@ -200,25 +201,25 @@ def test_restrict_family_roundtrip():
     C = restrict_family(fam)
     assert C.block == (2,)
     V = induce(C, 4)
-    assert u0_compare(V, V.one_tensor(), fam, (0, 0, 0, 0), depth=3)
+    assert u0_compare(V, V.one_tensor(), fam, (0, 0, 0, 0))
     famc = build_M(["-1", "1/4", "1/5"])
     Cc = restrict_family(famc)
     assert Cc.block == (2, 3)
     Vc = induce(Cc, 3)
-    assert u0_compare(Vc, Vc.one_tensor(), famc, (0, 0, 0), depth=3)
+    assert u0_compare(Vc, Vc.one_tensor(), famc, (0, 0, 0))
 
 
 def test_probe_restriction_failure_cases():
     c2 = build_root_system("C2")
-    short_block = levi_module(c2, [1], build_N([F(1, 4), F(1, 7)]), {2: F(2, 3)})
+    short_block = LeviModule(c2, [([1], build_N([F(1, 4), F(1, 7)]))], {2: F(2, 3)})
     rep = probe_restriction_failure(short_block, depth=3)
     assert rep.restriction_impossible and rep.witness is not None
 
     a2 = build_root_system("A2")
-    fine = levi_module(a2, [1], build_N([F(1, 2), F(1, 3)]), {2: F(1, 3)})
+    fine = LeviModule(a2, [([1], build_N([F(1, 2), F(1, 3)]))], {2: F(1, 3)})
     assert probe_restriction_failure(fine, depth=3).restriction_impossible is False
 
-    long_ok = levi_module(c2, [2], build_N([F(1, 4), F(-3, 4)]), {1: 2 * F(-3, 4)})
+    long_ok = LeviModule(c2, [([2], build_N([F(1, 4), F(-3, 4)]))], {1: 2 * F(-3, 4)})
     assert probe_restriction_failure(long_ok, depth=3).restriction_impossible is False
 
 
@@ -237,9 +238,9 @@ def test_probe_trivial_c3_cases():
     # single short root blocks and the size-two type A block are all obstructed
     for block, central in ([(1,), {2: F(1, 5), 3: F(1, 7)}],
                            [(2,), {1: F(1, 5), 3: F(1, 7)}]):
-        C = levi_module(c3, block, build_N([F(1, 2), F(1, 3)]), central)
+        C = LeviModule(c3, [(block, build_N([F(1, 2), F(1, 3)]))], central)
         assert probe_restriction_failure(C, depth=3).restriction_impossible, block
-    C = levi_module(c3, [1, 2], build_N([F(1, 2), F(1, 3), F(1, 5)]), {3: F(1, 7)})
+    C = LeviModule(c3, [([1, 2], build_N([F(1, 2), F(1, 3), F(1, 5)]))], {3: F(1, 7)})
     assert probe_restriction_failure(C, depth=3).restriction_impossible
 
 
@@ -361,9 +362,23 @@ def test_simple_theta_steps_join_alpha_to_delta():
 def test_levi_component_must_live_on_its_block():
     a3, c3 = build_root_system("A3"), build_root_system("C3")
     with pytest.raises(ValueError):
-        levi_module(a3, [1, 2], build_M([F(1, 5), F(2, 5)]), {3: F(1, 3)})
+        LeviModule(a3, [([1, 2], build_M([F(1, 5), F(2, 5)]))], {3: F(1, 3)})
     with pytest.raises(ValueError):
-        levi_module(c3, [2, 3], build_N([F(1, 5), F(2, 5), F(-3, 5)]), {1: F(1, 3)})
+        LeviModule(c3, [([2, 3], build_N([F(1, 5), F(2, 5), F(-3, 5)]))], {1: F(1, 3)})
+
+
+def test_levi_module_refuses_central_values_it_cannot_use():
+    # a block coroot takes its value from the inner module, and a coroot outside
+    # 1..rank is none of the algebra's: either would be dropped without a word
+    a2 = build_root_system("A2")
+    inner = build_N([F(1, 2), F(1, 3)])
+    assert LeviModule(a2, [([1], inner)], {2: F(1, 3)}).lam0 == (F(1, 6), F(1, 3))
+    for central, unused in [({1: 99, 2: F(1, 3), 7: 5}, [1, 7]), ({1: F(1, 6), 2: F(1, 3)}, [1]),
+                            ({0: 1, 2: F(1, 3)}, [0])]:
+        with pytest.raises(ValueError, match=re.escape(f"coroots {unused}")):
+            LeviModule(a2, [([1], inner)], central)
+    with pytest.raises(ValueError, match=re.escape("missing for coroots [2]")):
+        LeviModule(a2, [([1], inner)], {7: 5})
 
 
 def _in_basis(C, t):
@@ -419,15 +434,15 @@ def test_kernel_data_matches_brute_force():
     of the basis have rank dim - dim K."""
     a2, a3, c2 = (build_root_system(t) for t in ("A2", "A3", "C2"))
     modules = [
-        (levi_module(a2, [1], build_N([F(1, 2), F(1, 3)]), {2: F(1, 3)}), (2, 3)),
+        (LeviModule(a2, [([1], build_N([F(1, 2), F(1, 3)]))], {2: F(1, 3)}), (2, 3)),
         (restrict_family(build_N(["-1", "1/2", "1/3"])), (2, 3)),
         (restrict_family(build_N(["-1", "1/2", "1/3", "0"])), (2, 3)),
         (restrict_family(build_N(["-1", "1/2", "1/3", "1/5"])), (2, 3)),
-        (levi_module(a3, [1, 2], build_N([F(1, 2), F(1, 3), F(1, 5)]), {3: F(1, 7)}), (2, 3)),
+        (LeviModule(a3, [([1, 2], build_N([F(1, 2), F(1, 3), F(1, 5)]))], {3: F(1, 7)}), (2, 3)),
         (levi_module_product(a3, [((1,), build_N([F(1, 2), F(1, 3)])),
                                   ((3,), build_N([F(1, 5), F(2, 5)]))], {2: F(1, 7)}), (2,)),
         (restrict_family(build_M(["-1", "1/4"])), (2, 3)),
-        (levi_module(c2, [1], build_N([F(1, 2), F(1, 3)]), {2: F(1, 5)}), (2, 3)),
+        (LeviModule(c2, [([1], build_N([F(1, 2), F(1, 3)]))], {2: F(1, 5)}), (2, 3)),
         # C3 at depth 3 costs over twice the time gate below
         (restrict_family(build_M(["-1", "-1", "1/4"])), (2,)),
     ]
@@ -542,9 +557,8 @@ def test_induced_action_matches_fraction_oracle(case):
     """act_root on every PBW key up to depth 3 on a box of Levi indices, for every root,
     against a Fraction PBW straightening that shares no code with it."""
     a3, c3 = build_root_system("A3"), build_root_system("C3")
-    C = {"A3{1,2}": lambda: levi_module(a3, [1, 2], build_N([F(1, 2), F(1, 3), F(1, 5)]),
-                                        {3: F(2, 3)}),
-         "C3{2,3}": lambda: levi_module(c3, [2, 3], build_M([F(1, 3), F(2, 5)]), {1: F(1, 4)}),
+    C = {"A3{1,2}": lambda: LeviModule(a3, [([1, 2], build_N([F(1, 2), F(1, 3), F(1, 5)]))], {3: F(2, 3)}),
+         "C3{2,3}": lambda: LeviModule(c3, [([2, 3], build_M([F(1, 3), F(2, 5)]))], {1: F(1, 4)}),
          # the central value 1/7 puts a 7 into the scale that no inner module has
          "A3{1}x{3}": lambda: levi_module_product(a3, [((1,), build_N([F(1, 2), F(1, 3)])),
                                                        ((3,), build_N([F(1, 5), F(2, 5)]))],
@@ -569,7 +583,7 @@ def test_induced_cartan_term_reads_the_integer_weight():
     # from the key's weight as integers over V.scale, so one unit planted on H_i
     # there moves it by h_i
     a3 = build_root_system("A3")
-    C = levi_module(a3, [1, 2], build_N([F(1, 2), F(1, 3), F(1, 5)]), {3: F(2, 3)})
+    C = LeviModule(a3, [([1, 2], build_N([F(1, 2), F(1, 3), F(1, 5)]))], {3: F(2, 3)})
     t = C.zero_index()
     for i in range(a3.rank):
         V = induce(C, 3)
@@ -587,7 +601,7 @@ def test_induced_cartan_term_reads_the_integer_weight():
 
 def test_act_word_divides_once():
     a3 = build_root_system("A3")
-    C = levi_module(a3, [1, 2], build_N([F(1, 2), F(1, 3), F(1, 5)]), {3: F(2, 3)})
+    C = LeviModule(a3, [([1, 2], build_N([F(1, 2), F(1, 3), F(1, 5)]))], {3: F(2, 3)})
     V = induce(C, 4)
     word = [V.ideal_pos[0]] + [neg(r) for r in V.ideal_pos] + [a3.simple_root(1)]
     vec = {((), (0, 0, 0)): F(3, 7), ((), (1, -1, 0)): F(-5, 4)}
@@ -600,7 +614,7 @@ def test_act_word_divides_once():
 
 def test_non_roots_are_rejected():
     a3 = build_root_system("A3")
-    C = levi_module(a3, [1, 2], build_N([F(1, 2), F(1, 3), F(1, 5)]), {3: F(2, 3)})
+    C = LeviModule(a3, [([1, 2], build_N([F(1, 2), F(1, 3), F(1, 5)]))], {3: F(2, 3)})
     V = induce(C, 3)
     deep = V.monomial_tensor([neg(r) for r in V.ideal_pos[:2]], C.zero_index())
     for root in [(1, 0, 1), (0, 0, 0), (1, 1, 1, 1)]:
@@ -612,8 +626,4 @@ def test_non_roots_are_rejected():
     # a root of the algebra that is off the Levi block, or no root at all
     for root in [(0, 0, 1), (0, 1, 1), (1, 0, 1), (0, 0, 0)]:
         with pytest.raises(ValueError):
-            C.act_root(root, C.zero_index())
-        with pytest.raises(ValueError):
             C.act_root_num(root, C.zero_index())
-    num, t = C.act_root_num(neg(a3.simple_root(1)), C.zero_index())
-    assert C.act_root(neg(a3.simple_root(1)), C.zero_index()) == (F(num, C.scale), t)

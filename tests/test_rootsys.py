@@ -378,7 +378,7 @@ def test_classify_subset_brute_force_agreement():
         members = frozenset(r for r in roots if rng.random() < 0.4)
         sub = RootSubset(rs, members)
         flags = classify_subset(sub)
-        closed = all(not (rs.is_root(tuple(a + b for a, b in zip(x, y)))
+        closed = all(not (tuple(a + b for a, b in zip(x, y)) in rs.roots
                           and tuple(a + b for a, b in zip(x, y)) not in members)
                      for x in members for y in members)
         assert flags.closed == closed
