@@ -40,4 +40,4 @@ print("off-branch central value: proportionality =", Vbad.proportionality(v, w))
 C0 = LeviModule(system, [([1], build_N([a1, a2]))], {2: a2})
 V0 = induce(C0, 5)
 print("quotient matches N(a1,a2,0):",
-      u0_compare(V0, V0.one_tensor(), build_N([a1, a2, 0]), (0, 0, 0)))
+      u0_compare(V0, build_N([a1, a2, 0])))

@@ -37,7 +37,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .degonemod import DegreeOneModule
@@ -216,13 +216,12 @@ def _phi_domain(source: DegreeOneModule, target: DegreeOneModule, radius: int):
     shift = source.index_shift(target)
     if shift is None:
         return {}
-    system = source.system
-    window = list(source.window(radius))
-    extended: Set[Index] = set(window)
-    for k in window:
-        for root in system.roots:
-            _, k2 = source.act_root(root, k)
-            extended.add(k2)
+    eps, window = source.realization.epsilon_vector, source.window(radius)
+    # X_root x(k) != 0 exactly when k + eps(root) is admissible, as `WeylParams._step`
+    # is zero exactly on a step out of the admissible set (it raises on a nonzero
+    # one); a zero walk stops at k, or at an index whose coordinate sum is off by one
+    extended = set(window) | {tuple(a + e for a, e in zip(k, eps(root)))
+                              for root in source.system.roots for k in window}
     pairs = {}
     for k in sorted(extended):
         t = tuple(a + b for a, b in zip(k, shift))

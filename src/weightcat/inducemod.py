@@ -180,17 +180,16 @@ class TruncatedVerma:
         self._buckets: Dict[Tuple[int, ...], Dict[Root, List[Monomial]]] = Lookup(self._bucket)
 
     # -- constructors ------------------------------------------------------------
-    def one_tensor(self, t: Optional[Index] = None, coeff: Fraction = Fraction(1)) -> InducedVector:
-        t = self.C.zero_index() if t is None else tuple(t)
-        return {((), t): Fraction(coeff)}
+    def one_tensor(self) -> InducedVector:
+        """The base vector 1 (x) x(0)."""
+        return {((), self.C.zero_index()): Fraction(1)}
 
-    def monomial_tensor(self, roots: Sequence[Root], t: Index,
-                        coeff: Fraction = Fraction(1)) -> InducedVector:
-        """w (x) x(t) for w a product of negative nilradical root vectors.
+    def monomial_tensor(self, roots: Sequence[Root], t: Index) -> InducedVector:
+        """w (x) x(t) for w a word of root vectors.
 
         The factors are multiplied in the given left-to-right order.
         """
-        return self.act_word(roots, self.one_tensor(t, coeff))
+        return self.act_word(roots, {((), tuple(t)): Fraction(1)})
 
     # -- weights -----------------------------------------------------------------
     def weight_of_key(self, key: VectorKey) -> Tuple[Fraction, ...]:
@@ -384,12 +383,13 @@ def central_scalars(C: LeviModule, samples: Sequence[Index]) -> Dict[Tuple[Fract
 # Zero-weight monomial comparison
 # ---------------------------------------------------------------------------
 
-def _zero_weight_words(system: RootSystem, max_len: int) -> List[Tuple[Root, ...]]:
+def _zero_weight_words(system: RootSystem) -> List[Tuple[Root, ...]]:
     """Nonempty multisets of at most max_len roots with total zero.
 
     Roots are indexed in (height, root) order; each word lists its roots by
     index, and the words come in order of their index tuples.
     """
+    max_len = 4  # word length of the zero-weight monomial comparison
     roots = system.ordered_roots
     index = {r: i for i, r in enumerate(roots)}
     # negative roots come first: a word is a negative part followed by a
@@ -406,20 +406,17 @@ def _zero_weight_words(system: RootSystem, max_len: int) -> List[Tuple[Root, ...
     return [tuple(roots[i] for i in word) for word in sorted(words)]
 
 
-def u0_compare(verma: TruncatedVerma, v: InducedVector, module: DegreeOneModule, k: Index) -> bool:
+def u0_compare(verma: TruncatedVerma, module: DegreeOneModule) -> bool:
     """Equality of the weights, and of the scalar of every zero-weight word, on
-    v in the simple quotient of verma and on x(k) in module; the words act on v
-    itself, as the maximal submodule is a submodule."""
-    pv = verma.project(v)
-    if not pv:
-        raise ValueError("base vector is zero in the quotient")
-    k = tuple(k)
-    if verma.weight_of(v) != module.weight_of(k):
+    1 (x) x(0) in the simple quotient of verma and on x(0) in module.  The
+    words act on 1 (x) x(0) itself, as the maximal submodule is a submodule,
+    and keep it in 1 (x) C, where `project` applies the empty word alone (the
+    off-block total is 0): there each image is its own image in the quotient."""
+    one, k = verma.one_tensor(), module.zero_index()
+    if verma.weight_of(one) != module.weight_of(k):
         return False
-    # word length of the zero-weight monomial comparison
-    for word in _zero_weight_words(verma.system, 4):
-        image = verma.act_word(word, v)
-        t = _ratio(verma.project(image), pv)
+    for word in _zero_weight_words(verma.system):
+        t = _ratio(verma.act_word(word, one), one)
         if t is None:
             raise NonScalarActionError(f"word {word} acted non-scalarly on the quotient vector")
         coeff, target = module.act_word(word, k)
@@ -487,12 +484,11 @@ def probe_restriction_failure(C: LeviModule, depth: int = 3) -> ProbeReport:
     base = C.zero_index()
     for cand in candidates:
         lhs = verma.project(verma.monomial_tensor([neg_root(cand.delta)], base))
-        num, t0 = C.act_root_num(neg_root(cand.alpha), base)
-        c0 = Fraction(num, C.scale)
         off = tuple(cand.chain_weight[j] for j in verma._off_block)
         words = verma._buckets[off][cand.chain_weight]
-        span_vectors = [verma.project(verma.monomial_tensor([neg_root(r) for r in word], t0, c0))
-                        for word in words]
+        # X_{-alpha} is a Levi root vector, so it acts on 1 (x) C through C
+        span_vectors = [verma.project(verma.monomial_tensor(
+            [neg_root(r) for r in word] + [neg_root(cand.alpha)], base)) for word in words]
         if linalg.in_span(lhs, span_vectors) is None:
             return ProbeReport(True, cand, len(candidates))
     return ProbeReport(False, None, len(candidates))

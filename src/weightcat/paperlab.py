@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
-from .degonemod import DegreeOneModule, build_M, build_N
+from .degonemod import build_M, build_N
 from .extcoh import CertificationError
 from .inducemod import LeviModule, central_scalars, induce, restrict_family, u0_compare
 from .rootsys import add_roots, build_root_system, neg_root
@@ -80,12 +80,6 @@ def _one_root_induction(type_name: str, block: int, other: int, a1: Fraction, a2
     return V, central_read, etas
 
 
-def _u0_self_compare(module: DegreeOneModule, depth: int) -> bool:
-    """The module induced from the block restriction against the family module."""
-    V = induce(restrict_family(module), depth)
-    return u0_compare(V, V.one_tensor(), module, module.zero_index())
-
-
 # ---------------------------------------------------------------------------
 # Rank 2, single cuspidal simple root at the end of type A
 # ---------------------------------------------------------------------------
@@ -121,7 +115,7 @@ def verify_lemA12(a1, a2, k_range: Sequence[int] = (-2, -1, 0, 1, 2),
 # Interior single cuspidal simple root in type A
 # ---------------------------------------------------------------------------
 
-def verify_A1N(params: Sequence, depth: int = DEFAULT_DEPTH) -> LemmaReport:
+def verify_A1N(params: Sequence) -> LemmaReport:
     """Boundary and central constants of an interior rank-one family.
 
     params is the full family vector (-1,..,-1, z1, z2, 0,..,0).  The
@@ -193,7 +187,7 @@ def verify_AkAn(params: Sequence, depth: int = DEFAULT_DEPTH) -> LemmaReport:
     cp = w0[j - 1] + mid[0]          # value(H_{e_j}) = c' - (a_1 + k_1)
     ds = {f"d_{i - m}": w0[i - 1] for i in range(m + 1, n + 1)}
     dps = {f"d'_{j - i}": w0[i - 1] for i in range(1, j)}
-    cmp_ok = _u0_self_compare(module, depth)
+    cmp_ok = u0_compare(induce(restrict_family(module), depth), module)
     match = (c == 0 and cp == -1
              and all(v == 0 for v in ds.values())
              and all(v == 0 for v in dps.values())
@@ -232,7 +226,7 @@ def verify_AC1(a1, a2, depth: int = DEFAULT_DEPTH) -> LemmaReport:
         closed = -(c + 2 * a1 + 2 * k) / (2 * a2 - 2 * k + 2)
         units.add(None if (eta is None or closed == 0) else eta / closed)
     target = build_M([Fraction(-1), a1 - a2 - Fraction(1, 2)])
-    cmp_ok = u0_compare(V, V.one_tensor(), target, (0, 0))
+    cmp_ok = u0_compare(V, target)
     unit_ok = len(units) == 1 and None not in units
     match = (c_extracted == c and 2 * c + 2 * A + 1 == 0 and unit_ok and cmp_ok)
     return LemmaReport(
@@ -264,7 +258,7 @@ def verify_CC(params: Sequence, depth: int = DEFAULT_DEPTH) -> LemmaReport:
     w0 = module.weight_of(module.zero_index())
     c = w0[j - 1] + a1               # value(H_{e_j}) = c - a_1 - k_1
     ds = {f"d_{j - i}": w0[i - 1] for i in range(1, j)}
-    cmp_ok = _u0_self_compare(module, depth)
+    cmp_ok = u0_compare(induce(restrict_family(module), depth), module)
     match = c == -1 and all(v == 0 for v in ds.values()) and cmp_ok
     return LemmaReport(
         "CC",
@@ -374,7 +368,7 @@ def run_lemma(lemma: str, params: Sequence, branch: str = "0", radius: int = 3,
     check_window([k_range])
     run = LEMMAS[lemma]
     if lemma in ("A1N", "AkAn", "CC"):
-        return run(params, depth=depth)
+        return run(params) if lemma == "A1N" else run(params, depth=depth)
     if len(params) != 2:
         raise ValueError(f"{lemma} takes two parameters a1,a2, got {len(params)}")
     a1, a2 = params

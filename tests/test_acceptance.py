@@ -379,7 +379,7 @@ def test_c8_truncation_soundness():
         assert rep.computed["d"] == F(-17, 6)
     for depth in (4, 5):
         assert verify_AC1("1/4", "-3/4", depth=depth).computed["c"] == 0
-        assert verify_A1N(["-1", "1/2", "1/3", "0"], depth=depth).match
+        assert verify_A1N(["-1", "1/2", "1/3", "0"]).match
         assert verify_AkAn(["-1", "1/2", "1/3", "1/5", "0"], depth=depth).match
         assert verify_CC(["-1", "1/4", "1/5"], depth=depth).match
     # quotient images stable under depth growth on a saturated weight space

@@ -1,7 +1,8 @@
 """Every module-level import in src/weightcat is used by the module that makes it,
 and names a module of the standard library or of the package itself; every
-private function, method, property and class there is read somewhere in it;
-each imports from the package only modules of an earlier layer.
+private function, method, property and class there is read somewhere in it,
+and every parameter of a function or lambda by its body; each imports from the
+package only modules of an earlier layer.
 
 `__init__` is left out of the first check: its imports are the package's exports.
 """
@@ -126,6 +127,37 @@ def test_an_unread_private_definition_is_found():
                      "SIZE = _helper()\n")
     assert [name for name, _ in _private_definitions(tree) if name not in _read(tree)] == [
         "_orphan", "_spare"]
+
+
+def _unread_parameters(tree):
+    """(function name, parameter, line) of every parameter of a function or lambda,
+    `self` and `cls` aside, that its body never reads."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            args = node.args
+            params = [a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs,
+                                      args.vararg, args.kwarg) if a and a.arg not in ("self", "cls")]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {n.id for stmt in body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            yield from ((getattr(node, "name", "<lambda>"), p, node.lineno) for p in params if p not in read)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.stem)
+def test_no_unread_parameter(path):
+    unread = [f"{name}'s {param} (line {line})"
+              for name, param, line in _unread_parameters(ast.parse(path.read_text()))]
+    assert not unread, f"{path.name} has parameters that their function never reads: {', '.join(unread)}"
+
+
+def test_an_unread_parameter_is_found():
+    tree = ast.parse("def f(a, b, *args, c=1, **kw):\n    b = a\n    return kw\n"
+                     "class K:\n    def m(self, d, /, e):\n        def inner():\n            return d\n"
+                     "        return inner\n"
+                     "    @classmethod\n    def n(cls):\n        return 0\n"
+                     "g = lambda x, y: x\n")
+    assert sorted((name, p) for name, p, _ in _unread_parameters(tree)) == [
+        ("<lambda>", "y"), ("f", "args"), ("f", "b"), ("f", "c"), ("m", "e")]
 
 
 def _third_party(tree):

@@ -6,11 +6,11 @@ from fractions import Fraction as F
 import pytest
 
 from weightcat import inducemod, linalg
-from weightcat.degonemod import build_M, build_N
+from weightcat.degonemod import build_M, build_N, build_module
 from weightcat.inducemod import (DepthOverflowError, LeviModule, NonScalarActionError, central_scalars,
                                  induce, levi_module_product,
                                  probe_restriction_failure, restrict_family, u0_compare,
-                                 _zero_weight_words)
+                                 _ratio, _zero_weight_words)
 from weightcat.rootsys import build_root_system
 
 
@@ -120,7 +120,7 @@ def test_project_rejects_a_vector_of_two_weights(a2_setup):
     rs, a1, a2, C = a2_setup
     V = induce(C, 3)
     w = V.monomial_tensor([neg(rs.simple_root(2))], (0, 0))
-    for bad in ({**w, **V.one_tensor()}, {**V.one_tensor(), **V.one_tensor((1, -1))}):
+    for bad in ({**w, **V.one_tensor()}, {**V.one_tensor(), **V.monomial_tensor([], (1, -1))}):
         for call in (lambda: V.project(bad), lambda: V.proportionality(bad, w),
                      lambda: V.proportionality(w, bad)):
             with pytest.raises(ValueError, match="not weight-homogeneous"):
@@ -166,34 +166,32 @@ def test_central_scalars(a2_setup):
 def test_u0_compare_cor_isomorphism(a2_setup):
     rs, a1, a2, C = a2_setup
     V = induce(C, 5)
-    assert u0_compare(V, V.one_tensor(), build_N([a1, a2, 0]), (0, 0, 0))
+    assert u0_compare(V, build_N([a1, a2, 0]))
     # the other branch matches the reflected parameters
     Cm = LeviModule(rs, [([1], build_N([a1, a2]))], {2: -1 - a1 - a2 + a2})
     Vm = induce(Cm, 5)
-    assert u0_compare(Vm, Vm.one_tensor(), build_N([-1 - a2, -1 - a1, 0]), (0, 0, 0))
-    assert not u0_compare(V, V.one_tensor(), build_N([a1, F(1, 5), 0]), (0, 0, 0))
+    assert u0_compare(Vm, build_N([-1 - a2, -1 - a1, 0]))
+    assert not u0_compare(V, build_N([a1, F(1, 5), 0]))
 
 
 def test_u0_compare_errors(a2_setup, monkeypatch):
     rs, a1, a2, C = a2_setup
     V = induce(C, 3)
     N = build_N([a1, a2, 0])
-    with pytest.raises(ValueError, match="zero in the quotient"):
-        u0_compare(V, {}, N, (0, 0, 0))
     # a word of nonzero weight moves the base vector, so it has no scalar; the
     # quotient is read before the module
     word = [rs.simple_root(1)]
-    monkeypatch.setattr(inducemod, "_zero_weight_words", lambda system, max_len: [word])
+    monkeypatch.setattr(inducemod, "_zero_weight_words", lambda system: [word])
     with pytest.raises(NonScalarActionError, match="non-scalarly on the quotient vector"):
-        u0_compare(V, V.one_tensor(), N, (0, 0, 0))
+        u0_compare(V, N)
     # X_{alpha_2} kills 1 (x) C, so the quotient scalar is 0, and moves x(0) of
     # the cuspidal module of the same base weight
     word[0] = rs.simple_root(2)
     shifted = build_N([a1 + F(1, 7), a2 + F(1, 7), F(1, 7)])
     assert shifted.weight_of((0, 0, 0)) == N.weight_of((0, 0, 0))
     with pytest.raises(NonScalarActionError, match="did not return to the base vector"):
-        u0_compare(V, V.one_tensor(), shifted, (0, 0, 0))
-    assert u0_compare(V, V.one_tensor(), N, (0, 0, 0))
+        u0_compare(V, shifted)
+    assert u0_compare(V, N)
 
 
 def test_restrict_family_roundtrip():
@@ -201,12 +199,39 @@ def test_restrict_family_roundtrip():
     C = restrict_family(fam)
     assert C.block == (2,)
     V = induce(C, 4)
-    assert u0_compare(V, V.one_tensor(), fam, (0, 0, 0, 0))
+    assert u0_compare(V, fam)
     famc = build_M(["-1", "1/4", "1/5"])
     Cc = restrict_family(famc)
     assert Cc.block == (2, 3)
     Vc = induce(Cc, 3)
-    assert u0_compare(Vc, Vc.one_tensor(), famc, (0, 0, 0))
+    assert u0_compare(Vc, famc)
+
+
+@pytest.mark.parametrize("family,depth", [
+    *((family, depth) for depth in (4, 5)
+      for family in ("N -1,1/2,1/3,0", "N -1,1/2,1/3,1/5,0", "M -1,1/4,1/5", "M -1,-1,1/4,1/5")),
+    ("AC1", 4)])
+def test_zero_weight_words_keep_the_base_vector_in_one_tensor_c(family, depth):
+    # a zero-weight word keeps 1 (x) x(0) in 1 (x) C, where project applies the
+    # empty word alone, so u0_compare reads the quotient scalar off the image
+    if family == "AC1":
+        # verify_AC1's Levi module at a1, a2 = 1/4, -3/4 (branch c = 0) and its target
+        c2 = build_root_system("C2")
+        V = induce(LeviModule(c2, [([2], build_N([F(1, 4), F(-3, 4)]))], {1: F(-3, 2)}), depth)
+        module = build_M([-1, F(1, 2)])
+    else:
+        kind, params = family.split()
+        module = build_module(kind, params.split(","))
+        V = induce(restrict_family(module), depth)
+    one, k = V.one_tensor(), module.zero_index()
+    projected = V.weight_of(one) == module.weight_of(k)
+    for word in _zero_weight_words(V.system):
+        image = V.act_word(word, one)
+        assert V.project(image) == image, word
+        coeff, target = module.act_word(word, k)
+        t = _ratio(V.project(image), V.project(one))
+        projected = projected and t == coeff and (not coeff or target == k)
+    assert projected and u0_compare(V, module)
 
 
 def test_probe_restriction_failure_cases():
@@ -481,7 +506,7 @@ def test_zero_weight_words_match_enumeration(name):
                 for word in itertools.combinations_with_replacement(roots, n)
                 if not any(map(sum, zip(*word)))]
     expected.sort(key=lambda word: [roots.index(r) for r in word])
-    assert _zero_weight_words(rs, 4) == expected
+    assert _zero_weight_words(rs) == expected
 
 
 def _oracle_levi(C, root, t):
