@@ -6,9 +6,9 @@ which is exactly the condition for the glued extension module to stay a
 weight module.  Because both modules here have one-dimensional weight
 spaces, a graded map is a single rational coefficient per basis vector,
 and the cocycle identity over all pairs of root vectors becomes a sparse
-exact linear system.  Its rows are built in integers: the root actions
-enter as the modules' store numerators over their scales, and every
-cocycle value is integers over one denominator.
+exact linear system.  `_identity` is its one row builder, in integers: the
+root actions enter as the modules' store numerators over their scales,
+and every cocycle value is integers over one denominator.
 
 Two solvers are provided.  `cocycle_space` parametrises every graded
 cocycle on a window and `coboundary_quotient_dim` measures the quotient by
@@ -29,7 +29,8 @@ early, so full rank comes early.  The pairs through α are built one by one
 `Realization.root_pairs`, are built only if the rank is still short after
 them.  The reduced echelon form does not depend on the order of the rows,
 so an answer of positive dimension reads every identity and is that of the
-whole system.  A self pair is one module, passed as both.
+whole system.  A self pair is one module, passed as both.  The rank-one
+inverse-shift cocycle `make_sl2_cocycle` is the normal form's value at b.
 """
 from __future__ import annotations
 
@@ -37,7 +38,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from . import linalg
 from .degonemod import DegreeOneModule
@@ -71,60 +72,37 @@ class Cocycle:
 
 
 def make_sl2_cocycle(b, module: DegreeOneModule, radius: int = 6) -> Cocycle:
-    """Inverse-lowering cocycle on a cuspidal rank-one module.
-
-    c(H) = c(X^-) = 0 and c(X^+) x(k) = b * (X^-)^{-1} x(k); requires the
-    lowering operator to be invertible (nonzero coefficients) on the window.
-    """
+    """Inverse-lowering cocycle on a cuspidal rank-one module: c(H) = c(X^-) = 0
+    and c(X^+) x(k) = b * (X^-)^{-1} x(k), the normal form's cocycle at b on its
+    one orbit label, whose assembler refuses a module that is not cuspidal."""
     b = parse_rational(b)
-    system = module.system
-    if system.rank != 1:
+    if module.system.rank != 1:
         raise ValueError("rank-one module expected")
-    alpha = system.simple_root(1)
-    nalpha = neg_root(alpha)
-    plus: Dict[Index, Tuple[Fraction, Index]] = {}
-    minus: Dict[Index, Tuple[Fraction, Index]] = {}
-    for k in module.window(radius + 1):
-        coeff, down = module.act_root(nalpha, k)
-        if coeff == 0:
-            raise ValueError(f"lowering operator vanishes at {k}: module is not cuspidal")
-        # (X^-)^{-1} x(down) = x(k)/coeff
-        plus[down] = (b / coeff, k)
+    nf = _NormalFormAssembler(module, radius + 1)
+    plus, minus = {}, {}
+    for k in nf.window:
+        down = tuple(a - d for a, d in zip(k, nf.delta))
+        den, t, row = nf.value(nf.alpha, down)
+        plus[down] = (b * Fraction(row[()], den), t)
         minus[k] = (Fraction(0), down)
-    return Cocycle(module, module, {alpha: plus, nalpha: minus})
+    return Cocycle(module, module, {nf.alpha: plus, nf.nalpha: minus})
 
 
-def cocycle_identities(source: DegreeOneModule, target: DegreeOneModule, cval: Callable,
-                       window: Sequence[Index], pairs: Sequence[RootPair]) -> Iterator:
-    """The cocycle identity on every root pair and window vector, as integer rows.
+def _identity(source: DegreeOneModule, target: DegreeOneModule, cval: Callable,
+              pair: RootPair, k: Index) -> Optional[Value]:
+    """The cocycle identity of one root pair at x(k), as one integer row.
 
     cval(root, k) is c(X_root) x(k) as (den, target, {column: int}), integers
     over one positive denominator at the target index of weight wt(k) + root,
     (1, None, {}) if zero, or None where c is not known; the normal form's
     values on roots with a negative alpha coordinate are zero, never computed.
-    For each (mu, nu, mu+nu, N, h) in pairs and each k in window this yields
-    (mu, nu, k, (den, t, row)), row the nonzero integer coefficients at x(t) of
+    For pair = (mu, nu, mu+nu, N, h) this is (den, t, row), row the nonzero
+    integer coefficients at x(t) of
         N c(X_{mu+nu}) - c(X_mu) X_nu + X_nu c(X_mu) + c(X_nu) X_mu - X_mu c(X_nu)
     applied to x(k), over den; the root actions enter as the modules' store
     numerators over their scales.  A term off t raises ValueError: c is not
-    graded.  The last item is None when the identity needs a value cval does
-    not know.  Raises CertificationError once exhausted if identities
-    exist but every one was None: a check that checked nothing must not pass.
+    graded.  None when the identity needs a value cval does not know.
     """
-    checked = skipped = False
-    for pair in pairs:
-        for k in window:
-            ident = _identity(source, target, cval, pair, k)
-            skipped |= ident is None
-            checked |= ident is not None
-            yield pair[0], pair[1], k, ident
-    if skipped and not checked:
-        raise CertificationError("every identity left the window; enlarge it")
-
-
-def _identity(source: DegreeOneModule, target: DegreeOneModule, cval: Callable,
-              pair: RootPair, k: Index) -> Optional[Value]:
-    """The (den, t, row) of `cocycle_identities` for one root pair at x(k), or None."""
     mu, nu, s, n, _ = pair
     # (value, factor numerator, factor denominator, root then acting on the target)
     terms = [(cval(s, k), n, 1, None)] if n else []
@@ -204,8 +182,12 @@ def cocycle_space(source: DegreeOneModule, target: DegreeOneModule, radius: int)
     def cval(root, k):
         return values.get((root, k), _ZERO) if k in winset else None
 
-    rows = [ident[2] for _, _, _, ident in cocycle_identities(
-        source, target, cval, window, system.realization.root_pairs) if ident and ident[2]]
+    idents = [_identity(source, target, cval, pair, k)
+              for pair in system.realization.root_pairs for k in window]
+    # identities that all needed an unknown value checked nothing, which must not pass
+    if idents and not any(idents):
+        raise CertificationError("every identity left the window; enlarge it")
+    rows = [ident[2] for ident in idents if ident and ident[2]]
     basis = linalg.nullspace(rows, len(targets))
     return CocycleSpace(source, target, targets, basis)
 
@@ -280,12 +262,15 @@ def is_coboundary(c: Cocycle, radius: int) -> Optional[Dict[Index, Fraction]]:
 
 @dataclass
 class ConstraintSystem:
-    dimension: int
     basis: List[Dict[Index, Fraction]]
     window: int
     labels: List[Index]
     status: str
-    reason: str = ""
+    reason: str
+
+    @property
+    def dimension(self) -> int:
+        return len(self.basis)
 
     def to_json(self) -> Dict:
         return {
@@ -413,9 +398,8 @@ def _normal_form_system(module: DegreeOneModule, radius: int) -> ConstraintSyste
             dropped = True
     if not echelon.rows and dropped:
         raise CertificationError("every identity left the window; enlarge it")
-    null = echelon.nullspace()
-    basis = [{labels[i]: v for i, v in enumerate(b) if v} for b in null]
-    return ConstraintSystem(len(null), basis, radius, labels, "solved", "self pair")
+    basis = [{labels[i]: v for i, v in enumerate(b) if v} for b in echelon.nullspace()]
+    return ConstraintSystem(basis, radius, labels, "solved", "self pair")
 
 
 # per family: the shape test of each module, its refusal, and the reason given to
@@ -452,5 +436,5 @@ def ext_solve(source: DegreeOneModule, target: DegreeOneModule, radius: int = 3)
         raise ValueError("families live in different categories")
     shift = source.index_shift(target)
     if shift is None or any(shift[:source.spec.minus_ones]):
-        return ConstraintSystem(0, [], radius, [], "support-disjoint", disjoint)
+        return ConstraintSystem([], radius, [], "support-disjoint", disjoint)
     return _normal_form_system(source, radius)

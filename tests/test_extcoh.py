@@ -10,7 +10,7 @@ import sympy
 from weightcat import extcoh, linalg
 from weightcat.degonemod import build_M, build_N
 from weightcat.extcoh import (CertificationError, Cocycle, _normal_form_system, _phi_domain,
-                              coboundary_quotient_dim, cocycle_identities, cocycle_space,
+                              coboundary_quotient_dim, cocycle_space,
                               ext_solve, is_coboundary, make_sl2_cocycle)
 from weightcat.rootsys import neg_root
 
@@ -101,8 +101,38 @@ def test_make_sl2_cocycle_values(sl2):
     assert czero.maps and all(v == 0 for m in czero.maps.values() for v, _ in m.values())
 
 
+@pytest.mark.parametrize("params", [("1/2", "1/3"), ("2/5", "-7/5"), ("1/4",), ("-3/7",)])
+def test_make_sl2_cocycle_is_the_inverse_lowering_map(params):
+    # c(X^+) x(k - delta) = b x(k) / coeff and c(X^-) x(k) = 0, with coeff the
+    # lowering coefficient X^- x(k) = coeff x(k - delta), for every k of the
+    # window one wider than the radius: same keys, order, values and types
+    module = (build_N if len(params) == 2 else build_M)(params)
+    alpha = module.system.simple_root(1)
+    nalpha = neg_root(alpha)
+    for radius in range(7):
+        for b in (0, 1, "-7/3"):
+            plus, minus = {}, {}
+            for k in module.window(radius + 1):
+                coeff, down = module.act_root(nalpha, k)
+                plus[down] = (F(b) / coeff, k)
+                minus[k] = (F(0), down)
+            got = make_sl2_cocycle(b, module, radius).maps
+            assert list(got) == [alpha, nalpha]
+            for root, want in ((alpha, plus), (nalpha, minus)):
+                assert list(got[root].items()) == list(want.items())
+                assert all(type(v) is F for v, _ in got[root].values())
+
+
+@pytest.mark.parametrize("params", [["-1"], ["-2"]])
+def test_make_sl2_cocycle_refuses_a_highest_weight_module(params):
+    # M(-1) and M(-2) are not cuspidal: no lowering operator vanishes on them,
+    # yet the inverse lowering map is not a cocycle there
+    with pytest.raises(ValueError):
+        make_sl2_cocycle(1, build_M(params))
+
+
 def _window_values(c, radius):
-    """c as the cval of cocycle_identities: (den, target, {None: numerator}) for
+    """c as the cval of extcoh._identity: (den, target, {None: numerator}) for
     k in source.window(radius), zero where c stores nothing, None elsewhere."""
     window = set(c.source.window(radius))
 
@@ -115,15 +145,19 @@ def _window_values(c, radius):
     return cval
 
 
+def _identities(source, target, cval, window, pairs):
+    """extcoh._identity on every root pair and window vector, the pairs outermost."""
+    return [extcoh._identity(source, target, cval, pair, k) for pair in pairs for k in window]
+
+
 def _identity_rows(c, radius):
-    """The cocycle identities of c on source.window(radius), as cocycle_identities
-    yields them."""
-    return list(cocycle_identities(c.source, c.target, _window_values(c, radius),
-                                   c.source.window(radius), c.source.realization.root_pairs))
+    """The cocycle identities of c on every root pair and source.window(radius)."""
+    return _identities(c.source, c.target, _window_values(c, radius), c.source.window(radius),
+                       c.source.realization.root_pairs)
 
 
 def test_cocycle_identity_holds(sl2):
-    idents = [ident for *_, ident in _identity_rows(make_sl2_cocycle(1, sl2, radius=6), 3)]
+    idents = _identity_rows(make_sl2_cocycle(1, sl2, radius=6), 3)
     assert any(ident is not None for ident in idents)
     assert all(ident is None or not ident[2] for ident in idents)
 
@@ -161,10 +195,12 @@ def test_non_cocycle_rejected(sl2):
     alpha = sl2.system.simple_root(1)
     bad = Cocycle(sl2, sl2, {alpha: {(0, 0): (F(1), (1, -1))}})
     assert _glued_defects(bad, 2, 2)[0]
-    assert any(ident and ident[2] for *_, ident in _identity_rows(bad, 2))
-    # at radius 0 every identity leaves the one-point window: nothing was checked
+    assert any(ident and ident[2] for ident in _identity_rows(bad, 2))
+    # at radius 0 every identity leaves the one-point window: nothing was checked,
+    # and the cocycle space of such a window is refused
+    assert all(ident is None for ident in _identity_rows(bad, 0))
     with pytest.raises(CertificationError, match="every identity left the window"):
-        _identity_rows(bad, 0)
+        cocycle_space(sl2, sl2, 0)
 
 
 def test_empty_window_is_not_certified(sl2):
@@ -236,8 +272,8 @@ def _full_normal_form(build, params, radius):
     labels = sorted(nf.labelset)
     col = {l: i for i, l in enumerate(labels)}
     rows = [{col[l]: v for l, v in row.items()}
-            for _, _, _, (_, _, row) in cocycle_identities(module, module, nf.value, nf.window,
-                                                         module.realization.root_pairs)
+            for _, _, row in _identities(module, module, nf.value, nf.window,
+                                         module.realization.root_pairs)
             if row and all(l in col for l in row)]
     return nf, labels, linalg.nullspace(rows, len(labels))
 
@@ -477,7 +513,7 @@ def _seeded_graded_values(source, target, d):
 
 
 def _integer_values(values):
-    """Seeded Fraction values as the cval of cocycle_identities."""
+    """Seeded Fraction values as the cval of extcoh._identity."""
     def integer(root, k):
         [(t, row)] = values.get((root, k), {None: {}}).items()
         den = math.lcm(*(v.denominator for v in row.values()))
@@ -498,13 +534,13 @@ def test_integer_identity_rows_match_a_fraction_oracle(source, target, scales, d
     source, target = _build_pair(source, target)
     assert (source.scale, target.scale) == scales
     values = _seeded_graded_values(source, target, d)
-    pairs = {p[:2]: p for p in source.realization.root_pairs}
     nonzero = []
-    for mu, nu, k, ident in cocycle_identities(source, target, _integer_values(values),
-                                               source.window(1), list(pairs.values())):
-        want = _fraction_identity(source, target, lambda r, j: values.get((r, j), {}), pairs[mu, nu], k)
-        assert _over(ident) == want
-        nonzero.append(bool(want))
+    for pair in source.realization.root_pairs:
+        for k in source.window(1):
+            ident = extcoh._identity(source, target, _integer_values(values), pair, k)
+            want = _fraction_identity(source, target, lambda r, j: values.get((r, j), {}), pair, k)
+            assert _over(ident) == want
+            nonzero.append(bool(want))
     assert sum(nonzero) > len(nonzero) / 2
 
 
@@ -515,13 +551,13 @@ def test_a_value_off_its_graded_target_is_refused(source, target, scales, d):
     source, target = _build_pair(source, target)
     values = _seeded_graded_values(source, target, d)
     pairs = source.realization.root_pairs
-    assert list(cocycle_identities(source, target, _integer_values(values), source.window(1), pairs))
+    assert _identities(source, target, _integer_values(values), source.window(1), pairs)
     key = next((root, k) for root, k in values if k == (0, 0))
     [(t, row)] = values[key].items()
     moved = next(m for m in ((t[0] + 2, t[1]), (t[0] + 1, t[1] - 1)) if target.in_basis(m))
     values[key] = {moved: row}
     with pytest.raises(ValueError, match="not graded"):
-        list(cocycle_identities(source, target, _integer_values(values), source.window(1), pairs))
+        _identities(source, target, _integer_values(values), source.window(1), pairs)
 
 
 @pytest.mark.parametrize("build,params,radius", [
@@ -542,7 +578,7 @@ def test_normal_form_values_match_a_fraction_oracle(build, params, radius):
     pairs = [p for p in module.realization.root_pairs if p[0][i] > 0 or p[1][i] > 0]
     for k in nf.window:
         for pair in pairs:
-            [(_, _, _, ident)] = cocycle_identities(module, module, nf.value, [k], [pair])
+            ident = extcoh._identity(module, module, nf.value, pair, k)
             assert _over(ident) == _fraction_identity(module, module, frac, pair, k)
     assert {root for root, _ in nf._values} == {nf.alpha} | set(nf._splits)
     for (root, k), value in nf._values.items():

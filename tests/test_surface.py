@@ -1,16 +1,18 @@
 """Every function and method in src/weightcat is called on a user path.
 
 A user path is what a user of the package runs: the six demos, one CLI run per
-subcommand, ext solver and lab lemma, one CLI shape error and one `--config`
-run.  The guard runs them in this process under `sys.setprofile` and fails on
-any function or method of the package whose code object none of them entered,
-so a definition only the tests reach is found even when another class has a
-method of the same name.  Dunders are exempt; `property` and `cached_property`
-getters count through their function.  A definition kept for a reader outside
-the package is named in `ALLOWED` together with that reader.
+subcommand, ext solver and lab lemma, one CLI shape error, one `--config` run,
+and the benchmark's library jobs (every smoke job of `perfbench/jobs.py` that
+calls the package directly rather than through the CLI).  The guard runs them
+in this process under `sys.setprofile` and fails on any function or method of
+the package whose code object none of them entered, so a definition only the
+tests reach is found even when another class has a method of the same name.
+Dunders are exempt; `property` and `cached_property` getters count through
+their function.
 """
 import contextlib
 import importlib
+import importlib.util
 import inspect
 import io
 import json
@@ -25,13 +27,6 @@ from weightcat.cli import main
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = [importlib.import_module("weightcat" if p.stem == "__init__" else f"weightcat.{p.stem}")
            for p in sorted((ROOT / "src" / "weightcat").glob("*.py"))]
-
-# definitions no user path calls, each with the one reader that keeps it
-ALLOWED = {
-    "inducemod.levi_module_product": "perfbench/jobs.py builds the probe and verma jobs' Levi modules",
-    "inducemod.TruncatedVerma.act_root": "perfbench/jobs.py's verma job brackets with it",
-    "inducemod.TruncatedVerma.act_coroot_combo": "perfbench/jobs.py's verma job reads its Cartan term",
-}
 
 # (argv, exit code)
 CLI_RUNS = [
@@ -113,17 +108,29 @@ def _cli(argv, code):
     assert got == code, (argv, got, err.getvalue())
 
 
+def _library_jobs():
+    """Every smoke job of every benchmark workload whose kind is a library job,
+    run over a namespace of the package modules."""
+    spec = importlib.util.spec_from_file_location("perfbench_jobs", ROOT / "perfbench" / "jobs.py")
+    # dataclasses read the module of the class they decorate from sys.modules
+    jobs = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(jobs)
+    w = types.SimpleNamespace(**{module.__name__.rpartition(".")[2]: module for module in MODULES})
+    for workload in jobs.WORKLOADS:
+        for job in jobs.make_plan(w, workload, 1, smoke=True):
+            if job.kind in jobs.LIBRARY_JOBS:
+                jobs.execute(w, job)
+
+
 def test_every_definition_is_called_on_a_user_path(tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"B": 2, "format": "text"}))
     runs = [partial(_demo, path) for path in sorted((ROOT / "demos").glob("*.py"))]
     runs += [partial(_cli, argv.split(), code) for argv, code in CLI_RUNS]
     runs.append(partial(_cli, ["--config", str(config), "classify", "C3", "--theta", "2"], 0))
+    runs.append(_library_jobs)
     uncalled = _uncalled(MODULES, runs)
-    unread = [name for name in uncalled if name not in ALLOWED]
-    assert not unread, f"no user path calls: {', '.join(unread)}"
-    stale = sorted(set(ALLOWED) - set(uncalled))
-    assert not stale, f"called on a user path or no longer defined: {', '.join(stale)}"
+    assert not uncalled, f"no user path calls: {', '.join(uncalled)}"
 
 
 def test_an_uncalled_definition_is_found():
