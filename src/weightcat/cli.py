@@ -107,10 +107,12 @@ def cmd_lab(args) -> int:
 def build_parser(defaults: Optional[Dict] = None, command: Optional[str] = None) -> argparse.ArgumentParser:
     """The command parser; `defaults` (keys as the flags) override the built-in defaults.
 
-    One subcommand per run: with `command` a subcommand name, only its
-    subparser is built.  Any other `command`, None included, builds all four,
-    which help, usage errors and `--config` need (the file comes before the
-    subcommand, and its keys are checked against every subcommand's flags)."""
+    One subcommand per run: with `command` a subcommand name, the parser is that
+    subcommand's own, prog "weightcat <command>", which reads the words after the
+    name and prints the usage, help and errors of the full parser's subparser.
+    Any other `command`, None included, builds the full parser of all four, which
+    help, usage errors and `--config` need (the file comes before the subcommand,
+    and its keys are checked against every subcommand's flags)."""
     # subcommand -> (help, handler, its own arguments), built per call so that the
     # handlers are this module's names at call time (the benchmark tracer rebinds them)
     commands = {
@@ -127,14 +129,18 @@ def build_parser(defaults: Optional[Dict] = None, command: Optional[str] = None)
             ("lemma", {"help": f"one of {sorted(LEMMAS)}"}), ("--a", {"required": True}),
             ("--c", {"default": "0", "help": "branch of lemA12 and appendix-a3: 0 or -1-A"})]),
     }
-    ap = argparse.ArgumentParser(prog="weightcat",
-                                 description="exact computations with weight module categories")
-    ap.add_argument("--config", help="JSON file with the same keys as the flags")
-    sub = ap.add_subparsers(dest="command", required=True)
+    if command in commands:
+        ap = argparse.ArgumentParser(prog=f"weightcat {command}")
+        parsers = {command: ap}
+    else:
+        ap = argparse.ArgumentParser(prog="weightcat",
+                                     description="exact computations with weight module categories")
+        ap.add_argument("--config", help="JSON file with the same keys as the flags")
+        sub = ap.add_subparsers(dest="command", required=True)
+        parsers = {name: sub.add_parser(name, help=help_) for name, (help_, _, _) in commands.items()}
     known = set()
-    for name in [command] if command in commands else commands:
-        help_, func, arguments = commands[name]
-        p = sub.add_parser(name, help=help_)
+    for name, p in parsers.items():
+        _, func, arguments = commands[name]
         for flag, options in arguments:
             p.add_argument(flag, **options)
         p.add_argument("--B", type=int, default=3, help="window radius")
@@ -193,10 +199,13 @@ def _read_config(path: str) -> Dict:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = _glue_value_flags(list(sys.argv[1:] if argv is None else argv))
     try:
-        args, extra = build_parser(command=argv[0] if argv else None).parse_known_args(argv)
+        parser = build_parser(command=argv[0] if argv else None)
+        # a subcommand's own parser reads the words after its name, and has no --config
+        alone = parser.prog != "weightcat"
+        args, extra = parser.parse_known_args(argv[1:] if alone else argv)
         if extra:
             build_parser().parse_args(argv)  # exits, naming them under the full usage line
-        if args.config:
+        if not alone and args.config:
             # flags given on the command line still win over the file
             args = build_parser(_read_config(args.config)).parse_args(argv)
         return args.func(args)

@@ -18,19 +18,22 @@ self-extension vanishing to a system in the orbit labels b(k).  It calls a
 pair of modules that is not isomorphic "support-disjoint", which for type A
 means disjoint highest-weight supports, whether or not the weight supports
 meet.  Its rows go into one fraction-free `linalg.Echelon`:
-first the identities of the pairs through the cuspidal root α over the
-whole window, outward along the α orbit and then in the labels, then those
-of the other pairs in the same order, until the rank reaches the label
-count.  Every row is a constraint the cocycle must satisfy, so rows of full
-rank certify a zero kernel whichever identities they came from; the pairs
-through α carry most pivots, and every label meets its orbit's centre
-early, so full rank comes early.  The pairs through α are built one by one
-(`Realization.pair`); the other pairs, and with them the whole bracket table
-`Realization.root_pairs`, are built only if the rank is still short after
-them.  The reduced echelon form does not depend on the order of the rows,
-so an answer of positive dimension reads every identity and is that of the
-whole system.  A self pair is one module, passed as both.  The rank-one
-inverse-shift cocycle `make_sl2_cocycle` is the normal form's value at b.
+first the identities of the cheap pairs through the cuspidal root α, those
+that read c(X_α) and zeros only, over the whole window, outward along the α
+orbit and then in the labels, then those of the other pairs through α, then
+those of the other pairs, each in the same order, until the rank reaches the
+label count.  Every row is a constraint the cocycle must satisfy, so rows of
+full rank certify a zero kernel whichever identities they came from; the
+cheap pairs carry most pivots at little cost, as no value of a root split
+into a bracket is computed for them, and every label meets its orbit's
+centre early, so full rank comes early.  The pairs through α are built one
+by one (`Realization.pair`); the other pairs, and with them the whole
+bracket table `Realization.root_pairs`, are built only if the rank is still
+short after them.  The reduced echelon form does not depend on the order of
+the rows, so an answer of positive dimension reads every identity and is
+that of the whole system.  A self pair is one module, passed as both.  The
+rank-one inverse-shift cocycle `make_sl2_cocycle` is the normal form's value
+at b.
 """
 from __future__ import annotations
 
@@ -322,15 +325,20 @@ class _NormalFormAssembler:
             self.value(self.alpha, k)
 
     def pair_groups(self) -> Iterator[List[RootPair]]:
-        """The pairs through alpha in table order, each built alone by
-        `Realization.pair`; then, only if asked for, the other pairs with a
-        positive alpha coordinate, read from the whole bracket table
+        """The pairs through alpha, each built alone by `Realization.pair`:
+        first the cheap ones, whose identities read c(X_alpha) and zeros only
+        (no root of the pair, nor its sum when N != 0, is split), then the
+        others, both in table order; then, only if asked for, the other pairs
+        with a positive alpha coordinate, read from the whole bracket table
         `Realization.root_pairs`.  A pair with no positive alpha coordinate,
         nor then in its sum, reads only zeros."""
         realization, alpha, roots = self.system.realization, self.alpha, self.system.ordered_roots
         at, i = roots.index(alpha), alpha.index(1)
-        yield ([realization.pair(r, alpha) for r in roots[:at]]
-               + [realization.pair(alpha, r) for r in roots[at + 1:]])
+        through = ([realization.pair(r, alpha) for r in roots[:at]]
+                   + [realization.pair(alpha, r) for r in roots[at + 1:]])
+        cheap = [p for p in through if not any(r in self._splits for r in p[:3 if p[3] else 2])]
+        yield cheap
+        yield [p for p in through if p not in cheap]
         yield [p for p in realization.root_pairs if alpha not in p[:2] and (p[0][i] > 0 or p[1][i] > 0)]
 
     def _split(self, root: Root) -> Tuple[Root, Root, int]:
@@ -378,8 +386,9 @@ def _normal_form_system(module: DegreeOneModule, radius: int) -> ConstraintSyste
     echelon = linalg.Echelon(len(labels))
     dropped = False
     # every row constrains the cocycle, so rows of full rank prove a zero kernel
-    # whichever identities they came from: read the pairs through alpha first, as
-    # they hold most pivots, then the rest, each outward along the alpha orbit
+    # whichever identities they came from: read the cheap pairs through alpha
+    # first, as they hold most pivots and fill no split value, then the other
+    # pairs through alpha, then the rest, each outward along the alpha orbit
     # (|<k, delta>|) and then in the labels, and stop at full rank: the other
     # pairs, and the bracket table they come from, are built only if the rank is
     # short after the pairs through alpha

@@ -362,10 +362,9 @@ def test_normal_form_reads_the_other_pairs_when_alpha_leaves_the_rank_short(monk
     assert cs.basis == [{labels[i]: v for i, v in enumerate(b) if v} for b in null]
 
 
-def test_normal_form_reads_identities_only_until_full_rank(monkeypatch):
-    # the memo of cocycle values counts the identities read: the read of
-    # C3 M(-1,-1,1/4) at B=4, pairs through alpha first and outward along the
-    # alpha orbit, fills under an eighth of it (323 of 3,308 values)
+def _recording(monkeypatch):
+    """Patch the normal-form assembler so that every one built is appended to
+    the returned list."""
     made = []
 
     class Recording(extcoh._NormalFormAssembler):
@@ -374,12 +373,43 @@ def test_normal_form_reads_identities_only_until_full_rank(monkeypatch):
             made.append(self)
 
     monkeypatch.setattr(extcoh, "_NormalFormAssembler", Recording)
+    return made
+
+
+def test_normal_form_reads_identities_only_until_full_rank(monkeypatch):
+    # the memo of cocycle values counts the identities read: the read of
+    # C3 M(-1,-1,1/4) at B=4, pairs through alpha first and outward along the
+    # alpha orbit, fills under an eighth of it (323 of 3,308 values)
+    made = _recording(monkeypatch)
     params = ["-1", "-1", "1/4"]
     module = build_M(params)
     assert ext_solve(module, module, radius=4).dimension == 0
     lazy = len(made[0]._values)
     full = len(_full_normal_form(build_M, tuple(params), 4)[0]._values)
     assert 0 < lazy < full / 8
+
+
+@pytest.mark.parametrize("build,params,radius", [
+    (build_M, ("-1", "1/4"), 4),
+    (build_M, ("-1", "-1", "1/4"), 4),
+    (build_M, ("-1", "-1", "-1", "1/4"), 3),
+    (build_M, ("-1", "-1", "-1", "-1", "2/5"), 4),
+    (build_N, ("-1", "1/2", "1/3", "0"), 4),
+    (build_N, ("-1", "1/6", "5/6", "0", "0"), 3),
+    (build_N, ("-1", "-1", "1/6", "5/6", "0", "0"), 2),
+], ids=["C2-B4", "C3-B4", "C4-B3", "C5-B4", "A3-B4", "A4-B3", "A5-B2"])
+def test_a_self_pair_at_full_rank_in_the_cheap_pairs_fills_no_split_value(monkeypatch, build, params,
+                                                                           radius):
+    # the pairs through alpha whose identities read c(X_alpha) and zeros only
+    # come first, and on these self pairs they alone reach full rank: the memo
+    # of cocycle values holds c(X_alpha) alone, and no value of a split root
+    # is filled
+    made = _recording(monkeypatch)
+    module = build(params)
+    assert ext_solve(module, module, radius).dimension == 0
+    nf, = made
+    assert nf._splits
+    assert {r for r, _ in nf._values} == {nf.alpha}
 
 
 def test_normal_form_reaches_full_rank_in_few_rows_per_label(monkeypatch):
@@ -413,14 +443,7 @@ def test_lowering_check_covers_the_window_edge(monkeypatch):
     # the root action as store numerators, so the corruption goes there.  The
     # edge is the last key of the read order, outward along the alpha orbit
     # and then in the labels, and the lazy read fills no value off alpha there
-    made = []
-
-    class Recording(extcoh._NormalFormAssembler):
-        def __init__(self, *args):
-            super().__init__(*args)
-            made.append(self)
-
-    monkeypatch.setattr(extcoh, "_NormalFormAssembler", Recording)
+    made = _recording(monkeypatch)
     module = build_M(["-1", "-1", "1/4"])
     assert _normal_form_system(module, 4).dimension == 0
     nf = made[0]

@@ -12,7 +12,8 @@ on one window vector per projection onto their support, and the rank-one
 `ext --B 30` pin before the list entry points of `linalg` fed their rows by
 descending leading column, and the rank-6 interior `ext --B 3` pin before the
 normal form stopped computing the values of the roots with a negative alpha
-coordinate, which are zero;
+coordinate, which are zero, and the rank-7 `ext --B 2` pin before the normal
+form read first the pairs through alpha that need no split value;
 any change to the arithmetic that moves a single byte of these outputs fails here.
 """
 import hashlib
@@ -82,6 +83,8 @@ GOLDEN_RUNS = {
         "805d0926dfc7fae11a1b8ea9beb933eaef2ad6b6de0e1435e73743ceaac4fb90",
     "ext --module M --a -1,-1,-1,-1,2/5 --B 3":
         "c294eeda3c2e98e34f6adb99e3c27f30b5d31abcc3428fbcdcbc43cc2b365705",
+    "ext --module M --a -1,-1,-1,-1,-1,-1,2/5 --B 2":
+        "04c6612f69fab67ff3fc5ec7632b1e0728008b5836fb1a9496e8a830f9b15592",
     "verify --module M --a -1,-1,-1,2/5 --B 2":
         "9965f9a66ae1bfe7ad121715d00eac301ecc1a42b4b4cd8de28288532ea29971",
     "verify --module N --a -1,-1,1/5,2/5,0 --B 2":
