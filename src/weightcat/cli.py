@@ -8,9 +8,12 @@ depth too small to certify.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
+import shutil
 import sys
+from argparse import HelpFormatter
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence
 
@@ -129,15 +132,19 @@ def build_parser(defaults: Optional[Dict] = None, command: Optional[str] = None)
             ("lemma", {"help": f"one of {sorted(LEMMAS)}"}), ("--a", {"required": True}),
             ("--c", {"default": "0", "help": "branch of lemA12 and appendix-a3: 0 or -1-A"})]),
     }
+    # the width HelpFormatter reads when given none, read once: argparse builds a
+    # formatter for every add_argument
+    formatter = functools.partial(HelpFormatter, width=shutil.get_terminal_size().columns - 2)
     if command in commands:
-        ap = argparse.ArgumentParser(prog=f"weightcat {command}")
+        ap = argparse.ArgumentParser(prog=f"weightcat {command}", formatter_class=formatter)
         parsers = {command: ap}
     else:
-        ap = argparse.ArgumentParser(prog="weightcat",
+        ap = argparse.ArgumentParser(prog="weightcat", formatter_class=formatter,
                                      description="exact computations with weight module categories")
         ap.add_argument("--config", help="JSON file with the same keys as the flags")
         sub = ap.add_subparsers(dest="command", required=True)
-        parsers = {name: sub.add_parser(name, help=help_) for name, (help_, _, _) in commands.items()}
+        parsers = {name: sub.add_parser(name, help=help_, formatter_class=formatter)
+                   for name, (help_, _, _) in commands.items()}
     known = set()
     for name, p in parsers.items():
         _, func, arguments = commands[name]

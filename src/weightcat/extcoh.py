@@ -8,32 +8,35 @@ spaces, a graded map is a single rational coefficient per basis vector,
 and the cocycle identity over all pairs of root vectors becomes a sparse
 exact linear system.  `_identity` is its one row builder, in integers: the
 root actions enter as the modules' store numerators over their scales,
-and every cocycle value is integers over one denominator.
+and every cocycle value is integers over one denominator.  The coboundary
+rows are integers too, over the lcm of the two scales.
 
 Two solvers are provided.  `cocycle_space` parametrises every graded
 cocycle on a window and `coboundary_quotient_dim` measures the quotient by
-coboundaries; `ext_solve` instead imposes the inverse-shift normal form on
-the distinguished cuspidal direction of a degree-one family and reduces
-self-extension vanishing to a system in the orbit labels b(k).  It calls a
-pair of modules that is not isomorphic "support-disjoint", which for type A
-means disjoint highest-weight supports, whether or not the weight supports
-meet.  Its rows go into one fraction-free `linalg.Echelon`:
-first the identities of the cheap pairs through the cuspidal root α, those
-that read c(X_α) and zeros only, over the whole window, outward along the α
-orbit and then in the labels, then those of the other pairs through α, then
-those of the other pairs, each in the same order, until the rank reaches the
-label count.  Every row is a constraint the cocycle must satisfy, so rows of
-full rank certify a zero kernel whichever identities they came from; the
-cheap pairs carry most pivots at little cost, as no value of a root split
-into a bracket is computed for them, and every label meets its orbit's
-centre early, so full rank comes early.  The pairs through α are built one
-by one (`Realization.pair`); the other pairs, and with them the whole
-bracket table `Realization.root_pairs`, are built only if the rank is still
-short after them.  The reduced echelon form does not depend on the order of
-the rows, so an answer of positive dimension reads every identity and is
-that of the whole system.  A self pair is one module, passed as both.  The
-rank-one inverse-shift cocycle `make_sl2_cocycle` is the normal form's value
-at b.
+coboundaries, by rank-nullity with no basis built; `ext_solve` instead
+imposes the inverse-shift normal form on the distinguished cuspidal
+direction of a degree-one family and reduces self-extension vanishing to a
+system in the orbit labels b(k), whose set-up checks the inverse shift
+once per projection class of the window.  It calls a pair of modules that
+is not isomorphic "support-disjoint", which for type A means disjoint
+highest-weight supports, whether or not the weight supports meet.  Its rows
+go into one fraction-free `linalg.Echelon`: first the identities of the
+cheap pairs through the cuspidal root α, those that read c(X_α) and zeros
+only, over the whole window, outward along the α orbit and then in the
+labels (each orbit step sorted when the read reaches it), then those of the
+other pairs through α, then those of the other pairs, each in the same
+order, until the rank reaches the label count.  Every row is a constraint
+the cocycle must satisfy, so rows of full rank certify a zero kernel
+whichever identities they came from; the cheap pairs carry most pivots at
+little cost, as no value of a root split into a bracket is computed for
+them, and every label meets its orbit's centre early, so full rank comes
+early.  The pairs through α are built one by one (`Realization.pair`); the
+other pairs, and with them the whole bracket table `Realization.root_pairs`,
+are built only if the rank is still short after them.  The reduced echelon
+form does not depend on the order of the rows, so an answer of positive
+dimension reads every identity and is that of the whole system.  A self
+pair is one module, passed as both.  The rank-one inverse-shift cocycle
+`make_sl2_cocycle` is the normal form's value at b.
 """
 from __future__ import annotations
 
@@ -41,6 +44,8 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import compress
+from operator import mul
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from . import linalg
@@ -162,8 +167,11 @@ class CocycleSpace:
         return Cocycle(self.source, self.target, maps)
 
 
-def cocycle_space(source: DegreeOneModule, target: DegreeOneModule, radius: int) -> CocycleSpace:
-    """All weight-graded cocycles with data on the window, Cartan sent to zero."""
+def _cocycle_system(source: DegreeOneModule, target: DegreeOneModule,
+                    radius: int) -> Tuple[Dict[Tuple[Root, Index], Index], List[Dict[int, int]]]:
+    """The graded unknowns on the window, {(root, k): target index}, numbered in
+    order, and the integer rows of the cocycle identities over them, Cartan sent
+    to zero."""
     system, eps = source.system, source.realization.epsilon_vector
     shift = source.index_shift(target)
     window = source.window(radius)
@@ -190,9 +198,13 @@ def cocycle_space(source: DegreeOneModule, target: DegreeOneModule, radius: int)
     # identities that all needed an unknown value checked nothing, which must not pass
     if idents and not any(idents):
         raise CertificationError("every identity left the window; enlarge it")
-    rows = [ident[2] for ident in idents if ident and ident[2]]
-    basis = linalg.nullspace(rows, len(targets))
-    return CocycleSpace(source, target, targets, basis)
+    return targets, [ident[2] for ident in idents if ident and ident[2]]
+
+
+def cocycle_space(source: DegreeOneModule, target: DegreeOneModule, radius: int) -> CocycleSpace:
+    """All weight-graded cocycles with data on the window, Cartan sent to zero."""
+    targets, rows = _cocycle_system(source, target, radius)
+    return CocycleSpace(source, target, targets, linalg.nullspace(rows, len(targets)))
 
 
 def _phi_domain(source: DegreeOneModule, target: DegreeOneModule, radius: int):
@@ -217,42 +229,47 @@ def _phi_domain(source: DegreeOneModule, target: DegreeOneModule, radius: int):
 
 def _coboundary_row(source: DegreeOneModule, target: DegreeOneModule,
                     pairs: Dict[Index, Tuple[int, Index]], root: Root, k: Index,
-                    t: Index) -> Dict[int, Fraction]:
+                    t: Index) -> Dict[int, int]:
     """d(phi)(X_root) x(k) = X_root phi(x(k)) - phi(X_root x(k)) at x(t), as
-    {column of pairs: coefficient} over the values of phi."""
+    {column of pairs: integer} over the values of phi, scaled by the lcm of the
+    two modules' scales: the root actions enter as store numerators."""
+    scale = math.lcm(source.scale, target.scale)
     row = {}
     if k in pairs:
         col, tk = pairs[k]
-        cn, t2 = target.act_root(root, tk)
+        cn, t2 = target.act_root_num(root, tk)
         if cn and t2 == t:
-            row[col] = cn
-    cm, k2 = source.act_root(root, k)
+            row[col] = cn * (scale // target.scale)
+    cm, k2 = source.act_root_num(root, k)
     if cm and k2 in pairs:
-        sparse_add(row, pairs[k2][0], -cm)
+        sparse_add(row, pairs[k2][0], -cm * (scale // source.scale))
     return row
 
 
 def coboundary_quotient_dim(source: DegreeOneModule, target: DegreeOneModule, radius: int) -> int:
-    """Dimension of window cocycles modulo window coboundaries."""
-    space = cocycle_space(source, target, radius)
+    """Dimension of window cocycles modulo window coboundaries, by rank-nullity:
+    the unknowns less the rank of the identity rows, less the rank of the
+    coboundary rows.  No basis is built."""
+    targets, rows = _cocycle_system(source, target, radius)
     pairs = _phi_domain(source, target, radius)
-    rows = [_coboundary_row(source, target, pairs, root, k, t) for (root, k), t in space.targets.items()]
-    return space.dimension - linalg.rank(rows, len(pairs))
+    coboundaries = [_coboundary_row(source, target, pairs, root, k, t) for (root, k), t in targets.items()]
+    return len(targets) - linalg.rank(rows, len(targets)) - linalg.rank(coboundaries, len(pairs))
 
 
 def is_coboundary(c: Cocycle, radius: int) -> Optional[Dict[Index, Fraction]]:
     """Solve c = boundary(phi) for a weight-preserving phi; None if infeasible.
 
     phi lives on the window extended by one root step; equations are taken at
-    every stored value of c.
+    every stored value of c, both sides scaled as the integer coboundary rows.
     """
     pairs = _phi_domain(c.source, c.target, radius)
-    rows: List[Dict[int, Fraction]] = []
+    scale = math.lcm(c.source.scale, c.target.scale)
+    rows: List[Dict[int, int]] = []
     rhs: List[Fraction] = []
     for root, cmap in c.maps.items():
         for k, (cval, t) in cmap.items():
             rows.append(_coboundary_row(c.source, c.target, pairs, root, k, t))
-            rhs.append(cval)
+            rhs.append(cval * scale)
     sol = linalg.solve(rows, rhs, len(pairs))
     if sol is None:
         return None
@@ -308,10 +325,11 @@ class _NormalFormAssembler:
         i = block[0] - 1  # alpha is the unit vector e_{block[0]}
         self.nalpha = neg_root(self.alpha)
         self.delta = self.system.realization.epsilon_vector(self.alpha)
-        self.moved = self.system.realization.supports[self.alpha]
+        # the coordinates X_alpha and X_-alpha read and move: delta's support
+        self.moved = frozenset(j for j, d in enumerate(self.delta) if d)
         # an index's orbit label: the coordinates that alpha does not move
-        self.label: Dict[Index, Index] = Lookup(
-            lambda k: tuple(x for i, x in enumerate(k) if i not in self.moved))
+        unmoved = [not d for d in self.delta]
+        self.label: Dict[Index, Index] = Lookup(lambda k: tuple(compress(k, unmoved)))
         # c(X_root) for every other root with a positive alpha coordinate comes
         # from the bracket [X_sigma, X_tau] = N X_root of a simple split
         # (c(X_r) = 0 if r_alpha < 0, by height: r = -e_j + (r + e_j), both alpha parts <= 0)
@@ -320,8 +338,14 @@ class _NormalFormAssembler:
         self._values: Dict[Tuple[Root, Index], Value] = Lookup(self._value)
         self.window = module.window(radius)
         self.labelset = {self.label[k] for k in self.window}
-        # the rows may stop before the window edge: check the inverse shift on all of it
-        for k in self.window:
+        # the rows may stop before the window edge: check the inverse shift on all
+        # of it, once per projection onto the moved coordinates.  X_-alpha's walk
+        # reads and moves only those, and admissibility is per coordinate, so
+        # whether k + delta is admissible and X_-alpha takes it back to a nonzero
+        # multiple of x(k) is decided per class (`weylmod.representatives`): the
+        # first key to fail is a representative, and the values the read needs
+        # are checked on first use
+        for k in module.window_representatives(radius, self.moved):
             self.value(self.alpha, k)
 
     def pair_groups(self) -> Iterator[List[RootPair]]:
@@ -391,12 +415,20 @@ def _normal_form_system(module: DegreeOneModule, radius: int) -> ConstraintSyste
     # pairs through alpha, then the rest, each outward along the alpha orbit
     # (|<k, delta>|) and then in the labels, and stop at full rank: the other
     # pairs, and the bracket table they come from, are built only if the rank is
-    # short after the pairs through alpha
-    window = sorted(nf.window, key=lambda k: (abs(sum(x * d for x, d in zip(k, nf.delta))),
-                                              max(map(abs, lab := nf.label[k]), default=0),
-                                              sum(map(abs, lab)), k))
+    # short after the pairs through alpha.  The read mostly stops in the first
+    # steps, so the window is bucketed by step and each bucket sorted only when
+    # reached; k breaks every tie, so each group reads the whole window in one order
+    steps: Dict[int, List[Index]] = {}
+    for k in nf.window:
+        steps.setdefault(abs(sum(map(mul, k, nf.delta))), []).append(k)
+
+    def orbit_order() -> Iterator[Index]:
+        for step in sorted(steps):
+            yield from sorted(steps[step], key=lambda k: (max(map(abs, lab := nf.label[k]), default=0),
+                                                          sum(map(abs, lab)), k))
+
     rows = (_identity(module, module, nf.value, pair, k)[2]
-            for pairs in nf.pair_groups() for k in window for pair in pairs)
+            for pairs in nf.pair_groups() for k in orbit_order() for pair in pairs)
     # the check follows the add, so no row, nor group of pairs, is built past full rank
     for row in filter(None, rows):
         if all(l in col for l in row):

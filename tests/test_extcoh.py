@@ -13,6 +13,7 @@ from weightcat.extcoh import (CertificationError, Cocycle, _normal_form_system, 
                               coboundary_quotient_dim, cocycle_space,
                               ext_solve, is_coboundary, make_sl2_cocycle)
 from weightcat.rootsys import neg_root
+from weightcat.weylmod import WeylParams, monomial_word
 
 
 @pytest.fixture
@@ -254,6 +255,79 @@ def test_quotient_dimension_zero_for_distinct_pairs(sl2):
     assert coboundary_quotient_dim(sl2, other, 3) == 0
 
 
+def _fraction_coboundary_rows(source, target, pairs, values):
+    """d(phi) at each (root, k) -> t of values, as {column of pairs: Fraction}
+    rows written out from act_root: X_root phi(x(k)) - phi(X_root x(k)) at x(t)."""
+    rows = []
+    for (root, k), t in values:
+        row = {}
+        if k in pairs:
+            cn, t2 = target.act_root(root, pairs[k][1])
+            if cn and t2 == t:
+                row[pairs[k][0]] = cn
+        cm, k2 = source.act_root(root, k)
+        if cm and k2 in pairs:
+            col = pairs[k2][0]
+            row[col] = row.get(col, F(0)) - cm
+        rows.append({col: x for col, x in row.items() if x})
+    return rows
+
+
+def _quotient_by_basis(source, target, radius):
+    """The quotient dimension as the cocycle space's basis length less the rank
+    of Fraction coboundary rows."""
+    space = cocycle_space(source, target, radius)
+    pairs = _phi_domain(source, target, radius)
+    rows = _fraction_coboundary_rows(source, target, pairs, space.targets.items())
+    return len(space.basis) - linalg.rank(rows, len(pairs))
+
+
+@pytest.mark.parametrize("build,a,b,radii,dim", [
+    (build_N, ("1/5", "3/5"), ("1/5", "3/5"), range(3, 9), 1),
+    (build_N, ("-2/5", "4/5"), ("-2/5", "4/5"), range(3, 9), 1),
+    (build_M, ("2/5", "-3/5"), ("2/5", "-3/5"), (2,), None),
+    (build_M, ("2/5", "-3/5"), ("12/5", "-3/5"), (2,), None),
+    (build_M, ("1/5", "4/5"), ("-4/5", "9/5"), (2,), None),
+    (build_N, ("-1", "1/2", "1/3", "0"), ("-1", "5/2", "7/3", "0"), (1, 2), 0),
+], ids=["bline-1", "bline-2", "C2-self", "C2-cross", "C2-cross-diagonal", "A3-linked"])
+def test_quotient_by_ranks_matches_the_basis_construction(build, a, b, radii, dim):
+    # rank-nullity over integer coboundary rows gives what the nullspace basis
+    # and Fraction rows from act_root give, on the rank-one b-line, the C2
+    # pairs of the benchmark's cocycle jobs and a linked A3 pair
+    source, target = build(a), build(b)
+    for radius in radii:
+        got = coboundary_quotient_dim(source, target, radius)
+        assert got == _quotient_by_basis(source, target, radius)
+        assert dim is None or got == dim
+
+
+@pytest.mark.parametrize("a,b", [(("2/5", "-3/5"), ("2/5", "-3/5")), (("2/5", "-3/5"), ("12/5", "-3/5")),
+                                 (("1/5", "4/5"), ("-4/5", "9/5"))], ids=["self", "cross", "cross-diagonal"])
+def test_is_coboundary_witness_matches_fraction_rows(a, b):
+    # the witness from integer rows and a right-hand side scaled by the lcm of
+    # the module scales is the solution of the Fraction system, on random
+    # cocycles and on one that is not a coboundary
+    source, target = build_M(a), build_M(b)
+    space = cocycle_space(source, target, 2)
+    pairs = _phi_domain(source, target, 2)
+    rng = random.Random(5)
+    cocycles = [space.random_cocycle(rng) for _ in range(4)]
+    broken = space.random_cocycle(rng)
+    root = next(r for r in broken.maps if (0, 0) in broken.maps[r])
+    val, t = broken.maps[root][0, 0]
+    broken.maps[root][0, 0] = (val + 1, t)
+    witnesses = []
+    for c in cocycles + [broken]:
+        values = [((r, k), t) for r, cmap in c.maps.items() for k, (_, t) in cmap.items()]
+        rows = _fraction_coboundary_rows(source, target, pairs, values)
+        rhs = [x for cmap in c.maps.values() for x, _ in cmap.values()]
+        sol = linalg.solve(rows, rhs, len(pairs))
+        want = None if sol is None else {k: x for k, x in zip(pairs, sol) if x}
+        witnesses.append(is_coboundary(c, 2))
+        assert witnesses[-1] == want
+    assert all(w for w in witnesses[:-1]) and witnesses[-1] is None
+
+
 def test_normal_form_assembler_free_case(sl2):
     # with no raising chains the same label system leaves exactly the
     # one-parameter inverse-shift family
@@ -465,6 +539,79 @@ def test_lowering_check_covers_the_window_edge(monkeypatch):
     monkeypatch.setattr(module, "act_root_num", act_root_num)
     with pytest.raises(CertificationError, match=re.escape(f"not invertible at {edge}")):
         _normal_form_system(module, 4)
+
+
+def _first_inverse_shift_failure(module, radius):
+    """The text of the first refusal of a full-window scan of the inverse shift,
+    written out from act_root_num: X_-alpha x(k + delta) must be a nonzero
+    multiple of x(k) at every window key, in window order; None if it is."""
+    alpha = module.system.simple_root(module.cuspidal_block()[0])
+    nalpha, delta = neg_root(alpha), module.realization.epsilon_vector(alpha)
+    for k in module.window(radius):
+        up = tuple(a + d for a, d in zip(k, delta))
+        try:
+            num, back = module.act_root_num(nalpha, up)
+        except ValueError as exc:
+            return str(exc)
+        if num == 0 or back != k:
+            return f"lowering operator not invertible at {k}"
+    return None
+
+
+@pytest.mark.parametrize("build,params,radius", [
+    (build_M, ("-1", "1/4"), 4),
+    (build_M, ("-1", "-1", "1/4"), 3),
+    (build_N, ("-1", "1/2", "1/3", "0"), 3),
+    (build_N, ("-1", "1/6", "5/6", "0", "0"), 2),
+], ids=["C2-B4", "C3-B3", "A3-B3", "A4-B2"])
+def test_inverse_shift_check_per_class_refuses_as_a_full_scan(monkeypatch, build, params, radius):
+    # a zero step of X_-alpha planted on one value of a moved coordinate, before
+    # any table fills, vanishes on whole projection classes: the assembler,
+    # which checks one key per class, refuses at the key and with the text of a
+    # scan of every window key, or passes where that scan does
+    m = build(params)
+    alpha = m.system.simple_root(m.cuspidal_block()[0])
+    qe, pe, _ = m.realization.monomial(neg_root(alpha))
+    step, refusals = WeylParams._step, []
+    for kind, i in sorted(set(monomial_word(qe, pe))):
+        for value in range(-3, 4):
+            def zero(self, kind_, i_, ki, fault=(kind, i, value)):
+                num, den, t = step(self, kind_, i_, ki)
+                return (0, den, t) if (kind_, i_, ki) == fault else (num, den, t)
+
+            monkeypatch.setattr(WeylParams, "_step", zero)
+            want = _first_inverse_shift_failure(build(params), radius)
+            module = build(params)
+            if want is None:
+                extcoh._NormalFormAssembler(module, radius)
+            else:
+                with pytest.raises(CertificationError) as refused:
+                    extcoh._NormalFormAssembler(module, radius)
+                assert str(refused.value) == want
+                refusals.append(want)
+    # some faults first show past the first window key
+    assert any(not want.endswith(f"at {m.window(radius)[0]}") for want in refusals)
+
+
+@pytest.mark.parametrize("build,params,radius", [
+    (build_M, ("-1", "1/4"), 4),
+    (build_M, ("-1", "-1", "1/4"), 4),
+    (build_M, ("-1", "-1", "-1", "1/4"), 3),
+    (build_M, ("-1", "-1", "-1", "-1", "2/5"), 4),
+    (build_N, ("-1", "1/2", "1/3", "0"), 4),
+    (build_N, ("-1", "1/6", "5/6", "0", "0"), 3),
+    (build_N, ("-1", "-1", "1/6", "5/6", "0", "0"), 2),
+], ids=["C2-B4", "C3-B4", "C4-B3", "C5-B4", "A3-B4", "A4-B3", "A5-B2"])
+def test_the_inverse_shift_is_checked_once_per_projection_class(build, params, radius):
+    # the set-up fills c(X_alpha) on one key per projection onto the moved
+    # coordinates, delta's support, and on no other key
+    module = build(params)
+    nf = extcoh._NormalFormAssembler(module, radius)
+    assert nf.moved == module.realization.supports[nf.alpha]
+    reps = module.window_representatives(radius, nf.moved)
+    assert len(reps) < len(nf.window)
+    assert len(nf._values) == len(reps)
+    assert set(nf._values) == {(nf.alpha, k) for k in reps}
 
 
 def test_normal_form_system_that_keeps_no_row_is_not_certified(monkeypatch):

@@ -2,7 +2,8 @@
 and names a module of the standard library or of the package itself; every
 private function, method, property and class there is read somewhere in it,
 and every parameter of a function or lambda by its body; each imports from the
-package only modules of an earlier layer.
+package only modules of an earlier layer; `extcoh` reads the root action only
+as store integers.
 
 `__init__` is left out of the first check: its imports are the package's exports.
 """
@@ -184,3 +185,26 @@ def test_a_third_party_import_is_found():
     tree = ast.parse("import sympy\nimport os.path\nfrom fractions import Fraction\n"
                      "from . import linalg\nfrom hypothesis.strategies import integers\n")
     assert list(_third_party(tree)) == [("sympy", 1), ("hypothesis", 5)]
+
+
+def _root_action_reads(tree):
+    """(name, line) of every read of a root action, `act_*`, as an attribute or a name."""
+    for node in ast.walk(tree):
+        name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+        if name and name.startswith("act_"):
+            yield name, node.lineno
+
+
+def test_extcoh_reads_the_root_action_as_store_integers():
+    # the cocycle identities and coboundary rows are integer rows over the module
+    # scales: extcoh reads act_root_num, never the Fraction act_root or act_word
+    reads = [f"{name} (line {line})" for name, line in
+             _root_action_reads(ast.parse((SRC / "extcoh.py").read_text())) if name != "act_root_num"]
+    assert not reads, f"extcoh reads a Fraction root action: {', '.join(reads)}"
+
+
+def test_a_fraction_root_action_read_is_found():
+    tree = ast.parse("def row(m, k):\n    n, t = m.act_root_num(r, k)\n    c, t = m.act_root(r, t)\n"
+                     "    return act_word, m.act_word\n")
+    assert list(_root_action_reads(tree)) == [("act_root_num", 2), ("act_root", 3), ("act_word", 4),
+                                              ("act_word", 4)]
