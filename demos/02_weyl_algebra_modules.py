@@ -13,9 +13,9 @@ print("classes:   ", [params.coordinate_class(i) for i in range(2)])
 print("admissible window radius 1:", lattice_window(params, 1))
 
 for gen, k in [(("q", 0), (-2, 0)), (("q", 0), (0, 0)), (("p", 1), (0, 0))]:
-    t = weyl_act(gen, params, k)
+    c, t = weyl_act(gen, params, k)
     kind, i = gen
-    print(f"{kind}_{i + 1} x{k} -> coeff {t.coeff}, target {t.target}")
+    print(f"{kind}_{i + 1} x{k} -> coeff {c}, target {t}")
 
 print()
 for avals in (["1/2", "1/3"], ["-1", "0"], ["-2", "1/5"]):

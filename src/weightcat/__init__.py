@@ -9,8 +9,8 @@ and normal-form Ext systems that certify extension vanishing on finite
 windows.  All arithmetic is exact over the rationals.
 """
 
-from .categorio import FamilyDescriptor, MembershipReport, Verdict, check_membership, classify
-from .degonemod import DegreeOneModule, build_M, build_N
+from .categorio import MembershipReport, Verdict, check_membership, classify
+from .degonemod import DegreeOneModule, FamilyDescriptor, build_M, build_N
 from .extcoh import (Cocycle, ConstraintSystem, coboundary_quotient_dim, cocycle_space, ext_solve,
                      is_coboundary, make_sl2_cocycle)
 from .inducemod import (LeviModule, TruncatedVerma, central_scalars, induce, levi_module_product,

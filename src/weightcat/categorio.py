@@ -2,9 +2,10 @@
 
 `classify` decides, for each simple type and each subset theta of the simple
 roots, whether the associated category of weight modules is trivial, admits a
-nontrivial family of simple objects (returned as an explicit degree-one
-family descriptor), or falls in the small list of undecided cases, and
-records degree-one / semisimplicity flags.
+nontrivial family of simple objects (returned as the shape of an explicit
+degree-one family, `degonemod.FamilyDescriptor`, the record every module of
+the family carries as its `spec`), or falls in the small list of undecided
+cases, and records degree-one / semisimplicity flags.
 
 `check_membership` certifies the three defining conditions for a concrete
 degree-one module on a finite window: cuspidality of the Levi block roots,
@@ -14,39 +15,17 @@ local nilpotency of the remaining positive root vectors.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
-from .degonemod import DegreeOneModule, Index, build_module
+from .degonemod import DegreeOneModule, FamilyDescriptor, Index
 from .rootsys import CartanType, Root, RootSystem, build_root_system, neg_root
-from .weylmod import Lookup, parse_rational
+from .weylmod import Lookup
 
 TRIVIAL = "TRIVIAL"
 EXCLUDED = "EXCLUDED"
 NONTRIVIAL = "NONTRIVIAL"
 HIGHEST_WEIGHT = "HIGHEST_WEIGHT"
 CUSPIDAL = "CUSPIDAL"
-
-
-@dataclass(frozen=True)
-class FamilyDescriptor:
-    """Shape of a degree-one family: kind N/M with block sizes."""
-
-    kind: str          # "N" or "M"
-    minus_ones: int
-    free: int          # number of non-integer parameters
-    zeros: int         # trailing zeros (always 0 for kind M)
-
-    def instantiate(self, params: Sequence) -> DegreeOneModule:
-        params = [parse_rational(p) for p in params]
-        if len(params) != self.free:
-            raise ValueError(f"family needs {self.free} non-integer parameters")
-        vec = [Fraction(-1)] * self.minus_ones + list(params) + [Fraction(0)] * self.zeros
-        return build_module(self.kind, vec)
-
-    def to_json(self) -> Dict:
-        return {"kind": self.kind, "minus_ones": self.minus_ones,
-                "free": self.free, "zeros": self.zeros}
 
 
 @dataclass(frozen=True)

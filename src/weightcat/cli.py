@@ -79,7 +79,7 @@ def cmd_verify(args) -> int:
     rep = check_membership(module, theta, radius=radius)
     suites["membership"] = rep.passed
 
-    report = {"module": args.module, "a": [format_rational(x) for x in module.spec.a],
+    report = {"module": args.module, "a": [format_rational(x) for x in module.params.a],
               "B": radius, "suites": suites, "all_pass": all(suites.values())}
     _emit(report, args.format)
     return EXIT_OK if all(suites.values()) else EXIT_MISMATCH

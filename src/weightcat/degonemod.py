@@ -8,6 +8,10 @@ A module is specified by a rational parameter vector in normal form:
 * type C on rank n:  length n, shaped (-1,...,-1, z_1..z_m) with the z block
   non-integer (m >= 1); when m = 1 the last entry may instead be -1 or -2.
 
+`build_N` and `build_M` parse that shape into a `FamilyDescriptor`, the record
+`categorio.classify` returns for a nontrivial category, and the module carries
+it as `spec`; the vector itself is kept once, as `params.a`.
+
 Basis vectors are lattice points with coordinate sum zero (type A) or even
 coordinate sum (type C), intersected with the admissibility set of the
 parameter vector.  Every root vector of the algebra acts through its Weyl
@@ -37,64 +41,39 @@ class PartitionError(ValueError):
 
 
 @dataclass(frozen=True)
-class ModuleSpec:
-    a: Tuple[Fraction, ...]
-    minus_ones: int      # leading -1 entries
-    free: int            # entries of the block the family varies, after the -1s
-    zeros: int           # trailing 0 entries (always 0 for type C)
+class FamilyDescriptor:
+    """Shape of a degree-one family: kind N/M with block sizes."""
+
+    kind: str          # "N" or "M"
+    minus_ones: int    # leading -1 entries
+    free: int          # entries of the block the family varies, after the -1s
+    zeros: int         # trailing 0 entries (always 0 for kind M)
+
+    def instantiate(self, params: Sequence) -> "DegreeOneModule":
+        params = [parse_rational(p) for p in params]
+        if len(params) != self.free:
+            raise ValueError(f"family needs {self.free} non-integer parameters")
+        vec = [Fraction(-1)] * self.minus_ones + params + [Fraction(0)] * self.zeros
+        return build_module(self.kind, vec)
+
+    def to_json(self) -> Dict:
+        return {"kind": self.kind, "minus_ones": self.minus_ones,
+                "free": self.free, "zeros": self.zeros}
 
 
 def _show(a: Sequence[Fraction]) -> str:
     return "(" + ", ".join(map(format_rational, a)) + ")"
 
 
-def _parse_spec_a(values: Iterable) -> ModuleSpec:
-    a = tuple(parse_rational(v) for v in values)
-    if len(a) < 2:
-        raise PartitionError("type A parameter vector needs at least two entries")
-    j = 0
-    while j < len(a) and a[j] == -1:
-        j += 1
-    m = j
-    while m < len(a) and a[m].denominator != 1:
-        m += 1
-    for i in range(m, len(a)):
-        if a[i] != 0:
-            raise PartitionError(
-                f"entry {i + 1} of {_show(a)} breaks the (-1.., non-integer.., 0..) shape")
-    if m - j < 2:
-        raise PartitionError(
-            f"{_show(a)}: the non-integer block must have at least two entries")
-    return ModuleSpec(a, j, m - j, len(a) - m)
-
-
-def _parse_spec_c(values: Iterable) -> ModuleSpec:
-    a = tuple(parse_rational(v) for v in values)
-    if not a:
-        raise PartitionError("type C parameter vector needs at least one entry")
-    n = len(a)
-    l = 0
-    while l < n - 1 and a[l] == -1:
-        l += 1
-    tail = a[l:]
-    if all(x.denominator != 1 for x in tail):
-        return ModuleSpec(a, l, n - l, 0)
-    if len(tail) == 1 and tail[0] in (Fraction(-1), Fraction(-2)):
-        # an integer tail leaves nothing free: the module is highest-weight
-        return ModuleSpec(a, l, 0, 0)
-    raise PartitionError(
-        f"{_show(a)}: tail block must be non-integer (or a single -1/-2 entry)")
-
-
 class DegreeOneModule:
     """Action oracle for one degree-one module, indexed by lattice points."""
 
-    def __init__(self, kind: str, spec, system: RootSystem):
-        self.kind = kind  # "N" or "M"
+    def __init__(self, spec: FamilyDescriptor, a: Tuple[Fraction, ...], system: RootSystem):
         self.spec = spec
+        self.kind = spec.kind
         self.system = system
-        self.params = WeylParams(spec.a)
-        self.nvars = len(spec.a)
+        self.params = WeylParams(a)
+        self.nvars = len(a)
         self.realization = system.realization
         # every admissible index gets a number on first sight, _keys[_ids[k]] == k
         self._keys: List[Index] = []
@@ -113,7 +92,7 @@ class DegreeOneModule:
         """One denominator for every root-action coefficient: q_i steps are
         integral and p_i steps divide by a_i's denominator (WeylParams._step)."""
         return math.lcm(*(Fraction(c, 2).denominator
-                          * math.prod(x.denominator ** e for x, e in zip(self.spec.a, pe))
+                          * math.prod(x.denominator ** e for x, e in zip(self.params.a, pe))
                           for _, pe, c in map(self.realization.monomial, self.system.ordered_roots)))
 
     # -- basis ---------------------------------------------------------------
@@ -393,16 +372,44 @@ class OrbitReport:
 
 def build_N(values: Iterable) -> DegreeOneModule:
     """Type A degree-one module from a parameter vector of length rank+1."""
-    spec = _parse_spec_a(values)
-    system = build_root_system(f"A{len(spec.a) - 1}")
-    return DegreeOneModule("N", spec, system)
+    a = tuple(parse_rational(v) for v in values)
+    if len(a) < 2:
+        raise PartitionError("type A parameter vector needs at least two entries")
+    j = 0
+    while j < len(a) and a[j] == -1:
+        j += 1
+    m = j
+    while m < len(a) and a[m].denominator != 1:
+        m += 1
+    for i in range(m, len(a)):
+        if a[i] != 0:
+            raise PartitionError(
+                f"entry {i + 1} of {_show(a)} breaks the (-1.., non-integer.., 0..) shape")
+    if m - j < 2:
+        raise PartitionError(
+            f"{_show(a)}: the non-integer block must have at least two entries")
+    system = build_root_system(f"A{len(a) - 1}")
+    return DegreeOneModule(FamilyDescriptor("N", j, m - j, len(a) - m), a, system)
 
 
 def build_M(values: Iterable) -> DegreeOneModule:
     """Type C degree-one module from a parameter vector of length rank."""
-    spec = _parse_spec_c(values)
-    system = build_root_system(f"C{len(spec.a)}")
-    return DegreeOneModule("M", spec, system)
+    a = tuple(parse_rational(v) for v in values)
+    if not a:
+        raise PartitionError("type C parameter vector needs at least one entry")
+    n = len(a)
+    l = 0
+    while l < n - 1 and a[l] == -1:
+        l += 1
+    tail = a[l:]
+    if all(x.denominator != 1 for x in tail):
+        free = n - l
+    elif len(tail) == 1 and tail[0] in (Fraction(-1), Fraction(-2)):
+        free = 0  # an integer tail leaves nothing free: the module is highest-weight
+    else:
+        raise PartitionError(
+            f"{_show(a)}: tail block must be non-integer (or a single -1/-2 entry)")
+    return DegreeOneModule(FamilyDescriptor("M", l, free, 0), a, build_root_system(f"C{n}"))
 
 
 def build_module(kind: str, values: Iterable) -> DegreeOneModule:

@@ -148,7 +148,7 @@ def restrict_family(module: DegreeOneModule) -> LeviModule:
     if not block:
         raise ValueError("module has an empty cuspidal block")
     j = module.spec.minus_ones
-    free = module.spec.a[j:j + module.spec.free]
+    free = module.params.a[j:j + module.spec.free]
     inner = build_module(module.kind, free)
     w0 = module.weight_of(module.zero_index())
     central = {i: w0[i - 1] for i in range(1, module.system.rank + 1) if i not in set(block)}

@@ -131,8 +131,8 @@ def verify_A1N(params: Sequence) -> LemmaReport:
     if not (1 < l < n):
         raise ValueError("interior position required (1 < l < n)")
     C = restrict_family(module)
-    a1 = module.spec.a[module.spec.minus_ones]
-    a2 = module.spec.a[module.spec.minus_ones + 1]
+    a1 = module.params.a[module.spec.minus_ones]
+    a2 = module.params.a[module.spec.minus_ones + 1]
     A = a1 + a2
 
     def h_at(i, k):
@@ -154,7 +154,7 @@ def verify_A1N(params: Sequence) -> LemmaReport:
              and all(v == 0 for v in dps.values()))
     return LemmaReport(
         "A1N",
-        {"a": ",".join(format_rational(x) for x in module.spec.a), "position": str(l)},
+        {"a": ",".join(format_rational(x) for x in module.params.a), "position": str(l)},
         {"c": c, "c'": cp, **ds, **dps, "center_values": {str(k): v for k, v in scal.items()}},
         {"c+c'+A+1": Fraction(0), "cc'": Fraction(0), "d_i": Fraction(0)},
         match,
@@ -180,7 +180,7 @@ def verify_AkAn(params: Sequence, depth: int = DEFAULT_DEPTH) -> LemmaReport:
     n = module.system.rank
     if j < 1 or module.spec.zeros < 1:
         raise ValueError("interior block required (at least one -1 and one 0)")
-    mid = module.spec.a[j:m]
+    mid = module.params.a[j:m]
     w0 = module.weight_of(module.zero_index())
 
     c = w0[m - 1] - mid[-1]          # value(H_{e_m}) = c + a_last + k_last
@@ -194,7 +194,7 @@ def verify_AkAn(params: Sequence, depth: int = DEFAULT_DEPTH) -> LemmaReport:
              and cmp_ok)
     return LemmaReport(
         "AkAn",
-        {"a": ",".join(format_rational(x) for x in module.spec.a)},
+        {"a": ",".join(format_rational(x) for x in module.params.a)},
         {"c": c, "c'": cp, **ds, **dps, "u0_compare": cmp_ok},
         {"c": Fraction(0), "c'": Fraction(-1), "d_i": Fraction(0), "u0_compare": True},
         match,
@@ -254,7 +254,7 @@ def verify_CC(params: Sequence, depth: int = DEFAULT_DEPTH) -> LemmaReport:
     j = module.spec.minus_ones
     if j < 1:
         raise ValueError("at least one -1 entry required")
-    a1 = module.spec.a[j]
+    a1 = module.params.a[j]
     w0 = module.weight_of(module.zero_index())
     c = w0[j - 1] + a1               # value(H_{e_j}) = c - a_1 - k_1
     ds = {f"d_{j - i}": w0[i - 1] for i in range(1, j)}
@@ -262,7 +262,7 @@ def verify_CC(params: Sequence, depth: int = DEFAULT_DEPTH) -> LemmaReport:
     match = c == -1 and all(v == 0 for v in ds.values()) and cmp_ok
     return LemmaReport(
         "CC",
-        {"a": ",".join(format_rational(x) for x in module.spec.a)},
+        {"a": ",".join(format_rational(x) for x in module.params.a)},
         {"c": c, **ds, "u0_compare": cmp_ok},
         {"c": Fraction(-1), "d_i": Fraction(0), "u0_compare": True},
         match,

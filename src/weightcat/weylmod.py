@@ -101,12 +101,6 @@ def format_rational(x: Fraction) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
-@dataclass(frozen=True)
-class ActionTerm:
-    coeff: Fraction
-    target: Tuple[int, ...]
-
-
 class WeylAuditError(RuntimeError):
     """A generator action produced a nonzero coefficient outside the index set."""
 
@@ -203,12 +197,12 @@ class WeylParams:
         return num, den, tuple(cur)
 
 
-def weyl_act(gen: Tuple[str, int], params: WeylParams, k: Sequence[int]) -> ActionTerm:
-    """Action of q_i or p_i on x(k).  gen = ("q"|"p", i) with i zero-based."""
+def weyl_act(gen: Tuple[str, int], params: WeylParams, k: Sequence[int]) -> Tuple[Fraction, Tuple[int, ...]]:
+    """Coefficient and target of q_i or p_i on x(k).  gen = ("q"|"p", i) with i zero-based."""
     if not params.in_lattice(k):
         raise ValueError(f"index {k} not admissible for parameters {params.a}")
     num, den, target = params._walk(params.steps()[gen,], k)
-    return ActionTerm(Fraction(num, den), target)
+    return Fraction(num, den), target
 
 
 def monomial_word(qexp: Sequence[int], pexp: Sequence[int]) -> Tuple[Tuple[str, int], ...]:
@@ -282,8 +276,8 @@ def transitivity_probe(params: WeylParams, radius: int) -> bool:
         raise ValueError(f"radius must be >= 0, got {radius}")
     window = lattice_window(params, radius)
     inside = set(window)
-    succ = {k: [t.target for i in range(params.n) for kind in "qp"
-                for t in [weyl_act((kind, i), params, k)] if t.coeff and t.target in inside]
+    succ = {k: [t for i in range(params.n) for kind in "qp"
+                for c, t in [weyl_act((kind, i), params, k)] if c and t in inside]
             for k in window}
     pred: Dict[Tuple[int, ...], List[Tuple[int, ...]]] = {k: [] for k in window}
     for k, outs in succ.items():

@@ -163,7 +163,7 @@ def test_c1_bracket_fidelity(name):
     module = build_N(params) if kind == "N" else build_M(params)
     nvars = module.nvars
     # the algebra action on the plain lattice module: defining relations
-    assert check_weyl_relations(WeylParams(module.spec.a), 3) == []
+    assert check_weyl_relations(WeylParams(module.params.a), 3) == []
     n_mod = _module_fidelity(module, 3)
     depth_cap = 1 if name == "A4" else 2
     c_rad = 1 if name in ("A4", "A3", "C3") else 2
@@ -310,6 +310,7 @@ def test_c6_cross_validation():
             if v.kind == NONTRIVIAL:
                 module = v.family.instantiate(_sample_nonints(v.family.free))
                 assert module.theta_a() == theta
+                assert module.spec == v.family
                 rep = check_membership(module, theta, radius=3)
                 assert rep.passed, (name, sorted(theta))
                 nontrivial += 1

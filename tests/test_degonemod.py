@@ -11,7 +11,7 @@ from weightcat import degonemod
 from weightcat.categorio import NONTRIVIAL, check_membership, classify
 from weightcat.cli import EXIT_OK, main
 from weightcat.degonemod import DegreeOneModule, PartitionError, _pair_defects, build_M, build_N
-from weightcat.rootsys import build_root_system
+from weightcat.rootsys import build_root_system, cartan_matrix
 from weightcat.weylmod import NON_INT, Lookup, WeylAuditError, WeylParams, representatives, weyl_act
 
 
@@ -21,8 +21,8 @@ def neg(r):
 
 def _qp(m, i, k):
     """The eigenvalue of q_i p_i (i zero-based) on x(k), from two weyl_act steps."""
-    p = weyl_act(("p", i), m.params, k)
-    return p.coeff * weyl_act(("q", i), m.params, p.target).coeff
+    c, t = weyl_act(("p", i), m.params, k)
+    return c * weyl_act(("q", i), m.params, t)[0]
 
 
 def _coroots_on(m, k):
@@ -112,10 +112,10 @@ def _weight_num_cases():
                 v = classify(system, {i + 1 for i in range(n) if mask >> i & 1})
                 if v.kind == NONTRIVIAL:
                     m = v.family.instantiate(free[:v.family.free])
-                    cases[m.kind, m.spec.a] = m, 2 if n <= 3 else 1
+                    cases[m.kind, m.params.a] = m, 2 if n <= 3 else 1
     for a in [(-1, -2)] + [(-1,) * n for n in range(1, 8)]:
         m = build_M(a)
-        cases["M", m.spec.a] = m, 2
+        cases["M", m.params.a] = m, 2
     return list(cases.values())
 
 
@@ -125,7 +125,7 @@ def test_weight_num_is_the_weyl_action_over_scale():
     assert {m.system.rank for m, _ in cases} == set(range(1, 8))
     for m, radius in cases:
         for k in m.window(radius):
-            assert tuple(F(x, m.scale) for x in m.weight_num(k)) == _coroots_on(m, k), (m.spec.a, k)
+            assert tuple(F(x, m.scale) for x in m.weight_num(k)) == _coroots_on(m, k), (m.params.a, k)
             assert all(type(x) is int for x in m.weight_num(k))
 
 
@@ -684,3 +684,81 @@ def test_root_action_store_fills_on_basis_indices_only(kind, params, radius):
     check_membership(m, theta, radius=radius)
     filled = [i for store in m._action.values() for i in store]
     assert filled and all(m.in_basis(m._keys[i]) for i in filled)
+
+
+def _casimir_values(m, radius):
+    """The quadratic Casimir on every x(k) of the window, from the root-action
+    store alone: (lam, lam) + sum over roots r of X_r X_-r x(k) / (X_r, X_-r).
+    lam(H_i) is [X_e_i, X_-e_i] on x(k), (lam, lam) reads the fundamental
+    weights' Gram matrix A^-1 D, and (X_r, X_-r) = 1/2 (r^v, r^v) with r^v the
+    coroot sum_i c_i H_i that `cartan_coefficients` gives, (H_i, H_j) = A_ij / D_i,
+    for A the Cartan matrix and D = diag((e_i, e_i) / 2) at (e_1, e_1) = 2."""
+    system, n = m.system, m.system.rank
+    A = cartan_matrix(system.cartan_type)
+    D = [F(1)]
+    for j in range(1, n):  # the A and C diagrams are chains: A_ij D_j = A_ji D_i
+        D.append(D[-1] * A[j][j - 1] / A[j - 1][j])
+    inv = [[F(int(i == j)) for j in range(n)] for i in range(n)]
+    rows = [[F(x) for x in row] for row in A]
+    for c in range(n):  # Gauss-Jordan, rows -> I and inv -> A^-1; A D is positive definite
+        p = rows[c][c]
+        rows[c], inv[c] = [x / p for x in rows[c]], [x / p for x in inv[c]]
+        for r in range(n):
+            if r != c:
+                f = rows[r][c]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[c])]
+                inv[r] = [x - f * y for x, y in zip(inv[r], inv[c])]
+    gram = [[inv[i][j] * D[j] for j in range(n)] for i in range(n)]
+
+    def form(r):
+        c = system.realization.cartan_coefficients(r)
+        return sum(c[i] * c[j] * A[i][j] / D[i] for i in range(n) for j in range(n)) / 2
+
+    def up_down(r, k):  # X_r X_-r on x(k), which lands on x(k): one weight, one vector
+        c1, t1 = m.act_root(neg(r), k)
+        if not c1:
+            return 0
+        c2, t2 = m.act_root(r, t1)
+        assert t2 == k
+        return c1 * c2
+
+    simples = [system.simple_root(i) for i in range(1, n + 1)]
+    norms = [(r, form(r)) for r in system.ordered_roots]
+    for k in m.window(radius):
+        lam = [up_down(e, k) - up_down(neg(e), k) for e in simples]
+        yield (sum(lam[i] * gram[i][j] * lam[j] for i in range(n) for j in range(n))
+               + sum(up_down(r, k) / f for r, f in norms))
+
+
+@pytest.mark.parametrize("build,params,radius", [
+    (build_N, ("1/2", "1/3"), 3),
+    (build_N, ("-1", "1/2", "1/3"), 2),
+    (build_N, ("1/2", "1/3", "0"), 2),
+    (build_N, ("-1", "1/2", "1/3", "0"), 2),
+    (build_N, ("1/2", "1/3", "1/5", "1/7"), 2),
+    (build_N, ("-1", "1/2", "1/3", "0", "0"), 2),
+    (build_N, ("-1", "-1", "1/6", "5/6", "0", "0"), 1),
+    (build_M, ("1/3",), 3),
+    (build_M, ("-1",), 3),
+    (build_M, ("-1", "1/4"), 2),
+    (build_M, ("1/3", "1/5"), 2),
+    (build_M, ("-1", "-1"), 2),
+    (build_M, ("-1", "-1", "1/4"), 2),
+    (build_M, ("1/3", "1/5", "1/7"), 2),
+    (build_M, ("-1", "-1", "-1", "1/4"), 2),
+], ids=["A1", "A2-m", "A2-z", "A3", "A3-cusp", "A4", "A5", "C1", "C1-hw", "C2", "C2-cusp", "C2-hw", "C3",
+        "C3-cusp", "C4"])
+def test_the_casimir_is_one_scalar_on_the_window(build, params, radius):
+    # an oracle of the root-action store that shares no code with bracket_defects:
+    # the Casimir is central, so it acts by one scalar on a simple module; for type
+    # A it is (n - 1)/n E (E + n), n = nvars and E = sum(a), and for C_r, r >= 2,
+    # -r (2r + 1)/4 (the oscillator representation); C1, whose one root is long,
+    # is normalised as A1 and reads -3/8
+    m = build(params)
+    (value,) = set(_casimir_values(m, radius))
+    n = m.nvars
+    if m.kind == "N":
+        E = sum(m.params.a)
+        assert value == F(n - 1, n) * E * (E + n)
+    elif n > 1:
+        assert value == F(-n * (2 * n + 1), 4)

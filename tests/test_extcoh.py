@@ -1044,3 +1044,85 @@ def test_values_of_the_roots_below_alpha_are_zero(build, params, radius):
             assert plain.value(r, k) is extcoh._ZERO
     assert {r for r, _ in nf._values} == {nf.alpha} | set(nf.below_alpha())
     assert {r for r, _ in plain._values} == {plain.alpha}
+
+
+def _fraction_rank(rows, size):
+    """Rank of {column: Fraction} rows by plain elimination, stopping at size."""
+    pivots = {}
+    for row in rows:
+        row = dict(row)
+        while row and min(row) in pivots:
+            lead = min(row)
+            c = row[lead]
+            for col, v in pivots[lead].items():
+                row[col] = row.get(col, 0) - c * v
+                if not row[col]:
+                    del row[col]
+        if row:
+            lead = min(row)
+            pivots[lead] = {col: v / row[lead] for col, v in row.items()}
+            if len(pivots) == size:
+                break
+    return len(pivots)
+
+
+@pytest.mark.parametrize("build,params,radius", [
+    (build_N, ("-1", "1/2", "1/3", "0"), 3),
+    (build_N, ("-1", "1/2", "1/3", "0"), 4),
+    (build_N, ("-1", "1/6", "5/6", "0", "0"), 2),
+    (build_N, ("-1", "1/6", "5/6", "0", "0"), 3),
+    (build_N, ("-1", "-1", "1/2", "1/3", "0"), 2),
+    (build_M, ("-1", "1/4"), 4),
+    (build_M, ("-1", "-1", "1/4"), 3),
+    (build_M, ("-1", "-1", "-1", "1/4"), 3),
+], ids=["A3-B3", "A3-B4", "A4-B2", "A4-B3", "A4m-B2", "C2-B4", "C3-B3", "C4-B3"])
+def test_ext_zero_answers_are_full_rank_in_identities_rebuilt_from_the_root_action(build, params, radius):
+    # an oracle of the normal form's zero answer from act_root alone: c(X_alpha)
+    # x(k) is label(k) over the coefficient of X_-alpha at x(k + delta), at
+    # x(k + delta), and c is 0 on every root with alpha coordinate <= 0.  The
+    # identity of alpha with such a root r, where r + alpha is no root or has
+    # alpha coordinate <= 0 too, is then X_r c(X_alpha) x(k) = c(X_alpha) X_r x(k)
+    module = build(params)
+    system = module.system
+    (b,) = module.cuspidal_block()
+    alpha, i = system.simple_root(b), b - 1
+    nalpha, zero = neg_root(alpha), module.zero_index()
+    c, delta = module.act_root(alpha, zero)  # X_alpha moves x(0) to x(delta)
+    assert c
+
+    def label(k):
+        return tuple(x for x, d in zip(k, delta) if not d)
+
+    def c_alpha(k):  # (label, coefficient, target) of c(X_alpha) x(k)
+        up = tuple(x + d for x, d in zip(k, delta))
+        down, back = module.act_root(nalpha, up)
+        assert down and back == k, k
+        return label(k), 1 / down, up
+
+    window = module.window(radius)
+    labels = {label(k) for k in window}
+    others = [r for r in system.roots
+              if r[i] < 0 or (r[i] == 0 and tuple(x + y for x, y in zip(r, alpha)) not in system.roots)]
+
+    def rows():
+        for k in window:
+            lab, inv, up = c_alpha(k)
+            for r in others:
+                row, targets = {}, set()
+                c2, t2 = module.act_root(r, up)
+                if c2:
+                    row[lab] = c2 * inv
+                    targets.add(t2)
+                c1, k1 = module.act_root(r, k)
+                if c1:
+                    lab1, inv1, up1 = c_alpha(k1)
+                    row[lab1] = row.get(lab1, 0) - c1 * inv1
+                    targets.add(up1)
+                assert len(targets) <= 1  # c is graded: both terms sit at one vector
+                row = {l: v for l, v in row.items() if v}
+                if row and all(l in labels for l in row):
+                    yield row
+
+    assert _fraction_rank(rows(), len(labels)) == len(labels)
+    cs = ext_solve(module, module, radius)
+    assert cs.dimension == 0 and cs.labels == sorted(labels)
