@@ -20,23 +20,19 @@ system in the orbit labels b(k), whose set-up checks the inverse shift
 once per projection class of the window.  It calls a pair of modules that
 is not isomorphic "support-disjoint", which for type A means disjoint
 highest-weight supports, whether or not the weight supports meet.  Its rows
-go into one fraction-free `linalg.Echelon`: first the identities of the
-cheap pairs through the cuspidal root α, those that read c(X_α) and zeros
-only, over the whole window, outward along the α orbit and then in the
-labels (each orbit step sorted when the read reaches it), then those of the
-other pairs through α, then those of the other pairs, each in the same
-order, until the rank reaches the label count.  Every row is a constraint
-the cocycle must satisfy, so rows of full rank certify a zero kernel
-whichever identities they came from; the cheap pairs carry most pivots at
-little cost, as no value of a root split into a bracket is computed for
-them, and every label meets its orbit's centre early, so full rank comes
-early.  The pairs through α are built one by one (`Realization.pair`); the
-other pairs, and with them the whole bracket table `Realization.root_pairs`,
-are built only if the rank is still short after them.  The reduced echelon
-form does not depend on the order of the rows, so an answer of positive
-dimension reads every identity and is that of the whole system.  A self
-pair is one module, passed as both.  The rank-one inverse-shift cocycle
-`make_sl2_cocycle` is the normal form's value at b.
+go into one fraction-free `linalg.Echelon`: the identities of the cheap
+pairs through the cuspidal root α, those that read c(X_α) and zeros only,
+over the whole window, outward along the α orbit and then in the labels
+(each orbit step sorted when the read reaches it), until the rank reaches
+the label count.  Every row is a constraint the cocycle must satisfy, so
+rows of full rank certify a zero kernel, and every label meets its orbit's
+centre early, so full rank comes early.  The pairs are built one by one
+(`Realization.pair`); no value of a root split into a bracket is computed,
+and no bracket table is built.  In rank one the cheap pair of α and −α is
+the whole bracket table, so an answer of positive dimension reads every
+identity; in higher rank a read left short of full rank is refused as
+uncertified.  A self pair is one module, passed as both.  The rank-one
+inverse-shift cocycle `make_sl2_cocycle` is the normal form's value at b.
 """
 from __future__ import annotations
 
@@ -50,7 +46,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from . import linalg
 from .degonemod import DegreeOneModule
-from .rootsys import Root, RootPair, neg_root
+from .rootsys import Root, RootPair, add_roots, neg_root
 from .weylmod import Lookup, format_rational, parse_rational, sparse_add
 
 Index = Tuple[int, ...]
@@ -304,13 +300,15 @@ class ConstraintSystem:
 
 
 class _NormalFormAssembler:
-    """Rows of the cocycle identity under the inverse-shift normal form.
+    """Values of the cocycle under the inverse-shift normal form.
 
     The unknowns are one coefficient per orbit label (the index coordinates
     not moved by the distinguished cuspidal root); the cocycle is zero on the
-    Cartan, on the Levi complement and on the lowering direction, is the
-    b-weighted inverse shift on the raising direction, and extends to every
-    other root vector through bracket decompositions.
+    Cartan, on every root with alpha coordinate <= 0 (on the lowering
+    direction and the Levi roots by the normal form, below them by height:
+    r = -e_j + (r + e_j), both alpha parts <= 0) and is the b-weighted inverse
+    shift on the raising direction.  Its values on the other roots follow
+    from bracket decompositions and are not computed: the Ext read needs none.
     """
 
     def __init__(self, module: DegreeOneModule, radius: int):
@@ -322,7 +320,7 @@ class _NormalFormAssembler:
         self.module = module
         self.system = module.system
         self.alpha = self.system.simple_root(block[0])
-        i = block[0] - 1  # alpha is the unit vector e_{block[0]}
+        self._i = block[0] - 1  # alpha is the unit vector e_{block[0]}
         self.nalpha = neg_root(self.alpha)
         self.delta = self.system.realization.epsilon_vector(self.alpha)
         # the coordinates X_alpha and X_-alpha read and move: delta's support
@@ -330,11 +328,6 @@ class _NormalFormAssembler:
         # an index's orbit label: the coordinates that alpha does not move
         unmoved = [not d for d in self.delta]
         self.label: Dict[Index, Index] = Lookup(lambda k: tuple(compress(k, unmoved)))
-        # c(X_root) for every other root with a positive alpha coordinate comes
-        # from the bracket [X_sigma, X_tau] = N X_root of a simple split
-        # (c(X_r) = 0 if r_alpha < 0, by height: r = -e_j + (r + e_j), both alpha parts <= 0)
-        self._splits = {r: self._split(r) for r in self.system.roots
-                        if r[i] > 0 and r != self.alpha}
         self._values: Dict[Tuple[Root, Index], Value] = Lookup(self._value)
         self.window = module.window(radius)
         self.labelset = {self.label[k] for k in self.window}
@@ -348,52 +341,23 @@ class _NormalFormAssembler:
         for k in module.window_representatives(radius, self.moved):
             self.value(self.alpha, k)
 
-    def pair_groups(self) -> Iterator[List[RootPair]]:
-        """The pairs through alpha, each built alone by `Realization.pair`:
-        first the cheap ones, whose identities read c(X_alpha) and zeros only
-        (no root of the pair, nor its sum when N != 0, is split), then the
-        others, both in table order; then, only if asked for, the other pairs
-        with a positive alpha coordinate, read from the whole bracket table
-        `Realization.root_pairs`.  A pair with no positive alpha coordinate,
-        nor then in its sum, reads only zeros."""
-        realization, alpha, roots = self.system.realization, self.alpha, self.system.ordered_roots
-        at, i = roots.index(alpha), alpha.index(1)
-        through = ([realization.pair(r, alpha) for r in roots[:at]]
-                   + [realization.pair(alpha, r) for r in roots[at + 1:]])
-        cheap = [p for p in through if not any(r in self._splits for r in p[:3 if p[3] else 2])]
-        yield cheap
-        yield [p for p in through if p not in cheap]
-        yield [p for p in realization.root_pairs if alpha not in p[:2] and (p[0][i] > 0 or p[1][i] > 0)]
-
-    def _split(self, root: Root) -> Tuple[Root, Root, int]:
-        """(sigma, tau, N) of a positive root that is not simple: sigma is a
-        simple root and tau = root - sigma is a root."""
-        system = self.system
-        sigma = next(e for e in map(system.simple_root, range(1, system.rank + 1))
-                     if tuple(a - b for a, b in zip(root, e)) in system.roots)
-        tau = tuple(a - b for a, b in zip(root, sigma))
-        return sigma, tau, system.realization.structure_constant(sigma, tau)
-
-    def value(self, root: Root, k: Index) -> Value:
+    def value(self, root: Root, k: Index) -> Optional[Value]:
         """c(X_root) x(k) under the normal form, as (den, target index, {label:
-        numerator}) in lowest terms over a positive denominator."""
-        if root == self.alpha or root in self._splits:
+        numerator}) in lowest terms over a positive denominator; None on a root
+        with a positive alpha coordinate other than alpha, whose value is not
+        computed."""
+        if root == self.alpha:
             return self._values[root, k]
-        return _ZERO
+        return None if root[self._i] > 0 else _ZERO
 
     def _value(self, key: Tuple[Root, Index]) -> Value:
-        root, k = key
-        if root == self.alpha:
-            k2 = tuple(a + d for a, d in zip(k, self.delta))
-            num, back = self.module.act_root_num(self.nalpha, k2)
-            if num == 0 or back != k:
-                raise CertificationError(f"lowering operator not invertible at {k}")
-            # the inverse of the coefficient num / scale
-            return _lowest(num, k2, {self.label[k]: self.module.scale})
-        # the cocycle identity on (sigma, tau) without its N c(X_root) term, over -N
-        sigma, tau, n = self._splits[root]
-        den, t, rest = _identity(self.module, self.module, self.value, (sigma, tau, root, 0, None), k)
-        return _lowest(-den * n, t, rest)
+        _, k = key
+        k2 = tuple(a + d for a, d in zip(k, self.delta))
+        num, back = self.module.act_root_num(self.nalpha, k2)
+        if num == 0 or back != k:
+            raise CertificationError(f"lowering operator not invertible at {k}")
+        # the inverse of the coefficient num / scale
+        return _lowest(num, k2, {self.label[k]: self.module.scale})
 
 
 def _lowest(den: int, t: Optional[Index], row: Dict) -> Value:
@@ -409,15 +373,19 @@ def _normal_form_system(module: DegreeOneModule, radius: int) -> ConstraintSyste
     col = {l: i for i, l in enumerate(labels)}
     echelon = linalg.Echelon(len(labels))
     dropped = False
-    # every row constrains the cocycle, so rows of full rank prove a zero kernel
-    # whichever identities they came from: read the cheap pairs through alpha
-    # first, as they hold most pivots and fill no split value, then the other
-    # pairs through alpha, then the rest, each outward along the alpha orbit
-    # (|<k, delta>|) and then in the labels, and stop at full rank: the other
-    # pairs, and the bracket table they come from, are built only if the rank is
-    # short after the pairs through alpha.  The read mostly stops in the first
-    # steps, so the window is bucketed by step and each bucket sorted only when
-    # reached; k breaks every tie, so each group reads the whole window in one order
+    # the cheap pairs through alpha: those of alpha with a root r where r_alpha < 0,
+    # or r_alpha = 0 and r + alpha is no root, whose identities read c(X_alpha) and
+    # zeros only (no root of the pair, nor its sum when N != 0, has a positive
+    # alpha coordinate other than alpha's), each built alone in table order
+    system, alpha = nf.system, nf.alpha
+    roots, i = system.ordered_roots, alpha.index(1)
+    at = roots.index(alpha)
+    pairs = [system.realization.pair(*((r, alpha) if j < at else (alpha, r))) for j, r in enumerate(roots)
+             if r[i] < 0 or (r[i] == 0 and add_roots(r, alpha) not in system.roots)]
+    # every row constrains the cocycle, so rows of full rank prove a zero kernel:
+    # read outward along the alpha orbit (|<k, delta>|) and then in the labels, and
+    # stop at full rank.  The read mostly stops in the first steps, so the window
+    # is bucketed by step and each bucket sorted only when reached; k breaks every tie
     steps: Dict[int, List[Index]] = {}
     for k in nf.window:
         steps.setdefault(abs(sum(map(mul, k, nf.delta))), []).append(k)
@@ -427,9 +395,8 @@ def _normal_form_system(module: DegreeOneModule, radius: int) -> ConstraintSyste
             yield from sorted(steps[step], key=lambda k: (max(map(abs, lab := nf.label[k]), default=0),
                                                           sum(map(abs, lab)), k))
 
-    rows = (_identity(module, module, nf.value, pair, k)[2]
-            for pairs in nf.pair_groups() for k in orbit_order() for pair in pairs)
-    # the check follows the add, so no row, nor group of pairs, is built past full rank
+    rows = (_identity(module, module, nf.value, pair, k)[2] for k in orbit_order() for pair in pairs)
+    # the check follows the add, so no row is built past full rank
     for row in filter(None, rows):
         if all(l in col for l in row):
             echelon.add({col[l]: v for l, v in row.items()})
@@ -439,6 +406,12 @@ def _normal_form_system(module: DegreeOneModule, radius: int) -> ConstraintSyste
             dropped = True
     if not echelon.rows and dropped:
         raise CertificationError("every identity left the window; enlarge it")
+    # in rank one the pair of alpha and -alpha is the whole bracket table, so a
+    # short rank there is the kernel of every identity; in higher rank the other
+    # pairs might still raise it, and a kernel these rows leave is not certified
+    if not echelon.full and system.rank > 1:
+        raise CertificationError(f"the identities through alpha reach rank {len(echelon.rows)} "
+                                 f"of {len(labels)} labels; Ext is not certified on this window")
     basis = [{labels[i]: v for i, v in enumerate(b) if v} for b in echelon.nullspace()]
     return ConstraintSystem(basis, radius, labels, "solved", "self pair")
 

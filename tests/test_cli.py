@@ -197,6 +197,19 @@ def test_ext_rank_one_empty_window_is_uncertified(b, radius, capsys):
     assert out == ""
 
 
+def test_ext_read_left_short_of_full_rank_is_uncertified(monkeypatch, capsys):
+    # with every identity row emptied, the read of a rank >= 2 self pair ends
+    # at rank 0, which certifies no kernel: exit 3 with nothing on stdout
+    from weightcat import extcoh
+
+    identity = extcoh._identity
+    monkeypatch.setattr(extcoh, "_identity", lambda *args: identity(*args)[:2] + ({},))
+    assert main(["ext", "--module", "M", "--a", "-1,-1,1/4"]) == EXIT_UNCERTIFIED
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("certification impossible: the identities through alpha reach rank 0 of ")
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "--module", "N", "--a", "1/2,1/3"],
     ["verify", "--module", "M", "--a", "-1,-1,1/4"],
@@ -585,3 +598,26 @@ def test_cli_exit_code_contract():
     contract()
     # the fuzz reaches the lemmas, not only their configuration errors
     assert len(lab_reports) >= _LAB_REPORT_FLOOR, sorted(lab_reports)
+
+
+def test_cli_exit_code_contract_certifies_every_ext_self_pair_it_accepts():
+    # ext self pairs of the contract's family shapes at B >= 1: a pair the solver
+    # accepts is certified on the window, as the cheap identities through alpha
+    # reach full rank, so no read is refused with exit 3.  (Not a clause of the
+    # contract: Hypothesis seeds the contract's draws from that function's code,
+    # so a clause there would re-draw every command's inputs.)
+    accepted = []
+
+    @settings(derandomize=True, deadline=None, max_examples=40, database=None)
+    @given(st.sampled_from(["N", "M"]).flatmap(lambda m: _EXT_SHAPES[m].map(lambda a: (m, ",".join(a)))),
+           st.sampled_from(["1", "2"]))
+    def certified(shape, radius):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(["ext", "--module", shape[0], "--a", shape[1], "--B", radius])
+        assert code in (EXIT_OK, EXIT_CONFIG), (shape, radius)
+        if code == EXIT_OK:
+            accepted.append(shape)
+
+    certified()
+    # the draws reach the normal form, not only refusals (30 distinct of 40)
+    assert len(set(accepted)) >= 10

@@ -2,7 +2,7 @@ import math
 import random
 import re
 from fractions import Fraction as F
-from functools import lru_cache
+from functools import cache
 
 import pytest
 import sympy
@@ -335,21 +335,62 @@ def test_normal_form_assembler_free_case(sl2):
     assert cs.dimension == 1
 
 
-@lru_cache(maxsize=None)
+def _split_values(module, nf, splits):
+    """The cval of _fraction_identity that reads c(X_alpha) and the zeros from
+    the assembler and computes c(X_r) here for every root r of `splits`, from
+    a bracket split [X_sigma, X_tau] = N X_r with tau = r - sigma: minus the
+    identity of (sigma, tau) without its N term, over N.  Returns the cval and
+    its memo {(r, k): value}."""
+    realization, memo = module.realization, {}
+
+    def value(root, k):
+        if root not in splits:
+            return _over(nf.value(root, k))
+        if (root, k) not in memo:
+            sigma = splits[root]
+            tau = tuple(a - b for a, b in zip(root, sigma))
+            n = realization.structure_constant(sigma, tau)
+            rest = _fraction_identity(module, module, value, (sigma, tau, root, 0, None), k)
+            memo[root, k] = {t: {l: -v / n for l, v in row.items()} for t, row in rest.items()}
+        return memo[root, k]
+
+    return value, memo
+
+
+def _simple_splits(system, roots):
+    """{r: sigma} for each root r of `roots`, sigma the first simple root with
+    r - sigma a root."""
+    simple = [system.simple_root(j) for j in range(1, system.rank + 1)]
+    return {r: next(e for e in simple if tuple(a - b for a, b in zip(r, e)) in system.roots) for r in roots}
+
+
 def _full_normal_form(build, params, radius):
     """The normal-form system read whole: every identity of every root pair on
     every window index, then one nullspace of the integer rows (their common
-    denominator dropped).  Returns the assembler (its memo filled by the full
-    read), the labels and the kernel basis."""
+    denominator dropped).  c(X_alpha) and the zeros are the assembler's; the
+    value of every other root with a positive alpha coordinate, which the
+    assembler does not compute, comes from its split with a simple root in
+    Fractions (`_split_values`).  Returns the labels and the kernel basis."""
     module = build(params)
     nf = extcoh._NormalFormAssembler(module, radius)
+    system, i = module.system, nf.alpha.index(1)
+    splits = _simple_splits(system, [r for r in system.roots if r[i] > 0 and r != nf.alpha])
+    frac, _ = _split_values(module, nf, splits)
+
+    @cache
+    def cval(root, k):  # the integer view of a split value, as extcoh._identity reads it
+        if root not in splits:
+            return nf.value(root, k)
+        [(t, row)] = frac(root, k).items() or [(None, {})]
+        den = math.lcm(*(v.denominator for v in row.values()))
+        return den, t, {l: v.numerator * den // v.denominator for l, v in row.items()}
+
     labels = sorted(nf.labelset)
-    col = {l: i for i, l in enumerate(labels)}
+    col = {l: j for j, l in enumerate(labels)}
     rows = [{col[l]: v for l, v in row.items()}
-            for _, _, row in _identities(module, module, nf.value, nf.window,
-                                         module.realization.root_pairs)
+            for _, _, row in _identities(module, module, cval, nf.window, module.realization.root_pairs)
             if row and all(l in col for l in row)]
-    return nf, labels, linalg.nullspace(rows, len(labels))
+    return labels, linalg.nullspace(rows, len(labels))
 
 
 @pytest.mark.parametrize("build,params,radius", [
@@ -370,9 +411,10 @@ def _full_normal_form(build, params, radius):
 ], ids=["A3-B3", "A3-B4", "C2-B3", "C2-B4", "C2-B5", "C2-B6", "C3-B3", "C3-B4", "A4-B2",
         "A5-B2", "C4-B3", "A4-B3", "A1-free", "C1-free"])
 def test_normal_form_system_matches_full_assembly(build, params, radius):
-    # the read takes the pairs through alpha first and stops at full rank; the
-    # whole system must give the same kernel, labels and basis
-    _, labels, null = _full_normal_form(build, params, radius)
+    # the read takes the cheap pairs through alpha alone and stops at full rank;
+    # the whole system, split values and all, must give the same kernel, labels
+    # and basis
+    labels, null = _full_normal_form(build, params, radius)
     if build is build_M:  # the public solver, whose self pairs reach the same read
         module = build(params)
         cs = ext_solve(module, module, radius)
@@ -389,20 +431,22 @@ def test_normal_form_system_matches_full_assembly(build, params, radius):
     (build_M, ("-1", "-1", "1/4"), 3),
 ], ids=["A3-B4", "C2-B4", "C3-B3"])
 def test_normal_form_system_below_full_rank_reads_every_row(monkeypatch, build, params, radius):
-    # a label that no identity touches keeps the rank below the label count,
-    # so both passes go to the window edge, long after the rank stops growing,
-    # and the kernel has dimension one
+    # a label that no identity touches keeps the rank below the label count, so
+    # the read goes to the window edge, long after the rank stops growing, and
+    # ends one short of full rank: in rank >= 2 that kernel is not certified,
+    # and the bracket table the other pairs would need is never built
+    labels = _normal_form_system(build(params), radius).labels
+
     class Padded(extcoh._NormalFormAssembler):
         def __init__(self, *args):
             super().__init__(*args)
             self.labelset = self.labelset | {(99,) * len(next(iter(self.labelset)))}
 
     monkeypatch.setattr(extcoh, "_NormalFormAssembler", Padded)
-    _, labels, null = _full_normal_form.__wrapped__(build, params, radius)
-    cs = _normal_form_system(build(params), radius)
-    assert cs.labels == labels
-    assert cs.dimension == len(null) == 1
-    assert cs.basis == [{labels[i]: v for i, v in enumerate(b) if v} for b in null]
+    module = build(params)
+    with pytest.raises(CertificationError, match=f"reach rank {len(labels)} of {len(labels) + 1} labels"):
+        _normal_form_system(module, radius)
+    assert "root_pairs" not in module.realization.__dict__
 
 
 @pytest.mark.parametrize("build,params,radius", [
@@ -413,27 +457,22 @@ def test_normal_form_system_below_full_rank_reads_every_row(monkeypatch, build, 
 def test_normal_form_reads_the_other_pairs_when_alpha_leaves_the_rank_short(monkeypatch, build, params,
                                                                             radius):
     # with every row of a pair through alpha emptied, those pairs leave the rank
-    # at 0: the system must build the bracket table, read the other pairs and
-    # give the answer of every table row with the same rows emptied
+    # at 0: the other pairs are not read, and neither their split values nor
+    # the bracket table are built, so the system refuses as uncertified with
+    # the rank and the label count
     identity = extcoh._identity
 
     def emptied(source, target, cval, pair, k):
         den, t, row = identity(source, target, cval, pair, k)
-        # a table entry has N != 0 exactly at a root sum; a split value's
-        # identity (sigma, tau, root, 0, None) passes N = 0 at one
-        entry = pair[3] or pair[2] not in source.system.roots
         through = source.system.simple_root(source.cuspidal_block()[0]) in pair[:2]
-        return den, t, {} if entry and through else row
+        return den, t, {} if through else row
 
     monkeypatch.setattr(extcoh, "_identity", emptied)
-    _, labels, null = _full_normal_form.__wrapped__(build, params, radius)
-    assert len(null) < len(labels)  # the other pairs constrain the labels
     module = build(params)
-    cs = _normal_form_system(module, radius)
-    assert "root_pairs" in module.realization.__dict__
-    assert cs.labels == labels
-    assert cs.dimension == len(null)
-    assert cs.basis == [{labels[i]: v for i, v in enumerate(b) if v} for b in null]
+    labels = extcoh._NormalFormAssembler(module, radius).labelset
+    with pytest.raises(CertificationError, match=f"reach rank 0 of {len(labels)} labels"):
+        _normal_form_system(module, radius)
+    assert "root_pairs" not in module.realization.__dict__
 
 
 def _recording(monkeypatch):
@@ -450,17 +489,31 @@ def _recording(monkeypatch):
     return made
 
 
+def _cheap_pairs(system, alpha):
+    """(mu, nu) of the pairs through alpha, in table order, whose identities read
+    c(X_alpha) and zeros only: no root of the pair, nor its sum if that is a
+    root, has a positive alpha coordinate unless it is alpha."""
+    i, roots = alpha.index(1), system.ordered_roots
+
+    def split(r):
+        return r in system.roots and r[i] > 0 and r != alpha
+
+    pairs = [tuple(sorted((r, alpha), key=roots.index)) for r in roots if r != alpha]
+    return [(mu, nu) for mu, nu in pairs if not any(map(split, (mu, nu, tuple(map(sum, zip(mu, nu))))))]
+
+
 def test_normal_form_reads_identities_only_until_full_rank(monkeypatch):
-    # the memo of cocycle values counts the identities read: the read of
-    # C3 M(-1,-1,1/4) at B=4, pairs through alpha first and outward along the
-    # alpha orbit, fills under an eighth of it (323 of 3,308 values)
-    made = _recording(monkeypatch)
-    params = ["-1", "-1", "1/4"]
-    module = build_M(params)
+    # the read of C3 M(-1,-1,1/4) at B=4, outward along the alpha orbit, stops
+    # at full rank after under an eighth of the cheap identities (76 of 1,130:
+    # 10 pairs on 113 window indices), and reads no other pair
+    read = []
+    identity = extcoh._identity
+    monkeypatch.setattr(extcoh, "_identity", lambda *args: read.append(args[3][:2]) or identity(*args))
+    module = build_M(["-1", "-1", "1/4"])
     assert ext_solve(module, module, radius=4).dimension == 0
-    lazy = len(made[0]._values)
-    full = len(_full_normal_form(build_M, tuple(params), 4)[0]._values)
-    assert 0 < lazy < full / 8
+    cheap = _cheap_pairs(module.system, module.system.simple_root(module.cuspidal_block()[0]))
+    assert set(read) <= set(cheap)
+    assert 0 < len(read) < len(cheap) * len(module.window(4)) / 8
 
 
 @pytest.mark.parametrize("build,params,radius", [
@@ -471,19 +524,29 @@ def test_normal_form_reads_identities_only_until_full_rank(monkeypatch):
     (build_N, ("-1", "1/2", "1/3", "0"), 4),
     (build_N, ("-1", "1/6", "5/6", "0", "0"), 3),
     (build_N, ("-1", "-1", "1/6", "5/6", "0", "0"), 2),
-], ids=["C2-B4", "C3-B4", "C4-B3", "C5-B4", "A3-B4", "A4-B3", "A5-B2"])
+    (build_M, ("-1", "1/2"), 3),
+    (build_M, ("-1", "-1", "-3/2"), 3),
+    (build_N, ("-1", "1/2", "3/2", "0"), 3),
+    (build_N, ("-1", "1/3", "-1/3", "0"), 3),
+    (build_N, ("-1", "-1", "1/2", "1/2", "0", "0"), 2),
+], ids=["C2-B4", "C3-B4", "C4-B3", "C5-B4", "A3-B4", "A4-B3", "A5-B2", "C2-half-B3", "C3-neg3half-B3",
+        "A3-half-3half-B3", "A3-third-B3", "A5-halves-B2"])
 def test_a_self_pair_at_full_rank_in_the_cheap_pairs_fills_no_split_value(monkeypatch, build, params,
                                                                            radius):
     # the pairs through alpha whose identities read c(X_alpha) and zeros only
-    # come first, and on these self pairs they alone reach full rank: the memo
-    # of cocycle values holds c(X_alpha) alone, and no value of a split root
-    # is filled
+    # are the whole read, and on these self pairs, the sweep's special
+    # parameters among them, they reach full rank: the memo of cocycle values
+    # holds c(X_alpha) alone, and the only structure constants built are those
+    # of the cheap pairs whose sum is a root
     made = _recording(monkeypatch)
     module = build(params)
     assert ext_solve(module, module, radius).dimension == 0
     nf, = made
-    assert nf._splits
     assert {r for r, _ in nf._values} == {nf.alpha}
+    system = module.system
+    sums = [(mu, nu) for mu, nu in _cheap_pairs(system, nf.alpha)
+            if tuple(map(sum, zip(mu, nu))) in system.roots]
+    assert sums and set(module.realization._nconst) == set(sums)
 
 
 def test_normal_form_reaches_full_rank_in_few_rows_per_label(monkeypatch):
@@ -630,7 +693,8 @@ def test_normal_form_system_that_keeps_no_row_is_not_certified(monkeypatch):
 
 def _fraction_identity(source, target, cval, pair, k):
     """The cocycle identity of one root pair at x(k), recomputed in Fractions
-    from act_root: cval(root, k) is {target index: {column: Fraction}}."""
+    from act_root: cval(root, k) is {target index: {column: Fraction}}, read
+    for the sum's term only when N != 0, as extcoh._identity does."""
     mu, nu, s, n, _ = pair
     out = {}
 
@@ -639,7 +703,7 @@ def _fraction_identity(source, target, cval, pair, k):
         for col, v in form.items():
             row[col] = row.get(col, F(0)) + f * v
 
-    for t, form in cval(s, k).items():
+    for t, form in (cval(s, k) if n else {}).items():
         add(t, form, n)
     for a, b, sign in ((mu, nu, 1), (nu, mu, -1)):
         cm, k2 = source.act_root(b, k)
@@ -736,33 +800,32 @@ def test_a_value_off_its_graded_target_is_refused(source, target, scales, d):
     (build_M, ("-1", "-1", "1/4"), 2),
 ], ids=["A3-B2", "C2-B3", "C3-B2"])
 def test_normal_form_values_match_a_fraction_oracle(build, params, radius):
-    # each memoised value is in lowest terms and is one step of Fraction
-    # arithmetic from the values it reads: the inverse shift on the raising
-    # direction and minus the split identity over N elsewhere; the rows read
-    # by the system are the identity recomputed in Fractions
+    # each memoised value is c(X_alpha), in lowest terms: the inverse shift on
+    # the raising direction.  The identities of the cheap pairs through alpha,
+    # the rows the system reads, are those recomputed in Fractions; every other
+    # identity with a root of positive alpha coordinate needs a value the
+    # assembler does not compute and is None, and the rest are zero
     module = build(params)
     nf = extcoh._NormalFormAssembler(module, radius)
     frac = lambda root, k: _over(nf.value(root, k))
-    # the pairs the system can read: one root with a positive alpha coordinate
     i = nf.alpha.index(1)
-    pairs = [p for p in module.realization.root_pairs if p[0][i] > 0 or p[1][i] > 0]
-    for k in nf.window:
-        for pair in pairs:
+    cheap = set(_cheap_pairs(module.system, nf.alpha))
+    for pair in module.realization.root_pairs:
+        for k in nf.window:
             ident = extcoh._identity(module, module, nf.value, pair, k)
-            assert _over(ident) == _fraction_identity(module, module, frac, pair, k)
-    assert {root for root, _ in nf._values} == {nf.alpha} | set(nf._splits)
-    for (root, k), value in nf._values.items():
+            if pair[:2] in cheap:
+                assert _over(ident) == _fraction_identity(module, module, frac, pair, k)
+            elif pair[0][i] > 0 or pair[1][i] > 0:
+                assert ident is None
+            else:
+                assert not ident[2]
+    assert {root for root, _ in nf._values} == {nf.alpha}
+    for (_, k), value in nf._values.items():
         den, t, row = value
         assert den > 0 and math.gcd(den, *row.values()) == 1
-        assert row or value is extcoh._ZERO
-        if root == nf.alpha:
-            k2 = tuple(a + d for a, d in zip(k, nf.delta))
-            coeff, back = module.act_root(nf.nalpha, k2)
-            assert back == k and _over(value) == {k2: {nf.label[k]: 1 / coeff}}
-        else:
-            sigma, tau, n = nf._splits[root]
-            rest = _fraction_identity(module, module, frac, (sigma, tau, root, 0, None), k)
-            assert _over(value) == {t: {l: -v / n for l, v in r.items()} for t, r in rest.items()}
+        k2 = tuple(a + d for a, d in zip(k, nf.delta))
+        coeff, back = module.act_root(nf.nalpha, k2)
+        assert back == k and _over(value) == {k2: {nf.label[k]: 1 / coeff}}
 
 
 def test_ext_solve_typeA_dimensions():
@@ -1001,25 +1064,6 @@ def test_sp4_spot_check_seeded():
         assert is_coboundary(c, 2) is not None
 
 
-class _NegativeSplits(extcoh._NormalFormAssembler):
-    """The normal form with the value of every root r with a negative alpha
-    coordinate, other than -alpha, computed from the split r = -e_j + (r + e_j)
-    as the other values are, instead of taken as zero."""
-
-    def __init__(self, module, radius):
-        super().__init__(module, radius)
-        system = self.system
-        for r in self.below_alpha():
-            e = next(e for e in map(system.simple_root, range(1, system.rank + 1))
-                     if tuple(a + b for a, b in zip(r, e)) in system.roots)
-            sigma, tau = neg_root(e), tuple(a + b for a, b in zip(r, e))
-            self._splits[r] = (sigma, tau, system.realization.structure_constant(sigma, tau))
-
-    def below_alpha(self):
-        i = self.alpha.index(1)
-        return [r for r in self.system.roots if r[i] < 0 and r != self.nalpha]
-
-
 @pytest.mark.parametrize("build,params,radius", [
     (build_N, ("-1", "1/2", "1/3", "0"), 3),
     (build_N, ("-1", "-1", "1/2", "1/3", "0"), 2),
@@ -1033,17 +1077,23 @@ class _NegativeSplits(extcoh._NormalFormAssembler):
 ], ids=["A3-B3", "A4-B2", "A5-B2", "A6-B1", "C2-B4", "C3-B3", "C4-B2", "C5-B2", "C6-B1"])
 def test_values_of_the_roots_below_alpha_are_zero(build, params, radius):
     # the normal form takes c(X_r) = 0 for every root r with a negative alpha
-    # coordinate and never computes it: computed through its split, by
-    # induction on height from c(X_-alpha) = 0, every such value is zero
+    # coordinate and never computes it: computed here through the split
+    # r = -e_j + (r + e_j), by induction on height from c(X_-alpha) = 0 and the
+    # zeros on the roots with alpha coordinate 0, every such value is zero
     module = build(params)
-    nf, plain = _NegativeSplits(module, radius), extcoh._NormalFormAssembler(module, radius)
-    assert nf.below_alpha()
-    for r in nf.below_alpha():
+    nf = extcoh._NormalFormAssembler(module, radius)
+    system, i = module.system, nf.alpha.index(1)
+    below = [r for r in system.roots if r[i] < 0 and r != nf.nalpha]
+    assert below
+    # sigma = -e_j for the first simple e_j with r + e_j a root
+    splits = {neg_root(r): neg_root(e) for r, e in _simple_splits(system, map(neg_root, below)).items()}
+    value, memo = _split_values(module, nf, splits)
+    for r in below:
         for k in nf.window:
-            assert nf.value(r, k) == (1, None, {}), (r, k)
-            assert plain.value(r, k) is extcoh._ZERO
-    assert {r for r, _ in nf._values} == {nf.alpha} | set(nf.below_alpha())
-    assert {r for r, _ in plain._values} == {plain.alpha}
+            assert value(r, k) == {}, (r, k)
+            assert nf.value(r, k) is extcoh._ZERO
+    assert {r for r, _ in memo} == set(below)
+    assert {r for r, _ in nf._values} == {nf.alpha}
 
 
 def _fraction_rank(rows, size):
