@@ -176,8 +176,6 @@ def check_membership(module: DegreeOneModule, theta: Iterable[int],
     if not theta <= S:
         raise ValueError("theta must be contained in S")
     window = module.window(radius)
-    if not window:
-        raise ValueError("empty window: radius too small for these parameters")
     cap = _step_cap(radius, system.rank)
     # condition 1: a root vector on S minus theta that kills a window vector
     cusp_witnesses = _witnesses(module, system.span_closure(S - theta), radius, 1, False)

@@ -19,11 +19,11 @@ from typing import Dict, List, Optional, Sequence
 
 from .categorio import check_membership, classify
 from .degonemod import build_module
-from .extcoh import CertificationError, coboundary_quotient_dim, ext_solve
+from .extcoh import coboundary_quotient_dim, ext_solve
 from .inducemod import DepthOverflowError
 from .paperlab import LEMMAS, run_lemma
 from .rootsys import build_root_system
-from .weylmod import format_rational, parse_rational
+from .weylmod import CertificationError, format_rational, parse_rational
 
 SCHEMA = "weightcat/1"
 

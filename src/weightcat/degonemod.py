@@ -184,9 +184,9 @@ class DegreeOneModule:
         window vector k on which the nonzero {index: Fraction} defect is
         X_mu X_nu - X_nu X_mu - [X_mu, X_nu] on x(k), decided on index numbers
         over the root-action store and `weight_num` at `scale` (`_pair_defects`);
-        an empty iteration certifies bracket fidelity on the window.  The window
-        is enumerated at the first next(), so an empty window, or one too large
-        to enumerate, raises ValueError there, not at the call.
+        an empty iteration certifies bracket fidelity on the window, which holds
+        k = 0.  The window is enumerated at the first next(), so a negative radius,
+        or a window too large to enumerate, raises there, not at the call.
 
         A pair off the Cartan with no coordinate where one root has a q letter
         and the other a p letter is skipped, pairs of disjoint supports among
@@ -212,8 +212,6 @@ class DegreeOneModule:
         read once per module, so a second call reads no step again.
         """
         window = self.window(radius)
-        if not window:
-            raise ValueError("no basis vector to check: the window is empty")
         act, den, keys, ids, weights = self._action, self.scale, self._keys, self._ids, self._weights
         numbers = [ids[k] for k in window]
         tail = () if self.kind == "N" else (0,)
@@ -301,12 +299,9 @@ class DegreeOneModule:
         return [k for k in self.window(radius) if not any(x for i, x in enumerate(k) if i not in free)]
 
     def degree_on_window(self, radius: int) -> int:
-        """Largest weight multiplicity on the window; an empty window raises ValueError."""
+        """Largest weight multiplicity on the window, which holds k = 0 (`WeylParams.window_ranges`)."""
         ids, weights = self._ids, self._weights
-        counts = Counter(weights[ids[k]] for k in self.window(radius))
-        if not counts:
-            raise ValueError("no basis vector to check: the window is empty")
-        return max(counts.values())
+        return max(Counter(weights[ids[k]] for k in self.window(radius)).values())
 
     def levi_orbit(self, k: Sequence[int], levi_simples: Optional[Iterable[int]] = None,
                    radius: int = 3) -> "OrbitReport":

@@ -47,16 +47,12 @@ from typing import Callable, Dict, Iterator, List, Optional, Tuple
 from . import linalg
 from .degonemod import DegreeOneModule
 from .rootsys import Root, RootPair, add_roots, neg_root
-from .weylmod import Lookup, format_rational, parse_rational, sparse_add
+from .weylmod import CertificationError, Lookup, format_rational, parse_rational, sparse_add
 
 Index = Tuple[int, ...]
 # (den, target index, {column: numerator}): a cocycle value or identity row
 Value = Tuple[int, Optional[Index], Dict]
 _ZERO: Value = (1, None, {})
-
-
-class CertificationError(RuntimeError):
-    """The window is too small to assemble a meaningful constraint system."""
 
 
 # ---------------------------------------------------------------------------
@@ -171,8 +167,6 @@ def _cocycle_system(source: DegreeOneModule, target: DegreeOneModule,
     system, eps = source.system, source.realization.epsilon_vector
     shift = source.index_shift(target)
     window = source.window(radius)
-    if not window:
-        raise CertificationError("the window is empty: no cocycle identity to check")
     winset = set(window)
     targets: Dict[Tuple[Root, Index], Index] = {}
     # X_root moves an index by its epsilon vector, and the target index has the
@@ -192,7 +186,7 @@ def _cocycle_system(source: DegreeOneModule, target: DegreeOneModule,
     idents = [_identity(source, target, cval, pair, k)
               for pair in system.realization.root_pairs for k in window]
     # identities that all needed an unknown value checked nothing, which must not pass
-    if idents and not any(idents):
+    if not any(idents):
         raise CertificationError("every identity left the window; enlarge it")
     return targets, [ident[2] for ident in idents if ident and ident[2]]
 
@@ -372,7 +366,6 @@ def _normal_form_system(module: DegreeOneModule, radius: int) -> ConstraintSyste
     labels = sorted(nf.labelset)
     col = {l: i for i, l in enumerate(labels)}
     echelon = linalg.Echelon(len(labels))
-    dropped = False
     # the cheap pairs through alpha: those of alpha with a root r where r_alpha < 0,
     # or r_alpha = 0 and r + alpha is no root, whose identities read c(X_alpha) and
     # zeros only (no root of the pair, nor its sum when N != 0, has a positive
@@ -402,10 +395,6 @@ def _normal_form_system(module: DegreeOneModule, radius: int) -> ConstraintSyste
             echelon.add({col[l]: v for l, v in row.items()})
             if echelon.full:
                 break
-        else:
-            dropped = True
-    if not echelon.rows and dropped:
-        raise CertificationError("every identity left the window; enlarge it")
     # in rank one the pair of alpha and -alpha is the whole bracket table, so a
     # short rank there is the kernel of every identity; in higher rank the other
     # pairs might still raise it, and a kernel these rows leave is not certified
@@ -443,7 +432,7 @@ def ext_solve(source: DegreeOneModule, target: DegreeOneModule, radius: int = 3)
     """
     shaped, refusal, disjoint = _FAMILIES[source.kind]
     for m in (source, target):
-        m.params.window_ranges(radius)  # refuses an oversized window, read or not
+        m.params.window_ranges(radius)  # refuses a negative or oversized window, read or not
         if not shaped(m):
             raise ValueError(refusal)
     if (source.nvars, source.spec.minus_ones) != (target.nvars, target.spec.minus_ones):

@@ -14,10 +14,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .degonemod import build_M, build_N
-from .extcoh import CertificationError
 from .inducemod import LeviModule, central_scalars, induce, restrict_family, u0_compare
 from .rootsys import add_roots, build_root_system, neg_root
-from .weylmod import check_window, format_rational, parse_rational
+from .weylmod import CertificationError, check_window, format_rational, parse_rational
 
 DEFAULT_DEPTH = 4
 AC1_K_RANGE = (-1, 0, 1, 2)

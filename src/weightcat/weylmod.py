@@ -101,6 +101,10 @@ def format_rational(x: Fraction) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
+class CertificationError(RuntimeError):
+    """A window or read too small to certify anything; the CLI exits 3."""
+
+
 class WeylAuditError(RuntimeError):
     """A generator action produced a nonzero coefficient outside the index set."""
 
@@ -137,8 +141,12 @@ class WeylParams:
         return NON_INT if self._lo[i] is None else NONNEG_INT
 
     def window_ranges(self, radius: int) -> List[range]:
-        """Per-coordinate ranges of the admissible k with |k_i| <= radius;
-        `check_window` refuses their product above WINDOW_LIMIT."""
+        """Per-coordinate ranges of the admissible k with |k_i| <= radius; `check_window`
+        refuses their product above WINDOW_LIMIT.  k = 0 is admissible for every a
+        (lo_i <= 0 <= hi_i) and has sum 0, so every window holds it at radius >= 0 and
+        is empty exactly at radius < 0, which is refused here, once for every caller."""
+        if radius < 0:
+            raise CertificationError(f"a window of radius {radius} holds no point to check")
         ranges = [range(-radius if lo is None else max(lo, -radius),
                         (radius if hi is None else min(hi, radius)) + 1)
                   for lo, hi in zip(self._lo, self._hi)]
@@ -235,8 +243,6 @@ def check_weyl_relations(params: WeylParams, radius: int) -> List[str]:
     product `window_ranges`, at the window vector that is 0 elsewhere; the window
     is walked only to list violations.  Of two faulty steps, either may raise first.
     """
-    if radius < 0:  # the window would be empty; for radius >= 0 it holds k = 0
-        raise ValueError(f"radius must be >= 0, got {radius}")
     n, ranges = params.n, params.window_ranges(radius)
     # in the order listed at each k; [x_j, x_i] = -[x_i, x_j], so commuting i < j
     relations = [rel for i in range(n) for rel in
@@ -272,8 +278,6 @@ def transitivity_probe(params: WeylParams, radius: int) -> bool:
     Edges k -> target for every q_i/p_i action with nonzero coefficient whose
     target stays inside the window.
     """
-    if radius < 0:
-        raise ValueError(f"radius must be >= 0, got {radius}")
     window = lattice_window(params, radius)
     inside = set(window)
     succ = {k: [t for i in range(params.n) for kind in "qp"

@@ -11,7 +11,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from weightcat.cli import EXIT_CONFIG, EXIT_MISMATCH, EXIT_OK, EXIT_UNCERTIFIED, _parse_params, main
@@ -193,6 +193,19 @@ def test_ext_rank_one_empty_window_is_uncertified(b, radius, capsys):
     # leaves the window empty: either way nothing was checked, for a pair of
     # disjoint supports (1/2,4/3) too
     code, out = run(capsys, "ext", "--module", "N", "--a", "1/2,1/3", *b, "--B", radius)
+    assert code == EXIT_UNCERTIFIED
+    assert out == ""
+
+
+@pytest.mark.parametrize("pair", [
+    ["--module", "M", "--a", "-1,1/4", "--b", "-1,5/4"],
+    ["--module", "N", "--a", "-1,1/2,1/3,0", "--b", "-1,5/2,7/3,0"],
+])
+@pytest.mark.parametrize("radius", ["-1", "-3"])
+def test_ext_pair_that_is_not_isomorphic_on_an_empty_window_is_uncertified(pair, radius, capsys):
+    # a negative B leaves the window empty, and a pair that is not isomorphic is
+    # answered without reading it: the window is refused before the answer
+    code, out = run(capsys, "ext", *pair, "--B", radius)
     assert code == EXIT_UNCERTIFIED
     assert out == ""
 
@@ -555,6 +568,9 @@ _LAB_REPORT_FLOOR = 25
 def test_cli_exit_code_contract():
     lab_reports = set()
 
+    # the seed `derandomize=True` took from a digest of this function's code when
+    # the floor was measured: pinned, so that editing the body keeps its draws
+    @seed(0x3b25ffaa1781d1c643e9a45dc3f04ec2d16e96ce71b9b26d7b40572a24dde77ecd6678ac8f0ca824af915220ce5e9f7)
     @settings(derandomize=True, deadline=None, max_examples=150, database=None)
     @given(_argv())
     @example(["verify", "--module", "M", "--a", "-2", "--B", "1"])
@@ -603,11 +619,12 @@ def test_cli_exit_code_contract():
 def test_cli_exit_code_contract_certifies_every_ext_self_pair_it_accepts():
     # ext self pairs of the contract's family shapes at B >= 1: a pair the solver
     # accepts is certified on the window, as the cheap identities through alpha
-    # reach full rank, so no read is refused with exit 3.  (Not a clause of the
-    # contract: Hypothesis seeds the contract's draws from that function's code,
-    # so a clause there would re-draw every command's inputs.)
+    # reach full rank, so no read is refused with exit 3.  (Its own test, so the
+    # contract's draws and its lab floor do not depend on it.)
     accepted = []
 
+    # pinned as the contract's seed is, so that editing the body keeps its draws
+    @seed(0x535aea2c0bc91a0f214aa2d144c1f566abda7aad15085da3b4b304579ed910f296dee413440a735637ccbebc07b8cc63)
     @settings(derandomize=True, deadline=None, max_examples=40, database=None)
     @given(st.sampled_from(["N", "M"]).flatmap(lambda m: _EXT_SHAPES[m].map(lambda a: (m, ",".join(a)))),
            st.sampled_from(["1", "2"]))

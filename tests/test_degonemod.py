@@ -325,27 +325,6 @@ def test_bracket_fidelity_on_window(build, params, radius):
     assert _first_bracket_failure(build(params), radius) is None
 
 
-def test_bracket_defects_reject_an_empty_window():
-    m = build_N(["-1", "1/2", "1/3", "0"])
-    assert m.window(-1) == []
-    # a check that saw no vector certifies nothing
-    with pytest.raises(ValueError):
-        next(m.bracket_defects(-1))
-
-
-@pytest.mark.parametrize("build,params", [
-    (build_N, ["-1", "1/2", "1/3", "0"]),
-    (build_M, ["-1", "1/4"]),
-])
-def test_degree_on_window_rejects_an_empty_window(build, params):
-    # "degree one" on no vector at all would be a pass that never ran
-    m = build(params)
-    assert m.window(-1) == []
-    with pytest.raises(ValueError, match="window is empty"):
-        m.degree_on_window(-1)
-    assert m.degree_on_window(0) == 1
-
-
 @pytest.mark.parametrize("build,params,radius", [
     (build_N, ["1/2", "1/3"], 3), (build_N, ["-1", "1/2", "1/3", "0"], 2),
     (build_N, ["1/2", "1/3", "1/5", "1/7"], 2), (build_M, ["-1", "1/4"], 3),

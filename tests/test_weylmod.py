@@ -5,8 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from weightcat.categorio import check_membership
+from weightcat.degonemod import build_M, build_N
+from weightcat.extcoh import coboundary_quotient_dim, cocycle_space
 from weightcat.rootsys import build_root_system
-from weightcat.weylmod import (WINDOW_LIMIT, Lookup, WeylAuditError, WeylParams,
+from weightcat.weylmod import (WINDOW_LIMIT, CertificationError, Lookup, WeylAuditError, WeylParams,
                                check_weyl_relations, format_rational, lattice_window, monomial_word,
                                parse_rational, reach, representatives, sparse_add,
                                transitivity_probe, weyl_act)
@@ -257,12 +260,50 @@ def test_injectivity_for_non_integer_parameters():
                 assert weyl_act((kind, i), params, k)[0] != 0
 
 
-def test_relation_checks_reject_negative_radius():
-    # a negative radius gives an empty window, on which nothing would be checked
-    with pytest.raises(ValueError):
-        check_weyl_relations(WeylParams.of(["1/2", "-1"]), -1)
-    with pytest.raises(ValueError):
-        transitivity_probe(WeylParams.of(["1/2"]), -1)
+_ENTRIES = st.one_of(st.integers(-4, -1), st.integers(0, 4),
+                     st.fractions(-4, 4, max_denominator=7).filter(lambda x: x.denominator > 1))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.lists(_ENTRIES, min_size=1, max_size=5))
+def test_every_window_at_radius_zero_holds_the_zero_index(a):
+    # k = 0 is admissible for negative-integer, non-negative-integer and
+    # non-integer entries alike, so a window is empty exactly at radius < 0
+    params = WeylParams(tuple(map(F, a)))
+    assert all(0 in r for r in params.window_ranges(0))
+    with pytest.raises(CertificationError, match="holds no point"):
+        params.window_ranges(-1)
+
+
+@pytest.mark.parametrize("build,params", [
+    (build_N, ["-1", "1/2", "1/3", "0"]), (build_N, ["-1", "-1", "1/2", "1/3", "0", "0"]),
+    (build_M, ["-1", "1/4"]), (build_M, ["-1", "-1"]), (build_M, ["-1", "-2"]),
+])
+def test_a_module_window_at_radius_zero_holds_the_zero_index(build, params):
+    m = build(params)
+    assert m.window(0) == [m.zero_index()]
+    assert m.degree_on_window(0) == 1
+
+
+_N = ["-1", "1/2", "1/3", "0"]
+
+
+# every check and solver on a window, at radius -1: one that saw no vector
+# would certify nothing, and `window_ranges` refuses it for all of them
+@pytest.mark.parametrize("check", [
+    lambda r: check_weyl_relations(WeylParams.of(["1/2", "-1"]), r),
+    lambda r: transitivity_probe(WeylParams.of(["1/2"]), r),
+    lambda r: next(build_N(_N).bracket_defects(r)),
+    lambda r: build_N(_N).degree_on_window(r),
+    lambda r: build_M(["-1", "1/4"]).degree_on_window(r),
+    lambda r: check_membership(build_N(_N), build_N(_N).theta_a(), radius=r),
+    lambda r: cocycle_space(build_N(["1/2", "1/3"]), build_N(["1/2", "1/3"]), r),
+    lambda r: coboundary_quotient_dim(build_N(["1/2", "1/3"]), build_N(["1/2", "1/3"]), r),
+], ids=["weyl_relations", "transitivity_probe", "bracket_defects", "degree_on_window-N",
+        "degree_on_window-M", "check_membership", "cocycle_space", "coboundary_quotient_dim"])
+def test_a_negative_radius_is_refused_by_every_window_check(check):
+    with pytest.raises(CertificationError, match="holds no point"):
+        check(-1)
 
 
 def test_window_limit_admits_rank_six_and_refuses_before_enumerating():
